@@ -28,17 +28,17 @@ use std::time::Instant;
 use comma::topology::{addrs, CommaBuilder};
 use comma_bench::exps;
 use comma_bench::scale::{
-    event_core_alloc_probe_events, run_event_core, run_many_flows, run_many_flows_churn,
-    run_metro, run_sharded_flows, shard_worker_count, sharded_alloc_probe_windows, ScaleResult,
+    event_core_alloc_probe_events, run_event_core, run_many_flows, run_many_flows_churn, run_metro,
+    run_sharded_flows, shard_worker_count, sharded_alloc_probe_windows, step_fluid, warmed_fluid,
+    ScaleResult,
 };
 use comma_filters::standard_catalog;
-use comma_netsim::fluid::max_min_rates;
 use comma_netsim::packet::{Packet, TcpFlags, TcpSegment};
 use comma_netsim::time::SimTime;
 use comma_proxy::engine::FilterEngine;
 use comma_proxy::filter::NullMetrics;
 use comma_proxy::{ServiceProxy, WildKey};
-use comma_rt::{Bytes, Rng, SeedableRng, SmallRng};
+use comma_rt::{Bytes, SeedableRng, SmallRng};
 use comma_tcp::apps::{BulkSender, Sink};
 
 fn fast_mode() -> bool {
@@ -201,19 +201,23 @@ fn exps_wall_ms() -> (f64, Option<f64>) {
     (serial_ms, Some(parallel_ms))
 }
 
-/// ns per max-min re-solve (sort + water-fill) at `flows` background flows
-/// — the dominant cost of a fluid epoch on a heavily loaded link.
-fn fluid_solver_ns(flows: usize) -> f64 {
-    let mut rng = SmallRng::seed_from_u64(9);
-    let demands: Vec<u64> = (0..flows).map(|_| 2_000 + rng.next_u64() % 4_000).collect();
-    let iters = (200_000 / flows).max(10) as u64;
-    let t = Instant::now();
-    for i in 0..iters {
-        // Vary capacity so the solver cannot be hoisted out of the loop.
-        let rates = max_min_rates(&demands, 8_000_000 + i, 1);
-        std::hint::black_box(rates);
+/// What `fluid_solver_ns` times since PR 13, recorded beside the numbers
+/// so the `BENCH.json` trajectory shows where the definition changed.
+const FLUID_SOLVER_MEASURES: &str = "warmed FluidState::epoch (max_min_rates before PR 13)";
+
+/// ns per `FluidState::epoch` of a warmed default population of `users`
+/// on the metro link: due toggles applied to the maintained sorted active
+/// set, then the O(1) underload decision (100 / 1,000 users) or the
+/// water-filling walk (10,000 users overload the link).
+fn fluid_solver_ns(users: usize) -> f64 {
+    let (mut state, mut t) = warmed_fluid(users, 9);
+    let iters = 20_000u32;
+    let started = Instant::now();
+    for _ in 0..iters {
+        step_fluid(&mut state, &mut t);
     }
-    t.elapsed().as_nanos() as f64 / iters as f64
+    std::hint::black_box(state.residual_bps());
+    started.elapsed().as_nanos() as f64 / iters as f64
 }
 
 fn append_trajectory(root: &std::path::Path, entry: &str) {
@@ -388,7 +392,7 @@ fn main() {
         metro_2x.sim_events as f64 / metro.sim_events.max(1) as f64
     );
 
-    eprintln!("macrobench: fluid solver (max-min re-solve at 100/1k/10k flows)...");
+    eprintln!("macrobench: fluid epoch (warmed FluidState::epoch at 100/1k/10k users)...");
     let fluid_ns: Vec<f64> = [100usize, 1_000, 10_000].iter().map(|&n| fluid_solver_ns(n)).collect();
     eprintln!(
         "macrobench:   fluid_solver_ns = {:.0} / {:.0} / {:.0}",
@@ -491,8 +495,8 @@ fn main() {
          \"flows_10k_speedup_vs_serial\": {speedup_vs_serial:.3},\n    \
          \"metro_events_per_sec\": {:.1},\n    \
          \"metro_fg_goodput_bps\": {:.1},\n    \
-         \"fluid_solver_ns\": {{ \"flows_100\": {:.1}, \"flows_1000\": {:.1}, \
-         \"flows_10000\": {:.1} }},\n    \
+         \"fluid_solver_ns\": {{ \"measures\": \"{FLUID_SOLVER_MEASURES}\", \
+         \"flows_100\": {:.1}, \"flows_1000\": {:.1}, \"flows_10000\": {:.1} }},\n    \
          \"exps_wall_ms\": {{ \"serial\": {serial_ms:.1}, \"parallel\": {parallel_json} }}\n  }}",
         scale[0].events_per_sec,
         scale[1].events_per_sec,
@@ -536,10 +540,11 @@ fn main() {
          \"sim_events_2x_bg\": {},\n    \
          \"fluid_epochs\": {},\n    \
          \"fluid_links\": {},\n    \
+         \"fluid_visits_per_epoch\": {:.3},\n    \
          \"wall_ms\": {:.1},\n    \
          \"workers\": {}\n  }},\n  \
-         \"fluid_solver_ns\": {{ \"flows_100\": {:.1}, \"flows_1000\": {:.1}, \
-         \"flows_10000\": {:.1} }},\n  \
+         \"fluid_solver_ns\": {{ \"measures\": \"{FLUID_SOLVER_MEASURES}\", \
+         \"flows_100\": {:.1}, \"flows_1000\": {:.1}, \"flows_10000\": {:.1} }},\n  \
          \"exps_wall_ms\": {{ \"serial\": {serial_ms:.1}, \"parallel\": {parallel_json}, \
          \"speedup\": {speedup_json}, \"workers\": {workers} }}\n}}\n",
         shard_par.windows_skipped,
@@ -552,6 +557,7 @@ fn main() {
         metro_2x.sim_events,
         metro.fluid_epochs,
         metro.fluid_links,
+        metro.fluid_visits_per_epoch,
         metro.wall_ms,
         metro.workers,
         fluid_ns[0],

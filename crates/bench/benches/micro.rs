@@ -241,20 +241,18 @@ fn bench_sched(bench: &mut Bench) {
 }
 
 fn bench_fluid(bench: &mut Bench) {
-    use comma_netsim::fluid::max_min_rates;
-    use comma_rt::Rng;
+    use comma_bench::scale::{step_fluid, warmed_fluid};
 
-    // One fluid epoch's dominant cost: a full max-min re-solve (sort +
-    // water-fill) over the link's active background flows, with one greedy
-    // foreground participant sharing the capacity.
+    // One `FluidState::epoch` of a warmed default population on the metro
+    // link: apply the due toggles to the maintained sorted active set,
+    // then the O(1) underload decision (100 and 1,000 users) or the
+    // water-filling walk of an overloaded link (10,000).
     let mut g = bench.group("fluid");
-    for flows in [100usize, 1_000, 10_000] {
-        let mut rng = SmallRng::seed_from_u64(flows as u64);
-        let demands: Vec<u64> = (0..flows).map(|_| 2_000 + rng.next_u64() % 4_000).collect();
-        let mut capacity = 8_000_000u64;
-        g.bench(format!("fluid_solver_epoch_{flows}"), move || {
-            capacity += 1;
-            max_min_rates(&demands, capacity, 1).len()
+    for users in [100usize, 1_000, 10_000] {
+        let (mut state, mut t) = warmed_fluid(users, users as u64);
+        g.bench(format!("fluid_solver_epoch_{users}"), move || {
+            step_fluid(&mut state, &mut t);
+            state.residual_bps()
         });
     }
     g.finish();

@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use comma::topology::{addrs, CommaBuilder};
 use comma_faultcheck::FaultPlan;
+use comma_netsim::fluid::{FluidConfig, FluidState};
 use comma_netsim::link::{LinkParams, LossModel};
 use comma_netsim::node::{IfaceId, Node, NodeCtx, NodeId};
 use comma_netsim::packet::{IcmpMessage, IpPayload, Packet};
@@ -518,6 +519,49 @@ pub fn sharded_alloc_probe_windows(shards: usize, workers: usize, seed: u64) -> 
     )
 }
 
+/// Link the fluid probes solve against: the metro cell's 8 Mbit/s,
+/// 128 KiB wireless hop. 100 and 1,000 default users leave it underloaded
+/// (the O(1) decision), 10,000 overload it (the water-filling walk).
+const FLUID_PROBE_LINK: (u64, usize) = (8_000_000, 128 * 1024);
+
+/// One epoch of a fluid probe: re-solves at `*t` and advances it to the
+/// next pending epoch.
+pub fn step_fluid(state: &mut FluidState, t: &mut SimTime) {
+    let (capacity, limit) = FLUID_PROBE_LINK;
+    *t = state
+        .epoch(*t, capacity, limit)
+        .expect("a non-empty population always has a pending toggle");
+}
+
+/// A default-config population of `users` stepped through 20 simulated
+/// seconds — past the arrival ramp and several on/off cycles, so the
+/// active set sits at its steady third of the population — and the time
+/// of its next epoch: what the fluid benches and the allocation probe
+/// step.
+pub fn warmed_fluid(users: usize, seed: u64) -> (FluidState, SimTime) {
+    let mut state = FluidState::new(FluidConfig::users(users), seed);
+    let mut t = SimTime::ZERO;
+    while t < SimTime::from_secs(20) {
+        step_fluid(&mut state, &mut t);
+    }
+    (state, t)
+}
+
+/// Two-segment allocation probe for `FluidState::epoch`: construction and
+/// warm-up grow the active set to its high-water capacity, then 2,000
+/// further epochs must not touch the heap. Returns
+/// `(warmup_allocs, steady_allocs)` like [`event_core_alloc_probe`].
+pub fn fluid_alloc_probe(users: usize, seed: u64) -> (u64, u64) {
+    let warm = comma_rt::alloc::AllocScope::begin();
+    let (mut state, mut t) = warmed_fluid(users, seed);
+    let warm = warm.delta().allocs;
+    let steady = comma_rt::alloc::AllocScope::begin();
+    for _ in 0..2_000 {
+        step_fluid(&mut state, &mut t);
+    }
+    (warm, steady.delta().allocs)
+}
+
 /// Result of one sharded multi-cell run.
 #[derive(Clone, Debug)]
 pub struct ShardScaleResult {
@@ -760,6 +804,11 @@ pub struct MetroResult {
     pub fluid_epochs: u64,
     /// Links carrying a fluid population.
     pub fluid_links: u64,
+    /// Flow slots the solver examined per epoch
+    /// ([`comma_netsim::fluid::FluidTotals::flow_visits`] / epochs):
+    /// deterministic, and a few percent of users-per-link while epochs
+    /// cost O(due toggles) rather than O(population).
+    pub fluid_visits_per_epoch: f64,
     /// Wall-clock milliseconds for the fixed-horizon run.
     pub wall_ms: f64,
     /// `sim_events / wall seconds`.
@@ -874,6 +923,7 @@ pub fn run_metro(
         sim_events: stats.events,
         fluid_epochs: fluid.epochs,
         fluid_links: fluid.links,
+        fluid_visits_per_epoch: fluid.flow_visits as f64 / fluid.epochs.max(1) as f64,
         wall_ms: wall * 1e3,
         events_per_sec: stats.events as f64 / wall,
         fg_goodput_bps: delivered as f64 * 8.0 / horizon_secs as f64,

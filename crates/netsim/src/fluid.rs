@@ -75,8 +75,10 @@ pub fn max_min_rates(demands: &[u64], capacity_bps: u64, greedy: usize) -> Vec<u
     rates
 }
 
-/// Aggregate form of [`max_min_rates`] for the per-epoch hot path:
-/// given the *ascending-sorted* active demands, returns
+/// Aggregate form of [`max_min_rates`] for the epochs of a contended
+/// link (an underloaded one is decided in O(1), see
+/// [`FluidState::epoch`]): given the *ascending-sorted* active demands,
+/// returns
 /// `(background_total_bps, residual_bps)` where the residual is what the
 /// `greedy` always-backlogged participants (the packet-level foreground
 /// traffic) keep. `background_total + residual == capacity` whenever any
@@ -192,6 +194,11 @@ pub struct FluidTotals {
     pub active: u64,
     /// Total rate-solver epochs executed.
     pub epochs: u64,
+    /// Flow slots those epochs examined: one per applied toggle, plus the
+    /// slots each solve read (see [`FluidState::flow_visits`]).
+    /// Deterministic, so `flow_visits / epochs` is a noise-free gate on
+    /// the per-epoch cost.
+    pub flow_visits: u64,
 }
 
 impl FluidTotals {
@@ -201,6 +208,7 @@ impl FluidTotals {
         self.users += other.users;
         self.active += other.active;
         self.epochs += other.epochs;
+        self.flow_visits += other.flow_visits;
     }
 }
 
@@ -218,10 +226,15 @@ pub struct FluidState {
     /// Min-heap of pending `(toggle time µs, flow index)` transitions.
     toggles: BinaryHeap<Reverse<(u64, u32)>>,
     rng: SmallRng,
-    /// Demands of currently-on flows, ascending (rebuilt each epoch into
-    /// retained capacity — the epoch path is allocation-free at steady
-    /// state).
+    /// Demands of currently-on flows, ascending. Maintained *across*
+    /// epochs: a toggle binary-searches the flow's immutable demand and
+    /// inserts or removes one element, so an epoch costs O(due toggles)
+    /// and allocates only while the vector grows to its high-water mark.
     active: Vec<u64>,
+    /// Running sum of `active`.
+    offered: u64,
+    /// Capacity the last epoch solved against.
+    capacity_bps: u64,
     bg_rate_bps: u64,
     residual_bps: u64,
     /// Fluid queue growth between epochs, bytes per microsecond (signed:
@@ -230,6 +243,7 @@ pub struct FluidState {
     queue_bytes: f64,
     queue_as_of: SimTime,
     epochs: u64,
+    flow_visits: u64,
     /// Handle of the scheduled next-epoch event; the simulator cancels it
     /// when a capacity change forces an early re-solve.
     pub(crate) handle: TimerHandle,
@@ -269,12 +283,15 @@ impl FluidState {
             toggles,
             rng,
             active: Vec::new(),
+            offered: 0,
+            capacity_bps: 0,
             bg_rate_bps: 0,
             residual_bps: 0,
             growth_bytes_per_us: 0.0,
             queue_bytes: 0.0,
             queue_as_of: SimTime::ZERO,
             epochs: 0,
+            flow_visits: 0,
             handle: TimerHandle::NONE,
         }
     }
@@ -290,6 +307,8 @@ impl FluidState {
     /// rates, applies every due on/off transition, re-solves the max-min
     /// allocation against `capacity_bps` (foreground as one greedy
     /// participant), and returns the time of the next pending epoch.
+    /// Costs O(due transitions) while the link is underloaded, plus a
+    /// walk of the satisfied prefix of the active set when it is not.
     pub fn epoch(
         &mut self,
         now: SimTime,
@@ -304,27 +323,44 @@ impl FluidState {
                 break;
             }
             self.toggles.pop();
-            let on = {
-                let flow = &mut self.flows[i as usize];
-                flow.on = !flow.on;
-                flow.on
-            };
+            let flow = &mut self.flows[i as usize];
+            flow.on = !flow.on;
+            let (on, d) = (flow.on, flow.demand_bps);
+            // Equal demands are interchangeable, so the first slot at or
+            // above `d` is the right one for both directions.
+            let at = self.active.partition_point(|&x| x < d);
+            if on {
+                self.active.insert(at, d);
+                self.offered += d;
+            } else {
+                debug_assert_eq!(self.active[at], d);
+                self.active.remove(at);
+                self.offered -= d;
+            }
+            self.flow_visits += 1;
             let mean = if on { self.cfg.mean_on } else { self.cfg.mean_off };
             let dur = Self::draw_duration(&mut self.rng, mean);
             let next = (now_us + dur).div_ceil(self.quantum_us).max(now_us / self.quantum_us + 1)
                 * self.quantum_us;
             self.toggles.push(Reverse((next, i)));
         }
-        self.active.clear();
-        let mut offered = 0u64;
-        for f in &self.flows {
-            if f.on {
-                self.active.push(f.demand_bps);
-                offered += f.demand_bps;
-            }
-        }
-        self.active.sort_unstable();
-        let (bg, residual) = max_min_allocate(&self.active, capacity_bps, 1);
+        // The water-filling solver satisfies sorted flow `j` iff
+        // `S_j + d_j * (N - j + 1) <= capacity` (`S_j` the sum of the
+        // demands below it, `+ 1` the greedy foreground). That left side
+        // is non-decreasing in `j` — it grows by
+        // `(d_{j+1} - d_j) * (N - j)` per step — so everyone is satisfied
+        // iff the last flow is: `offered + d_max <= capacity`. Only a
+        // contended link walks the (already sorted) active set.
+        let d_max = self.active.last().copied().unwrap_or(0);
+        let offered = self.offered;
+        let (bg, residual) = if offered as u128 + d_max as u128 <= capacity_bps as u128 {
+            self.flow_visits += 1;
+            (offered, capacity_bps - offered)
+        } else {
+            self.flow_visits += self.active.len() as u64;
+            max_min_allocate(&self.active, capacity_bps, 1)
+        };
+        self.capacity_bps = capacity_bps;
         self.bg_rate_bps = bg;
         self.residual_bps = residual;
         // The fluid queue absorbs whatever the population offers beyond
@@ -332,6 +368,7 @@ impl FluidState {
         // integration keeps it within [0, queue_limit].
         self.growth_bytes_per_us = (offered as f64 - capacity_bps as f64) / 8e6;
         self.epochs += 1;
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         self.toggles
             .peek()
             .map(|&Reverse((t, _))| SimTime::from_micros(t))
@@ -372,6 +409,70 @@ impl FluidState {
     /// Epochs (rate re-solves) executed so far.
     pub fn epochs(&self) -> u64 {
         self.epochs
+    }
+
+    /// Flow slots examined by all epochs so far: one per applied toggle,
+    /// plus per solve either one (the largest active demand, when the
+    /// O(1) underload test decides) or the size of the active set handed
+    /// to the water-filling solver (an upper bound: it stops at the first
+    /// unsatisfied flow). The binary search and the one-element `Vec`
+    /// shift of a toggle are not counted.
+    pub fn flow_visits(&self) -> u64 {
+        self.flow_visits
+    }
+
+    /// Demands of the flows currently in their on period, in flow-index
+    /// order, read from the per-flow ground truth rather than the
+    /// maintained sorted set — what a from-scratch re-solve starts from.
+    pub fn on_demands(&self) -> impl Iterator<Item = u64> + '_ {
+        self.flows.iter().filter(|f| f.on).map(|f| f.demand_bps)
+    }
+
+    /// Checks the incrementally maintained state against the per-flow
+    /// ground truth: `active` is ascending, holds as many demands as there
+    /// are on flows and sums with them to `offered`, no more than the
+    /// offered load is allocated, and a link with an unsatisfied flow is
+    /// fully allocated. Allocation-free; asserted after every epoch in
+    /// debug builds.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some(i) = self.active.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!(
+                "active not ascending at {i}: {} > {}",
+                self.active[i],
+                self.active[i + 1]
+            ));
+        }
+        let (on, truth) = self
+            .on_demands()
+            .fold((0usize, 0u64), |(n, sum), d| (n + 1, sum + d));
+        if on != self.active.len() {
+            return Err(format!(
+                "active holds {} demands but {on} flows are on",
+                self.active.len()
+            ));
+        }
+        let kept: u64 = self.active.iter().sum();
+        if truth != self.offered || kept != self.offered {
+            return Err(format!(
+                "offered {} but on flows sum to {truth} and active to {kept}",
+                self.offered
+            ));
+        }
+        if self.bg_rate_bps > self.offered {
+            return Err(format!(
+                "background rate {} exceeds offered load {}",
+                self.bg_rate_bps, self.offered
+            ));
+        }
+        if self.bg_rate_bps < self.offered
+            && self.bg_rate_bps + self.residual_bps != self.capacity_bps
+        {
+            return Err(format!(
+                "unsatisfied flows but {} + {} != capacity {}",
+                self.bg_rate_bps, self.residual_bps, self.capacity_bps
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -423,6 +524,7 @@ mod tests {
             let mut t = SimTime::ZERO;
             let mut n = 0u64;
             while let Some(next) = fs.epoch(t, 8_000_000, 32 * 1024) {
+                fs.check_invariants().expect("fluid invariants");
                 if next > horizon {
                     break;
                 }
@@ -452,6 +554,7 @@ mod tests {
             let na = a.epoch(t, 8_000_000, 32 * 1024);
             let nb = b.epoch(t, 8_000_000, 32 * 1024);
             assert_eq!(na, nb);
+            a.check_invariants().expect("fluid invariants");
             assert_eq!(a.active_flows(), b.active_flows());
             assert_eq!(a.residual_bps(), b.residual_bps());
             assert_eq!(

@@ -366,6 +366,7 @@ impl Simulator {
                 t.users += f.users() as u64;
                 t.active += f.active_flows() as u64;
                 t.epochs += f.epochs();
+                t.flow_visits += f.flow_visits();
             }
         }
         t

@@ -112,7 +112,8 @@ if [ "${1:-}" = "bench" ]; then
         echo "macro bench FAILED: BENCH_macro.json lacks the \"metro\" block" >&2
         exit 1
     fi
-    for key in bg_users fg_goodput_bps events_per_sec sim_events sim_events_2x_bg; do
+    for key in bg_users fg_goodput_bps events_per_sec sim_events sim_events_2x_bg \
+               fluid_links fluid_visits_per_epoch; do
         printf '%s' "$metro" | grep -q "\"$key\"" || {
             echo "macro bench FAILED: metro block lacks \"$key\"" >&2
             exit 1
@@ -135,7 +136,23 @@ if [ "${1:-}" = "bench" ]; then
         echo "macro bench FAILED: doubling background users grew sim_events $m_events -> $m_events_2x (> 1.5x); background traffic is leaking per-packet cost" >&2
         exit 1
     fi
-    echo "metro gate ok (fg_goodput_bps = $m_goodput; sim_events $m_events -> $m_events_2x at 2x bg users)"
+    # Deterministic work counter: a fluid epoch may examine at most 5% of
+    # a link's population (toggles due in the slot, plus the active set
+    # only when the link is contended). A per-epoch scan of every user
+    # reads > 100% here, whatever the host's timing noise.
+    m_users="$(printf '%s\n' "$metro" | sed -n 's/.*"bg_users": \([0-9]*\).*/\1/p' | head -n1)"
+    m_links="$(printf '%s\n' "$metro" | sed -n 's/.*"fluid_links": \([0-9]*\).*/\1/p' | head -n1)"
+    m_visits="$(printf '%s\n' "$metro" | sed -n 's/.*"fluid_visits_per_epoch": \([0-9.]*\).*/\1/p' | head -n1)"
+    if [ -z "$m_users" ] || [ -z "$m_visits" ] || [ "${m_links:-0}" -eq 0 ]; then
+        echo "macro bench FAILED: could not parse metro bg_users / fluid_links / fluid_visits_per_epoch" >&2
+        exit 1
+    fi
+    m_per_link=$((m_users / m_links))
+    if ! awk -v v="$m_visits" -v u="$m_per_link" 'BEGIN { exit !(v <= 0.05 * u) }'; then
+        echo "macro bench FAILED: fluid_visits_per_epoch $m_visits exceeds 5% of $m_per_link users per link; epochs are scanning the population again" >&2
+        exit 1
+    fi
+    echo "metro gate ok (fg_goodput_bps = $m_goodput; sim_events $m_events -> $m_events_2x at 2x bg users; $m_visits flow visits per epoch over $m_per_link users per link)"
     # Parallelism floors key off the single top-level "cores" value the
     # macrobench records (honest available_parallelism, reported once).
     cores="$(sed -n 's/.*"cores": \([0-9]*\).*/\1/p' BENCH_macro.json | head -n1)"

@@ -9,7 +9,7 @@
 //! away.
 #![cfg(feature = "alloc-stats")]
 
-use comma_bench::scale::{event_core_alloc_probe, sharded_alloc_probe};
+use comma_bench::scale::{event_core_alloc_probe, fluid_alloc_probe, sharded_alloc_probe};
 
 #[test]
 fn serial_event_core_is_allocation_free_after_warmup() {
@@ -31,6 +31,21 @@ fn sharded_window_loop_is_allocation_free_after_warmup() {
             steady, 0,
             "the sharded window loop ({workers} workers) allocated {steady} \
              times in steady state (after {warm} warmup allocations)"
+        );
+    }
+}
+
+#[test]
+fn fluid_epoch_is_allocation_free_after_warmup() {
+    // 1,000 users leave the probe link underloaded (O(1) decision),
+    // 10,000 overload it (water-filling walk): both epoch paths.
+    for users in [1_000usize, 10_000] {
+        let (warm, steady) = fluid_alloc_probe(users, 7);
+        assert!(warm > 0, "construction and active-set growth must allocate");
+        assert_eq!(
+            steady, 0,
+            "FluidState::epoch ({users} users) allocated {steady} times in \
+             steady state (after {warm} warmup allocations)"
         );
     }
 }

@@ -6,7 +6,7 @@ use comma_repro::prelude::*;
 use comma_repro::rt::prop::{gen, Runner};
 
 use comma_repro::filters::codec::{lzss_compress, lzss_decompress, rle_compress, rle_decompress};
-use comma_repro::netsim::fluid::{max_min_rates, FluidConfig, FluidState};
+use comma_repro::netsim::fluid::{max_min_allocate, max_min_rates, FluidConfig, FluidState};
 use comma_repro::netsim::wire;
 use comma_repro::netsim::sim::PacketObserver;
 use comma_repro::tcp::buffer::RecvBuffer;
@@ -605,6 +605,105 @@ fn fluid_epoch_schedule_deterministic_per_seed() {
                 let a = trace(*seed);
                 ensure_eq!(a, trace(*seed), "same seed diverged");
                 ensure!(a.len() > 1, "no epochs scheduled");
+                Ok(())
+            },
+        );
+}
+
+/// One differential case: a population shape, a load regime, and a
+/// capacity step applied between two grid slots the way
+/// `Simulator::set_link_bandwidth` does.
+#[derive(Debug)]
+struct FluidCase {
+    seed: u64,
+    users: usize,
+    jitter_pct: u32,
+    /// Offered load at the mean on-fraction, in percent of capacity:
+    /// 10 (underloaded), 100 (saturated) or 1000 (10x overloaded).
+    load_pct: u64,
+    step_at: usize,
+    step_capacity: u64,
+}
+
+/// `FluidState::epoch` keeps `active` sorted and `offered` summed across
+/// epochs and decides the underloaded case without walking the set; after
+/// every epoch its outputs must equal a from-scratch re-solve — scan the
+/// per-flow ground truth, sort, water-fill — and the maintained state
+/// must pass `check_invariants`. Jitter 0 makes every demand equal, so
+/// removal among duplicates is exercised.
+#[test]
+fn fluid_incremental_epoch_matches_from_scratch_solve() {
+    const CAPACITY: u64 = 8_000_000;
+    const LIMIT: usize = 131_072;
+    Runner::new("fluid_incremental_epoch_matches_from_scratch_solve")
+        .cases(240)
+        .run(
+            |rng| FluidCase {
+                seed: rng.gen::<u64>(),
+                users: if rng.gen_bool(0.5) {
+                    rng.gen_range(1usize..33)
+                } else {
+                    rng.gen_range(33usize..3_001)
+                },
+                jitter_pct: [0, 0, 10, 50, 100][gen::index(rng, 5)],
+                load_pct: [10, 100, 1_000][gen::index(rng, 3)],
+                step_at: rng.gen_range(1usize..40),
+                step_capacity: [CAPACITY / 10, CAPACITY / 2, CAPACITY * 4][gen::index(rng, 3)],
+            },
+            |case| {
+                // A third of the users are on at a time (on 200 ms / off
+                // 400 ms), so this demand offers `load_pct` of capacity.
+                let demand = (CAPACITY * case.load_pct * 3 / (100 * case.users as u64)).max(1);
+                let mut cfg = FluidConfig::users(case.users)
+                    .with_demand(demand)
+                    .with_on_off(SimDuration::from_millis(200), SimDuration::from_millis(400))
+                    .with_ramp(SimDuration::from_millis(150));
+                cfg.demand_jitter_pct = case.jitter_pct;
+                let mut st = FluidState::new(cfg, case.seed);
+                let mut capacity = CAPACITY;
+                let mut now = SimTime::ZERO;
+                // Reference fluid queue, integrated with the reference
+                // rates only.
+                let (mut queue, mut growth, mut as_of) = (0.0f64, 0.0f64, 0u64);
+                let mut saw_unsatisfied = false;
+                for step in 0..60 {
+                    let Some(next) = st.epoch(now, capacity, LIMIT) else {
+                        break;
+                    };
+                    st.check_invariants()?;
+                    let mut truth: Vec<u64> = st.on_demands().collect();
+                    let offered: u64 = truth.iter().sum();
+                    let rates_sum: u64 = max_min_rates(&truth, capacity, 1).iter().sum();
+                    truth.sort_unstable();
+                    let (bg, residual) = max_min_allocate(&truth, capacity, 1);
+                    ensure_eq!(st.active_flows(), truth.len(), "step {step}");
+                    ensure_eq!(st.bg_rate_bps(), bg, "step {step}");
+                    ensure_eq!(st.residual_bps(), residual, "step {step}");
+                    ensure_eq!(rates_sum, bg, "per-flow rates disagree at step {step}");
+                    saw_unsatisfied |= bg < offered;
+                    let dt = (now.as_micros() - as_of) as f64;
+                    queue = (queue + growth * dt).clamp(0.0, LIMIT as f64);
+                    as_of = now.as_micros();
+                    growth = (offered as f64 - capacity as f64) / 8e6;
+                    let mid = SimTime::from_micros((now.as_micros() + next.as_micros()) / 2);
+                    for at in [now, mid, next] {
+                        let dt = (at.as_micros() - as_of) as f64;
+                        let expect = (queue + growth * dt).clamp(0.0, LIMIT as f64) as u64;
+                        ensure_eq!(st.queue_bytes_at(at, LIMIT), expect, "queue at step {step}");
+                    }
+                    // The capacity step re-solves between grid slots with
+                    // no toggle due; every other epoch lands on the grid.
+                    if step == case.step_at {
+                        capacity = case.step_capacity;
+                        now = mid;
+                    } else {
+                        now = next;
+                    }
+                }
+                ensure!(st.epochs() > 1, "no epochs scheduled");
+                if case.load_pct == 1_000 && case.users >= 33 {
+                    ensure!(saw_unsatisfied, "10x overload never left a flow short");
+                }
                 Ok(())
             },
         );
