@@ -16,7 +16,11 @@
 //!   The transfer-derived rate is reported as `transfer_events_per_sec`;
 //!   it is *not* the scheduler headline because timer cancellation
 //!   removes cheap events from both numerator and wall time, so it can
-//!   move either way while real throughput improves.
+//!   move either way while real throughput improves. The `events_per_sec`
+//!   inside the `scale` and `metro` blocks is the same kind of figure:
+//!   there `wall_ms` is the speed number and `events_per_link_pkt`
+//!   (events per packet offered to a link, exact per seed) the one CI
+//!   gates on.
 //! - `BENCH.json` (repo root) — the append-only trajectory array.
 //!
 //! Run via `cargo bench -p comma-bench --bench macrobench`; set
@@ -40,6 +44,17 @@ use comma_proxy::filter::NullMetrics;
 use comma_proxy::{ServiceProxy, WildKey};
 use comma_rt::{Bytes, SeedableRng, SmallRng};
 use comma_tcp::apps::{BulkSender, Sink};
+
+/// The per-N fields of the `scale` block. `wall_ms` and the exact
+/// `events_per_link_pkt` lead; `events_per_sec` is kept as a scheduler
+/// figure (it falls when cheap events are removed, while wall improves).
+fn scale_fields(r: &ScaleResult) -> String {
+    format!(
+        "\"wall_ms\": {:.1}, \"events_per_link_pkt\": {:.3}, \"sim_events\": {}, \
+         \"link_pkts\": {}, \"events_per_sec\": {:.1}",
+        r.wall_ms, r.events_per_link_pkt, r.sim_events, r.link_pkts, r.events_per_sec
+    )
+}
 
 fn fast_mode() -> bool {
     std::env::var("COMMA_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
@@ -271,33 +286,25 @@ fn main() {
          {received} B delivered"
     );
 
+    // Runs one scale family at N ∈ {16, 64, 256}, logging each row.
+    let run_scale = |label: &str, run: fn(usize, usize, u64) -> ScaleResult| -> Vec<ScaleResult> {
+        [16usize, 64, 256]
+            .iter()
+            .map(|&flows| {
+                let r = run(flows, scale_bytes, 42);
+                eprintln!(
+                    "macrobench:   {label}_{flows}: wall_ms = {:.1}, events_per_link_pkt = {:.3} \
+                     ({} events, {} link pkts, {:.0} ev/s)",
+                    r.wall_ms, r.events_per_link_pkt, r.sim_events, r.link_pkts, r.events_per_sec
+                );
+                r
+            })
+            .collect()
+    };
     eprintln!("macrobench: many-flows scale workload ({scale_bytes} B/flow)...");
-    let scale: Vec<ScaleResult> = [16usize, 64, 256]
-        .iter()
-        .map(|&flows| {
-            let r = run_many_flows(flows, scale_bytes, 42);
-            eprintln!(
-                "macrobench:   flows_{flows}: events_per_sec = {:.0}, wall_ms = {:.1} \
-                 ({} events)",
-                r.events_per_sec, r.wall_ms, r.sim_events
-            );
-            r
-        })
-        .collect();
-
+    let scale = run_scale("flows", run_many_flows);
     eprintln!("macrobench: many-flows scale workload under churn ({scale_bytes} B/flow)...");
-    let scale_churn: Vec<ScaleResult> = [16usize, 64, 256]
-        .iter()
-        .map(|&flows| {
-            let r = run_many_flows_churn(flows, scale_bytes, 42);
-            eprintln!(
-                "macrobench:   flows_churn_{flows}: events_per_sec = {:.0}, wall_ms = {:.1} \
-                 ({} events)",
-                r.events_per_sec, r.wall_ms, r.sim_events
-            );
-            r
-        })
-        .collect();
+    let scale_churn = run_scale("flows_churn", run_many_flows_churn);
 
     let (shard_cells, shard_flows_per_cell) = (100usize, 100usize);
     let shard_bytes: u64 = if fast { 1_024 } else { 4_096 };
@@ -334,11 +341,14 @@ fn main() {
         (shard_serial.clone(), 1.0)
     };
     eprintln!(
-        "macrobench:   flows_10k: events_per_sec = {:.0}, wall_ms = {:.1} at {shard_workers} \
-         workers vs {:.1} serial ({speedup_vs_serial:.2}x, {} xfer pkts, {} windows, \
-         {} skipped)",
-        shard_par.events_per_sec,
+        "macrobench:   flows_10k: wall_ms = {:.1}, events_per_link_pkt = {:.3} ({} events, \
+         {} link pkts, {:.0} ev/s) at {shard_workers} workers vs {:.1} ms serial \
+         ({speedup_vs_serial:.2}x, {} xfer pkts, {} windows, {} skipped)",
         shard_par.wall_ms,
+        shard_par.events_per_link_pkt,
+        shard_par.sim_events,
+        shard_par.link_pkts,
+        shard_par.events_per_sec,
         shard_serial.wall_ms,
         shard_par.xfer_pkts,
         shard_par.windows,
@@ -378,16 +388,18 @@ fn main() {
         shard_workers,
     );
     eprintln!(
-        "macrobench:   metro: events_per_sec = {:.0}, fg_goodput_bps = {:.0}, \
-         wall_ms = {:.1} ({} bg users, {} active, {} epochs, {} sim events; \
-         2x bg users → {} sim events, {:.2}x)",
-        metro.events_per_sec,
-        metro.fg_goodput_bps,
+        "macrobench:   metro: wall_ms = {:.1}, fg_goodput_bps = {:.0}, \
+         events_per_link_pkt = {:.3} ({} bg users, {} active, {} epochs, {} sim events, \
+         {} link pkts, {:.0} ev/s; 2x bg users → {} sim events, {:.2}x)",
         metro.wall_ms,
+        metro.fg_goodput_bps,
+        metro.events_per_link_pkt,
         metro.bg_users,
         metro.bg_active,
         metro.fluid_epochs,
         metro.sim_events,
+        metro.link_pkts,
+        metro.events_per_sec,
         metro_2x.sim_events,
         metro_2x.sim_events as f64 / metro.sim_events.max(1) as f64
     );
@@ -444,28 +456,23 @@ fn main() {
     let scale_json = scale
         .iter()
         .map(|r| {
-            format!(
-                "    \"flows_{}\": {{ \"events_per_sec\": {:.1}, \"wall_ms\": {:.1}, \
-                 \"sim_events\": {} }}",
-                r.flows, r.events_per_sec, r.wall_ms, r.sim_events
-            )
+            format!("    \"flows_{}\": {{ {} }}", r.flows, scale_fields(r))
         })
         .chain(scale_churn.iter().map(|r| {
-            format!(
-                "    \"flows_churn_{}\": {{ \"events_per_sec\": {:.1}, \"wall_ms\": {:.1}, \
-                 \"sim_events\": {} }}",
-                r.flows, r.events_per_sec, r.wall_ms, r.sim_events
-            )
+            format!("    \"flows_churn_{}\": {{ {} }}", r.flows, scale_fields(r))
         }))
         .chain(std::iter::once(format!(
-            "    \"flows_10k\": {{ \"events_per_sec\": {:.1}, \"wall_ms\": {:.1}, \
-             \"sim_events\": {}, \"flows\": {}, \"workers\": {}, \
+            "    \"flows_10k\": {{ \"wall_ms\": {:.1}, \"events_per_link_pkt\": {:.3}, \
+             \"sim_events\": {}, \"link_pkts\": {}, \"events_per_sec\": {:.1}, \
+             \"flows\": {}, \"workers\": {}, \
              \"serial_wall_ms\": {:.1}, \"speedup_vs_serial\": {:.3}, \
              \"windows\": {}, \"windows_skipped\": {}, \"xfer_pkts\": {}, \
              \"lane_bytes\": {} }}",
-            shard_par.events_per_sec,
             shard_par.wall_ms,
+            shard_par.events_per_link_pkt,
             shard_par.sim_events,
+            shard_par.link_pkts,
+            shard_par.events_per_sec,
             shard_cells * shard_flows_per_cell,
             shard_par.workers,
             shard_serial.wall_ms,
@@ -492,6 +499,8 @@ fn main() {
          \"transfer_events_per_sec\": {transfer_events_per_sec:.1},\n    \
          \"scale_events_per_sec\": {{ \"flows_16\": {:.1}, \"flows_64\": {:.1}, \
          \"flows_256\": {:.1} }},\n    \
+         \"flows_10k_wall_ms\": {:.1},\n    \
+         \"flows_10k_events_per_link_pkt\": {:.3},\n    \
          \"flows_10k_speedup_vs_serial\": {speedup_vs_serial:.3},\n    \
          \"metro_events_per_sec\": {:.1},\n    \
          \"metro_fg_goodput_bps\": {:.1},\n    \
@@ -501,6 +510,8 @@ fn main() {
         scale[0].events_per_sec,
         scale[1].events_per_sec,
         scale[2].events_per_sec,
+        shard_par.wall_ms,
+        shard_par.events_per_link_pkt,
         metro.events_per_sec,
         metro.fg_goodput_bps,
         fluid_ns[0],
@@ -541,6 +552,8 @@ fn main() {
          \"fluid_epochs\": {},\n    \
          \"fluid_links\": {},\n    \
          \"fluid_visits_per_epoch\": {:.3},\n    \
+         \"link_pkts\": {},\n    \
+         \"events_per_link_pkt\": {:.3},\n    \
          \"wall_ms\": {:.1},\n    \
          \"workers\": {}\n  }},\n  \
          \"fluid_solver_ns\": {{ \"measures\": \"{FLUID_SOLVER_MEASURES}\", \
@@ -558,6 +571,8 @@ fn main() {
         metro.fluid_epochs,
         metro.fluid_links,
         metro.fluid_visits_per_epoch,
+        metro.link_pkts,
+        metro.events_per_link_pkt,
         metro.wall_ms,
         metro.workers,
         fluid_ns[0],

@@ -41,9 +41,14 @@ pub struct ScaleResult {
     pub delivered: u64,
     /// Discrete events processed by the simulator.
     pub sim_events: u64,
+    /// Packets offered to links.
+    pub link_pkts: u64,
+    /// `sim_events / link_pkts`: exact per seed, so CI can gate on it.
+    pub events_per_link_pkt: f64,
     /// Wall-clock milliseconds for the run.
     pub wall_ms: f64,
-    /// `sim_events / wall seconds`.
+    /// `sim_events / wall seconds`. A scheduler figure, not a speed
+    /// headline: removing cheap events lowers it while `wall_ms` falls.
     pub events_per_sec: f64,
     /// Simulated completion time of the whole batch.
     pub sim_time: SimTime,
@@ -96,11 +101,20 @@ fn build_many_flows(
 /// the filtered proxy over a lossy wireless link; panics unless every flow
 /// completes.
 pub fn run_many_flows(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleResult {
-    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
+    let world = build_many_flows(flows, bytes_per_flow, seed, false);
+    drive_many_flows(world, flows, bytes_per_flow, "many-flows")
+}
+
+/// Steps `world` in one-second increments until every flow has finished,
+/// so `sim_time` is the batch's completion time (to the second) and the
+/// wall clock stops with the work, not at a fixed far horizon.
+fn drive_many_flows(
+    mut world: comma::topology::CommaWorld,
+    flows: usize,
+    bytes_per_flow: usize,
+    what: &str,
+) -> ScaleResult {
     let target = flows as u64 * bytes_per_flow as u64;
-    // Step in one-second increments and stop once every flow has finished:
-    // the proxy's periodic filter timers (snoop ticks, wsize polls) run
-    // forever, so a fixed far horizon would measure idle timer noise.
     let t = Instant::now();
     let mut delivered = 0u64;
     for sec in 1..=3_600u64 {
@@ -118,14 +132,17 @@ pub fn run_many_flows(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleRe
     let wall = t.elapsed().as_secs_f64();
     assert_eq!(
         delivered, target,
-        "many-flows: not every transfer completed within the horizon"
+        "{what}: not every transfer completed within the horizon"
     );
     let sim_events = world.sim.events_processed();
+    let link_pkts = world.sim.link_pkts();
     ScaleResult {
         flows,
         bytes_per_flow: bytes_per_flow as u64,
         delivered,
         sim_events,
+        link_pkts,
+        events_per_link_pkt: sim_events as f64 / link_pkts.max(1) as f64,
         wall_ms: wall * 1e3,
         events_per_sec: sim_events as f64 / wall,
         sim_time: world.sim.now(),
@@ -155,36 +172,7 @@ pub fn churn_plan(seed: u64) -> FaultPlan {
 pub fn run_many_flows_churn(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleResult {
     let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
     world.apply_fault_plan(&churn_plan(seed ^ 0xc4e7));
-    let target = flows as u64 * bytes_per_flow as u64;
-    let t = Instant::now();
-    let mut delivered = 0u64;
-    for sec in 1..=3_600u64 {
-        world.run_until(SimTime::from_secs(sec));
-        delivered = world
-            .mobile_app_ids
-            .clone()
-            .into_iter()
-            .map(|id| world.mobile_app::<Sink, _>(id, |s| s.bytes_received) as u64)
-            .sum();
-        if delivered >= target {
-            break;
-        }
-    }
-    let wall = t.elapsed().as_secs_f64();
-    assert_eq!(
-        delivered, target,
-        "many-flows/churn: not every transfer completed within the horizon"
-    );
-    let sim_events = world.sim.events_processed();
-    ScaleResult {
-        flows,
-        bytes_per_flow: bytes_per_flow as u64,
-        delivered,
-        sim_events,
-        wall_ms: wall * 1e3,
-        events_per_sec: sim_events as f64 / wall,
-        sim_time: world.sim.now(),
-    }
+    drive_many_flows(world, flows, bytes_per_flow, "many-flows/churn")
 }
 
 /// Runs the many-flows workload under [`churn_plan`] with full
@@ -575,9 +563,14 @@ pub struct ShardScaleResult {
     pub delivered: u64,
     /// Discrete events processed across all shards.
     pub sim_events: u64,
+    /// Packets offered to links across all shards.
+    pub link_pkts: u64,
+    /// `sim_events / link_pkts`: exact per seed; `ci.sh` gates on it.
+    pub events_per_link_pkt: f64,
     /// Wall-clock milliseconds.
     pub wall_ms: f64,
-    /// `sim_events / wall seconds` across all shards.
+    /// `sim_events / wall seconds` across all shards (a scheduler figure;
+    /// see [`ScaleResult::events_per_sec`]).
     pub events_per_sec: f64,
     /// Worker threads used.
     pub workers: usize,
@@ -684,15 +677,19 @@ fn shard_scale_result(
     workers: usize,
     delivered: u64,
     wall: f64,
-    stats: comma_netsim::shard::ShardStats,
+    world: &mut comma::topo::ShardedWorld,
     warm: comma_netsim::shard::ShardStats,
 ) -> ShardScaleResult {
+    let stats = world.stats();
+    let link_pkts = world.link_pkts();
     ShardScaleResult {
         cells,
         flows_per_cell,
         bytes_per_flow,
         delivered,
         sim_events: stats.events,
+        link_pkts,
+        events_per_link_pkt: stats.events as f64 / link_pkts.max(1) as f64,
         wall_ms: wall * 1e3,
         events_per_sec: stats.events as f64 / wall,
         workers,
@@ -731,8 +728,7 @@ pub fn run_sharded_flows(
         delivered, target,
         "sharded flows: not every transfer completed within the horizon"
     );
-    let stats = world.stats();
-    shard_scale_result(cells, flows_per_cell, bytes_per_flow, workers, delivered, wall, stats, warm)
+    shard_scale_result(cells, flows_per_cell, bytes_per_flow, workers, delivered, wall, &mut world, warm)
 }
 
 /// [`run_sharded_flows`]' delivered-bytes digest: FNV-1a over every
@@ -809,9 +805,15 @@ pub struct MetroResult {
     /// deterministic, and a few percent of users-per-link while epochs
     /// cost O(due toggles) rather than O(population).
     pub fluid_visits_per_epoch: f64,
+    /// Foreground packets offered to links within the horizon.
+    pub link_pkts: u64,
+    /// `sim_events / link_pkts` (exact per seed). Fluid epochs are events
+    /// too, so this reads far above the packet path's own ratio.
+    pub events_per_link_pkt: f64,
     /// Wall-clock milliseconds for the fixed-horizon run.
     pub wall_ms: f64,
-    /// `sim_events / wall seconds`.
+    /// `sim_events / wall seconds` (a scheduler figure; see
+    /// [`ScaleResult::events_per_sec`]).
     pub events_per_sec: f64,
     /// Aggregate foreground goodput over the simulated horizon.
     pub fg_goodput_bps: f64,
@@ -906,6 +908,7 @@ pub fn run_metro(
     let delivered = world.total_delivered();
     let stats = world.stats();
     let fluid = world.fluid_totals();
+    let link_pkts = world.link_pkts();
     assert_eq!(fluid.users, (cells * bg_users_per_cell) as u64);
     world.run_until(SimTime::from_secs(horizon_secs + 30));
     assert_eq!(
@@ -924,6 +927,8 @@ pub fn run_metro(
         fluid_epochs: fluid.epochs,
         fluid_links: fluid.links,
         fluid_visits_per_epoch: fluid.flow_visits as f64 / fluid.epochs.max(1) as f64,
+        link_pkts,
+        events_per_link_pkt: stats.events as f64 / link_pkts.max(1) as f64,
         wall_ms: wall * 1e3,
         events_per_sec: stats.events as f64 / wall,
         fg_goodput_bps: delivered as f64 * 8.0 / horizon_secs as f64,
@@ -1018,8 +1023,7 @@ pub fn run_sharded_churn(
         "sharded churn: not every transfer completed within the horizon"
     );
     world.assert_oracle_clean();
-    let stats = world.stats();
-    shard_scale_result(cells, flows_per_cell, bytes_per_flow, workers, delivered, wall, stats, warm)
+    shard_scale_result(cells, flows_per_cell, bytes_per_flow, workers, delivered, wall, &mut world, warm)
 }
 
 #[cfg(test)]

@@ -744,6 +744,14 @@ impl ShardedWorld {
         total
     }
 
+    /// Packets offered to links, summed over every shard (see
+    /// [`comma_netsim::sim::Simulator::link_pkts`]).
+    pub fn link_pkts(&mut self) -> u64 {
+        (0..self.runner.shard_count())
+            .map(|shard| self.runner.with_shard(shard, |sim| sim.link_pkts()))
+            .sum()
+    }
+
     /// Executes an SP console command on a cell's proxy.
     pub fn sp(&mut self, cell: usize, line: &str) -> String {
         let h = &self.cells[cell];

@@ -14,7 +14,7 @@ use comma_proxy::key::StreamKey;
 use comma_tcp::seq::seq_lt;
 
 /// Snoop counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnoopStats {
     /// Segments cached.
     pub cached: u64,
@@ -49,6 +49,11 @@ pub struct Snoop {
     dup_count: u32,
     srtt_us: f64,
     last_local_retx_at: Option<SimTime>,
+    /// Instant of `insert`: origin of the tick grid. Ticks fire only at
+    /// `grid_origin + k·TICK`, whenever they are armed.
+    grid_origin: SimTime,
+    /// A tick is pending on the proxy's timer facility.
+    tick_armed: bool,
     /// Upper clamp on the local RTO (ablation knob; default 200 ms).
     pub max_local_rto: SimDuration,
     /// Fault-injection hook for the conformance harness: when set, the
@@ -78,6 +83,8 @@ impl Snoop {
             dup_count: 0,
             srtt_us: 20_000.0,
             last_local_retx_at: None,
+            grid_origin: SimTime::ZERO,
+            tick_armed: false,
             max_local_rto: SimDuration::from_millis(200),
             mutate_fabricate_acks: false,
             stats: SnoopStats::default(),
@@ -88,6 +95,12 @@ impl Snoop {
     pub fn with_max_local_rto(mut self, max: SimDuration) -> Self {
         self.max_local_rto = max;
         self
+    }
+
+    /// Smoothed wireless-hop round-trip estimate in microseconds (the
+    /// local RTO is twice this, clamped).
+    pub fn srtt_us(&self) -> f64 {
+        self.srtt_us
     }
 
     fn rel(&self, seq: u32) -> u64 {
@@ -109,6 +122,21 @@ impl Snoop {
             self.cache.values().map(|c| c.pkt.wire_len()).sum::<usize>()
         );
         self.cached_bytes
+    }
+
+    /// Arms the tick for the next grid point strictly after `now`, unless
+    /// one is already pending. Called only while the cache holds a segment
+    /// the tick could retransmit, so a flow with nothing cached schedules
+    /// no events. Skipping a grid point equal to `now` loses nothing: a
+    /// segment cached in this microsecond has age 0, below the 20 ms floor
+    /// of [`Snoop::local_rto`].
+    fn arm_tick(&mut self, ctx: &mut FilterCtx<'_>) {
+        if self.tick_armed {
+            return;
+        }
+        let phase = ctx.now.saturating_since(self.grid_origin).as_micros() % TICK.as_micros();
+        ctx.set_timer(SimDuration::from_micros(TICK.as_micros() - phase), TIMER_TOKEN);
+        self.tick_armed = true;
     }
 }
 
@@ -138,7 +166,7 @@ impl Filter for Snoop {
 
     fn insert(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
         self.down_key = Some(key);
-        ctx.set_timer(TICK, TIMER_TOKEN);
+        self.grid_origin = ctx.now;
         vec![key, key.reverse()]
     }
 
@@ -167,6 +195,7 @@ impl Filter for Snoop {
         if token != TIMER_TOKEN {
             return;
         }
+        self.tick_armed = false;
         // Local timeout: retransmit the oldest cached segment if it has
         // waited longer than the local RTO.
         let rto = self.local_rto();
@@ -177,8 +206,8 @@ impl Filter for Snoop {
                 self.stats.timeout_retx += 1;
                 ctx.inject(cached.pkt.clone());
             }
+            self.arm_tick(ctx);
         }
-        ctx.set_timer(TICK, TIMER_TOKEN);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -204,6 +233,8 @@ impl Filter for Snoop {
         h.update_u64(self.dup_count as u64);
         h.update_u64(self.srtt_us.to_bits());
         h.update_u64(self.last_local_retx_at.map_or(u64::MAX, |t| t.as_micros()));
+        h.update_u64(self.grid_origin.as_micros());
+        h.update_u64(self.tick_armed as u64);
         h.update_u64(self.mutate_fabricate_acks as u64);
     }
 }
@@ -261,6 +292,7 @@ impl Snoop {
                         // Retransmission replaced an existing entry.
                         self.cached_bytes -= old.pkt.wire_len();
                     }
+                    self.arm_tick(ctx);
                 }
             }
             return Verdict::Continue;

@@ -159,7 +159,7 @@ impl Kati {
             let mut out = String::new();
             for info in infos {
                 out.push_str(&format!(
-                    "#{} {} prio={} keys={} seen={} modified={} dropped={} injected={} saved={}B\n",
+                    "#{} {} prio={} keys={} seen={} modified={} dropped={} injected={} timers={} saved={}B\n",
                     info.id,
                     info.kind,
                     info.priority,
@@ -168,6 +168,7 @@ impl Kati {
                     info.stats.pkts_modified,
                     info.stats.pkts_dropped,
                     info.stats.pkts_injected,
+                    info.stats.timer_fires,
                     info.stats.bytes_removed as i64 - info.stats.bytes_added as i64,
                 ));
             }

@@ -372,6 +372,13 @@ impl Simulator {
         t
     }
 
+    /// Packets offered to links, summed over every channel: the
+    /// denominator that turns `events_processed` into events per packet
+    /// moved, a figure free of wall-clock noise.
+    pub fn link_pkts(&self) -> u64 {
+        self.channels.iter().map(|ch| ch.stats.offered_pkts).sum()
+    }
+
     /// Installs a packet observer (conformance oracle); replaces any
     /// previous one, returning it.
     pub fn set_packet_observer(

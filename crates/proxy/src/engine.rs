@@ -156,6 +156,9 @@ pub struct InstanceStats {
     pub bytes_added: u64,
     /// Capability violations blocked by the engine.
     pub violations: u64,
+    /// Timer callbacks delivered to the instance. A count that grows while
+    /// `pkts_seen` stands still is a timer doing no work for the stream.
+    pub timer_fires: u64,
 }
 
 struct Instance {
@@ -265,6 +268,8 @@ pub struct EngineStats {
     pub batches: u64,
     /// Packets carried by those runs.
     pub batch_pkts: u64,
+    /// Filter timer callbacks dispatched.
+    pub timer_fires: u64,
 }
 
 /// Snapshot of one filter instance for monitoring tools.
@@ -955,6 +960,13 @@ impl FilterEngine {
         let Some(inst) = slot.as_mut() else {
             return Vec::new();
         };
+        let kind = inst.kind.clone();
+        inst.stats.timer_fires += 1;
+        self.totals.timer_fires += 1;
+        if self.obs.is_enabled() {
+            self.obs.inc(&kind, "filter.timer_fires");
+            self.obs.inc("engine", "engine.timer_fires");
+        }
         let mut ctx = FilterCtx::new(now, rng, metrics);
         inst.filter.on_timer(&mut ctx, user);
         let mut out = Vec::new();
@@ -970,7 +982,6 @@ impl FilterEngine {
                 inst.stats.violations += inj.len() as u64;
             }
         }
-        let kind = inst.kind.clone();
         if injected > 0 {
             self.obs.add(&kind, "filter.injected", injected);
             self.obs.add("engine", "engine.injected", injected);

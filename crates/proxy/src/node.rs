@@ -114,14 +114,17 @@ impl Node for ServiceProxy {
         if self.addrs.contains(&pkt.ip.dst) {
             return; // Console traffic terminates here.
         }
-        let summary = pkt.summary();
+        // Read only when the engine emits nothing and capture is on.
+        let summary = ctx.trace.capturing().then(|| pkt.summary());
         let outs = self
             .engine
             .process(ctx.now, &mut self.rng, self.metrics.as_ref(), pkt);
         if outs.is_empty() {
             self.filtered_out += 1;
             ctx.trace
-                .drop_pkt(ctx.now, ctx.node, DropReason::Filter, || summary);
+                .drop_pkt(ctx.now, ctx.node, DropReason::Filter, || {
+                    summary.unwrap_or_default()
+                });
         }
         for out in outs {
             self.forward(ctx, out);

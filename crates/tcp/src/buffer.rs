@@ -14,7 +14,10 @@ use crate::seq::{seq_diff, seq_ge, seq_le, seq_lt};
 #[derive(Clone, Debug, Default)]
 pub struct SendBuffer {
     base_seq: u32,
+    /// `data[head..]` are the retained bytes; `data[..head]` were
+    /// acknowledged and wait for the next compaction.
     data: Vec<u8>,
+    head: usize,
 }
 
 impl SendBuffer {
@@ -23,6 +26,7 @@ impl SendBuffer {
         SendBuffer {
             base_seq,
             data: Vec::new(),
+            head: 0,
         }
     }
 
@@ -31,26 +35,30 @@ impl SendBuffer {
         self.base_seq
     }
 
+    fn live(&self) -> &[u8] {
+        &self.data[self.head..]
+    }
+
     /// Folds the buffer (base sequence and retained bytes) into a
     /// canonical state fingerprint.
     pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
         h.update_u64(self.base_seq as u64);
-        h.update(&self.data[..]);
+        h.update(self.live());
     }
 
     /// Sequence number one past the last buffered byte.
     pub fn end_seq(&self) -> u32 {
-        self.base_seq.wrapping_add(self.data.len() as u32)
+        self.base_seq.wrapping_add(self.len() as u32)
     }
 
     /// Number of buffered bytes (acked bytes are discarded).
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.head
     }
 
     /// Returns `true` if no bytes are buffered.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Appends application bytes.
@@ -64,9 +72,10 @@ impl SendBuffer {
         if seq_lt(seq, self.base_seq) || seq_ge(seq, self.end_seq()) {
             return Bytes::new();
         }
+        let live = self.live();
         let off = seq_diff(seq, self.base_seq) as usize;
-        let end = (off + max).min(self.data.len());
-        Bytes::copy_from_slice(&self.data[off..end])
+        let end = (off + max).min(live.len());
+        Bytes::copy_from_slice(&live[off..end])
     }
 
     /// Discards bytes below `ack` (they were cumulatively acknowledged).
@@ -75,9 +84,17 @@ impl SendBuffer {
             return;
         }
         let n = seq_diff(ack, self.base_seq) as usize;
-        let n = n.min(self.data.len());
-        self.data.drain(..n);
+        let n = n.min(self.len());
+        self.head += n;
         self.base_seq = self.base_seq.wrapping_add(n as u32);
+        // Compact only once the acknowledged prefix is at least as long as
+        // what is kept: the bytes moved are then paid for by the bytes
+        // acked since the last compaction (amortised O(1) per ACK, however
+        // much is buffered).
+        if self.head >= self.len() {
+            self.data.drain(..self.head);
+            self.head = 0;
+        }
     }
 }
 
@@ -235,6 +252,86 @@ mod tests {
         sb.ack_to(2);
         assert_eq!(sb.base_seq(), 2);
         assert_eq!(&sb.slice(2, 10)[..], b"789");
+    }
+
+    /// The head-offset buffer against the obvious model: a `Vec` holding
+    /// exactly the retained bytes, drained on every ACK.
+    #[test]
+    fn send_buffer_matches_naive_model() {
+        use comma_rt::prop::Runner;
+        use comma_rt::{ensure_eq, Rng};
+
+        #[derive(Debug)]
+        enum Op {
+            Push(usize),
+            /// ACK at `base + delta`; negative is stale, beyond `len` over-long.
+            Ack(i64),
+            Slice(i64, usize),
+        }
+
+        Runner::new("send_buffer_matches_naive_model").cases(200).run(
+            |rng| {
+                // A third of the cases start close enough below 2^32 to wrap.
+                let base = match rng.gen_range(0..3u32) {
+                    0 => u32::MAX - rng.gen_range(0..4_000u32),
+                    _ => rng.gen::<u32>(),
+                };
+                let ops: Vec<Op> = (0..rng.gen_range(1..120usize))
+                    .map(|_| match rng.gen_range(0..10u32) {
+                        0..=2 => Op::Push(rng.gen_range(0..3_000usize)),
+                        3..=6 => Op::Ack(rng.gen_range(-2_000..6_000i64)),
+                        _ => Op::Slice(rng.gen_range(-50..6_000i64), rng.gen_range(0..2_000usize)),
+                    })
+                    .collect();
+                (base, ops)
+            },
+            |(base, ops)| {
+                let mut sb = SendBuffer::new(*base);
+                let (mut m_base, mut model) = (*base, Vec::<u8>::new());
+                let mut next_byte = 0u8;
+                for (i, op) in ops.iter().enumerate() {
+                    match *op {
+                        Op::Push(n) => {
+                            let bytes: Vec<u8> = (0..n)
+                                .map(|_| {
+                                    next_byte = next_byte.wrapping_add(1);
+                                    next_byte
+                                })
+                                .collect();
+                            sb.push(&bytes);
+                            model.extend_from_slice(&bytes);
+                        }
+                        Op::Ack(delta) => {
+                            sb.ack_to(m_base.wrapping_add(delta as u32));
+                            let n = delta.clamp(0, model.len() as i64) as usize;
+                            model.drain(..n);
+                            m_base = m_base.wrapping_add(n as u32);
+                        }
+                        Op::Slice(delta, max) => {
+                            let got = sb.slice(m_base.wrapping_add(delta as u32), max);
+                            let want: &[u8] = if delta < 0 || delta as usize >= model.len() {
+                                &[]
+                            } else {
+                                let off = delta as usize;
+                                &model[off..(off + max).min(model.len())]
+                            };
+                            ensure_eq!(&got[..], want, "op {i} {op:?}");
+                        }
+                    }
+                    ensure_eq!(sb.base_seq(), m_base, "op {i} {op:?}");
+                    ensure_eq!(sb.len(), model.len(), "op {i} {op:?}");
+                    ensure_eq!(sb.is_empty(), model.is_empty(), "op {i} {op:?}");
+                    ensure_eq!(sb.end_seq(), m_base.wrapping_add(model.len() as u32));
+                    ensure_eq!(sb.live(), &model[..], "op {i} {op:?}");
+                    let (mut a, mut b) = (comma_rt::digest::Fnv1a::new(), comma_rt::digest::Fnv1a::new());
+                    sb.state_digest(&mut a);
+                    b.update_u64(m_base as u64);
+                    b.update(&model[..]);
+                    ensure_eq!(a.finish(), b.finish(), "digest after op {i} {op:?}");
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

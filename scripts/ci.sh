@@ -16,6 +16,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Deterministic work gate shared by the bench and shard modes: events per
+# packet offered to a link on `flows_10k`. Exact per seed, so it holds on
+# a noisy host where no wall-time gate can. A per-flow timer that fires
+# whether or not the flow has work lands far above the ceiling (an
+# always-armed 50 ms snoop tick reads 9.7 with 4 KiB flows and 13.6 with
+# the fast configuration's 1 KiB flows); a demand-driven proxy reads 2.1-2.2.
+gate_flows_10k_events_per_link_pkt() {
+    local line ratio
+    line="$(grep '"flows_10k"' BENCH_macro.json)" || {
+        echo "$1 FAILED: BENCH_macro.json lacks \"flows_10k\"" >&2
+        exit 1
+    }
+    for key in link_pkts events_per_link_pkt; do
+        printf '%s' "$line" | grep -q "\"$key\"" || {
+            echo "$1 FAILED: flows_10k block lacks \"$key\"" >&2
+            exit 1
+        }
+    done
+    ratio="$(printf '%s' "$line" | sed -n 's/.*"events_per_link_pkt": \([0-9.]*\).*/\1/p')"
+    if [ -z "$ratio" ] || ! awk -v r="$ratio" 'BEGIN { exit !(r > 0 && r <= 2.5) }'; then
+        echo "$1 FAILED: flows_10k events_per_link_pkt ${ratio:-?} outside (0, 2.5]; something at the proxy fires per flow rather than per packet" >&2
+        exit 1
+    fi
+    echo "flows_10k events-per-link-packet gate ok ($ratio <= 2.5)"
+}
+
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
@@ -88,20 +114,27 @@ if [ "${1:-}" = "bench" ]; then
     fi
     echo "batched dispatch gate ok ($batched ns/pkt batched vs $scalar scalar)"
     # The many-flows scale workload must report a nonzero events_per_sec
-    # for every N.
+    # and the exact events-per-link-packet ratio for every N.
     for n in 16 64 256; do
         line="$(grep "\"flows_$n\"" BENCH_macro.json)" || {
             echo "macro bench FAILED: BENCH_macro.json lacks \"flows_$n\"" >&2
             exit 1
         }
-        rate="$(printf '%s' "$line" | sed -n 's/.*"events_per_sec": \([0-9.]*\).*/\1/p')"
-        case "$rate" in
-            ''|0|0.0)
-                echo "macro bench FAILED: flows_$n events_per_sec missing or zero" >&2
-                exit 1
-                ;;
-        esac
+        for key in events_per_sec events_per_link_pkt; do
+            rate="$(printf '%s' "$line" | sed -n "s/.*\"$key\": \\([0-9.]*\\).*/\\1/p")"
+            case "$rate" in
+                ''|0|0.0|0.000)
+                    echo "macro bench FAILED: flows_$n $key missing or zero" >&2
+                    exit 1
+                    ;;
+            esac
+        done
+        printf '%s' "$line" | grep -q '"link_pkts"' || {
+            echo "macro bench FAILED: flows_$n lacks \"link_pkts\"" >&2
+            exit 1
+        }
     done
+    gate_flows_10k_events_per_link_pkt "macro bench"
     # The metro hybrid-fidelity block: foreground goodput over a fluid
     # background population, plus the scaling proof — doubling the
     # background population must not grow sim_events by more than ~1.5x,
@@ -113,7 +146,7 @@ if [ "${1:-}" = "bench" ]; then
         exit 1
     fi
     for key in bg_users fg_goodput_bps events_per_sec sim_events sim_events_2x_bg \
-               fluid_links fluid_visits_per_epoch; do
+               fluid_links fluid_visits_per_epoch link_pkts events_per_link_pkt; do
         printf '%s' "$metro" | grep -q "\"$key\"" || {
             echo "macro bench FAILED: metro block lacks \"$key\"" >&2
             exit 1
@@ -206,6 +239,7 @@ if [ "${1:-}" = "shard" ]; then
             exit 1
             ;;
     esac
+    gate_flows_10k_events_per_link_pkt "shard gate"
     workers="$(printf '%s' "$line" | sed -n 's/.*"workers": \([0-9]*\).*/\1/p')"
     speedup="$(printf '%s' "$line" | sed -n 's/.*"speedup_vs_serial": \([0-9.]*\).*/\1/p')"
     # Honest parallelism is reported once at top level; the floor keys off it.

@@ -745,3 +745,240 @@ fn histogram_bucket_counts_sum_to_sample_count() {
             },
         );
 }
+
+// ---------------------------------------------------------------------
+// Snoop: demand-driven ticks ≡ the tick that never stops.
+// ---------------------------------------------------------------------
+
+const SNOOP_TICK_US: u64 = 50_000;
+const SNOOP_SEG: u32 = 100;
+
+#[derive(Clone, Debug)]
+enum SnoopOp {
+    /// Downlink data segment `idx` of the stream; below the send frontier
+    /// it is a sender retransmission.
+    Data(u32),
+    /// Uplink ACK covering `segs` segments and advertising `win`.
+    Ack { segs: u32, win: u16 },
+    /// Downlink RST (empties the cache).
+    Rst,
+    /// Advances the clock. A tick due exactly at the new instant fires
+    /// before the packets that follow when `ticks_first`, after them
+    /// otherwise — both orders exist in the simulator.
+    Advance { us: u64, ticks_first: bool },
+}
+
+/// Random interleavings whose time advances are biased to put grid points
+/// exactly on, one microsecond before and one microsecond after packets.
+fn snoop_script(rng: &mut SmallRng) -> (u64, u32, Vec<SnoopOp>) {
+    let start_us = rng.gen_range(0u64..10_000_000);
+    let isn = match rng.gen_range(0u32..3) {
+        0 => u32::MAX - rng.gen_range(0u32..2_000),
+        _ => rng.gen(),
+    };
+    let (mut elapsed, mut frontier, mut acked, mut win) = (0u64, 0u32, 0u32, 8_192u16);
+    let mut ops = vec![SnoopOp::Data(0)];
+    frontier += 1;
+    for _ in 0..rng.gen_range(5usize..160) {
+        let op = match rng.gen_range(0u32..100) {
+            0..=29 => {
+                let idx = if frontier > 0 && rng.gen_bool(0.25) {
+                    rng.gen_range(0..frontier)
+                } else {
+                    frontier += 1;
+                    frontier - 1
+                };
+                SnoopOp::Data(idx)
+            }
+            30..=54 => {
+                match rng.gen_range(0u32..10) {
+                    // New ACK (when anything is outstanding), else a dup.
+                    0..=4 if acked < frontier => acked = rng.gen_range(acked + 1..frontier + 1),
+                    // Window update.
+                    5..=6 => win = win.wrapping_add(rng.gen_range(1u16..512)),
+                    // True duplicate.
+                    _ => {}
+                }
+                SnoopOp::Ack { segs: acked, win }
+            }
+            55..=57 => SnoopOp::Rst,
+            _ => {
+                let to_grid = SNOOP_TICK_US - elapsed % SNOOP_TICK_US;
+                let us = match rng.gen_range(0u32..10) {
+                    0..=2 => to_grid,
+                    3 => to_grid - 1,
+                    4 => to_grid + 1,
+                    5..=7 => rng.gen_range(0u64..30_000),
+                    _ => rng.gen_range(0u64..400_000),
+                };
+                elapsed += us;
+                SnoopOp::Advance { us, ticks_first: rng.gen_bool(0.5) }
+            }
+        };
+        ops.push(op);
+    }
+    (start_us, isn, ops)
+}
+
+/// One `snoop`-only filter engine plus the timer facility a proxy node
+/// would provide.
+struct SnoopRig {
+    engine: FilterEngine,
+    rng: SmallRng,
+    origin: SimTime,
+    /// `Some(next)`: the always-ticking reference — `on_timer` at every
+    /// `origin + k·50 ms`, whatever the filter asked for. `None`: the
+    /// production contract — fire exactly what the filter armed.
+    always_tick_at: Option<SimTime>,
+    token: Option<u64>,
+    armed: Option<SimTime>,
+    fires: u64,
+    /// Every packet a tick injected, with its instant.
+    timer_out: Vec<(SimTime, Packet)>,
+}
+
+impl SnoopRig {
+    fn new(origin: SimTime, always_ticking: bool) -> Self {
+        let mut engine = FilterEngine::new(standard_catalog(ALL_FILTERS));
+        engine.register(WildKey::ANY, "snoop", vec![]).expect("snoop is in the catalog");
+        engine.set_obs(Obs::enabled());
+        SnoopRig {
+            engine,
+            rng: SmallRng::seed_from_u64(1),
+            origin,
+            always_tick_at: always_ticking.then(|| origin + SimDuration::from_micros(SNOOP_TICK_US)),
+            token: None,
+            armed: None,
+            fires: 0,
+            timer_out: Vec::new(),
+        }
+    }
+
+    /// Collects what the filter armed at `now`, checking the arming rule:
+    /// on the grid, strictly in the future, at most one tick pending.
+    fn collect_armed(&mut self, now: SimTime) -> Result<(), String> {
+        for (delay, token) in self.engine.take_pending_timers() {
+            let at = now + delay;
+            ensure!(delay.as_micros() > 0, "tick armed for its own instant {now}");
+            ensure_eq!(
+                (at - self.origin).as_micros() % SNOOP_TICK_US,
+                0,
+                "tick armed off the grid at {now}"
+            );
+            self.token = Some(token);
+            if self.always_tick_at.is_none() {
+                ensure!(self.armed.is_none(), "second tick armed at {now} while one is pending");
+                self.armed = Some(at);
+            }
+        }
+        Ok(())
+    }
+
+    fn packet(&mut self, now: SimTime, pkt: Packet) -> Result<Vec<Packet>, String> {
+        let out = self.engine.process(now, &mut self.rng, &NullMetrics, pkt);
+        self.collect_armed(now)?;
+        Ok(out)
+    }
+
+    /// Fires every tick due before `until` (and those due exactly at it
+    /// when `inclusive`).
+    fn fire_due(&mut self, until: SimTime, inclusive: bool) -> Result<(), String> {
+        let due = |at: SimTime| at < until || (inclusive && at == until);
+        loop {
+            let at = match (self.always_tick_at, self.armed) {
+                (Some(next), _) if due(next) => {
+                    self.always_tick_at = Some(next + SimDuration::from_micros(SNOOP_TICK_US));
+                    next
+                }
+                (None, Some(at)) if due(at) => {
+                    self.armed = None;
+                    at
+                }
+                _ => return Ok(()),
+            };
+            // Before the first arming the reference has no token to fire
+            // with, and no cached segment a tick could act on either.
+            let Some(token) = self.token else { continue };
+            self.fires += 1;
+            for pkt in self.engine.on_timer(at, &mut self.rng, &NullMetrics, token) {
+                self.timer_out.push((at, pkt));
+            }
+            self.collect_armed(at)?;
+        }
+    }
+
+    fn snoop_state(&mut self) -> Option<(comma_repro::filters::snoop::SnoopStats, u64)> {
+        self.engine
+            .instance_as::<comma_repro::filters::snoop::Snoop>("snoop")
+            .map(|s| (s.stats, s.srtt_us().to_bits()))
+    }
+
+    /// The engine's timer accounting agrees with what the rig delivered.
+    fn check_fire_accounting(&self) -> Result<(), String> {
+        ensure_eq!(self.engine.totals.timer_fires, self.fires);
+        ensure_eq!(self.engine.instance_infos()[0].stats.timer_fires, self.fires);
+        ensure_eq!(self.engine.obs().counter("snoop", "filter.timer_fires"), self.fires);
+        ensure_eq!(self.engine.obs().counter("engine", "engine.timer_fires"), self.fires);
+        Ok(())
+    }
+}
+
+/// The production `snoop` arms a tick only while its cache holds work; the
+/// reference is the same filter ticked at `insert + k·50 ms` forever, as
+/// every Snoop did before ticks became demand-driven. Same injections at
+/// the same instants, same verdicts, same counters, same RTT estimate.
+#[test]
+fn snoop_demand_driven_ticks_match_always_ticking_reference() {
+    let server: comma_repro::netsim::addr::Ipv4Addr = "11.11.10.99".parse().unwrap();
+    let mobile: comma_repro::netsim::addr::Ipv4Addr = "11.11.10.10".parse().unwrap();
+    Runner::new("snoop_demand_driven_ticks_match_always_ticking_reference")
+        .cases(300)
+        .run(snoop_script, |(start_us, isn, ops)| {
+            let start = SimTime::from_micros(*start_us);
+            let mut lazy = SnoopRig::new(start, false);
+            let mut eager = SnoopRig::new(start, true);
+            let mut now = start;
+            let seq_of = |idx: u32| isn.wrapping_add(idx.wrapping_mul(SNOOP_SEG));
+            for (i, op) in ops.iter().enumerate() {
+                let pkt = match *op {
+                    SnoopOp::Advance { us, ticks_first } => {
+                        now += SimDuration::from_micros(us);
+                        lazy.fire_due(now, ticks_first)?;
+                        eager.fire_due(now, ticks_first)?;
+                        None
+                    }
+                    SnoopOp::Data(idx) => {
+                        let mut seg = TcpSegment::new(7, 1169, seq_of(idx), 0, TcpFlags::ACK);
+                        seg.payload = Bytes::from(vec![idx as u8; SNOOP_SEG as usize]);
+                        Some(Packet::tcp(server, mobile, seg))
+                    }
+                    SnoopOp::Rst => Some(Packet::tcp(
+                        server,
+                        mobile,
+                        TcpSegment::new(7, 1169, seq_of(0), 0, TcpFlags::RST),
+                    )),
+                    SnoopOp::Ack { segs, win } => {
+                        let mut seg = TcpSegment::new(1169, 7, 0, seq_of(segs), TcpFlags::ACK);
+                        seg.window = win;
+                        Some(Packet::tcp(mobile, server, seg))
+                    }
+                };
+                if let Some(pkt) = pkt {
+                    let got = lazy.packet(now, pkt.clone())?;
+                    let want = eager.packet(now, pkt)?;
+                    ensure_eq!(got, want, "op {i} {op:?} at {now}: verdict/injections");
+                }
+                ensure_eq!(lazy.timer_out, eager.timer_out, "op {i} {op:?} at {now}: tick injections");
+                ensure_eq!(lazy.snoop_state(), eager.snoop_state(), "op {i} {op:?} at {now}");
+            }
+            // Let whatever is still cached time out (the retry cap is 50).
+            now += SimDuration::from_micros(60 * SNOOP_TICK_US);
+            lazy.fire_due(now, true)?;
+            eager.fire_due(now, true)?;
+            ensure_eq!(lazy.timer_out, eager.timer_out, "final drain");
+            ensure_eq!(lazy.snoop_state(), eager.snoop_state(), "final drain");
+            ensure!(lazy.fires <= eager.fires, "{} > {}", lazy.fires, eager.fires);
+            lazy.check_fire_accounting()?;
+            eager.check_fire_accounting()
+        });
+}

@@ -62,3 +62,63 @@ fn many_flows_256_same_seed_trace_digests_match() {
         "256-flow runs with one seed must replay the identical trace"
     );
 }
+
+/// Connects, sends once, and keeps the connection open with nothing more
+/// to say — a flow that is present at the proxy but not in flight.
+struct HoldOpen {
+    remote: (comma_repro::netsim::addr::Ipv4Addr, u16),
+    bytes: usize,
+}
+
+impl App for HoldOpen {
+    fn name(&self) -> &str {
+        "hold-open"
+    }
+
+    fn on_start(&mut self, ctx: &mut AppCtx) {
+        ctx.connect(self.remote);
+    }
+
+    fn on_connected(&mut self, ctx: &mut AppCtx, sock: comma_repro::tcp::apps::SocketId) {
+        ctx.send(sock, vec![0x5a; self.bytes]);
+    }
+
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// An established, fully acknowledged flow through the standard chain
+/// costs nothing while it idles: filter timers are demand-driven, so with
+/// the snoop cache drained not one event is scheduled at the proxy (and
+/// TCP itself keeps no timer running on an idle connection).
+#[test]
+fn idle_established_flow_processes_zero_events() {
+    use comma_repro::filters::snoop::Snoop;
+    const BYTES: usize = 32 * 1024;
+    let mut world = CommaBuilder::new(11).eem(false).build(
+        vec![Box::new(HoldOpen { remote: (addrs::MOBILE, 9000), bytes: BYTES })],
+        vec![Box::new(Sink::new(9000))],
+    );
+    world.sp("add tcp 0.0.0.0 0 11.11.10.10 0");
+    world.sp("add snoop 0.0.0.0 0 11.11.10.10 0");
+    world.sp("add wsize 0.0.0.0 0 11.11.10.10 0 scale 90");
+    world.sp("add tcp 0.0.0.0 0 11.11.10.10 0");
+    world.run_until(SimTime::from_secs(5));
+    let got = world.mobile_app::<Sink, _>(world.mobile_app_ids[0], |s| s.bytes_received);
+    assert_eq!(got, BYTES, "the transfer is complete and acknowledged");
+    let (cached, live) = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
+        let cached = sp.engine.instance_as::<Snoop>("snoop").map(|s| s.stats.cached);
+        (cached, sp.engine.live_instances())
+    });
+    assert!(cached.unwrap_or(0) > 0, "snoop saw the flow: {cached:?}");
+    assert_eq!(live, 4, "the flow is still established: all four filters are live");
+
+    let before = world.sim.events_processed();
+    world.run_until(SimTime::from_secs(15));
+    assert_eq!(
+        world.sim.events_processed() - before,
+        0,
+        "an idle flow must not cost events"
+    );
+}
