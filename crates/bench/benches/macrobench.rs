@@ -32,16 +32,14 @@ use std::time::Instant;
 use comma::topology::{addrs, CommaBuilder};
 use comma_bench::exps;
 use comma_bench::scale::{
-    event_core_alloc_probe_events, run_event_core, run_many_flows, run_many_flows_churn, run_metro,
-    run_sharded_flows, shard_worker_count, sharded_alloc_probe_windows, step_fluid, warmed_fluid,
-    ScaleResult,
+    event_core_alloc_probe, four_filter_engine, run_event_core, run_many_flows,
+    run_many_flows_churn, run_metro, run_sharded_flows, shard_worker_count, sharded_alloc_probe,
+    step_fluid, warmed_fluid, ScaleResult,
 };
-use comma_filters::standard_catalog;
 use comma_netsim::packet::{Packet, TcpFlags, TcpSegment};
 use comma_netsim::time::SimTime;
-use comma_proxy::engine::FilterEngine;
 use comma_proxy::filter::NullMetrics;
-use comma_proxy::{ServiceProxy, WildKey};
+use comma_proxy::ServiceProxy;
 use comma_rt::{Bytes, SeedableRng, SmallRng};
 use comma_tcp::apps::{BulkSender, Sink};
 
@@ -63,17 +61,7 @@ fn fast_mode() -> bool {
 /// Direct dispatch cost: ns per packet through a 4-filter chain
 /// (tcp → snoop → wsize → tcp), no simulator in the loop.
 fn engine_ns_per_pkt(pkts: u64) -> f64 {
-    let mut engine = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
-    engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-    engine.register(WildKey::ANY, "snoop", vec![]).unwrap();
-    engine
-        .register(
-            WildKey::ANY,
-            "wsize",
-            vec!["scale".into(), "90".into()],
-        )
-        .unwrap();
-    engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
+    let mut engine = four_filter_engine();
 
     let payload = Bytes::from(vec![0xabu8; 1400]);
     let src = "11.11.10.99".parse().unwrap();
@@ -93,55 +81,6 @@ fn engine_ns_per_pkt(pkts: u64) -> f64 {
         std::hint::black_box(out);
     }
     t.elapsed().as_nanos() as f64 / pkts as f64
-}
-
-/// Batched dispatch cost: ns per packet through the same 4-filter chain,
-/// `depth` packets per `process_batch` call. Also returns the engine's
-/// honest average batch depth (`batch_pkts / batches`, including the
-/// priming call).
-fn engine_ns_per_pkt_batched(pkts: u64, depth: usize) -> (f64, f64) {
-    let mut engine = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
-    engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-    engine.register(WildKey::ANY, "snoop", vec![]).unwrap();
-    engine
-        .register(
-            WildKey::ANY,
-            "wsize",
-            vec!["scale".into(), "90".into()],
-        )
-        .unwrap();
-    engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-
-    let payload = Bytes::from(vec![0xabu8; 1400]);
-    let src = "11.11.10.99".parse().unwrap();
-    let dst = "11.11.10.10".parse().unwrap();
-    let mut rng = SmallRng::seed_from_u64(1);
-
-    let mut seg = TcpSegment::new(7, 1169, 0, 0, TcpFlags::ACK);
-    seg.payload = payload.clone();
-    engine.process(SimTime::ZERO, &mut rng, &NullMetrics, Packet::tcp(src, dst, seg));
-
-    let mut input = Vec::with_capacity(depth);
-    let mut out = Vec::with_capacity(depth * 2);
-    let mut dropped = Vec::new();
-    let t = Instant::now();
-    let mut i = 0u64;
-    while i < pkts {
-        for _ in 0..depth {
-            let mut seg =
-                TcpSegment::new(7, 1169, (i as u32).wrapping_mul(1400), 0, TcpFlags::ACK);
-            seg.payload = payload.clone();
-            input.push(Packet::tcp(src, dst, seg));
-            i += 1;
-        }
-        engine.process_batch(SimTime::ZERO, &mut rng, &NullMetrics, &mut input, &mut out, &mut dropped);
-        std::hint::black_box(&out);
-        out.clear();
-        dropped.clear();
-    }
-    let ns = t.elapsed().as_nanos() as f64 / i as f64;
-    let avg = engine.totals.batch_pkts as f64 / engine.totals.batches.max(1) as f64;
-    (ns, avg)
 }
 
 /// End-to-end transfer through the standard topology with the same
@@ -235,6 +174,49 @@ fn fluid_solver_ns(users: usize) -> f64 {
     started.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// Lines in the `.{ext}` files under `dir`, recursively.
+fn count_lines(dir: &std::path::Path, ext: &str) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|e| e.path())
+        .map(|p| {
+            if p.is_dir() {
+                count_lines(&p, ext)
+            } else if p.extension().is_some_and(|x| x == ext) {
+                std::fs::read_to_string(&p).map_or(0, |s| s.lines().count())
+            } else {
+                0
+            }
+        })
+        .sum()
+}
+
+/// The `loc` block: source lines per crate (`crates/<name>/src/**/*.rs`)
+/// plus `tests/` and `scripts/`, so the size trend sits beside the speed
+/// trend.
+fn loc_json(root: &std::path::Path) -> String {
+    let mut crates: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    crates.sort_unstable();
+    let src = |c: &String| root.join("crates").join(c).join("src");
+    crates
+        .iter()
+        .map(|c| (c.as_str(), count_lines(&src(c), "rs")))
+        .chain([
+            ("tests", count_lines(&root.join("tests"), "rs")),
+            ("scripts", count_lines(&root.join("scripts"), "sh")),
+        ])
+        .map(|(name, lines)| format!("\"{name}\": {lines}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 fn append_trajectory(root: &std::path::Path, entry: &str) {
     let path = root.join("BENCH.json");
     let existing = std::fs::read_to_string(&path).unwrap_or_else(|_| "[]".to_string());
@@ -269,13 +251,6 @@ fn main() {
     eprintln!("macrobench: engine dispatch ({engine_pkts} pkts, 4-filter chain)...");
     let ns_per_pkt = engine_ns_per_pkt(engine_pkts);
     eprintln!("macrobench:   engine_ns_per_pkt = {ns_per_pkt:.1}");
-
-    eprintln!("macrobench: engine batched dispatch ({engine_pkts} pkts, depth 64)...");
-    let (ns_per_pkt_batched, batch_depth_avg) = engine_ns_per_pkt_batched(engine_pkts, 64);
-    eprintln!(
-        "macrobench:   engine_ns_per_pkt_batched = {ns_per_pkt_batched:.1} \
-         (avg batch depth {batch_depth_avg:.2})"
-    );
 
     eprintln!("macrobench: end-to-end transfer ({transfer_bytes} B)...");
     let (pkts_per_sec, transfer_events_per_sec, pkts, events, received) =
@@ -418,8 +393,8 @@ fn main() {
     // allocates by design and is not what the zero-allocation contract
     // covers.
     let (allocs_per_event, allocs_per_window) = if comma_rt::alloc::enabled() {
-        let (_, core_allocs, core_events) = event_core_alloc_probe_events(32, 7);
-        let (_, loop_allocs, loop_windows) = sharded_alloc_probe_windows(4, shard_workers, 7);
+        let (_, core_allocs, core_events) = event_core_alloc_probe(32, 7);
+        let (_, loop_allocs, loop_windows) = sharded_alloc_probe(4, shard_workers, 7);
         (
             format!("{:.6}", core_allocs as f64 / core_events.max(1) as f64),
             format!("{:.4}", loop_allocs as f64 / loop_windows.max(1) as f64),
@@ -492,8 +467,6 @@ fn main() {
     let entry = format!(
         "  {{\n    \"unix_ts\": {unix_ts},\n    \"fast\": {fast},\n    \
          \"engine_ns_per_pkt\": {ns_per_pkt:.1},\n    \
-         \"engine_ns_per_pkt_batched\": {ns_per_pkt_batched:.1},\n    \
-         \"batch_depth_avg\": {batch_depth_avg:.2},\n    \
          \"pkts_per_sec\": {pkts_per_sec:.1},\n    \
          \"events_per_sec\": {events_per_sec:.1},\n    \
          \"transfer_events_per_sec\": {transfer_events_per_sec:.1},\n    \
@@ -530,8 +503,6 @@ fn main() {
          \"events_per_sec\": {events_per_sec:.1},\n  \
          \"engine_pkts\": {engine_pkts},\n  \
          \"engine_ns_per_pkt\": {ns_per_pkt:.1},\n  \
-         \"engine_ns_per_pkt_batched\": {ns_per_pkt_batched:.1},\n  \
-         \"batch_depth_avg\": {batch_depth_avg:.2},\n  \
          \"transfer_bytes\": {transfer_bytes},\n  \
          \"proxy_pkts\": {pkts},\n  \
          \"pkts_per_sec\": {pkts_per_sec:.1},\n  \
@@ -559,7 +530,8 @@ fn main() {
          \"fluid_solver_ns\": {{ \"measures\": \"{FLUID_SOLVER_MEASURES}\", \
          \"flows_100\": {:.1}, \"flows_1000\": {:.1}, \"flows_10000\": {:.1} }},\n  \
          \"exps_wall_ms\": {{ \"serial\": {serial_ms:.1}, \"parallel\": {parallel_json}, \
-         \"speedup\": {speedup_json}, \"workers\": {workers} }}\n}}\n",
+         \"speedup\": {speedup_json}, \"workers\": {workers} }},\n  \
+         \"loc\": {{ {} }}\n}}\n",
         shard_par.windows_skipped,
         metro.bg_users,
         metro.bg_active,
@@ -577,7 +549,8 @@ fn main() {
         metro.workers,
         fluid_ns[0],
         fluid_ns[1],
-        fluid_ns[2]
+        fluid_ns[2],
+        loc_json(&root)
     );
     std::fs::write(root.join("BENCH_macro.json"), &snapshot).expect("write BENCH_macro.json");
     append_trajectory(&root, &entry);

@@ -95,13 +95,7 @@ fn bench_engine(bench: &mut Bench) {
         passthrough.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400))
     });
 
-    let mut chain = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
-    chain.register(WildKey::ANY, "tcp", vec![]).unwrap();
-    chain.register(WildKey::ANY, "snoop", vec![]).unwrap();
-    chain
-        .register(WildKey::ANY, "wsize", vec!["scale".into(), "90".into()])
-        .unwrap();
-    chain.register(WildKey::ANY, "tcp", vec![]).unwrap();
+    let mut chain = comma_bench::scale::four_filter_engine();
     let mut rng = SmallRng::seed_from_u64(3);
     chain.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400));
     let mut seq = 0u32;
@@ -113,47 +107,6 @@ fn bench_engine(bench: &mut Bench) {
         }
         chain.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt)
     });
-
-    // The same chain through the batched entry point at three depths. Each
-    // iteration is one `process_batch` call over `depth` packets of one
-    // flow; divide the reported time by the depth for ns/pkt.
-    for depth in [1usize, 16, 64] {
-        let mut engine = FilterEngine::new(standard_catalog(comma_filters::ALL_FILTERS));
-        engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-        engine.register(WildKey::ANY, "snoop", vec![]).unwrap();
-        engine
-            .register(WildKey::ANY, "wsize", vec!["scale".into(), "90".into()])
-            .unwrap();
-        engine.register(WildKey::ANY, "tcp", vec![]).unwrap();
-        let mut rng = SmallRng::seed_from_u64(4);
-        engine.process(SimTime::ZERO, &mut rng, &NullMetrics, data_packet(1400));
-        let mut input = Vec::with_capacity(depth);
-        let mut out = Vec::with_capacity(depth * 2);
-        let mut dropped = Vec::new();
-        let mut seq = 0u32;
-        g.bench(format!("engine_process_batched_{depth}"), move || {
-            for _ in 0..depth {
-                seq = seq.wrapping_add(1400);
-                let mut pkt = data_packet(1400);
-                if let comma_netsim::packet::IpPayload::Tcp(seg) = &mut pkt.body {
-                    seg.seq = seq;
-                }
-                input.push(pkt);
-            }
-            engine.process_batch(
-                SimTime::ZERO,
-                &mut rng,
-                &NullMetrics,
-                &mut input,
-                &mut out,
-                &mut dropped,
-            );
-            let n = out.len();
-            out.clear();
-            dropped.clear();
-            n
-        });
-    }
     g.finish();
 }
 
@@ -188,8 +141,6 @@ fn bench_flow_table(bench: &mut Bench) {
 fn bench_sched(bench: &mut Bench) {
     use comma_netsim::sched::TimerWheel;
     use comma_rt::Rng;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
     let mut g = bench.group("sched");
 
@@ -222,20 +173,6 @@ fn bench_sched(bench: &mut Bench) {
         i += 1;
         let h = wheel.schedule_with_handle(SimTime::from_micros(i + 500), i);
         wheel.cancel(h)
-    });
-
-    // Retained baseline: the `BinaryHeap` the simulator used before the
-    // wheel, same steady-state workload at the deepest depth, for
-    // before/after comparison in bench reports.
-    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut rng = SmallRng::seed_from_u64(7);
-    for i in 0..100_000u64 {
-        heap.push(Reverse((rng.gen_range(0..1_000_000), i)));
-    }
-    g.bench("binary_heap_schedule_pop_depth100000", || {
-        let Reverse((t, v)) = heap.pop().expect("queue never drains");
-        heap.push(Reverse((t + 1 + rng.gen_range(0..1_000_000), v)));
-        v
     });
     g.finish();
 }

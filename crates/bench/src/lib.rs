@@ -12,7 +12,8 @@
 
 pub mod exps;
 pub mod scale;
-pub mod table;
+/// The experiment harness renders through the shared table formatter.
+pub use comma_obs::table;
 
 /// Runs every experiment, printing each block as it completes.
 pub fn run_and_print_all() {

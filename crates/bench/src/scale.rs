@@ -23,10 +23,13 @@ use comma_faultcheck::FaultPlan;
 use comma_netsim::fluid::{FluidConfig, FluidState};
 use comma_netsim::link::{LinkParams, LossModel};
 use comma_netsim::node::{IfaceId, Node, NodeCtx, NodeId};
-use comma_netsim::packet::{IcmpMessage, IpPayload, Packet};
+use comma_netsim::packet::{IcmpMessage, IpPayload, Packet, TcpFlags, TcpSegment};
 use comma_netsim::sim::Simulator;
 use comma_netsim::time::{SimDuration, SimTime};
-use comma_rt::{Bytes, Rng};
+use comma_proxy::engine::FilterEngine;
+use comma_proxy::filter::NullMetrics;
+use comma_proxy::WildKey;
+use comma_rt::{Bytes, Rng, SeedableRng, SmallRng};
 use comma_tcp::apps::{BulkSender, Sink};
 
 /// Result of one many-flows run.
@@ -105,17 +108,10 @@ pub fn run_many_flows(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleRe
     drive_many_flows(world, flows, bytes_per_flow, "many-flows")
 }
 
-/// Steps `world` in one-second increments until every flow has finished,
-/// so `sim_time` is the batch's completion time (to the second) and the
-/// wall clock stops with the work, not at a fixed far horizon.
-fn drive_many_flows(
-    mut world: comma::topology::CommaWorld,
-    flows: usize,
-    bytes_per_flow: usize,
-    what: &str,
-) -> ScaleResult {
-    let target = flows as u64 * bytes_per_flow as u64;
-    let t = Instant::now();
+/// Steps `world` in one-second increments until the sinks hold `target`
+/// bytes (or an hour of simulated time passes), so the clock stops with
+/// the work, not at a fixed far horizon. Returns the bytes delivered.
+fn run_to_completion(world: &mut comma::topology::CommaWorld, target: u64) -> u64 {
     let mut delivered = 0u64;
     for sec in 1..=3_600u64 {
         world.run_until(SimTime::from_secs(sec));
@@ -129,6 +125,20 @@ fn drive_many_flows(
             break;
         }
     }
+    delivered
+}
+
+/// Times [`run_to_completion`]; `sim_time` is the batch's completion time
+/// (to the second).
+fn drive_many_flows(
+    mut world: comma::topology::CommaWorld,
+    flows: usize,
+    bytes_per_flow: usize,
+    what: &str,
+) -> ScaleResult {
+    let target = flows as u64 * bytes_per_flow as u64;
+    let t = Instant::now();
+    let delivered = run_to_completion(&mut world, target);
     let wall = t.elapsed().as_secs_f64();
     assert_eq!(
         delivered, target,
@@ -147,6 +157,21 @@ fn drive_many_flows(
         events_per_sec: sim_events as f64 / wall,
         sim_time: world.sim.now(),
     }
+}
+
+/// Runs `world` to completion under full packet-trace capture and returns
+/// the FNV-1a digest of the rendered trace.
+fn captured_trace_digest(world: &mut comma::topology::CommaWorld, target: u64, what: &str) -> u64 {
+    world.sim.trace.set_capture(true);
+    world.sim.trace.set_max_entries(1 << 21);
+    let delivered = run_to_completion(world, target);
+    assert_eq!(delivered, target, "{what}: transfers incomplete");
+    let mut digest = comma_rt::digest::Fnv1a::new();
+    for line in world.sim.trace.render(|_| true) {
+        digest.update(line.as_bytes());
+        digest.update(b"\n");
+    }
+    digest.finish()
 }
 
 /// The standard churn plan for the scale workloads: light reorder /
@@ -183,30 +208,10 @@ pub fn many_flows_churn_trace_digest(flows: usize, bytes_per_flow: usize, seed: 
     let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
     world.apply_fault_plan(&churn_plan(seed ^ 0xc4e7));
     world.attach_oracle();
-    world.sim.trace.set_capture(true);
-    world.sim.trace.set_max_entries(1 << 21);
     let target = flows as u64 * bytes_per_flow as u64;
-    let mut delivered = 0u64;
-    for sec in 1..=3_600u64 {
-        world.run_until(SimTime::from_secs(sec));
-        delivered = world
-            .mobile_app_ids
-            .clone()
-            .into_iter()
-            .map(|id| world.mobile_app::<Sink, _>(id, |s| s.bytes_received) as u64)
-            .sum();
-        if delivered >= target {
-            break;
-        }
-    }
-    assert_eq!(delivered, target, "many-flows/churn: transfers incomplete");
+    let digest = captured_trace_digest(&mut world, target, "many-flows/churn");
     world.assert_oracle_clean();
-    let mut digest = comma_rt::digest::Fnv1a::new();
-    for line in world.sim.trace.render(|_| true) {
-        digest.update(line.as_bytes());
-        digest.update(b"\n");
-    }
-    digest.finish()
+    digest
 }
 
 /// Runs the many-flows workload with observability enabled and returns the
@@ -214,19 +219,7 @@ pub fn many_flows_churn_trace_digest(flows: usize, bytes_per_flow: usize, seed: 
 /// must produce a byte-identical export).
 pub fn many_flows_obs_export(flows: usize, bytes_per_flow: usize, seed: u64) -> String {
     let mut world = build_many_flows(flows, bytes_per_flow, seed, true);
-    let target = flows as u64 * bytes_per_flow as u64;
-    for sec in 1..=3_600u64 {
-        world.run_until(SimTime::from_secs(sec));
-        let delivered: u64 = world
-            .mobile_app_ids
-            .clone()
-            .into_iter()
-            .map(|id| world.mobile_app::<Sink, _>(id, |s| s.bytes_received) as u64)
-            .sum();
-        if delivered >= target {
-            break;
-        }
-    }
+    run_to_completion(&mut world, flows as u64 * bytes_per_flow as u64);
     world.obs.export_jsonl()
 }
 
@@ -235,29 +228,8 @@ pub fn many_flows_obs_export(flows: usize, bytes_per_flow: usize, seed: u64) -> 
 /// determinism suite: same seed must produce byte-identical traces).
 pub fn many_flows_trace_digest(flows: usize, bytes_per_flow: usize, seed: u64) -> u64 {
     let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
-    world.sim.trace.set_capture(true);
-    world.sim.trace.set_max_entries(1 << 21);
     let target = flows as u64 * bytes_per_flow as u64;
-    let mut delivered = 0u64;
-    for sec in 1..=3_600u64 {
-        world.run_until(SimTime::from_secs(sec));
-        delivered = world
-            .mobile_app_ids
-            .clone()
-            .into_iter()
-            .map(|id| world.mobile_app::<Sink, _>(id, |s| s.bytes_received) as u64)
-            .sum();
-        if delivered >= target {
-            break;
-        }
-    }
-    assert_eq!(delivered, target, "many-flows: transfers incomplete");
-    let mut digest = comma_rt::digest::Fnv1a::new();
-    for line in world.sim.trace.render(|_| true) {
-        digest.update(line.as_bytes());
-        digest.update(b"\n");
-    }
-    digest.finish()
+    captured_trace_digest(&mut world, target, "many-flows")
 }
 
 /// A light node for the event-core workload: every timer fire sends one
@@ -411,19 +383,11 @@ pub fn build_event_core(nodes: usize, seed: u64) -> (Simulator, Vec<NodeId>) {
 /// seconds to warm every recycled buffer (the timer wheel's slot pool
 /// needs every in-flight slot to drain once before its buffers reach the
 /// capacity watermark), then a segment whose heap-allocation count is the
-/// steady-state figure. Returns `(warmup_allocs, steady_allocs)` for the
-/// calling thread — both zero unless built with `comma-rt/alloc-stats`,
-/// and `steady_allocs` must be zero even with it (pinned by the
-/// allocation-regression tests).
-pub fn event_core_alloc_probe(nodes: usize, seed: u64) -> (u64, u64) {
-    let (warm, steady, _) = event_core_alloc_probe_events(nodes, seed);
-    (warm, steady)
-}
-
-/// [`event_core_alloc_probe`] plus the steady-segment event count, for
-/// `allocs_per_event` reporting: returns
-/// `(warmup_allocs, steady_allocs, steady_events)`.
-pub fn event_core_alloc_probe_events(nodes: usize, seed: u64) -> (u64, u64, u64) {
+/// steady-state figure. Returns `(warmup_allocs, steady_allocs,
+/// steady_events)` for the calling thread — the allocation counts are zero
+/// unless built with `comma-rt/alloc-stats`, and `steady_allocs` must be
+/// zero even with it (pinned by the allocation-regression tests).
+pub fn event_core_alloc_probe(nodes: usize, seed: u64) -> (u64, u64, u64) {
     let (mut sim, _ids) = build_event_core(nodes, seed);
     let warm = comma_rt::alloc::AllocScope::begin();
     sim.run_until(SimTime::from_secs(2));
@@ -431,11 +395,59 @@ pub fn event_core_alloc_probe_events(nodes: usize, seed: u64) -> (u64, u64, u64)
     let events = sim.events_processed();
     let steady = comma_rt::alloc::AllocScope::begin();
     sim.run_until(SimTime::from_secs(4));
-    (
-        warm,
-        steady.delta().allocs,
-        sim.events_processed() - events,
-    )
+    (warm, steady.delta().allocs, sim.events_processed() - events)
+}
+
+/// An engine with the reference chain (`tcp → snoop → wsize scale 90 →
+/// tcp`) registered for every stream.
+pub fn four_filter_engine() -> FilterEngine {
+    let mut engine = FilterEngine::new(comma_filters::standard_catalog(comma_filters::ALL_FILTERS));
+    let scale = vec!["scale".to_string(), "90".to_string()];
+    let chain = [("tcp", vec![]), ("snoop", vec![]), ("wsize", scale), ("tcp", vec![])];
+    for (filter, args) in chain {
+        engine
+            .register(WildKey::ANY, filter, args)
+            .expect("standard filter is loaded");
+    }
+    engine
+}
+
+/// Two-segment allocation probe for the proxy's packet path: 200 in-order
+/// data segments of one flow warm [`four_filter_engine`] (snoop's cache
+/// reaches its byte limit) and the caller-owned buffers, then 1,000 more
+/// go through [`FilterEngine::process_batch`] one at a time — the entry
+/// and buffer discipline `ServiceProxy::on_packet` uses — and must not
+/// touch the heap. Returns `(warmup_allocs, steady_allocs)`.
+pub fn engine_alloc_probe() -> (u64, u64) {
+    let mut engine = four_filter_engine();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let payload = Bytes::from(vec![0xabu8; 1400]);
+    let (mut input, mut out, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
+    let mut seq = 0u32;
+    let mut feed = |n: u32| {
+        for _ in 0..n {
+            let mut seg = TcpSegment::new(7, 1169, seq, 0, TcpFlags::ACK);
+            seg.payload = payload.clone();
+            seq = seq.wrapping_add(1400);
+            input.push(Packet::tcp(addrs::WIRED, addrs::MOBILE, seg));
+            engine.process_batch(
+                SimTime::ZERO,
+                &mut rng,
+                &NullMetrics,
+                &mut input,
+                &mut out,
+                &mut dropped,
+            );
+            out.clear();
+            dropped.clear();
+        }
+    };
+    let warm = comma_rt::alloc::AllocScope::begin();
+    feed(200);
+    let warm = warm.delta().allocs;
+    let steady = comma_rt::alloc::AllocScope::begin();
+    feed(1_000);
+    (warm, steady.delta().allocs)
 }
 
 /// Worker-thread count for the sharded benchmarks: the machine's available
@@ -455,17 +467,9 @@ pub fn shard_worker_count() -> usize {
 /// by the lane-based runner. Allocation counts come from
 /// [`comma_netsim::shard::ShardStats::allocs`], i.e. they are measured on
 /// the worker threads inside the window loop itself. Returns
-/// `(warmup_allocs, steady_allocs)`; steady state must be zero under
-/// `comma-rt/alloc-stats`.
-pub fn sharded_alloc_probe(shards: usize, workers: usize, seed: u64) -> (u64, u64) {
-    let (warm, steady, _) = sharded_alloc_probe_windows(shards, workers, seed);
-    (warm, steady)
-}
-
-/// [`sharded_alloc_probe`] plus the steady-segment window count, for
-/// `allocs_per_window` reporting: returns
-/// `(warmup_allocs, steady_allocs, steady_windows)`.
-pub fn sharded_alloc_probe_windows(shards: usize, workers: usize, seed: u64) -> (u64, u64, u64) {
+/// `(warmup_allocs, steady_allocs, steady_windows)`; steady state must
+/// allocate zero times under `comma-rt/alloc-stats`.
+pub fn sharded_alloc_probe(shards: usize, workers: usize, seed: u64) -> (u64, u64, u64) {
     use comma_netsim::shard::{ShardPlan, ShardWiring, ShardedSimulator};
     assert!(shards >= 2, "a boundary ring needs at least two shards");
     let latency = SimDuration::from_millis(10);
@@ -1073,8 +1077,8 @@ mod tests {
     fn alloc_probes_run_and_warm_up() {
         // Behavioural smoke test in every configuration; the alloc-stats
         // regression suite additionally pins steady == 0.
-        let (warm_serial, steady_serial) = event_core_alloc_probe(8, 5);
-        let (warm_sharded, steady_sharded) = sharded_alloc_probe(4, 2, 5);
+        let (warm_serial, steady_serial, _) = event_core_alloc_probe(8, 5);
+        let (warm_sharded, steady_sharded, _) = sharded_alloc_probe(4, 2, 5);
         if comma_rt::alloc::enabled() {
             assert!(warm_serial > 0, "warmup must allocate");
             assert!(warm_sharded > 0, "warmup must allocate");

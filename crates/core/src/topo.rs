@@ -21,7 +21,7 @@
 
 use comma_eem::MetricsHub;
 use comma_faultcheck::{FaultPlan, Oracle, OracleConfig, OracleReport, Violation};
-use comma_filters::{standard_catalog, Ttsf};
+use comma_filters::{editmap_errors, registered_kinds, standard_catalog, TRANSFORMING};
 use comma_netsim::addr::{Ipv4Addr, Subnet};
 use comma_netsim::fluid::{FluidConfig, FluidTotals};
 use comma_netsim::link::{ChannelId, LinkKind, LinkParams};
@@ -36,7 +36,6 @@ use comma_tcp::host::{AppId, Host};
 use comma_tcp::TcpConfig;
 
 use crate::metrics::HubMetrics;
-use crate::topology::{TRANSFORMING, TTSF_KINDS};
 
 /// Environment variable selecting the default worker count for
 /// [`TopologyBuilder::build`] when [`TopologyBuilder::workers`] was not
@@ -189,7 +188,6 @@ pub struct TopologyBuilder {
     single: bool,
     backbone_shards: usize,
     lookahead: Option<SimDuration>,
-    coalesce: bool,
     record_series: bool,
 }
 
@@ -204,7 +202,6 @@ impl TopologyBuilder {
             single: false,
             backbone_shards: 1,
             lookahead: None,
-            coalesce: false,
             record_series: true,
         }
     }
@@ -228,12 +225,6 @@ impl TopologyBuilder {
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n.max(1));
         self
-    }
-
-    /// Alias for [`TopologyBuilder::workers`], matching the `COMMA_SHARDS`
-    /// vocabulary.
-    pub fn shards(self, n: usize) -> Self {
-        self.workers(n)
     }
 
     /// Escape hatch: compile the whole topology into one shard (one plain
@@ -271,15 +262,6 @@ impl TopologyBuilder {
     /// harness would (correctly) flag.
     pub fn record_series(mut self, on: bool) -> Self {
         self.record_series = on;
-        self
-    }
-
-    /// Enables same-instant delivery coalescing on every shard.
-    /// Coalescing is shard-local by construction: a cross-shard packet
-    /// re-enters the destination shard's event queue and can only
-    /// coalesce there, so this stays deterministic across worker counts.
-    pub fn coalesce_delivery(mut self, on: bool) -> Self {
-        self.coalesce = on;
         self
     }
 
@@ -356,7 +338,6 @@ impl TopologyBuilder {
                 runner,
                 handles,
                 cell_names,
-                self.coalesce,
                 fault_reorders,
                 self.record_series,
             ))
@@ -446,7 +427,6 @@ impl TopologyBuilder {
                 runner,
                 handles,
                 cell_names,
-                self.coalesce,
                 fault_reorders,
                 self.record_series,
             ))
@@ -458,13 +438,9 @@ fn finish(
     mut runner: ShardedSimulator,
     cells: Vec<CellHandle>,
     names: Vec<String>,
-    coalesce: bool,
     fault_reorders: bool,
     record_series: bool,
 ) -> ShardedWorld {
-    if coalesce {
-        runner.set_coalesce_delivery(true);
-    }
     if !record_series {
         runner.set_record_series(false);
     }
@@ -811,11 +787,6 @@ impl ShardedWorld {
         self.runner.merged_trace_digest()
     }
 
-    /// Enables shard-local delivery coalescing everywhere.
-    pub fn set_coalesce_delivery(&mut self, on: bool) {
-        self.runner.set_coalesce_delivery(on);
-    }
-
     /// Schedules a wireless up/down change for one cell at `t`
     /// (disconnection scenarios). `t` must be at or after the current
     /// time.
@@ -905,34 +876,18 @@ impl ShardedWorld {
             .iter()
             .all(|h| h.shard == h.wired_shard && h.shard == self.cells[0].shard);
         let mut transformed = false;
-        let mut editmap_errors: Vec<String> = Vec::new();
+        let mut editmap_errs: Vec<String> = Vec::new();
         for (cell, h) in self.cells.iter().enumerate() {
             let sp = h.tag.sp;
             let label = format!("{}.sp", self.names[cell]);
             let (kinds, errs) = self.runner.with_shard(h.shard, move |sim| {
                 sim.with_node::<ServiceProxy, _>(sp, move |p| {
-                    let kinds: Vec<String> = p
-                        .engine
-                        .registrations()
-                        .iter()
-                        .map(|r| r.filter.clone())
-                        .collect();
-                    let mut errs = Vec::new();
-                    for kind in TTSF_KINDS {
-                        errs.extend(
-                            p.engine
-                                .instances_as::<Ttsf>(kind)
-                                .iter()
-                                .filter_map(|t| t.map())
-                                .filter_map(|m| m.check_invariants().err())
-                                .map(|e| format!("{label}: {e}")),
-                        );
-                    }
-                    (kinds, errs)
+                    let kinds = registered_kinds(&p.engine);
+                    (kinds, editmap_errors(&mut p.engine, &label))
                 })
             });
             transformed |= kinds.iter().any(|k| TRANSFORMING.contains(&k.as_str()));
-            editmap_errors.extend(errs);
+            editmap_errs.extend(errs);
         }
         let strict = single && !transformed;
 
@@ -963,7 +918,7 @@ impl ShardedWorld {
             merged.segments_checked += report.segments_checked;
             merged.truncated_flows += report.truncated_flows;
         }
-        for err in editmap_errors {
+        for err in editmap_errs {
             merged.total_violations += 1;
             merged.violations.push(Violation {
                 time: self.runner.now(),

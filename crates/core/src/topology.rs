@@ -5,8 +5,8 @@
 
 use comma_eem::{EemServer, MetricsHub, SharedHub};
 use comma_faultcheck::{FaultPlan, Oracle, OracleConfig, OracleReport, Violation};
-use comma_filters::{standard_catalog, Ttsf};
-use comma_netsim::addr::{Ipv4Addr, Subnet};
+use comma_filters::{editmap_errors, registered_kinds, standard_catalog, TRANSFORMING};
+use comma_netsim::addr::Subnet;
 use comma_netsim::link::{ChannelId, LinkParams};
 use comma_netsim::node::{IfaceId, NodeId};
 use comma_netsim::sim::Simulator;
@@ -32,22 +32,6 @@ pub mod addrs {
     /// The mobile host, `11.11.10.10`.
     pub const MOBILE: Ipv4Addr = Ipv4Addr::new(11, 11, 10, 10);
 }
-
-/// Filter kinds that rewrite payload bytes or sequence spaces, making the
-/// oracle's strict end-to-end identity checks legitimately inapplicable.
-pub(crate) const TRANSFORMING: &[&str] = &[
-    "compress",
-    "decompress",
-    "removal",
-    "translate",
-    "rdrop",
-    "hdiscard",
-];
-
-/// Filter kinds backed by a TTSF whose edit map must stay structurally
-/// sound (swept by the oracle finalizers).
-pub(crate) const TTSF_KINDS: &[&str] =
-    &["ttsf", "compress", "decompress", "removal", "translate"];
 
 /// Builder for the standard topology.
 pub struct CommaBuilder {
@@ -125,23 +109,6 @@ impl CommaBuilder {
     pub fn empty_filter_pool(mut self) -> Self {
         self.preload_all = false;
         self
-    }
-
-    /// Hands this deployment's parameters to the partition-aware
-    /// [`crate::topo::TopologyBuilder`] as a single cell named `cell0`,
-    /// selecting the sharded runner with `n` workers. Applications are
-    /// not carried over — declare transfers on the returned builder's
-    /// cell spec ([`crate::topo::CellSpec::transfer`]); EEM, double-proxy,
-    /// and observability likewise stay [`CommaBuilder::build`]-only.
-    pub fn shards(self, n: usize) -> crate::topo::TopologyBuilder {
-        crate::topo::TopologyBuilder::new(self.seed)
-            .backbone(self.wired_params.clone())
-            .cell(
-                crate::topo::CellSpec::new("cell0")
-                    .wireless(self.wireless_down.clone(), self.wireless_up.clone())
-                    .tcp(self.tcp_cfg.clone()),
-            )
-            .workers(n)
     }
 
     /// Builds the world with the given applications installed.
@@ -426,57 +393,27 @@ impl CommaWorld {
 
         // Services that rewrite payload bytes or sequence spaces disable
         // the strict checks (V7 payload identity, V8 ack provenance); the
-        // always-on invariants keep running regardless.
-        let mut kinds: Vec<String> = self
-            .sim
-            .with_node::<ServiceProxy, _>(self.proxy, |sp| {
-                sp.engine.registrations().iter().map(|r| r.filter.clone()).collect()
-            });
-        if let Some(stub) = self.stub {
-            kinds.extend(self.sim.with_node::<ServiceProxy, _>(stub, |sp| {
-                sp.engine
-                    .registrations()
+        // always-on invariants keep running regardless. TTSF edit maps
+        // must stay structurally sound on every proxy.
+        let mut transformed = false;
+        let mut editmap_errs: Vec<String> = Vec::new();
+        for (node, label) in [(Some(self.proxy), "sp"), (self.stub, "stub")] {
+            let Some(node) = node else { continue };
+            self.sim.with_node::<ServiceProxy, _>(node, |sp| {
+                transformed |= registered_kinds(&sp.engine)
                     .iter()
-                    .map(|r| r.filter.clone())
-                    .collect::<Vec<_>>()
-            }));
-        }
-        let transformed = kinds.iter().any(|k| TRANSFORMING.contains(&k.as_str()));
-        oracle.set_strict(!transformed);
-
-        // TTSF edit maps must stay structurally sound on every proxy —
-        // sweep every TTSF-backed registration kind, not just the
-        // identity "ttsf" service.
-        let mut editmap_errors: Vec<String> = Vec::new();
-        let mut sweep = |sim: &mut Simulator, node: NodeId, name: &str| {
-            let label = name.to_string();
-            let errs: Vec<String> = sim.with_node::<ServiceProxy, _>(node, |sp| {
-                let mut errs = Vec::new();
-                for kind in TTSF_KINDS {
-                    errs.extend(
-                        sp.engine
-                            .instances_as::<Ttsf>(kind)
-                            .iter()
-                            .filter_map(|t| t.map())
-                            .filter_map(|m| m.check_invariants().err())
-                            .map(|e| format!("{label}: {e}")),
-                    );
-                }
-                errs
+                    .any(|k| TRANSFORMING.contains(&k.as_str()));
+                editmap_errs.extend(editmap_errors(&mut sp.engine, label));
             });
-            editmap_errors.extend(errs);
-        };
-        sweep(&mut self.sim, self.proxy, "sp");
-        if let Some(stub) = self.stub {
-            sweep(&mut self.sim, stub, "stub");
         }
+        oracle.set_strict(!transformed);
 
         let taken = std::mem::replace(
             oracle,
             Oracle::new(OracleConfig::new(Vec::new())),
         );
         let mut report = taken.finish();
-        for err in editmap_errors {
+        for err in editmap_errs {
             report.total_violations += 1;
             report.violations.push(Violation {
                 time: self.sim.now(),
@@ -505,11 +442,6 @@ impl CommaWorld {
         );
     }
 
-    /// The canonical downlink stream key for `(wired:sport → mobile:dport)`.
-    pub fn stream_key(&self, sport: u16, dport: u16) -> comma_proxy::StreamKey {
-        comma_proxy::StreamKey::new(addrs::WIRED, sport, addrs::MOBILE, dport)
-    }
-
     /// Wild-card key matching every stream toward the mobile.
     pub fn to_mobile_wild(&self) -> comma_proxy::WildKey {
         comma_proxy::WildKey {
@@ -519,9 +451,4 @@ impl CommaWorld {
             dport: None,
         }
     }
-}
-
-/// Convenience: the canonical mobile address as a parsed value.
-pub fn mobile_addr() -> Ipv4Addr {
-    addrs::MOBILE
 }

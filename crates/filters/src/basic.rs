@@ -5,7 +5,6 @@ use std::any::Any;
 
 use comma_netsim::packet::Packet;
 use comma_netsim::wire;
-use comma_proxy::batch::PacketBatch;
 use comma_proxy::filter::{Capabilities, Filter, FilterCtx, Priority, Verdict};
 use comma_proxy::key::{StreamKey, WildKey};
 use comma_rt::Rng;
@@ -34,44 +33,6 @@ impl TcpHousekeeping {
             fin_up: false,
             verified: 0,
             corrupt: 0,
-        }
-    }
-
-    /// Per-packet housekeeping: wire verification plus FIN/RST close
-    /// tracking. `down` is the pre-resolved direction of the run's key.
-    fn check(&mut self, ctx: &mut FilterCtx<'_>, down: bool, pkt: &Packet) {
-        // Highest priority: the out method runs last, after every
-        // modification. Re-verify to prove the packet leaves the proxy
-        // with valid checksums (the thesis's "recalculating IP checksums
-        // as necessary"). `wire::verify_packet` checks the same bounds
-        // and checksums as encode-then-verify in a single pass over the
-        // payload, without materializing the wire buffer.
-        match wire::verify_packet(pkt) {
-            Ok(()) => self.verified += 1,
-            Err(e) => {
-                self.corrupt += 1;
-                ctx.count("tcp.checksum_failures", 1);
-                ctx.event(
-                    "tcp.checksum_failure",
-                    vec![("error", comma_obs::FieldValue::Str(e.to_string()))],
-                );
-            }
-        }
-        if let Some(seg) = pkt.as_tcp() {
-            if seg.flags.fin() {
-                if down {
-                    self.fin_down = true;
-                } else {
-                    self.fin_up = true;
-                }
-            }
-            if seg.flags.rst() || (self.fin_down && self.fin_up && seg.flags.ack()) {
-                // Stream fully closing: tear down its filters (the final
-                // ACK of the second FIN, or a reset).
-                if let Some(k) = self.key {
-                    ctx.stream_closed(k);
-                }
-            }
         }
     }
 }
@@ -106,22 +67,40 @@ impl Filter for TcpHousekeeping {
     }
 
     fn on_out(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkt: &mut Packet) -> Verdict {
-        let down = Some(key) == self.key;
-        self.check(ctx, down, pkt);
-        Verdict::Continue
-    }
-
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, batch: &mut PacketBatch) {
-        // Every packet in a run shares the key, so the direction resolves
-        // once per batch instead of once per packet.
-        let down = Some(key) == self.key;
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
+        // Highest priority: the out method runs last, after every
+        // modification. Re-verify to prove the packet leaves the proxy
+        // with valid checksums (the thesis's "recalculating IP checksums
+        // as necessary"). `wire::verify_packet` checks the same bounds
+        // and checksums as encode-then-verify in a single pass over the
+        // payload, without materializing the wire buffer.
+        match wire::verify_packet(pkt) {
+            Ok(()) => self.verified += 1,
+            Err(e) => {
+                self.corrupt += 1;
+                ctx.count("tcp.checksum_failures", 1);
+                ctx.event(
+                    "tcp.checksum_failure",
+                    vec![("error", comma_obs::FieldValue::Str(e.to_string()))],
+                );
             }
-            ctx.set_batch_cursor(i as u32);
-            self.check(ctx, down, batch.pkt(i));
         }
+        if let Some(seg) = pkt.as_tcp() {
+            if seg.flags.fin() {
+                if Some(key) == self.key {
+                    self.fin_down = true;
+                } else {
+                    self.fin_up = true;
+                }
+            }
+            if seg.flags.rst() || (self.fin_down && self.fin_up && seg.flags.ack()) {
+                // Stream fully closing: tear down its filters (the final
+                // ACK of the second FIN, or a reset).
+                if let Some(k) = self.key {
+                    ctx.stream_closed(k);
+                }
+            }
+        }
+        Verdict::Continue
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -263,22 +242,6 @@ impl Filter for RandomDrop {
         } else {
             self.passed += 1;
             Verdict::Continue
-        }
-    }
-
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, _key: StreamKey, batch: &mut PacketBatch) {
-        // One RNG draw per live slot, in arrival order — identical draw
-        // sequence to the scalar path.
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
-            }
-            if ctx.rng.gen_bool(self.rate) {
-                self.dropped += 1;
-                batch.request_drop(i);
-            } else {
-                self.passed += 1;
-            }
         }
     }
 

@@ -33,4 +33,4 @@ pub mod wsize;
 
 pub use catalog::{standard_catalog, ALL_FILTERS};
 pub use editmap::EditMap;
-pub use ttsf::Ttsf;
+pub use ttsf::{editmap_errors, registered_kinds, Ttsf, TRANSFORMING, TTSF_KINDS};

@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 
 use comma_netsim::packet::{Packet, TcpFlags};
 use comma_netsim::time::{SimDuration, SimTime};
-use comma_proxy::batch::PacketBatch;
 use comma_proxy::filter::{Capabilities, Filter, FilterCtx, Priority, Verdict};
 use comma_proxy::key::StreamKey;
 use comma_tcp::seq::seq_lt;
@@ -172,79 +171,6 @@ impl Filter for Snoop {
 
     fn on_out(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkt: &mut Packet) -> Verdict {
         let down = Some(key) == self.down_key;
-        self.handle(ctx, down, pkt)
-    }
-
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, batch: &mut PacketBatch) {
-        // One direction resolution per run; the per-packet cache logic is
-        // unchanged, so the draw of cached/suppressed packets matches the
-        // scalar path exactly.
-        let down = Some(key) == self.down_key;
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
-            }
-            ctx.set_batch_cursor(i as u32);
-            if self.handle(ctx, down, batch.pkt(i)) == Verdict::Drop {
-                batch.request_drop(i);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut FilterCtx<'_>, token: u64) {
-        if token != TIMER_TOKEN {
-            return;
-        }
-        self.tick_armed = false;
-        // Local timeout: retransmit the oldest cached segment if it has
-        // waited longer than the local RTO.
-        let rto = self.local_rto();
-        if let Some((_, cached)) = self.cache.iter_mut().next() {
-            if ctx.now.saturating_since(cached.sent_at) >= rto && cached.retx < 50 {
-                cached.retx += 1;
-                cached.sent_at = ctx.now;
-                self.stats.timeout_retx += 1;
-                ctx.inject(cached.pkt.clone());
-            }
-            self.arm_tick(ctx);
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn clone_filter(&self) -> Option<Box<dyn Filter>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.down_key.map_or_else(String::new, |k| k.to_string()));
-        h.update_u64(self.base.map_or(u64::MAX, |b| b as u64));
-        for (off, seg) in &self.cache {
-            h.update_u64(*off);
-            h.update(seg.pkt.summary());
-            h.update_u64(seg.sent_at.as_micros());
-            h.update_u64(seg.retx as u64);
-        }
-        h.update_u64(self.cached_bytes as u64);
-        h.update_u64(self.last_ack.map_or(u64::MAX, |a| a as u64));
-        h.update_u64(self.last_win.map_or(u64::MAX, |w| w as u64));
-        h.update_u64(self.dup_count as u64);
-        h.update_u64(self.srtt_us.to_bits());
-        h.update_u64(self.last_local_retx_at.map_or(u64::MAX, |t| t.as_micros()));
-        h.update_u64(self.grid_origin.as_micros());
-        h.update_u64(self.tick_armed as u64);
-        h.update_u64(self.mutate_fabricate_acks as u64);
-    }
-}
-
-impl Snoop {
-    /// Per-packet snoop logic shared by the scalar and batch out-methods.
-    /// `down` is the pre-resolved direction of the packet's key. Snoop
-    /// never mutates the packet (its capabilities are DROP + INJECT), so a
-    /// shared reference suffices.
-    fn handle(&mut self, ctx: &mut FilterCtx<'_>, down: bool, pkt: &Packet) -> Verdict {
         let Some(seg) = pkt.as_tcp() else {
             return Verdict::Continue;
         };
@@ -375,6 +301,53 @@ impl Snoop {
             return Verdict::Drop;
         }
         Verdict::Continue
+    }
+
+    fn on_timer(&mut self, ctx: &mut FilterCtx<'_>, token: u64) {
+        if token != TIMER_TOKEN {
+            return;
+        }
+        self.tick_armed = false;
+        // Local timeout: retransmit the oldest cached segment if it has
+        // waited longer than the local RTO.
+        let rto = self.local_rto();
+        if let Some((_, cached)) = self.cache.iter_mut().next() {
+            if ctx.now.saturating_since(cached.sent_at) >= rto && cached.retx < 50 {
+                cached.retx += 1;
+                cached.sent_at = ctx.now;
+                self.stats.timeout_retx += 1;
+                ctx.inject(cached.pkt.clone());
+            }
+            self.arm_tick(ctx);
+        }
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn clone_filter(&self) -> Option<Box<dyn Filter>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+        h.update(self.down_key.map_or_else(String::new, |k| k.to_string()));
+        h.update_u64(self.base.map_or(u64::MAX, |b| b as u64));
+        for (off, seg) in &self.cache {
+            h.update_u64(*off);
+            h.update(seg.pkt.summary());
+            h.update_u64(seg.sent_at.as_micros());
+            h.update_u64(seg.retx as u64);
+        }
+        h.update_u64(self.cached_bytes as u64);
+        h.update_u64(self.last_ack.map_or(u64::MAX, |a| a as u64));
+        h.update_u64(self.last_win.map_or(u64::MAX, |w| w as u64));
+        h.update_u64(self.dup_count as u64);
+        h.update_u64(self.srtt_us.to_bits());
+        h.update_u64(self.last_local_retx_at.map_or(u64::MAX, |t| t.as_micros()));
+        h.update_u64(self.grid_origin.as_micros());
+        h.update_u64(self.tick_armed as u64);
+        h.update_u64(self.mutate_fabricate_acks as u64);
     }
 }
 

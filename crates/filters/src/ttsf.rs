@@ -23,13 +23,50 @@ use std::any::Any;
 use comma_obs::fields;
 use comma_rt::Bytes;
 use comma_netsim::packet::{Packet, TcpFlags};
-use comma_proxy::batch::PacketBatch;
+use comma_proxy::engine::FilterEngine;
 use comma_proxy::filter::{Capabilities, Filter, FilterCtx, Priority, Verdict};
 use comma_proxy::key::StreamKey;
 use comma_tcp::seq::{seq_diff, seq_le, seq_lt};
 
 use crate::editmap::EditMap;
 use crate::transform::StreamTransformer;
+
+/// Catalog kinds backed by a [`Ttsf`], whose edit map must stay
+/// structurally sound (swept by the oracle finalizers and the model
+/// checker's per-step invariants).
+pub const TTSF_KINDS: &[&str] = &["ttsf", "compress", "decompress", "removal", "translate"];
+
+/// Catalog kinds that rewrite payload bytes or sequence spaces, making the
+/// oracle's strict end-to-end identity checks legitimately inapplicable.
+pub const TRANSFORMING: &[&str] = &[
+    "compress",
+    "decompress",
+    "removal",
+    "translate",
+    "rdrop",
+    "hdiscard",
+];
+
+/// The edit-map sweep: every structural-invariant failure among the
+/// engine's live TTSF-backed instances, each prefixed with `label`.
+pub fn editmap_errors(engine: &mut FilterEngine, label: &str) -> Vec<String> {
+    let mut errs = Vec::new();
+    for kind in TTSF_KINDS {
+        for ttsf in engine.instances_as::<Ttsf>(kind) {
+            if let Some(Err(e)) = ttsf.map().map(EditMap::check_invariants) {
+                errs.push(format!("{label}: {e}"));
+            }
+        }
+    }
+    errs
+}
+
+/// The filter kinds the engine has registrations for (compare against
+/// [`TRANSFORMING`] to decide whether strict oracle checks apply).
+pub fn registered_kinds(engine: &FilterEngine) -> Vec<String> {
+    let regs = engine.registrations();
+    regs.into_iter().map(|r| r.filter).collect()
+}
 
 /// TTSF counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -306,29 +343,31 @@ impl Filter for Ttsf {
     }
 
     fn on_out(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkt: &mut Packet) -> Verdict {
-        let down = Some(key) == self.down_key;
-        let v = self.serve(ctx, down, pkt);
+        let v = if Some(key) == self.down_key {
+            let records_before = self.stats.records;
+            let v = self.handle_downlink(ctx, pkt);
+            if self.stats.records > records_before {
+                ctx.count("ttsf.translations", self.stats.records - records_before);
+            }
+            v
+        } else {
+            let acks_before = self.stats.acks_translated;
+            let v = self.handle_uplink(pkt);
+            if self.stats.acks_translated > acks_before {
+                ctx.count(
+                    "ttsf.acks_translated",
+                    self.stats.acks_translated - acks_before,
+                );
+            }
+            v
+        };
         // Edit-map occupancy after every serviced packet: how much state the
         // transparency mechanism is holding for this stream.
-        self.report_occupancy(ctx);
-        v
-    }
-
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, batch: &mut PacketBatch) {
-        // Direction resolves once per run, and the edit-map occupancy
-        // gauges sample once at the end of the run rather than per packet
-        // (at run length 1 that is exactly the scalar cadence).
-        let down = Some(key) == self.down_key;
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
-            }
-            ctx.set_batch_cursor(i as u32);
-            if self.serve(ctx, down, batch.pkt_mut(i)) == Verdict::Drop {
-                batch.request_drop(i);
-            }
+        if let Some(map) = self.map.as_ref() {
+            ctx.gauge("ttsf.editmap_records", map.len() as f64);
+            ctx.gauge("ttsf.editmap_bytes", map.stored_bytes() as f64);
         }
-        self.report_occupancy(ctx);
+        v
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -361,39 +400,6 @@ impl Filter for Ttsf {
         h.update_u64(self.emit_cap as u64);
         h.update_u64(self.mutate_skip_ack_translation as u64);
         self.service.state_digest(h);
-    }
-}
-
-impl Ttsf {
-    /// Per-packet service shared by the scalar and batch out-methods:
-    /// dispatch on the pre-resolved direction and bump the translation
-    /// counters.
-    fn serve(&mut self, ctx: &mut FilterCtx<'_>, down: bool, pkt: &mut Packet) -> Verdict {
-        if down {
-            let records_before = self.stats.records;
-            let v = self.handle_downlink(ctx, pkt);
-            if self.stats.records > records_before {
-                ctx.count("ttsf.translations", self.stats.records - records_before);
-            }
-            v
-        } else {
-            let acks_before = self.stats.acks_translated;
-            let v = self.handle_uplink(pkt);
-            if self.stats.acks_translated > acks_before {
-                ctx.count(
-                    "ttsf.acks_translated",
-                    self.stats.acks_translated - acks_before,
-                );
-            }
-            v
-        }
-    }
-
-    fn report_occupancy(&self, ctx: &mut FilterCtx<'_>) {
-        if let Some(map) = self.map.as_ref() {
-            ctx.gauge("ttsf.editmap_records", map.len() as f64);
-            ctx.gauge("ttsf.editmap_bytes", map.stored_bytes() as f64);
-        }
     }
 }
 

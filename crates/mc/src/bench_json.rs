@@ -35,7 +35,8 @@ pub fn render_mc_block(report: &McReport, wall_ms: f64) -> String {
 /// single top-level object; this does a brace-matched splice, no parser.
 fn splice_mc(text: &str, block: &str) -> String {
     let mut doc = text.trim_end().to_string();
-    if let Some(start) = doc.find("\"mc\":") {
+    // `"mc": {` — the `loc` block carries a numeric `"mc"` of its own.
+    if let Some(start) = doc.find("\"mc\": {") {
         // Remove the existing entry: key through its matched close brace,
         // plus one trailing comma or one leading comma.
         let open = match doc[start..].find('{') {
@@ -109,7 +110,8 @@ mod tests {
 
     #[test]
     fn splice_into_existing_snapshot() {
-        let base = "{\n  \"schema\": \"comma-macro-bench-v2\",\n  \"cores\": 4\n}\n";
+        let base = "{\n  \"schema\": \"comma-macro-bench-v2\",\n  \"cores\": 4,\n  \
+                    \"loc\": { \"mc\": 951, \"tests\": 3274 }\n}\n";
         let block = render_mc_block(&report(), 12.0);
         let out = splice_mc(base, &block);
         assert!(out.contains("\"schema\""), "existing keys kept:\n{out}");
@@ -121,8 +123,9 @@ mod tests {
         let out2 = splice_mc(&out, &render_mc_block(&r2, 1.0));
         assert!(out2.contains("\"states_explored\": 999"));
         assert!(!out2.contains("\"states_explored\": 100"));
-        assert_eq!(out2.matches("\"mc\":").count(), 1);
+        assert_eq!(out2.matches("\"mc\": {").count(), 1);
         assert!(out2.contains("\"schema\""));
+        assert!(out2.contains("\"loc\": { \"mc\": 951, \"tests\": 3274 },"), "{out2}");
     }
 
     #[test]

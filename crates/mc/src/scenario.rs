@@ -10,9 +10,7 @@ use comma_netsim::time::SimDuration;
 use comma_proxy::ServiceProxy;
 use comma_tcp::apps::{BulkSender, Sink};
 
-/// Filter kinds backed by a TTSF whose edit map is swept at every step
-/// (mirrors the oracle finalizer's list in `comma::topology`).
-pub const TTSF_KINDS: &[&str] = &["ttsf", "compress", "decompress", "removal", "translate"];
+pub use comma_filters::TTSF_KINDS;
 
 /// Scenario and search parameters.
 ///
@@ -207,16 +205,8 @@ pub fn check_invariants(sim: &mut Simulator, proxy: NodeId) -> Option<String> {
         }
     }
     sim.with_node::<ServiceProxy, _>(proxy, |sp| {
-        for kind in TTSF_KINDS {
-            for t in sp.engine.instances_as::<Ttsf>(kind) {
-                if let Some(map) = t.map() {
-                    if let Err(e) = map.check_invariants() {
-                        return Some(format!("editmap[{kind}]: {e}"));
-                    }
-                }
-            }
-        }
-        None
+        let errs = comma_filters::editmap_errors(&mut sp.engine, "editmap");
+        errs.into_iter().next()
     })
 }
 

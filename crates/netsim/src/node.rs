@@ -41,17 +41,6 @@ pub trait Node {
     /// Called when a packet is delivered on `iface`.
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, pkt: Packet);
 
-    /// Called when several packets are delivered on `iface` at the same
-    /// instant (the simulator's opt-in delivery coalescing). The default
-    /// drains them through [`Node::on_packet`] one by one, so plain nodes
-    /// behave identically; batch-aware nodes (the Service Proxy) override
-    /// it to push the whole run through their batch hot path.
-    fn on_packets(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, pkts: &mut Vec<Packet>) {
-        for pkt in pkts.drain(..) {
-            self.on_packet(ctx, iface, pkt);
-        }
-    }
-
     /// Called when a timer scheduled via [`NodeCtx::set_timer_after`] fires.
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {}
 

@@ -594,34 +594,6 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// Peeks at the next live entry if it is due at or before `horizon`,
-    /// without popping it. The simulator's delivery coalescing uses this
-    /// to ask "does the following event extend the current batch?" before
-    /// committing to a pop. Like [`TimerWheel::pop_due`] this may advance
-    /// the cursor and drain the due microsecond into the ready batch, but
-    /// the entry itself stays queued and keeps its `(time, seq)` position.
-    pub fn peek_due(&mut self, horizon: SimTime) -> Option<(SimTime, &T)> {
-        let target = self.next_time()?;
-        if target > horizon {
-            return None;
-        }
-        if self.ready.is_empty() {
-            let t = target.as_micros();
-            self.advance_to(t);
-            self.drain_current(t);
-        }
-        while let Some(front) = self.ready.front() {
-            if self.entry_live(front) {
-                break;
-            }
-            let e = self.ready.pop_front().expect("front checked");
-            self.discard(e);
-        }
-        self.ready
-            .front()
-            .map(|e| (SimTime::from_micros(e.time), &e.item))
-    }
-
     /// Moves the cursor to `target`, cascading every slot the cursor
     /// enters so entries at `target` end up in level 0. `target` must not
     /// precede any pending entry (it is the minimum pending time).

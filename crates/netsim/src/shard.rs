@@ -738,18 +738,6 @@ impl ShardedSimulator {
         }
     }
 
-    /// Enables (or disables) shard-local delivery coalescing on every
-    /// shard. Coalescing never extends across a boundary: cross-shard
-    /// packets re-enter the destination shard's event queue and only
-    /// coalesce with same-instant deliveries on the same ingress channel
-    /// there, so the result is worker-count-invariant like everything
-    /// else.
-    pub fn set_coalesce_delivery(&mut self, on: bool) {
-        for shard in 0..self.shard_count() {
-            self.with_shard(shard, move |sim| sim.set_coalesce_delivery(on));
-        }
-    }
-
     /// Enables (or disables) per-channel rate-series recording on every
     /// shard (see [`Simulator::set_record_series`]). Throughput benchmarks
     /// turn it off: an unread series otherwise grows sample storage on

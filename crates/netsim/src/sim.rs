@@ -201,9 +201,6 @@ pub struct Simulator {
     ch_scopes: Vec<String>,
     faults: Vec<Option<FaultState>>,
     observer: Option<Box<dyn PacketObserver>>,
-    coalesce_delivery: bool,
-    /// Reusable delivery-batch buffer (allocation-free steady state).
-    delivery_buf: Vec<Packet>,
     /// Reusable dispatch effect buffers, threaded through every
     /// [`NodeCtx`] so node callbacks append into retained capacity instead
     /// of allocating a fresh pair of vectors per dispatch.
@@ -234,8 +231,6 @@ impl Simulator {
             ch_scopes: Vec::new(),
             faults: Vec::new(),
             observer: None,
-            coalesce_delivery: false,
-            delivery_buf: Vec::new(),
             fx_outputs: Vec::new(),
             fx_timers: Vec::new(),
             outbox: Vec::new(),
@@ -256,17 +251,6 @@ impl Simulator {
         for ch in &mut self.channels {
             ch.series.set_enabled(on);
         }
-    }
-
-    /// Enables (or disables) delivery coalescing: consecutive `Deliver`
-    /// events at the same instant on the same channel are dispatched to
-    /// the destination node as one [`Node::on_packets`] call instead of
-    /// one `on_packet` per event. Off by default: batching preserves
-    /// delivered traffic and per-packet accounting, but it reorders trace
-    /// lines (all `rx` records precede the node's reactions) relative to
-    /// the scalar schedule, so golden-trace scenarios leave it off.
-    pub fn set_coalesce_delivery(&mut self, on: bool) {
-        self.coalesce_delivery = on;
     }
 
     /// Installs a fault configuration on one directed channel, replacing any
@@ -674,12 +658,6 @@ impl Simulator {
         self.ensure_started();
         while let Some((time, event)) = self.sched.pop_due(horizon) {
             self.now = time;
-            if self.coalesce_delivery {
-                if let Event::Deliver { channel, pkt } = event {
-                    self.deliver_coalesced(channel, pkt);
-                    continue;
-                }
-            }
             self.handle(event);
         }
         self.now = self.now.max(horizon);
@@ -993,59 +971,6 @@ impl Simulator {
         }
     }
 
-    /// Coalesced delivery: `first` was just popped; greedily pop every
-    /// immediately following `Deliver` at the same instant on the same
-    /// channel and hand the run to the node as one batch.
-    fn deliver_coalesced(&mut self, ch_id: ChannelId, first: Packet) {
-        self.events_processed += 1;
-        let mut batch = std::mem::take(&mut self.delivery_buf);
-        batch.push(first);
-        loop {
-            match self.sched.peek_due(self.now) {
-                Some((t, Event::Deliver { channel, .. })) if t == self.now && *channel == ch_id => {}
-                _ => break,
-            }
-            let Some((_, Event::Deliver { pkt, .. })) = self.sched.pop_due(self.now) else {
-                unreachable!("peeked a due Deliver event")
-            };
-            self.events_processed += 1;
-            batch.push(pkt);
-        }
-        let (dst_node, dst_iface, up) = {
-            let ch = &self.channels[ch_id.0];
-            (ch.dst_node, ch.dst_iface, ch.params.up)
-        };
-        if !up {
-            let src = self.channels[ch_id.0].src_node;
-            for pkt in batch.drain(..) {
-                self.channels[ch_id.0].stats.down_drops += 1;
-                let len = pkt.wire_len();
-                let summary = pkt.summary();
-                self.trace
-                    .drop_pkt(self.now, src, DropReason::LinkDown, || summary);
-                self.obs_link_drop(ch_id, "link.drop.down", "down", len);
-            }
-        } else {
-            let now = self.now;
-            for pkt in &batch {
-                let len = pkt.wire_len();
-                self.channels[ch_id.0].record_delivery(now, len);
-                if self.obs.is_enabled() {
-                    let scope = &self.ch_scopes[ch_id.0];
-                    self.obs.inc(scope, "link.delivered_pkts");
-                    self.obs.add(scope, "link.delivered_bytes", len as u64);
-                }
-                self.trace.rx(now, dst_node, || pkt.summary());
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.on_deliver(now, dst_node, pkt);
-                }
-            }
-            self.dispatch(dst_node, |n, ctx| n.on_packets(ctx, dst_iface, &mut batch));
-        }
-        batch.clear();
-        self.delivery_buf = batch;
-    }
-
     fn deliver(&mut self, ch_id: ChannelId, pkt: Packet) {
         let (dst_node, dst_iface, up) = {
             let ch = &self.channels[ch_id.0];
@@ -1130,8 +1055,6 @@ impl Simulator {
             ch_scopes: self.ch_scopes.clone(),
             faults: self.faults.clone(),
             observer,
-            coalesce_delivery: self.coalesce_delivery,
-            delivery_buf: Vec::new(),
             fx_outputs: Vec::new(),
             fx_timers: Vec::new(),
             outbox: self.outbox.clone(),

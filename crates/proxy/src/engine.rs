@@ -3,10 +3,15 @@
 //!
 //! # The fast dispatch path
 //!
-//! [`FilterEngine::process`] is the code every single packet traverses, so
-//! it is written to avoid per-packet allocation and deep copies entirely
-//! (see DESIGN.md's "Performance" section):
+//! One private per-packet core sits behind both public entries,
+//! [`FilterEngine::process`] and [`FilterEngine::process_batch`]. Every
+//! single packet traverses it, so it is written to avoid per-packet
+//! allocation and deep copies entirely (see DESIGN.md's "Performance"
+//! section):
 //!
+//! - survivors land in caller-owned buffers (`process_batch`), so a
+//!   caller that keeps them forwards a steady-state packet without
+//!   touching the heap;
 //! - flow state lives in an FNV-hashed [`FlowTable`] whose entries cache
 //!   the member list as an `Rc<[usize]>` (refcount bump per packet, no
 //!   `Vec` clone) behind a registration-generation stamp (no per-packet
@@ -26,15 +31,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use comma_netsim::packet::{
-    IpPayload, Ipv4Header, Packet, TcpFlags, TcpOption, TcpSegment, UdpDatagram,
+    IcmpMessage, IpPayload, Ipv4Header, Packet, TcpFlags, TcpOption, TcpSegment, UdpDatagram,
 };
 use comma_netsim::time::SimTime;
 use comma_obs::Obs;
 use comma_rt::digest::fnv1a;
 use comma_rt::{Bytes, SmallRng};
 
-use crate::batch::PacketBatch;
-use crate::filter::{Capabilities, Filter, FilterCtx, MetricsSource, Priority};
+use crate::filter::{Capabilities, Filter, FilterCtx, MetricsSource, Priority, Verdict};
 use crate::flow::FlowTable;
 use crate::key::{StreamKey, WildKey};
 
@@ -262,11 +266,9 @@ pub struct EngineStats {
     pub modified: u64,
     /// Packets injected by filters.
     pub injected: u64,
-    /// Same-flow runs dispatched through the filter queues. A scalar
-    /// [`FilterEngine::process`] call counts as a depth-1 batch, so
-    /// `batch_pkts / batches` is the honest average batch depth.
+    /// Dispatches through the filter queues: one per keyed packet.
     pub batches: u64,
-    /// Packets carried by those runs.
+    /// Packets carried by those dispatches (equal to `batches`).
     pub batch_pkts: u64,
     /// Filter timer callbacks dispatched.
     pub timer_fires: u64,
@@ -310,23 +312,6 @@ pub struct FilterEngine {
     /// forwards filter events to the flight recorder, and samples dispatch
     /// wall-clock latency (`wall.`-prefixed, never exported).
     obs: Obs,
-    /// Recycled dispatch storage (batch, snapshots, injection staging):
-    /// taken at the top of `process`/`process_batch` and restored on exit,
-    /// so steady state allocates nothing at batch granularity.
-    scratch: EngineScratch,
-}
-
-/// Recycled per-dispatch storage; see [`FilterEngine::process_batch`].
-#[derive(Default)]
-struct EngineScratch {
-    batch: PacketBatch,
-    /// Pre-`on_out_batch` snapshots of the live packets, by batch index.
-    snaps: Vec<(u32, PacketSnap)>,
-    /// Capability-cleared injections staged for assembly, tagged with the
-    /// batch index of the packet they follow.
-    injections: Vec<(u32, Packet)>,
-    /// Parallel to the batch: whether any filter modified the packet.
-    modified: Vec<bool>,
 }
 
 impl FilterEngine {
@@ -343,7 +328,6 @@ impl FilterEngine {
             totals: EngineStats::default(),
             pending_timers: Vec::new(),
             obs: Obs::new(),
-            scratch: EngineScratch::default(),
         }
     }
 
@@ -523,11 +507,6 @@ impl FilterEngine {
     // The packet path.
     // ------------------------------------------------------------------
 
-    /// Longest same-flow run dispatched as one batch. Bounds snapshot and
-    /// flag storage and keeps teardown latency (a close observed mid-run
-    /// takes effect at run end) to a small constant.
-    pub const MAX_BATCH: usize = 64;
-
     /// Runs a packet through the filter queues. Returns the packets to
     /// forward: empty if dropped, the (possibly modified) packet plus any
     /// injected packets otherwise.
@@ -536,10 +515,6 @@ impl FilterEngine {
     /// co-located with a Mobile IP agent path (§5.1.1's "merge the
     /// interception point with the FA") services the inner stream and
     /// re-wraps the results in the original tunnel header.
-    ///
-    /// This is the scalar entry point: it dispatches a depth-1 batch
-    /// through the same core as [`FilterEngine::process_batch`], so the
-    /// two paths cannot diverge.
     pub fn process(
         &mut self,
         now: SimTime,
@@ -547,43 +522,21 @@ impl FilterEngine {
         metrics: &dyn MetricsSource,
         pkt: Packet,
     ) -> Vec<Packet> {
-        if let IpPayload::Encap(inner) = pkt.body {
-            let outer = pkt.ip;
-            let outs = self.process(now, rng, metrics, *inner);
-            return outs
-                .into_iter()
-                .map(|p| Packet {
-                    ip: outer.clone(),
-                    body: IpPayload::Encap(Box::new(p)),
-                })
-                .collect();
-        }
-        let Some(key) = StreamKey::of_packet(&pkt) else {
-            self.totals.pkts += 1;
-            self.obs.inc("engine", "engine.pkts");
-            return vec![pkt]; // Non-keyed traffic passes through.
-        };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.batch.push(pkt);
-        let mut out = Vec::new();
-        let mut dropped = Vec::new();
-        self.dispatch_run(now, rng, metrics, key, &mut scratch, &mut out, &mut dropped);
-        self.scratch = scratch;
+        let (mut out, mut dropped) = (Vec::new(), Vec::new());
+        self.dispatch(now, rng, metrics, pkt, &mut out, &mut dropped);
         out
     }
 
-    /// Runs a sequence of packets through the filter queues, coalescing
-    /// contiguous same-flow packets into per-flow runs (capped at
-    /// [`FilterEngine::MAX_BATCH`]) so the flow lookup, the member-queue
-    /// resolution, and each filter's virtual dispatch are paid once per
-    /// run instead of once per packet.
+    /// [`FilterEngine::process`] for each packet of `input` in turn, into
+    /// caller-owned buffers: a caller that keeps the three vectors across
+    /// calls (the Service Proxy node does) forwards a steady-state packet
+    /// without allocating.
     ///
-    /// `input` is drained. Surviving and injected packets are appended to
-    /// `out` in the scalar emission order (each packet followed by the
-    /// injections it caused, runs in arrival order); input packets that
-    /// produced *no* output (dropped, nothing injected) are appended to
-    /// `dropped` so callers can trace them. Both buffers are appended to,
-    /// never cleared, and keep their capacity across calls.
+    /// `input` is drained. Each packet's survivors — the packet itself,
+    /// then the injections it caused — are appended to `out`; an input
+    /// packet that produced *no* output (dropped, nothing injected) is
+    /// appended to `dropped` so callers can trace it. Both buffers are
+    /// appended to, never cleared.
     pub fn process_batch(
         &mut self,
         now: SimTime,
@@ -593,296 +546,208 @@ impl FilterEngine {
         out: &mut Vec<Packet>,
         dropped: &mut Vec<Packet>,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut run_key: Option<StreamKey> = None;
         for pkt in input.drain(..) {
-            if let IpPayload::Encap(_) = pkt.body {
-                // Tunneled traffic re-enters through the scalar path (the
-                // inner stream is serviced recursively); flush first so
-                // relative order holds, and hand the scratch back for the
-                // reentrant call.
-                if let Some(k) = run_key.take() {
-                    self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-                }
-                self.scratch = scratch;
-                let original = pkt.clone();
-                let outs = self.process(now, rng, metrics, pkt);
-                scratch = std::mem::take(&mut self.scratch);
-                if outs.is_empty() {
-                    dropped.push(original);
-                } else {
-                    out.extend(outs);
-                }
-                continue;
-            }
-            let Some(key) = StreamKey::of_packet(&pkt) else {
-                if let Some(k) = run_key.take() {
-                    self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-                }
-                self.totals.pkts += 1;
-                self.obs.inc("engine", "engine.pkts");
-                out.push(pkt);
-                continue;
-            };
-            if run_key.is_some_and(|k| k != key) || scratch.batch.len() >= Self::MAX_BATCH {
-                let k = run_key.take().expect("non-empty run has a key");
-                self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-            }
-            // Connection-lifecycle packets end the run: SYN may instantiate
-            // filters and FIN/RST may tear the stream down, and both must
-            // be visible to the very next packet's queue resolution, as in
-            // the scalar path.
-            let lifecycle = matches!(&pkt.body, IpPayload::Tcp(seg)
-                if seg.flags.syn() || seg.flags.fin() || seg.flags.rst());
-            run_key = Some(key);
-            scratch.batch.push(pkt);
-            if lifecycle {
-                let k = run_key.take().expect("just set");
-                self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-            }
+            self.dispatch(now, rng, metrics, pkt, out, dropped);
         }
-        if let Some(k) = run_key.take() {
-            self.dispatch_run(now, rng, metrics, k, &mut scratch, out, dropped);
-        }
-        self.scratch = scratch;
     }
 
-    /// The dispatch core: runs one same-flow run through the in/out filter
-    /// queues. Byte-for-byte equivalent to the historical scalar loop at
-    /// depth 1; at depth n it amortizes the flow lookup and virtual
-    /// dispatch and enforces capabilities per packet exactly as before.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_run(
+    /// The dispatch core: one packet through its stream's in queue
+    /// (highest priority first, read-only) and out queue (lowest priority
+    /// first, so higher priorities override), with every declared
+    /// capability enforced by snapshot/diff/restore around each out method.
+    fn dispatch(
         &mut self,
         now: SimTime,
         rng: &mut SmallRng,
         metrics: &dyn MetricsSource,
-        key: StreamKey,
-        scratch: &mut EngineScratch,
+        mut pkt: Packet,
         out: &mut Vec<Packet>,
         dropped_out: &mut Vec<Packet>,
     ) {
-        let n = scratch.batch.len();
-        debug_assert!(n > 0, "dispatch_run needs a non-empty run");
-        self.totals.pkts += n as u64;
+        if let IpPayload::Encap(inner) = pkt.body {
+            // Service the inner stream, then put the tunnel header back on
+            // whatever came out of it, where it lies.
+            let (out_from, dropped_from) = (out.len(), dropped_out.len());
+            self.dispatch(now, rng, metrics, *inner, out, dropped_out);
+            let (outs, drops) = (&mut out[out_from..], &mut dropped_out[dropped_from..]);
+            for slot in outs.iter_mut().chain(drops) {
+                let body = IpPayload::Icmp(IcmpMessage::RouterSolicitation); // placeholder
+                let ip = pkt.ip.clone();
+                let inner = std::mem::replace(slot, Packet { ip, body });
+                slot.body = IpPayload::Encap(Box::new(inner));
+            }
+            return;
+        }
+        self.totals.pkts += 1;
+        let Some(key) = StreamKey::of_packet(&pkt) else {
+            self.obs.inc("engine", "engine.pkts");
+            out.push(pkt); // Non-keyed traffic passes through.
+            return;
+        };
+        // One dispatch per keyed packet: `batch_pkts / batches` is 1.
         self.totals.batches += 1;
-        self.totals.batch_pkts += n as u64;
+        self.totals.batch_pkts += 1;
         if self.obs.is_enabled() {
-            self.obs.add("engine", "engine.pkts", n as u64);
+            self.obs.inc("engine", "engine.pkts");
             self.obs.inc("engine", "engine.batches");
-            self.obs.add("engine", "engine.batch_pkts", n as u64);
+            self.obs.inc("engine", "engine.batch_pkts");
         }
         let members = self.queue_members(now, rng, metrics, key);
         if members.is_empty() {
-            scratch.batch.dropped.clear();
-            out.append(&mut scratch.batch.pkts);
+            out.push(pkt);
             return;
         }
         // Host wall-clock dispatch latency; `wall.`-prefixed keys never
         // reach the deterministic export.
         let wall_start = self.obs.is_enabled().then(std::time::Instant::now);
 
-        scratch.injections.clear();
-        scratch.modified.clear();
-        scratch.modified.resize(n, false);
-        let mut live = n;
+        // Injections go straight to `out`; the packet itself is slotted in
+        // ahead of them once the out pass has decided its fate.
+        let out_from = out.len();
+        let mut is_dropped = false;
+        let mut is_modified = false;
         let closed_keys: Vec<StreamKey>;
         {
             let mut ctx = FilterCtx::new(now, rng, metrics);
-            // In pass: highest priority first, read-only, whole run per
-            // filter. Out-only filters (`observes_in` false) skip the call
-            // and its drain bookkeeping entirely; their `pkts_seen` still
-            // counts every packet of the run.
+            // In pass. Out-only filters (`observes_in` false) skip the
+            // call and its drain bookkeeping entirely; their `pkts_seen`
+            // still counts the packet.
             for &m in members.iter() {
                 let Some(inst) = self.instances[m].as_mut() else {
                     continue;
                 };
-                inst.stats.pkts_seen += n as u64;
+                inst.stats.pkts_seen += 1;
                 if !inst.wants_in {
                     continue;
                 }
-                inst.filter.on_in_batch(&mut ctx, key, scratch.batch.pkts());
-                if !ctx.timers.is_empty() {
-                    Self::drain_ctx_timers(&mut self.pending_timers, m, &mut ctx);
-                }
-                if !ctx.events.is_empty() || !ctx.counts.is_empty() || !ctx.gauge_sets.is_empty() {
-                    let kind = Arc::clone(&self.instances[m].as_ref().expect("inst").kind);
-                    self.drain_ctx(now, &kind, &mut ctx);
-                }
-                if !ctx.service_requests.is_empty() {
-                    self.drain_service_requests(&mut ctx);
-                }
+                inst.filter.on_in(&mut ctx, key, &pkt);
+                self.drain_ctx_requests(now, m, &mut ctx);
             }
-            // Out pass: lowest priority first; higher priorities override.
+            // Out pass: a dropped packet is never shown to the remaining
+            // filters.
             for &m in members.iter().rev() {
-                if live == 0 {
+                if is_dropped {
                     break;
                 }
                 let Some(inst) = self.instances[m].as_mut() else {
                     continue;
                 };
                 let caps = inst.caps;
-                // Snapshot every live packet for the capability diff.
-                scratch.snaps.clear();
-                let mut visited_bytes = 0u64;
-                for i in 0..n {
-                    if !scratch.batch.dropped[i] {
-                        let snap = PacketSnap::capture(&scratch.batch.pkts[i]);
-                        visited_bytes += snap.payload_len() as u64;
-                        scratch.snaps.push((i as u32, snap));
-                    }
-                }
-                let visited = scratch.snaps.len() as u64;
-                inst.filter.on_out_batch(&mut ctx, key, &mut scratch.batch);
-                // Per-packet capability diff; stats accumulate locally and
-                // land on the instance in one re-borrow below.
-                let mut f_modified = 0u64;
-                let mut f_bytes_removed = 0u64;
-                let mut f_bytes_added = 0u64;
-                let mut f_violations = 0u64;
-                let mut f_dropped = 0u64;
-                for (i, snap) in scratch.snaps.drain(..) {
-                    let i = i as usize;
-                    let pkt = &mut scratch.batch.pkts[i];
-                    let before_payload = snap.payload_len();
-                    let (hdr_changed, payload_changed) = snap.diff(pkt);
-                    let violated = (hdr_changed && !caps.allows(Capabilities::MODIFY_HEADERS))
-                        || (payload_changed && !caps.allows(Capabilities::MODIFY_PAYLOAD));
-                    if violated {
-                        f_violations += 1;
-                        *pkt = snap.restore();
-                        let kind = &self.instances[m].as_ref().expect("inst").kind;
-                        let line =
-                            format!("engine: blocked unauthorized modification by {kind} on {key}");
-                        self.log.push(line);
-                    } else if hdr_changed || payload_changed {
-                        f_modified += 1;
-                        scratch.modified[i] = true;
-                        let after_len = payload_len(pkt);
-                        if after_len < before_payload {
-                            f_bytes_removed += (before_payload - after_len) as u64;
-                        } else {
-                            f_bytes_added += (after_len - before_payload) as u64;
-                        }
-                    }
-                }
-                // Apply the filter's drop requests under its capability.
-                for r in 0..scratch.batch.drop_requests.len() {
-                    let i = scratch.batch.drop_requests[r] as usize;
-                    if scratch.batch.dropped[i] {
-                        continue;
-                    }
-                    if caps.allows(Capabilities::DROP) {
-                        scratch.batch.dropped[i] = true;
-                        live -= 1;
-                        f_dropped += 1;
+                let snap = PacketSnap::capture(&pkt);
+                let before_payload = snap.payload_len();
+                let verdict = inst.filter.on_out(&mut ctx, key, &mut pkt);
+                let kind = &inst.kind;
+                let stats = &mut inst.stats;
+                let (hdr_changed, payload_changed) = snap.diff(&pkt);
+                let violated = (hdr_changed && !caps.allows(Capabilities::MODIFY_HEADERS))
+                    || (payload_changed && !caps.allows(Capabilities::MODIFY_PAYLOAD));
+                let mut violations = 0u64;
+                let mut modified = false;
+                if violated {
+                    violations += 1;
+                    pkt = snap.restore();
+                    self.log.push(format!(
+                        "engine: blocked unauthorized modification by {kind} on {key}"
+                    ));
+                } else if hdr_changed || payload_changed {
+                    modified = true;
+                    is_modified = true;
+                    stats.pkts_modified += 1;
+                    let after_len = payload_len(&pkt);
+                    if after_len < before_payload {
+                        stats.bytes_removed += (before_payload - after_len) as u64;
                     } else {
-                        f_violations += 1;
-                        let kind = &self.instances[m].as_ref().expect("inst").kind;
-                        let line = format!("engine: blocked unauthorized drop by {kind} on {key}");
-                        self.log.push(line);
+                        stats.bytes_added += (after_len - before_payload) as u64;
                     }
                 }
-                scratch.batch.drop_requests.clear();
-                // Attribute injections to this filter for the cap check.
-                let mut f_injected = 0u64;
+                if verdict == Verdict::Drop {
+                    if caps.allows(Capabilities::DROP) {
+                        is_dropped = true;
+                        stats.pkts_dropped += 1;
+                    } else {
+                        violations += 1;
+                        self.log.push(format!(
+                            "engine: blocked unauthorized drop by {kind} on {key}"
+                        ));
+                    }
+                }
+                let mut injected = 0u64;
                 if !ctx.injections.is_empty() {
                     let cnt = ctx.injections.len() as u64;
                     if caps.allows(Capabilities::INJECT) {
-                        f_injected = cnt;
+                        injected = cnt;
+                        stats.pkts_injected += cnt;
                         self.totals.injected += cnt;
-                        scratch.injections.append(&mut ctx.injections);
+                        out.append(&mut ctx.injections);
                     } else {
-                        f_violations += cnt;
+                        violations += cnt;
                         ctx.injections.clear();
-                        let kind = &self.instances[m].as_ref().expect("inst").kind;
-                        let line =
-                            format!("engine: blocked unauthorized injection by {kind} on {key}");
-                        self.log.push(line);
+                        self.log.push(format!(
+                            "engine: blocked unauthorized injection by {kind} on {key}"
+                        ));
                     }
                 }
-                let inst = self.instances[m].as_mut().expect("inst");
-                inst.stats.pkts_modified += f_modified;
-                inst.stats.bytes_removed += f_bytes_removed;
-                inst.stats.bytes_added += f_bytes_added;
-                inst.stats.pkts_dropped += f_dropped;
-                inst.stats.pkts_injected += f_injected;
-                inst.stats.violations += f_violations;
+                stats.violations += violations;
                 if self.obs.is_enabled() {
-                    let kind = Arc::clone(&inst.kind);
-                    self.obs.add(&kind, "filter.pkts", visited);
-                    self.obs.add(&kind, "filter.bytes", visited_bytes);
-                    if f_dropped > 0 {
-                        self.obs.add(&kind, "filter.drops", f_dropped);
+                    self.obs.inc(kind, "filter.pkts");
+                    self.obs.add(kind, "filter.bytes", before_payload as u64);
+                    if is_dropped {
+                        self.obs.inc(kind, "filter.drops");
                     }
-                    if f_modified > 0 {
-                        self.obs.add(&kind, "filter.modified", f_modified);
+                    if modified {
+                        self.obs.inc(kind, "filter.modified");
                     }
-                    if f_injected > 0 {
-                        self.obs.add(&kind, "filter.injected", f_injected);
-                        self.obs.add("engine", "engine.injected", f_injected);
+                    if injected > 0 {
+                        self.obs.add(kind, "filter.injected", injected);
+                        self.obs.add("engine", "engine.injected", injected);
                     }
-                    if f_violations > 0 {
-                        self.obs.add(&kind, "filter.violations", f_violations);
+                    if violations > 0 {
+                        self.obs.add(kind, "filter.violations", violations);
                     }
                 }
-                if !ctx.timers.is_empty() {
-                    Self::drain_ctx_timers(&mut self.pending_timers, m, &mut ctx);
-                }
-                if !ctx.events.is_empty() || !ctx.counts.is_empty() || !ctx.gauge_sets.is_empty() {
-                    let kind = Arc::clone(&self.instances[m].as_ref().expect("inst").kind);
-                    self.drain_ctx(now, &kind, &mut ctx);
-                }
-                if !ctx.service_requests.is_empty() {
-                    self.drain_service_requests(&mut ctx);
-                }
+                self.drain_ctx_requests(now, m, &mut ctx);
             }
             // Stream-closed requests are handled after the ctx borrow ends.
-            closed_keys = ctx.closed_streams.drain(..).collect();
+            closed_keys = std::mem::take(&mut ctx.closed_streams);
         }
         for k in closed_keys {
             self.teardown_stream(now, rng, metrics, k);
         }
-        for i in 0..n {
-            if scratch.batch.dropped[i] {
-                self.totals.drops += 1;
-                self.obs.inc("engine", "engine.drops");
-            } else if scratch.modified[i] {
+        if is_dropped {
+            self.totals.drops += 1;
+            self.obs.inc("engine", "engine.drops");
+            if out.len() == out_from {
+                dropped_out.push(pkt);
+            } // else: the packet itself is consumed, its injections carry on.
+        } else {
+            if is_modified {
                 self.totals.modified += 1;
                 self.obs.inc("engine", "engine.modified");
             }
+            out.insert(out_from, pkt);
         }
-        // Assembly: each surviving packet followed by the injections it
-        // caused (stable by source index, preserving the out-pass filter
-        // visit order within a packet — the scalar emission order).
-        scratch.injections.sort_by_key(|&(i, _)| i);
-        let mut inj = scratch.injections.drain(..).peekable();
-        for (i, pkt) in scratch.batch.pkts.drain(..).enumerate() {
-            if scratch.batch.dropped[i] {
-                let mut had_injections = false;
-                while inj.peek().is_some_and(|&(j, _)| j as usize == i) {
-                    out.push(inj.next().expect("peeked").1);
-                    had_injections = true;
-                }
-                if !had_injections {
-                    dropped_out.push(pkt);
-                } // else: the packet itself is consumed, injections carry on.
-            } else {
-                out.push(pkt);
-                while inj.peek().is_some_and(|&(j, _)| j as usize == i) {
-                    out.push(inj.next().expect("peeked").1);
-                }
-            }
-        }
-        debug_assert!(inj.next().is_none(), "injection tagged past the run");
-        drop(inj);
-        scratch.batch.dropped.clear();
         if let Some(t0) = wall_start {
             self.obs.hist(
                 "engine",
                 "wall.dispatch_ns",
                 t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             );
+        }
+    }
+
+    /// Hands what a filter method left in its context — timers, events,
+    /// counters, service requests — to the engine, touching only the
+    /// queues that are non-empty.
+    fn drain_ctx_requests(&mut self, now: SimTime, inst_id: usize, ctx: &mut FilterCtx<'_>) {
+        if !ctx.timers.is_empty() {
+            Self::drain_ctx_timers(&mut self.pending_timers, inst_id, ctx);
+        }
+        if !ctx.events.is_empty() || !ctx.counts.is_empty() || !ctx.gauge_sets.is_empty() {
+            let kind = Arc::clone(&self.instances[inst_id].as_ref().expect("inst").kind);
+            self.drain_ctx(now, &kind, ctx);
+        }
+        if !ctx.service_requests.is_empty() {
+            self.drain_service_requests(ctx);
         }
     }
 
@@ -970,14 +835,14 @@ impl FilterEngine {
         let mut ctx = FilterCtx::new(now, rng, metrics);
         inst.filter.on_timer(&mut ctx, user);
         let mut out = Vec::new();
-        let inj: Vec<Packet> = ctx.injections.drain(..).map(|(_, p)| p).collect();
+        let inj = std::mem::take(&mut ctx.injections);
         let mut injected = 0u64;
         if !inj.is_empty() {
             if inst.caps.allows(Capabilities::INJECT) {
                 inst.stats.pkts_injected += inj.len() as u64;
                 self.totals.injected += inj.len() as u64;
                 injected = inj.len() as u64;
-                out.extend(inj);
+                out = inj;
             } else {
                 inst.stats.violations += inj.len() as u64;
             }
@@ -1172,9 +1037,9 @@ impl FilterEngine {
 
     /// Deep-copies the engine for a world snapshot: catalog factories are
     /// shared (refcounted), filter instances clone through
-    /// [`Filter::clone_filter`], flow/registration state clones plainly,
-    /// and the dispatch scratch starts fresh. Fails, naming the filter
-    /// kind, when an instance does not support cloning.
+    /// [`Filter::clone_filter`], and flow/registration state clones
+    /// plainly. Fails, naming the filter kind, when an instance does not
+    /// support cloning.
     pub fn try_clone(&self) -> Result<FilterEngine, String> {
         let mut instances = Vec::with_capacity(self.instances.len());
         for slot in &self.instances {
@@ -1208,7 +1073,6 @@ impl FilterEngine {
             totals: self.totals,
             pending_timers: self.pending_timers.clone(),
             obs: self.obs.clone(),
-            scratch: EngineScratch::default(),
         })
     }
 

@@ -14,7 +14,6 @@ use comma_netsim::time::{SimDuration, SimTime};
 use comma_obs::FieldValue;
 use comma_rt::SmallRng;
 
-use crate::batch::PacketBatch;
 use crate::key::StreamKey;
 
 /// Filter priority (§5.2): high-priority filters read first and modify
@@ -122,11 +121,7 @@ pub struct FilterCtx<'a> {
     pub rng: &'a mut SmallRng,
     /// Execution-environment metrics (EEM view).
     pub metrics: &'a dyn MetricsSource,
-    /// Index of the batch packet currently being visited; injections are
-    /// tagged with it so the engine can slot them next to their source
-    /// packet when a batch is reassembled into the output order.
-    batch_cursor: u32,
-    pub(crate) injections: Vec<(u32, Packet)>,
+    pub(crate) injections: Vec<Packet>,
     pub(crate) timers: Vec<(SimDuration, u64)>,
     pub(crate) closed_streams: Vec<StreamKey>,
     pub(crate) events: Vec<(&'static str, Vec<(&'static str, FieldValue)>)>,
@@ -142,7 +137,6 @@ impl<'a> FilterCtx<'a> {
             now,
             rng,
             metrics,
-            batch_cursor: 0,
             injections: Vec::new(),
             timers: Vec::new(),
             closed_streams: Vec::new(),
@@ -154,20 +148,10 @@ impl<'a> FilterCtx<'a> {
     }
 
     /// Injects an additional packet onto the network (requires
-    /// [`Capabilities::INJECT`]). In batch methods the injection is
-    /// attributed to the packet at the current [batch
-    /// cursor](FilterCtx::set_batch_cursor) and emitted right after it.
+    /// [`Capabilities::INJECT`]). The engine emits it right after the
+    /// packet being serviced, in out-pass visit order.
     pub fn inject(&mut self, pkt: Packet) {
-        self.injections.push((self.batch_cursor, pkt));
-    }
-
-    /// Sets the batch cursor: the index of the packet the filter is
-    /// currently visiting inside a batch method. Native
-    /// [`Filter::on_in_batch`]/[`Filter::on_out_batch`] implementations
-    /// must keep it current while looping so injections land next to the
-    /// packet that caused them; outside batch dispatch it stays zero.
-    pub fn set_batch_cursor(&mut self, idx: u32) {
-        self.batch_cursor = idx;
+        self.injections.push(pkt);
     }
 
     /// Requests a timer callback to this filter instance after `delay`.
@@ -205,7 +189,7 @@ impl<'a> FilterCtx<'a> {
 
     /// Drains the injected packets (engine and test use).
     pub fn take_injections(&mut self) -> Vec<Packet> {
-        self.injections.drain(..).map(|(_, pkt)| pkt).collect()
+        std::mem::take(&mut self.injections)
     }
 
     /// Drains the stream-closed requests (engine and test use).
@@ -256,10 +240,10 @@ pub trait Filter {
     fn on_in(&mut self, _ctx: &mut FilterCtx<'_>, _key: StreamKey, _pkt: &Packet) {}
 
     /// Whether this filter participates in the read-only in-pass at all.
-    /// The engine skips [`Filter::on_in`]/[`Filter::on_in_batch`] (and the
-    /// associated per-run bookkeeping) for instances that return `false`,
-    /// which is the hot-path default for out-only filters. A filter that
-    /// implements either in method MUST return `true`; the answer is
+    /// The engine skips [`Filter::on_in`] (and the associated bookkeeping)
+    /// for instances that return `false`, which is the hot-path default
+    /// for out-only filters. A filter that implements the in method MUST
+    /// return `true`; the answer is
     /// sampled once at instantiation and may not change over the
     /// instance's lifetime. `pkts_seen` accounting is unaffected.
     fn observes_in(&self) -> bool {
@@ -270,35 +254,6 @@ pub trait Filter {
     /// its fate.
     fn on_out(&mut self, _ctx: &mut FilterCtx<'_>, _key: StreamKey, _pkt: &mut Packet) -> Verdict {
         Verdict::Continue
-    }
-
-    /// In method over a contiguous same-flow run of packets, in arrival
-    /// order. The default visits each packet through [`Filter::on_in`], so
-    /// scalar filters work unchanged; hot filters override it to amortize
-    /// per-packet work (direction checks, state lookups) across the run.
-    fn on_in_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkts: &[Packet]) {
-        for (i, pkt) in pkts.iter().enumerate() {
-            ctx.set_batch_cursor(i as u32);
-            self.on_in(ctx, key, pkt);
-        }
-    }
-
-    /// Out method over a contiguous same-flow run. The default visits each
-    /// live packet through [`Filter::on_out`], translating a
-    /// [`Verdict::Drop`] into [`PacketBatch::request_drop`]. Native
-    /// implementations must skip [`PacketBatch::is_dropped`] slots and keep
-    /// the [batch cursor](FilterCtx::set_batch_cursor) current while
-    /// looping.
-    fn on_out_batch(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, batch: &mut PacketBatch) {
-        for i in 0..batch.len() {
-            if batch.is_dropped(i) {
-                continue;
-            }
-            ctx.set_batch_cursor(i as u32);
-            if self.on_out(ctx, key, batch.pkt_mut(i)) == Verdict::Drop {
-                batch.request_drop(i);
-            }
-        }
     }
 
     /// A timer requested via [`FilterCtx::set_timer`] fired.
@@ -374,28 +329,5 @@ mod tests {
         assert_eq!(ctx.events[0].0, "probe");
         assert_eq!(ctx.counts, vec![("pkts", 2)]);
         assert_eq!(ctx.gauge_sets, vec![("window", 4096.0)]);
-    }
-
-    #[test]
-    fn injections_carry_the_batch_cursor() {
-        use comma_netsim::packet::{IcmpMessage, Packet};
-        use comma_rt::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(0);
-        let metrics = NullMetrics;
-        let mut ctx = FilterCtx::new(SimTime::ZERO, &mut rng, &metrics);
-        let ping = || {
-            Packet::icmp(
-                "1.1.1.1".parse().unwrap(),
-                "2.2.2.2".parse().unwrap(),
-                IcmpMessage::RouterSolicitation,
-            )
-        };
-        ctx.inject(ping()); // Cursor defaults to packet 0.
-        ctx.set_batch_cursor(5);
-        ctx.inject(ping());
-        assert_eq!(ctx.injections[0].0, 0);
-        assert_eq!(ctx.injections[1].0, 5);
-        assert_eq!(ctx.take_injections().len(), 2);
-        assert!(ctx.injections.is_empty());
     }
 }

@@ -45,7 +45,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod command;
 pub mod engine;
 pub mod filter;
@@ -53,7 +52,6 @@ pub mod flow;
 pub mod key;
 pub mod node;
 
-pub use batch::PacketBatch;
 pub use engine::{EngineLog, FilterCatalog, FilterEngine, InstanceStats, Registration};
 pub use flow::FlowTable;
 pub use filter::{Capabilities, Filter, FilterCtx, MetricsSource, NullMetrics, Priority, Verdict};

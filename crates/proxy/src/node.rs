@@ -34,11 +34,11 @@ pub struct ServiceProxy {
     pub forwarded: u64,
     /// Packets dropped by filters.
     pub filtered_out: u64,
-    /// Reusable output buffer for batched delivery (capacity persists
-    /// across dispatches; steady state allocates nothing).
-    batch_out: Vec<Packet>,
-    /// Reusable dropped-packet buffer for batched delivery.
-    batch_dropped: Vec<Packet>,
+    /// Reusable [`FilterEngine::process_batch`] buffers (capacity persists
+    /// across packets; steady state allocates nothing).
+    input: Vec<Packet>,
+    out: Vec<Packet>,
+    dropped: Vec<Packet>,
 }
 
 impl ServiceProxy {
@@ -60,8 +60,9 @@ impl ServiceProxy {
             rng: SmallRng::seed_from_u64(seed ^ 0x5350_5350),
             forwarded: 0,
             filtered_out: 0,
-            batch_out: Vec::new(),
-            batch_dropped: Vec::new(),
+            input: Vec::new(),
+            out: Vec::new(),
+            dropped: Vec::new(),
         }
     }
 
@@ -116,51 +117,28 @@ impl Node for ServiceProxy {
         }
         // Read only when the engine emits nothing and capture is on.
         let summary = ctx.trace.capturing().then(|| pkt.summary());
-        let outs = self
-            .engine
-            .process(ctx.now, &mut self.rng, self.metrics.as_ref(), pkt);
-        if outs.is_empty() {
+        self.input.push(pkt);
+        self.engine.process_batch(
+            ctx.now,
+            &mut self.rng,
+            self.metrics.as_ref(),
+            &mut self.input,
+            &mut self.out,
+            &mut self.dropped,
+        );
+        if !self.dropped.is_empty() {
+            self.dropped.clear();
             self.filtered_out += 1;
             ctx.trace
                 .drop_pkt(ctx.now, ctx.node, DropReason::Filter, || {
                     summary.unwrap_or_default()
                 });
         }
-        for out in outs {
-            self.forward(ctx, out);
-        }
-        self.arm_pending_timers(ctx);
-    }
-
-    fn on_packets(&mut self, ctx: &mut NodeCtx<'_>, _iface: IfaceId, pkts: &mut Vec<Packet>) {
-        // Console traffic terminates here, exactly as in the scalar path.
-        pkts.retain(|p| !self.addrs.contains(&p.ip.dst));
-        if pkts.is_empty() {
-            return;
-        }
-        let mut out = std::mem::take(&mut self.batch_out);
-        let mut dropped = std::mem::take(&mut self.batch_dropped);
-        self.engine.process_batch(
-            ctx.now,
-            &mut self.rng,
-            self.metrics.as_ref(),
-            pkts,
-            &mut out,
-            &mut dropped,
-        );
-        // A packet the engine consumed without emitting anything (no
-        // survivors, no injections) counts as filtered out, matching the
-        // scalar `outs.is_empty()` accounting.
-        for pkt in dropped.drain(..) {
-            self.filtered_out += 1;
-            ctx.trace
-                .drop_pkt(ctx.now, ctx.node, DropReason::Filter, || pkt.summary());
-        }
+        let mut out = std::mem::take(&mut self.out);
         for pkt in out.drain(..) {
             self.forward(ctx, pkt);
         }
-        self.batch_out = out;
-        self.batch_dropped = dropped;
+        self.out = out;
         self.arm_pending_timers(ctx);
     }
 
@@ -188,8 +166,9 @@ impl Node for ServiceProxy {
             rng: self.rng.clone(),
             forwarded: self.forwarded,
             filtered_out: self.filtered_out,
-            batch_out: Vec::new(),
-            batch_dropped: Vec::new(),
+            input: Vec::new(),
+            out: Vec::new(),
+            dropped: Vec::new(),
         }))
     }
 

@@ -91,28 +91,13 @@ if [ "${1:-}" = "bench" ]; then
         echo "macro bench FAILED: BENCH_macro.json missing or empty" >&2
         exit 1
     fi
-    for key in pkts_per_sec engine_ns_per_pkt engine_ns_per_pkt_batched \
-               batch_depth_avg events_per_sec exps_wall_ms scale metro \
-               fluid_solver_ns; do
+    for key in pkts_per_sec engine_ns_per_pkt events_per_sec exps_wall_ms scale metro \
+               fluid_solver_ns loc; do
         grep -q "\"$key\"" BENCH_macro.json || {
             echo "macro bench FAILED: BENCH_macro.json lacks \"$key\"" >&2
             exit 1
         }
     done
-    # Batched dispatch must not be slower than scalar dispatch on the same
-    # chain: if coalescing ever regresses below the per-packet path, the
-    # API redesign has lost its point.
-    scalar="$(sed -n 's/.*"engine_ns_per_pkt": \([0-9.]*\).*/\1/p' BENCH_macro.json | head -n1)"
-    batched="$(sed -n 's/.*"engine_ns_per_pkt_batched": \([0-9.]*\).*/\1/p' BENCH_macro.json | head -n1)"
-    if [ -z "$scalar" ] || [ -z "$batched" ]; then
-        echo "macro bench FAILED: could not parse scalar/batched ns-per-pkt" >&2
-        exit 1
-    fi
-    if ! awk -v b="$batched" -v s="$scalar" 'BEGIN { exit !(b <= s) }'; then
-        echo "macro bench FAILED: batched dispatch ($batched ns/pkt) slower than scalar ($scalar ns/pkt)" >&2
-        exit 1
-    fi
-    echo "batched dispatch gate ok ($batched ns/pkt batched vs $scalar scalar)"
     # The many-flows scale workload must report a nonzero events_per_sec
     # and the exact events-per-link-packet ratio for every N.
     for n in 16 64 256; do

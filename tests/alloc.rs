@@ -9,11 +9,13 @@
 //! away.
 #![cfg(feature = "alloc-stats")]
 
-use comma_bench::scale::{event_core_alloc_probe, fluid_alloc_probe, sharded_alloc_probe};
+use comma_bench::scale::{
+    engine_alloc_probe, event_core_alloc_probe, fluid_alloc_probe, sharded_alloc_probe,
+};
 
 #[test]
 fn serial_event_core_is_allocation_free_after_warmup() {
-    let (warm, steady) = event_core_alloc_probe(32, 7);
+    let (warm, steady, _) = event_core_alloc_probe(32, 7);
     assert!(warm > 0, "warmup fills recycled buffers, so it must allocate");
     assert_eq!(
         steady, 0,
@@ -25,7 +27,7 @@ fn serial_event_core_is_allocation_free_after_warmup() {
 #[test]
 fn sharded_window_loop_is_allocation_free_after_warmup() {
     for workers in [1usize, 2] {
-        let (warm, steady) = sharded_alloc_probe(4, workers, 7);
+        let (warm, steady, _) = sharded_alloc_probe(4, workers, 7);
         assert!(warm > 0, "warmup fills lanes and scratch, so it must allocate");
         assert_eq!(
             steady, 0,
@@ -48,4 +50,15 @@ fn fluid_epoch_is_allocation_free_after_warmup() {
              steady state (after {warm} warmup allocations)"
         );
     }
+}
+
+#[test]
+fn proxy_packet_path_is_allocation_free_after_warmup() {
+    let (warm, steady) = engine_alloc_probe();
+    assert!(warm > 0, "instantiating the chain must allocate");
+    assert_eq!(
+        steady, 0,
+        "1,000 steady-state segments through tcp → snoop → wsize → tcp allocated \
+         {steady} times (after {warm} warmup allocations)"
+    );
 }

@@ -1,20 +1,20 @@
-//! Scalar-vs-batched dispatch equivalence: the batched filter/engine API
-//! must be observationally identical to per-packet dispatch — same
-//! survivors (byte-for-byte on the wire), same drops, same engine log,
-//! same RNG draw order — for any multi-flow interleaving at any batch
-//! depth, and the simulator's opt-in delivery coalescing must preserve
-//! delivered application bytes and stay conformance-oracle clean.
+//! The engine's two public packet entries are one path: `process_batch`
+//! (what the Service Proxy node and the benchmark's replay call) must be
+//! observationally identical to `process` per packet, however the input
+//! is chunked.
 
 use comma_repro::prelude::*;
 use comma_repro::rt::prop::{gen, Runner};
 
-use comma_repro::netsim::packet::IpPayload;
+use comma_repro::netsim::addr::Ipv4Addr;
+use comma_repro::netsim::packet::{IcmpMessage, IpPayload};
 use comma_repro::netsim::wire;
 
-/// The reference chain: two rewriting filters, one stateful observer, and
-/// exactly one RNG-consuming filter (`rdrop`). Batched dispatch preserves
-/// per-packet draw order only while a single filter consumes randomness,
-/// which every production chain satisfies.
+const SRC: Ipv4Addr = Ipv4Addr::new(11, 11, 10, 99);
+const DST: Ipv4Addr = Ipv4Addr::new(11, 11, 10, 10);
+
+/// Two rewriting/observing filters, one stateful injector/dropper, and one
+/// RNG-consuming dropper.
 const CHAIN: &[(&str, &[&str])] = &[
     ("tcp", &[]),
     ("snoop", &[]),
@@ -25,57 +25,106 @@ const CHAIN: &[(&str, &[&str])] = &[
 fn build_engine() -> FilterEngine {
     let mut engine = FilterEngine::new(standard_catalog(ALL_FILTERS));
     for (name, args) in CHAIN {
+        let args = args.iter().map(|a| a.to_string()).collect();
         engine
-            .register(
-                WildKey::ANY,
-                name,
-                args.iter().map(|a| a.to_string()).collect(),
-            )
+            .register(WildKey::ANY, name, args)
             .expect("register chain filter");
     }
     engine
 }
 
-/// One generated workload step: which flow sends, how much, and whether
-/// the segment closes the flow.
 #[derive(Debug, Clone)]
-struct Step {
-    flow: usize,
-    len: usize,
-    fin: bool,
+enum Step {
+    /// A data segment (possibly zero-length) on `flow`; `flags` adds FIN
+    /// or RST, `tunnelled` wraps it in an IP-in-IP header.
+    Seg {
+        flow: usize,
+        len: usize,
+        flags: TcpFlags,
+        tunnelled: bool,
+    },
+    /// A non-keyed packet spliced between the flows.
+    Icmp,
 }
 
-/// Builds the packet sequence for a workload: per-flow seq cursors, a SYN
-/// opening each flow, ACK data segments, and occasional FINs (which also
-/// exercise the engine's lifecycle batch cuts).
+fn gen_step(rng: &mut SmallRng, flows: usize) -> Step {
+    let flags = match rng.gen_range(0u32..40) {
+        0 => TcpFlags::FIN | TcpFlags::ACK,
+        1 => TcpFlags::RST,
+        _ => TcpFlags::ACK,
+    };
+    Step::Seg {
+        flow: rng.gen_range(0..flows),
+        len: if rng.gen_range(0u32..8) == 0 {
+            0
+        } else {
+            rng.gen_range(1usize..300)
+        },
+        flags,
+        tunnelled: rng.gen_range(0u32..30) == 0,
+    }
+}
+
+/// Per-flow seq cursors, a SYN opening each flow.
 fn build_packets(steps: &[Step]) -> Vec<Packet> {
-    let src: comma_repro::netsim::addr::Ipv4Addr = "11.11.10.99".parse().unwrap();
-    let dst: comma_repro::netsim::addr::Ipv4Addr = "11.11.10.10".parse().unwrap();
     let mut seqs = [0u32; 8];
     let mut opened = [false; 8];
     let mut pkts = Vec::with_capacity(steps.len() + 8);
     for step in steps {
-        let sport = 5000 + step.flow as u16;
-        if !opened[step.flow] {
-            opened[step.flow] = true;
-            pkts.push(Packet::tcp(
-                src,
-                dst,
-                TcpSegment::new(sport, 9000, seqs[step.flow], 0, TcpFlags::SYN),
-            ));
-            seqs[step.flow] = seqs[step.flow].wrapping_add(1);
-        }
-        let flags = if step.fin {
-            TcpFlags::FIN | TcpFlags::ACK
-        } else {
-            TcpFlags::ACK
+        let &Step::Seg {
+            flow,
+            len,
+            flags,
+            tunnelled,
+        } = step
+        else {
+            let echo = IcmpMessage::EchoRequest {
+                id: 9,
+                seq: 1,
+                payload: Bytes::from(vec![1u8; 32]),
+            };
+            pkts.push(Packet::icmp(SRC, DST, echo));
+            continue;
         };
-        let mut seg = TcpSegment::new(sport, 9000, seqs[step.flow], 77, flags);
-        seg.payload = Bytes::from(vec![(step.flow as u8) ^ 0x5a; step.len]);
-        seqs[step.flow] = seqs[step.flow].wrapping_add(step.len as u32);
-        pkts.push(Packet::tcp(src, dst, seg));
+        let sport = 5000 + flow as u16;
+        if !opened[flow] {
+            opened[flow] = true;
+            pkts.push(Packet::tcp(
+                SRC,
+                DST,
+                TcpSegment::new(sport, 9000, seqs[flow], 0, TcpFlags::SYN),
+            ));
+            seqs[flow] = seqs[flow].wrapping_add(1);
+        }
+        let mut seg = TcpSegment::new(sport, 9000, seqs[flow], 77, flags);
+        seg.payload = Bytes::from(vec![(flow as u8) ^ 0x5a; len]);
+        seqs[flow] = seqs[flow].wrapping_add(len as u32);
+        let pkt = Packet::tcp(SRC, DST, seg);
+        pkts.push(if tunnelled {
+            Packet::encap(DST, SRC, pkt)
+        } else {
+            pkt
+        });
     }
     pkts
+}
+
+/// What identifies an input packet after the chain has touched it: `wsize`
+/// rewrites the window, nothing rewrites ports, seq or length.
+fn ident(pkt: &Packet) -> String {
+    match &pkt.body {
+        IpPayload::Encap(inner) => format!("encap {}", ident(inner)),
+        IpPayload::Tcp(seg) => {
+            format!(
+                "{} {} {:?} {}",
+                seg.src_port,
+                seg.seq,
+                seg.flags,
+                seg.payload.len()
+            )
+        }
+        _ => pkt.summary(),
+    }
 }
 
 /// Everything observable about a dispatch run, for exact comparison.
@@ -83,68 +132,57 @@ fn build_packets(steps: &[Step]) -> Vec<Packet> {
 struct RunResult {
     /// Wire encodings of the forwarded packets, in order.
     survivors: Vec<Vec<u8>>,
-    dropped: usize,
-    total_pkts: u64,
+    /// Inputs that produced no output, in order.
+    dropped: Vec<String>,
+    totals: String,
     log: Vec<String>,
+    /// The next draw after the run: equal iff the same number of draws
+    /// were taken (and, with equal survivors, in the same order).
+    next_draw: u64,
 }
 
-fn encode_all(pkts: &[Packet]) -> Vec<Vec<u8>> {
-    pkts.iter().map(wire::encode).collect()
-}
-
-fn run_scalar(pkts: Vec<Packet>, seed: u64) -> RunResult {
+fn run(pkts: &[Packet], seed: u64, chunk: Option<usize>) -> RunResult {
     let mut engine = build_engine();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut survivors = Vec::new();
-    let mut dropped = 0usize;
-    for pkt in pkts {
-        let outs = engine.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt);
-        if outs.is_empty() {
-            dropped += 1;
+    let (mut out, mut dropped) = (Vec::new(), Vec::new());
+    match chunk {
+        None => {
+            for pkt in pkts {
+                let outs = engine.process(SimTime::ZERO, &mut rng, &NullMetrics, pkt.clone());
+                if outs.is_empty() {
+                    dropped.push(pkt.clone());
+                }
+                out.extend(outs);
+            }
         }
-        survivors.extend(outs);
+        Some(n) => {
+            for chunk in pkts.chunks(n) {
+                let mut input = chunk.to_vec();
+                engine.process_batch(
+                    SimTime::ZERO,
+                    &mut rng,
+                    &NullMetrics,
+                    &mut input,
+                    &mut out,
+                    &mut dropped,
+                );
+                assert!(input.is_empty(), "process_batch drains its input");
+            }
+        }
     }
     RunResult {
-        survivors: encode_all(&survivors),
-        dropped,
-        total_pkts: engine.totals.pkts,
+        survivors: out.iter().map(wire::encode).collect(),
+        dropped: dropped.iter().map(ident).collect(),
+        totals: format!("{:?}", engine.totals),
         log: engine.log.lines().to_vec(),
+        next_draw: rng.gen(),
     }
 }
 
-fn run_batched(pkts: Vec<Packet>, seed: u64, depth: usize) -> RunResult {
-    let mut engine = build_engine();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut survivors = Vec::new();
-    let mut dropped = 0usize;
-    let mut input = Vec::with_capacity(depth);
-    let mut out = Vec::new();
-    let mut dropped_out = Vec::new();
-    for chunk in pkts.chunks(depth) {
-        input.extend(chunk.iter().cloned());
-        engine.process_batch(
-            SimTime::ZERO,
-            &mut rng,
-            &NullMetrics,
-            &mut input,
-            &mut out,
-            &mut dropped_out,
-        );
-        dropped += dropped_out.len();
-        dropped_out.clear();
-        survivors.append(&mut out);
-    }
-    RunResult {
-        survivors: encode_all(&survivors),
-        dropped,
-        total_pkts: engine.totals.pkts,
-        log: engine.log.lines().to_vec(),
-    }
-}
-
-/// Random multi-flow interleavings dispatch identically — survivors,
-/// drops, engine log, and counters — through the scalar path and through
-/// `process_batch` at every required depth.
+/// Random multi-flow interleavings — SYN/FIN/RST lifecycles, zero-length
+/// segments, a spliced ICMP packet, a tunnelled segment — come out of
+/// `process_batch` in chunks of 1/4/16/64 exactly as they come out of
+/// `process` per packet: survivors, drops, totals, log, RNG draws.
 #[test]
 fn batched_dispatch_matches_scalar_on_random_interleavings() {
     Runner::new("batched_dispatch_matches_scalar_on_random_interleavings")
@@ -152,136 +190,37 @@ fn batched_dispatch_matches_scalar_on_random_interleavings() {
         .run(
             |rng| {
                 let flows = rng.gen_range(1usize..5);
-                let steps = gen::vec_of(rng, 1..120, |rng| Step {
-                    flow: rng.gen_range(0..flows),
-                    len: rng.gen_range(0usize..300),
-                    fin: rng.gen_range(0u32..40) == 0,
-                });
+                let mut steps = gen::vec_of(rng, 1..120, |rng| gen_step(rng, flows));
+                let at = rng.gen_range(0..steps.len() + 1);
+                steps.insert(at, Step::Icmp);
+                let at = rng.gen_range(0..steps.len() + 1);
+                let tunnelled = Step::Seg {
+                    flow: 0,
+                    len: 64,
+                    flags: TcpFlags::ACK,
+                    tunnelled: true,
+                };
+                steps.insert(at, tunnelled);
                 (steps, rng.gen::<u64>())
             },
             |(steps, seed)| {
                 let pkts = build_packets(steps);
-                let reference = run_scalar(pkts.clone(), *seed);
-                for depth in [1usize, 4, 16, 64] {
-                    let batched = run_batched(pkts.clone(), *seed, depth);
-                    ensure_eq!(
-                        reference.survivors.len(),
-                        batched.survivors.len(),
-                        "survivor count diverged at depth {depth}"
-                    );
+                let reference = run(&pkts, *seed, None);
+                let is_icmp = |bytes: &Vec<u8>| {
+                    wire::decode(bytes).is_ok_and(|p| matches!(p.body, IpPayload::Icmp(_)))
+                };
+                ensure_eq!(
+                    reference.survivors.iter().filter(|b| is_icmp(b)).count(),
+                    1,
+                    "the ICMP splice passes through"
+                );
+                for chunk in [1usize, 4, 16, 64] {
                     ensure!(
-                        reference == batched,
-                        "batched dispatch diverged from scalar at depth {depth}"
+                        run(&pkts, *seed, Some(chunk)) == reference,
+                        "process_batch in chunks of {chunk} diverged from per-packet process"
                     );
                 }
                 Ok(())
             },
         );
-}
-
-/// A mixed batch that straddles flow boundaries, lifecycle flags, and
-/// non-keyed (ICMP) traffic still matches the scalar path — the run
-/// formation cuts (key change, SYN/FIN, passthrough) are invisible to the
-/// observable outcome.
-#[test]
-fn batch_run_cuts_are_observationally_invisible() {
-    let src: comma_repro::netsim::addr::Ipv4Addr = "11.11.10.99".parse().unwrap();
-    let dst: comma_repro::netsim::addr::Ipv4Addr = "11.11.10.10".parse().unwrap();
-    let mut pkts = build_packets(&[
-        Step { flow: 0, len: 100, fin: false },
-        Step { flow: 0, len: 200, fin: false },
-        Step { flow: 1, len: 50, fin: false },
-        Step { flow: 0, len: 80, fin: true },
-        Step { flow: 1, len: 10, fin: false },
-    ]);
-    // Splice a non-keyed packet mid-stream: it must pass through in order.
-    pkts.insert(
-        3,
-        Packet::icmp(
-            src,
-            dst,
-            comma_repro::netsim::packet::IcmpMessage::EchoRequest {
-                id: 9,
-                seq: 1,
-                payload: Bytes::from(vec![1u8; 32]),
-            },
-        ),
-    );
-    let reference = run_scalar(pkts.clone(), 7);
-    for depth in [2usize, 3, 64] {
-        assert_eq!(
-            run_batched(pkts.clone(), 7, depth),
-            reference,
-            "depth {depth} diverged"
-        );
-    }
-    // The ICMP splice really survived (passthrough, not drop).
-    let icmp_survivors = reference
-        .survivors
-        .iter()
-        .filter(|bytes| {
-            wire::decode(bytes)
-                .map(|p| matches!(p.body, IpPayload::Icmp(_)))
-                .unwrap_or(false)
-        })
-        .count();
-    assert_eq!(icmp_survivors, 1);
-}
-
-// ---------------------------------------------------------------------
-// Simulator-level delivery coalescing.
-// ---------------------------------------------------------------------
-
-fn transfer_with_coalescing(coalesce: bool, faults: bool) -> (usize, u64, u64) {
-    let mut world = CommaBuilder::new(11).eem(false).build(
-        vec![Box::new(BulkSender::new((addrs::MOBILE, 9000), 300_000))],
-        vec![Box::new(Sink::new(9000))],
-    );
-    world.sp("add tcp 0.0.0.0 0 11.11.10.10 9000");
-    world.sp("add snoop 0.0.0.0 0 11.11.10.10 9000");
-    world.sp("add wsize 0.0.0.0 0 11.11.10.10 9000 scale 90");
-    world.sp("add tcp 0.0.0.0 0 11.11.10.10 9000");
-    if faults {
-        // Deterministic fault churn on the wireless downlink: delay jitter
-        // plus duplication, seeded independently of the link RNG.
-        let cfg = comma_repro::netsim::fault::FaultConfig {
-            reorder_p: 0.02,
-            reorder_extra: SimDuration::from_millis(3),
-            duplicate_p: 0.01,
-            ..Default::default()
-        };
-        world
-            .sim
-            .install_link_faults(comma_repro::netsim::link::ChannelId(2), cfg, 99);
-    }
-    world.attach_oracle();
-    world.sim.set_coalesce_delivery(coalesce);
-    world.run_until(SimTime::from_secs(120));
-    world.assert_oracle_clean();
-    let received = world.mobile_app::<Sink, _>(world.mobile_app_ids[0], |s| s.bytes_received);
-    let (tx, rx) = (world.sim.trace.counters.tx, world.sim.trace.counters.rx);
-    (received, tx, rx)
-}
-
-/// Delivery coalescing is transparent end to end: the full wired→wireless
-/// transfer through the 4-filter proxy delivers the same bytes, moves the
-/// same packet counts, and stays conformance-oracle clean with batching
-/// on and off.
-#[test]
-fn sim_delivery_coalescing_preserves_transfer() {
-    let scalar = transfer_with_coalescing(false, false);
-    let batched = transfer_with_coalescing(true, false);
-    assert_eq!(scalar.0, 300_000, "transfer must complete");
-    assert_eq!(scalar, batched, "coalesced run diverged from scalar run");
-}
-
-/// Same transparency under deterministic link-fault churn (reordering and
-/// duplication on the wireless downlink): the oracle stays clean and the
-/// delivered byte count matches the scalar schedule.
-#[test]
-fn sim_delivery_coalescing_preserves_transfer_under_faults() {
-    let scalar = transfer_with_coalescing(false, true);
-    let batched = transfer_with_coalescing(true, true);
-    assert_eq!(scalar.0, 300_000, "faulted transfer must complete");
-    assert_eq!(scalar, batched, "coalesced faulted run diverged");
 }

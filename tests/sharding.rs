@@ -79,44 +79,6 @@ fn sharded_churn_64_flows_is_oracle_clean() {
     assert!(r.xfer_pkts > 0, "churn run never crossed a shard boundary");
 }
 
-/// Delivery coalescing is shard-local state: enabling it on the sharded
-/// world must configure every shard (not just the backbone), keep the
-/// run worker-invariant, and still deliver every byte. Regression for the
-/// cross-shard merge interaction — coalescing batches same-tick deliveries
-/// inside a shard but must never batch across the boundary ingest, which
-/// would reorder the merged trace between worker counts.
-#[test]
-fn coalesced_delivery_is_shard_local_and_worker_invariant() {
-    let build = |workers: usize| {
-        let wireless = || LinkParams::wireless().with_bandwidth(8_000_000);
-        let mut spec = CellSpec::new("cell0").wireless(wireless(), wireless());
-        for f in 0..4u16 {
-            spec = spec.transfer(9000 + f, 16_384);
-        }
-        let mut world = TopologyBuilder::new(7)
-            .backbone(LinkParams::wired().with_latency(SimDuration::from_millis(10)))
-            .cell(spec)
-            .cell(
-                CellSpec::new("cell1")
-                    .wireless(wireless(), wireless())
-                    .transfer(9000, 16_384),
-            )
-            .coalesce_delivery(true)
-            .workers(workers)
-            .build()
-            .expect("valid topology");
-        world.set_trace_capture(true, 1 << 20);
-        world.run_until(SimTime::from_secs(30));
-        assert_eq!(world.total_delivered(), 5 * 16_384, "coalesced run lost bytes");
-        world.trace_digest()
-    };
-    assert_eq!(
-        build(1),
-        build(4),
-        "coalesced sharded trace must not depend on worker count"
-    );
-}
-
 /// Fluid background populations are shard-local state driven by keyed RNG
 /// streams, so partitioning must stay invisible with them attached: the
 /// metro trace (foreground packets sharing each cell's downlink with 250
@@ -235,25 +197,6 @@ fn single_shard_escape_hatch_delivers() {
     assert_eq!(world.total_delivered(), 20_000);
     assert_eq!(world.cell_count(), 1);
     assert_eq!(world.cell_name(0), "solo");
-}
-
-/// `CommaBuilder::shards(n)` bridges the classic single-cell builder onto
-/// the sharded runner: the standard wired↔proxy↔mobile deployment comes
-/// up as one cell plus the backbone shard.
-#[test]
-fn comma_builder_shards_bridge_smoke() {
-    let mut world = CommaBuilder::new(9)
-        .shards(2)
-        .cell(CellSpec::new("extra").transfer(9100, 8_192))
-        .build()
-        .expect("bridged topology is valid");
-    // cell0 comes from the bridge; "extra" is appended.
-    assert_eq!(world.cell_count(), 2);
-    assert_eq!(world.cell_name(0), "cell0");
-    world.run_until(SimTime::from_secs(20));
-    assert_eq!(world.total_delivered(), 8_192);
-    let stats = world.stats();
-    assert!(stats.windows > 0, "sharded runner never opened a window");
 }
 
 /// The sharded runner exposes `shard.*` gauges through the merged Obs
