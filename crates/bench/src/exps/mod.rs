@@ -3,10 +3,7 @@
 //!
 //! Each experiment is a self-contained `fn() -> String`: it builds its own
 //! seeded [`comma_netsim::sim::Simulator`] world, runs it, and renders a
-//! report block. Because nothing is shared, [`run_all`] fans the table out
-//! across scoped threads and joins the blocks back **by index**, so the
-//! rendered report is byte-identical to the serial order produced by
-//! [`run_all_serial`].
+//! report block; [`run_all`] runs the table in order (about 0.6 s in all).
 
 pub mod ablations;
 pub mod matrix;
@@ -17,9 +14,7 @@ pub mod services;
 pub mod sessions;
 pub mod tuning;
 
-/// Every experiment, in report order. Plain `fn` pointers are `Send`, and
-/// each experiment owns its seeded simulator, so the table can be run
-/// serially or in parallel with identical output.
+/// Every experiment, in report order.
 pub const EXPERIMENTS: [fn() -> String; 16] = [
     sessions::e01_sp_session,
     sessions::e02_eem_example,
@@ -39,62 +34,8 @@ pub const EXPERIMENTS: [fn() -> String; 16] = [
     ablations::a2_compress_block_size,
 ];
 
-/// Number of worker threads [`run_all`] will use: the machine's available
-/// parallelism, capped at one thread per experiment.
-pub fn worker_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(EXPERIMENTS.len())
-}
-
-/// Runs every experiment across [`worker_count`] scoped worker threads and
-/// returns the rendered report blocks in table order. Results are collected
-/// into per-experiment slots, so the output is byte-identical to
-/// [`run_all_serial`] regardless of completion order.
-///
-/// On a single-core machine this degrades to [`run_all_serial`]: spawning
-/// sixteen threads onto one core only adds scheduler churn (the measured
-/// "speedup" was 1.02x), so below two workers we skip the threads entirely.
-/// With N >= 2 cores the experiments are striped across N workers instead
-/// of one thread each, which keeps the thread count bounded and the cores
-/// busy even though individual experiments differ widely in runtime.
+/// Runs every experiment on the calling thread and returns the rendered
+/// report blocks in table order.
 pub fn run_all() -> Vec<String> {
-    let workers = worker_count();
-    if workers < 2 {
-        return run_all_serial();
-    }
-    let mut results: Vec<Option<String>> = (0..EXPERIMENTS.len()).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, String)>();
-    std::thread::scope(|scope| {
-        // Work-stealing by index: each worker claims the next unstarted
-        // experiment, so long experiments do not serialize behind a static
-        // stripe assignment.
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= EXPERIMENTS.len() {
-                    break;
-                }
-                tx.send((i, EXPERIMENTS[i]())).expect("receiver outlives workers");
-            });
-        }
-        drop(tx);
-        for (i, block) in rx {
-            results[i] = Some(block);
-        }
-    });
-    results
-        .into_iter()
-        .map(|block| block.expect("experiment thread panicked"))
-        .collect()
-}
-
-/// Runs every experiment on the calling thread, in table order (the
-/// reference ordering that [`run_all`] must match byte-for-byte).
-pub fn run_all_serial() -> Vec<String> {
     EXPERIMENTS.iter().map(|exp| exp()).collect()
 }

@@ -12,6 +12,7 @@
 
 pub mod exps;
 pub mod scale;
+pub mod snapshot;
 /// The experiment harness renders through the shared table formatter.
 pub use comma_obs::table;
 

@@ -33,7 +33,7 @@ use comma_rt::{Bytes, Rng, SeedableRng, SmallRng};
 use comma_tcp::apps::{BulkSender, Sink};
 
 /// Result of one many-flows run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ScaleResult {
     /// Number of concurrent TCP transfers.
     pub flows: usize,
@@ -555,7 +555,7 @@ pub fn fluid_alloc_probe(users: usize, seed: u64) -> (u64, u64) {
 }
 
 /// Result of one sharded multi-cell run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardScaleResult {
     /// Wireless cells (one shard each, plus the backbone shard).
     pub cells: usize,
@@ -569,7 +569,7 @@ pub struct ShardScaleResult {
     pub sim_events: u64,
     /// Packets offered to links across all shards.
     pub link_pkts: u64,
-    /// `sim_events / link_pkts`: exact per seed; `ci.sh` gates on it.
+    /// `sim_events / link_pkts`: exact per seed; `Snapshot::gates` checks it.
     pub events_per_link_pkt: f64,
     /// Wall-clock milliseconds.
     pub wall_ms: f64,
@@ -587,13 +587,6 @@ pub struct ShardScaleResult {
     pub xfer_pkts: u64,
     /// Retained transfer-lane capacity in bytes at the end of the run.
     pub lane_bytes: u64,
-    /// Windows executed after the one-second warmup segment.
-    pub steady_windows: u64,
-    /// Events processed after the warmup segment.
-    pub steady_events: u64,
-    /// Worker-thread heap allocations after the warmup segment (zero
-    /// unless built with `comma-rt/alloc-stats`).
-    pub steady_allocs: u64,
 }
 
 /// Builds the sharded multi-cell world: `cells` wireless cells, each with
@@ -650,30 +643,20 @@ pub fn build_cells(
 
 /// Drives a sharded world in one-second increments until `target` bytes
 /// are delivered (or the horizon runs out), returning `(delivered, wall
-/// seconds, stats snapshot after the first second)`. The snapshot is the
-/// warmup boundary for steady-state allocation accounting: everything the
-/// runner allocates after it is a regression.
-fn drive_to_target(
-    world: &mut comma::topo::ShardedWorld,
-    target: u64,
-) -> (u64, f64, comma_netsim::shard::ShardStats) {
+/// seconds)`.
+fn drive_to_target(world: &mut comma::topo::ShardedWorld, target: u64) -> (u64, f64) {
     let t = Instant::now();
     let mut delivered = 0u64;
-    let mut warm = None;
     for sec in 1..=3_600u64 {
         world.run_until(SimTime::from_secs(sec));
-        if warm.is_none() {
-            warm = Some(world.stats());
-        }
         delivered = world.total_delivered();
         if delivered >= target {
             break;
         }
     }
-    (delivered, t.elapsed().as_secs_f64(), warm.expect("ran at least one second"))
+    (delivered, t.elapsed().as_secs_f64())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn shard_scale_result(
     cells: usize,
     flows_per_cell: usize,
@@ -682,7 +665,6 @@ fn shard_scale_result(
     delivered: u64,
     wall: f64,
     world: &mut comma::topo::ShardedWorld,
-    warm: comma_netsim::shard::ShardStats,
 ) -> ShardScaleResult {
     let stats = world.stats();
     let link_pkts = world.link_pkts();
@@ -701,9 +683,6 @@ fn shard_scale_result(
         windows_skipped: stats.windows_skipped,
         xfer_pkts: stats.xfer_pkts,
         lane_bytes: stats.lane_bytes,
-        steady_windows: stats.windows - warm.windows,
-        steady_events: stats.events - warm.events,
-        steady_allocs: stats.allocs - warm.allocs,
     }
 }
 
@@ -727,12 +706,12 @@ pub fn run_sharded_flows(
         false,
     );
     let target = cells as u64 * flows_per_cell as u64 * bytes_per_flow;
-    let (delivered, wall, warm) = drive_to_target(&mut world, target);
+    let (delivered, wall) = drive_to_target(&mut world, target);
     assert_eq!(
         delivered, target,
         "sharded flows: not every transfer completed within the horizon"
     );
-    shard_scale_result(cells, flows_per_cell, bytes_per_flow, workers, delivered, wall, &mut world, warm)
+    shard_scale_result(cells, flows_per_cell, bytes_per_flow, workers, delivered, wall, &mut world)
 }
 
 /// [`run_sharded_flows`]' delivered-bytes digest: FNV-1a over every
@@ -746,7 +725,7 @@ pub fn sharded_delivered_digest(
 ) -> u64 {
     let mut world = build_cells(cells, flows_per_cell, bytes_per_flow, seed, workers, 1, false);
     let target = cells as u64 * flows_per_cell as u64 * bytes_per_flow;
-    let (delivered, _, _) = drive_to_target(&mut world, target);
+    let (delivered, _) = drive_to_target(&mut world, target);
     assert_eq!(delivered, target, "sharded flows: transfers incomplete");
     world.delivered_digest()
 }
@@ -775,13 +754,13 @@ pub fn sharded_trace_digest(
     );
     world.set_trace_capture(true, 1 << 21);
     let target = cells as u64 * flows_per_cell as u64 * bytes_per_flow;
-    let (delivered, _, _) = drive_to_target(&mut world, target);
+    let (delivered, _) = drive_to_target(&mut world, target);
     assert_eq!(delivered, target, "sharded flows: transfers incomplete");
     world.trace_digest()
 }
 
 /// Result of one metro-scale hybrid fluid/packet run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MetroResult {
     /// Wireless cells.
     pub cells: usize,
@@ -1021,13 +1000,13 @@ pub fn run_sharded_churn(
     let mut world = builder.build().expect("sharded churn topology is valid");
     world.attach_oracle();
     let target = cells as u64 * flows_per_cell as u64 * bytes_per_flow;
-    let (delivered, wall, warm) = drive_to_target(&mut world, target);
+    let (delivered, wall) = drive_to_target(&mut world, target);
     assert_eq!(
         delivered, target,
         "sharded churn: not every transfer completed within the horizon"
     );
     world.assert_oracle_clean();
-    shard_scale_result(cells, flows_per_cell, bytes_per_flow, workers, delivered, wall, &mut world, warm)
+    shard_scale_result(cells, flows_per_cell, bytes_per_flow, workers, delivered, wall, &mut world)
 }
 
 #[cfg(test)]

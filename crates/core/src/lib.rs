@@ -64,12 +64,12 @@ pub mod prelude {
     pub use crate::media::{MediaSink, MediaSource, RecordSender};
     pub use crate::metrics::{install_sampler, HubMetrics, SamplerSpec};
     pub use crate::services::{apply_service, find_service, standard_services, ServiceDef};
-    pub use crate::topo::{CellSpec, ShardedWorld, TopologyBuilder, TopologyError, COMMA_SHARDS};
+    pub use crate::topo::{CellSpec, ShardedWorld, TopologyBuilder, TopologyError};
     pub use crate::topology::{addrs, CommaBuilder, CommaWorld};
 
     pub use comma_rt::{ensure, ensure_eq, ensure_ne, Bytes, BytesMut, Rng, SeedableRng, SmallRng};
 
-    pub use comma_obs::{fields, obs_event, span, FieldValue, Obs};
+    pub use comma_obs::{fields, obs_event, FieldValue, Obs};
 
     pub use comma_netsim::fluid::{FluidConfig, FluidTotals};
     pub use comma_netsim::link::{LinkKind, LinkParams, LossModel};

@@ -20,7 +20,7 @@
 //! tests pin this.
 
 use comma_eem::MetricsHub;
-use comma_faultcheck::{FaultPlan, Oracle, OracleConfig, OracleReport, Violation};
+use comma_faultcheck::{FaultPlan, Oracle, OracleConfig, OracleReport};
 use comma_filters::{editmap_errors, registered_kinds, standard_catalog, TRANSFORMING};
 use comma_netsim::addr::{Ipv4Addr, Subnet};
 use comma_netsim::fluid::{FluidConfig, FluidTotals};
@@ -36,12 +36,7 @@ use comma_tcp::host::{AppId, Host};
 use comma_tcp::TcpConfig;
 
 use crate::metrics::HubMetrics;
-
-/// Environment variable selecting the default worker count for
-/// [`TopologyBuilder::build`] when [`TopologyBuilder::workers`] was not
-/// called. Unset, unparsable, or `0` all mean one worker (the serial
-/// runner — results are identical either way).
-pub const COMMA_SHARDS: &str = "COMMA_SHARDS";
+use crate::topology::{assert_report_clean, push_editmap_violations};
 
 /// One wireless cell: a wired correspondent host, the cell's Service
 /// Proxy, and a mobile host, with per-cell link parameters, transfers,
@@ -141,15 +136,6 @@ pub enum TopologyError {
     /// Conservative lookahead must be positive, so the backbone link needs
     /// a non-zero latency.
     ZeroLookahead,
-    /// An explicit lookahead exceeds the backbone latency; the runner
-    /// could then deliver cross-shard packets into a window it already
-    /// executed.
-    LookaheadExceedsLatency {
-        /// Requested lookahead (µs).
-        lookahead_us: u64,
-        /// Minimum inter-shard (backbone) link latency (µs).
-        latency_us: u64,
-    },
 }
 
 impl std::fmt::Display for TopologyError {
@@ -165,14 +151,6 @@ impl std::fmt::Display for TopologyError {
             TopologyError::ZeroLookahead => {
                 write!(f, "backbone latency must be positive: it bounds the lookahead")
             }
-            TopologyError::LookaheadExceedsLatency {
-                lookahead_us,
-                latency_us,
-            } => write!(
-                f,
-                "lookahead {lookahead_us} µs exceeds the minimum boundary \
-                 link latency {latency_us} µs"
-            ),
         }
     }
 }
@@ -184,10 +162,9 @@ pub struct TopologyBuilder {
     seed: u64,
     cells: Vec<CellSpec>,
     backbone: LinkParams,
-    workers: Option<usize>,
+    workers: usize,
     single: bool,
     backbone_shards: usize,
-    lookahead: Option<SimDuration>,
     record_series: bool,
 }
 
@@ -198,10 +175,9 @@ impl TopologyBuilder {
             seed,
             cells: Vec::new(),
             backbone: LinkParams::wired(),
-            workers: None,
+            workers: 1,
             single: false,
             backbone_shards: 1,
-            lookahead: None,
             record_series: true,
         }
     }
@@ -214,16 +190,16 @@ impl TopologyBuilder {
 
     /// Sets the backbone link parameters (each cell's wired host ↔ its
     /// proxy; the only inter-shard edges). Must be wired; its latency is
-    /// the default conservative lookahead.
+    /// the conservative lookahead.
     pub fn backbone(mut self, params: LinkParams) -> Self {
         self.backbone = params;
         self
     }
 
-    /// Sets the worker-thread count. Defaults to the `COMMA_SHARDS`
-    /// environment variable, else 1. Results never depend on this.
+    /// Sets the worker-thread count (default 1). Results never depend on
+    /// this.
     pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n.max(1));
+        self.workers = n.max(1);
         self
     }
 
@@ -249,13 +225,6 @@ impl TopologyBuilder {
         self
     }
 
-    /// Overrides the conservative lookahead (defaults to the backbone
-    /// latency; may not exceed it).
-    pub fn lookahead(mut self, d: SimDuration) -> Self {
-        self.lookahead = Some(d);
-        self
-    }
-
     /// Enables or disables per-channel rate-series recording (default
     /// on). Benchmarks turn it off: an unread series otherwise grows
     /// sample storage on every delivery, which the allocation-accounting
@@ -278,28 +247,10 @@ impl TopologyBuilder {
         if self.backbone.kind != LinkKind::Wired {
             return Err(TopologyError::WirelessBoundary);
         }
-        let latency = self.backbone.latency;
-        if latency == SimDuration::ZERO {
+        let lookahead = self.backbone.latency;
+        if lookahead == SimDuration::ZERO {
             return Err(TopologyError::ZeroLookahead);
         }
-        let lookahead = match self.lookahead {
-            None => latency,
-            Some(d) if d == SimDuration::ZERO => return Err(TopologyError::ZeroLookahead),
-            Some(d) if d > latency => {
-                return Err(TopologyError::LookaheadExceedsLatency {
-                    lookahead_us: d.as_micros(),
-                    latency_us: latency.as_micros(),
-                })
-            }
-            Some(d) => d,
-        };
-        let workers = self.workers.unwrap_or_else(|| {
-            std::env::var(COMMA_SHARDS)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(1)
-        });
 
         let fault_reorders = self
             .cells
@@ -321,7 +272,7 @@ impl TopologyBuilder {
                     .collect();
                 ShardWiring::new().with_tag(Box::new(tags))
             });
-            let mut runner = ShardedSimulator::new(plan, workers);
+            let mut runner = ShardedSimulator::new(plan, self.workers);
             let tags = *runner
                 .take_tag(shard)
                 .downcast::<Vec<CellTag>>()
@@ -395,7 +346,7 @@ impl TopologyBuilder {
                 plan.declare_boundary(bshard, shard);
                 plan.declare_boundary(shard, bshard);
             }
-            let mut runner = ShardedSimulator::new(plan, workers);
+            let mut runner = ShardedSimulator::new(plan, self.workers);
             let backbone_tags: Vec<BackboneTag> = backbone_shards
                 .iter()
                 .map(|&s| {
@@ -918,15 +869,7 @@ impl ShardedWorld {
             merged.segments_checked += report.segments_checked;
             merged.truncated_flows += report.truncated_flows;
         }
-        for err in editmap_errs {
-            merged.total_violations += 1;
-            merged.violations.push(Violation {
-                time: self.runner.now(),
-                kind: "editmap-invariant",
-                flow: "ttsf".to_string(),
-                detail: err,
-            });
-        }
+        push_editmap_violations(&mut merged, self.runner.now(), editmap_errs);
         merged
     }
 
@@ -936,14 +879,6 @@ impl ShardedWorld {
     ///
     /// Panics with every retained violation if any oracle found one.
     pub fn assert_oracle_clean(&mut self) {
-        let report = self.oracle_report();
-        assert!(
-            report.is_clean(),
-            "conformance oracle found {} violation(s) over {} flows / {} segments:\n{}",
-            report.total_violations,
-            report.flows,
-            report.segments_checked,
-            report.render()
-        );
+        assert_report_clean(&self.oracle_report());
     }
 }

@@ -413,15 +413,7 @@ impl CommaWorld {
             Oracle::new(OracleConfig::new(Vec::new())),
         );
         let mut report = taken.finish();
-        for err in editmap_errs {
-            report.total_violations += 1;
-            report.violations.push(Violation {
-                time: self.sim.now(),
-                kind: "editmap-invariant",
-                flow: "ttsf".to_string(),
-                detail: err,
-            });
-        }
+        push_editmap_violations(&mut report, self.sim.now(), editmap_errs);
         report
     }
 
@@ -431,15 +423,7 @@ impl CommaWorld {
     ///
     /// Panics with every retained violation if the oracle found any.
     pub fn assert_oracle_clean(&mut self) {
-        let report = self.oracle_report();
-        assert!(
-            report.is_clean(),
-            "conformance oracle found {} violation(s) over {} flows / {} segments:\n{}",
-            report.total_violations,
-            report.flows,
-            report.segments_checked,
-            report.render()
-        );
+        assert_report_clean(&self.oracle_report());
     }
 
     /// Wild-card key matching every stream toward the mobile.
@@ -451,4 +435,29 @@ impl CommaWorld {
             dport: None,
         }
     }
+}
+
+/// Appends one `editmap-invariant` violation per edit-map sweep error.
+pub(crate) fn push_editmap_violations(report: &mut OracleReport, time: SimTime, errs: Vec<String>) {
+    for detail in errs {
+        report.total_violations += 1;
+        report.violations.push(Violation {
+            time,
+            kind: "editmap-invariant",
+            flow: "ttsf".to_string(),
+            detail,
+        });
+    }
+}
+
+/// Panics with every retained violation unless `report` is clean.
+pub(crate) fn assert_report_clean(report: &OracleReport) {
+    assert!(
+        report.is_clean(),
+        "conformance oracle found {} violation(s) over {} flows / {} segments:\n{}",
+        report.total_violations,
+        report.flows,
+        report.segments_checked,
+        report.render()
+    );
 }

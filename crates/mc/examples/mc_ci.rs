@@ -8,16 +8,16 @@
 //! 2. the known-bug mutation (`mutate_skip_ack_translation`) must be
 //!    rediscovered as a `delivered-ack-regression` within the same budget,
 //!    and its minimized trace must replay to a violation;
-//! 3. the coverage numbers are spliced into `BENCH_macro.json` (first
-//!    argument, default `BENCH_macro.json`) as the `"mc"` block.
+//! 3. the coverage numbers are written to `BENCH_mc.json` (first argument,
+//!    default `BENCH_mc.json`) — this tool's own file, written whole.
 
-use std::path::Path;
 use std::process::exit;
 
-use comma_mc::{explore, replay_mc_trace, write_mc_block, McConfig};
+use comma_mc::{explore, replay_mc_trace, McConfig};
+use comma_rt::Json;
 
 fn main() {
-    let path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_macro.json".into());
+    let path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_mc.json".into());
 
     let cfg = McConfig::default();
     let t = std::time::Instant::now();
@@ -64,7 +64,18 @@ fn main() {
         exit(1);
     }
 
-    if let Err(e) = write_mc_block(Path::new(&path), &report, wall_ms) {
+    let doc = Json::obj([
+        ("states_explored", Json::U64(report.states_explored)),
+        ("states_pruned", Json::U64(report.states_pruned)),
+        ("steps_executed", Json::U64(report.steps_executed)),
+        ("max_depth", Json::U64(report.max_depth_reached as u64)),
+        ("terminal_schedules", Json::U64(report.terminal_states)),
+        ("dedup_ratio", Json::F64(report.dedup_ratio(), 3)),
+        ("states_per_sec", Json::F64(report.states_explored as f64 / (wall_ms / 1_000.0), 0)),
+        ("violations", Json::U64(report.violation.is_some() as u64)),
+        ("wall_ms", Json::F64(wall_ms, 1)),
+    ]);
+    if let Err(e) = std::fs::write(&path, format!("{}\n", doc.render())) {
         eprintln!("mc gate FAILED: cannot write {path}: {e}");
         exit(1);
     }

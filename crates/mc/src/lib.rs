@@ -39,12 +39,10 @@
 //! trigger lies beyond a merge point on the second history can be missed.
 //! See `DESIGN.md` ("Model checking").
 
-pub mod bench_json;
 pub mod explore;
 pub mod scenario;
 pub mod trace;
 
-pub use bench_json::write_mc_block;
 pub use explore::{explore, Explorer, McReport, McViolation};
 pub use scenario::{build_scenario, check_invariants, McConfig, McWorld};
 pub use trace::{minimize_mc_trace, replay_mc_trace, McDecision, McTrace, ReplayOutcome};

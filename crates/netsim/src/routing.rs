@@ -82,7 +82,7 @@ impl RoutingTable {
 /// A plain IP router: decrements TTL and forwards by longest prefix.
 ///
 /// The Comma Service Proxy is built on the same forwarding logic (see the
-/// `comma-proxy` crate) with a filtering engine spliced into the path.
+/// `comma-proxy` crate) with a filtering engine inserted into the path.
 pub struct Router {
     name: String,
     addrs: Vec<Ipv4Addr>,

@@ -813,9 +813,7 @@ impl Simulator {
 
     fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
         let Some(&ch_id) = self.node_meta[node.0].ifaces.get(iface.0) else {
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, node, DropReason::NoRoute, || summary);
+            self.trace.drop_pkt(self.now, node, DropReason::NoRoute, || pkt.summary());
             if self.obs.is_enabled() {
                 self.obs
                     .inc(&self.node_meta[node.0].name, "link.drop.no_route");
@@ -835,9 +833,7 @@ impl Simulator {
         if !ch.params.up {
             ch.stats.down_drops += 1;
             let len = pkt.wire_len();
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, node, DropReason::LinkDown, || summary);
+            self.trace.drop_pkt(self.now, node, DropReason::LinkDown, || pkt.summary());
             self.obs_link_drop(ch_id, "link.drop.down", "down", len);
             return;
         }
@@ -848,9 +844,7 @@ impl Simulator {
                     self.obs.inc(&self.ch_scopes[ch_id.0], "link.enqueued");
                 }
             } else {
-                let summary = pkt.summary();
-                self.trace
-                    .drop_pkt(self.now, node, DropReason::QueueFull, || summary);
+                self.trace.drop_pkt(self.now, node, DropReason::QueueFull, || pkt.summary());
                 self.obs_link_drop(ch_id, "link.drop.queue_full", "queue_full", len);
             }
             return;
@@ -896,15 +890,11 @@ impl Simulator {
         };
         if down {
             self.channels[ch_id.0].stats.down_drops += 1;
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, src_node, DropReason::LinkDown, || summary);
+            self.trace.drop_pkt(self.now, src_node, DropReason::LinkDown, || pkt.summary());
             self.obs_link_drop(ch_id, "link.drop.down", "down", len);
         } else if lost {
             self.channels[ch_id.0].stats.loss_drops += 1;
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, src_node, DropReason::Loss, || summary);
+            self.trace.drop_pkt(self.now, src_node, DropReason::Loss, || pkt.summary());
             self.obs_link_drop(ch_id, "link.drop.loss", "loss", len);
         } else {
             let mut pkt = pkt;
@@ -930,9 +920,7 @@ impl Simulator {
                 }
             }
             if !deliver {
-                let summary = pkt.summary();
-                self.trace
-                    .drop_pkt(self.now, src_node, DropReason::Corrupt, || summary);
+                self.trace.drop_pkt(self.now, src_node, DropReason::Corrupt, || pkt.summary());
                 self.obs_link_drop(ch_id, "link.drop.corrupt", "corrupt", len);
             } else if let Some(boundary) = self.channels[ch_id.0].remote {
                 // Boundary egress: the packet survived this side's link
@@ -980,9 +968,7 @@ impl Simulator {
             let src = self.channels[ch_id.0].src_node;
             self.channels[ch_id.0].stats.down_drops += 1;
             let len = pkt.wire_len();
-            let summary = pkt.summary();
-            self.trace
-                .drop_pkt(self.now, src, DropReason::LinkDown, || summary);
+            self.trace.drop_pkt(self.now, src, DropReason::LinkDown, || pkt.summary());
             self.obs_link_drop(ch_id, "link.drop.down", "down", len);
             return;
         }
@@ -1169,9 +1155,7 @@ impl Simulator {
                 };
                 self.events_processed += 1;
                 let src = self.channels[channel.0].src_node;
-                let summary = pkt.summary();
-                self.trace
-                    .drop_pkt(self.now, src, DropReason::Loss, || summary);
+                self.trace.drop_pkt(self.now, src, DropReason::Loss, || pkt.summary());
             }
             McAction::Duplicate => {
                 let Event::Deliver { channel, pkt } = &event else {

@@ -19,9 +19,9 @@
 //!
 //! Everything keyed by sim time or derived from the seed is deterministic
 //! and appears in [`Obs::export_jsonl`]. Host wall-clock measurements
-//! (span latencies) are quarantined under the reserved `wall` scope /
-//! `wall.`-prefixed keys: visible in [`Obs::summary`], excluded from the
-//! export.
+//! (dispatch latency, shard barrier waits) are quarantined under the
+//! reserved `wall` scope / `wall.`-prefixed keys: visible in
+//! [`Obs::summary`], excluded from the export.
 //!
 //! # Zero overhead when disabled
 //!
@@ -52,7 +52,6 @@ pub mod table;
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::time::Instant;
 
 pub use recorder::{Event, FieldValue, DEFAULT_CAPACITY};
 pub use registry::Histogram;
@@ -155,32 +154,6 @@ impl Obs {
             name,
             fields,
         });
-    }
-
-    /// Opens a span: records an enter event now and, when the returned
-    /// guard drops, a wall-clock duration histogram sample under the
-    /// non-exported key family (`wall.<name>_ns` in scope `wall`).
-    pub fn span(
-        &self,
-        t_us: u64,
-        scope: &str,
-        name: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) -> SpanGuard {
-        if self.is_enabled() {
-            self.event(t_us, scope, name, fields);
-            SpanGuard {
-                obs: Some(self.clone()),
-                name,
-                start: Instant::now(),
-            }
-        } else {
-            SpanGuard {
-                obs: None,
-                name,
-                start: Instant::now(),
-            }
-        }
     }
 
     // ---- read path ------------------------------------------------------
@@ -357,38 +330,12 @@ impl Obs {
     }
 }
 
-/// Guard returned by [`Obs::span`]: on drop, records the elapsed host
-/// wall-clock time into a `wall`-scoped histogram (never exported).
-pub struct SpanGuard {
-    obs: Option<Obs>,
-    name: &'static str,
-    start: Instant,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(obs) = &self.obs {
-            let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            obs.hist(WALL_SCOPE, self.name, ns);
-        }
-    }
-}
-
 /// Builds a `Vec<(&'static str, FieldValue)>` from `name = value` pairs:
 /// `fields!(seq = 4u64, state = "Established")`.
 #[macro_export]
 macro_rules! fields {
     ($($k:ident = $v:expr),* $(,)?) => {
         vec![$((stringify!($k), $crate::FieldValue::from($v))),*]
-    };
-}
-
-/// Records a span with named fields:
-/// `let _g = span!(obs, t_us, "ttsf", "translate", conn = key, len = 512usize);`
-#[macro_export]
-macro_rules! span {
-    ($obs:expr, $t:expr, $scope:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
-        $obs.span($t, $scope, $name, $crate::fields!($($k = $v),*))
     };
 }
 
@@ -429,23 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn macros_and_span_guard() {
+    fn event_macro_and_wall_quarantine() {
         let obs = Obs::enabled();
         obs_event!(obs, 10, "conn", "state", to = "Established", cwnd = 2920u64);
-        {
-            let _g = span!(obs, 20, "ttsf", "translate", len = 100usize);
-        }
+        obs.hist(WALL_SCOPE, "wall.dispatch_ns", 450);
         let evs = obs.events();
-        assert_eq!(evs.len(), 2);
+        assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].name, "state");
         assert_eq!(evs[0].field("cwnd"), Some(&FieldValue::U64(2920)));
-        assert_eq!(evs[1].name, "translate");
-        // The span recorded a wall-clock sample, quarantined in `wall`.
-        assert_eq!(obs.histogram(WALL_SCOPE, "translate").unwrap().count(), 1);
-        // ...and the export excludes it while keeping the events.
+        // The wall-clock sample is readable but never exported.
+        assert_eq!(obs.histogram(WALL_SCOPE, "wall.dispatch_ns").unwrap().count(), 1);
         let jsonl = obs.export_jsonl();
         assert!(!jsonl.contains("\"wall\""));
-        assert!(jsonl.contains("\"name\":\"translate\""));
+        assert!(jsonl.contains("\"name\":\"state\""));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The Service Proxy node: a router with the filtering engine spliced into
+//! The Service Proxy node: a router with the filtering engine inserted into
 //! its forwarding path (Fig 5.1), placed at the wired/wireless bottleneck.
 
 use std::any::Any;

@@ -6,10 +6,8 @@
 //! output is a plain table on stdout and the whole harness is ~200 lines,
 //! which is all a deterministic single-threaded simulator needs.
 //!
-//! Environment knobs:
-//! - `COMMA_BENCH_SAMPLES`: samples per benchmark (default 30);
-//! - `COMMA_BENCH_SAMPLE_MS`: target milliseconds per sample (default 5);
-//! - `COMMA_BENCH_FAST=1`: 5 samples, 1 ms each — for CI smoke runs.
+//! 30 samples of 5 ms each by default; `COMMA_BENCH_FAST=1` takes 5 samples
+//! of 1 ms for CI smoke runs.
 //!
 //! ```no_run
 //! use comma_rt::bench::Bench;
@@ -43,16 +41,11 @@ struct Row {
 }
 
 impl Bench {
-    /// Creates a harness, reading the environment knobs.
+    /// Creates a harness, sized by `COMMA_BENCH_FAST`.
     pub fn new() -> Self {
         let fast = std::env::var("COMMA_BENCH_FAST").map(|v| v == "1").unwrap_or(false);
-        let samples = env_usize("COMMA_BENCH_SAMPLES").unwrap_or(if fast { 5 } else { 30 });
-        let ms = env_usize("COMMA_BENCH_SAMPLE_MS").unwrap_or(if fast { 1 } else { 5 });
-        Bench {
-            rows: Vec::new(),
-            samples: samples.max(2),
-            sample_target: Duration::from_millis(ms.max(1) as u64),
-        }
+        let (samples, ms) = if fast { (5, 1) } else { (30, 5) };
+        Bench { rows: Vec::new(), samples, sample_target: Duration::from_millis(ms) }
     }
 
     /// Opens a named group of benchmarks.
@@ -193,10 +186,6 @@ fn fmt_ns(ns: f64) -> String {
     } else {
         format!("{:.2} s", ns / 1_000_000_000.0)
     }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]

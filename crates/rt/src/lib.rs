@@ -14,7 +14,9 @@
 //! - [`prop`]: a minimal seeded property-test runner (generate, iterate,
 //!   failure-seed reporting) powering `tests/properties.rs`;
 //! - [`bench`]: a tiny benchmark harness (warmup, calibrated iterations,
-//!   median/p95 reporting) keeping the bench crate runnable.
+//!   median/p95 reporting) keeping the bench crate runnable;
+//! - [`json`]: the one report writer ([`Json`], render-only) behind
+//!   `BENCH_macro.json`, `BENCH.json` and `BENCH_mc.json`.
 //!
 //! Plus [`digest`], a small FNV-1a hasher used by the determinism tests to
 //! fingerprint traces, and [`alloc`], a counting global-allocator harness
@@ -42,11 +44,13 @@ pub mod alloc;
 pub mod bench;
 pub mod bytes;
 pub mod digest;
+pub mod json;
 pub mod prop;
 pub mod rng;
 
 pub use bytes::{Bytes, BytesMut};
 pub use digest::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
+pub use json::Json;
 pub use rng::{Rng, SeedableRng, SmallRng};
 
 /// Mirror of `rand::rngs` so call sites migrate with an import swap.

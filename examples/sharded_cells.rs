@@ -8,7 +8,7 @@
 //! the serial build at any worker count.
 //!
 //! Run with: `cargo run --release --example sharded_cells`
-//! Try:      `COMMA_SHARDS=8 cargo run --release --example sharded_cells`
+//! Try:      `cargo run --release --example sharded_cells -- 8` (workers)
 
 use std::time::Instant;
 
@@ -42,10 +42,7 @@ fn build(cells: usize, workers: usize) -> ShardedWorld {
 
 fn main() {
     let cells = 16;
-    let workers = std::env::var(COMMA_SHARDS)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let workers = std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(4);
     let target = (cells as u64) * 2 * 100_000;
 
     // Serial baseline: workers(1) drives every shard on one thread — it
