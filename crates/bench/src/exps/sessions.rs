@@ -55,7 +55,7 @@ pub fn e01_sp_session() -> String {
 }
 
 /// E02 — the EEM client example of Fig 6.2: register `sysUpTime` with an
-/// IN [0,20] range and watch the PDA change over two minutes.
+/// IN \[0,20\] range and watch the PDA change over two minutes.
 pub fn e02_eem_example() -> String {
     let mut sim = Simulator::new(102);
     let server_addr: comma_netsim::addr::Ipv4Addr = "11.11.10.1".parse().unwrap();

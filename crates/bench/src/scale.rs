@@ -346,7 +346,7 @@ pub fn run_event_core(nodes: usize, horizon_ms: u64, seed: u64) -> EventCoreResu
     }
 }
 
-/// Builds the event-core world: `nodes` [`TickNode`]s paired by fast wired
+/// Builds the event-core world: `nodes` `TickNode`s paired by fast wired
 /// links, with per-channel rate series off (nothing reads them here, and
 /// the allocation harness asserts this loop heap-silent). Public so probes
 /// and benches can drive the world in custom segments.
@@ -463,7 +463,7 @@ pub fn shard_worker_count() -> usize {
 }
 
 /// Two-segment allocation probe for the sharded window loop: `shards`
-/// [`TickNode`]s in a boundary ring (shard `i` egresses to `i+1`), driven
+/// `TickNode`s in a boundary ring (shard `i` egresses to `i+1`), driven
 /// by the lane-based runner. Allocation counts come from
 /// [`comma_netsim::shard::ShardStats::allocs`], i.e. they are measured on
 /// the worker threads inside the window loop itself. Returns
@@ -592,7 +592,7 @@ pub struct ShardScaleResult {
 /// Builds the sharded multi-cell world: `cells` wireless cells, each with
 /// `flows_per_cell` bulk transfers (ports `9000..`) from its wired host
 /// through its filtered Service Proxy over a lossy wireless link — the
-/// [`build_many_flows`] recipe instantiated per cell, compiled onto the
+/// `build_many_flows` recipe instantiated per cell, compiled onto the
 /// sharded runner (or into one shard with `single_shard`). The 10 ms
 /// wired backbone is the inter-shard boundary and sets the conservative
 /// lookahead; it is split across `backbone_shards` shards (1 = the old

@@ -135,15 +135,6 @@ impl MediaSink {
     pub fn received(&self) -> u64 {
         self.received_by_layer.iter().sum()
     }
-
-    /// Base-layer delivery ratio, given the source's sent count.
-    pub fn base_layer_ratio(&self, sent_base: u64) -> f64 {
-        if sent_base == 0 {
-            0.0
-        } else {
-            self.received_by_layer[0] as f64 / sent_base as f64
-        }
-    }
 }
 
 impl App for MediaSink {

@@ -4,27 +4,20 @@
 
 use std::rc::Rc;
 
-use comma_eem::{
-    hub::{sample_host, sample_host_obs},
-    SharedHub, Value,
-};
+use comma_eem::{hub::sample_host, SharedHub, Value};
 use comma_netsim::link::ChannelId;
 use comma_netsim::node::NodeId;
 use comma_netsim::sim::Simulator;
-use comma_netsim::time::{SimDuration, SimTime};
-use comma_obs::Obs;
+use comma_netsim::time::SimDuration;
 use comma_proxy::filter::MetricsSource;
 use comma_tcp::host::Host;
 
 /// Adapter exposing one node's hub variables to adaptive proxy filters.
-///
-/// Registry-backed: when built [`HubMetrics::with_obs`], lookups consult the
-/// observability registry first (gauge scope = node name) and fall back to
-/// the EEM hub, so filters see the same numbers `kati obs` reports.
+/// The hub is the only store of execution-environment variables, so a
+/// value set through Kati or an EEM client is what a filter reads next.
 pub struct HubMetrics {
     hub: SharedHub,
     node: String,
-    obs: Option<Obs>,
 }
 
 impl HubMetrics {
@@ -33,15 +26,7 @@ impl HubMetrics {
         HubMetrics {
             hub,
             node: node.into(),
-            obs: None,
         }
-    }
-
-    /// Backs the adapter with the observability registry (consulted before
-    /// the hub).
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = Some(obs);
-        self
     }
 }
 
@@ -49,19 +34,10 @@ impl MetricsSource for HubMetrics {
     // The hub handle is shared, not duplicated: snapshots are meant for
     // model checking, where the EEM sampling path is disabled.
     fn clone_metrics(&self) -> Option<Box<dyn MetricsSource>> {
-        Some(Box::new(HubMetrics {
-            hub: self.hub.clone(),
-            node: self.node.clone(),
-            obs: self.obs.clone(),
-        }))
+        Some(Box::new(HubMetrics::new(self.hub.clone(), self.node.clone())))
     }
 
     fn get(&self, var: &str) -> Option<f64> {
-        if let Some(obs) = &self.obs {
-            if let Some(v) = obs.gauge_value(&self.node, var) {
-                return Some(v);
-            }
-        }
         self.hub.borrow().get(&self.node, var)?.as_f64()
     }
 }
@@ -79,79 +55,49 @@ pub struct SamplerSpec {
     pub period: SimDuration,
 }
 
-/// Installs a self-rescheduling sampling loop on the simulator.
+/// Installs a self-rescheduling sampling loop on the simulator; the first
+/// sample is taken now, so metrics exist at t≈0.
 pub fn install_sampler(sim: &mut Simulator, spec: SamplerSpec) {
-    let spec = Rc::new(spec);
-    schedule(sim, sim.now() + spec.period, spec.clone());
-    // Also take an immediate first sample so metrics exist at t≈0.
-    sample(sim, &spec);
+    tick(sim, Rc::new(spec));
 }
 
-fn schedule(sim: &mut Simulator, at: SimTime, spec: Rc<SamplerSpec>) {
-    sim.at(at, move |sim| {
-        sample(sim, &spec);
-        let next = sim.now() + spec.period;
-        schedule(sim, next, spec);
-    });
+fn tick(sim: &mut Simulator, spec: Rc<SamplerSpec>) {
+    sample(sim, &spec);
+    sim.at(sim.now() + spec.period, move |sim| tick(sim, spec));
 }
 
 fn sample(sim: &mut Simulator, spec: &SamplerSpec) {
-    let now = sim.now();
-    let uptime = now.as_secs_f64() as i64;
-    let obs = sim.obs.clone();
+    let uptime = sim.now().as_secs_f64() as i64;
     for (node, name) in &spec.hosts {
         // Hosts may be wrapped (MobileHost); sample only direct hosts here,
         // wrapped ones are sampled by their own integration.
-        let counters = sim.node_mut::<Host>(*node).map(|h| {
-            let mut hub = spec.hub.borrow_mut();
-            sample_host(&mut hub, name, h, uptime);
-            sample_host_obs(&obs, name, h, uptime);
-        });
-        let _ = counters;
+        if let Some(h) = sim.node_mut::<Host>(*node) {
+            sample_host(&mut spec.hub.borrow_mut(), name, h, uptime);
+        }
     }
     if let Some((down, up, name)) = &spec.wireless {
-        let (up_state, qlen, bw, delivered, loss_drops, down_drops) = {
-            let ch = sim.channel(*down);
-            (
-                ch.params.up,
-                ch.queued_bytes as i64,
-                ch.params.bandwidth_bps as i64,
-                ch.stats.delivered_bytes as i64,
-                ch.stats.loss_drops as i64,
-                ch.stats.down_drops as i64,
-            )
-        };
-        let up_up = sim.channel(*up).params.up;
+        let ch = sim.channel(*down);
+        let up_state = ch.params.up && sim.channel(*up).params.up;
         let mut hub = spec.hub.borrow_mut();
-        hub.set(
-            name,
-            "wireless.up",
-            Value::Long(i64::from(up_state && up_up)),
-        );
-        hub.set(name, "wireless.qlen", Value::Long(qlen));
-        hub.set(name, "wireless.bw", Value::Long(bw));
-        hub.set(name, "bytes_tx", Value::Long(delivered));
-        hub.set(name, "wireless.loss_drops", Value::Long(loss_drops));
-        hub.set(name, "wireless.down_drops", Value::Long(down_drops));
-        hub.set(name, "sysUpTime", Value::Long(uptime));
-        if obs.is_enabled() {
-            // Mirror into the registry so `kati obs` and registry-backed
-            // MetricsSource adapters see the wireless state.
-            obs.gauge(name, "wireless.up", (up_state && up_up) as u8 as f64);
-            obs.gauge(name, "wireless.qlen", qlen as f64);
-            obs.gauge(name, "wireless.bw", bw as f64);
-            obs.gauge(name, "bytes_tx", delivered as f64);
-            obs.gauge(name, "wireless.loss_drops", loss_drops as f64);
-            obs.gauge(name, "wireless.down_drops", down_drops as f64);
-        }
+        let mut set = |var: &str, v: i64| hub.set(name, var, Value::Long(v));
+        set("wireless.up", i64::from(up_state));
+        set("wireless.qlen", ch.queued_bytes as i64);
+        set("wireless.bw", ch.params.bandwidth_bps as i64);
+        set("bytes_tx", ch.stats.delivered_bytes as i64);
+        set("wireless.loss_drops", ch.stats.loss_drops as i64);
+        set("wireless.down_drops", ch.stats.down_drops as i64);
+        set("sysUpTime", uptime);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::media::{MediaSink, MediaSource};
+    use crate::topology::{addrs, CommaBuilder, CommaWorld};
     use comma_eem::MetricsHub;
-    use comma_netsim::link::LinkParams;
+    use comma_netsim::time::SimTime;
+    use comma_tcp::apps::{BulkSender, Sink};
 
     #[test]
     fn hub_metrics_adapter() {
@@ -165,29 +111,47 @@ mod tests {
         assert_eq!(m.get("absent"), None);
     }
 
+    /// The hub is the only store of sampled variables. With observability
+    /// on they feed no node-scope gauge (link, TCP and filter metrics stay
+    /// in the export), and a value set on the hub directly — Kati, an EEM
+    /// client — is what the proxy's filters read at once: `hdiscard
+    /// adaptive wireless.up` lets the top layer through as soon as the hub
+    /// says the link is down, where a registry mirror used to shadow the
+    /// hub until the next sample.
     #[test]
-    fn sampler_publishes_wireless_state() {
-        let mut sim = Simulator::new(5);
-        let a = sim.add_node(Box::new(Host::new("a", "10.0.0.1".parse().unwrap())));
-        let b = sim.add_node(Box::new(Host::new("b", "10.0.0.2".parse().unwrap())));
-        let (down, up) = sim.connect(a, b, LinkParams::wireless(), LinkParams::wireless());
-        let hub = MetricsHub::shared();
-        install_sampler(
-            &mut sim,
-            SamplerSpec {
-                hub: hub.clone(),
-                hosts: vec![(a, "a".into()), (b, "b".into())],
-                wireless: Some((down, up, "sp".into())),
-                period: SimDuration::from_millis(100),
-            },
+    fn sampler_fills_the_hub_and_only_the_hub() {
+        let media = MediaSource::new((addrs::MOBILE, 5004), 3, 100, SimDuration::from_millis(10));
+        let bulk = BulkSender::new((addrs::MOBILE, 9000), 5_000);
+        let mut world = CommaBuilder::new(3).observability(true).build(
+            vec![Box::new(media), Box::new(bulk)],
+            vec![Box::new(MediaSink::new(5004)), Box::new(Sink::new(9000))],
         );
-        sim.run_until(SimTime::from_millis(250));
-        assert_eq!(hub.borrow().get("sp", "wireless.up"), Some(&Value::Long(1)));
-        assert!(hub.borrow().get("a", "tcpOutSegs").is_some());
+        world.sp("add hdiscard 0.0.0.0 0 11.11.10.10 5004 adaptive wireless.up 3 0.5");
+        let sink = world.mobile_app_ids[0];
+        let top_layer = |w: &mut CommaWorld| w.mobile_app(sink, |s: &mut MediaSink| s.received_by_layer[2]);
+        world.run_until(SimTime::from_millis(250));
+        assert_eq!(world.hub.borrow().get("sp", "wireless.up"), Some(&Value::Long(1)));
+        assert!(world.hub.borrow().get("wired", "tcpOutSegs").is_some());
+        assert_eq!(top_layer(&mut world), 0, "link up: hdiscard sheds layer 2");
 
-        // Take the link down; the next sample reflects it.
-        sim.channel_mut(down).params.up = false;
-        sim.run_until(SimTime::from_millis(500));
-        assert_eq!(hub.borrow().get("sp", "wireless.up"), Some(&Value::Long(0)));
+        world.hub.borrow_mut().set("sp", "wireless.up", Value::Long(0));
+        world.run_until(SimTime::from_millis(295));
+        assert!(top_layer(&mut world) > 0, "filters read the hub, not a stale mirror");
+
+        // The next sample republishes the link's real state, up or down.
+        world.run_until(SimTime::from_millis(350));
+        assert_eq!(world.hub.borrow().get("sp", "wireless.up"), Some(&Value::Long(1)));
+        world.sim.channel_mut(world.wireless_ch.0).params.up = false;
+        world.run_until(SimTime::from_millis(450));
+        assert_eq!(world.hub.borrow().get("sp", "wireless.up"), Some(&Value::Long(0)));
+
+        let export = world.obs.export_jsonl();
+        for node in ["wired", "mobile", "sp"] {
+            let scope = format!("\"scope\":\"{node}\",");
+            assert!(!export.contains(&scope), "{node}: sampled variables mirrored as gauges");
+        }
+        for family in ["\"link.", "\"tcp.", "\"filter."] {
+            assert!(export.contains(family), "{family}* metrics missing from the export");
+        }
     }
 }

@@ -21,7 +21,7 @@
 
 use comma_eem::MetricsHub;
 use comma_faultcheck::{FaultPlan, Oracle, OracleConfig, OracleReport};
-use comma_filters::{editmap_errors, registered_kinds, standard_catalog, TRANSFORMING};
+use comma_filters::standard_catalog;
 use comma_netsim::addr::{Ipv4Addr, Subnet};
 use comma_netsim::fluid::{FluidConfig, FluidTotals};
 use comma_netsim::link::{ChannelId, LinkKind, LinkParams};
@@ -36,7 +36,7 @@ use comma_tcp::host::{AppId, Host};
 use comma_tcp::TcpConfig;
 
 use crate::metrics::HubMetrics;
-use crate::topology::{assert_report_clean, push_editmap_violations};
+use crate::topology::{assert_report_clean, finish_oracle, push_editmap_violations, sweep_proxy};
 
 /// One wireless cell: a wired correspondent host, the cell's Service
 /// Proxy, and a mobile host, with per-cell link parameters, transfers,
@@ -261,37 +261,39 @@ impl TopologyBuilder {
         let n_cells = self.cells.len();
         let cell_names: Vec<String> = self.cells.iter().map(|c| c.name.clone()).collect();
 
-        if self.single {
+        let (mut runner, cells) = if self.single {
             let cells = self.cells;
             let backbone = self.backbone.clone();
+            // The one shard is shard 0, so the handles are built in place.
             let shard = plan.add_shard(move |sim| {
-                let tags: Vec<CellTag> = cells
+                let handles: Vec<CellHandle> = cells
                     .iter()
                     .enumerate()
-                    .map(|(i, spec)| build_cell(sim, i, spec, WiredSide::Local(backbone.clone())))
+                    .map(|(i, spec)| {
+                        // The wired host goes in first so NodeId order
+                        // matches the backbone variant's dispatch order.
+                        let wired = build_wired_host(sim, i, spec);
+                        let (tag, _) = build_cell(sim, i, spec, |sim, sp| {
+                            let link = cell_keys(i).wired_link;
+                            sim.connect_keyed(wired, sp, backbone.clone(), backbone.clone(), link)
+                        });
+                        CellHandle {
+                            shard: 0,
+                            wired_shard: 0,
+                            wired,
+                            tag,
+                        }
+                    })
                     .collect();
-                ShardWiring::new().with_tag(Box::new(tags))
+                ShardWiring::new().with_tag(Box::new(handles))
             });
+            debug_assert_eq!(shard, 0);
             let mut runner = ShardedSimulator::new(plan, self.workers);
-            let tags = *runner
+            let handles = *runner
                 .take_tag(shard)
-                .downcast::<Vec<CellTag>>()
+                .downcast::<Vec<CellHandle>>()
                 .expect("single-shard tag");
-            let handles = tags
-                .into_iter()
-                .map(|t| CellHandle {
-                    shard,
-                    wired_shard: shard,
-                    tag: t,
-                })
-                .collect();
-            Ok(finish(
-                runner,
-                handles,
-                cell_names,
-                fault_reorders,
-                self.record_series,
-            ))
+            (runner, handles)
         } else {
             // Shards 0..B: the wired backbone, split round-robin (cell
             // i's wired host in backbone shard i % B). Shards B..B+n:
@@ -307,18 +309,27 @@ impl TopologyBuilder {
                     .enumerate()
                     .filter(|(i, _)| i % b_count == b)
                     .collect();
-                let backbone_params = self.backbone.clone();
+                let backbone = self.backbone.clone();
                 let shard = plan.add_shard(move |sim| {
                     let mut wiring = ShardWiring::new();
-                    let mut tag = BackboneTag::default();
+                    let mut wired_hosts: Vec<NodeId> = Vec::new();
                     for (i, spec) in &backbone_specs {
-                        let (wired, senders, ingress) =
-                            build_wired_host(sim, *i, spec, &backbone_params);
+                        let wired = build_wired_host(sim, *i, spec);
+                        // Egress = wired → cell proxy: direction salt 0,
+                        // like connect_keyed's a→b stream when `a` is the
+                        // wired host.
+                        let (_, ingress) = sim.connect_boundary(
+                            wired,
+                            down_boundary(*i),
+                            backbone.clone(),
+                            backbone.clone(),
+                            cell_keys(*i).wired_link,
+                            0,
+                        );
                         wiring = wiring.ingress(up_boundary(*i), ingress);
-                        tag.wired.push(wired);
-                        tag.senders.push(senders);
+                        wired_hosts.push(wired);
                     }
-                    wiring.with_tag(Box::new(tag))
+                    wiring.with_tag(Box::new(wired_hosts))
                 });
                 debug_assert_eq!(shard, b);
                 backbone_shards.push(shard);
@@ -327,16 +338,12 @@ impl TopologyBuilder {
             for (i, spec) in self.cells.into_iter().enumerate() {
                 let backbone = self.backbone.clone();
                 let shard = plan.add_shard(move |sim| {
-                    let tag = build_cell(
-                        sim,
-                        i,
-                        &spec,
-                        WiredSide::Boundary {
-                            egress: up_boundary(i),
-                            params: backbone,
-                        },
-                    );
-                    let ingress = tag.wired_ingress.expect("boundary cell has an ingress");
+                    // Egress = proxy → backbone: direction salt 1 (the
+                    // b→a stream of the same keyed link).
+                    let (tag, (_, ingress)) = build_cell(sim, i, &spec, |sim, sp| {
+                        let link = cell_keys(i).wired_link;
+                        sim.connect_boundary(sp, up_boundary(i), backbone.clone(), backbone, link, 1)
+                    });
                     ShardWiring::new()
                         .ingress(down_boundary(i), ingress)
                         .with_tag(Box::new(tag))
@@ -347,60 +354,39 @@ impl TopologyBuilder {
                 plan.declare_boundary(shard, bshard);
             }
             let mut runner = ShardedSimulator::new(plan, self.workers);
-            let backbone_tags: Vec<BackboneTag> = backbone_shards
+            let wired_hosts: Vec<Vec<NodeId>> = backbone_shards
                 .iter()
                 .map(|&s| {
                     *runner
                         .take_tag(s)
-                        .downcast::<BackboneTag>()
+                        .downcast::<Vec<NodeId>>()
                         .expect("backbone tag")
                 })
                 .collect();
-            let handles: Vec<CellHandle> = cell_shards
+            let handles = cell_shards
                 .iter()
                 .enumerate()
-                .map(|(i, &shard)| {
-                    let mut tag = *runner
+                .map(|(i, &shard)| CellHandle {
+                    shard,
+                    wired_shard: backbone_shards[i % b_count],
+                    wired: wired_hosts[i % b_count][i / b_count],
+                    tag: *runner
                         .take_tag(shard)
                         .downcast::<CellTag>()
-                        .expect("cell tag");
-                    let btag = &backbone_tags[i % b_count];
-                    tag.wired = btag.wired[i / b_count];
-                    tag.senders = btag.senders[i / b_count].clone();
-                    CellHandle {
-                        shard,
-                        wired_shard: backbone_shards[i % b_count],
-                        tag,
-                    }
+                        .expect("cell tag"),
                 })
                 .collect();
-            Ok(finish(
-                runner,
-                handles,
-                cell_names,
-                fault_reorders,
-                self.record_series,
-            ))
+            (runner, handles)
+        };
+        if !self.record_series {
+            runner.set_record_series(false);
         }
-    }
-}
-
-fn finish(
-    mut runner: ShardedSimulator,
-    cells: Vec<CellHandle>,
-    names: Vec<String>,
-    fault_reorders: bool,
-    record_series: bool,
-) -> ShardedWorld {
-    if !record_series {
-        runner.set_record_series(false);
-    }
-    ShardedWorld {
-        runner,
-        cells,
-        names,
-        fault_reorders,
-        oracle_attached: false,
+        Ok(ShardedWorld {
+            runner,
+            cells,
+            names: cell_names,
+            fault_reorders,
+        })
     }
 }
 
@@ -448,81 +434,38 @@ fn cell_addrs(cell: usize) -> (Ipv4Addr, Ipv4Addr, Ipv4Addr) {
     )
 }
 
-/// How a cell reaches its wired host: directly (single-shard build) or
-/// over a boundary link to the backbone shard.
-enum WiredSide {
-    Local(LinkParams),
-    Boundary { egress: BoundaryId, params: LinkParams },
-}
-
 struct CellTag {
     sp: NodeId,
     mobile: NodeId,
     sinks: Vec<AppId>,
     wireless: (ChannelId, ChannelId),
-    /// Ingress channel for packets arriving from the backbone (partitioned
-    /// builds only).
-    wired_ingress: Option<ChannelId>,
-    /// Filled in from the backbone tag after build.
-    wired: NodeId,
-    senders: Vec<AppId>,
 }
 
-#[derive(Default)]
-struct BackboneTag {
-    wired: Vec<NodeId>,
-    senders: Vec<Vec<AppId>>,
-}
-
-/// Builds cell `i`'s wired host into the backbone shard: the host, its
-/// sender apps, and the boundary link toward the cell's proxy.
-fn build_wired_host(
-    sim: &mut Simulator,
-    cell: usize,
-    spec: &CellSpec,
-    backbone: &LinkParams,
-) -> (NodeId, Vec<AppId>, ChannelId) {
-    let keys = cell_keys(cell);
+/// Builds cell `i`'s wired host, with one [`BulkSender`] per transfer, into
+/// `sim` — the cell's own shard in a single-shard build, a backbone shard
+/// otherwise.
+fn build_wired_host(sim: &mut Simulator, cell: usize, spec: &CellSpec) -> NodeId {
     let (wired_addr, _, mobile_addr) = cell_addrs(cell);
     let mut host = Host::new(format!("{}.wired", spec.name), wired_addr);
     host.set_default_config(spec.tcp_cfg.clone());
-    let senders = spec
-        .transfers
-        .iter()
-        .map(|&(port, bytes)| host.add_app(Box::new(BulkSender::new((mobile_addr, port), bytes as usize))))
-        .collect();
-    let wired = sim.add_node_keyed(Box::new(host), keys.wired_node);
-    // Egress = wired → cell proxy: direction salt 0, like connect_keyed's
-    // a→b stream when `a` is the wired host.
-    let (_, ingress) =
-        sim.connect_boundary(wired, down_boundary(cell), backbone.clone(), backbone.clone(), keys.wired_link, 0);
-    (wired, senders, ingress)
+    for &(port, bytes) in &spec.transfers {
+        host.add_app(Box::new(BulkSender::new((mobile_addr, port), bytes as usize)));
+    }
+    sim.add_node_keyed(Box::new(host), cell_keys(cell).wired_node)
 }
 
 /// Builds one cell — proxy, mobile host, wireless link, filters, faults —
-/// into `sim`, with its wired host either local or across a boundary.
-fn build_cell(sim: &mut Simulator, cell: usize, spec: &CellSpec, wired_side: WiredSide) -> CellTag {
+/// into `sim`. `wire_proxy` attaches the freshly added proxy to its wired
+/// host (a local link or a boundary link to the backbone shard); whatever
+/// it returns is handed back beside the tag.
+fn build_cell<W>(
+    sim: &mut Simulator,
+    cell: usize,
+    spec: &CellSpec,
+    wire_proxy: impl FnOnce(&mut Simulator, NodeId) -> W,
+) -> (CellTag, W) {
     let keys = cell_keys(cell);
     let (wired_addr, proxy_addr, mobile_addr) = cell_addrs(cell);
-
-    // Local builds create the wired host first so iface/NodeId orders
-    // match the dispatch order of the backbone variant.
-    let (local_wired, wired_params) = match &wired_side {
-        WiredSide::Local(params) => {
-            let mut host = Host::new(format!("{}.wired", spec.name), wired_addr);
-            host.set_default_config(spec.tcp_cfg.clone());
-            let senders: Vec<AppId> = spec
-                .transfers
-                .iter()
-                .map(|&(port, bytes)| {
-                    host.add_app(Box::new(BulkSender::new((mobile_addr, port), bytes as usize)))
-                })
-                .collect();
-            let wired = sim.add_node_keyed(Box::new(host), keys.wired_node);
-            (Some((wired, senders)), params.clone())
-        }
-        WiredSide::Boundary { params, .. } => (None, params.clone()),
-    };
 
     // The proxy: iface 0 toward the wired side, iface 1 wireless.
     let mut table = comma_netsim::routing::RoutingTable::new();
@@ -541,32 +484,7 @@ fn build_cell(sim: &mut Simulator, cell: usize, spec: &CellSpec, wired_side: Wir
 
     // Wired side first, so the proxy's iface 0 is the wired-facing one in
     // both build modes.
-    let wired_ingress = match (&wired_side, &local_wired) {
-        (WiredSide::Local(_), Some((wired, _))) => {
-            sim.connect_keyed(
-                *wired,
-                sp_id,
-                wired_params.clone(),
-                wired_params.clone(),
-                keys.wired_link,
-            );
-            None
-        }
-        (WiredSide::Boundary { egress, .. }, _) => {
-            // Egress = proxy → backbone: direction salt 1 (the b→a stream
-            // of the same keyed link).
-            let (_, ingress) = sim.connect_boundary(
-                sp_id,
-                *egress,
-                wired_params.clone(),
-                wired_params.clone(),
-                keys.wired_link,
-                1,
-            );
-            Some(ingress)
-        }
-        _ => unreachable!("local build always has a wired host"),
-    };
+    let wired_link = wire_proxy(sim, sp_id);
 
     let mut mobile = Host::new(format!("{}.mobile", spec.name), mobile_addr);
     mobile.set_default_config(spec.tcp_cfg.clone());
@@ -602,26 +520,20 @@ fn build_cell(sim: &mut Simulator, cell: usize, spec: &CellSpec, wired_side: Wir
         plan.apply(sim, &[wireless.0, wireless.1]);
     }
 
-    let (wired, senders) = match local_wired {
-        Some((wired, senders)) => (wired, senders),
-        // Placeholder; the builder patches in the backbone values.
-        None => (NodeId(usize::MAX), Vec::new()),
-    };
-    CellTag {
+    let tag = CellTag {
         sp: sp_id,
         mobile: mobile_id,
         sinks,
         wireless,
-        wired_ingress,
-        wired,
-        senders,
-    }
+    };
+    (tag, wired_link)
 }
 
 /// One built cell's handles.
 struct CellHandle {
     shard: usize,
     wired_shard: usize,
+    wired: NodeId,
     tag: CellTag,
 }
 
@@ -632,7 +544,6 @@ pub struct ShardedWorld {
     cells: Vec<CellHandle>,
     names: Vec<String>,
     fault_reorders: bool,
-    oracle_attached: bool,
 }
 
 impl ShardedWorld {
@@ -782,66 +693,50 @@ impl ShardedWorld {
         let reorders = self.fault_reorders;
         // Group endpoints by shard: single-shard builds put everything in
         // one oracle (full strict semantics), partitioned builds get one
-        // oracle per shard.
-        let mut by_shard: std::collections::BTreeMap<usize, Vec<(NodeId, Ipv4Addr)>> =
-            std::collections::BTreeMap::new();
+        // oracle per shard, told its endpoints' peers live elsewhere.
+        let mut by_shard = std::collections::BTreeMap::<usize, OracleConfig>::new();
+        let empty = || OracleConfig::new(Vec::new());
         for (cell, h) in self.cells.iter().enumerate() {
             let (wired_addr, _, mobile_addr) = cell_addrs(cell);
-            by_shard
-                .entry(h.wired_shard)
-                .or_default()
-                .push((h.tag.wired, wired_addr));
-            by_shard
-                .entry(h.shard)
-                .or_default()
-                .push((h.tag.mobile, mobile_addr));
+            let backbone = by_shard.entry(h.wired_shard).or_insert_with(empty);
+            backbone.endpoints.push((h.wired, wired_addr));
+            if h.shard != h.wired_shard {
+                backbone.remote_endpoints.push(mobile_addr);
+            }
+            let cell = by_shard.entry(h.shard).or_insert_with(empty);
+            cell.endpoints.push((h.tag.mobile, mobile_addr));
+            if h.shard != h.wired_shard {
+                cell.remote_endpoints.push(wired_addr);
+            }
         }
-        for (shard, endpoints) in by_shard {
-            let mut cfg = OracleConfig::new(endpoints);
+        for (shard, mut cfg) in by_shard {
             cfg.allow_reordered_delivery = reorders;
             self.runner.with_shard(shard, move |sim| {
                 sim.set_packet_observer(Box::new(Oracle::new(cfg)));
             });
         }
-        self.oracle_attached = true;
     }
 
-    /// Detaches every shard's oracle, finalizes them (strict-mode
-    /// decision, TTSF edit-map sweep over every cell proxy), and merges
-    /// the reports.
+    /// Finalizes every shard's oracle through the one lifecycle
+    /// (`sweep_proxy` per cell proxy, `finish_oracle` per shard) and
+    /// merges the reports. `flows` sums per-oracle views, so a flow whose
+    /// ends live in different shards counts once from each end.
     ///
     /// # Panics
     ///
     /// Panics if [`ShardedWorld::attach_oracle`] was not called.
     pub fn oracle_report(&mut self) -> OracleReport {
-        assert!(
-            self.oracle_attached,
-            "no oracle attached: call attach_oracle() before running"
-        );
-        self.oracle_attached = false;
-
-        // Strict mode needs both endpoints visible to one oracle (only
-        // true in single-shard builds) and no transforming services.
-        let single = self
-            .cells
-            .iter()
-            .all(|h| h.shard == h.wired_shard && h.shard == self.cells[0].shard);
         let mut transformed = false;
         let mut editmap_errs: Vec<String> = Vec::new();
         for (cell, h) in self.cells.iter().enumerate() {
             let sp = h.tag.sp;
             let label = format!("{}.sp", self.names[cell]);
-            let (kinds, errs) = self.runner.with_shard(h.shard, move |sim| {
-                sim.with_node::<ServiceProxy, _>(sp, move |p| {
-                    let kinds = registered_kinds(&p.engine);
-                    (kinds, editmap_errors(&mut p.engine, &label))
-                })
-            });
-            transformed |= kinds.iter().any(|k| TRANSFORMING.contains(&k.as_str()));
+            let (rewrites, errs) = self
+                .runner
+                .with_shard(h.shard, move |sim| sweep_proxy(sim, sp, &label));
+            transformed |= rewrites;
             editmap_errs.extend(errs);
         }
-        let strict = single && !transformed;
-
         let mut shards: Vec<usize> = self
             .cells
             .iter()
@@ -849,19 +744,15 @@ impl ShardedWorld {
             .collect();
         shards.sort_unstable();
         shards.dedup();
+        // Strict mode needs both endpoints visible to one oracle (only
+        // true in single-shard builds) and no transforming services.
+        let strict = shards.len() == 1 && !transformed;
+
         let mut merged = OracleReport::default();
         for shard in shards {
-            let report = self.runner.with_shard(shard, move |sim| {
-                let mut observer = sim
-                    .take_packet_observer()
-                    .expect("oracle attached to every endpoint shard");
-                let oracle = observer
-                    .as_any()
-                    .downcast_mut::<Oracle>()
-                    .expect("packet observer is not the conformance oracle");
-                oracle.set_strict(strict);
-                std::mem::replace(oracle, Oracle::new(OracleConfig::new(Vec::new()))).finish()
-            });
+            let report = self
+                .runner
+                .with_shard(shard, move |sim| finish_oracle(sim, strict));
             merged.violations.extend(report.violations);
             merged.total_violations += report.total_violations;
             merged.suppressed_strict += report.suppressed_strict;

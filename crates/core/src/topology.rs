@@ -124,49 +124,38 @@ impl CommaBuilder {
         let obs = sim.obs.clone();
         let hub = MetricsHub::shared();
 
-        let mut wired_host = Host::new("wired", addrs::WIRED);
-        wired_host.set_default_config(self.tcp_cfg.clone());
-        let mut wired_app_ids = Vec::new();
-        for app in wired_apps {
-            wired_app_ids.push(wired_host.add_app(app));
-        }
-        if self.eem {
-            wired_host.add_app(Box::new(EemServer::new("wired", hub.clone())));
-        }
-        let wired = sim.add_node(Box::new(wired_host));
+        // One host constructor for both ends: TCP defaults, the caller's
+        // apps in order, then the EEM server.
+        let host = |name: &str, addr, apps: Vec<Box<dyn App>>| {
+            let mut host = Host::new(name, addr);
+            host.set_default_config(self.tcp_cfg.clone());
+            let app_ids: Vec<_> = apps.into_iter().map(|app| host.add_app(app)).collect();
+            if self.eem {
+                host.add_app(Box::new(EemServer::new(name, hub.clone())));
+            }
+            (Box::new(host), app_ids)
+        };
+        // Likewise for the proxies; both read the "sp" hub variables.
+        let service_proxy = |name: &str, addr, table, filters: &[&str], seed| {
+            let engine = FilterEngine::new(standard_catalog(filters));
+            let mut sp = ServiceProxy::new(name, vec![addr], table, engine, seed);
+            sp.set_metrics(Box::new(HubMetrics::new(hub.clone(), "sp")));
+            sp.set_obs(obs.clone());
+            Box::new(sp)
+        };
+
+        let (wired_host, wired_app_ids) = host("wired", addrs::WIRED, wired_apps);
+        let wired = sim.add_node(wired_host);
 
         // The Service Proxy: iface0 toward the wired side, iface1 wireless.
         let mut table = comma_netsim::routing::RoutingTable::new();
         table.add(Subnet::host(addrs::WIRED), IfaceId(0));
         table.add_default(IfaceId(1));
-        let catalog = if self.preload_all {
-            standard_catalog(comma_filters::ALL_FILTERS)
-        } else {
-            standard_catalog(&[])
-        };
-        let mut sp = ServiceProxy::new(
-            "sp",
-            vec![addrs::PROXY],
-            table,
-            FilterEngine::new(catalog),
-            self.seed,
-        );
-        sp.set_metrics(Box::new(
-            HubMetrics::new(hub.clone(), "sp").with_obs(obs.clone()),
-        ));
-        sp.set_obs(obs.clone());
-        let proxy = sim.add_node(Box::new(sp));
+        let pool: &[&str] = if self.preload_all { comma_filters::ALL_FILTERS } else { &[] };
+        let proxy = sim.add_node(service_proxy("sp", addrs::PROXY, table, pool, self.seed));
 
-        let mut mobile_host = Host::new("mobile", addrs::MOBILE);
-        mobile_host.set_default_config(self.tcp_cfg.clone());
-        let mut mobile_app_ids = Vec::new();
-        for app in mobile_apps {
-            mobile_app_ids.push(mobile_host.add_app(app));
-        }
-        if self.eem {
-            mobile_host.add_app(Box::new(EemServer::new("mobile", hub.clone())));
-        }
-        let mobile = sim.add_node(Box::new(mobile_host));
+        let (mobile_host, mobile_app_ids) = host("mobile", addrs::MOBILE, mobile_apps);
+        let mobile = sim.add_node(mobile_host);
 
         sim.connect(
             wired,
@@ -180,19 +169,9 @@ impl CommaBuilder {
             let mut stub_table = comma_netsim::routing::RoutingTable::new();
             stub_table.add(Subnet::host(addrs::MOBILE), IfaceId(1));
             stub_table.add_default(IfaceId(0));
-            let stub_catalog = standard_catalog(comma_filters::ALL_FILTERS);
-            let mut stub_sp = ServiceProxy::new(
-                "stub",
-                vec![addrs::STUB],
-                stub_table,
-                FilterEngine::new(stub_catalog),
-                self.seed ^ 0xbeef,
-            );
-            stub_sp.set_metrics(Box::new(
-                HubMetrics::new(hub.clone(), "sp").with_obs(obs.clone()),
-            ));
-            stub_sp.set_obs(obs.clone());
-            let stub = sim.add_node(Box::new(stub_sp));
+            let stub_seed = self.seed ^ 0xbeef;
+            let all = comma_filters::ALL_FILTERS;
+            let stub = sim.add_node(service_proxy("stub", addrs::STUB, stub_table, all, stub_seed));
             let wireless = sim.connect(
                 proxy,
                 stub,
@@ -274,9 +253,8 @@ impl CommaWorld {
     /// Executes an SP console command on the main proxy.
     pub fn sp(&mut self, line: &str) -> String {
         let now = self.sim.now();
-        let line = line.to_string();
         self.sim
-            .with_node::<ServiceProxy, _>(self.proxy, move |sp| sp.exec(now, &line))
+            .with_node(self.proxy, |sp: &mut ServiceProxy| sp.exec(now, line))
     }
 
     /// Executes an SP console command on the stub proxy.
@@ -287,9 +265,8 @@ impl CommaWorld {
     pub fn stub_sp(&mut self, line: &str) -> String {
         let stub = self.stub.expect("world has no stub proxy");
         let now = self.sim.now();
-        let line = line.to_string();
         self.sim
-            .with_node::<ServiceProxy, _>(stub, move |sp| sp.exec(now, &line))
+            .with_node(stub, |sp: &mut ServiceProxy| sp.exec(now, line))
     }
 
     /// Runs the simulation until `t`.
@@ -322,13 +299,6 @@ impl CommaWorld {
         self.sim.channel(self.wireless_ch.0).stats.delivered_bytes
     }
 
-    /// Takes the wireless link down or up (disconnection scenarios).
-    pub fn set_wireless_up(&mut self, up: bool) {
-        let (d, u) = self.wireless_ch;
-        self.sim.channel_mut(d).params.up = up;
-        self.sim.channel_mut(u).params.up = up;
-    }
-
     /// Schedules a wireless up/down change at `t`.
     pub fn set_wireless_up_at(&mut self, t: SimTime, up: bool) {
         let (d, u) = self.wireless_ch;
@@ -349,12 +319,8 @@ impl CommaWorld {
         plan.apply(&mut self.sim, &[d, u]);
         if plan.perturbs_delivery_order() {
             self.fault_reorders = true;
-            if let Some(mut observer) = self.sim.take_packet_observer() {
-                if let Some(oracle) = observer.as_any().downcast_mut::<Oracle>() {
-                    oracle.set_allow_reordered_delivery(true);
-                }
-                self.sim.set_packet_observer(observer);
-            }
+            self.sim
+                .with_packet_observer(|o: &mut Oracle| o.set_allow_reordered_delivery(true));
         }
     }
 
@@ -372,47 +338,22 @@ impl CommaWorld {
         self.sim.set_packet_observer(Box::new(oracle));
     }
 
-    /// Detaches the oracle and finalizes it: decides strict mode from the
-    /// registered services (payload/sequence-rewriting services make the
-    /// strict end-to-end identity checks legitimately inapplicable), sweeps
-    /// every live TTSF edit map's structural invariants, and returns the
-    /// combined report.
+    /// Finalizes the oracle through the one lifecycle (`sweep_proxy` per
+    /// proxy, then `finish_oracle`) and returns the combined report.
     ///
     /// # Panics
     ///
     /// Panics if no oracle is attached.
     pub fn oracle_report(&mut self) -> OracleReport {
-        let mut observer = self
-            .sim
-            .take_packet_observer()
-            .expect("no oracle attached: call attach_oracle() before running");
-        let oracle = observer
-            .as_any()
-            .downcast_mut::<Oracle>()
-            .expect("packet observer is not the conformance oracle");
-
-        // Services that rewrite payload bytes or sequence spaces disable
-        // the strict checks (V7 payload identity, V8 ack provenance); the
-        // always-on invariants keep running regardless. TTSF edit maps
-        // must stay structurally sound on every proxy.
         let mut transformed = false;
         let mut editmap_errs: Vec<String> = Vec::new();
         for (node, label) in [(Some(self.proxy), "sp"), (self.stub, "stub")] {
             let Some(node) = node else { continue };
-            self.sim.with_node::<ServiceProxy, _>(node, |sp| {
-                transformed |= registered_kinds(&sp.engine)
-                    .iter()
-                    .any(|k| TRANSFORMING.contains(&k.as_str()));
-                editmap_errs.extend(editmap_errors(&mut sp.engine, label));
-            });
+            let (rewrites, errs) = sweep_proxy(&mut self.sim, node, label);
+            transformed |= rewrites;
+            editmap_errs.extend(errs);
         }
-        oracle.set_strict(!transformed);
-
-        let taken = std::mem::replace(
-            oracle,
-            Oracle::new(OracleConfig::new(Vec::new())),
-        );
-        let mut report = taken.finish();
+        let mut report = finish_oracle(&mut self.sim, !transformed);
         push_editmap_violations(&mut report, self.sim.now(), editmap_errs);
         report
     }
@@ -435,6 +376,35 @@ impl CommaWorld {
             dport: None,
         }
     }
+}
+
+/// First half of the oracle lifecycle, once per proxy: whether a service
+/// that rewrites payload bytes or sequence spaces is registered on `node`
+/// (that makes the strict end-to-end identity checks, V7 payload identity
+/// and V8 ack provenance, legitimately inapplicable), and the structural
+/// errors of every live TTSF edit map there, prefixed with `label`.
+pub(crate) fn sweep_proxy(sim: &mut Simulator, node: NodeId, label: &str) -> (bool, Vec<String>) {
+    sim.with_node::<ServiceProxy, _>(node, |sp| {
+        let rewrites = registered_kinds(&sp.engine)
+            .iter()
+            .any(|k| TRANSFORMING.contains(&k.as_str()));
+        (rewrites, editmap_errors(&mut sp.engine, label))
+    })
+}
+
+/// Second half, once per simulator: decides strict mode and consumes the
+/// attached oracle into its report, leaving an empty one in its place. The
+/// always-on invariants are reported regardless of `strict`.
+///
+/// # Panics
+///
+/// Panics if the simulator's packet observer is not an [`Oracle`].
+pub(crate) fn finish_oracle(sim: &mut Simulator, strict: bool) -> OracleReport {
+    sim.with_packet_observer(|oracle: &mut Oracle| {
+        oracle.set_strict(strict);
+        std::mem::replace(oracle, Oracle::new(OracleConfig::new(Vec::new()))).finish()
+    })
+    .expect("no oracle attached: call attach_oracle() before running")
 }
 
 /// Appends one `editmap-invariant` violation per edit-map sweep error.

@@ -17,10 +17,11 @@ use crate::value::Value;
 /// Shared handle to a [`MetricsHub`].
 pub type SharedHub = Rc<RefCell<MetricsHub>>;
 
-/// Current variable values, keyed by (node name, variable, index).
+/// Current variable values, keyed node name → variable → index so a
+/// lookup borrows its `&str` arguments instead of building an owned key.
 #[derive(Default, Debug)]
 pub struct MetricsHub {
-    values: HashMap<(String, String, u32), Value>,
+    values: HashMap<String, HashMap<String, HashMap<u32, Value>>>,
 }
 
 impl MetricsHub {
@@ -41,8 +42,13 @@ impl MetricsHub {
 
     /// Sets an indexed variable.
     pub fn set_indexed(&mut self, node: &str, var: &str, index: u32, value: Value) {
-        self.values
-            .insert((node.to_string(), var.to_string(), index), value);
+        if let Some(indexed) = self.values.get_mut(node).and_then(|vars| vars.get_mut(var)) {
+            indexed.insert(index, value);
+            return;
+        }
+        // First write of this variable: the only path that builds owned keys.
+        let vars = self.values.entry(node.to_string()).or_default();
+        vars.entry(var.to_string()).or_default().insert(index, value);
     }
 
     /// Reads a variable (index 0).
@@ -52,17 +58,7 @@ impl MetricsHub {
 
     /// Reads an indexed variable.
     pub fn get_indexed(&self, node: &str, var: &str, index: u32) -> Option<&Value> {
-        self.values.get(&(node.to_string(), var.to_string(), index))
-    }
-
-    /// Number of stored values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns `true` if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values.get(node)?.get(var)?.get(&index)
     }
 }
 
@@ -95,32 +91,6 @@ pub fn sample_host(hub: &mut MetricsHub, node: &str, host: &Host, uptime_secs: i
     set(hub, "tcpRtoAlgorithm", 4); // Van Jacobson's algorithm.
 }
 
-/// Mirrors the same SNMP-named counters into the observability registry
-/// (gauge scope = node name). No-op when `obs` is disabled, so samplers can
-/// call it unconditionally.
-pub fn sample_host_obs(obs: &comma_obs::Obs, node: &str, host: &Host, uptime_secs: i64) {
-    if !obs.is_enabled() {
-        return;
-    }
-    let c = host.counters;
-    let set = |var: &'static str, v: f64| obs.gauge(node, var, v);
-    set("sysUpTime", uptime_secs as f64);
-    set("ipInReceives", c.ip_in_receives as f64);
-    set("ipInDelivers", c.ip_in_delivers as f64);
-    set("ipOutRequests", c.ip_out_requests as f64);
-    set("ipInDiscards", c.ip_in_discards as f64);
-    set("udpInDatagrams", c.udp_in_datagrams as f64);
-    set("udpNoPorts", c.udp_no_ports as f64);
-    set("udpOutDatagrams", c.udp_out_datagrams as f64);
-    set("tcpInSegs", c.tcp_in_segs as f64);
-    set("tcpOutSegs", c.tcp_out_segs as f64);
-    set("tcpActiveOpens", c.tcp_active_opens as f64);
-    set("tcpPassiveOpens", c.tcp_passive_opens as f64);
-    set("tcpEstabResets", c.tcp_estab_resets as f64);
-    set("tcpCurrEstab", host.curr_estab() as f64);
-    set("tcpRetransSegs", host.retrans_segs() as f64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +98,6 @@ mod tests {
     #[test]
     fn set_get_roundtrip() {
         let mut hub = MetricsHub::new();
-        assert!(hub.is_empty());
         hub.set("proxy", "wireless.up", Value::Long(1));
         hub.set_indexed("proxy", "ifInOctets", 2, Value::Long(500));
         assert_eq!(hub.get("proxy", "wireless.up"), Some(&Value::Long(1)));
@@ -138,7 +107,6 @@ mod tests {
         );
         assert_eq!(hub.get("proxy", "ifInOctets"), None, "index 0 distinct");
         assert_eq!(hub.get("other", "wireless.up"), None);
-        assert_eq!(hub.len(), 2);
     }
 
     #[test]

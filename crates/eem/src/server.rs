@@ -70,12 +70,6 @@ impl EemServer {
         }
     }
 
-    /// Overrides the periodic-update interval (in check ticks of 1 s).
-    pub fn with_update_every(mut self, ticks: u32) -> Self {
-        self.update_every = ticks.max(1);
-        self
-    }
-
     fn sample(&self, var_num: u16, index: u32) -> Option<Value> {
         let spec = vars::by_num(var_num)?;
         self.hub

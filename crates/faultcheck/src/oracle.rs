@@ -109,6 +109,11 @@ pub struct OracleConfig {
     /// The true TCP endpoints: `(node, its address)`. Transmissions by any
     /// other node (relays) are not treated as endpoint emissions.
     pub endpoints: Vec<(NodeId, Ipv4Addr)>,
+    /// Addresses of true endpoints hosted by another simulator (a peer
+    /// shard): flows between an endpoint here and one of these are
+    /// tracked, from this side only. Without them a per-shard oracle
+    /// would see no flow with both ends known and check nothing.
+    pub remote_endpoints: Vec<Ipv4Addr>,
     /// Enable strict-mode findings (V7 payload identity, V8 ack
     /// provenance) in the report. Set to `false` when a registered service
     /// legitimately rewrites payloads or sequence spaces.
@@ -131,6 +136,7 @@ impl OracleConfig {
     pub fn new(endpoints: Vec<(NodeId, Ipv4Addr)>) -> Self {
         OracleConfig {
             endpoints,
+            remote_endpoints: Vec::new(),
             strict: true,
             max_stream_bytes: 1 << 20,
             max_violations: 200,
@@ -364,6 +370,7 @@ impl Oracle {
 
     fn is_endpoint_addr(&self, addr: Ipv4Addr) -> bool {
         self.cfg.endpoints.iter().any(|(_, a)| *a == addr)
+            || self.cfg.remote_endpoints.contains(&addr)
     }
 
     fn push_violation(

@@ -13,8 +13,6 @@ enum ChurnEvent {
     Flap { at: SimTime, down_for: SimDuration },
     /// Set the channels' bandwidth at `at`.
     BandwidthStep { at: SimTime, bps: u64 },
-    /// Set the channels' one-way latency at `at`.
-    LatencyStep { at: SimTime, latency: SimDuration },
 }
 
 /// A deterministic fault plan: per-packet fault models (reorder, duplicate,
@@ -100,12 +98,6 @@ impl FaultPlan {
         self
     }
 
-    /// Scripts a one-way latency change at `at`.
-    pub fn latency_step(mut self, at: SimTime, latency: SimDuration) -> Self {
-        self.churn.push(ChurnEvent::LatencyStep { at, latency });
-        self
-    }
-
     /// Returns `true` when the plan injects nothing at all.
     pub fn is_noop(&self) -> bool {
         self.cfg.is_noop() && self.churn.is_empty()
@@ -158,13 +150,6 @@ impl FaultPlan {
                     sim.at(at, move |sim| {
                         for ch in &chs {
                             sim.set_link_bandwidth(*ch, bps);
-                        }
-                    });
-                }
-                ChurnEvent::LatencyStep { at, latency } => {
-                    sim.at(at, move |sim| {
-                        for ch in &chs {
-                            sim.channel_mut(*ch).params.latency = latency;
                         }
                     });
                 }

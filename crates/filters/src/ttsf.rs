@@ -118,11 +118,6 @@ impl Ttsf {
         }
     }
 
-    /// The service's name (for reports).
-    pub fn service_name(&self) -> &'static str {
-        self.service.name()
-    }
-
     /// Net wireless bytes saved so far.
     pub fn bytes_saved(&self) -> i64 {
         self.stats.in_bytes as i64 - self.stats.out_bytes as i64

@@ -131,11 +131,7 @@ pub fn build_scenario(cfg: &McConfig) -> McWorld {
         world.sp(cmd);
     }
     world.attach_oracle();
-    let mut observer = world
-        .sim
-        .take_packet_observer()
-        .expect("attach_oracle installed an observer");
-    if let Some(oracle) = observer.as_any().downcast_mut::<Oracle>() {
+    world.sim.with_packet_observer(|oracle: &mut Oracle| {
         // Duplicate/reorder fault placements legitimately break delivered-
         // ACK monotonicity (V6), so that check is relaxed only when the
         // fault budget can actually inject them; a fault-free exploration
@@ -144,8 +140,7 @@ pub fn build_scenario(cfg: &McConfig) -> McWorld {
         // The default chain rewrites payload bytes; strict identity checks
         // (V7/V8) are legitimately inapplicable.
         oracle.set_strict(false);
-    }
-    world.sim.set_packet_observer(observer);
+    });
     let proxy = world.proxy;
     McWorld {
         sim: world.sim,
@@ -187,22 +182,14 @@ pub fn arm_mutations(sim: &mut Simulator, proxy: NodeId) {
 /// 2. every live TTSF edit map's structural invariants
 ///    ([`comma_filters::EditMap::check_invariants`]) on the proxy.
 pub fn check_invariants(sim: &mut Simulator, proxy: NodeId) -> Option<String> {
-    if let Some(mut observer) = sim.take_packet_observer() {
-        let found = observer.as_any().downcast_mut::<Oracle>().and_then(|o| {
-            if o.live_violations() > 0 {
-                Some(
-                    o.first_live_violation()
-                        .map(|v| v.to_string())
-                        .unwrap_or_else(|| "oracle violation (records capped)".to_string()),
-                )
-            } else {
-                None
-            }
-        });
-        sim.set_packet_observer(observer);
-        if let Some(v) = found {
-            return Some(format!("oracle: {v}"));
-        }
+    let found = sim.with_packet_observer(|o: &mut Oracle| {
+        (o.live_violations() > 0).then(|| match o.first_live_violation() {
+            Some(v) => format!("oracle: {v}"),
+            None => "oracle: oracle violation (records capped)".to_string(),
+        })
+    });
+    if let Some(violation) = found.flatten() {
+        return Some(violation);
     }
     sim.with_node::<ServiceProxy, _>(proxy, |sp| {
         let errs = comma_filters::editmap_errors(&mut sp.engine, "editmap");

@@ -251,11 +251,6 @@ impl ForeignAgent {
         }
     }
 
-    /// Number of visiting mobiles.
-    pub fn visitor_count(&self) -> usize {
-        self.visitors.len()
-    }
-
     fn forward(&mut self, ctx: &mut NodeCtx<'_>, mut pkt: Packet) {
         if let Some(iface) = forward_step(ctx, &self.table, &mut pkt) {
             ctx.send(iface, pkt);

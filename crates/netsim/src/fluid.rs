@@ -167,12 +167,6 @@ impl FluidConfig {
         self.arrival_ramp = ramp;
         self
     }
-
-    /// Returns `self` with the given epoch quantum (floored to 1 µs).
-    pub fn with_quantum(mut self, quantum: SimDuration) -> Self {
-        self.quantum = quantum;
-        self
-    }
 }
 
 /// One background user: a fixed demand and an on/off toggle.

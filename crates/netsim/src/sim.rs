@@ -23,7 +23,7 @@ use crate::node::{IfaceId, Node, NodeCtx, NodeId};
 use crate::packet::Packet;
 use crate::sched::{TimerHandle, TimerWheel, WheelStats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{DropReason, Trace, TraceEvent};
+use crate::trace::{DropReason, Trace};
 
 /// Mixes a (world seed, stable key, salt) triple into an RNG stream seed.
 ///
@@ -57,7 +57,7 @@ pub trait PacketObserver {
     fn on_tx(&mut self, now: SimTime, node: NodeId, pkt: &Packet);
     /// `pkt` is being dispatched into `node` at `now`.
     fn on_deliver(&mut self, now: SimTime, node: NodeId, pkt: &Packet);
-    /// Typed access for retrieval via [`Simulator::take_packet_observer`].
+    /// Typed access for [`Simulator::with_packet_observer`].
     fn as_any(&mut self) -> &mut dyn std::any::Any;
     /// Deep copy for [`Simulator::snapshot`]. Observers that do not opt in
     /// (the default) make worlds containing them unsnapshottable.
@@ -264,13 +264,6 @@ impl Simulator {
         self.faults[ch.0] = Some(FaultState::new(cfg, fault_seed));
     }
 
-    /// Removes any fault configuration from one directed channel.
-    pub fn clear_link_faults(&mut self, ch: ChannelId) {
-        if let Some(slot) = self.faults.get_mut(ch.0) {
-            *slot = None;
-        }
-    }
-
     /// Fault counters of a channel, when faults are installed on it.
     pub fn fault_stats(&self, ch: ChannelId) -> Option<FaultStats> {
         self.faults.get(ch.0)?.as_ref().map(|f| f.stats)
@@ -377,6 +370,13 @@ impl Simulator {
         self.observer.take()
     }
 
+    /// Runs `f` on the installed packet observer, borrowed in place as a
+    /// `T`; `None` (and nothing run) when no observer is installed or it
+    /// is not a `T`.
+    pub fn with_packet_observer<T: 'static, R>(&mut self, f: impl FnOnce(&mut T) -> R) -> Option<R> {
+        self.observer.as_mut()?.as_any().downcast_mut::<T>().map(f)
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -421,15 +421,23 @@ impl Simulator {
     ) -> (ChannelId, ChannelId) {
         let a_iface = IfaceId(self.node_meta[a.0].ifaces.len());
         let b_iface = IfaceId(self.node_meta[b.0].ifaces.len());
-        let ch_ab = ChannelId(self.channels.len());
-        self.channels.push(Channel::new(a, b, b_iface, ab));
-        self.ch_scopes.push(format!("ch{}", ch_ab.0));
-        let ch_ba = ChannelId(self.channels.len());
-        self.channels.push(Channel::new(b, a, a_iface, ba));
-        self.ch_scopes.push(format!("ch{}", ch_ba.0));
+        let ch_ab = self.add_channel(Channel::new(a, b, b_iface, ab));
+        let ch_ba = self.add_channel(Channel::new(b, a, a_iface, ba));
         self.node_meta[a.0].ifaces.push(ch_ab);
         self.node_meta[b.0].ifaces.push(ch_ba);
         (ch_ab, ch_ba)
+    }
+
+    fn add_channel(&mut self, ch: Channel) -> ChannelId {
+        let id = ChannelId(self.channels.len());
+        self.channels.push(ch);
+        self.ch_scopes.push(format!("ch{}", id.0));
+        id
+    }
+
+    /// The loss-RNG stream of the keyed link `key` in direction `salt`.
+    fn loss_stream(&self, key: u64, salt: u64) -> Option<SmallRng> {
+        Some(SmallRng::seed_from_u64(stream_seed(self.seed, key, salt)))
     }
 
     /// [`Simulator::connect`] with per-channel loss-RNG streams derived
@@ -447,12 +455,8 @@ impl Simulator {
         key: u64,
     ) -> (ChannelId, ChannelId) {
         let (ch_ab, ch_ba) = self.connect(a, b, ab, ba);
-        self.channels[ch_ab.0].loss_rng = Some(SmallRng::seed_from_u64(stream_seed(
-            self.seed, key, 0,
-        )));
-        self.channels[ch_ba.0].loss_rng = Some(SmallRng::seed_from_u64(stream_seed(
-            self.seed, key, 1,
-        )));
+        self.channels[ch_ab.0].loss_rng = self.loss_stream(key, 0);
+        self.channels[ch_ba.0].loss_rng = self.loss_stream(key, 1);
         (ch_ab, ch_ba)
     }
 
@@ -481,19 +485,11 @@ impl Simulator {
         egress_salt: u64,
     ) -> (ChannelId, ChannelId) {
         let iface = IfaceId(self.node_meta[local.0].ifaces.len());
-        let eg = ChannelId(self.channels.len());
         let mut eg_ch = Channel::new(local, local, iface, egress);
-        eg_ch.loss_rng = Some(SmallRng::seed_from_u64(stream_seed(
-            self.seed,
-            key,
-            egress_salt,
-        )));
+        eg_ch.loss_rng = self.loss_stream(key, egress_salt);
         eg_ch.remote = Some(boundary);
-        self.channels.push(eg_ch);
-        self.ch_scopes.push(format!("ch{}", eg.0));
-        let ing = ChannelId(self.channels.len());
-        self.channels.push(Channel::new(local, local, iface, ingress));
-        self.ch_scopes.push(format!("ch{}", ing.0));
+        let eg = self.add_channel(eg_ch);
+        let ing = self.add_channel(Channel::new(local, local, iface, ingress));
         self.node_meta[local.0].ifaces.push(eg);
         (eg, ing)
     }
@@ -539,20 +535,9 @@ impl Simulator {
         &self.channels[id.0]
     }
 
-    /// The observability scope name of a channel (`"ch<N>"`), matching the
-    /// scopes used for link counters and drop events.
-    pub fn channel_scope(&self, id: ChannelId) -> &str {
-        &self.ch_scopes[id.0]
-    }
-
     /// Returns a channel mutably (for parameter changes).
     pub fn channel_mut(&mut self, id: ChannelId) -> &mut Channel {
         &mut self.channels[id.0]
-    }
-
-    /// Looks up the outgoing channel for a node interface.
-    pub fn channel_of(&self, node: NodeId, iface: IfaceId) -> Option<ChannelId> {
-        self.node_meta.get(node.0)?.ifaces.get(iface.0).copied()
     }
 
     /// Typed access to a node's internals (panics if the node is currently
@@ -618,17 +603,15 @@ impl Simulator {
         self.transmit(node, iface, pkt);
     }
 
-    /// Delivers a packet directly to a node (bypassing any link), as if it
-    /// arrived on `iface`. Used by tests and by tools.
-    pub fn deliver_direct(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
-        self.dispatch_packet(node, iface, pkt);
-    }
-
     fn push(&mut self, time: SimTime, event: Event) {
         self.sched.schedule(time, event);
     }
 
-    fn ensure_started(&mut self) {
+    /// Runs every node's `on_start` hook now (idempotent; every run method
+    /// calls it). The sharded runner calls this before its first
+    /// synchronization round so [`Simulator::next_event_time`] sees the
+    /// events start-up generates.
+    pub fn start(&mut self) {
         if self.started {
             return;
         }
@@ -636,13 +619,6 @@ impl Simulator {
         for i in 0..self.nodes.len() {
             self.dispatch(NodeId(i), |node, ctx| node.on_start(ctx));
         }
-    }
-
-    /// Runs every node's `on_start` hook now (idempotent). The sharded
-    /// runner calls this before its first synchronization round so
-    /// [`Simulator::next_event_time`] sees the events start-up generates.
-    pub fn start(&mut self) {
-        self.ensure_started();
     }
 
     /// Time of the earliest pending event, or `None` when the queue is
@@ -655,7 +631,7 @@ impl Simulator {
     /// Runs until the event queue is empty or `horizon` is reached, leaving
     /// `now` at the horizon (or at the last event if the queue drained).
     pub fn run_until(&mut self, horizon: SimTime) {
-        self.ensure_started();
+        self.start();
         while let Some((time, event)) = self.sched.pop_due(horizon) {
             self.now = time;
             self.handle(event);
@@ -664,16 +640,9 @@ impl Simulator {
         self.obs_sched_gauges();
     }
 
-    /// Runs until the queue drains or `horizon` is reached; returns the
-    /// time of the last processed event.
-    pub fn run_until_idle(&mut self, horizon: SimTime) -> SimTime {
-        self.run_until(horizon);
-        self.now
-    }
-
     /// Processes a single event; returns its time, or `None` if idle.
     pub fn step(&mut self) -> Option<SimTime> {
-        self.ensure_started();
+        self.start();
         let (time, event) = self.sched.pop()?;
         self.now = time;
         self.handle(event);
@@ -710,27 +679,11 @@ impl Simulator {
     /// the sharded-vs-single-shard golden digests) compare these lines:
     /// with unique node names the rendering is partition-invariant.
     pub fn render_trace_named(&self) -> Vec<(u64, String)> {
+        let name = |id: NodeId| self.node_meta[id.0].name.as_str();
         self.trace
             .entries()
             .iter()
-            .map(|e| {
-                let name = |id: &NodeId| self.node_meta[id.0].name.as_str();
-                let line = match &e.event {
-                    TraceEvent::Tx { node, summary } => {
-                        format!("{} TX {}", name(node), summary)
-                    }
-                    TraceEvent::Rx { node, summary } => {
-                        format!("{} RX {}", name(node), summary)
-                    }
-                    TraceEvent::Drop {
-                        node,
-                        reason,
-                        summary,
-                    } => format!("{} DROP({}) {}", name(node), reason, summary),
-                    TraceEvent::Log { node, msg } => format!("{} {}", name(node), msg),
-                };
-                (e.time.as_micros(), line)
-            })
+            .map(|e| (e.time.as_micros(), e.event.line(name)))
             .collect()
     }
 
@@ -787,38 +740,52 @@ impl Simulator {
         self.fx_timers = timers;
     }
 
-    fn dispatch_packet(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
-        let summary_node = node;
-        self.trace.rx(self.now, summary_node, || pkt.summary());
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_deliver(self.now, node, &pkt);
-        }
-        self.dispatch(node, |n, ctx| n.on_packet(ctx, iface, pkt));
-    }
-
-    /// Records one link-level drop into the registry and flight recorder.
-    fn obs_link_drop(&self, ch_id: ChannelId, key: &'static str, reason: &'static str, len: usize) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let scope = &self.ch_scopes[ch_id.0];
-        self.obs.inc(scope, key);
-        self.obs.event(
-            self.now.as_micros(),
-            scope,
-            "link.drop",
-            fields!(reason = reason, len = len),
-        );
-    }
-
-    fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
-        let Some(&ch_id) = self.node_meta[node.0].ifaces.get(iface.0) else {
-            self.trace.drop_pkt(self.now, node, DropReason::NoRoute, || pkt.summary());
+    /// The one place a link-level drop is recorded: the trace line, the
+    /// channel's `ChannelStats` field, the `link.drop.*` counter and the
+    /// flight-recorder event all derive from `reason`. `ch` is `None` only
+    /// for a packet sent on an interface with no channel behind it.
+    fn drop_packet(&mut self, ch: Option<ChannelId>, node: NodeId, reason: DropReason, pkt: &Packet) {
+        self.trace.drop_pkt(self.now, node, reason, || pkt.summary());
+        let Some(ch) = ch else {
             if self.obs.is_enabled() {
                 self.obs
                     .inc(&self.node_meta[node.0].name, "link.drop.no_route");
             }
             return;
+        };
+        let stats = &mut self.channels[ch.0].stats;
+        let (key, tag) = match reason {
+            DropReason::QueueFull => {
+                stats.queue_drops += 1;
+                ("link.drop.queue_full", "queue_full")
+            }
+            DropReason::Loss => {
+                stats.loss_drops += 1;
+                ("link.drop.loss", "loss")
+            }
+            DropReason::LinkDown => {
+                stats.down_drops += 1;
+                ("link.drop.down", "down")
+            }
+            // Counted by the channel's `FaultStats`.
+            DropReason::Corrupt => ("link.drop.corrupt", "corrupt"),
+            other => unreachable!("{other} is not a link-level drop"),
+        };
+        if self.obs.is_enabled() {
+            let scope = &self.ch_scopes[ch.0];
+            self.obs.inc(scope, key);
+            self.obs.event(
+                self.now.as_micros(),
+                scope,
+                "link.drop",
+                fields!(reason = tag, len = pkt.wire_len()),
+            );
+        }
+    }
+
+    fn transmit(&mut self, node: NodeId, iface: IfaceId, pkt: Packet) {
+        let Some(&ch_id) = self.node_meta[node.0].ifaces.get(iface.0) else {
+            return self.drop_packet(None, node, DropReason::NoRoute, &pkt);
         };
         self.trace.tx(self.now, node, || pkt.summary());
         if let Some(obs) = self.observer.as_mut() {
@@ -827,25 +794,16 @@ impl Simulator {
         if self.obs.is_enabled() {
             self.obs.inc(&self.ch_scopes[ch_id.0], "link.offered");
         }
-        let now = self.now;
         let ch = &mut self.channels[ch_id.0];
         ch.stats.offered_pkts += 1;
         if !ch.params.up {
-            ch.stats.down_drops += 1;
-            let len = pkt.wire_len();
-            self.trace.drop_pkt(self.now, node, DropReason::LinkDown, || pkt.summary());
-            self.obs_link_drop(ch_id, "link.drop.down", "down", len);
-            return;
+            return self.drop_packet(Some(ch_id), node, DropReason::LinkDown, &pkt);
         }
         if ch.busy {
-            let len = pkt.wire_len();
-            if ch.enqueue(now, pkt.clone()) {
-                if self.obs.is_enabled() {
-                    self.obs.inc(&self.ch_scopes[ch_id.0], "link.enqueued");
-                }
-            } else {
-                self.trace.drop_pkt(self.now, node, DropReason::QueueFull, || pkt.summary());
-                self.obs_link_drop(ch_id, "link.drop.queue_full", "queue_full", len);
+            if !ch.enqueue(self.now, pkt.clone()) {
+                self.drop_packet(Some(ch_id), node, DropReason::QueueFull, &pkt);
+            } else if self.obs.is_enabled() {
+                self.obs.inc(&self.ch_scopes[ch_id.0], "link.enqueued");
             }
             return;
         }
@@ -889,13 +847,9 @@ impl Simulator {
             (lost, down, ch.params.latency, ch.src_node)
         };
         if down {
-            self.channels[ch_id.0].stats.down_drops += 1;
-            self.trace.drop_pkt(self.now, src_node, DropReason::LinkDown, || pkt.summary());
-            self.obs_link_drop(ch_id, "link.drop.down", "down", len);
+            self.drop_packet(Some(ch_id), src_node, DropReason::LinkDown, &pkt);
         } else if lost {
-            self.channels[ch_id.0].stats.loss_drops += 1;
-            self.trace.drop_pkt(self.now, src_node, DropReason::Loss, || pkt.summary());
-            self.obs_link_drop(ch_id, "link.drop.loss", "loss", len);
+            self.drop_packet(Some(ch_id), src_node, DropReason::Loss, &pkt);
         } else {
             let mut pkt = pkt;
             let mut at = self.now + latency;
@@ -920,8 +874,7 @@ impl Simulator {
                 }
             }
             if !deliver {
-                self.trace.drop_pkt(self.now, src_node, DropReason::Corrupt, || pkt.summary());
-                self.obs_link_drop(ch_id, "link.drop.corrupt", "corrupt", len);
+                self.drop_packet(Some(ch_id), src_node, DropReason::Corrupt, &pkt);
             } else if let Some(boundary) = self.channels[ch_id.0].remote {
                 // Boundary egress: the packet survived this side's link
                 // semantics (loss, faults); export it to the peer shard
@@ -960,17 +913,10 @@ impl Simulator {
     }
 
     fn deliver(&mut self, ch_id: ChannelId, pkt: Packet) {
-        let (dst_node, dst_iface, up) = {
-            let ch = &self.channels[ch_id.0];
-            (ch.dst_node, ch.dst_iface, ch.params.up)
-        };
-        if !up {
-            let src = self.channels[ch_id.0].src_node;
-            self.channels[ch_id.0].stats.down_drops += 1;
-            let len = pkt.wire_len();
-            self.trace.drop_pkt(self.now, src, DropReason::LinkDown, || pkt.summary());
-            self.obs_link_drop(ch_id, "link.drop.down", "down", len);
-            return;
+        let ch = &self.channels[ch_id.0];
+        let (src_node, dst_node, dst_iface) = (ch.src_node, ch.dst_node, ch.dst_iface);
+        if !ch.params.up {
+            return self.drop_packet(Some(ch_id), src_node, DropReason::LinkDown, &pkt);
         }
         let len = pkt.wire_len();
         let now = self.now;
@@ -980,7 +926,11 @@ impl Simulator {
             self.obs.inc(scope, "link.delivered_pkts");
             self.obs.add(scope, "link.delivered_bytes", len as u64);
         }
-        self.dispatch_packet(dst_node, dst_iface, pkt);
+        self.trace.rx(self.now, dst_node, || pkt.summary());
+        if let Some(obs) = self.observer.as_mut() {
+            obs.on_deliver(self.now, dst_node, &pkt);
+        }
+        self.dispatch(dst_node, |n, ctx| n.on_packet(ctx, dst_iface, pkt));
     }
 
     // ------------------------------------------------------------------
@@ -1111,7 +1061,7 @@ impl Simulator {
     /// means the world is quiescent. Runs `on_start` hooks if the world
     /// has not started yet.
     pub fn mc_options(&mut self) -> Vec<McOption> {
-        self.ensure_started();
+        self.start();
         let n = self.sched.due_batch_len();
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
@@ -1137,7 +1087,7 @@ impl Simulator {
     /// overtaken by whatever happens next (a plain deliver when nothing
     /// else is pending).
     pub fn mc_step(&mut self, index: usize, action: McAction) -> Result<(), String> {
-        self.ensure_started();
+        self.start();
         let is_delivery = match self.sched.peek_due_nth(index) {
             Some((_, ev)) => matches!(ev, Event::Deliver { .. }),
             None => return Err(format!("mc_step: no due event at index {index}")),
@@ -1155,7 +1105,7 @@ impl Simulator {
                 };
                 self.events_processed += 1;
                 let src = self.channels[channel.0].src_node;
-                self.trace.drop_pkt(self.now, src, DropReason::Loss, || pkt.summary());
+                self.drop_packet(Some(channel), src, DropReason::Loss, &pkt);
             }
             McAction::Duplicate => {
                 let Event::Deliver { channel, pkt } = &event else {
@@ -1400,6 +1350,42 @@ mod tests {
         let (mut sim, a, _) = two_node_sim(LinkParams::wired(), LinkParams::wired());
         sim.inject(a, IfaceId(7), ping("10.0.0.1", "10.0.0.2", 0, 10));
         assert_eq!(sim.trace.counters.drops, 1);
+    }
+
+    #[test]
+    fn mc_drop_is_counted_like_any_loss_and_not_hashed() {
+        let (mut sim, a, b) = two_node_sim(LinkParams::wired(), LinkParams::wired());
+        sim.inject(a, IfaceId(0), ping("10.0.0.1", "10.0.0.2", 0, 10));
+        sim.step().expect("tx completes");
+        assert!(sim.mc_options()[0].is_delivery);
+        sim.mc_step(0, McAction::Drop).unwrap();
+        assert_eq!(sim.with_node::<Ponger, _>(b, |p| p.received.len()), 0);
+        assert_eq!(sim.channel(ChannelId(0)).stats.loss_drops, 1);
+        assert_eq!(sim.channel(ChannelId(1)).stats.loss_drops, 0);
+        // ChannelStats are diagnostics: the uncounted world hashes equal.
+        let counted = sim.state_hash();
+        sim.channel_mut(ChannelId(0)).stats.loss_drops = 0;
+        assert_eq!(sim.state_hash(), counted);
+    }
+
+    #[test]
+    fn with_packet_observer_is_typed_and_leaves_the_observer_installed() {
+        struct Count(u64);
+        impl PacketObserver for Count {
+            fn on_tx(&mut self, _: SimTime, _: NodeId, _: &Packet) {
+                self.0 += 1;
+            }
+            fn on_deliver(&mut self, _: SimTime, _: NodeId, _: &Packet) {}
+            fn as_any(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let (mut sim, a, _) = two_node_sim(LinkParams::wired(), LinkParams::wired());
+        assert_eq!(sim.with_packet_observer(|c: &mut Count| c.0), None, "none attached");
+        sim.set_packet_observer(Box::new(Count(0)));
+        assert_eq!(sim.with_packet_observer(|p: &mut Ponger| p.received.len()), None, "wrong type");
+        sim.inject(a, IfaceId(0), ping("10.0.0.1", "10.0.0.2", 0, 10));
+        assert_eq!(sim.with_packet_observer(|c: &mut Count| c.0), Some(1), "still installed");
     }
 
     #[test]

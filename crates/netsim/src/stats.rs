@@ -2,6 +2,8 @@
 //! statistics, used by the EEM samplers, Kati's netload view, and the
 //! experiment harness.
 
+use comma_rt::ShedVec;
+
 use crate::time::{SimDuration, SimTime};
 
 /// A bucketed accumulator: values recorded within the same fixed-width time
@@ -11,8 +13,7 @@ pub struct TimeSeries {
     bucket: SimDuration,
     current_start: SimTime,
     current_sum: f64,
-    samples: Vec<(SimTime, f64)>,
-    max_samples: usize,
+    samples: ShedVec<(SimTime, f64)>,
     enabled: bool,
 }
 
@@ -23,8 +24,7 @@ impl TimeSeries {
             bucket,
             current_start: SimTime::ZERO,
             current_sum: 0.0,
-            samples: Vec::new(),
-            max_samples: 100_000,
+            samples: ShedVec::new(100_000),
             enabled: true,
         }
     }
@@ -37,11 +37,6 @@ impl TimeSeries {
     /// consumers (Kati's netload view, the EEM samplers) leave it on.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-    }
-
-    /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Returns the bucket width.
@@ -69,24 +64,16 @@ impl TimeSeries {
             return;
         }
         while now >= self.current_start + self.bucket {
-            self.push_sample(self.current_start, self.current_sum);
+            self.samples.push((self.current_start, self.current_sum));
             self.current_start += self.bucket;
             self.current_sum = 0.0;
         }
-    }
-
-    fn push_sample(&mut self, start: SimTime, sum: f64) {
-        if self.samples.len() >= self.max_samples {
-            self.samples.remove(0);
-        }
-        self.samples.push((start, sum));
     }
 
     /// Returns the completed samples as `(bucket_start, sum)` pairs.
     pub fn samples(&self) -> &[(SimTime, f64)] {
         &self.samples
     }
-
 }
 
 /// Online summary statistics (count/mean/min/max and population variance via

@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use comma_rt::ShedVec;
+
 use crate::node::NodeId;
 use crate::time::SimTime;
 
@@ -78,6 +80,23 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// The event's display line, its node rendered by `label`: by id within
+    /// one simulator ([`Trace::render`]), by name across shards.
+    pub fn line<D: fmt::Display>(&self, label: impl Fn(NodeId) -> D) -> String {
+        match self {
+            TraceEvent::Tx { node, summary } => format!("{} TX {}", label(*node), summary),
+            TraceEvent::Rx { node, summary } => format!("{} RX {}", label(*node), summary),
+            TraceEvent::Drop {
+                node,
+                reason,
+                summary,
+            } => format!("{} DROP({}) {}", label(*node), reason, summary),
+            TraceEvent::Log { node, msg } => format!("{} {}", label(*node), msg),
+        }
+    }
+}
+
 /// A timestamped trace entry.
 #[derive(Clone, Debug)]
 pub struct TraceEntry {
@@ -99,13 +118,18 @@ pub struct TraceCounters {
 }
 
 /// The shared trace: counters plus an optional bounded entry log.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Trace {
     /// Aggregate counters.
     pub counters: TraceCounters,
-    entries: Vec<TraceEntry>,
+    entries: ShedVec<TraceEntry>,
     capture: bool,
-    max_entries: usize,
+}
+
+impl Default for Trace {
+    fn default() -> Self {
+        Trace::new()
+    }
 }
 
 impl Trace {
@@ -113,9 +137,8 @@ impl Trace {
     pub fn new() -> Self {
         Trace {
             counters: TraceCounters::default(),
-            entries: Vec::new(),
+            entries: ShedVec::new(100_000),
             capture: false,
-            max_entries: 100_000,
         }
     }
 
@@ -131,14 +154,14 @@ impl Trace {
 
     /// Limits the number of retained entries (oldest dropped first).
     pub fn set_max_entries(&mut self, max: usize) {
-        self.max_entries = max;
+        self.entries.set_cap(max);
     }
 
     /// Records a transmission.
     pub fn tx(&mut self, time: SimTime, node: NodeId, summary: impl FnOnce() -> String) {
         self.counters.tx += 1;
         if self.capture {
-            self.push(TraceEntry {
+            self.entries.push(TraceEntry {
                 time,
                 event: TraceEvent::Tx {
                     node,
@@ -152,7 +175,7 @@ impl Trace {
     pub fn rx(&mut self, time: SimTime, node: NodeId, summary: impl FnOnce() -> String) {
         self.counters.rx += 1;
         if self.capture {
-            self.push(TraceEntry {
+            self.entries.push(TraceEntry {
                 time,
                 event: TraceEvent::Rx {
                     node,
@@ -172,7 +195,7 @@ impl Trace {
     ) {
         self.counters.drops += 1;
         if self.capture {
-            self.push(TraceEntry {
+            self.entries.push(TraceEntry {
                 time,
                 event: TraceEvent::Drop {
                     node,
@@ -186,19 +209,11 @@ impl Trace {
     /// Records a log line (always captured when capture is on).
     pub fn log(&mut self, time: SimTime, node: NodeId, msg: String) {
         if self.capture {
-            self.push(TraceEntry {
+            self.entries.push(TraceEntry {
                 time,
                 event: TraceEvent::Log { node, msg },
             });
         }
-    }
-
-    fn push(&mut self, entry: TraceEntry) {
-        if self.entries.len() >= self.max_entries {
-            let excess = self.entries.len() + 1 - self.max_entries;
-            self.entries.drain(..excess);
-        }
-        self.entries.push(entry);
     }
 
     /// Returns the captured entries.
@@ -206,32 +221,12 @@ impl Trace {
         &self.entries
     }
 
-    /// Clears captured entries (counters are kept).
-    pub fn clear_entries(&mut self) {
-        self.entries.clear();
-    }
-
     /// Renders entries matching `filter` as display lines.
     pub fn render<F: Fn(&TraceEntry) -> bool>(&self, filter: F) -> Vec<String> {
         self.entries
             .iter()
             .filter(|e| filter(e))
-            .map(|e| match &e.event {
-                TraceEvent::Tx { node, summary } => {
-                    format!("{} n{} TX {}", e.time, node.0, summary)
-                }
-                TraceEvent::Rx { node, summary } => {
-                    format!("{} n{} RX {}", e.time, node.0, summary)
-                }
-                TraceEvent::Drop {
-                    node,
-                    reason,
-                    summary,
-                } => {
-                    format!("{} n{} DROP({}) {}", e.time, node.0, reason, summary)
-                }
-                TraceEvent::Log { node, msg } => format!("{} n{} {}", e.time, node.0, msg),
-            })
+            .map(|e| format!("{} {}", e.time, e.event.line(|n| format!("n{}", n.0))))
             .collect()
     }
 }

@@ -1,7 +1,12 @@
-//! `comma-obs`: the unified observability layer for the Comma
-//! reproduction — one instrumentation API where there used to be four
-//! (`netsim::trace` packet events, `netsim::stats::TimeSeries`, EEM hub
-//! variables, and `FilterCtx::log` strings).
+//! `comma-obs`: the metrics registry and flight recorder of the Comma
+//! reproduction. It replaced `FilterCtx::log` strings outright; four other
+//! recorders still stand beside it, each with its own reader:
+//! `netsim::Trace` (packet lines — golden digests, `Oracle::replay_trace`,
+//! the benchmark's ledger), `netsim::stats::TimeSeries` (per-channel rate series —
+//! Kati's `netload`), `proxy::EngineLog` + `EngineStats`/`InstanceStats`
+//! (the SP's `report`/`log`, §5.3), and the EEM `MetricsHub` (execution-
+//! environment variables — EEM servers, `kati> eem`, the filters'
+//! `HubMetrics`; no longer mirrored here).
 //!
 //! Three pieces, one handle:
 //!
@@ -255,11 +260,6 @@ impl Obs {
     /// Number of events evicted because the ring was full.
     pub fn dropped_events(&self) -> u64 {
         self.inner.borrow().recorder.dropped()
-    }
-
-    /// Resizes the flight-recorder ring (evicting oldest as needed).
-    pub fn set_event_capacity(&self, cap: usize) {
-        self.inner.borrow_mut().recorder.set_capacity(cap);
     }
 
     /// Clears all metrics and events (the enabled flag is untouched).

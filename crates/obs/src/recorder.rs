@@ -119,14 +119,6 @@ impl Recorder {
         self.buf.push_back(ev);
     }
 
-    pub(crate) fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap.max(1);
-        while self.buf.len() > self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }

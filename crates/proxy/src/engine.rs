@@ -16,7 +16,7 @@
 //!   the member list as an `Rc<[usize]>` (refcount bump per packet, no
 //!   `Vec` clone) behind a registration-generation stamp (no per-packet
 //!   wild-card scan);
-//! - capability diffing takes a [`PacketSnap`] — header fields by value
+//! - capability diffing takes a `PacketSnap` — header fields by value
 //!   plus the payload's `Bytes` handle — instead of cloning the packet per
 //!   filter; payload change detection is a pointer/length identity check
 //!   with an FNV-1a digest fallback, never a byte-by-byte compare of
@@ -36,7 +36,7 @@ use comma_netsim::packet::{
 use comma_netsim::time::SimTime;
 use comma_obs::Obs;
 use comma_rt::digest::fnv1a;
-use comma_rt::{Bytes, SmallRng};
+use comma_rt::{Bytes, ShedVec, SmallRng};
 
 use crate::filter::{Capabilities, Filter, FilterCtx, MetricsSource, Priority, Verdict};
 use crate::flow::FlowTable;
@@ -183,12 +183,12 @@ struct Instance {
 /// reports, filter events, teardown notices) up to a cap, counting what it
 /// sheds — a violation-heavy stream must not grow memory without bound.
 ///
-/// Dereferences to `[String]`, so indexing, slicing, and iteration read
-/// like the plain `Vec<String>` it replaces.
+/// Dereferences to `[String]` — the retained lines, oldest first — so
+/// indexing, slicing, and iteration read like the plain `Vec<String>` it
+/// replaces.
 #[derive(Clone, Debug)]
 pub struct EngineLog {
-    lines: Vec<String>,
-    max_entries: usize,
+    lines: ShedVec<String>,
     dropped: u64,
 }
 
@@ -199,8 +199,7 @@ impl EngineLog {
     /// Creates an empty log with the default cap.
     pub fn new() -> Self {
         EngineLog {
-            lines: Vec::new(),
-            max_entries: Self::DEFAULT_MAX_ENTRIES,
+            lines: ShedVec::new(Self::DEFAULT_MAX_ENTRIES),
             dropped: 0,
         }
     }
@@ -208,37 +207,17 @@ impl EngineLog {
     /// Limits the number of retained lines (oldest dropped first, like
     /// `Trace::set_max_entries`). A cap of zero is treated as one.
     pub fn set_max_entries(&mut self, max: usize) {
-        self.max_entries = max.max(1);
-        if self.lines.len() > self.max_entries {
-            let excess = self.lines.len() - self.max_entries;
-            self.lines.drain(..excess);
-            self.dropped += excess as u64;
-        }
+        self.dropped += self.lines.set_cap(max) as u64;
     }
 
     /// Appends a line, shedding the oldest if at capacity.
     pub fn push(&mut self, line: String) {
-        if self.lines.len() >= self.max_entries {
-            let excess = self.lines.len() + 1 - self.max_entries;
-            self.lines.drain(..excess);
-            self.dropped += excess as u64;
-        }
-        self.lines.push(line);
+        self.dropped += self.lines.push(line) as u64;
     }
 
     /// How many lines have been shed to stay under the cap.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The retained lines, oldest first.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Clears retained lines (the dropped count is kept).
-    pub fn clear(&mut self) {
-        self.lines.clear();
     }
 }
 
@@ -496,11 +475,6 @@ impl FilterEngine {
             .flatten()
             .find(|i| &*i.kind == kind)
             .and_then(|i| i.filter.as_any().downcast_mut::<T>())
-    }
-
-    /// Accounting for one instance.
-    pub fn instance_stats(&self, id: usize) -> Option<InstanceStats> {
-        self.instances.get(id)?.as_ref().map(|i| i.stats)
     }
 
     // ------------------------------------------------------------------
@@ -1315,13 +1289,13 @@ mod tests {
         assert_eq!(log.len(), 3, "retention is capped");
         assert_eq!(log.dropped(), 7, "shed lines are counted");
         assert_eq!(
-            log.lines(),
+            &log[..],
             &["line 7".to_string(), "line 8".to_string(), "line 9".to_string()],
             "most-recent lines are kept, oldest shed first"
         );
         // Lowering the cap trims immediately.
         log.set_max_entries(1);
-        assert_eq!(log.lines(), &["line 9".to_string()]);
+        assert_eq!(&log[..], &["line 9".to_string()]);
         assert_eq!(log.dropped(), 9);
         // Deref keeps Vec-style call sites working.
         assert!(log.iter().any(|l| l.contains("line 9")));

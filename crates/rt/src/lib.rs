@@ -13,13 +13,14 @@
 //!   stays allocation-free on the hot path;
 //! - [`prop`]: a minimal seeded property-test runner (generate, iterate,
 //!   failure-seed reporting) powering `tests/properties.rs`;
-//! - [`bench`]: a tiny benchmark harness (warmup, calibrated iterations,
+//! - [`mod@bench`]: a tiny benchmark harness (warmup, calibrated iterations,
 //!   median/p95 reporting) keeping the bench crate runnable;
 //! - [`json`]: the one report writer ([`Json`], render-only) behind
 //!   `BENCH_macro.json`, `BENCH.json` and `BENCH_mc.json`.
 //!
 //! Plus [`digest`], a small FNV-1a hasher used by the determinism tests to
-//! fingerprint traces, and [`alloc`], a counting global-allocator harness
+//! fingerprint traces, [`shed`], the shed-oldest retention policy of every
+//! capped log ([`ShedVec`]), and [`alloc`], a counting global-allocator harness
 //! (feature `alloc-stats`) that lets benches and CI assert
 //! allocations-per-event budgets instead of guessing.
 //!
@@ -47,11 +48,13 @@ pub mod digest;
 pub mod json;
 pub mod prop;
 pub mod rng;
+pub mod shed;
 
 pub use bytes::{Bytes, BytesMut};
 pub use digest::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use json::Json;
 pub use rng::{Rng, SeedableRng, SmallRng};
+pub use shed::ShedVec;
 
 /// Mirror of `rand::rngs` so call sites migrate with an import swap.
 pub mod rngs {

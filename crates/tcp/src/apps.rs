@@ -195,8 +195,6 @@ pub struct BulkSender {
     pub finished_at: Option<SimTime>,
     /// Byte value pattern generator (deterministic, compressible or not).
     pattern: fn(usize) -> u8,
-    start_after: SimDuration,
-    cfg: Option<TcpConfig>,
 }
 
 impl BulkSender {
@@ -212,26 +210,12 @@ impl BulkSender {
             started_at: None,
             finished_at: None,
             pattern: |i| (i % 251) as u8,
-            start_after: SimDuration::ZERO,
-            cfg: None,
         }
-    }
-
-    /// Delays the connection attempt.
-    pub fn with_start_after(mut self, delay: SimDuration) -> Self {
-        self.start_after = delay;
-        self
     }
 
     /// Uses a custom byte pattern (e.g. highly compressible text).
     pub fn with_pattern(mut self, pattern: fn(usize) -> u8) -> Self {
         self.pattern = pattern;
-        self
-    }
-
-    /// Uses a custom TCP configuration for the connection.
-    pub fn with_config(mut self, cfg: TcpConfig) -> Self {
-        self.cfg = Some(cfg);
         self
     }
 
@@ -258,23 +242,10 @@ impl App for BulkSender {
     }
 
     fn on_start(&mut self, ctx: &mut AppCtx) {
-        if self.start_after == SimDuration::ZERO {
-            ctx.op(AppOp::Connect {
-                remote: self.remote,
-                cfg: self.cfg.clone(),
-            });
-        } else {
-            ctx.timer(self.start_after, 0);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut AppCtx, _token: u64) {
-        if self.sock.is_none() {
-            ctx.op(AppOp::Connect {
-                remote: self.remote,
-                cfg: self.cfg.clone(),
-            });
-        }
+        ctx.op(AppOp::Connect {
+            remote: self.remote,
+            cfg: None,
+        });
     }
 
     fn on_connected(&mut self, ctx: &mut AppCtx, sock: SocketId) {

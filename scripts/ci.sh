@@ -9,7 +9,7 @@
 # (`comma_bench::snapshot::Snapshot::gates`, `crates/mc/examples/mc_ci.rs`),
 # and this script never opens a report file. Run from the repository root:
 #
-#   ./scripts/ci.sh          # build + tests (+ clippy when installed)
+#   ./scripts/ci.sh          # build + tests + rustdoc (+ clippy when installed)
 #   ./scripts/ci.sh faults   # also gate on the fault/conformance suite
 #   ./scripts/ci.sh bench    # also smoke the benches and gate the macrobench
 #   ./scripts/ci.sh shard    # also gate the sharded-runner determinism suite
@@ -27,6 +27,9 @@ cargo test -q --offline --workspace
 
 echo "== frozen benchmark package (its view of the public API) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== rustdoc (a doc link to a deleted or private item fails the build) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== clippy =="

@@ -62,3 +62,17 @@ fn proxy_packet_path_is_allocation_free_after_warmup() {
          {steady} times (after {warm} warmup allocations)"
     );
 }
+
+#[test]
+fn hub_metrics_lookup_is_allocation_free() {
+    use comma_repro::core::HubMetrics;
+    use comma_repro::eem::{MetricsHub, Value};
+    use comma_repro::proxy::filter::MetricsSource;
+    let hub = MetricsHub::shared();
+    hub.borrow_mut().set("sp", "wireless.qlen", Value::Long(9));
+    let metrics = HubMetrics::new(hub, "sp");
+    let scope = comma_rt::alloc::AllocScope::begin();
+    assert_eq!(metrics.get("wireless.qlen"), Some(9.0), "present variable");
+    assert_eq!(metrics.get("absent"), None, "absent variable");
+    assert_eq!(scope.delta().allocs, 0, "a hub lookup must borrow its key");
+}

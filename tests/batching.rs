@@ -174,7 +174,7 @@ fn run(pkts: &[Packet], seed: u64, chunk: Option<usize>) -> RunResult {
         survivors: out.iter().map(wire::encode).collect(),
         dropped: dropped.iter().map(ident).collect(),
         totals: format!("{:?}", engine.totals),
-        log: engine.log.lines().to_vec(),
+        log: engine.log.to_vec(),
         next_draw: rng.gen(),
     }
 }

@@ -747,6 +747,53 @@ fn histogram_bucket_counts_sum_to_sample_count() {
 }
 
 // ---------------------------------------------------------------------
+// ShedVec: the shared shed-oldest policy ≡ the log that shifts per shed.
+// ---------------------------------------------------------------------
+
+/// After any interleaving of pushes and cap changes (caps 1/2/3/64, lowered
+/// and raised mid-stream) the retained slice and the shed count equal the
+/// naive reference that `remove(0)`s one item at a time.
+#[test]
+fn shed_vec_matches_naive_remove_front_reference() {
+    use comma_repro::rt::ShedVec;
+    const CAPS: [usize; 4] = [1, 2, 3, 64];
+    Runner::new("shed_vec_matches_naive_remove_front_reference")
+        .cases(200)
+        .run(
+            |rng| {
+                // `Some(cap)` changes the cap, `None` pushes the next item.
+                let ops = gen::vec_of(rng, 0..400, |rng| {
+                    gen::option(rng, 0.05, |rng| CAPS[gen::index(rng, 4)])
+                });
+                (CAPS[gen::index(rng, 4)], ops)
+            },
+            |(cap, ops)| {
+                let (mut log, mut naive, mut naive_cap) = (ShedVec::new(*cap), Vec::new(), *cap);
+                let (mut shed, mut naive_shed) = (0usize, 0usize);
+                for (i, op) in ops.iter().enumerate() {
+                    match op {
+                        Some(cap) => {
+                            shed += log.set_cap(*cap);
+                            naive_cap = *cap;
+                        }
+                        None => {
+                            shed += log.push(i) as usize;
+                            naive.push(i);
+                        }
+                    }
+                    while naive.len() > naive_cap {
+                        naive.remove(0);
+                        naive_shed += 1;
+                    }
+                    ensure_eq!(&log[..], &naive[..], "retained slice after op {i}");
+                    ensure_eq!(shed, naive_shed, "shed count after op {i}");
+                }
+                Ok(())
+            },
+        );
+}
+
+// ---------------------------------------------------------------------
 // Snoop: demand-driven ticks ≡ the tick that never stops.
 // ---------------------------------------------------------------------
 

@@ -177,6 +177,34 @@ fn single_shard_escape_hatch_delivers() {
     assert_eq!(world.cell_name(0), "solo");
 }
 
+/// One oracle lifecycle behind both builds: the partitioned build's
+/// per-shard reports merge to the segment total the single-shard oracle
+/// reports (each emission checked where it is sent, each delivery where it
+/// lands), with every cross-shard flow tracked once from each end.
+#[test]
+fn oracle_report_totals_match_single_shard_vs_partitioned() {
+    let report = |single: bool| {
+        let mut builder = TopologyBuilder::new(9).workers(2);
+        for cell in ["a", "b"] {
+            let spec = CellSpec::new(cell).transfer(9000, 20_000);
+            builder = builder.cell(spec.filter("add tcp 0.0.0.0 0 {mobile} 0"));
+        }
+        if single {
+            builder = builder.single_shard();
+        }
+        let mut world = builder.build().expect("valid topology");
+        world.attach_oracle();
+        world.run_until(SimTime::from_secs(20));
+        let report = world.oracle_report();
+        assert!(report.is_clean(), "{}", report.render());
+        report
+    };
+    let (single, split) = (report(true), report(false));
+    assert!(single.segments_checked > 100, "the transfers were observed");
+    assert_eq!(split.segments_checked, single.segments_checked);
+    assert_eq!((single.flows, split.flows), (2, 4));
+}
+
 /// The sharded runner exposes `shard.*` gauges through the merged Obs
 /// surface.
 #[test]
