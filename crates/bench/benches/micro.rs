@@ -113,7 +113,7 @@ fn bench_engine(bench: &mut Bench) {
 fn bench_flow_table(bench: &mut Bench) {
     use comma_proxy::flow::FlowTable;
     use comma_proxy::StreamKey;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     let mut g = bench.group("flow-table");
     let mut table = FlowTable::new();
@@ -128,7 +128,7 @@ fn bench_flow_table(bench: &mut Bench) {
         })
         .collect();
     for key in &keys {
-        table.entry(*key).members = Rc::from(vec![0, 1, 2, 3]);
+        table.entry(*key).members = Arc::from(vec![0, 1, 2, 3]);
     }
     let mut i = 0usize;
     g.bench("flow_table_lookup", || {

@@ -113,7 +113,7 @@ fn run(style: &str) -> (u64, u64) {
     for t in 0..=100u64 {
         let hub = hub.clone();
         sim.at(SimTime::from_secs(t), move |_| {
-            let mut h = hub.borrow_mut();
+            let mut h = hub.lock().unwrap();
             h.set("gw", "cpuLoadAvg", Value::Double((t % 10) as f64 / 10.0));
             h.set("gw", "netLatency", Value::Double(5.0 + (t / 5) as f64));
             h.set("gw", "bytes_rx", Value::Long((t / 5) as i64 * 1000));

@@ -476,7 +476,7 @@ pub fn sharded_alloc_probe(shards: usize, workers: usize, seed: u64) -> (u64, u6
     let mut plan = ShardPlan::new(seed, latency);
     for i in 0..shards {
         let prev = ((i + shards - 1) % shards) as u32;
-        plan.add_shard(move |sim| {
+        plan.add_shard(|sim| {
             let node = sim.add_node_keyed(
                 Box::new(
                     TickNode::new(
@@ -493,7 +493,7 @@ pub fn sharded_alloc_probe(shards: usize, workers: usize, seed: u64) -> (u64, u6
             let (_, ingress) =
                 sim.connect_boundary(node, i as u32, wired.clone(), wired, 500 + i as u64, 0);
             sim.set_record_series(false);
-            ShardWiring::new().ingress(prev, ingress)
+            (ShardWiring::new().ingress(prev, ingress), ())
         });
     }
     for i in 0..shards {
@@ -959,9 +959,10 @@ pub fn metro_trace_digest(
     world.trace_digest()
 }
 
-/// The sharded churn workload: every cell's wireless link runs the
-/// standard [`churn_plan`] (per-cell seed) with the conformance oracle
-/// attached to every shard; panics on any violation or incomplete flow.
+/// The sharded churn workload: every cell's wireless link runs the one
+/// standard [`churn_plan`] (each cell draws its own stream from it) with
+/// the conformance oracle attached to every shard; panics on any violation
+/// or incomplete flow.
 pub fn run_sharded_churn(
     cells: usize,
     flows_per_cell: usize,
@@ -991,7 +992,7 @@ pub fn run_sharded_churn(
             .filter("add snoop 0.0.0.0 0 {mobile} 0")
             .filter("add wsize 0.0.0.0 0 {mobile} 0 scale 90")
             .filter("add tcp 0.0.0.0 0 {mobile} 0")
-            .fault_plan(churn_plan(seed ^ 0xc4e7 ^ (c as u64) << 32));
+            .fault_plan(churn_plan(seed ^ 0xc4e7));
         for f in 0..flows_per_cell {
             spec = spec.transfer(9000 + f as u16, bytes_per_flow);
         }

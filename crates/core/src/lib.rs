@@ -185,7 +185,7 @@ mod tests {
             vec![Box::new(Sink::new(9000))],
         );
         world.run_until(SimTime::from_secs(5));
-        let hub = world.hub.borrow();
+        let hub = world.hub.lock().unwrap();
         assert!(hub.get("sp", "wireless.up").is_some());
         assert!(hub.get("wired", "tcpOutSegs").is_some());
         assert!(hub.get("mobile", "tcpInSegs").is_some());

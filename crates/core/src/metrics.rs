@@ -2,7 +2,7 @@
 //! proxy-side [`MetricsSource`] adapter and the periodic sampling loop
 //! that plays the role of the thesis's SNMP daemons and kernel counters.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use comma_eem::{hub::sample_host, SharedHub, Value};
 use comma_netsim::link::ChannelId;
@@ -38,7 +38,7 @@ impl MetricsSource for HubMetrics {
     }
 
     fn get(&self, var: &str) -> Option<f64> {
-        self.hub.borrow().get(&self.node, var)?.as_f64()
+        self.hub.lock().expect("a hub writer panicked").get(&self.node, var)?.as_f64()
     }
 }
 
@@ -58,27 +58,27 @@ pub struct SamplerSpec {
 /// Installs a self-rescheduling sampling loop on the simulator; the first
 /// sample is taken now, so metrics exist at t≈0.
 pub fn install_sampler(sim: &mut Simulator, spec: SamplerSpec) {
-    tick(sim, Rc::new(spec));
+    tick(sim, Arc::new(spec));
 }
 
-fn tick(sim: &mut Simulator, spec: Rc<SamplerSpec>) {
+fn tick(sim: &mut Simulator, spec: Arc<SamplerSpec>) {
     sample(sim, &spec);
     sim.at(sim.now() + spec.period, move |sim| tick(sim, spec));
 }
 
 fn sample(sim: &mut Simulator, spec: &SamplerSpec) {
     let uptime = sim.now().as_secs_f64() as i64;
+    let mut hub = spec.hub.lock().expect("a hub writer panicked");
     for (node, name) in &spec.hosts {
         // Hosts may be wrapped (MobileHost); sample only direct hosts here,
         // wrapped ones are sampled by their own integration.
         if let Some(h) = sim.node_mut::<Host>(*node) {
-            sample_host(&mut spec.hub.borrow_mut(), name, h, uptime);
+            sample_host(&mut hub, name, h, uptime);
         }
     }
     if let Some((down, up, name)) = &spec.wireless {
         let ch = sim.channel(*down);
         let up_state = ch.params.up && sim.channel(*up).params.up;
-        let mut hub = spec.hub.borrow_mut();
         let mut set = |var: &str, v: i64| hub.set(name, var, Value::Long(v));
         set("wireless.up", i64::from(up_state));
         set("wireless.qlen", ch.queued_bytes as i64);
@@ -102,8 +102,8 @@ mod tests {
     #[test]
     fn hub_metrics_adapter() {
         let hub = MetricsHub::shared();
-        hub.borrow_mut().set("sp", "wireless.up", Value::Long(1));
-        hub.borrow_mut()
+        hub.lock().unwrap().set("sp", "wireless.up", Value::Long(1));
+        hub.lock().unwrap()
             .set("sp", "note", Value::Str("text".into()));
         let m = HubMetrics::new(hub, "sp");
         assert_eq!(m.get("wireless.up"), Some(1.0));
@@ -130,20 +130,20 @@ mod tests {
         let sink = world.mobile_app_ids[0];
         let top_layer = |w: &mut CommaWorld| w.mobile_app(sink, |s: &mut MediaSink| s.received_by_layer[2]);
         world.run_until(SimTime::from_millis(250));
-        assert_eq!(world.hub.borrow().get("sp", "wireless.up"), Some(&Value::Long(1)));
-        assert!(world.hub.borrow().get("wired", "tcpOutSegs").is_some());
+        assert_eq!(world.hub.lock().unwrap().get("sp", "wireless.up"), Some(&Value::Long(1)));
+        assert!(world.hub.lock().unwrap().get("wired", "tcpOutSegs").is_some());
         assert_eq!(top_layer(&mut world), 0, "link up: hdiscard sheds layer 2");
 
-        world.hub.borrow_mut().set("sp", "wireless.up", Value::Long(0));
+        world.hub.lock().unwrap().set("sp", "wireless.up", Value::Long(0));
         world.run_until(SimTime::from_millis(295));
         assert!(top_layer(&mut world) > 0, "filters read the hub, not a stale mirror");
 
         // The next sample republishes the link's real state, up or down.
         world.run_until(SimTime::from_millis(350));
-        assert_eq!(world.hub.borrow().get("sp", "wireless.up"), Some(&Value::Long(1)));
+        assert_eq!(world.hub.lock().unwrap().get("sp", "wireless.up"), Some(&Value::Long(1)));
         world.sim.channel_mut(world.wireless_ch.0).params.up = false;
         world.run_until(SimTime::from_millis(450));
-        assert_eq!(world.hub.borrow().get("sp", "wireless.up"), Some(&Value::Long(0)));
+        assert_eq!(world.hub.lock().unwrap().get("sp", "wireless.up"), Some(&Value::Long(0)));
 
         let export = world.obs.export_jsonl();
         for node in ["wired", "mobile", "sp"] {

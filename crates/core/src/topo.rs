@@ -259,132 +259,82 @@ impl TopologyBuilder {
 
         let mut plan = ShardPlan::new(self.seed, lookahead);
         let n_cells = self.cells.len();
-        let cell_names: Vec<String> = self.cells.iter().map(|c| c.name.clone()).collect();
+        let backbone = &self.backbone;
 
-        let (mut runner, cells) = if self.single {
-            let cells = self.cells;
-            let backbone = self.backbone.clone();
-            // The one shard is shard 0, so the handles are built in place.
-            let shard = plan.add_shard(move |sim| {
-                let handles: Vec<CellHandle> = cells
-                    .iter()
-                    .enumerate()
-                    .map(|(i, spec)| {
-                        // The wired host goes in first so NodeId order
-                        // matches the backbone variant's dispatch order.
-                        let wired = build_wired_host(sim, i, spec);
-                        let (tag, _) = build_cell(sim, i, spec, |sim, sp| {
-                            let link = cell_keys(i).wired_link;
-                            sim.connect_keyed(wired, sp, backbone.clone(), backbone.clone(), link)
-                        });
-                        CellHandle {
-                            shard: 0,
-                            wired_shard: 0,
-                            wired,
-                            tag,
-                        }
-                    })
-                    .collect();
-                ShardWiring::new().with_tag(Box::new(handles))
+        let cells: Vec<CellHandle> = if self.single {
+            let (_, handles) = plan.add_shard(|sim| {
+                let handles = self.cells.iter().enumerate().map(|(i, spec)| {
+                    // The wired host goes in first so NodeId order matches
+                    // the backbone variant's dispatch order.
+                    let wired = build_wired_host(sim, i, spec);
+                    let (handle, _) = build_cell(sim, i, spec, 0, (0, wired), |sim, sp| {
+                        let link = cell_keys(i).wired_link;
+                        sim.connect_keyed(wired, sp, backbone.clone(), backbone.clone(), link)
+                    });
+                    handle
+                });
+                (ShardWiring::new(), handles.collect())
             });
-            debug_assert_eq!(shard, 0);
-            let mut runner = ShardedSimulator::new(plan, self.workers);
-            let handles = *runner
-                .take_tag(shard)
-                .downcast::<Vec<CellHandle>>()
-                .expect("single-shard tag");
-            (runner, handles)
+            handles
         } else {
             // Shards 0..B: the wired backbone, split round-robin (cell
             // i's wired host in backbone shard i % B). Shards B..B+n:
             // one per cell. Boundary ids: cell i uses 2i (backbone →
             // cell) and 2i+1 (cell → backbone), independent of the split.
             let b_count = self.backbone_shards.clamp(1, n_cells);
-            let mut backbone_shards = Vec::with_capacity(b_count);
+            // `cell → (backbone shard, wired host)`, filled as the
+            // backbone shards are built.
+            let mut wired = vec![(0, NodeId(0)); n_cells];
             for b in 0..b_count {
-                let backbone_specs: Vec<(usize, CellSpec)> = self
-                    .cells
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .filter(|(i, _)| i % b_count == b)
-                    .collect();
-                let backbone = self.backbone.clone();
-                let shard = plan.add_shard(move |sim| {
+                let (shard, ()) = plan.add_shard(|sim| {
                     let mut wiring = ShardWiring::new();
-                    let mut wired_hosts: Vec<NodeId> = Vec::new();
-                    for (i, spec) in &backbone_specs {
-                        let wired = build_wired_host(sim, *i, spec);
+                    for (i, spec) in self.cells.iter().enumerate().skip(b).step_by(b_count) {
+                        let host = build_wired_host(sim, i, spec);
                         // Egress = wired → cell proxy: direction salt 0,
                         // like connect_keyed's a→b stream when `a` is the
                         // wired host.
                         let (_, ingress) = sim.connect_boundary(
-                            wired,
-                            down_boundary(*i),
+                            host,
+                            down_boundary(i),
                             backbone.clone(),
                             backbone.clone(),
-                            cell_keys(*i).wired_link,
+                            cell_keys(i).wired_link,
                             0,
                         );
-                        wiring = wiring.ingress(up_boundary(*i), ingress);
-                        wired_hosts.push(wired);
+                        wiring = wiring.ingress(up_boundary(i), ingress);
+                        wired[i] = (b, host);
                     }
-                    wiring.with_tag(Box::new(wired_hosts))
+                    (wiring, ())
                 });
                 debug_assert_eq!(shard, b);
-                backbone_shards.push(shard);
             }
-            let mut cell_shards = Vec::with_capacity(n_cells);
-            for (i, spec) in self.cells.into_iter().enumerate() {
-                let backbone = self.backbone.clone();
-                let shard = plan.add_shard(move |sim| {
+            let cell_shards = self.cells.iter().enumerate().map(|(i, spec)| {
+                let shard = plan.shard_count();
+                let (_, handle) = plan.add_shard(|sim| {
                     // Egress = proxy → backbone: direction salt 1 (the
                     // b→a stream of the same keyed link).
-                    let (tag, (_, ingress)) = build_cell(sim, i, &spec, |sim, sp| {
-                        let link = cell_keys(i).wired_link;
-                        sim.connect_boundary(sp, up_boundary(i), backbone.clone(), backbone, link, 1)
-                    });
-                    ShardWiring::new()
-                        .ingress(down_boundary(i), ingress)
-                        .with_tag(Box::new(tag))
+                    let (handle, (_, ingress)) =
+                        build_cell(sim, i, spec, shard, wired[i], |sim, sp| {
+                            let link = cell_keys(i).wired_link;
+                            let (up, down) = (backbone.clone(), backbone.clone());
+                            sim.connect_boundary(sp, up_boundary(i), up, down, link, 1)
+                        });
+                    (ShardWiring::new().ingress(down_boundary(i), ingress), handle)
                 });
-                cell_shards.push(shard);
-                let bshard = backbone_shards[i % b_count];
-                plan.declare_boundary(bshard, shard);
-                plan.declare_boundary(shard, bshard);
-            }
-            let mut runner = ShardedSimulator::new(plan, self.workers);
-            let wired_hosts: Vec<Vec<NodeId>> = backbone_shards
-                .iter()
-                .map(|&s| {
-                    *runner
-                        .take_tag(s)
-                        .downcast::<Vec<NodeId>>()
-                        .expect("backbone tag")
-                })
-                .collect();
-            let handles = cell_shards
-                .iter()
-                .enumerate()
-                .map(|(i, &shard)| CellHandle {
-                    shard,
-                    wired_shard: backbone_shards[i % b_count],
-                    wired: wired_hosts[i % b_count][i / b_count],
-                    tag: *runner
-                        .take_tag(shard)
-                        .downcast::<CellTag>()
-                        .expect("cell tag"),
-                })
-                .collect();
-            (runner, handles)
+                plan.declare_boundary(wired[i].0, shard);
+                plan.declare_boundary(shard, wired[i].0);
+                handle
+            });
+            cell_shards.collect()
         };
+        let mut runner = ShardedSimulator::new(plan, self.workers);
         if !self.record_series {
             runner.set_record_series(false);
         }
         Ok(ShardedWorld {
             runner,
             cells,
-            names: cell_names,
+            names: self.cells.into_iter().map(|c| c.name).collect(),
             fault_reorders,
         })
     }
@@ -434,13 +384,6 @@ fn cell_addrs(cell: usize) -> (Ipv4Addr, Ipv4Addr, Ipv4Addr) {
     )
 }
 
-struct CellTag {
-    sp: NodeId,
-    mobile: NodeId,
-    sinks: Vec<AppId>,
-    wireless: (ChannelId, ChannelId),
-}
-
 /// Builds cell `i`'s wired host, with one [`BulkSender`] per transfer, into
 /// `sim` — the cell's own shard in a single-shard build, a backbone shard
 /// otherwise.
@@ -455,15 +398,18 @@ fn build_wired_host(sim: &mut Simulator, cell: usize, spec: &CellSpec) -> NodeId
 }
 
 /// Builds one cell — proxy, mobile host, wireless link, filters, faults —
-/// into `sim`. `wire_proxy` attaches the freshly added proxy to its wired
-/// host (a local link or a boundary link to the backbone shard); whatever
-/// it returns is handed back beside the tag.
+/// into `sim`, which is shard `shard`; the cell's wired host already exists
+/// as `wired = (shard, node)`. `wire_proxy` attaches the freshly added
+/// proxy to it (a local link or a boundary link to the backbone shard);
+/// whatever it returns is handed back beside the handle.
 fn build_cell<W>(
     sim: &mut Simulator,
     cell: usize,
     spec: &CellSpec,
+    shard: usize,
+    wired: (usize, NodeId),
     wire_proxy: impl FnOnce(&mut Simulator, NodeId) -> W,
-) -> (CellTag, W) {
+) -> (CellHandle, W) {
     let keys = cell_keys(cell);
     let (wired_addr, proxy_addr, mobile_addr) = cell_addrs(cell);
 
@@ -480,6 +426,7 @@ fn build_cell<W>(
         sim.seed() ^ keys.proxy_node,
     );
     sp.set_metrics(Box::new(HubMetrics::new(hub, "sp")));
+    sp.set_obs(sim.obs.clone());
     let sp_id = sim.add_node_keyed(Box::new(sp), keys.proxy_node);
 
     // Wired side first, so the proxy's iface 0 is the wired-facing one in
@@ -517,16 +464,23 @@ fn build_cell<W>(
     }
 
     if let Some(plan) = &spec.fault_plan {
-        plan.apply(sim, &[wireless.0, wireless.1]);
+        // Keyed like the link itself, not by the shard-local channel ids,
+        // so a plan draws the same stream for this cell in any partitioning
+        // and a different one for every other cell.
+        let key = 2 * keys.wireless_link;
+        plan.apply(sim, &[(wireless.0, key), (wireless.1, key + 1)]);
     }
 
-    let tag = CellTag {
+    let handle = CellHandle {
+        shard,
+        wired_shard: wired.0,
+        wired: wired.1,
         sp: sp_id,
         mobile: mobile_id,
         sinks,
         wireless,
     };
-    (tag, wired_link)
+    (handle, wired_link)
 }
 
 /// One built cell's handles.
@@ -534,7 +488,10 @@ struct CellHandle {
     shard: usize,
     wired_shard: usize,
     wired: NodeId,
-    tag: CellTag,
+    sp: NodeId,
+    mobile: NodeId,
+    sinks: Vec<AppId>,
+    wireless: (ChannelId, ChannelId),
 }
 
 /// A multi-cell deployment running on the sharded runner.
@@ -593,21 +550,17 @@ impl ShardedWorld {
     /// Executes an SP console command on a cell's proxy.
     pub fn sp(&mut self, cell: usize, line: &str) -> String {
         let h = &self.cells[cell];
-        let (shard, sp) = (h.shard, h.tag.sp);
         let now = self.runner.now();
-        let line = line.to_string();
-        self.runner.with_shard(shard, move |sim| {
-            sim.with_node::<ServiceProxy, _>(sp, move |p| p.exec(now, &line))
-        })
+        self.runner
+            .with_shard(h.shard, |sim| sim.with_node::<ServiceProxy, _>(h.sp, |p| p.exec(now, line)))
     }
 
     /// Bytes received by one cell's sinks, in transfer order.
     pub fn delivered_bytes(&mut self, cell: usize) -> Vec<u64> {
         let h = &self.cells[cell];
-        let (shard, mobile, sinks) = (h.shard, h.tag.mobile, h.tag.sinks.clone());
-        self.runner.with_shard(shard, move |sim| {
-            sim.with_node::<Host, _>(mobile, move |host| {
-                sinks
+        self.runner.with_shard(h.shard, |sim| {
+            sim.with_node::<Host, _>(h.mobile, |host| {
+                h.sinks
                     .iter()
                     .map(|&s| host.app_mut::<Sink>(s).bytes_received as u64)
                     .collect()
@@ -654,8 +607,8 @@ impl ShardedWorld {
     /// time.
     pub fn set_wireless_up_at(&mut self, cell: usize, t: SimTime, up: bool) {
         let h = &self.cells[cell];
-        let (shard, (d, u)) = (h.shard, h.tag.wireless);
-        self.runner.with_shard(shard, move |sim| {
+        let (d, u) = h.wireless;
+        self.runner.with_shard(h.shard, |sim| {
             sim.at(t, move |sim| {
                 sim.channel_mut(d).params.up = up;
                 sim.channel_mut(u).params.up = up;
@@ -664,22 +617,21 @@ impl ShardedWorld {
     }
 
     /// Typed access to a cell's mobile-host application.
-    pub fn mobile_app<T: 'static, R: Send + 'static>(
+    pub fn mobile_app<T: 'static, R>(
         &mut self,
         cell: usize,
         app: AppId,
-        f: impl FnOnce(&mut T) -> R + Send + 'static,
+        f: impl FnOnce(&mut T) -> R,
     ) -> R {
         let h = &self.cells[cell];
-        let (shard, mobile) = (h.shard, h.tag.mobile);
-        self.runner.with_shard(shard, move |sim| {
-            sim.with_node::<Host, _>(mobile, move |host| f(host.app_mut::<T>(app)))
+        self.runner.with_shard(h.shard, |sim| {
+            sim.with_node::<Host, _>(h.mobile, |host| f(host.app_mut::<T>(app)))
         })
     }
 
     /// The sink app ids of a cell, in transfer order.
     pub fn sink_ids(&self, cell: usize) -> Vec<AppId> {
-        self.cells[cell].tag.sinks.clone()
+        self.cells[cell].sinks.clone()
     }
 
     /// Installs the TCP conformance oracle on every shard, each watching
@@ -704,16 +656,15 @@ impl ShardedWorld {
                 backbone.remote_endpoints.push(mobile_addr);
             }
             let cell = by_shard.entry(h.shard).or_insert_with(empty);
-            cell.endpoints.push((h.tag.mobile, mobile_addr));
+            cell.endpoints.push((h.mobile, mobile_addr));
             if h.shard != h.wired_shard {
                 cell.remote_endpoints.push(wired_addr);
             }
         }
         for (shard, mut cfg) in by_shard {
             cfg.allow_reordered_delivery = reorders;
-            self.runner.with_shard(shard, move |sim| {
-                sim.set_packet_observer(Box::new(Oracle::new(cfg)));
-            });
+            self.runner
+                .with_shard(shard, |sim| sim.set_packet_observer(Box::new(Oracle::new(cfg))));
         }
     }
 
@@ -729,11 +680,10 @@ impl ShardedWorld {
         let mut transformed = false;
         let mut editmap_errs: Vec<String> = Vec::new();
         for (cell, h) in self.cells.iter().enumerate() {
-            let sp = h.tag.sp;
             let label = format!("{}.sp", self.names[cell]);
             let (rewrites, errs) = self
                 .runner
-                .with_shard(h.shard, move |sim| sweep_proxy(sim, sp, &label));
+                .with_shard(h.shard, |sim| sweep_proxy(sim, h.sp, &label));
             transformed |= rewrites;
             editmap_errs.extend(errs);
         }
@@ -750,9 +700,7 @@ impl ShardedWorld {
 
         let mut merged = OracleReport::default();
         for shard in shards {
-            let report = self
-                .runner
-                .with_shard(shard, move |sim| finish_oracle(sim, strict));
+            let report = self.runner.with_shard(shard, |sim| finish_oracle(sim, strict));
             merged.violations.extend(report.violations);
             merged.total_violations += report.total_violations;
             merged.suppressed_strict += report.suppressed_strict;

@@ -316,7 +316,7 @@ impl CommaWorld {
     /// before or after this call).
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let (d, u) = self.wireless_ch;
-        plan.apply(&mut self.sim, &[d, u]);
+        plan.apply(&mut self.sim, &[(d, d.0 as u64), (u, u.0 as u64)]);
         if plan.perturbs_delivery_order() {
             self.fault_reorders = true;
             self.sim

@@ -18,7 +18,7 @@ use crate::proto::{Message, Mode, EEM_PORT};
 use crate::value::Value;
 
 /// Callback invoked for interrupt-style notifications (`comma_setcallback`).
-pub type Callback = Box<dyn FnMut(u32, &Value)>;
+pub type Callback = Box<dyn FnMut(u32, &Value) + Send>;
 
 /// One slot of the protected data area.
 #[derive(Clone, Debug)]
@@ -356,13 +356,12 @@ mod tests {
 
     #[test]
     fn callback_invoked_on_update() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let hits: Rc<RefCell<Vec<(u32, Value)>>> = Rc::default();
+        use std::sync::{Arc, Mutex};
+        let hits: Arc<Mutex<Vec<(u32, Value)>>> = Arc::default();
         let mut client = EemClient::new(5000, "10.0.0.9".parse().unwrap());
         let sink = hits.clone();
         client.set_callback(Box::new(move |reg, v| {
-            sink.borrow_mut().push((reg, v.clone()))
+            sink.lock().unwrap().push((reg, v.clone()))
         }));
         let mut ctx = AppCtx::new(SimTime::ZERO);
         let reg = client
@@ -378,7 +377,7 @@ mod tests {
             5000,
             upd.encode().as_bytes(),
         );
-        assert_eq!(hits.borrow().len(), 1);
+        assert_eq!(hits.lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //! The thesis's EEM reads SNMP daemons and kernel statistics; here the same
 //! role is played by a hub that samplers fill from simulator state (host
 //! counters, channel statistics, synthetic load). The hub is shared
-//! (`Rc<RefCell<_>>`) between the sampling loop, the EEM servers, and
-//! adaptive proxy filters.
+//! (`Arc<Mutex<_>>`, so the world that holds it stays `Send`) between the
+//! sampling loop, the EEM servers, and adaptive proxy filters.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use comma_tcp::host::Host;
 
 use crate::value::Value;
 
 /// Shared handle to a [`MetricsHub`].
-pub type SharedHub = Rc<RefCell<MetricsHub>>;
+pub type SharedHub = Arc<Mutex<MetricsHub>>;
 
 /// Current variable values, keyed node name → variable → index so a
 /// lookup borrows its `&str` arguments instead of building an owned key.
@@ -32,7 +31,7 @@ impl MetricsHub {
 
     /// Creates a shared, empty hub.
     pub fn shared() -> SharedHub {
-        Rc::new(RefCell::new(MetricsHub::new()))
+        Arc::new(Mutex::new(MetricsHub::new()))
     }
 
     /// Sets a variable (index 0).

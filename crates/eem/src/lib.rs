@@ -47,7 +47,7 @@ mod integration_tests {
         let client_addr: comma_netsim::addr::Ipv4Addr = "10.0.0.2".parse().unwrap();
 
         let hub = MetricsHub::shared();
-        hub.borrow_mut().set("gw", "sysUpTime", Value::Long(5));
+        hub.lock().unwrap().set("gw", "sysUpTime", Value::Long(5));
 
         let mut server_host = Host::new("gw", server_addr);
         server_host.add_app(Box::new(EemServer::new("gw", hub.clone())));
@@ -73,7 +73,7 @@ mod integration_tests {
         for t in 1..=40u64 {
             let hub = hub.clone();
             sim.at(SimTime::from_secs(t), move |_sim| {
-                hub.borrow_mut()
+                hub.lock().unwrap()
                     .set("gw", "sysUpTime", Value::Long(t as i64));
             });
         }
@@ -101,7 +101,7 @@ mod integration_tests {
         let server_addr: comma_netsim::addr::Ipv4Addr = "10.0.0.1".parse().unwrap();
         let client_addr: comma_netsim::addr::Ipv4Addr = "10.0.0.2".parse().unwrap();
         let hub = MetricsHub::shared();
-        hub.borrow_mut().set("gw", "cpuLoadAvg", Value::Double(0.1));
+        hub.lock().unwrap().set("gw", "cpuLoadAvg", Value::Double(0.1));
 
         let mut server_host = Host::new("gw", server_addr);
         server_host.add_app(Box::new(EemServer::new("gw", hub.clone())));
@@ -128,7 +128,7 @@ mod integration_tests {
 
         let hub2 = hub.clone();
         sim.at(SimTime::from_secs(6), move |_| {
-            hub2.borrow_mut()
+            hub2.lock().unwrap()
                 .set("gw", "cpuLoadAvg", Value::Double(0.95));
         });
         sim.run_until(SimTime::from_secs(9));
@@ -143,7 +143,7 @@ mod integration_tests {
         let server_addr: comma_netsim::addr::Ipv4Addr = "10.0.0.1".parse().unwrap();
         let client_addr: comma_netsim::addr::Ipv4Addr = "10.0.0.2".parse().unwrap();
         let hub = MetricsHub::shared();
-        hub.borrow_mut().set("gw", "bytes_rx", Value::Long(123_456));
+        hub.lock().unwrap().set("gw", "bytes_rx", Value::Long(123_456));
 
         let mut server_host = Host::new("gw", server_addr);
         let srv = server_host.add_app(Box::new(EemServer::new("gw", hub.clone())));

@@ -73,7 +73,8 @@ impl EemServer {
     fn sample(&self, var_num: u16, index: u32) -> Option<Value> {
         let spec = vars::by_num(var_num)?;
         self.hub
-            .borrow()
+            .lock()
+            .expect("a hub writer panicked")
             .get_indexed(&self.node_name, spec.name, index)
             .cloned()
     }

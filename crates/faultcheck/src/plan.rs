@@ -112,23 +112,27 @@ impl FaultPlan {
 
     /// The per-channel fault seed: distinct channels must get distinct RNG
     /// streams or parallel links would fault in lockstep.
-    fn channel_seed(&self, ch: ChannelId) -> u64 {
+    fn channel_seed(&self, key: u64) -> u64 {
         self.seed
-            ^ (ch.0 as u64)
+            ^ key
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add(0x6b75_6d71_7561_7421)
     }
 
-    /// Installs the fault models on every channel in `channels` and
-    /// schedules the churn script against all of them.
-    pub fn apply(&self, sim: &mut Simulator, channels: &[ChannelId]) {
+    /// Installs the fault models on every `(channel, stream key)` pair and
+    /// schedules the churn script against all of the channels. The key
+    /// picks the channel's fault RNG stream: it must be distinct per
+    /// channel across the *whole world* and must not depend on how the
+    /// world is partitioned into simulators (a `ChannelId` is only unique
+    /// within one).
+    pub fn apply(&self, sim: &mut Simulator, channels: &[(ChannelId, u64)]) {
         if !self.cfg.is_noop() {
-            for &ch in channels {
-                sim.install_link_faults(ch, self.cfg.clone(), self.channel_seed(ch));
+            for &(ch, key) in channels {
+                sim.install_link_faults(ch, self.cfg.clone(), self.channel_seed(key));
             }
         }
         for ev in &self.churn {
-            let chs: Vec<ChannelId> = channels.to_vec();
+            let chs: Vec<ChannelId> = channels.iter().map(|&(ch, _)| ch).collect();
             match *ev {
                 ChurnEvent::Flap { at, down_for } => {
                     let chs_up = chs.clone();
@@ -220,7 +224,7 @@ mod tests {
     #[test]
     fn duplicate_plan_delivers_twice() {
         let (mut sim, a, down) = world();
-        FaultPlan::new(5).duplicate(1.0).apply(&mut sim, &[down]);
+        FaultPlan::new(5).duplicate(1.0).apply(&mut sim, &[(down, 0)]);
         sim.inject(a, IfaceId(0), ping(0));
         sim.run_until(SimTime::from_secs(1));
         let b = NodeId(1);
@@ -231,7 +235,7 @@ mod tests {
     #[test]
     fn corrupt_plan_drops_with_corrupt_reason() {
         let (mut sim, a, down) = world();
-        FaultPlan::new(5).corrupt(1.0).apply(&mut sim, &[down]);
+        FaultPlan::new(5).corrupt(1.0).apply(&mut sim, &[(down, 0)]);
         sim.inject(a, IfaceId(0), ping(0));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.with_node::<Counter, _>(NodeId(1), |n| n.received), 0);
@@ -244,7 +248,7 @@ mod tests {
         let (mut sim, a, down) = world();
         FaultPlan::new(5)
             .flap(SimTime::from_millis(100), SimDuration::from_millis(200))
-            .apply(&mut sim, &[down]);
+            .apply(&mut sim, &[(down, 0)]);
         for (i, at) in [(0u16, 50u64), (1, 150), (2, 400)] {
             sim.at(SimTime::from_millis(at), move |sim| {
                 sim.inject(a, IfaceId(0), ping(i));
@@ -265,7 +269,7 @@ mod tests {
             let (mut sim, a, down) = world();
             FaultPlan::new(11)
                 .reorder(1.0, SimDuration::from_millis(50))
-                .apply(&mut sim, &[down]);
+                .apply(&mut sim, &[(down, 0)]);
             for i in 0..4 {
                 sim.inject(a, IfaceId(0), ping(i));
             }
@@ -284,7 +288,7 @@ mod tests {
                 .reorder(0.3, SimDuration::from_millis(10))
                 .duplicate(0.3)
                 .corrupt(0.1)
-                .apply(&mut sim, &[down]);
+                .apply(&mut sim, &[(down, 0)]);
             for i in 0..100 {
                 let at = SimTime::from_millis(i as u64 * 10);
                 sim.at(at, move |sim| sim.inject(a, IfaceId(0), ping(i)));

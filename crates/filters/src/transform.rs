@@ -12,7 +12,7 @@ use crate::appdata::{Frame, FrameKind, FrameParser};
 use crate::codec::Method;
 
 /// A byte-stream rewriting service.
-pub trait StreamTransformer {
+pub trait StreamTransformer: Send {
     /// Service name (diagnostics).
     fn name(&self) -> &'static str;
 

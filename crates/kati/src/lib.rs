@@ -53,7 +53,7 @@ mod tests {
         sim.connect(p, m, LinkParams::wireless(), LinkParams::wireless());
 
         let hub = MetricsHub::shared();
-        hub.borrow_mut().set("sp", "wireless.up", Value::Long(1));
+        hub.lock().unwrap().set("sp", "wireless.up", Value::Long(1));
         let kati = Kati::new(p).with_hub(hub);
         (sim, kati, m)
     }

@@ -355,7 +355,7 @@ impl Kati {
         let Some(hub) = &self.hub else {
             return "kati: no EEM hub attached\n".to_string();
         };
-        match hub.borrow().get(node, var) {
+        match hub.lock().expect("a hub writer panicked").get(node, var) {
             Some(v) => format!("{node}.{var} = {v}\n"),
             None => format!("{node}.{var} = <no value>\n"),
         }

@@ -21,6 +21,7 @@
 //! assert_eq!(sim.now(), SimTime::from_secs(1));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;

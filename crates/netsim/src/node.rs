@@ -26,7 +26,7 @@ pub struct IfaceId(pub usize);
 /// Nodes never touch the simulator directly; all interaction happens through
 /// the [`NodeCtx`] passed to each callback, which keeps dispatch free of
 /// aliasing and makes node logic unit-testable in isolation.
-pub trait Node {
+pub trait Node: Send {
     /// Human-readable name used in traces.
     fn name(&self) -> &str;
 

@@ -45,18 +45,19 @@
 //! # Transfer lanes
 //!
 //! Cross-shard packets travel through per-`(src, dst)`-shard *transfer
-//! lanes*: plain `Vec<XferMsg>` buffers owned one phase at a time. The
-//! source shard's worker appends during window execution; the
-//! destination's worker drains at the next round's ingest; the round's
+//! lanes*: `Mutex<Vec<XferMsg>>` buffers that only one worker touches in
+//! any phase. The source shard's worker appends during window execution;
+//! the destination's worker drains at the next round's ingest; the round's
 //! two barriers (the min-reduction barrier and the post-export barrier)
-//! separate the phases, so the lanes need no locks and no atomics — the
-//! barrier's own mutex provides the happens-before edge. Each lane is
-//! kept `(time, seq)`-sorted at export (appends are already in order
-//! except under reordering fault injection), and ingest performs a k-way
-//! streaming merge across a destination's lanes on `(time, src, seq)` —
-//! identical total order to the old sort-a-fresh-`Vec` inbox, with zero
-//! steady-state allocation: lane capacity, merge scratch, and the export
+//! separate the phases, so every lock is uncontended — the mutex is there
+//! so the compiler can check what the barriers guarantee. Ingest moves a
+//! destination's lanes into one per-worker staging buffer and sorts it on
+//! `(time, src, seq)` unless it already is (one lane's appends are in order
+//! except under reordering fault injection) — a total order, so it is
+//! independent of which lane was drained first. Steady state allocates
+//! nothing: lane capacity, the ingest staging buffer and the export
 //! staging buffer are all retained across windows.
+//!
 //! # Determinism across partitionings
 //!
 //! Worker-count invariance comes from the protocol above. *Partitioning*
@@ -66,19 +67,20 @@
 //! [`Simulator::connect_keyed`], as the partition-aware topology builder
 //! does.
 //!
-//! `Simulator` is intentionally not `Send` (observability handles are
-//! reference-counted), so shards are *built inside* their owning worker
-//! thread from `Send` builder closures and never move; the main thread
-//! talks to them through command channels ([`ShardedSimulator::with_shard`]).
+//! # Ownership
+//!
+//! `Simulator` is `Send`, and the [`ShardedSimulator`] owns every shard as
+//! an ordinary value on the thread that holds the runner. Between runs a
+//! shard is reached with a plain `&mut` ([`ShardedSimulator::with_shard`]);
+//! during [`ShardedSimulator::run_until`] the shards are lent, disjointly,
+//! to scoped worker threads that are joined before the call returns. Worker
+//! 0 is the calling thread, so `workers = 1` spawns nothing.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use comma_obs::Obs;
@@ -95,30 +97,18 @@ pub type BoundaryId = u32;
 const STOP: u64 = u64::MAX;
 
 /// What a shard-builder closure reports back: where each inbound boundary
-/// terminates inside the shard, plus an arbitrary `Send` tag the caller
-/// can retrieve with [`ShardedSimulator::take_tag`] (topology builders use
-/// it to return node/app ids minted during in-thread construction).
+/// terminates inside the shard.
+#[derive(Default)]
 pub struct ShardWiring {
     /// `(boundary id, ingress channel)` pairs: packets exported by peers
     /// under that boundary id are injected on that channel.
     pub ingress: Vec<(BoundaryId, ChannelId)>,
-    /// Caller data produced during construction.
-    pub tag: Box<dyn Any + Send>,
-}
-
-impl Default for ShardWiring {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ShardWiring {
-    /// An empty wiring (no inbound boundaries, unit tag).
+    /// An empty wiring (no inbound boundaries).
     pub fn new() -> Self {
-        ShardWiring {
-            ingress: Vec::new(),
-            tag: Box::new(()),
-        }
+        Self::default()
     }
 
     /// Registers the ingress channel for a boundary (builder-style).
@@ -126,28 +116,23 @@ impl ShardWiring {
         self.ingress.push((boundary, ch));
         self
     }
-
-    /// Attaches caller data (builder-style).
-    pub fn with_tag(mut self, tag: Box<dyn Any + Send>) -> Self {
-        self.tag = tag;
-        self
-    }
 }
-
-/// A closure that builds one shard's contents inside its worker thread.
-pub type ShardBuilder = Box<dyn FnOnce(&mut Simulator) -> ShardWiring + Send + 'static>;
 
 struct BoundaryDecl {
     src_shard: usize,
     dst_shard: usize,
 }
 
-/// A partitioned-topology description: per-shard builder closures plus the
-/// declared boundaries between them. Consumed by [`ShardedSimulator::new`].
+/// A partitioned topology under construction: the shards built so far plus
+/// the declared boundaries between them. Consumed by
+/// [`ShardedSimulator::new`].
 pub struct ShardPlan {
     seed: u64,
     lookahead: SimDuration,
-    builders: Vec<ShardBuilder>,
+    shards: Vec<Simulator>,
+    /// `boundary id → (shard, ingress channel)`, as the builders registered
+    /// them.
+    ingress: HashMap<BoundaryId, (usize, ChannelId)>,
     boundaries: Vec<BoundaryDecl>,
 }
 
@@ -164,29 +149,34 @@ impl ShardPlan {
         ShardPlan {
             seed,
             lookahead,
-            builders: Vec::new(),
+            shards: Vec::new(),
+            ingress: HashMap::new(),
             boundaries: Vec::new(),
         }
     }
 
-    /// The world seed every shard simulator is constructed with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The conservative lookahead window.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// Adds a shard, returning its index. The closure runs once, inside
-    /// the worker thread that owns the shard.
-    pub fn add_shard(
+    /// Adds a shard: `build` runs at once against a fresh simulator and
+    /// returns the shard's wiring plus anything else the caller wants out
+    /// of construction (node and app ids, typically), which is handed back
+    /// beside the shard's index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `build` registers an ingress for a boundary that already
+    /// has one.
+    pub fn add_shard<R>(
         &mut self,
-        builder: impl FnOnce(&mut Simulator) -> ShardWiring + Send + 'static,
-    ) -> usize {
-        self.builders.push(Box::new(builder));
-        self.builders.len() - 1
+        build: impl FnOnce(&mut Simulator) -> (ShardWiring, R),
+    ) -> (usize, R) {
+        let shard = self.shards.len();
+        let mut sim = Simulator::new(self.seed);
+        let (wiring, out) = build(&mut sim);
+        for (b, ch) in wiring.ingress {
+            let prev = self.ingress.insert(b, (shard, ch));
+            assert!(prev.is_none(), "boundary {b} has two ingress registrations");
+        }
+        self.shards.push(sim);
+        (shard, out)
     }
 
     /// Declares a directed boundary from `src_shard` to `dst_shard`,
@@ -205,7 +195,7 @@ impl ShardPlan {
 
     /// Number of shards added so far.
     pub fn shard_count(&self) -> usize {
-        self.builders.len()
+        self.shards.len()
     }
 }
 
@@ -283,32 +273,15 @@ impl PoisonBarrier {
     }
 }
 
-/// One single-writer/single-reader transfer lane between an ordered
-/// `(src, dst)` shard pair: the unlocked replacement for the old
-/// `Mutex<Vec<XferMsg>>` inboxes.
-///
-/// Access is phase-disciplined by the round's barriers, never by a lock:
-///
-/// - **write phase** (window execution → export barrier): only the worker
-///   owning the *source* shard touches the lane, appending exports;
-/// - **read phase** (export barrier → next reduction barrier): only the
-///   worker owning the *destination* shard touches it, draining messages
-///   and `clear()`ing — which retains capacity, so a warmed-up lane never
-///   reallocates.
-///
-/// The export barrier between the phases is a mutex+condvar, so every
-/// write in phase N is visible to the reader in phase N+1 (release on
-/// barrier entry, acquire on exit). The reader finishes before its own
-/// reduction-barrier arrival, which in turn happens before any writer
-/// starts the next window — the two exclusive windows can never overlap.
-struct Lane {
-    buf: UnsafeCell<Vec<XferMsg>>,
+/// Where a boundary's traffic goes.
+struct Route {
+    /// Ingress channel in the destination shard.
+    ingress: ChannelId,
+    /// The shard declared as the boundary's source.
+    src_shard: usize,
+    /// Index of the `(src, dst)` transfer lane.
+    lane: usize,
 }
-
-// SAFETY: see the phase discipline above — at any instant at most one
-// thread holds a reference into `buf`, and phase transitions synchronize
-// through the `PoisonBarrier` mutex.
-unsafe impl Sync for Lane {}
 
 /// State shared by all workers for window synchronization and transfer.
 struct SyncState {
@@ -329,59 +302,37 @@ struct SyncState {
     /// jumped over (see the module-level *Window skip* section).
     windows_skipped: AtomicU64,
     /// Transfer lanes, one per distinct declared `(src, dst)` shard pair,
-    /// ordered by that pair.
-    lanes: Vec<Lane>,
-    /// `dst shard → lane indices feeding it`, ascending source shard: the
-    /// k-way ingest merge visits them in tie-break order.
+    /// ordered by that pair. In the write phase (window execution → export
+    /// barrier) only the worker owning the *source* shard locks a lane; in
+    /// the read phase (export barrier → next reduction barrier) only the
+    /// worker owning the *destination* shard does, and it leaves the lane
+    /// empty with its capacity intact.
+    lanes: Vec<Mutex<Vec<XferMsg>>>,
+    /// `dst shard → lane indices feeding it`.
     in_lanes: Vec<Vec<usize>>,
-    /// `lane index → source shard` (capacity accounting attribution).
-    lane_src: Vec<usize>,
-    /// `boundary id → (destination shard, ingress channel index, declared
-    /// source shard, lane index)`; set once after all shards report their
-    /// wiring.
-    route: OnceLock<Vec<(usize, usize, usize, usize)>>,
+    /// `boundary id → route`.
+    route: Vec<Route>,
 }
 
-/// Commands the main thread sends to a worker.
-enum Cmd {
-    Run { target_us: u64 },
-    Exec { shard: usize, f: ExecFn, reply: Sender<Result<Box<dyn Any + Send>, String>> },
-    Shutdown,
+impl SyncState {
+    fn lane(&self, lane: usize) -> MutexGuard<'_, Vec<XferMsg>> {
+        self.lanes[lane]
+            .lock()
+            .expect("a worker panicked holding a lane; the run is already unwinding")
+    }
 }
-
-type ExecFn = Box<dyn FnOnce(&mut Simulator) -> Box<dyn Any + Send> + Send>;
 
 /// Per-`run_until` report from one worker.
-#[derive(Clone, Copy, Default)]
+#[derive(Default)]
 struct RunReport {
     windows: u64,
     xfer_pkts: u64,
     xfer_batches: u64,
     max_batch_depth: u64,
-    events: u64,
     barrier_wait_ns: u64,
     /// Heap allocations this worker's thread performed inside the window
     /// loop (zero unless built with `comma-rt/alloc-stats`).
     allocs: u64,
-    /// Retained capacity (bytes) of the lanes this worker writes.
-    lane_bytes: u64,
-}
-
-enum WorkerMsg {
-    Built {
-        wirings: Vec<(usize, Vec<(BoundaryId, ChannelId)>, Box<dyn Any + Send>)>,
-    },
-    RunDone {
-        report: RunReport,
-    },
-    Panicked {
-        msg: String,
-    },
-}
-
-struct WorkerHandle {
-    cmd_tx: Sender<Cmd>,
-    join: Option<JoinHandle<()>>,
 }
 
 /// Cumulative runner statistics; all fields except `barrier_wait_ns` and
@@ -418,45 +369,43 @@ pub struct ShardStats {
     pub lane_bytes: u64,
 }
 
-/// The sharded parallel runner: per-shard [`Simulator`]s pinned to worker
-/// threads, advanced in conservative lookahead windows.
+/// The sharded parallel runner: it owns the per-shard [`Simulator`]s and
+/// advances them in conservative lookahead windows.
 ///
-/// `workers = 1` is the serial runner — same protocol, one thread — and
-/// produces byte-identical results to any other worker count.
+/// `workers = 1` is the serial runner — same protocol, no thread spawned —
+/// and produces byte-identical results to any other worker count.
 pub struct ShardedSimulator {
-    workers: Vec<WorkerHandle>,
-    done_rx: Receiver<WorkerMsg>,
-    /// `shard index → worker index` (round-robin).
-    assignment: Vec<usize>,
-    tags: Vec<Option<Box<dyn Any + Send>>>,
+    shards: Vec<Simulator>,
+    /// Per-shard export sequence numbers (monotonic for the runner's
+    /// lifetime; merged ingest sorts on `(time, src shard, seq)`).
+    seqs: Vec<u32>,
+    /// One per worker, lent out for each run; shard `s` runs on worker
+    /// `s % workers`.
+    scratch: Vec<Scratch>,
     now: SimTime,
     lookahead: SimDuration,
     stats: ShardStats,
-    /// Shared synchronization state (for reading leader-side counters like
-    /// `windows_skipped` after a run; the main thread never touches lanes).
-    sync: Arc<SyncState>,
+    sync: SyncState,
     /// Observability handle for `shard.*` runner gauges (window count,
     /// transfer depth, lookahead) — disabled by default, like
-    /// [`Simulator::obs`]. Per-shard simulators have their own (disabled)
-    /// handles; reference-counted registries cannot cross threads.
+    /// [`Simulator::obs`]. Each shard's simulator has its own handle, which
+    /// [`ShardedSimulator::with_shard`] can switch on like any other.
     pub obs: Obs,
 }
 
 impl ShardedSimulator {
-    /// Spawns `workers` threads (clamped to `1..=shard count`), builds
-    /// every shard inside its owning thread, and wires the boundary
-    /// routes.
+    /// Takes ownership of the plan's shards, wires the boundary routes and
+    /// fixes the worker count (clamped to `1..=shard count`).
     ///
     /// # Panics
     ///
-    /// Panics if the plan has no shards, if a declared boundary is missing
-    /// its ingress registration (or registers it in the wrong shard), or
-    /// if a builder closure panics.
+    /// Panics if the plan has no shards, or if a declared boundary is
+    /// missing its ingress registration (or registers it in the wrong
+    /// shard).
     pub fn new(plan: ShardPlan, workers: usize) -> Self {
-        let n_shards = plan.builders.len();
+        let n_shards = plan.shards.len();
         assert!(n_shards > 0, "shard plan has no shards");
         let n_workers = workers.clamp(1, n_shards);
-        let assignment: Vec<usize> = (0..n_shards).map(|s| s % n_workers).collect();
 
         // One transfer lane per distinct declared (src, dst) shard pair;
         // multiple boundaries between the same pair share a lane (their
@@ -470,97 +419,15 @@ impl ShardedSimulator {
         lane_pairs.dedup();
         let mut in_lanes: Vec<Vec<usize>> = (0..n_shards).map(|_| Vec::new()).collect();
         for (lane, &(_, dst)) in lane_pairs.iter().enumerate() {
-            // `lane_pairs` is sorted by (src, dst), so each destination's
-            // lane list comes out in ascending source-shard order — the
-            // ingest merge's tie-break order.
             in_lanes[dst].push(lane);
         }
-        let state = Arc::new(SyncState {
-            barrier: PoisonBarrier::new(n_workers),
-            local_min: (0..n_workers).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            window_end: AtomicU64::new(STOP),
-            prev_window_end: AtomicU64::new(u64::MAX),
-            windows_skipped: AtomicU64::new(0),
-            lanes: lane_pairs
-                .iter()
-                .map(|_| Lane {
-                    buf: UnsafeCell::new(Vec::new()),
-                })
-                .collect(),
-            in_lanes,
-            lane_src: lane_pairs.iter().map(|&(src, _)| src).collect(),
-            route: OnceLock::new(),
-        });
-
-        let (done_tx, done_rx) = channel::<WorkerMsg>();
-        let seed = plan.seed;
-        let lookahead_us = plan.lookahead.as_micros();
-
-        // Distribute builders round-robin, preserving shard order within
-        // each worker.
-        let mut per_worker: Vec<Vec<(usize, ShardBuilder)>> =
-            (0..n_workers).map(|_| Vec::new()).collect();
-        for (idx, builder) in plan.builders.into_iter().enumerate() {
-            per_worker[assignment[idx]].push((idx, builder));
-        }
-
-        let mut handles = Vec::with_capacity(n_workers);
-        for (w, builders) in per_worker.into_iter().enumerate() {
-            let (cmd_tx, cmd_rx) = channel::<Cmd>();
-            let state = Arc::clone(&state);
-            let done_tx = done_tx.clone();
-            let join = std::thread::Builder::new()
-                .name(format!("shard-worker-{w}"))
-                .spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        worker_main(w, seed, lookahead_us, builders, &state, &cmd_rx, &done_tx)
-                    }));
-                    if let Err(payload) = result {
-                        state.barrier.poison();
-                        let _ = done_tx.send(WorkerMsg::Panicked {
-                            msg: panic_message(payload),
-                        });
-                    }
-                })
-                .expect("spawn shard worker");
-            handles.push(WorkerHandle {
-                cmd_tx,
-                join: Some(join),
-            });
-        }
-
-        // Collect every shard's wiring and assemble the boundary routes.
-        let mut tags: Vec<Option<Box<dyn Any + Send>>> =
-            (0..n_shards).map(|_| None).collect();
-        let mut ingress: HashMap<BoundaryId, (usize, ChannelId)> = HashMap::new();
-        let mut built = 0usize;
-        while built < n_workers {
-            match done_rx.recv().expect("worker hung up during build") {
-                WorkerMsg::Built { wirings } => {
-                    built += 1;
-                    for (shard, pairs, tag) in wirings {
-                        tags[shard] = Some(tag);
-                        for (b, ch) in pairs {
-                            let prev = ingress.insert(b, (shard, ch));
-                            assert!(
-                                prev.is_none(),
-                                "boundary {b} has two ingress registrations"
-                            );
-                        }
-                    }
-                }
-                WorkerMsg::Panicked { msg } => {
-                    panic!("shard builder panicked: {msg}")
-                }
-                WorkerMsg::RunDone { .. } => unreachable!("no run issued yet"),
-            }
-        }
-        let route: Vec<(usize, usize, usize, usize)> = plan
+        let route = plan
             .boundaries
             .iter()
             .enumerate()
             .map(|(b, decl)| {
-                let (shard, ch) = *ingress
+                let (shard, ingress) = *plan
+                    .ingress
                     .get(&(b as BoundaryId))
                     .unwrap_or_else(|| panic!("boundary {b} has no ingress registration"));
                 assert_eq!(
@@ -571,40 +438,43 @@ impl ShardedSimulator {
                 let lane = lane_pairs
                     .binary_search(&(decl.src_shard, decl.dst_shard))
                     .expect("every declared boundary has a lane");
-                (shard, ch.0, decl.src_shard, lane)
+                Route {
+                    ingress,
+                    src_shard: decl.src_shard,
+                    lane,
+                }
             })
             .collect();
-        state
-            .route
-            .set(route)
-            .unwrap_or_else(|_| unreachable!("route set once"));
 
         ShardedSimulator {
-            workers: handles,
-            done_rx,
-            assignment,
-            tags,
+            shards: plan.shards,
+            seqs: vec![0; n_shards],
+            scratch: (0..n_workers).map(|_| Scratch::default()).collect(),
             now: SimTime::ZERO,
             lookahead: plan.lookahead,
             stats: ShardStats::default(),
-            sync: state,
+            sync: SyncState {
+                barrier: PoisonBarrier::new(n_workers),
+                local_min: (0..n_workers).map(|_| AtomicU64::new(u64::MAX)).collect(),
+                window_end: AtomicU64::new(STOP),
+                prev_window_end: AtomicU64::new(u64::MAX),
+                windows_skipped: AtomicU64::new(0),
+                lanes: lane_pairs.iter().map(|_| Mutex::default()).collect(),
+                in_lanes,
+                route,
+            },
             obs: Obs::new(),
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.assignment.len()
+        self.shards.len()
     }
 
-    /// Number of worker threads.
+    /// Number of workers a run uses (the calling thread included).
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The conservative lookahead window.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
+        self.scratch.len()
     }
 
     /// Global simulated time: every shard has reached exactly this time.
@@ -617,70 +487,72 @@ impl ShardedSimulator {
         self.stats
     }
 
-    /// Total events processed across all shards.
-    pub fn events_processed(&self) -> u64 {
-        self.stats.events
-    }
-
-    /// Takes the tag the shard's builder closure returned.
-    pub fn take_tag(&mut self, shard: usize) -> Box<dyn Any + Send> {
-        self.tags[shard].take().expect("tag already taken")
-    }
-
     /// Advances every shard to `t` using conservative lookahead windows.
+    /// The calling thread is worker 0; the other workers are scoped threads
+    /// that live for this call only.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside any shard unwinds out of this call with its own
+    /// payload, after every worker has stopped.
     pub fn run_until(&mut self, t: SimTime) {
         let target_us = t.as_micros();
-        for w in &self.workers {
-            w.cmd_tx
-                .send(Cmd::Run { target_us })
-                .expect("shard worker is gone");
+        let lookahead_us = self.lookahead.as_micros();
+        let state = &self.sync;
+        let mut dealt: Vec<Vec<Owned<'_>>> = self.scratch.iter().map(|_| Vec::new()).collect();
+        for (shard, (sim, seq)) in self.shards.iter_mut().zip(&mut self.seqs).enumerate() {
+            let worker = shard % dealt.len();
+            dealt[worker].push(Owned { shard, sim, seq });
         }
-        let mut merged = RunReport::default();
-        let mut failure: Option<String> = None;
-        let mut done = 0usize;
-        while done < self.workers.len() {
-            match self.done_rx.recv() {
-                Ok(WorkerMsg::RunDone { report }) => {
-                    done += 1;
-                    merged.windows = merged.windows.max(report.windows);
-                    merged.xfer_pkts += report.xfer_pkts;
-                    merged.xfer_batches += report.xfer_batches;
-                    merged.max_batch_depth = merged.max_batch_depth.max(report.max_batch_depth);
-                    merged.events += report.events;
-                    merged.barrier_wait_ns += report.barrier_wait_ns;
-                    merged.allocs += report.allocs;
-                    merged.lane_bytes += report.lane_bytes;
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let mut jobs = dealt.into_iter().zip(&mut self.scratch).enumerate();
+            let (_, (owned, scratch)) = jobs.next().expect("at least one worker");
+            let spawned: Vec<_> = jobs
+                .map(|(w, (owned, scratch))| {
+                    scope.spawn(move || {
+                        run_worker(w, target_us, lookahead_us, state, owned, scratch)
+                    })
+                })
+                .collect();
+            let mine = run_worker(0, target_us, lookahead_us, state, owned, scratch);
+            let joined = spawned.into_iter().map(|h| h.join().and_then(|r| r));
+            std::iter::once(mine).chain(joined).collect()
+        });
+
+        let mut windows = 0;
+        let mut failure: Option<Box<dyn Any + Send>> = None;
+        for result in results {
+            match result {
+                Ok(report) => {
+                    // Every worker counts the same rounds.
+                    windows = report.windows;
+                    self.stats.xfer_pkts += report.xfer_pkts;
+                    self.stats.xfer_batches += report.xfer_batches;
+                    self.stats.max_batch_depth =
+                        self.stats.max_batch_depth.max(report.max_batch_depth);
+                    self.stats.barrier_wait_ns += report.barrier_wait_ns;
+                    self.stats.allocs += report.allocs;
                 }
-                Ok(WorkerMsg::Panicked { msg }) => {
-                    done += 1;
-                    // Keep the root-cause panic; a "barrier poisoned" echo
-                    // from a peer never shadows it.
-                    let echo = msg.contains("barrier poisoned");
-                    match &failure {
-                        None => failure = Some(msg),
-                        Some(cur) if cur.contains("barrier poisoned") && !echo => {
-                            failure = Some(msg)
-                        }
-                        _ => {}
+                // Keep the root-cause panic; a "barrier poisoned" echo
+                // from a peer never shadows it.
+                Err(payload) => {
+                    let echo = |p| panic_message(p).contains("barrier poisoned");
+                    if failure.as_deref().is_none_or(echo) {
+                        failure = Some(payload);
                     }
                 }
-                Ok(WorkerMsg::Built { .. }) => unreachable!("build already finished"),
-                Err(_) => break,
             }
         }
-        if let Some(msg) = failure {
-            panic!("shard worker panicked: {msg}");
+        if let Some(payload) = failure {
+            resume_unwind(payload);
         }
         self.now = self.now.max(t);
-        self.stats.windows += merged.windows;
+        self.stats.windows += windows;
         self.stats.windows_skipped = self.sync.windows_skipped.load(Ordering::Relaxed);
-        self.stats.xfer_pkts += merged.xfer_pkts;
-        self.stats.xfer_batches += merged.xfer_batches;
-        self.stats.max_batch_depth = self.stats.max_batch_depth.max(merged.max_batch_depth);
-        self.stats.events = merged.events;
-        self.stats.barrier_wait_ns += merged.barrier_wait_ns;
-        self.stats.allocs += merged.allocs;
-        self.stats.lane_bytes = merged.lane_bytes;
+        self.stats.events = self.shards.iter().map(Simulator::events_processed).sum();
+        self.stats.lane_bytes = (0..self.sync.lanes.len())
+            .map(|lane| (self.sync.lane(lane).capacity() * std::mem::size_of::<XferMsg>()) as u64)
+            .sum();
         self.obs_gauges();
     }
 
@@ -713,29 +585,9 @@ impl ShardedSimulator {
         self.obs.gauge("shard", "wall.allocs", s.allocs as f64);
     }
 
-    /// Runs `f` against one shard's simulator inside its worker thread and
-    /// returns the result. Panics in `f` propagate to the caller.
-    pub fn with_shard<R: Send + 'static>(
-        &mut self,
-        shard: usize,
-        f: impl FnOnce(&mut Simulator) -> R + Send + 'static,
-    ) -> R {
-        let (tx, rx) = channel();
-        let w = self.assignment[shard];
-        self.workers[w]
-            .cmd_tx
-            .send(Cmd::Exec {
-                shard,
-                f: Box::new(move |sim| Box::new(f(sim)) as Box<dyn Any + Send>),
-                reply: tx,
-            })
-            .expect("shard worker is gone");
-        match rx.recv().expect("shard worker is gone") {
-            Ok(result) => *result
-                .downcast::<R>()
-                .expect("shard closure returned the wrong type"),
-            Err(msg) => panic!("shard {shard} closure panicked: {msg}"),
-        }
+    /// Runs `f` against one shard's simulator and returns the result.
+    pub fn with_shard<R>(&mut self, shard: usize, f: impl FnOnce(&mut Simulator) -> R) -> R {
+        f(&mut self.shards[shard])
     }
 
     /// Enables (or disables) per-channel rate-series recording on every
@@ -743,19 +595,17 @@ impl ShardedSimulator {
     /// turn it off: an unread series otherwise grows sample storage on
     /// every delivery.
     pub fn set_record_series(&mut self, on: bool) {
-        for shard in 0..self.shard_count() {
-            self.with_shard(shard, move |sim| sim.set_record_series(on));
+        for sim in &mut self.shards {
+            sim.set_record_series(on);
         }
     }
 
     /// Enables full packet-trace capture on every shard with the given
     /// entry cap (per shard).
     pub fn set_trace_capture(&mut self, on: bool, max_entries: usize) {
-        for shard in 0..self.shard_count() {
-            self.with_shard(shard, move |sim| {
-                sim.trace.set_capture(on);
-                sim.trace.set_max_entries(max_entries);
-            });
+        for sim in &mut self.shards {
+            sim.trace.set_capture(on);
+            sim.trace.set_max_entries(max_entries);
         }
     }
 
@@ -767,8 +617,8 @@ impl ShardedSimulator {
     /// the same times.
     pub fn merged_trace(&mut self) -> Vec<(u64, String)> {
         let mut per_shard = Vec::with_capacity(self.shard_count());
-        for shard in 0..self.shard_count() {
-            let mut rendered = self.with_shard(shard, |sim| sim.render_trace_named());
+        for sim in &mut self.shards {
+            let mut rendered = sim.render_trace_named();
             // Per-shard traces are time-ordered already; same-instant
             // lines may need a local swap into (time, line) order, which
             // the adaptive merge sort sees as nearly-sorted input.
@@ -848,28 +698,13 @@ pub fn merge_sorted_traces(mut shards: Vec<Vec<(u64, String)>>) -> Vec<(u64, Str
     out
 }
 
-impl Drop for ShardedSimulator {
-    fn drop(&mut self) {
-        for w in &self.workers {
-            let _ = w.cmd_tx.send(Cmd::Shutdown);
-        }
-        for w in &mut self.workers {
-            if let Some(join) = w.join.take() {
-                // A worker that panicked already reported it; don't
-                // double-panic during unwinding.
-                let _ = join.join();
-            }
-        }
-    }
-}
-
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
+        s
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+        s
     } else {
-        "non-string panic payload".to_string()
+        "non-string panic payload"
     }
 }
 
@@ -879,146 +714,74 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 struct Scratch {
     /// Staging for [`Simulator::drain_outbox`] during export.
     outbox: Vec<(BoundaryId, SimTime, Packet)>,
-    /// Lanes this worker pushed into during the current window
-    /// (empty → non-empty transitions; one entry per lane per window).
-    touched: Vec<usize>,
-    /// Lane indices with messages remaining, for the k-way ingest merge.
-    heads: Vec<usize>,
+    /// Staging for one destination shard's ingest merge.
+    inbox: Vec<XferMsg>,
 }
 
-/// Body of one worker thread: builds its shards, then serves commands.
-fn worker_main(
+/// One shard lent to a worker for the length of a run.
+struct Owned<'a> {
+    shard: usize,
+    sim: &'a mut Simulator,
+    /// The shard's next export sequence number.
+    seq: &'a mut u32,
+}
+
+/// One worker's whole `run_until`. A panic in any of its shards is caught
+/// here so the barrier can be poisoned before the worker stops: its peers
+/// unwind instead of waiting forever.
+fn run_worker(
     worker: usize,
-    seed: u64,
+    target_us: u64,
     lookahead_us: u64,
-    builders: Vec<(usize, ShardBuilder)>,
     state: &SyncState,
-    cmd_rx: &Receiver<Cmd>,
-    done_tx: &Sender<WorkerMsg>,
-) {
-    let mut owned: Vec<(usize, Simulator)> = Vec::with_capacity(builders.len());
-    let mut wirings = Vec::with_capacity(builders.len());
-    for (shard, builder) in builders {
-        let mut sim = Simulator::new(seed);
-        let wiring = builder(&mut sim);
-        wirings.push((shard, wiring.ingress, wiring.tag));
-        owned.push((shard, sim));
+    mut owned: Vec<Owned<'_>>,
+    scratch: &mut Scratch,
+) -> std::thread::Result<RunReport> {
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        // Meter the whole run on this thread (worker 0 has spawned its
+        // peers by now): with `comma-rt/alloc-stats` the steady-state
+        // window loop is asserted allocation-free, so anything counted
+        // here is warm-up (first-run capacity growth) or node-level churn.
+        let scope = comma_rt::alloc::AllocScope::begin();
+        let mut report = run_rounds(worker, target_us, lookahead_us, state, &mut owned, scratch);
+        report.allocs = scope.delta().allocs;
+        report
+    }));
+    if result.is_err() {
+        state.barrier.poison();
     }
-    done_tx
-        .send(WorkerMsg::Built { wirings })
-        .expect("main thread is gone");
-
-    // Per-owned-shard export sequence numbers (monotonic for the run's
-    // lifetime; merged ingest sorts on (time, src shard, seq)).
-    let mut seqs: Vec<u32> = vec![0; owned.len()];
-    let mut scratch = Scratch::default();
-
-    while let Ok(cmd) = cmd_rx.recv() {
-        match cmd {
-            Cmd::Shutdown => break,
-            Cmd::Exec { shard, f, reply } => {
-                let sim = owned
-                    .iter_mut()
-                    .find(|(i, _)| *i == shard)
-                    .map(|(_, s)| s)
-                    .expect("exec routed to the wrong worker");
-                let result = catch_unwind(AssertUnwindSafe(|| f(sim)));
-                let _ = reply.send(result.map_err(panic_message));
-            }
-            Cmd::Run { target_us } => {
-                // Meter the whole run on this thread: with
-                // `comma-rt/alloc-stats` the steady-state window loop is
-                // asserted allocation-free, so anything counted here is
-                // warm-up (first-run capacity growth) or node-level churn.
-                let scope = comma_rt::alloc::AllocScope::begin();
-                let mut report = run_rounds(
-                    worker,
-                    target_us,
-                    lookahead_us,
-                    state,
-                    &mut owned,
-                    &mut seqs,
-                    &mut scratch,
-                );
-                report.allocs = scope.delta().allocs;
-                done_tx
-                    .send(WorkerMsg::RunDone { report })
-                    .expect("main thread is gone");
-            }
-        }
-    }
+    result
 }
 
-/// Drains every lane feeding `shard` into its simulator, oldest first, in
-/// the deterministic `(time, src shard, seq)` merge order. Lanes are
-/// per-source and `(time, seq)`-sorted, so a k-way front merge reproduces
-/// the old global sort exactly — without allocating: each lane is reversed
-/// in place and consumed back-to-front with `pop`, which retains capacity.
+/// Moves every message waiting in the lanes that feed `shard` into its
+/// simulator, oldest first, in the deterministic `(time, src shard, seq)`
+/// order.
 fn ingest_lanes(
     shard: usize,
     sim: &mut Simulator,
     state: &SyncState,
-    heads: &mut Vec<usize>,
+    inbox: &mut Vec<XferMsg>,
     report: &mut RunReport,
 ) {
-    let route = state.route.get().expect("routes wired before first run");
-    let lanes_in = &state.in_lanes[shard];
-    if let [lane] = lanes_in[..] {
-        // Single feeding lane: its (time, seq) order IS the merge order.
-        // SAFETY: read phase — this worker owns destination `shard`; see
-        // the `Lane` phase discipline.
-        let buf = unsafe { &mut *state.lanes[lane].buf.get() };
-        if buf.is_empty() {
-            return;
-        }
-        report.max_batch_depth = report.max_batch_depth.max(buf.len() as u64);
-        for m in buf.drain(..) {
-            let (_, ch, _, _) = route[m.boundary as usize];
-            sim.inject_boundary(ChannelId(ch), SimTime::from_micros(m.time), m.pkt);
-        }
-        return;
-    }
-    heads.clear();
-    let mut depth = 0u64;
-    for &lane in lanes_in {
-        // SAFETY: read phase (as above).
-        let buf = unsafe { &mut *state.lanes[lane].buf.get() };
+    for &lane in &state.in_lanes[shard] {
+        let mut buf = state.lane(lane);
         if !buf.is_empty() {
-            depth += buf.len() as u64;
-            // Consume smallest-first via pop() below.
-            buf.reverse();
-            heads.push(lane);
+            report.xfer_batches += 1;
+            // Leaves the lane empty with its capacity intact.
+            inbox.append(&mut buf);
         }
     }
-    if heads.is_empty() {
-        return;
+    // One lane arrives in send order, which is already merge order unless
+    // fault injection delayed a packet past a later one; several lanes
+    // end to end rarely are. Check (one linear pass) and only then sort.
+    let key = |m: &XferMsg| (m.time, m.src_shard, m.seq);
+    if !inbox.is_sorted_by_key(key) {
+        inbox.sort_unstable_by_key(key);
     }
-    report.max_batch_depth = report.max_batch_depth.max(depth);
-    while !heads.is_empty() {
-        let mut best = 0usize;
-        let mut best_key = {
-            // SAFETY: read phase (as above); `heads` only holds non-empty
-            // lanes.
-            let m = unsafe { &*state.lanes[heads[0]].buf.get() }.last().unwrap();
-            (m.time, m.src_shard, m.seq)
-        };
-        for (i, &lane) in heads.iter().enumerate().skip(1) {
-            // SAFETY: read phase (as above).
-            let m = unsafe { &*state.lanes[lane].buf.get() }.last().unwrap();
-            let key = (m.time, m.src_shard, m.seq);
-            if key < best_key {
-                best = i;
-                best_key = key;
-            }
-        }
-        // SAFETY: read phase (as above).
-        let buf = unsafe { &mut *state.lanes[heads[best]].buf.get() };
-        let m = buf.pop().unwrap();
-        if buf.is_empty() {
-            heads.swap_remove(best);
-        }
-        let (_, ch, _, _) = route[m.boundary as usize];
-        sim.inject_boundary(ChannelId(ch), SimTime::from_micros(m.time), m.pkt);
+    report.max_batch_depth = report.max_batch_depth.max(inbox.len() as u64);
+    for m in inbox.drain(..) {
+        let ingress = state.route[m.boundary as usize].ingress;
+        sim.inject_boundary(ingress, SimTime::from_micros(m.time), m.pkt);
     }
 }
 
@@ -1029,23 +792,21 @@ fn run_rounds(
     target_us: u64,
     lookahead_us: u64,
     state: &SyncState,
-    owned: &mut [(usize, Simulator)],
-    seqs: &mut [u32],
+    owned: &mut [Owned<'_>],
     scratch: &mut Scratch,
 ) -> RunReport {
-    let route = state.route.get().expect("routes wired before first run");
     let mut report = RunReport::default();
     let mut waited = std::time::Duration::ZERO;
-    for (_, sim) in owned.iter_mut() {
-        sim.start();
+    for o in owned.iter_mut() {
+        o.sim.start();
     }
     loop {
         // Phase 1: ingest last round's transfers (the lanes' read phase),
         // then publish this worker's minimum next-event time.
         let mut local_min = u64::MAX;
-        for (shard, sim) in owned.iter_mut() {
-            ingest_lanes(*shard, sim, state, &mut scratch.heads, &mut report);
-            if let Some(t) = sim.next_event_time() {
+        for o in owned.iter_mut() {
+            ingest_lanes(o.shard, o.sim, state, &mut scratch.inbox, &mut report);
+            if let Some(t) = o.sim.next_event_time() {
                 local_min = local_min.min(t.as_micros());
             }
         }
@@ -1093,8 +854,8 @@ fn run_rounds(
             // Nothing due at or before the target anywhere: advance every
             // shard's clock to the target and finish. No events run, so
             // no exports can appear here.
-            for (_, sim) in owned.iter_mut() {
-                sim.run_until(SimTime::from_micros(target_us));
+            for o in owned.iter_mut() {
+                o.sim.run_until(SimTime::from_micros(target_us));
             }
             break;
         }
@@ -1103,9 +864,10 @@ fn run_rounds(
         // Phase 3: execute the window [global_min, end) in parallel and
         // append boundary crossings to their lanes (the write phase) for
         // next round's ingest.
-        for (pos, (shard, sim)) in owned.iter_mut().enumerate() {
-            sim.run_until(SimTime::from_micros(end - 1));
-            sim.drain_outbox(&mut scratch.outbox);
+        for o in owned.iter_mut() {
+            let shard = o.shard;
+            o.sim.run_until(SimTime::from_micros(end - 1));
+            o.sim.drain_outbox(&mut scratch.outbox);
             for (boundary, at, pkt) in scratch.outbox.drain(..) {
                 let at_us = at.as_micros();
                 assert!(
@@ -1115,23 +877,17 @@ fn run_rounds(
                      current window (end {end} µs); boundary-link latency \
                      must be at least the declared lookahead ({lookahead_us} µs)"
                 );
-                let seq = seqs[pos];
-                seqs[pos] = seq.wrapping_add(1);
-                let (_, _, declared_src, lane) = route[boundary as usize];
+                let seq = *o.seq;
+                *o.seq = seq.wrapping_add(1);
+                let route = &state.route[boundary as usize];
                 debug_assert_eq!(
-                    declared_src, *shard,
-                    "boundary {boundary} egress created in shard {shard}, declared src {declared_src}"
+                    route.src_shard, shard,
+                    "boundary {boundary} egress created in shard {shard}, declared src {}",
+                    route.src_shard
                 );
-                // SAFETY: write phase — this worker owns source shard
-                // `shard`, and each lane has exactly one source shard; see
-                // the `Lane` phase discipline.
-                let buf = unsafe { &mut *state.lanes[lane].buf.get() };
-                if buf.is_empty() {
-                    scratch.touched.push(lane);
-                }
-                buf.push(XferMsg {
+                state.lane(route.lane).push(XferMsg {
                     time: at_us,
-                    src_shard: *shard as u32,
+                    src_shard: shard as u32,
                     seq,
                     boundary,
                     pkt,
@@ -1139,42 +895,13 @@ fn run_rounds(
                 report.xfer_pkts += 1;
             }
         }
-        // Outbox drains in send order, so lanes come out (time, seq)-
-        // sorted already — except under fault injection, whose extra
-        // per-packet delay makes arrival times non-monotonic. Check (one
-        // linear pass over what this window appended) and only then sort.
-        for &lane in &scratch.touched {
-            report.xfer_batches += 1;
-            // SAFETY: write phase (as above).
-            let buf = unsafe { &mut *state.lanes[lane].buf.get() };
-            let sorted = buf
-                .windows(2)
-                .all(|w| (w[0].time, w[0].seq) <= (w[1].time, w[1].seq));
-            if !sorted {
-                buf.sort_unstable_by_key(|m| (m.time, m.seq));
-            }
-        }
-        scratch.touched.clear();
-
         // Phase 4: everyone finished the window (and its exports) before
         // anyone ingests the next round — the write→read phase flip.
         let t0 = Instant::now();
         state.barrier.wait();
         waited += t0.elapsed();
     }
-    report.events = owned.iter().map(|(_, sim)| sim.events_processed()).sum();
     report.barrier_wait_ns = waited.as_nanos() as u64;
-    // Retained lane capacity, attributed to the worker owning each lane's
-    // source shard. Reading here is race-free: the STOP round executed no
-    // window, so no thread has touched any lane since the final barrier.
-    for (lane, &src) in state.lane_src.iter().enumerate() {
-        if owned.iter().any(|(s, _)| *s == src) {
-            // SAFETY: post-STOP quiescence (above).
-            let buf = unsafe { &*state.lanes[lane].buf.get() };
-            report.lane_bytes +=
-                (buf.capacity() * std::mem::size_of::<XferMsg>()) as u64;
-        }
-    }
     report
 }
 
@@ -1188,15 +915,20 @@ mod tests {
     use comma_rt::Bytes;
     use std::any::Any;
 
-    /// Test node: sends a ping on iface 0 every `period`, counts pings it
-    /// receives, and echoes nothing (one-way traffic keeps the arithmetic
-    /// simple).
+    /// Test node: sends a ping on each of its ifaces every `period`,
+    /// counts pings it receives, and echoes nothing (one-way traffic keeps
+    /// the arithmetic simple).
     struct Pinger {
         name: String,
         addr: Ipv4Addr,
         period: SimDuration,
+        ifaces: usize,
         sent: u64,
         received: u64,
+        /// When set (a splitmix64 state): give up the CPU a pseudo-random
+        /// 0–3 times per dispatch, so the order workers reach the barriers
+        /// in is scrambled while the simulated behaviour is untouched.
+        stall: Option<u64>,
     }
 
     impl Pinger {
@@ -1205,8 +937,18 @@ mod tests {
                 name: name.to_string(),
                 addr: Ipv4Addr::new(10, 0, 0, last_octet),
                 period: SimDuration::from_millis(period_ms),
+                ifaces: 1,
                 sent: 0,
                 received: 0,
+                stall: None,
+            }
+        }
+
+        fn stall(&mut self) {
+            if let Some(state) = &mut self.stall {
+                for _ in 0..comma_rt::rng::splitmix64(state) >> 62 {
+                    std::thread::yield_now();
+                }
             }
         }
     }
@@ -1222,22 +964,26 @@ mod tests {
             ctx.set_timer_after(self.period, 0);
         }
         fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _iface: IfaceId, pkt: Packet) {
+            self.stall();
             if let IpPayload::Icmp(IcmpMessage::EchoRequest { .. }) = pkt.body {
                 self.received += 1;
             }
         }
         fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
-            let pkt = Packet::icmp(
-                self.addr,
-                self.addr,
-                IcmpMessage::EchoRequest {
-                    id: 0,
-                    seq: (self.sent & 0xffff) as u16,
-                    payload: Bytes::from_static(&[0u8; 32]),
-                },
-            );
-            ctx.send(IfaceId(0), pkt);
-            self.sent += 1;
+            self.stall();
+            for iface in 0..self.ifaces {
+                let pkt = Packet::icmp(
+                    self.addr,
+                    self.addr,
+                    IcmpMessage::EchoRequest {
+                        id: 0,
+                        seq: (self.sent & 0xffff) as u16,
+                        payload: Bytes::from_static(&[0u8; 32]),
+                    },
+                );
+                ctx.send(IfaceId(iface), pkt);
+                self.sent += 1;
+            }
             ctx.set_timer_after(self.period, 0);
         }
         fn as_any(&mut self) -> &mut dyn Any {
@@ -1250,17 +996,17 @@ mod tests {
     fn two_shard_plan(seed: u64) -> ShardPlan {
         let mut plan = ShardPlan::new(seed, SimDuration::from_millis(10));
         let wired = || LinkParams::wired().with_latency(SimDuration::from_millis(10));
-        let s0 = plan.add_shard(move |sim| {
+        let (s0, ()) = plan.add_shard(|sim| {
             let a = sim.add_node_keyed(Box::new(Pinger::new("alpha", 1, 7)), 100);
             // Boundary ids are allocated in declaration order below:
             // 0 = s0→s1, 1 = s1→s0.
             let (_, ing) = sim.connect_boundary(a, 0, wired(), wired(), 500, 0);
-            ShardWiring::new().ingress(1, ing)
+            (ShardWiring::new().ingress(1, ing), ())
         });
-        let s1 = plan.add_shard(move |sim| {
+        let (s1, ()) = plan.add_shard(|sim| {
             let b = sim.add_node_keyed(Box::new(Pinger::new("beta", 2, 11)), 101);
             let (_, ing) = sim.connect_boundary(b, 1, wired(), wired(), 500, 1);
-            ShardWiring::new().ingress(0, ing)
+            (ShardWiring::new().ingress(0, ing), ())
         });
         let b01 = plan.declare_boundary(s0, s1);
         let b10 = plan.declare_boundary(s1, s0);
@@ -1332,7 +1078,7 @@ mod tests {
         let mut plan = ShardPlan::new(3, SimDuration::from_millis(1));
         plan.add_shard(|sim| {
             sim.add_node_keyed(Box::new(Pinger::new("solo", 1, 50)), 100);
-            ShardWiring::new()
+            (ShardWiring::new(), ())
         });
         let mut s = ShardedSimulator::new(plan, 1);
         s.run_until(SimTime::from_secs(1));
@@ -1378,28 +1124,103 @@ mod tests {
         for ms in [50u64, 400, 730, 1000] {
             segmented.run_until(SimTime::from_millis(ms));
         }
+        // A thousand runs spawn (and join) the second worker a thousand
+        // times; each must pick up exactly where the last one stopped.
+        let mut stepped = ShardedSimulator::new(two_shard_plan(7), 2);
+        for ms in 1..=1000u64 {
+            stepped.run_until(SimTime::from_millis(ms));
+        }
         let counts = |s: &mut ShardedSimulator| {
             let a = s.with_shard(0, |sim| sim.with_node::<Pinger, _>(NodeId(0), |p| (p.sent, p.received)));
             let b = s.with_shard(1, |sim| sim.with_node::<Pinger, _>(NodeId(0), |p| (p.sent, p.received)));
             (a, b)
         };
         assert_eq!(counts(&mut whole), counts(&mut segmented));
+        assert_eq!(counts(&mut whole), counts(&mut stepped));
     }
 
     #[test]
     fn worker_panic_propagates_with_message() {
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut plan = ShardPlan::new(1, SimDuration::from_millis(1));
-            plan.add_shard(|sim| {
-                sim.at(SimTime::from_millis(5), |_| panic!("boom in shard"));
-                ShardWiring::new()
-            });
-            plan.add_shard(|_| ShardWiring::new());
-            let mut s = ShardedSimulator::new(plan, 2);
-            s.run_until(SimTime::from_secs(1));
-        }));
-        let msg = panic_message(result.expect_err("must propagate"));
-        assert!(msg.contains("boom in shard"), "got: {msg}");
+        // Shard 1 runs on the spawned worker: its panic must outrank the
+        // "barrier poisoned" echo worker 0 (the caller) dies of.
+        for bad in [0, 1] {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut plan = ShardPlan::new(1, SimDuration::from_millis(1));
+                for shard in 0..2 {
+                    plan.add_shard(|sim| {
+                        if shard == bad {
+                            sim.at(SimTime::from_millis(5), |_| panic!("boom in shard"));
+                        }
+                        (ShardWiring::new(), ())
+                    });
+                }
+                let mut s = ShardedSimulator::new(plan, 2);
+                s.run_until(SimTime::from_secs(1));
+            }));
+            let payload = result.expect_err("must propagate");
+            let msg = panic_message(&*payload);
+            assert!(msg.contains("boom in shard"), "got: {msg}");
+        }
+    }
+
+    #[test]
+    fn with_shard_panic_is_the_closures_own_and_spares_the_other_shards() {
+        let mut s = ShardedSimulator::new(two_shard_plan(3), 2);
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            s.with_shard(0, |_| panic!("closure went wrong"));
+        }))
+        .expect_err("must propagate");
+        assert_eq!(panic_message(&*payload), "closure went wrong");
+        s.run_until(SimTime::from_millis(100));
+        let received = s.with_shard(1, |sim| sim.with_node::<Pinger, _>(NodeId(0), |p| p.received));
+        assert!(received > 0, "shard 1 still runs and still hears from shard 0");
+    }
+
+    /// The lane protocol under scrambled barrier arrival: an 8-shard ring
+    /// with a boundary to each neighbour (two lanes feed every shard, and
+    /// equal periods make their arrivals tie on time), nodes that stall at
+    /// random, every way of dealing 8 shards to 1/2/3/7 workers.
+    #[test]
+    fn lane_protocol_is_invariant_under_barrier_arrival_order() {
+        const N: usize = 8;
+        let run = |seed: u64, workers: usize| {
+            let wired = || LinkParams::wired().with_latency(SimDuration::from_millis(2));
+            let mut plan = ShardPlan::new(seed, SimDuration::from_millis(2));
+            for i in 0..N {
+                let (next, prev) = ((i + 1) % N, (i + N - 1) % N);
+                plan.add_shard(|sim| {
+                    let mut node = Pinger::new(&format!("ring{i}"), i as u8, 1 + seed % 3);
+                    node.ifaces = 2;
+                    node.stall = Some(seed << 8 | i as u64);
+                    let node = sim.add_node_keyed(Box::new(node), i as u64);
+                    // Boundary 2i runs i → i+1, boundary 2i+1 runs i → i−1;
+                    // each iface hears the neighbour it talks to.
+                    let key = 500 + i as u64;
+                    let (_, from_next) = sim.connect_boundary(node, 2 * i as u32, wired(), wired(), key, 0);
+                    let (_, from_prev) = sim.connect_boundary(node, 2 * i as u32 + 1, wired(), wired(), key, 1);
+                    let wiring = ShardWiring::new()
+                        .ingress(2 * next as u32 + 1, from_next)
+                        .ingress(2 * prev as u32, from_prev);
+                    (wiring, ())
+                });
+            }
+            for i in 0..N {
+                plan.declare_boundary(i, (i + 1) % N);
+                plan.declare_boundary(i, (i + N - 1) % N);
+            }
+            let mut s = ShardedSimulator::new(plan, workers);
+            s.set_trace_capture(true, 1 << 20);
+            s.run_until(SimTime::from_millis(60));
+            let st = s.stats();
+            assert!(st.xfer_pkts > 0 && st.max_batch_depth > 1, "{st:?}");
+            (s.merged_trace_digest(), st.windows, st.windows_skipped, st.xfer_pkts, st.events)
+        };
+        for seed in 0..20 {
+            let serial = run(seed, 1);
+            for workers in [2, 3, 7] {
+                assert_eq!(run(seed, workers), serial, "seed {seed}, {workers} workers");
+            }
+        }
     }
 
     #[test]

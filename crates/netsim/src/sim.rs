@@ -43,7 +43,7 @@ fn stream_seed(seed: u64, key: u64, salt: u64) -> u64 {
 
 /// A control action scheduled to run against the simulator itself (link
 /// parameter changes, host movement, application starts).
-pub type ControlFn = Box<dyn FnOnce(&mut Simulator)>;
+pub type ControlFn = Box<dyn FnOnce(&mut Simulator) + Send>;
 
 /// A passive observer of every packet the simulator moves: called once when
 /// a node hands a packet to a channel ([`PacketObserver::on_tx`]) and once
@@ -52,7 +52,7 @@ pub type ControlFn = Box<dyn FnOnce(&mut Simulator)>;
 /// Observers see the *typed* packet (not a summary string), so conformance
 /// oracles can check protocol invariants the trace cannot express. The hook
 /// is opt-in and the `Option` test is the only cost when none is installed.
-pub trait PacketObserver {
+pub trait PacketObserver: Send {
     /// `node` handed `pkt` to one of its channels at `now`.
     fn on_tx(&mut self, now: SimTime, node: NodeId, pkt: &Packet);
     /// `pkt` is being dispatched into `node` at `now`.
@@ -211,6 +211,13 @@ pub struct Simulator {
     /// `(boundary id, arrival time, packet)` in event order.
     outbox: Vec<(u32, SimTime, Packet)>,
 }
+
+// The sharded runner lends `&mut Simulator`s to scoped worker threads; a
+// non-`Send` field would bring back building shards inside their threads.
+const _: fn() = || {
+    fn is_send<T: Send>() {}
+    is_send::<Simulator>();
+};
 
 impl Simulator {
     /// Creates a simulator whose randomness derives entirely from `seed`.
@@ -571,7 +578,7 @@ impl Simulator {
     }
 
     /// Schedules a control closure at time `at` (clamped to now).
-    pub fn at(&mut self, at: SimTime, f: impl FnOnce(&mut Simulator) + 'static) {
+    pub fn at(&mut self, at: SimTime, f: impl FnOnce(&mut Simulator) + Send + 'static) {
         let time = at.max(self.now);
         self.push(time, Event::Control(Box::new(f)));
     }

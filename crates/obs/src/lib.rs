@@ -30,8 +30,9 @@
 //!
 //! # Zero overhead when disabled
 //!
-//! [`Obs`] is a cheap `Rc` handle that starts *disabled*; every mutator
-//! first checks one `Cell<bool>`. Hot paths additionally guard with
+//! [`Obs`] is a cheap `Arc` handle that starts *disabled*; every mutator
+//! first checks one relaxed `AtomicBool` load and only an enabled handle
+//! takes the registry's mutex. Hot paths additionally guard with
 //! [`Obs::is_enabled`] so even argument construction is skipped. The
 //! disabled-path cost is benchmarked in `crates/bench/benches/micro.rs`.
 //!
@@ -55,8 +56,8 @@ pub mod recorder;
 pub mod registry;
 pub mod table;
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use recorder::{Event, FieldValue, DEFAULT_CAPACITY};
 pub use registry::Histogram;
@@ -70,16 +71,18 @@ struct Inner {
     recorder: recorder::Recorder,
 }
 
-/// The observability handle: clone freely (it is two `Rc`s), share across
-/// the simulator, hosts, proxies, and shells of one single-threaded world.
+/// The observability handle: clone freely (it is two `Arc`s), share across
+/// the simulator, hosts, proxies, and shells of one world. It is `Send`, so
+/// a world that carries it can run on any thread; one world still writes
+/// from one thread at a time, so the mutex inside is never contended.
 ///
 /// A fresh handle is **disabled** — every recording method is a single
 /// boolean load and return. Call [`Obs::set_enabled`] (or construct with
 /// [`Obs::enabled`]) to start recording.
 #[derive(Clone, Default)]
 pub struct Obs {
-    enabled: Rc<Cell<bool>>,
-    inner: Rc<RefCell<Inner>>,
+    enabled: Arc<AtomicBool>,
+    inner: Arc<Mutex<Inner>>,
 }
 
 impl Obs {
@@ -97,14 +100,18 @@ impl Obs {
 
     /// Turns recording on or off. State is shared by every clone.
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.set(on);
+        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// `true` when recording. Hot paths should check this before building
     /// scopes/fields so the disabled cost stays a single branch.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.get()
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("an obs writer panicked mid-update")
     }
 
     // ---- write path -----------------------------------------------------
@@ -121,7 +128,7 @@ impl Obs {
         if !self.is_enabled() {
             return;
         }
-        self.inner.borrow_mut().registry.add(scope, key, n);
+        self.inner().registry.add(scope, key, n);
     }
 
     /// Sets a gauge to `v` (last write wins).
@@ -130,7 +137,7 @@ impl Obs {
         if !self.is_enabled() {
             return;
         }
-        self.inner.borrow_mut().registry.gauge(scope, key, v);
+        self.inner().registry.gauge(scope, key, v);
     }
 
     /// Records `v` into a fixed-bucket histogram (exponential bounds).
@@ -139,7 +146,7 @@ impl Obs {
         if !self.is_enabled() {
             return;
         }
-        self.inner.borrow_mut().registry.hist(scope, key, v);
+        self.inner().registry.hist(scope, key, v);
     }
 
     /// Records a structured event into the flight recorder.
@@ -153,7 +160,7 @@ impl Obs {
         if !self.is_enabled() {
             return;
         }
-        self.inner.borrow_mut().recorder.push(Event {
+        self.inner().recorder.push(Event {
             t_us,
             scope: scope.to_string(),
             name,
@@ -165,8 +172,7 @@ impl Obs {
 
     /// Current value of a counter (0 when never written).
     pub fn counter(&self, scope: &str, key: &str) -> u64 {
-        self.inner
-            .borrow()
+        self.inner()
             .registry
             .counters
             .get(scope)
@@ -177,8 +183,7 @@ impl Obs {
 
     /// Current value of a gauge.
     pub fn gauge_value(&self, scope: &str, key: &str) -> Option<f64> {
-        self.inner
-            .borrow()
+        self.inner()
             .registry
             .gauges
             .get(scope)
@@ -188,8 +193,7 @@ impl Obs {
 
     /// A copy of a histogram.
     pub fn histogram(&self, scope: &str, key: &str) -> Option<Histogram> {
-        self.inner
-            .borrow()
+        self.inner()
             .registry
             .hists
             .get(scope)
@@ -199,7 +203,7 @@ impl Obs {
 
     /// All counters, sorted by scope then key.
     pub fn counters(&self) -> Vec<(String, &'static str, u64)> {
-        let inner = self.inner.borrow();
+        let inner = self.inner();
         inner
             .registry
             .counters
@@ -210,7 +214,7 @@ impl Obs {
 
     /// All gauges, sorted by scope then key.
     pub fn gauges(&self) -> Vec<(String, &'static str, f64)> {
-        let inner = self.inner.borrow();
+        let inner = self.inner();
         inner
             .registry
             .gauges
@@ -221,7 +225,7 @@ impl Obs {
 
     /// All histograms, sorted by scope then key.
     pub fn histograms(&self) -> Vec<(String, &'static str, Histogram)> {
-        let inner = self.inner.borrow();
+        let inner = self.inner();
         inner
             .registry
             .hists
@@ -233,13 +237,12 @@ impl Obs {
     /// All scopes that carry at least one gauge, sorted. Useful for
     /// discovering per-connection scopes (`<node>.conn.<four-tuple>`).
     pub fn gauge_scopes(&self) -> Vec<String> {
-        self.inner.borrow().registry.gauges.keys().cloned().collect()
+        self.inner().registry.gauges.keys().cloned().collect()
     }
 
     /// All scopes that carry at least one counter, sorted.
     pub fn counter_scopes(&self) -> Vec<String> {
-        self.inner
-            .borrow()
+        self.inner()
             .registry
             .counters
             .keys()
@@ -249,22 +252,22 @@ impl Obs {
 
     /// A copy of the flight-recorder contents, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.borrow().recorder.iter().cloned().collect()
+        self.inner().recorder.iter().cloned().collect()
     }
 
     /// Number of events currently buffered.
     pub fn events_len(&self) -> usize {
-        self.inner.borrow().recorder.len()
+        self.inner().recorder.len()
     }
 
     /// Number of events evicted because the ring was full.
     pub fn dropped_events(&self) -> u64 {
-        self.inner.borrow().recorder.dropped()
+        self.inner().recorder.dropped()
     }
 
     /// Clears all metrics and events (the enabled flag is untouched).
     pub fn reset(&self) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.inner();
         inner.registry.clear();
         inner.recorder.clear();
     }
@@ -274,7 +277,7 @@ impl Obs {
     /// Deterministic JSONL export of the registry and flight recorder
     /// (wall-clock metrics excluded; see the module docs of [`export`]).
     pub fn export_jsonl(&self) -> String {
-        let inner = self.inner.borrow();
+        let inner = self.inner();
         export::export_jsonl(
             &inner.registry,
             inner.recorder.iter(),

@@ -13,7 +13,7 @@
 //!   caller that keeps them forwards a steady-state packet without
 //!   touching the heap;
 //! - flow state lives in an FNV-hashed [`FlowTable`] whose entries cache
-//!   the member list as an `Rc<[usize]>` (refcount bump per packet, no
+//!   the member list as an `Arc<[usize]>` (refcount bump per packet, no
 //!   `Vec` clone) behind a registration-generation stamp (no per-packet
 //!   wild-card scan);
 //! - capability diffing takes a `PacketSnap` — header fields by value
@@ -27,7 +27,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use comma_netsim::packet::{
@@ -43,7 +42,8 @@ use crate::flow::FlowTable;
 use crate::key::{StreamKey, WildKey};
 
 /// Factory producing filter instances from `add`-command arguments.
-pub type FilterFactory = Box<dyn Fn(&[String]) -> Result<Box<dyn Filter>, String>>;
+pub type FilterFactory =
+    Box<dyn Fn(&[String]) -> Result<Box<dyn Filter>, String> + Send + Sync>;
 
 /// The filter pool: factories known to the proxy ("compiled in" or loadable
 /// from the repository), and the set currently loaded. Factories are
@@ -51,7 +51,7 @@ pub type FilterFactory = Box<dyn Fn(&[String]) -> Result<Box<dyn Filter>, String
 /// instead of requiring cloneable closures.
 #[derive(Clone, Default)]
 pub struct FilterCatalog {
-    factories: BTreeMap<String, Rc<FilterFactory>>,
+    factories: BTreeMap<String, Arc<FilterFactory>>,
     loaded: BTreeSet<String>,
 }
 
@@ -63,7 +63,7 @@ impl FilterCatalog {
 
     /// Registers a factory under `name` (the filter repository).
     pub fn register(&mut self, name: impl Into<String>, factory: FilterFactory) {
-        self.factories.insert(name.into(), Rc::new(factory));
+        self.factories.insert(name.into(), Arc::new(factory));
     }
 
     /// Registers a factory and immediately loads it (a "standard set"
@@ -71,7 +71,7 @@ impl FilterCatalog {
     pub fn register_loaded(&mut self, name: impl Into<String>, factory: FilterFactory) {
         let name = name.into();
         self.loaded.insert(name.clone());
-        self.factories.insert(name, Rc::new(factory));
+        self.factories.insert(name, Arc::new(factory));
     }
 
     /// Loads a filter library file; returns the registered filter name.
@@ -846,14 +846,14 @@ impl FilterEngine {
         rng: &mut SmallRng,
         metrics: &dyn MetricsSource,
         key: StreamKey,
-    ) -> Rc<[usize]> {
+    ) -> Arc<[usize]> {
         if let Some(entry) = self.flows.get(key) {
             if entry.generation == self.reg_generation {
-                return Rc::clone(&entry.members);
+                return Arc::clone(&entry.members);
             }
         }
         self.expand_queue(now, rng, metrics, key);
-        Rc::clone(&self.flows.get(key).expect("flow entry").members)
+        Arc::clone(&self.flows.get(key).expect("flow entry").members)
     }
 
     fn expand_queue(
@@ -921,7 +921,7 @@ impl FilterEngine {
                                 let pb = instances[b].as_ref().map(|i| i.priority);
                                 pb.cmp(&pa).then(a.cmp(&b))
                             });
-                            self.flows.entry(k).members = Rc::from(rebuilt);
+                            self.flows.entry(k).members = Arc::from(rebuilt);
                         }
                     }
                     Err(e) => {

@@ -89,7 +89,7 @@ pub enum Verdict {
 
 /// Read access to execution-environment metrics for adaptive filters
 /// (backed by the EEM; see the `comma-eem` crate).
-pub trait MetricsSource {
+pub trait MetricsSource: Send {
     /// Returns the current value of a named variable, if known.
     fn get(&self, var: &str) -> Option<f64>;
 
@@ -219,7 +219,7 @@ impl<'a> FilterCtx<'a> {
 /// One instance may service several keys: its insertion method returns the
 /// set of keys to bind, and the engine calls the in/out methods with the
 /// key the current packet matched.
-pub trait Filter {
+pub trait Filter: Send {
     /// Catalog name of this filter type (e.g. `"rdrop"`).
     fn kind(&self) -> &'static str;
 

@@ -6,7 +6,7 @@
 //! Each entry caches:
 //!
 //! - the **member list** (instance ids in in-method order) as an
-//!   `Rc<[usize]>`, so handing it to the dispatch loop is a refcount bump,
+//!   `Arc<[usize]>`, so handing it to the dispatch loop is a refcount bump,
 //!   never a `Vec` clone;
 //! - a **generation stamp**: the engine bumps its registration generation
 //!   on every `register`/`deregister`, and a flow whose stamp matches the
@@ -15,7 +15,7 @@
 //!   actually changed (or the flow is new).
 
 use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use comma_rt::FnvHashMap;
 
@@ -27,7 +27,7 @@ pub struct FlowEntry {
     /// Instance ids, sorted by descending priority (in-method order).
     /// Shared with the dispatch loop by refcount, rebuilt only when
     /// membership changes.
-    pub members: Rc<[usize]>,
+    pub members: Arc<[usize]>,
     /// Registration slots already expanded for this key.
     pub applied: BTreeSet<usize>,
     /// Engine registration generation this entry was last expanded
@@ -38,7 +38,7 @@ pub struct FlowEntry {
 impl Default for FlowEntry {
     fn default() -> Self {
         FlowEntry {
-            members: Rc::from(Vec::new()),
+            members: Arc::from(Vec::new()),
             applied: BTreeSet::new(),
             generation: 0,
         }
@@ -90,8 +90,8 @@ impl FlowTable {
 
     /// O(1) lookup of the cached member list for `key` (the per-packet
     /// fast path; a refcount bump, no allocation).
-    pub fn members(&self, key: StreamKey) -> Option<Rc<[usize]>> {
-        self.map.get(&key).map(|e| Rc::clone(&e.members))
+    pub fn members(&self, key: StreamKey) -> Option<Arc<[usize]>> {
+        self.map.get(&key).map(|e| Arc::clone(&e.members))
     }
 
     /// Borrowing lookup.
@@ -136,7 +136,7 @@ impl FlowTable {
                     .copied()
                     .filter(|&m| m != inst_id)
                     .collect();
-                entry.members = Rc::from(rebuilt);
+                entry.members = Arc::from(rebuilt);
             }
         }
     }
@@ -153,10 +153,10 @@ mod tests {
     #[test]
     fn members_lookup_is_shared_not_copied() {
         let mut t = FlowTable::new();
-        t.entry(key(1)).members = Rc::from(vec![3, 1, 2]);
+        t.entry(key(1)).members = Arc::from(vec![3, 1, 2]);
         let a = t.members(key(1)).unwrap();
         let b = t.members(key(1)).unwrap();
-        assert!(Rc::ptr_eq(&a, &b), "lookups share one allocation");
+        assert!(Arc::ptr_eq(&a, &b), "lookups share one allocation");
         assert_eq!(&a[..], &[3, 1, 2]);
         assert!(t.members(key(2)).is_none());
     }
@@ -164,13 +164,13 @@ mod tests {
     #[test]
     fn evict_rebuilds_only_affected_entries() {
         let mut t = FlowTable::new();
-        t.entry(key(1)).members = Rc::from(vec![1, 2, 3]);
-        t.entry(key(2)).members = Rc::from(vec![4, 5]);
+        t.entry(key(1)).members = Arc::from(vec![1, 2, 3]);
+        t.entry(key(2)).members = Arc::from(vec![4, 5]);
         let untouched = t.members(key(2)).unwrap();
         t.evict_instance(2);
         assert_eq!(&t.members(key(1)).unwrap()[..], &[1, 3]);
         assert!(
-            Rc::ptr_eq(&untouched, &t.members(key(2)).unwrap()),
+            Arc::ptr_eq(&untouched, &t.members(key(2)).unwrap()),
             "entries without the instance keep their cached list"
         );
     }

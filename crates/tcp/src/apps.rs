@@ -126,7 +126,7 @@ impl AppCtx {
 ///
 /// All callbacks receive an [`AppCtx`] through which the application issues
 /// socket operations; they must not block.
-pub trait App {
+pub trait App: Send {
     /// Short name for diagnostics.
     fn name(&self) -> &str;
 

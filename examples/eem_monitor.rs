@@ -45,7 +45,7 @@ fn main() {
     for t in 0..=130u64 {
         let hub = hub.clone();
         sim.at(SimTime::from_secs(t), move |_| {
-            hub.borrow_mut()
+            hub.lock().unwrap()
                 .set("gw", "sysUpTime", Value::Long(t as i64));
         });
     }

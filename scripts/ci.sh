@@ -78,6 +78,9 @@ shard)
     # churn-under-sharding, and the TopologyBuilder validation surface.
     cargo test -q --release --offline --test sharding
 
+    echo "== lane protocol under scrambled barrier arrival (release) =="
+    cargo test -q --release --offline -p comma-netsim shard::
+
     echo "== metro-scale hybrid-fidelity gate (release, 51k bg users) =="
     # Too heavy for the debug workspace pass, so it is #[ignore]d there and
     # pinned here: 32 cells x 1,600 fluid background users, serial vs

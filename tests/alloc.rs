@@ -69,7 +69,7 @@ fn hub_metrics_lookup_is_allocation_free() {
     use comma_repro::eem::{MetricsHub, Value};
     use comma_repro::proxy::filter::MetricsSource;
     let hub = MetricsHub::shared();
-    hub.borrow_mut().set("sp", "wireless.qlen", Value::Long(9));
+    hub.lock().unwrap().set("sp", "wireless.qlen", Value::Long(9));
     let metrics = HubMetrics::new(hub, "sp");
     let scope = comma_rt::alloc::AllocScope::begin();
     assert_eq!(metrics.get("wireless.qlen"), Some(9.0), "present variable");

@@ -7,12 +7,11 @@
 //! (Chapter 9).
 
 use std::any::Any;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use comma_repro::prelude::*;
 
-type Log = Rc<RefCell<Vec<String>>>;
+type Log = Arc<Mutex<Vec<String>>>;
 
 /// A probe filter that records its in/out invocations and stamps the TOS
 /// byte with its tag in the out pass.
@@ -36,10 +35,10 @@ impl Filter for Probe {
         self.caps
     }
     fn on_in(&mut self, _ctx: &mut FilterCtx<'_>, _key: StreamKey, _pkt: &Packet) {
-        self.log.borrow_mut().push(format!("in:{}", self.tag));
+        self.log.lock().unwrap().push(format!("in:{}", self.tag));
     }
     fn on_out(&mut self, _ctx: &mut FilterCtx<'_>, _key: StreamKey, pkt: &mut Packet) -> Verdict {
-        self.log.borrow_mut().push(format!("out:{}", self.tag));
+        self.log.lock().unwrap().push(format!("out:{}", self.tag));
         if let Some(stamp) = self.stamp {
             pkt.ip.tos = stamp;
         }
@@ -61,7 +60,7 @@ struct World {
 }
 
 fn build(probes: Vec<(&'static str, Priority, Capabilities, Option<u8>, bool)>) -> World {
-    let log: Log = Rc::default();
+    let log: Log = Arc::default();
     let mut catalog = FilterCatalog::new();
     for (tag, priority, caps, stamp, drop) in probes {
         let log = log.clone();
@@ -112,7 +111,7 @@ fn in_top_down_out_bottom_up() {
         .process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt());
     assert_eq!(outs.len(), 1);
     assert_eq!(
-        *w.log.borrow(),
+        *w.log.lock().unwrap(),
         vec!["in:hi", "in:mid", "in:lo", "out:lo", "out:mid", "out:hi"],
         "Fig 5.2 ordering"
     );
@@ -148,7 +147,7 @@ fn drop_short_circuits_remaining_out_methods() {
         .process(SimTime::ZERO, &mut w.rng, &NullMetrics, pkt());
     assert!(outs.is_empty(), "packet dropped");
     // Both saw it on the in pass; only the dropper's out method ran.
-    assert_eq!(*w.log.borrow(), vec!["in:hi", "in:dropper", "out:dropper"]);
+    assert_eq!(*w.log.lock().unwrap(), vec!["in:hi", "in:dropper", "out:dropper"]);
     assert_eq!(w.engine.totals.drops, 1);
 }
 

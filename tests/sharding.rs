@@ -10,7 +10,8 @@
 //! surface (typed errors, never panics).
 
 use comma_bench::scale::{
-    metro_trace_digest, run_sharded_churn, sharded_delivered_digest, sharded_trace_digest,
+    build_cells, metro_trace_digest, run_sharded_churn, sharded_delivered_digest,
+    sharded_trace_digest,
 };
 use comma_repro::prelude::*;
 
@@ -93,6 +94,61 @@ fn metro_fluid_trace_invariant_across_partitioning() {
         serial, sharded,
         "fluid-backed metro trace must not depend on the partitioning"
     );
+}
+
+/// One `FaultPlan` handed to every cell. A cell's fault streams are keyed
+/// by its wireless link, not by the channel numbers the link happens to get
+/// inside its simulator (2 and 3 in *every* cell shard), so the faulted
+/// trace is the same whether the four cells share one simulator or each has
+/// its own — and no two cells fault in lockstep.
+#[test]
+fn faulted_trace_invariant_across_partitioning() {
+    let digests = |single: bool| {
+        let plan = FaultPlan::new(77)
+            .reorder(0.05, SimDuration::from_millis(3))
+            .duplicate(0.02);
+        let mut builder = TopologyBuilder::new(21).workers(2);
+        for cell in 0..4 {
+            let spec = CellSpec::new(format!("cell{cell}")).transfer(9000, 40_000);
+            builder = builder.cell(spec.fault_plan(plan.clone()));
+        }
+        if single {
+            builder = builder.single_shard();
+        }
+        let mut world = builder.build().expect("valid topology");
+        world.set_trace_capture(true, 1 << 20);
+        world.run_until(SimTime::from_secs(30));
+        assert_eq!(world.total_delivered(), 4 * 40_000);
+        (world.trace_digest(), world.delivered_digest())
+    };
+    assert_eq!(
+        digests(true),
+        digests(false),
+        "a shared fault plan must not make the trace depend on the partitioning"
+    );
+}
+
+/// Lights on in the shards: a shard's own `sim.obs` is switched on through
+/// `with_shard` like any other simulator's, and what it records — links,
+/// TCP connections, the proxy's filters — is byte-identical whatever the
+/// worker count.
+#[test]
+fn per_shard_obs_export_invariant_across_worker_counts() {
+    // Shard 0 is the backbone (wired hosts), shard 1 the first cell.
+    let exports = |workers: usize| {
+        let mut world = build_cells(16, 16, 4_096, 42, workers, 1, false);
+        for shard in [0, 1] {
+            world.runner.with_shard(shard, |sim| sim.obs.set_enabled(true));
+        }
+        world.run_until(SimTime::from_secs(5));
+        [0, 1].map(|shard| world.runner.with_shard(shard, |sim| sim.obs.export_jsonl()))
+    };
+    let serial = exports(1);
+    assert_eq!(serial, exports(2), "a shard's export must not depend on the worker count");
+    for (shard, key) in [(0, "link."), (0, "tcp."), (1, "link."), (1, "tcp."), (1, "filter.")] {
+        let quoted = format!("\"{key}");
+        assert!(serial[shard].contains(&quoted), "shard {shard} export has no {key}* line");
+    }
 }
 
 /// The metro-scale acceptance run: 32 cells × 1,600 background users
