@@ -111,8 +111,8 @@ impl Filter for TcpHousekeeping {
         Some(Box::new(self.clone()))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.key.map_or_else(String::new, |k| k.to_string()));
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
+        StreamKey::digest_option(self.key, h);
         h.update_u64(self.fin_down as u64);
         h.update_u64(self.fin_up as u64);
     }

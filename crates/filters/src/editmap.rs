@@ -107,7 +107,7 @@ impl EditMap {
 
     /// Folds the whole map — bases and every record, including replay
     /// bytes — into a canonical state fingerprint.
-    pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.base_orig as u64);
         h.update_u64(self.base_new as u64);
         for r in &self.records {

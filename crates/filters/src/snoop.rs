@@ -330,12 +330,12 @@ impl Filter for Snoop {
         Some(Box::new(self.clone()))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.down_key.map_or_else(String::new, |k| k.to_string()));
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
+        StreamKey::digest_option(self.down_key, h);
         h.update_u64(self.base.map_or(u64::MAX, |b| b as u64));
         for (off, seg) in &self.cache {
             h.update_u64(*off);
-            h.update(seg.pkt.summary());
+            seg.pkt.state_digest(h);
             h.update_u64(seg.sent_at.as_micros());
             h.update_u64(seg.retx as u64);
         }
@@ -474,5 +474,30 @@ mod tests {
         );
         f.on_out(&mut ctx, key(), &mut rst);
         assert!(f.cache.is_empty());
+    }
+
+    /// Snoop retransmits the cached bytes themselves, so two caches that
+    /// differ in one payload byte under identical headers are different
+    /// states.
+    #[test]
+    fn state_digest_sees_cached_payload_bytes() {
+        let digest_after_caching = |byte: u8| {
+            let mut f = Snoop::new();
+            let mut rng = SmallRng::seed_from_u64(0);
+            let m = NullMetrics;
+            let mut ctx = FilterCtx::new(SimTime::ZERO, &mut rng, &m);
+            f.insert(&mut ctx, key());
+            let mut p = data_pkt(1000, 100);
+            let mut bytes = vec![9u8; 100];
+            bytes[57] = byte;
+            p.as_tcp_mut().unwrap().payload = Bytes::from(bytes);
+            f.on_out(&mut ctx, key(), &mut p);
+            assert_eq!(f.cache.len(), 1);
+            let mut h = comma_rt::digest::StateHasher::new();
+            f.state_digest(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest_after_caching(9), digest_after_caching(9));
+        assert_ne!(digest_after_caching(9), digest_after_caching(8));
     }
 }

@@ -40,7 +40,7 @@ pub trait StreamTransformer: Send {
     /// Folds buffered (behavior-relevant) bytes into a canonical world
     /// fingerprint. The default (empty) is exact only for transformers
     /// that keep no inter-chunk state.
-    fn state_digest(&self, _h: &mut comma_rt::digest::Fnv1a) {}
+    fn state_digest(&self, _h: &mut comma_rt::digest::StateHasher) {}
 }
 
 /// Pass-through transformer (used to exercise the TTSF machinery alone).
@@ -247,7 +247,7 @@ impl StreamTransformer for Decompressor {
         Some(Box::new(self.clone()))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update(&self.buf[..]);
     }
 }
@@ -307,7 +307,7 @@ impl StreamTransformer for RecordDrop {
         Some(Box::new(self.clone()))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update(self.parser.pending_bytes());
     }
 }
@@ -411,7 +411,7 @@ impl StreamTransformer for Translator {
         Some(Box::new(self.clone()))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update(self.parser.pending_bytes());
     }
 }

@@ -382,8 +382,8 @@ impl Filter for Ttsf {
         }))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.down_key.map_or_else(String::new, |k| k.to_string()));
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
+        StreamKey::digest_option(self.down_key, h);
         match &self.map {
             None => {
                 h.update_u64(u64::MAX);

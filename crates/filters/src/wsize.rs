@@ -219,15 +219,15 @@ impl Filter for Wsize {
         Some(Box::new(self.clone()))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        h.update(self.down_key.map_or_else(String::new, |k| k.to_string()));
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
+        StreamKey::digest_option(self.down_key, h);
         h.update_u64(self.link_up as u64);
         match &self.last_uplink {
             None => {
                 h.update_u64(u64::MAX);
             }
             Some((pkt, seg)) => {
-                h.update(pkt.summary());
+                pkt.state_digest(h);
                 h.update_u64(seg.ack as u64);
                 h.update_u64(seg.window as u64);
             }
@@ -330,5 +330,28 @@ mod tests {
         let mut up = ack(4096);
         f.on_out(&mut ctx, down_key().reverse(), &mut up);
         assert_eq!(up.as_tcp().unwrap().window, 0);
+    }
+
+    /// The remembered uplink packet is folded whole, payload included:
+    /// two templates that differ in one piggybacked byte are different
+    /// states.
+    #[test]
+    fn state_digest_sees_template_payload_bytes() {
+        let digest_after_uplink = |payload: &'static [u8]| {
+            let mut f = Wsize::from_args(&["zwsm".into()]).unwrap();
+            let mut rng = SmallRng::seed_from_u64(0);
+            let metrics = LinkState(1.0);
+            let mut ctx = FilterCtx::new(SimTime::ZERO, &mut rng, &metrics);
+            f.insert(&mut ctx, down_key());
+            let mut up = ack(4096);
+            up.as_tcp_mut().unwrap().payload = comma_rt::Bytes::from_static(payload);
+            f.on_out(&mut ctx, down_key().reverse(), &mut up);
+            assert!(f.last_uplink.is_some());
+            let mut h = comma_rt::digest::StateHasher::new();
+            f.state_digest(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest_after_uplink(b"request"), digest_after_uplink(b"request"));
+        assert_ne!(digest_after_uplink(b"request"), digest_after_uplink(b"requesT"));
     }
 }

@@ -3,8 +3,9 @@
 //! Three checks, any failure exits nonzero with a banner:
 //!
 //! 1. the shipped-default exploration ([`McConfig::default`]) must finish
-//!    exhaustively (no step-budget hit) with zero violations and at least
-//!    30% fingerprint dedup;
+//!    exhaustively (no step-budget hit) with zero violations, at least
+//!    30% fingerprint dedup, and at most one world copy per two steps
+//!    (a deterministic count — the wall clock is reported, never gated);
 //! 2. the known-bug mutation (`mutate_skip_ack_translation`) must be
 //!    rediscovered as a `delivered-ack-regression` within the same budget,
 //!    and its minimized trace must replay to a violation;
@@ -34,6 +35,15 @@ fn main() {
             "mc gate FAILED: dedup ratio {:.3} < 0.30 — state fingerprints have \
              stopped converging (arrival-history artifact in a digest?)",
             report.dedup_ratio()
+        );
+        exit(1);
+    }
+
+    if report.snapshots_taken * 2 > report.steps_executed {
+        eprintln!(
+            "mc gate FAILED: {} snapshots for {} steps (> 1 per 2) — the explorer \
+             is copying worlds it then throws away (last alternative at a fork?)",
+            report.snapshots_taken, report.steps_executed
         );
         exit(1);
     }
@@ -74,6 +84,7 @@ fn main() {
         ("states_per_sec", Json::F64(report.states_explored as f64 / (wall_ms / 1_000.0), 0)),
         ("violations", Json::U64(report.violation.is_some() as u64)),
         ("wall_ms", Json::F64(wall_ms, 1)),
+        ("snapshots_taken", Json::U64(report.snapshots_taken)),
     ]);
     if let Err(e) = std::fs::write(&path, format!("{}\n", doc.render())) {
         eprintln!("mc gate FAILED: cannot write {path}: {e}");

@@ -27,6 +27,9 @@ pub struct McReport {
     pub states_pruned: u64,
     /// Steps executed ([`Simulator::mc_step`] applications).
     pub steps_executed: u64,
+    /// World copies made ([`Simulator::snapshot`] calls): one per fork
+    /// alternative except the last, which runs on the original.
+    pub snapshots_taken: u64,
     /// Deepest path reached, in decisions.
     pub max_depth_reached: usize,
     /// Paths cut by the depth bound (coverage holes beyond it).
@@ -60,12 +63,13 @@ impl McReport {
     /// One-paragraph human-readable summary.
     pub fn render(&self) -> String {
         let mut s = format!(
-            "explored {} states ({} pruned, {:.0}% dedup), {} steps, depth <= {} \
-             ({} depth-bound cuts), {} terminal schedules{}",
+            "explored {} states ({} pruned, {:.0}% dedup), {} steps, {} snapshots, \
+             depth <= {} ({} depth-bound cuts), {} terminal schedules{}",
             self.states_explored,
             self.states_pruned,
             self.dedup_ratio() * 100.0,
             self.steps_executed,
+            self.snapshots_taken,
             self.max_depth_reached,
             self.depth_bound_hits,
             self.terminal_states,
@@ -136,15 +140,20 @@ impl Explorer {
         self.report.violation.is_some() || self.report.budget_exhausted
     }
 
-    /// Explores everything reachable from `sim`'s current state. Runs
-    /// single-choice chains in place (no snapshot) and only forks at real
-    /// branch points. `self.path` is restored to its entry length.
+    /// Explores everything reachable from `sim`'s current state.
+    /// `self.path` is restored to its entry length.
     fn dfs(&mut self, sim: &mut Simulator, proxy: NodeId, depth: usize, faults: usize) {
         let base = self.path.len();
         self.walk(sim, proxy, depth, faults);
         self.path.truncate(base);
     }
 
+    /// One decision point per iteration. Forks copy all but the last
+    /// alternative: each earlier one is explored to the end on its own
+    /// [`Simulator::snapshot`], then the last is applied to `sim` itself
+    /// and the loop carries on from there — nothing reads `sim` once its
+    /// last child has started, so that copy would only be thrown away. A
+    /// single-choice step is the same code with no earlier alternatives.
     fn walk(&mut self, sim: &mut Simulator, proxy: NodeId, mut depth: usize, mut faults: usize) {
         loop {
             if self.stop() {
@@ -156,31 +165,16 @@ impl Explorer {
                 return;
             }
             let options = sim.mc_options();
-            if options.is_empty() {
+            let choices = self.enumerate(&options, faults);
+            let Some((&last, earlier)) = choices.split_last() else {
                 self.report.terminal_states += 1;
                 return;
-            }
-            let choices = self.enumerate(&options, faults);
-            if choices.len() == 1 {
-                let d = choices[0];
-                if !self.apply(sim, proxy, d) {
-                    return;
-                }
-                depth += 1;
-                if d.action != McAction::Deliver {
-                    faults += 1;
-                }
-                // A deterministic step still reaches a possibly-shared
-                // state (schedules converge); prune like any other.
-                if !self.note_state(sim) {
-                    return;
-                }
-                continue;
-            }
-            for d in choices {
+            };
+            for &d in earlier {
                 if self.stop() {
                     return;
                 }
+                self.report.snapshots_taken += 1;
                 let mut branch = match sim.snapshot() {
                     Ok(s) => s,
                     Err(e) => {
@@ -201,7 +195,16 @@ impl Explorer {
                 }
                 self.path.truncate(len_before);
             }
-            return;
+            if self.stop() || !self.apply(sim, proxy, last) {
+                return;
+            }
+            depth += 1;
+            faults += (last.action != McAction::Deliver) as usize;
+            // A deterministic step still reaches a possibly-shared state
+            // (schedules converge); prune like any other.
+            if !self.note_state(sim) {
+                return;
+            }
         }
     }
 

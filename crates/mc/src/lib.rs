@@ -21,9 +21,10 @@
 //!   budget.
 //!
 //! The explorer ([`Explorer`]) does a depth-first search over those
-//! decisions using cheap world snapshots
-//! ([`comma_netsim::sim::Simulator::snapshot`]) and prunes revisited
-//! states by their canonical FNV fingerprint
+//! decisions using world snapshots
+//! ([`comma_netsim::sim::Simulator::snapshot`]; forks copy all but the
+//! last alternative, which runs on the original) and prunes revisited
+//! states by their canonical 64-bit fingerprint
 //! ([`comma_netsim::sim::Simulator::state_hash`]). After every applied
 //! step it asserts the oracle's always-on invariants and every live TTSF
 //! edit map's structural invariants; a violation is greedily minimized
@@ -37,6 +38,8 @@
 //! when the oracle remembers different pasts. Violations are checked
 //! before merging, so nothing already-triggered is lost; a violation whose
 //! trigger lies beyond a merge point on the second history can be missed.
+//! The visited set keys on the 64-bit fingerprint alone, so two distinct
+//! states that collide are merged as well.
 //! See `DESIGN.md` ("Model checking").
 
 pub mod explore;

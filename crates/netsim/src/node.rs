@@ -62,7 +62,7 @@ pub trait Node: Send {
     /// converge to the same protocol state hash equal. The default hashes
     /// nothing — fine for stateless nodes, a fingerprint blind spot for
     /// stateful ones (the model checker's docs call this out).
-    fn state_digest(&self, _h: &mut comma_rt::digest::Fnv1a) {}
+    fn state_digest(&self, _h: &mut comma_rt::digest::StateHasher) {}
 }
 
 /// Where a context's timer handles come from: the owning simulator's wheel

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use comma_rt::digest::StateHasher;
 use comma_rt::Bytes;
 
 use crate::addr::Ipv4Addr;
@@ -458,6 +459,82 @@ impl Packet {
             }
         }
     }
+
+    /// Folds every field that can change what a receiver or a filter does
+    /// with this packet into a state fingerprint (see
+    /// [`crate::sim::Simulator::state_hash`]): addresses, TTL, TOS and
+    /// protocol, then the transport header field by field, the TCP option
+    /// list, and the payload by content (length-framed). `ip.id` is left
+    /// out: nothing reads it and nothing sets it, and a sender that did
+    /// number its datagrams would be recording send history, which
+    /// converging schedules must not be told apart by.
+    pub fn state_digest(&self, h: &mut StateHasher) {
+        h.update_u64((self.ip.src.0 as u64) << 32 | self.ip.dst.0 as u64);
+        h.update_u64(
+            (self.ip.ttl as u64) << 24
+                | (self.ip.tos as u64) << 16
+                | (self.ip.protocol.number() as u64) << 8
+                | self.body.protocol().number() as u64,
+        );
+        let ports = |src: u16, dst: u16| (src as u64) << 16 | dst as u64;
+        match &self.body {
+            IpPayload::Tcp(seg) => {
+                h.update_u64(
+                    ports(seg.src_port, seg.dst_port) << 32
+                        | (seg.window as u64) << 8
+                        | seg.flags.0 as u64,
+                );
+                h.update_u64((seg.seq as u64) << 32 | seg.ack as u64);
+                h.update_u64(seg.options.len() as u64);
+                for opt in &seg.options {
+                    match opt {
+                        TcpOption::Mss(mss) => h.update_u64(*mss as u64),
+                    };
+                }
+                h.update(&seg.payload[..]);
+            }
+            IpPayload::Udp(dgram) => {
+                h.update_u64(ports(dgram.src_port, dgram.dst_port));
+                h.update(&dgram.payload[..]);
+            }
+            IpPayload::Icmp(msg) => match msg {
+                IcmpMessage::EchoRequest { id, seq, payload }
+                | IcmpMessage::EchoReply { id, seq, payload } => {
+                    let reply = matches!(msg, IcmpMessage::EchoReply { .. }) as u64;
+                    h.update_u64(reply << 32 | ports(*id, *seq));
+                    h.update(&payload[..]);
+                }
+                IcmpMessage::RouterAdvertisement {
+                    addrs,
+                    lifetime,
+                    agent,
+                } => {
+                    h.update_u64(2 << 32 | *lifetime as u64);
+                    h.update_u64(addrs.len() as u64);
+                    for a in addrs {
+                        h.update_u64(a.0 as u64);
+                    }
+                    match agent {
+                        None => h.update_u64(u64::MAX),
+                        Some(ad) => h
+                            .update_u64(
+                                (ad.home_agent as u64) << 33
+                                    | (ad.foreign_agent as u64) << 32
+                                    | ports(ad.sequence, ad.registration_lifetime),
+                            )
+                            .update_u64(ad.care_of.0 as u64),
+                    };
+                }
+                IcmpMessage::RouterSolicitation => {
+                    h.update_u64(3 << 32);
+                }
+                IcmpMessage::Unreachable { code } => {
+                    h.update_u64(4 << 32 | *code as u64);
+                }
+            },
+            IpPayload::Encap(inner) => inner.state_digest(h),
+        }
+    }
 }
 
 /// Encoded length of an ICMP message, consistent with [`crate::wire`].
@@ -561,6 +638,71 @@ mod tests {
         assert_eq!(
             pkt.summary(),
             "11.11.10.99:7 > 11.11.10.10:1169 TCP SYN seq=0 ack=0 win=8760 len=0"
+        );
+    }
+
+    fn fingerprint(pkt: &Packet) -> u64 {
+        let mut h = StateHasher::new();
+        pkt.state_digest(&mut h);
+        h.finish()
+    }
+
+    fn tcp(pkt: &mut Packet) -> &mut TcpSegment {
+        pkt.as_tcp_mut().expect("a TCP packet")
+    }
+
+    /// Every field a receiver or a filter can act on moves the
+    /// fingerprint; where the payload bytes live does not.
+    #[test]
+    fn state_digest_sees_every_behaviour_field_and_no_address() {
+        let mut seg = TcpSegment::new(7, 1169, 1_000, 2_000, TcpFlags::ACK);
+        seg.window = 8760;
+        seg.options.push(TcpOption::Mss(1460));
+        seg.payload = Bytes::from_static(b"0123456789abcdef!");
+        let base = Packet::tcp(addr(1), addr(2), seg);
+
+        let edits: [(&str, fn(&mut Packet)); 15] = [
+            ("src", |p| p.ip.src = addr(3)),
+            ("dst", |p| p.ip.dst = addr(3)),
+            ("ttl", |p| p.ip.ttl -= 1),
+            ("tos", |p| p.ip.tos = 0x10),
+            ("sport", |p| tcp(p).src_port = 8),
+            ("dport", |p| tcp(p).dst_port = 1170),
+            ("flags", |p| tcp(p).flags = TcpFlags::ACK | TcpFlags::PSH),
+            ("seq", |p| tcp(p).seq += 1),
+            ("ack", |p| tcp(p).ack += 1),
+            ("window", |p| tcp(p).window += 1),
+            ("mss value", |p| tcp(p).options[0] = TcpOption::Mss(536)),
+            ("mss absent", |p| tcp(p).options.clear()),
+            ("payload byte", |p| tcp(p).payload = Bytes::from_static(b"0123456789abcdeF!")),
+            ("payload shorter", |p| tcp(p).payload = Bytes::from_static(b"0123456789abcdef")),
+            ("payload longer", |p| tcp(p).payload = Bytes::from_static(b"0123456789abcdef!\0")),
+        ];
+        let mut seen = vec![("nothing", fingerprint(&base))];
+        for (what, edit) in edits {
+            let mut p = base.clone();
+            edit(&mut p);
+            let f = fingerprint(&p);
+            if let Some((other, _)) = seen.iter().find(|(_, g)| *g == f) {
+                panic!("changing {what} hashes like changing {other}");
+            }
+            seen.push((what, f));
+        }
+
+        // Equal content in another allocation: equal fingerprint.
+        let mut moved = base.clone();
+        tcp(&mut moved).payload = Bytes::from(b"0123456789abcdef!".to_vec());
+        assert!(!tcp(&mut moved).payload.ptr_eq(&base.as_tcp().expect("tcp").payload));
+        assert_eq!(fingerprint(&moved), fingerprint(&base));
+
+        // A tunnel header is part of the state, and so is what it wraps.
+        let outer = Packet::encap(addr(8), addr(9), base.clone());
+        let mut inner_changed = base.clone();
+        tcp(&mut inner_changed).seq += 1;
+        assert_ne!(fingerprint(&outer), fingerprint(&base));
+        assert_ne!(
+            fingerprint(&outer),
+            fingerprint(&Packet::encap(addr(8), addr(9), inner_changed))
         );
     }
 }

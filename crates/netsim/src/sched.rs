@@ -303,9 +303,7 @@ impl<T> TimerWheel<T> {
             base: 0,
             next_seq: 0,
             len: 0,
-            levels: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            levels: Self::empty_levels(),
             occ: [0; WHEEL_LEVELS],
             overflow: BinaryHeap::new(),
             ready: VecDeque::new(),
@@ -316,6 +314,30 @@ impl<T> TimerWheel<T> {
             fired: 0,
             purged: 0,
         }
+    }
+
+    fn empty_levels() -> Vec<Vec<Vec<Entry<T>>>> {
+        (0..WHEEL_LEVELS)
+            .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
+            .collect()
+    }
+
+    /// The non-empty slots as `(level, slot, entries)`, read off the
+    /// occupancy bitmaps (a slot only ever fills through
+    /// [`TimerWheel::place`], which sets its bit) instead of by visiting
+    /// all `WHEEL_LEVELS * WHEEL_SLOTS` vectors.
+    fn occupied(&self) -> impl Iterator<Item = (usize, usize, &Vec<Entry<T>>)> {
+        self.occ.iter().enumerate().flat_map(move |(level, &occ)| {
+            let mut bits = occ;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let slot = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some((level, slot, &self.levels[level][slot]))
+            })
+        })
     }
 
     /// Entries currently pending.
@@ -655,9 +677,11 @@ impl<T> TimerWheel<T> {
 
     /// Deep-copies the wheel, mapping every pending item through `f`;
     /// fails on the first item `f` rejects (e.g. a pending closure event
-    /// that cannot be cloned). Cursor, sequence counter, and statistics
-    /// carry over, so the clone pops the exact `(time, seq)` order the
-    /// original would. The cancellation slab keeps its id (see
+    /// that cannot be cloned). Only occupied slots are visited (of 384,
+    /// a model-checked world fills about ten). Cursor, sequence counter,
+    /// and statistics carry over, so the clone pops the exact
+    /// `(time, seq)` order the original would. The cancellation slab
+    /// keeps its id (see
     /// [`CancelSlab`]'s `Clone`), which keeps `TimerHandle`s stored inside
     /// cloned nodes valid against the cloned wheel.
     pub fn try_clone_with<E>(
@@ -676,17 +700,13 @@ impl<T> TimerWheel<T> {
                 item: f(&e.item)?,
             })
         }
-        let mut levels = Vec::with_capacity(WHEEL_LEVELS);
-        for level in &self.levels {
-            let mut slots = Vec::with_capacity(WHEEL_SLOTS);
-            for slot in level {
-                let mut v = Vec::with_capacity(slot.len());
-                for e in slot {
-                    v.push(clone_entry(e, &mut f)?);
-                }
-                slots.push(v);
+        let mut levels = Self::empty_levels();
+        for (level, slot, entries) in self.occupied() {
+            let v = &mut levels[level][slot];
+            v.reserve_exact(entries.len());
+            for e in entries {
+                v.push(clone_entry(e, &mut f)?);
             }
-            levels.push(slots);
         }
         let mut overflow = BinaryHeap::with_capacity(self.overflow.len());
         for e in self.overflow.iter() {
@@ -723,7 +743,7 @@ impl<T> TimerWheel<T> {
         let all = self
             .ready
             .iter()
-            .chain(self.levels.iter().flatten().flatten())
+            .chain(self.occupied().flat_map(|(_, _, entries)| entries))
             .chain(self.overflow.iter().map(|e| &e.0));
         let mut pending: Vec<(u64, u64, &T)> = all
             .filter(|e| self.entry_live(e))
@@ -985,5 +1005,169 @@ mod tests {
         // Cursor is at 100; scheduling at 40 clamps to the cursor.
         w.schedule(SimTime::from_micros(40), 2);
         assert_eq!(w.pop().map(|(t, v)| (t.as_micros(), v)), Some((100, 2)));
+    }
+
+    /// One step of the random workload driving the snapshot property.
+    #[derive(Debug)]
+    enum Op {
+        /// Schedule at `now + delay`, cancellably or not.
+        Schedule { delay: u64, cancellable: bool },
+        /// Cancel the `pick`-th handle ever minted (possibly already
+        /// fired or cancelled — then a no-op on both sides).
+        Cancel { pick: usize },
+        /// `pop()`.
+        Pop,
+        /// `pop_due_nth(pick % due_batch_len())`.
+        PopNth { pick: usize },
+    }
+
+    /// A delay that lands `class` levels up the wheel (or one further, on
+    /// a carry); class 6 is past the 2^36 µs span, i.e. the overflow heap.
+    fn delay_of_class(rng: &mut comma_rt::SmallRng, class: u32) -> u64 {
+        use comma_rt::Rng;
+        let lo = if class == 0 { 0 } else { 1u64 << (WHEEL_BITS * class) };
+        rng.gen_range(lo..1u64 << (WHEEL_BITS * (class + 1)))
+    }
+
+    /// `try_clone_with` and `for_each_pending` against a sorted-vector
+    /// model: after a random schedule / cancel / pop / `pop_due_nth`
+    /// history the walk visits exactly the model's live entries in
+    /// `(time, seq)` order, the clone pops that same sequence and carries
+    /// the statistics, tombstones (cancelled, not yet purged) are skipped
+    /// by both, and a handle minted before the copy cancels in the copy
+    /// without touching the original.
+    #[test]
+    fn clone_and_pending_walk_match_model() {
+        use comma_rt::prop::Runner;
+        use comma_rt::{ensure, ensure_eq, Rng};
+
+        // Where entries sat when the copies were taken, over all cases:
+        // bit `l` for wheel level `l`, bit 6 for the overflow heap, bit 7
+        // for the drained ready batch.
+        let mut covered = 0u8;
+        Runner::new("clone_and_pending_walk_match_model").cases(150).run(
+            |rng| {
+                let n = rng.gen_range(1..120usize);
+                (0..n)
+                    .map(|_| match rng.gen_range(0..10u32) {
+                        0..=4 => Op::Schedule {
+                            // A quarter land on `now` itself, so due
+                            // batches hold several entries and a pop
+                            // leaves the rest in the ready batch.
+                            delay: match rng.gen_range(0..9u32) {
+                                class @ 0..=6 => delay_of_class(rng, class),
+                                _ => 0,
+                            },
+                            cancellable: rng.gen_bool(0.5),
+                        },
+                        5 | 6 => Op::Cancel { pick: rng.gen() },
+                        7 => Op::Pop,
+                        _ => Op::PopNth { pick: rng.gen() },
+                    })
+                    .collect::<Vec<Op>>()
+            },
+            |ops| {
+                let mut w: TimerWheel<u32> = TimerWheel::new();
+                // (time, seq, item), kept sorted: the pop order.
+                let mut model: Vec<(u64, u64, u32)> = Vec::new();
+                let mut handles: Vec<(TimerHandle, u32)> = Vec::new();
+                let (mut now, mut seq) = (0u64, 0u64);
+                let schedule = |w: &mut TimerWheel<u32>,
+                                model: &mut Vec<(u64, u64, u32)>,
+                                handles: &mut Vec<(TimerHandle, u32)>,
+                                seq: &mut u64,
+                                time: u64,
+                                cancellable: bool| {
+                    let (item, at) = (*seq as u32, SimTime::from_micros(time));
+                    if cancellable {
+                        handles.push((w.schedule_with_handle(at, item), item));
+                    } else {
+                        w.schedule(at, item);
+                    }
+                    model.push((time, *seq, item));
+                    model.sort_unstable();
+                    *seq += 1;
+                };
+                for op in ops {
+                    match *op {
+                        Op::Schedule { delay, cancellable } => {
+                            let at = now + delay;
+                            schedule(&mut w, &mut model, &mut handles, &mut seq, at, cancellable);
+                        }
+                        Op::Cancel { pick } if !handles.is_empty() => {
+                            let (h, item) = handles[pick % handles.len()];
+                            let was_pending = model.iter().position(|e| e.2 == item);
+                            ensure_eq!(w.cancel(h), was_pending.is_some(), "cancel {item}");
+                            if let Some(i) = was_pending {
+                                model.remove(i);
+                            }
+                        }
+                        Op::Cancel { .. } => {}
+                        Op::Pop => {
+                            let want = (!model.is_empty()).then(|| model.remove(0));
+                            ensure_eq!(
+                                w.pop().map(|(t, v)| (t.as_micros(), v)),
+                                want.map(|(t, _, v)| (t, v))
+                            );
+                            now = want.map_or(now, |e| e.0);
+                        }
+                        Op::PopNth { pick } => {
+                            let Some(&(t, _, _)) = model.first() else {
+                                ensure!(w.pop_due_nth(0).is_none());
+                                continue;
+                            };
+                            // The due batch is what was pending at `t`
+                            // when that microsecond was drained; entries
+                            // scheduled at `t` since then queue behind it.
+                            let batch = w.due_batch_len();
+                            let at_t = model.iter().take_while(|e| e.0 == t).count();
+                            ensure!((1..=at_t).contains(&batch), "batch {batch}/{at_t} at {t}");
+                            let (_, _, item) = model.remove(pick % batch);
+                            ensure_eq!(
+                                w.pop_due_nth(pick % batch).map(|(t, v)| (t.as_micros(), v)),
+                                Some((t, item))
+                            );
+                            now = t;
+                        }
+                    }
+                }
+                // One more cancellable entry, somewhere in the middle of
+                // what is pending: the handle taken before the copy.
+                let mut probe_rng: comma_rt::SmallRng = comma_rt::SeedableRng::seed_from_u64(seq);
+                let probe_at = now + delay_of_class(&mut probe_rng, 2);
+                schedule(&mut w, &mut model, &mut handles, &mut seq, probe_at, true);
+                let (probe, probe_item) = *handles.last().expect("just pushed");
+
+                for (level, &occ) in w.occ.iter().enumerate() {
+                    covered |= ((occ != 0) as u8) << level;
+                }
+                covered |= (!w.overflow.is_empty() as u8) << 6;
+                covered |= (!w.ready.is_empty() as u8) << 7;
+
+                let want: Vec<(u64, u32)> = model.iter().map(|&(t, _, v)| (t, v)).collect();
+                let walk = |w: &TimerWheel<u32>| {
+                    let mut seen = Vec::new();
+                    w.for_each_pending(|t, _, v| seen.push((t, *v)));
+                    seen
+                };
+                ensure_eq!(walk(&w), want, "original walk");
+                let copy = |w: &TimerWheel<u32>| {
+                    w.try_clone_with(|v| Ok::<u32, ()>(*v)).expect("u32 clones")
+                };
+                let (mut a, mut b) = (copy(&w), copy(&w));
+                ensure_eq!(walk(&a), want, "copy walk");
+                ensure_eq!(format!("{:?}", a.stats()), format!("{:?}", w.stats()), "stats");
+
+                ensure!(b.cancel(probe), "pre-copy handle is live in the copy");
+                let without_probe: Vec<(u64, u32)> =
+                    want.iter().copied().filter(|e| e.1 != probe_item).collect();
+                ensure_eq!(walk(&b), without_probe, "walk skips the copy's tombstone");
+                ensure_eq!(drain_all(&mut b), without_probe, "copy with probe cancelled");
+                ensure_eq!(drain_all(&mut a), want, "copy pops the original's sequence");
+                ensure_eq!(drain_all(&mut w), want, "original unaffected by the copies");
+                Ok(())
+            },
+        );
+        assert_eq!(covered, 0xff, "a level, the overflow or the ready batch never held an entry");
     }
 }

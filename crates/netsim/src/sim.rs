@@ -105,15 +105,15 @@ impl Event {
 
     /// Feeds a canonical digest of the event into `h` (see
     /// [`Simulator::state_hash`]).
-    fn digest_into(&self, h: &mut comma_rt::digest::Fnv1a) {
+    fn digest_into(&self, h: &mut comma_rt::digest::StateHasher) {
         match self {
             Event::TxComplete { channel, pkt } => {
                 h.update(b"tx").update_u64(channel.0 as u64);
-                digest_packet(h, pkt);
+                pkt.state_digest(h);
             }
             Event::Deliver { channel, pkt } => {
                 h.update(b"dl").update_u64(channel.0 as u64);
-                digest_packet(h, pkt);
+                pkt.state_digest(h);
             }
             Event::Timer { node, token: _ } => {
                 // The token names a socket or filter instance, and that
@@ -132,22 +132,6 @@ impl Event {
                 h.update(b"fl").update_u64(channel.0 as u64);
             }
         }
-    }
-}
-
-/// Canonical packet digest: the summary line covers addressing, flags, and
-/// sequence numbers; TCP/UDP payload bytes are folded in besides, since
-/// transforming filters can change content without changing the summary.
-fn digest_packet(h: &mut comma_rt::digest::Fnv1a, pkt: &Packet) {
-    h.update(pkt.summary());
-    match &pkt.body {
-        crate::packet::IpPayload::Tcp(seg) => {
-            h.update(&seg.payload[..]);
-        }
-        crate::packet::IpPayload::Udp(d) => {
-            h.update(&d.payload[..]);
-        }
-        _ => {}
     }
 }
 
@@ -992,7 +976,7 @@ impl Simulator {
             seed: self.seed,
             events_processed: self.events_processed,
             trace: self.trace.clone(),
-            // The obs handle is shared (Rc), not duplicated: snapshots are
+            // The obs handle is shared (Arc), not duplicated: snapshots are
             // meant for model checking, where recording stays disabled.
             obs: self.obs.clone(),
             ch_scopes: self.ch_scopes.clone(),
@@ -1004,19 +988,22 @@ impl Simulator {
         })
     }
 
-    /// Canonical FNV-1a fingerprint of the world's *behavior-relevant*
+    /// Canonical fingerprint ([`comma_rt::digest::StateHasher`] — in
+    /// memory only, never recorded) of the world's *behavior-relevant*
     /// state: simulated time, pending events in `(time, seq)` pop order
     /// (sequence numbers themselves excluded, so interleavings that
     /// converge to the same pending set hash equal), per-node digests
     /// ([`Node::state_digest`]), every RNG stream, and per-channel link
-    /// state. Diagnostic counters (trace, stats, `events_processed`) are
+    /// state. Packets — pending and queued — are folded field by field
+    /// ([`Packet::state_digest`]), never through their summary text.
+    /// Diagnostic counters (trace, stats, `events_processed`) are
     /// deliberately left out for the same convergence reason.
     ///
     /// Iteration never touches a hash map, and `Bytes` payloads are hashed
     /// by content — the fingerprint is independent of allocation addresses
     /// and map iteration order, and stable across runs of the same world.
     pub fn state_hash(&self) -> u64 {
-        let mut h = comma_rt::digest::Fnv1a::new();
+        let mut h = comma_rt::digest::StateHasher::new();
         h.update_u64(self.now.as_micros());
         self.sched.for_each_pending(|time, _seq, ev| {
             h.update_u64(time);
@@ -1040,7 +1027,7 @@ impl Simulator {
             h.update_u64(ch.busy as u64);
             h.update_u64(ch.queued_bytes as u64);
             for pkt in &ch.queue {
-                digest_packet(&mut h, pkt);
+                pkt.state_digest(&mut h);
             }
             h.update_u64(ch.loss_state.bad as u64);
             h.update_u64(ch.params.up as u64);

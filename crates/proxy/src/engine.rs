@@ -1054,11 +1054,11 @@ impl FilterEngine {
     /// queue state, and every instance's [`Filter::state_digest`] — into a
     /// canonical world fingerprint. Counters and the diagnostic log are
     /// excluded.
-    pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.reg_generation);
         for slot in self.registrations.iter().flatten() {
             h.update_u64(slot.id as u64);
-            h.update(slot.wild.to_string());
+            slot.wild.state_digest(h);
             h.update(&*slot.filter);
         }
         // Instance slot order records packet-arrival history (wildcard
@@ -1067,25 +1067,24 @@ impl FilterEngine {
         // stream key — so slot order is not behavior. Fold instances in
         // canonical (kind, keys) order so schedules that converge on the
         // same instance set hash equal regardless of spawn order.
-        let mut inst_digests: Vec<(String, u64)> = self
+        let mut inst_digests: Vec<(&Instance, u64)> = self
             .instances
             .iter()
             .flatten()
             .map(|inst| {
-                let mut key = inst.kind.to_string();
-                let mut sub = comma_rt::digest::Fnv1a::new();
+                let mut sub = comma_rt::digest::StateHasher::new();
                 sub.update(&*inst.kind);
+                sub.update_u64(inst.keys.len() as u64);
                 for k in &inst.keys {
-                    let k = k.to_string();
-                    key.push(' ');
-                    key.push_str(&k);
-                    sub.update(k);
+                    k.state_digest(&mut sub);
                 }
                 inst.filter.state_digest(&mut sub);
-                (key, sub.finish())
+                (inst, sub.finish())
             })
             .collect();
-        inst_digests.sort_unstable();
+        inst_digests.sort_unstable_by(|(a, da), (b, db)| {
+            (&*a.kind, &a.keys, da).cmp(&(&*b.kind, &b.keys, db))
+        });
         for (_, d) in inst_digests {
             h.update_u64(d);
         }

@@ -279,7 +279,7 @@ pub trait Filter: Send {
     /// fingerprint. The default (empty) is sound only for stateless
     /// filters; a stateful filter that skips it blinds the model checker's
     /// visited-set to its state.
-    fn state_digest(&self, _h: &mut comma_rt::digest::Fnv1a) {}
+    fn state_digest(&self, _h: &mut comma_rt::digest::StateHasher) {}
 }
 
 #[cfg(test)]

@@ -57,12 +57,12 @@ impl FlowTable {
     /// Folds the table into a canonical fingerprint: entries visited in
     /// sorted key order (the FNV map's iteration order is seed-free but
     /// capacity-dependent, so it is not canonical across histories).
-    pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         let mut keys: Vec<&StreamKey> = self.map.keys().collect();
         keys.sort_unstable();
         for key in keys {
             let entry = &self.map[key];
-            h.update(key.to_string());
+            key.state_digest(h);
             for m in entry.members.iter() {
                 h.update_u64(*m as u64);
             }

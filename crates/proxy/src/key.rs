@@ -10,6 +10,7 @@ use std::str::FromStr;
 
 use comma_netsim::addr::Ipv4Addr;
 use comma_netsim::packet::{IpPayload, Packet};
+use comma_rt::digest::StateHasher;
 
 /// A fully specified, directional stream key.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -61,6 +62,25 @@ impl StreamKey {
                 dport: dgram.dst_port,
             }),
             _ => None,
+        }
+    }
+
+    /// Folds the key into a state fingerprint as two words (address and
+    /// port of each end; both stay below 2^48, so `u64::MAX` is free for
+    /// "no key").
+    pub fn state_digest(&self, h: &mut StateHasher) {
+        h.update_u64((self.src.0 as u64) << 16 | self.sport as u64);
+        h.update_u64((self.dst.0 as u64) << 16 | self.dport as u64);
+    }
+
+    /// [`StreamKey::state_digest`] for a filter's not-yet-bound key:
+    /// `None` folds as the single word `u64::MAX`.
+    pub fn digest_option(key: Option<StreamKey>, h: &mut StateHasher) {
+        match key {
+            None => {
+                h.update_u64(u64::MAX);
+            }
+            Some(k) => k.state_digest(h),
         }
     }
 }
@@ -140,6 +160,16 @@ impl WildKey {
             dst: self.dst?,
             dport: self.dport?,
         })
+    }
+
+    /// Folds the key into a state fingerprint as four words, a blank
+    /// portion as `u64::MAX` (unlike the display form, which prints a
+    /// blank and an explicit zero alike).
+    pub fn state_digest(&self, h: &mut StateHasher) {
+        h.update_u64(self.src.map_or(u64::MAX, |a| a.0 as u64));
+        h.update_u64(self.sport.map_or(u64::MAX, |p| p as u64));
+        h.update_u64(self.dst.map_or(u64::MAX, |a| a.0 as u64));
+        h.update_u64(self.dport.map_or(u64::MAX, |p| p as u64));
     }
 }
 

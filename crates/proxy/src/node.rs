@@ -172,7 +172,7 @@ impl Node for ServiceProxy {
         }))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         for w in self.rng.state_words() {
             h.update_u64(w);
         }

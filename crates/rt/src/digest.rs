@@ -1,9 +1,19 @@
-//! FNV-1a hashing for run fingerprints.
+//! The two digests of the workspace, and which is for what.
 //!
-//! The determinism tests digest a whole simulation trace into one `u64`:
-//! two runs of the same seed must produce the identical digest, different
-//! seeds must not. FNV-1a is tiny, stable across platforms, and mixes
-//! short trace lines well; it is not a cryptographic hash.
+//! [`Fnv1a`] is the *recorded* digest: the determinism tests fold a whole
+//! simulation trace into one `u64` and compare it with a golden value
+//! written down in the test (two runs of the same seed must produce the
+//! identical digest, different seeds must not), and the FNV hash maps key
+//! on it. Its algorithm is frozen — changing it invalidates every golden.
+//! FNV-1a is tiny, stable across platforms, and mixes short trace lines
+//! well; it is not a cryptographic hash.
+//!
+//! [`StateHasher`] is the *in-memory* digest behind the model checker's
+//! state fingerprints (`Simulator::state_hash` and every `state_digest`).
+//! Nothing records its output, so it is free to be fast: one
+//! multiply-xorshift per 64-bit word where FNV-1a spends eight dependent
+//! multiplies, and byte strings are length-framed so adjacent fields
+//! cannot run into each other.
 
 /// A streaming 64-bit FNV-1a hasher.
 #[derive(Clone, Copy, Debug)]
@@ -40,6 +50,65 @@ impl Fnv1a {
 impl Default for Fnv1a {
     fn default() -> Self {
         Fnv1a::new()
+    }
+}
+
+/// A streaming 64-bit word-at-a-time hasher for state fingerprints.
+///
+/// Same method names as [`Fnv1a`], different contract: [`StateHasher::update`]
+/// folds the length before the bytes, so `update(b"ab").update(b"c")` and
+/// `update(b"a").update(b"bc")` differ, and the output is not stable
+/// across versions of this crate — never record it.
+#[derive(Clone, Copy, Debug)]
+pub struct StateHasher(u64);
+
+impl StateHasher {
+    const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+    /// Odd, so the multiply is a bijection on `u64`.
+    const MUL: u64 = 0xff51_afd7_ed55_8ccd;
+
+    /// Creates a hasher at the fixed seed.
+    pub fn new() -> Self {
+        StateHasher(Self::SEED)
+    }
+
+    /// Feeds one word: xor, multiply, fold the high half down. Each step
+    /// is a bijection of the state for a fixed word and of the word for a
+    /// fixed state, so a single differing word always changes the digest.
+    #[inline]
+    pub fn update_u64(&mut self, v: u64) -> &mut Self {
+        let x = (self.0 ^ v).wrapping_mul(Self::MUL);
+        self.0 = x ^ (x >> 32);
+        self
+    }
+
+    /// Feeds `bytes`, length first, eight bytes per word (the tail
+    /// zero-padded — the length word tells `b"a"` from `b"a\0"`).
+    pub fn update(&mut self, bytes: impl AsRef<[u8]>) -> &mut Self {
+        let bytes = bytes.as_ref();
+        self.update_u64(bytes.len() as u64);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.update_u64(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.update_u64(u64::from_le_bytes(w));
+        }
+        self
+    }
+
+    /// Returns the current digest value.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for StateHasher {
+    fn default() -> Self {
+        StateHasher::new()
     }
 }
 
@@ -130,5 +199,50 @@ mod tests {
         // identically (RandomState would not).
         assert!(a.iter().zip(b.iter()).all(|(x, y)| x == y));
         assert_eq!(a.get(&42), Some(&84));
+    }
+
+    fn state(parts: &[&[u8]]) -> u64 {
+        let mut h = StateHasher::new();
+        for p in parts {
+            h.update(p);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn state_hasher_frames_lengths() {
+        // Fnv1a cannot say this: streaming there is concatenation.
+        assert_ne!(state(&[b"ab", b"c"]), state(&[b"a", b"bc"]));
+        assert_ne!(state(&[b"abc"]), state(&[b"ab", b"c"]));
+        assert_ne!(state(&[b""]), state(&[]));
+    }
+
+    #[test]
+    fn state_hasher_tells_lengths_and_zero_padding_apart() {
+        let lens = [0usize, 1, 7, 8, 9, 17];
+        let mut seen = std::collections::BTreeSet::new();
+        for &n in &lens {
+            // The input, and its zero-padded neighbour one byte longer:
+            // both fill the same words, only the length word differs.
+            for pad in [0, 1] {
+                let mut v = vec![0xa5u8; n];
+                v.resize(n + pad, 0);
+                assert!(seen.insert(state(&[&v])), "collision at len {n}+{pad}");
+            }
+        }
+        assert_eq!(seen.len(), 2 * lens.len());
+    }
+
+    #[test]
+    fn state_hasher_words_are_order_sensitive() {
+        let (mut a, mut b) = (StateHasher::new(), StateHasher::new());
+        a.update_u64(1).update_u64(2);
+        b.update_u64(2).update_u64(1);
+        assert_ne!(a.finish(), b.finish());
+        // A word is not its byte string: `update` frames, `update_u64`
+        // does not.
+        let mut c = StateHasher::new();
+        c.update(1u64.to_le_bytes()).update(2u64.to_le_bytes());
+        assert_ne!(a.finish(), c.finish());
     }
 }

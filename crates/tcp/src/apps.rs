@@ -174,7 +174,7 @@ pub trait App: Send {
     /// Folds *behavior-relevant* application state into a canonical world
     /// fingerprint. Pure counters and measurement fields should be left
     /// out; the default (empty) is sound only for stateless applications.
-    fn state_digest(&self, _h: &mut comma_rt::digest::Fnv1a) {}
+    fn state_digest(&self, _h: &mut comma_rt::digest::StateHasher) {}
 }
 
 // ---------------------------------------------------------------------
@@ -266,7 +266,7 @@ impl App for BulkSender {
         Some(Box::new(self.clone()))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.sent as u64);
         h.update_u64(self.sock.map_or(u64::MAX, |s| s.0 as u64));
     }
@@ -513,7 +513,7 @@ impl App for RequestResponse {
         Some(Box::new(self.clone()))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.completed as u64);
         h.update_u64(self.pending_bytes as u64);
         h.update_u64(self.sock.map_or(u64::MAX, |s| s.0 as u64));

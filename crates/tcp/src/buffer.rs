@@ -41,7 +41,7 @@ impl SendBuffer {
 
     /// Folds the buffer (base sequence and retained bytes) into a
     /// canonical state fingerprint.
-    pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.base_seq as u64);
         h.update(self.live());
     }
@@ -127,7 +127,7 @@ impl RecvBuffer {
 
     /// Folds the reassembly state (cursor, undelivered bytes, out-of-order
     /// segments in sequence order) into a canonical state fingerprint.
-    pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.rcv_nxt as u64);
         h.update_u64(self.capacity as u64);
         h.update(&self.ready[..]);
@@ -323,7 +323,7 @@ mod tests {
                     ensure_eq!(sb.is_empty(), model.is_empty(), "op {i} {op:?}");
                     ensure_eq!(sb.end_seq(), m_base.wrapping_add(model.len() as u32));
                     ensure_eq!(sb.live(), &model[..], "op {i} {op:?}");
-                    let (mut a, mut b) = (comma_rt::digest::Fnv1a::new(), comma_rt::digest::Fnv1a::new());
+                    let (mut a, mut b) = (comma_rt::digest::StateHasher::new(), comma_rt::digest::StateHasher::new());
                     sb.state_digest(&mut a);
                     b.update_u64(m_base as u64);
                     b.update(&model[..]);

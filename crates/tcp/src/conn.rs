@@ -154,11 +154,11 @@ impl TcpConnection {
     /// (`stats`) are deliberately excluded: they never influence future
     /// behavior, and hashing them would keep converging interleavings
     /// artificially distinct.
-    pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
-        fn time(h: &mut comma_rt::digest::Fnv1a, t: &Option<SimTime>) {
+    pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
+        fn time(h: &mut comma_rt::digest::StateHasher, t: &Option<SimTime>) {
             h.update_u64(t.map_or(u64::MAX, |t| t.as_micros()));
         }
-        fn seq(h: &mut comma_rt::digest::Fnv1a, s: &Option<u32>) {
+        fn seq(h: &mut comma_rt::digest::StateHasher, s: &Option<u32>) {
             h.update_u64(s.map_or(u64::MAX, |s| s as u64));
         }
         h.update_u64(self.state as u64);

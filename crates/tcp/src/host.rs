@@ -703,29 +703,29 @@ impl Node for Host {
         }))
     }
 
-    fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         for a in &self.addrs {
-            h.update(a.to_string());
+            h.update_u64(a.0 as u64);
         }
         // Socket slot order records accept/connect history (two SYNs in
         // the same due batch allocate slots in arrival order), while the
         // wire behavior of each connection is keyed by its 4-tuple. Fold
         // sockets in canonical 4-tuple order so converging schedules hash
         // equal regardless of which connection was set up first.
-        let mut sock_digests: Vec<(u16, String, u16, u64)> = self
+        let mut sock_digests: Vec<(u16, u32, u16, u64)> = self
             .sockets
             .iter()
             .map(|e| {
-                let mut sub = comma_rt::digest::Fnv1a::new();
-                sub.update_u64(e.local.1 as u64);
-                sub.update_u64(e.remote.1 as u64);
+                let mut sub = comma_rt::digest::StateHasher::new();
+                sub.update_u64((e.local.0 .0 as u64) << 16 | e.local.1 as u64);
+                sub.update_u64((e.remote.0 .0 as u64) << 16 | e.remote.1 as u64);
                 sub.update_u64(e.app as u64);
                 sub.update_u64(e.passive as u64);
                 // The armed deadline matters (it decides what fires when);
                 // the slab handle is allocation history and must stay out.
                 sub.update_u64(e.timer.map_or(u64::MAX, |(d, _)| d.as_micros()));
                 e.conn.state_digest(&mut sub);
-                (e.local.1, e.remote.0.to_string(), e.remote.1, sub.finish())
+                (e.local.1, e.remote.0 .0, e.remote.1, sub.finish())
             })
             .collect();
         sock_digests.sort_unstable();

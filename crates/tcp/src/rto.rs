@@ -76,7 +76,7 @@ impl RtoEstimator {
     /// Folds the estimator (smoothed RTT, deviation, backoff) into a
     /// canonical state fingerprint. The clamp bounds come from the
     /// configuration and are hashed by the owner.
-    pub fn state_digest(&self, h: &mut comma_rt::digest::Fnv1a) {
+    pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.srtt.map_or(u64::MAX, |v| v.to_bits()));
         h.update_u64(self.rttvar.to_bits());
         h.update_u64(self.backoff_shift as u64);

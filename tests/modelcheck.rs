@@ -102,6 +102,53 @@ fn mc_reduced_exploration_exhausts_clean_with_dedup() {
     );
 }
 
+/// Partition equivalence, pinned: the five coverage counts of three small
+/// explorations (and the length of the mutation's violating trace,
+/// asserted below) were recorded *before* the fingerprint moved off
+/// formatted strings and FNV-1a, before the wheel snapshot went sparse and
+/// before the last alternative stopped being copied. A fingerprint that
+/// merges or splits a single state class moves `states_explored` or
+/// `states_pruned`; a search that visits in a different order or copies at
+/// different points moves `steps_executed`, `terminal_states` or the depth.
+#[test]
+fn mc_coverage_counts_match_recorded_partition() {
+    // (config, [explored, pruned, steps, terminal, max depth])
+    let default = McConfig::default;
+    let pinned = [
+        (
+            McConfig { flows: 1, max_faults: 1, ..default() },
+            [970, 181, 1_150, 29, 47],
+        ),
+        (
+            McConfig { flows: 2, max_faults: 0, ..default() },
+            [2_877, 2_554, 5_430, 4, 66],
+        ),
+        (
+            McConfig { flows: 2, transfer_bytes: 300, max_faults: 1, ..default() },
+            [50_475, 42_258, 92_732, 122, 80],
+        ),
+    ];
+    for (cfg, want) in pinned {
+        let r = explore(&cfg);
+        assert!(r.exhausted_clean(), "{}", r.render());
+        let got = [
+            r.states_explored,
+            r.states_pruned,
+            r.steps_executed,
+            r.terminal_states,
+            r.max_depth_reached as u64,
+        ];
+        assert_eq!(
+            got, want,
+            "flows {} bytes {} faults {}: {}",
+            cfg.flows,
+            cfg.transfer_bytes,
+            cfg.max_faults,
+            r.render()
+        );
+    }
+}
+
 /// Pinned known-bug rediscovery (the shipped-bounds sweep found no organic
 /// counterexample, so this mutation is the checker's teeth): arming
 /// `Ttsf::mutate_skip_ack_translation` mid-stream must surface a
@@ -123,7 +170,10 @@ fn regression_mc_rediscovers_skipped_ack_translation() {
         "unexpected violation kind: {}",
         v.detail
     );
-    assert!(v.minimized.decisions.len() <= v.trace.decisions.len());
+    // Recorded with the counts above: the first violating path is the
+    // 55-step all-FIFO schedule, and no step of it can be dropped.
+    assert_eq!(v.trace.decisions.len(), 55);
+    assert_eq!(v.minimized.decisions.len(), 55);
     let replayed = replay_mc_trace(&cfg, &v.minimized);
     let (step, detail) = replayed
         .violation
