@@ -174,6 +174,20 @@ fn bench_sched(bench: &mut Bench) {
         let h = wheel.schedule_with_handle(SimTime::from_micros(i + 500), i);
         wheel.cancel(h)
     });
+
+    // Cascade cost: 1,000 entries 50 ms out sit two levels up, so popping
+    // them all carries each one down through two slot lists to level 0.
+    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut now = 0u64;
+    g.bench("sched_cascade", || {
+        for i in 0..1_000u64 {
+            wheel.schedule(SimTime::from_micros(now + 50_000 + i), i);
+        }
+        while let Some((t, _)) = wheel.pop() {
+            now = t.as_micros();
+        }
+        now
+    });
     g.finish();
 }
 

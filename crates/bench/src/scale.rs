@@ -159,6 +159,22 @@ fn drive_many_flows(
     }
 }
 
+/// Requested bytes the many-flows world still holds per flow once every
+/// transfer has finished and every TIME-WAIT has run out: `alloc_bytes −
+/// dealloc_bytes` over the run (world construction excluded), divided by
+/// `flows`. A count of requests, so it repeats exactly; zero unless built
+/// with `comma-rt/alloc-stats`.
+pub fn finished_flow_retained_bytes(flows: usize, bytes_per_flow: usize, seed: u64) -> u64 {
+    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
+    let target = (flows * bytes_per_flow) as u64;
+    let scope = comma_rt::alloc::AllocScope::begin();
+    assert_eq!(run_to_completion(&mut world, target), target, "transfers incomplete");
+    let quiet = world.sim.now() + SimDuration::from_secs(300);
+    world.run_until(quiet);
+    let held = scope.delta();
+    (held.alloc_bytes - held.dealloc_bytes) / flows as u64
+}
+
 /// Runs `world` to completion under full packet-trace capture and returns
 /// the FNV-1a digest of the rendered trace.
 fn captured_trace_digest(world: &mut comma::topology::CommaWorld, target: u64, what: &str) -> u64 {
@@ -380,10 +396,10 @@ pub fn build_event_core(nodes: usize, seed: u64) -> (Simulator, Vec<NodeId>) {
 }
 
 /// Two-segment allocation probe for the serial event core: two simulated
-/// seconds to warm every recycled buffer (the timer wheel's slot pool
-/// needs every in-flight slot to drain once before its buffers reach the
-/// capacity watermark), then a segment whose heap-allocation count is the
-/// steady-state figure. Returns `(warmup_allocs, steady_allocs,
+/// seconds to warm every recycled buffer (the timer wheel's slab has to
+/// reach the peak number of simultaneously pending entries, the ready
+/// batch its largest microsecond), then a segment whose heap-allocation
+/// count is the steady-state figure. Returns `(warmup_allocs, steady_allocs,
 /// steady_events)` for the calling thread — the allocation counts are zero
 /// unless built with `comma-rt/alloc-stats`, and `steady_allocs` must be
 /// zero even with it (pinned by the allocation-regression tests).

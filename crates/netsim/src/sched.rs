@@ -17,6 +17,15 @@
 //! their window. Each level keeps a 64-bit occupancy bitmap, so finding
 //! the next occupied slot is a couple of `trailing_zeros` instructions.
 //!
+//! Storage is one slab of cells. A pending entry is written into its cell
+//! once, at schedule time, and never moves: a wheel slot is the `u32` head
+//! of a list linked through the cells, a cascade relinks indices, the
+//! ready batch and the overflow heap hold indices. A fired or purged cell
+//! goes onto a free list and is the next one handed out, so the slab
+//! grows to the peak number of *simultaneously pending* entries and the
+//! steady state allocates nothing; there are no per-slot buffers and no
+//! pool of them.
+//!
 //! # Determinism
 //!
 //! Every entry carries the monotonic sequence number assigned at schedule
@@ -37,7 +46,7 @@
 //! simulator's wheel (a different slab) is an inert no-op instead of
 //! silently killing an unrelated timer that happens to share a slot index.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
 
@@ -54,6 +63,8 @@ pub const WHEEL_LEVELS: usize = 6;
 
 const SPAN_BITS: u32 = WHEEL_BITS * WHEEL_LEVELS as u32;
 const NO_CANCEL: u32 = u32::MAX;
+/// End of a cell list (a wheel slot's, or the free list's).
+const NIL: u32 = u32::MAX;
 
 /// Process-wide slab id allocator. Id 0 is reserved for
 /// [`TimerHandle::NONE`], so every live handle names the slab that minted
@@ -205,33 +216,17 @@ impl Clone for CancelSlab {
     }
 }
 
+/// One cell of [`TimerWheel`]'s slab. A pending entry is written once at
+/// schedule time and never moves; `next` threads it onto its wheel slot's
+/// list, or onto the free list once it has fired or been purged (`item`
+/// is `None` exactly then).
 struct Entry<T> {
     time: u64,
     seq: u64,
     cancel_idx: u32,
     cancel_gen: u32,
-    item: T,
-}
-
-/// Overflow entries live in a min-heap ordered by `(time, seq)` only.
-struct OverflowEntry<T>(Entry<T>);
-
-impl<T> PartialEq for OverflowEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.time == other.0.time && self.0.seq == other.0.seq
-    }
-}
-impl<T> Eq for OverflowEntry<T> {}
-impl<T> PartialOrd for OverflowEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for OverflowEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, the overflow wants min-first.
-        (other.0.time, other.0.seq).cmp(&(self.0.time, self.0.seq))
-    }
+    next: u32,
+    item: Option<T>,
 }
 
 /// Counters and gauges describing the scheduler's state; exported into
@@ -264,27 +259,21 @@ pub struct TimerWheel<T> {
     base: u64,
     next_seq: u64,
     len: usize,
-    levels: Vec<Vec<Vec<Entry<T>>>>,
+    /// Every pending entry plus the freed cells awaiting reuse. It grows
+    /// to the peak number of simultaneously pending entries; from then on
+    /// the steady state allocates nothing.
+    slab: Vec<Entry<T>>,
+    /// Head of the free-cell list.
+    free: u32,
+    /// Head cell of each wheel slot's list; `NIL` ⇔ the `occ` bit is clear.
+    heads: [[u32; WHEEL_SLOTS]; WHEEL_LEVELS],
     occ: [u64; WHEEL_LEVELS],
-    overflow: BinaryHeap<OverflowEntry<T>>,
-    /// The drained current-microsecond batch, sorted by seq.
-    ready: VecDeque<Entry<T>>,
-    /// Recycled slot storage. Slot indices are digits of *absolute* time,
-    /// so as the cursor advances it keeps entering slots that were never
-    /// touched before; growing each one from scratch would allocate for
-    /// hours of simulated time (64 fresh level-`l` slots every `64^(l+1)`
-    /// µs). Instead every drained slot returns its buffer here and every
-    /// push into a capacity-less slot takes one back, so the steady state
-    /// recycles a bounded working set (max simultaneous slot occupancy)
-    /// and allocates nothing.
-    pool: Vec<Vec<Entry<T>>>,
-    /// Capacity watermark for pooled buffers: the largest capacity any
-    /// slot has ever reached. [`TimerWheel::pool_put`] upgrades smaller
-    /// buffers to it so every pooled buffer can absorb the worst-case
-    /// batch without growing.
-    pool_cap: usize,
+    /// `(time, seq, cell)` of the entries beyond the wheel's span, min first.
+    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// The drained current-microsecond batch: cells sorted by seq.
+    ready: VecDeque<u32>,
     /// Cancellation slab (shared with dispatch contexts).
-    pub(crate) slab: CancelSlab,
+    pub(crate) cancel: CancelSlab,
     scheduled: u64,
     fired: u64,
     purged: u64,
@@ -303,41 +292,17 @@ impl<T> TimerWheel<T> {
             base: 0,
             next_seq: 0,
             len: 0,
-            levels: Self::empty_levels(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: [[NIL; WHEEL_SLOTS]; WHEEL_LEVELS],
             occ: [0; WHEEL_LEVELS],
             overflow: BinaryHeap::new(),
             ready: VecDeque::new(),
-            pool: Vec::new(),
-            pool_cap: 0,
-            slab: CancelSlab::default(),
+            cancel: CancelSlab::default(),
             scheduled: 0,
             fired: 0,
             purged: 0,
         }
-    }
-
-    fn empty_levels() -> Vec<Vec<Vec<Entry<T>>>> {
-        (0..WHEEL_LEVELS)
-            .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-            .collect()
-    }
-
-    /// The non-empty slots as `(level, slot, entries)`, read off the
-    /// occupancy bitmaps (a slot only ever fills through
-    /// [`TimerWheel::place`], which sets its bit) instead of by visiting
-    /// all `WHEEL_LEVELS * WHEEL_SLOTS` vectors.
-    fn occupied(&self) -> impl Iterator<Item = (usize, usize, &Vec<Entry<T>>)> {
-        self.occ.iter().enumerate().flat_map(move |(level, &occ)| {
-            let mut bits = occ;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some((level, slot, &self.levels[level][slot]))
-            })
-        })
     }
 
     /// Entries currently pending.
@@ -358,14 +323,14 @@ impl<T> TimerWheel<T> {
             overflow_len: self.overflow.len(),
             scheduled: self.scheduled,
             fired: self.fired,
-            cancelled: self.slab.cancelled(),
+            cancelled: self.cancel.cancelled(),
             purged: self.purged,
         }
     }
 
     /// Cancels a pending cancellable entry; `true` if it was still live.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        self.slab.cancel(handle)
+        self.cancel.cancel(handle)
     }
 
     /// Schedules `item` at `time` (clamped to the cursor). Plain entries
@@ -375,7 +340,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Schedules `item` at `time` under a pre-allocated handle from
-    /// [`CancelSlab::alloc`] (via `self.slab`).
+    /// [`CancelSlab::alloc`] (via `self.cancel`).
     pub fn schedule_cancellable(&mut self, time: SimTime, handle: TimerHandle, item: T) {
         debug_assert!(!handle.is_none(), "cancellable entry needs a live handle");
         self.insert(time.as_micros(), handle.idx, handle.gen, item);
@@ -383,7 +348,7 @@ impl<T> TimerWheel<T> {
 
     /// Allocates a handle and schedules `item` under it in one step.
     pub fn schedule_with_handle(&mut self, time: SimTime, item: T) -> TimerHandle {
-        let handle = self.slab.alloc();
+        let handle = self.cancel.alloc();
         self.schedule_cancellable(time, handle, item);
         handle
     }
@@ -399,59 +364,48 @@ impl<T> TimerWheel<T> {
             seq,
             cancel_idx,
             cancel_gen,
-            item,
+            next: NIL,
+            item: Some(item),
+        };
+        let idx = match self.free {
+            NIL => {
+                let idx = self.slab.len() as u32;
+                assert!(idx != NIL, "timer wheel slab exhausted");
+                self.slab.push(entry);
+                idx
+            }
+            idx => {
+                self.free = std::mem::replace(&mut self.slab[idx as usize], entry).next;
+                idx
+            }
         };
         match Self::placement(self.base, time) {
-            Some((level, slot)) => self.place(level, slot, entry),
-            None => self.overflow.push(OverflowEntry(entry)),
+            Some((level, slot)) => self.place(level, slot, idx),
+            None => self.overflow.push(Reverse((time, seq, idx))),
         }
     }
 
-    /// Pushes `entry` into a wheel slot, seeding a never-touched (or
-    /// retired) slot with recycled capacity from the pool first.
+    /// Links cell `idx` onto the head of a wheel slot's list.
     #[inline]
-    fn place(&mut self, level: usize, slot: usize, entry: Entry<T>) {
-        let v = &mut self.levels[level][slot];
-        if v.capacity() == 0 {
-            if let Some(buf) = self.pool.pop() {
-                *v = buf;
-            }
-        }
-        v.push(entry);
+    fn place(&mut self, level: usize, slot: usize, idx: u32) {
+        self.slab[idx as usize].next = std::mem::replace(&mut self.heads[level][slot], idx);
         self.occ[level] |= 1 << slot;
     }
 
-    /// Returns an emptied slot's buffer to the pool. The cursor will not
-    /// revisit this slot index for a full rotation of its level, so parking
-    /// the capacity here (for whatever slot fills next) beats leaving it
-    /// stranded.
+    /// Empties a wheel slot, returning the head of its list.
     #[inline]
-    fn retire_slot(&mut self, level: usize, slot: usize) {
-        let v = &mut self.levels[level][slot];
-        debug_assert!(v.is_empty(), "retiring a non-empty slot");
-        if v.capacity() > 0 {
-            let buf = std::mem::take(v);
-            self.pool_put(buf);
-        }
+    fn take_slot(&mut self, level: usize, slot: usize) -> u32 {
+        self.occ[level] &= !(1 << slot);
+        std::mem::replace(&mut self.heads[level][slot], NIL)
     }
 
-    /// Parks an emptied buffer in the pool, upgrading it to the capacity
-    /// watermark (the largest capacity any slot has ever grown to). The
-    /// invariant — every pooled buffer holds the worst-case batch — is what
-    /// makes the steady state truly allocation-free: without it, a small
-    /// recycled buffer landing in a full slot re-grows through the same
-    /// doublings some other buffer already paid for, and the allocation
-    /// trickle converges only asymptotically.
+    /// Takes the item out of cell `idx` and chains the cell onto the free
+    /// list.
     #[inline]
-    fn pool_put(&mut self, mut buf: Vec<Entry<T>>) {
-        debug_assert!(buf.is_empty(), "pooled buffers must be empty");
-        let cap = buf.capacity();
-        if cap < self.pool_cap {
-            buf.reserve_exact(self.pool_cap);
-        } else {
-            self.pool_cap = cap;
-        }
-        self.pool.push(buf);
+    fn free_cell(&mut self, idx: u32) -> Option<T> {
+        let e = &mut self.slab[idx as usize];
+        e.next = std::mem::replace(&mut self.free, idx);
+        e.item.take()
     }
 
     /// Level/slot for an entry at `time` relative to cursor `base`, or
@@ -473,68 +427,47 @@ impl<T> TimerWheel<T> {
     }
 
     #[inline]
-    fn entry_live(&self, e: &Entry<T>) -> bool {
-        e.cancel_idx == NO_CANCEL || self.slab.is_live(e.cancel_idx, e.cancel_gen)
+    fn entry_live(&self, idx: u32) -> bool {
+        let e = &self.slab[idx as usize];
+        e.cancel_idx == NO_CANCEL || self.cancel.is_live(e.cancel_idx, e.cancel_gen)
     }
 
     /// Time of the next live entry, without advancing the cursor.
     /// Cancelled entries encountered on the way are purged.
     pub fn next_time(&mut self) -> Option<SimTime> {
         // Serve from the drained batch first.
-        while let Some(front) = self.ready.front() {
+        while let Some(&front) = self.ready.front() {
             if self.entry_live(front) {
-                return Some(SimTime::from_micros(front.time));
+                return Some(SimTime::from_micros(self.slab[front as usize].time));
             }
-            let e = self.ready.pop_front().expect("front checked");
-            self.discard(e);
+            self.ready.pop_front();
+            self.discard(front);
         }
         loop {
             if self.len == 0 {
                 return None;
             }
-            // Level 0: exact microsecond known from the slot index.
-            let d0 = (self.base & (WHEEL_SLOTS as u64 - 1)) as u32;
-            let mask = self.occ[0] & (!0u64 << d0);
-            if mask != 0 {
-                let slot = mask.trailing_zeros() as usize;
-                if self.purge_slot(0, slot) {
-                    continue;
-                }
-                return Some(SimTime::from_micros(
-                    (self.base & !(WHEEL_SLOTS as u64 - 1)) | slot as u64,
-                ));
-            }
-            // Higher levels: the first occupied slot of the lowest
-            // occupied level holds the globally earliest entries.
-            let mut found = None;
-            for level in 1..WHEEL_LEVELS {
-                let digit = ((self.base >> (WHEEL_BITS * level as u32))
-                    & (WHEEL_SLOTS as u64 - 1)) as u32;
+            // The first occupied slot at or after the cursor's digit on the
+            // lowest occupied level holds the globally earliest entries.
+            let found = (0..WHEEL_LEVELS).find_map(|level| {
+                let digit = (self.base >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1);
                 let mask = self.occ[level] & (!0u64 << digit);
-                if mask != 0 {
-                    found = Some((level, mask.trailing_zeros() as usize));
-                    break;
-                }
-            }
+                (mask != 0).then(|| (level, mask.trailing_zeros() as usize))
+            });
             if let Some((level, slot)) = found {
-                if self.purge_slot(level, slot) {
-                    continue;
+                match self.purge_slot(level, slot) {
+                    Some(min) => return Some(SimTime::from_micros(min)),
+                    None => continue,
                 }
-                let min = self.levels[level][slot]
-                    .iter()
-                    .map(|e| e.time)
-                    .min()
-                    .expect("slot non-empty after purge");
-                return Some(SimTime::from_micros(min));
             }
             // Wheel empty: the overflow heap holds the future.
             match self.overflow.peek() {
-                Some(head) => {
-                    if self.entry_live(&head.0) {
-                        return Some(SimTime::from_micros(head.0.time));
+                Some(&Reverse((time, _, idx))) => {
+                    if self.entry_live(idx) {
+                        return Some(SimTime::from_micros(time));
                     }
-                    let e = self.overflow.pop().expect("peeked").0;
-                    self.discard(e);
+                    self.overflow.pop();
+                    self.discard(idx);
                 }
                 None => {
                     debug_assert_eq!(self.len, 0, "len out of sync with queues");
@@ -544,37 +477,54 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// Removes cancelled entries from a slot; returns `true` if the slot
-    /// became empty (occupancy cleared).
-    fn purge_slot(&mut self, level: usize, slot: usize) -> bool {
-        let mut entries = std::mem::take(&mut self.levels[level][slot]);
-        let mut i = 0;
-        while i < entries.len() {
-            if self.entry_live(&entries[i]) {
-                i += 1;
+    /// Unlinks cancelled entries from a slot's list and returns the
+    /// earliest time left on it; `None` if the slot became empty
+    /// (occupancy cleared).
+    fn purge_slot(&mut self, level: usize, slot: usize) -> Option<u64> {
+        let mut min = None;
+        let mut prev = NIL;
+        let mut cur = self.heads[level][slot];
+        while cur != NIL {
+            let Entry { next, time, .. } = self.slab[cur as usize];
+            if self.entry_live(cur) {
+                min = Some(min.map_or(time, |m: u64| m.min(time)));
+                prev = cur;
             } else {
-                let e = entries.swap_remove(i);
-                self.discard(e);
+                match prev {
+                    NIL => self.heads[level][slot] = next,
+                    _ => self.slab[prev as usize].next = next,
+                }
+                self.discard(cur);
             }
+            cur = next;
         }
-        let empty = entries.is_empty();
-        if empty {
+        if min.is_none() {
             self.occ[level] &= !(1 << slot);
-            if entries.capacity() > 0 {
-                self.pool_put(entries);
-            }
-        } else {
-            self.levels[level][slot] = entries;
         }
-        empty
+        min
     }
 
     /// Accounts for a cancelled entry dropped without dispatch.
-    fn discard(&mut self, e: Entry<T>) {
-        debug_assert!(e.cancel_idx != NO_CANCEL, "only cancellable entries purge");
-        self.slab.release(e.cancel_idx);
+    fn discard(&mut self, idx: u32) {
+        let cancel_idx = self.slab[idx as usize].cancel_idx;
+        debug_assert!(cancel_idx != NO_CANCEL, "only cancellable entries purge");
+        self.cancel.release(cancel_idx);
+        self.free_cell(idx);
         self.len -= 1;
         self.purged += 1;
+    }
+
+    /// Accounts for the dispatch of the live entry in cell `idx` (already
+    /// off the ready batch) and frees the cell.
+    fn fire(&mut self, idx: u32) -> (SimTime, T) {
+        let Entry { time, cancel_idx, .. } = self.slab[idx as usize];
+        if cancel_idx != NO_CANCEL {
+            self.cancel.release(cancel_idx);
+        }
+        self.len -= 1;
+        self.fired += 1;
+        let item = self.free_cell(idx).expect("a pending cell holds its item");
+        (SimTime::from_micros(time), item)
     }
 
     /// Pops the next live entry in `(time, seq)` order.
@@ -587,33 +537,37 @@ impl<T> TimerWheel<T> {
     /// This is the simulator's event-loop primitive: one call does the
     /// peek-compare-pop the binary heap needed two queue operations for.
     pub fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, T)> {
-        let target = self.next_time()?;
-        if target > horizon {
+        if !self.load_due(horizon) {
             return None;
         }
+        // `next_time` guaranteed at least one live entry at the due time
+        // in the batch (nothing can be cancelled between the calls).
+        loop {
+            let idx = self
+                .ready
+                .pop_front()
+                .expect("next_time guaranteed a live entry");
+            if self.entry_live(idx) {
+                return Some(self.fire(idx));
+            }
+            self.discard(idx);
+        }
+    }
+
+    /// Makes the ready batch hold the next due microsecond, if that lies at
+    /// or before `horizon`: a no-op while the current batch has live
+    /// entries left, otherwise the cursor advances and the level-0 slot is
+    /// drained. `false` when nothing is due by `horizon`.
+    fn load_due(&mut self, horizon: SimTime) -> bool {
+        let Some(target) = self.next_time().filter(|&t| t <= horizon) else {
+            return false;
+        };
         if self.ready.is_empty() {
             let t = target.as_micros();
             self.advance_to(t);
             self.drain_current(t);
         }
-        // `next_time` guaranteed at least one live entry at `target` in
-        // the batch (nothing can be cancelled between the calls).
-        loop {
-            let e = self
-                .ready
-                .pop_front()
-                .expect("next_time guaranteed a live entry");
-            if !self.entry_live(&e) {
-                self.discard(e);
-                continue;
-            }
-            if e.cancel_idx != NO_CANCEL {
-                self.slab.release(e.cancel_idx);
-            }
-            self.len -= 1;
-            self.fired += 1;
-            return Some((SimTime::from_micros(e.time), e.item));
-        }
+        true
     }
 
     /// Moves the cursor to `target`, cascading every slot the cursor
@@ -629,20 +583,17 @@ impl<T> TimerWheel<T> {
                 "cursor cannot leave the span while wheel entries remain"
             );
             self.base = target;
-            while let Some(head) = self.overflow.peek() {
-                if Self::placement(self.base, head.0.time).is_none() {
+            while let Some(&Reverse((time, _, idx))) = self.overflow.peek() {
+                let Some((level, slot)) = Self::placement(self.base, time) else {
                     break;
-                }
-                let entry = self.overflow.pop().expect("peeked").0;
-                match Self::placement(self.base, entry.time) {
-                    Some((level, slot)) => self.place(level, slot, entry),
-                    None => unreachable!("checked in-window above"),
-                }
+                };
+                self.overflow.pop();
+                self.place(level, slot, idx);
             }
         }
-        // Cascade top-down: each pass drains the highest-level slot on the
-        // path to `target` and re-places its entries relative to the new
-        // cursor; entries land strictly below the drained level.
+        // Cascade top-down: each pass empties the highest-level slot on the
+        // path to `target` and relinks its cells relative to the new
+        // cursor; they land strictly below the emptied level.
         loop {
             match Self::placement(self.base, target) {
                 Some((0, _)) | None => break,
@@ -651,19 +602,14 @@ impl<T> TimerWheel<T> {
                     // `target`, lower digits reset to zero.
                     let span = 1u64 << (WHEEL_BITS * level as u32);
                     self.base = target & !(span - 1);
-                    let mut entries = std::mem::take(&mut self.levels[level][slot]);
-                    self.occ[level] &= !(1 << slot);
-                    for entry in entries.drain(..) {
-                        match Self::placement(self.base, entry.time) {
-                            Some((l, s)) => {
-                                debug_assert!(l < level, "cascade must descend");
-                                self.place(l, s, entry);
-                            }
-                            None => unreachable!("cascaded entry left the span"),
-                        }
-                    }
-                    if entries.capacity() > 0 {
-                        self.pool_put(entries);
+                    let mut cur = self.take_slot(level, slot);
+                    while cur != NIL {
+                        let Entry { next, time, .. } = self.slab[cur as usize];
+                        let (l, s) = Self::placement(self.base, time)
+                            .expect("a cascaded entry stays inside the span");
+                        debug_assert!(l < level, "cascade must descend");
+                        self.place(l, s, cur);
+                        cur = next;
                     }
                 }
             }
@@ -677,57 +623,35 @@ impl<T> TimerWheel<T> {
 
     /// Deep-copies the wheel, mapping every pending item through `f`;
     /// fails on the first item `f` rejects (e.g. a pending closure event
-    /// that cannot be cloned). Only occupied slots are visited (of 384,
-    /// a model-checked world fills about ten). Cursor, sequence counter,
-    /// and statistics carry over, so the clone pops the exact
-    /// `(time, seq)` order the original would. The cancellation slab
-    /// keeps its id (see
-    /// [`CancelSlab`]'s `Clone`), which keeps `TimerHandle`s stored inside
-    /// cloned nodes valid against the cloned wheel.
+    /// that cannot be cloned). The slab's cells are copied in place and
+    /// the slot heads, ready batch and overflow heap — plain indices into
+    /// it — as values. Cursor, sequence counter, and statistics carry
+    /// over, so the clone pops the exact `(time, seq)` order the original
+    /// would. The cancellation slab keeps its id (see [`CancelSlab`]'s
+    /// `Clone`), which keeps `TimerHandle`s stored inside cloned nodes
+    /// valid against the cloned wheel.
     pub fn try_clone_with<E>(
         &self,
         mut f: impl FnMut(&T) -> Result<T, E>,
     ) -> Result<TimerWheel<T>, E> {
-        fn clone_entry<T, E>(
-            e: &Entry<T>,
-            f: &mut impl FnMut(&T) -> Result<T, E>,
-        ) -> Result<Entry<T>, E> {
-            Ok(Entry {
-                time: e.time,
-                seq: e.seq,
-                cancel_idx: e.cancel_idx,
-                cancel_gen: e.cancel_gen,
-                item: f(&e.item)?,
-            })
-        }
-        let mut levels = Self::empty_levels();
-        for (level, slot, entries) in self.occupied() {
-            let v = &mut levels[level][slot];
-            v.reserve_exact(entries.len());
-            for e in entries {
-                v.push(clone_entry(e, &mut f)?);
-            }
-        }
-        let mut overflow = BinaryHeap::with_capacity(self.overflow.len());
-        for e in self.overflow.iter() {
-            overflow.push(OverflowEntry(clone_entry(&e.0, &mut f)?));
-        }
-        let mut ready = VecDeque::with_capacity(self.ready.len());
-        for e in &self.ready {
-            ready.push_back(clone_entry(e, &mut f)?);
+        let mut slab = Vec::with_capacity(self.slab.len());
+        for e in &self.slab {
+            slab.push(Entry {
+                item: e.item.as_ref().map(&mut f).transpose()?,
+                ..*e
+            });
         }
         Ok(TimerWheel {
             base: self.base,
             next_seq: self.next_seq,
             len: self.len,
-            levels,
+            slab,
+            free: self.free,
+            heads: self.heads,
             occ: self.occ,
-            overflow,
-            ready,
-            // The pool is a performance cache, not state.
-            pool: Vec::new(),
-            pool_cap: 0,
-            slab: self.slab.clone(),
+            overflow: self.overflow.clone(),
+            ready: self.ready.clone(),
+            cancel: self.cancel.clone(),
             scheduled: self.scheduled,
             fired: self.fired,
             purged: self.purged,
@@ -735,19 +659,16 @@ impl<T> TimerWheel<T> {
     }
 
     /// Visits every pending live entry as `(time, seq, item)` in
-    /// `(time, seq)` pop order — ready batch first, then wheel and
-    /// overflow. Canonical-fingerprint use: two wheels that would pop the
-    /// same items at the same times visit identically, regardless of slot
-    /// layout or heap arity.
+    /// `(time, seq)` pop order. Canonical-fingerprint use: two wheels that
+    /// would pop the same items at the same times visit identically,
+    /// regardless of slot layout, cell numbering or heap arity.
     pub fn for_each_pending(&self, mut f: impl FnMut(u64, u64, &T)) {
-        let all = self
-            .ready
-            .iter()
-            .chain(self.occupied().flat_map(|(_, _, entries)| entries))
-            .chain(self.overflow.iter().map(|e| &e.0));
-        let mut pending: Vec<(u64, u64, &T)> = all
-            .filter(|e| self.entry_live(e))
-            .map(|e| (e.time, e.seq, &e.item))
+        let mut pending: Vec<(u64, u64, &T)> = (0..self.slab.len() as u32)
+            .filter_map(|idx| {
+                let e = &self.slab[idx as usize];
+                let item = e.item.as_ref()?;
+                self.entry_live(idx).then_some((e.time, e.seq, item))
+            })
             .collect();
         pending.sort_by_key(|&(time, seq, _)| (time, seq));
         for (time, seq, item) in pending {
@@ -760,28 +681,25 @@ impl<T> TimerWheel<T> {
     /// These are the fire-order alternatives a model checker branches on;
     /// zero means the wheel is empty.
     pub fn due_batch_len(&mut self) -> usize {
-        let Some(target) = self.next_time() else {
-            return 0;
-        };
-        if self.ready.is_empty() {
-            let t = target.as_micros();
-            self.advance_to(t);
-            self.drain_current(t);
-        }
-        self.ready.iter().filter(|e| self.entry_live(e)).count()
+        self.load_due(SimTime::MAX);
+        self.ready.iter().filter(|&&idx| self.entry_live(idx)).count()
+    }
+
+    /// Position in the ready batch of the `n`-th (0-based) live entry of
+    /// the due batch, in FIFO order. `None` past the end of the batch.
+    fn due_nth(&mut self, n: usize) -> Option<usize> {
+        self.load_due(SimTime::MAX);
+        (0..self.ready.len())
+            .filter(|&pos| self.entry_live(self.ready[pos]))
+            .nth(n)
     }
 
     /// Borrowing look at the `n`-th (0-based) live entry of the due batch,
     /// in FIFO order. `None` past the end of the batch.
     pub fn peek_due_nth(&mut self, n: usize) -> Option<(SimTime, &T)> {
-        if self.due_batch_len() <= n {
-            return None;
-        }
-        self.ready
-            .iter()
-            .filter(|e| self.entry_live(e))
-            .nth(n)
-            .map(|e| (SimTime::from_micros(e.time), &e.item))
+        let pos = self.due_nth(n)?;
+        let e = &self.slab[self.ready[pos] as usize];
+        Some((SimTime::from_micros(e.time), e.item.as_ref()?))
     }
 
     /// Pops the `n`-th (0-based) live entry of the due batch, possibly out
@@ -789,43 +707,29 @@ impl<T> TimerWheel<T> {
     /// `pop_due_nth(0)` is equivalent to [`TimerWheel::pop`] when the
     /// wheel is non-empty.
     pub fn pop_due_nth(&mut self, n: usize) -> Option<(SimTime, T)> {
-        if self.due_batch_len() <= n {
-            return None;
-        }
-        let mut live = 0usize;
-        let mut idx = 0usize;
-        loop {
-            if self.entry_live(&self.ready[idx]) {
-                if live == n {
-                    break;
-                }
-                live += 1;
-            }
-            idx += 1;
-        }
-        let e = self.ready.remove(idx).expect("index verified live");
-        if e.cancel_idx != NO_CANCEL {
-            self.slab.release(e.cancel_idx);
-        }
-        self.len -= 1;
-        self.fired += 1;
-        Some((SimTime::from_micros(e.time), e.item))
+        let pos = self.due_nth(n)?;
+        let idx = self.ready.remove(pos).expect("position verified live");
+        Some(self.fire(idx))
     }
 
     /// Drains the level-0 slot at the cursor into the ready batch, sorted
-    /// by sequence number (same-microsecond FIFO). The ready deque keeps
-    /// its capacity and the slot's buffer returns to the pool, so the
-    /// steady state is allocation-free.
+    /// by sequence number (same-microsecond FIFO). Only cell indices move;
+    /// the ready deque keeps its capacity.
     fn drain_current(&mut self, target: u64) {
         debug_assert_eq!(self.base, target);
         debug_assert!(self.ready.is_empty());
-        let slot = (target & (WHEEL_SLOTS as u64 - 1)) as usize;
-        let batch = &mut self.levels[0][slot];
-        self.occ[0] &= !(1 << slot);
-        debug_assert!(batch.iter().all(|e| e.time == target), "level-0 slot mixes times");
-        self.ready.extend(batch.drain(..));
-        self.retire_slot(0, slot);
-        self.ready.make_contiguous().sort_by_key(|e| e.seq);
+        let mut cur = self.take_slot(0, (target & (WHEEL_SLOTS as u64 - 1)) as usize);
+        while cur != NIL {
+            let e = &self.slab[cur as usize];
+            debug_assert_eq!(e.time, target, "level-0 slot mixes times");
+            self.ready.push_back(cur);
+            cur = e.next;
+        }
+        let slab = &self.slab;
+        // Sequence numbers are unique, so the unstable sort is exact.
+        self.ready
+            .make_contiguous()
+            .sort_unstable_by_key(|&idx| slab[idx as usize].seq);
     }
 }
 
@@ -1029,13 +933,49 @@ mod tests {
         rng.gen_range(lo..1u64 << (WHEEL_BITS * (class + 1)))
     }
 
+    /// The slab's structural invariants: every cell is on exactly one of
+    /// {free list, a slot's list, the ready batch, the overflow heap}, the
+    /// free cells are the ones without an item, `len` counts the rest, an
+    /// `occ` bit is set ⇔ its slot has a head, and the slab never outgrew
+    /// `peak`, the most entries that were ever pending at once.
+    fn check_slab(w: &TimerWheel<u32>, peak: usize) -> Result<(), String> {
+        use comma_rt::{ensure, ensure_eq};
+        let mut seen = vec![0u8; w.slab.len()];
+        let mut walk = |mut cur: u32, free: bool| {
+            while cur != NIL {
+                let e = &w.slab[cur as usize];
+                ensure_eq!(e.item.is_none(), free, "cell {cur} on the wrong kind of list");
+                seen[cur as usize] += 1;
+                cur = e.next;
+            }
+            Ok(())
+        };
+        walk(w.free, true)?;
+        for (level, heads) in w.heads.iter().enumerate() {
+            for (slot, &head) in heads.iter().enumerate() {
+                ensure_eq!(w.occ[level] >> slot & 1 == 1, head != NIL, "occ[{level}] bit {slot}");
+                walk(head, false)?;
+            }
+        }
+        let listed = w.ready.iter().copied().chain(w.overflow.iter().map(|e| e.0 .2));
+        for idx in listed {
+            ensure!(w.slab[idx as usize].item.is_some(), "queued cell {idx} is free");
+            seen[idx as usize] += 1;
+        }
+        ensure!(seen.iter().all(|&n| n == 1), "cells not on exactly one list: {seen:?}");
+        ensure_eq!(w.len, w.slab.iter().filter(|e| e.item.is_some()).count(), "len");
+        ensure!(w.slab.len() <= peak, "slab {} > peak pending {peak}", w.slab.len());
+        Ok(())
+    }
+
     /// `try_clone_with` and `for_each_pending` against a sorted-vector
     /// model: after a random schedule / cancel / pop / `pop_due_nth`
     /// history the walk visits exactly the model's live entries in
     /// `(time, seq)` order, the clone pops that same sequence and carries
     /// the statistics, tombstones (cancelled, not yet purged) are skipped
     /// by both, and a handle minted before the copy cancels in the copy
-    /// without touching the original.
+    /// without touching the original. The original (before and after it
+    /// drains) and a copy also pass [`check_slab`].
     #[test]
     fn clone_and_pending_walk_match_model() {
         use comma_rt::prop::Runner;
@@ -1072,6 +1012,8 @@ mod tests {
                 let mut model: Vec<(u64, u64, u32)> = Vec::new();
                 let mut handles: Vec<(TimerHandle, u32)> = Vec::new();
                 let (mut now, mut seq) = (0u64, 0u64);
+                // Most entries ever pending at once, tombstones included.
+                let mut peak = 0usize;
                 let schedule = |w: &mut TimerWheel<u32>,
                                 model: &mut Vec<(u64, u64, u32)>,
                                 handles: &mut Vec<(TimerHandle, u32)>,
@@ -1093,6 +1035,7 @@ mod tests {
                         Op::Schedule { delay, cancellable } => {
                             let at = now + delay;
                             schedule(&mut w, &mut model, &mut handles, &mut seq, at, cancellable);
+                            peak = peak.max(w.len());
                         }
                         Op::Cancel { pick } if !handles.is_empty() => {
                             let (h, item) = handles[pick % handles.len()];
@@ -1136,6 +1079,8 @@ mod tests {
                 let mut probe_rng: comma_rt::SmallRng = comma_rt::SeedableRng::seed_from_u64(seq);
                 let probe_at = now + delay_of_class(&mut probe_rng, 2);
                 schedule(&mut w, &mut model, &mut handles, &mut seq, probe_at, true);
+                peak = peak.max(w.len());
+                check_slab(&w, peak)?;
                 let (probe, probe_item) = *handles.last().expect("just pushed");
 
                 for (level, &occ) in w.occ.iter().enumerate() {
@@ -1156,6 +1101,7 @@ mod tests {
                 };
                 let (mut a, mut b) = (copy(&w), copy(&w));
                 ensure_eq!(walk(&a), want, "copy walk");
+                check_slab(&a, peak)?;
                 ensure_eq!(format!("{:?}", a.stats()), format!("{:?}", w.stats()), "stats");
 
                 ensure!(b.cancel(probe), "pre-copy handle is live in the copy");
@@ -1165,6 +1111,7 @@ mod tests {
                 ensure_eq!(drain_all(&mut b), without_probe, "copy with probe cancelled");
                 ensure_eq!(drain_all(&mut a), want, "copy pops the original's sequence");
                 ensure_eq!(drain_all(&mut w), want, "original unaffected by the copies");
+                check_slab(&w, peak)?;
                 Ok(())
             },
         );

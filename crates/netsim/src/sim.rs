@@ -318,7 +318,7 @@ impl Simulator {
             self.obs.gauge(scope, "link.fluid_queue_bytes", qbytes as f64);
         }
         if let Some(at) = next {
-            let handle = self.sched.slab.alloc();
+            let handle = self.sched.cancel.alloc();
             self.channels[ch_id.0].fluid.as_mut().expect("fluid just ran").handle = handle;
             self.sched
                 .schedule_cancellable(at, handle, Event::FluidEpoch { channel: ch_id });
@@ -571,7 +571,7 @@ impl Simulator {
     /// returning a handle that cancels it.
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) -> TimerHandle {
         let time = at.max(self.now);
-        let handle = self.sched.slab.alloc();
+        let handle = self.sched.cancel.alloc();
         self.sched
             .schedule_cancellable(time, handle, Event::Timer { node, token });
         handle
@@ -711,7 +711,7 @@ impl Simulator {
                 &mut self.trace,
             )
             .with_obs(&self.obs)
-            .with_timer_slab(&mut self.sched.slab)
+            .with_timer_slab(&mut self.sched.cancel)
             .with_effect_buffers(fx_outputs, fx_timers);
             f(&mut boxed, &mut ctx);
             ctx.take_effects()

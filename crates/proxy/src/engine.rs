@@ -410,7 +410,20 @@ impl FilterEngine {
         let Some(mut inst) = self.instances[inst_id].take() else {
             return;
         };
-        self.flows.evict_instance(inst_id);
+        // A flow entry lists `m` ⇒ its key ∈ `instances[m].keys`:
+        // `expand_queue` lists an instance under exactly the keys it
+        // records, and `teardown_stream` drops a key from its members'
+        // sets as it drops the entry. So the instance's own keys name
+        // every entry that can still list it.
+        for &k in &inst.keys {
+            if let Some(entry) = self.flows.get_mut(k) {
+                entry.members = entry.members.iter().copied().filter(|&m| m != inst_id).collect();
+            }
+        }
+        debug_assert!(
+            self.flows.iter().all(|(_, e)| !e.members.contains(&inst_id)),
+            "a flow entry outside instance {inst_id}'s keys still lists it"
+        );
         let mut ctx = FilterCtx::new(now, rng, metrics);
         inst.filter.on_removed(&mut ctx);
         self.drain_ctx(now, &inst.kind, &mut ctx);
@@ -1324,5 +1337,72 @@ mod tests {
         assert!(payload_modified(&a, &changed));
         let longer = Bytes::from(vec![1u8, 2, 3, 4, 5]);
         assert!(payload_modified(&a, &longer), "length change short-circuits");
+    }
+
+    /// A filter serving its own stream plus the `also` keys (launcher
+    /// style: one instance, several keys).
+    struct Multi {
+        also: Vec<StreamKey>,
+    }
+
+    impl Filter for Multi {
+        fn kind(&self) -> &'static str {
+            "multi"
+        }
+        fn priority(&self) -> Priority {
+            Priority::Normal
+        }
+        fn capabilities(&self) -> Capabilities {
+            Capabilities::all()
+        }
+        fn insert(&mut self, _ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
+            std::iter::once(key).chain(self.also.iter().copied()).collect()
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn key(n: u8) -> StreamKey {
+        format!("1.2.3.{n} 5 6.7.8.9 10").parse().expect("stream key")
+    }
+
+    fn multi_engine(also: Vec<StreamKey>) -> (FilterEngine, SmallRng) {
+        let mut catalog = FilterCatalog::new();
+        catalog.register_loaded(
+            "multi",
+            Box::new(move |_args| Ok(Box::new(Multi { also: also.clone() }))),
+        );
+        let mut engine = FilterEngine::new(catalog);
+        engine.register(WildKey::ANY, "multi", vec![]).expect("loaded");
+        (engine, comma_rt::SeedableRng::seed_from_u64(1))
+    }
+
+    #[test]
+    fn teardown_leaves_unrelated_member_lists_untouched() {
+        let (mut engine, mut rng) = multi_engine(vec![]);
+        let metrics = crate::filter::NullMetrics;
+        let a = engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(1));
+        let b = engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(2));
+        assert_eq!((&a[..], &b[..]), (&[0][..], &[1][..]), "one instance per flow");
+        engine.teardown_stream(SimTime::ZERO, &mut rng, &metrics, key(1));
+        assert!(engine.flows.get(key(1)).is_none() && engine.instances[0].is_none());
+        let after = engine.flows.members(key(2)).expect("flow 2 survives");
+        assert!(Arc::ptr_eq(&b, &after), "flows sharing nothing keep their cached list");
+    }
+
+    #[test]
+    fn instance_losing_one_key_keeps_serving_the_other() {
+        let (mut engine, mut rng) = multi_engine(vec![key(9)]);
+        let metrics = crate::filter::NullMetrics;
+        engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(1));
+        assert_eq!(engine.instance_infos()[0].keys, vec![key(1), key(9)]);
+        engine.teardown_stream(SimTime::ZERO, &mut rng, &metrics, key(1));
+        assert_eq!(engine.instance_infos()[0].keys, vec![key(9)], "instance survives");
+        assert_eq!(&engine.flows.members(key(9)).expect("other key stays")[..], &[0]);
+        // Deregistering removes the instance through its remaining key.
+        engine.deregister(SimTime::ZERO, &mut rng, &metrics, "multi", WildKey::ANY);
+        assert!(engine.instance_infos().is_empty());
+        assert!(engine.flows.members(key(9)).expect("entry stays").is_empty());
     }
 }

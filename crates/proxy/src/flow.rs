@@ -13,6 +13,11 @@
 //!   engine's skips the wild-card registration scan entirely. The scan —
 //!   and the member-list rebuild — happens only when the registration set
 //!   actually changed (or the flow is new).
+//!
+//! The table is only ever touched by key. Removing a filter instance
+//! rebuilds the member lists of that instance's own keys
+//! (`FilterEngine::remove_instance`); nothing scans the whole table on
+//! the packet path or at stream teardown.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -124,22 +129,6 @@ impl FlowTable {
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut FlowEntry> {
         self.map.values_mut()
     }
-
-    /// Rebuilds the member list of every entry containing `inst_id`
-    /// without it (instance teardown).
-    pub fn evict_instance(&mut self, inst_id: usize) {
-        for entry in self.map.values_mut() {
-            if entry.members.contains(&inst_id) {
-                let rebuilt: Vec<usize> = entry
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != inst_id)
-                    .collect();
-                entry.members = Arc::from(rebuilt);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -159,19 +148,5 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "lookups share one allocation");
         assert_eq!(&a[..], &[3, 1, 2]);
         assert!(t.members(key(2)).is_none());
-    }
-
-    #[test]
-    fn evict_rebuilds_only_affected_entries() {
-        let mut t = FlowTable::new();
-        t.entry(key(1)).members = Arc::from(vec![1, 2, 3]);
-        t.entry(key(2)).members = Arc::from(vec![4, 5]);
-        let untouched = t.members(key(2)).unwrap();
-        t.evict_instance(2);
-        assert_eq!(&t.members(key(1)).unwrap()[..], &[1, 3]);
-        assert!(
-            Arc::ptr_eq(&untouched, &t.members(key(2)).unwrap()),
-            "entries without the instance keep their cached list"
-        );
     }
 }

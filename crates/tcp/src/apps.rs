@@ -347,6 +347,8 @@ impl App for Sink {
     }
 
     fn on_peer_closed(&mut self, ctx: &mut AppCtx, sock: SocketId) {
+        // No more bytes from this peer: give back the growth slack.
+        self.capture.shrink_to_fit();
         ctx.close(sock);
     }
 

@@ -90,8 +90,11 @@ impl SendBuffer {
         // Compact only once the acknowledged prefix is at least as long as
         // what is kept: the bytes moved are then paid for by the bytes
         // acked since the last compaction (amortised O(1) per ACK, however
-        // much is buffered).
-        if self.head >= self.len() {
+        // much is buffered). When nothing is kept the allocation goes with
+        // the data: a finished flow's buffer holds no memory.
+        if self.head == self.data.len() {
+            *self = SendBuffer::new(self.base_seq);
+        } else if self.head >= self.len() {
             self.data.drain(..self.head);
             self.head = 0;
         }
@@ -255,7 +258,8 @@ mod tests {
     }
 
     /// The head-offset buffer against the obvious model: a `Vec` holding
-    /// exactly the retained bytes, drained on every ACK.
+    /// exactly the retained bytes, drained on every ACK. A buffer an ACK
+    /// leaves empty holds no allocation.
     #[test]
     fn send_buffer_matches_naive_model() {
         use comma_rt::prop::Runner;
@@ -306,6 +310,9 @@ mod tests {
                             let n = delta.clamp(0, model.len() as i64) as usize;
                             model.drain(..n);
                             m_base = m_base.wrapping_add(n as u32);
+                            if model.is_empty() {
+                                ensure_eq!(sb.data.capacity(), 0, "op {i}: empty but allocated");
+                            }
                         }
                         Op::Slice(delta, max) => {
                             let got = sb.slice(m_base.wrapping_add(delta as u32), max);

@@ -232,11 +232,13 @@ impl Host {
         self.sockets.get(sock.0).map(|e| &e.conn)
     }
 
+    /// Next ephemeral port no open socket, listener or UDP binding holds.
+    /// A closed connection has given its port back (TIME-WAIT has not).
     fn alloc_port(&mut self) -> u16 {
         loop {
             let port = self.next_port;
             self.next_port = self.next_port.checked_add(1).unwrap_or(1024);
-            let in_use = self.sockets.iter().any(|e| e.local.1 == port)
+            let in_use = self.sockets.iter().any(|e| e.local.1 == port && !e.conn.is_closed())
                 || self.listeners.iter().any(|l| l.port == port)
                 || self.udp_binds.contains_key(&port);
             if !in_use {
@@ -750,5 +752,39 @@ impl Node for Host {
                 app.state_digest(h);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Start `next_port` near the top and wrap: a closed connection's port
+    /// is handed out again, a live one's is still skipped. (With closed
+    /// sockets counted as holders, a host hung in `alloc_port` once every
+    /// port had been used once.)
+    #[test]
+    fn closed_sockets_give_their_ports_back() {
+        let mut host = Host::new("h", Ipv4Addr::new(10, 0, 0, 1));
+        for (port, live) in [(65_534, false), (65_535, true), (1024, false), (1025, true)] {
+            let mut conn = TcpConnection::new(TcpConfig::default(), 1);
+            if live {
+                conn.connect(SimTime::ZERO);
+            }
+            host.sockets.push(SocketEntry {
+                conn,
+                local: (host.addrs[0], port),
+                remote: (Ipv4Addr::new(10, 0, 0, 2), 80),
+                app: 0,
+                passive: false,
+                obs_scope: None,
+                last_state: TcpState::Closed,
+                timer: None,
+            });
+        }
+        host.next_port = 65_534;
+        assert_eq!(host.alloc_port(), 65_534, "a closed socket's port is free");
+        assert_eq!(host.alloc_port(), 1024, "live 65535 skipped, wrapped, recycled");
+        assert_eq!(host.alloc_port(), 1026, "live 1025 skipped");
     }
 }

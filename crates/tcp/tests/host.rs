@@ -249,3 +249,58 @@ fn curr_estab_tracks_lifecycle() {
     let after = sim.with_node::<Host, _>(b, |h| h.curr_estab());
     assert_eq!(after, 0, "connection closed after transfer");
 }
+
+/// A TCP segment from `src:5555` to b's port 9000, injected on a's wire.
+fn seg_to_b(src: Ipv4Addr, seq: u32, flags: TcpFlags) -> Packet {
+    Packet::tcp(src, addr(2), TcpSegment::new(5555, 9000, seq, 0, flags))
+}
+
+#[test]
+fn passive_open_on_a_closed_tuple_reaches_the_new_socket() {
+    // The peer address is not a's, so a discards b's replies and the
+    // injected segments are the whole conversation.
+    let (mut sim, a, b) = pair_with(vec![], vec![Box::new(Sink::new(9000))]);
+    let iface = comma_netsim::node::IfaceId(0);
+    let states = |sim: &mut Simulator| {
+        sim.with_node::<Host, _>(b, |h| {
+            h.socket_infos().iter().map(|i| i.state).collect::<Vec<_>>()
+        })
+    };
+    let mut at = 0;
+    let mut step = |sim: &mut Simulator, seq: u32, flags: TcpFlags| {
+        sim.inject(a, iface, seg_to_b(addr(9), seq, flags));
+        at += 10;
+        sim.run_until(SimTime::from_millis(at));
+        states(sim)
+    };
+    assert_eq!(step(&mut sim, 100, TcpFlags::SYN), [TcpState::SynRcvd]);
+    assert_eq!(step(&mut sim, 101, TcpFlags::RST), [TcpState::Closed]);
+    assert_eq!(
+        step(&mut sim, 5000, TcpFlags::SYN),
+        [TcpState::Closed, TcpState::SynRcvd],
+        "the closed socket does not shadow the listener"
+    );
+    assert_eq!(
+        step(&mut sim, 5001, TcpFlags::RST),
+        [TcpState::Closed, TcpState::Closed],
+        "the tuple's segments reach the new socket"
+    );
+    let resets = sim.with_node::<Host, _>(b, |h| h.counters.tcp_estab_resets);
+    assert_eq!(resets, 0, "nothing fell through to the unmatched path");
+}
+
+#[test]
+fn segment_for_a_closed_tuple_without_listener_draws_rst() {
+    let (mut sim, a, b) = pair_with(
+        vec![Box::new(BulkSender::new((addr(2), 9000), 1000))],
+        vec![Box::new(Sink::new(9000))],
+    );
+    sim.run_until(SimTime::from_secs(300));
+    let info = sim.with_node::<Host, _>(a, |h| h.socket_infos()[0].clone());
+    assert_eq!(info.state, TcpState::Closed, "past TIME-WAIT");
+    let stray = TcpSegment::new(9000, info.local.1, 1, 1, TcpFlags::ACK);
+    sim.inject(b, comma_netsim::node::IfaceId(0), Packet::tcp(addr(2), addr(1), stray));
+    sim.run_until(SimTime::from_secs(301));
+    let resets = sim.with_node::<Host, _>(a, |h| h.counters.tcp_estab_resets);
+    assert_eq!(resets, 1, "a closed socket does not swallow its tuple's segments");
+}

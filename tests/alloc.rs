@@ -76,3 +76,55 @@ fn hub_metrics_lookup_is_allocation_free() {
     assert_eq!(metrics.get("absent"), None, "absent variable");
     assert_eq!(scope.delta().allocs, 0, "a hub lookup must borrow its key");
 }
+
+/// ROADMAP item 4's "bytes per flow", as a number that repeats exactly:
+/// what 200 finished 4 KiB transfers through `tcp, snoop, wsize, tcp`
+/// still hold, per flow, after the last TIME-WAIT.
+#[test]
+fn finished_flow_retains_bounded_bytes() {
+    let per_flow = comma_bench::scale::finished_flow_retained_bytes(200, 4096, 7);
+    println!("retained bytes per finished flow: {per_flow}");
+    // Measures 6,685; the commit before the one-slab wheel and the
+    // self-freeing `SendBuffer` measured 31,890. The ceiling sits between.
+    assert!(per_flow <= 8_192, "a finished flow retains {per_flow} requested bytes");
+}
+
+/// The wheel holds memory for what is pending at once, not for the largest
+/// burst a slot ever saw times the slots in use: after a 1,000-entry
+/// same-microsecond burst, 10⁵ schedule/pop rounds that walk all six
+/// levels reuse the burst's cells and allocate nothing.
+#[test]
+fn wheel_memory_tracks_pending_not_bursts() {
+    use comma_repro::netsim::sched::TimerWheel;
+    use comma_repro::netsim::time::SimTime;
+    // 96 bytes with a niche, like the simulator's event: a 128-byte cell.
+    type Item = (std::num::NonZeroU64, [u64; 11]);
+    const CELL: u64 = 128;
+    let item = |n: u64| (std::num::NonZeroU64::MIN.saturating_add(n), [n; 11]);
+
+    let whole = comma_rt::alloc::AllocScope::begin();
+    let mut wheel: TimerWheel<Item> = TimerWheel::new();
+    for n in 0..1_000 {
+        wheel.schedule(SimTime::from_micros(5), item(n));
+    }
+    // One entry through the overflow heap too: the rounds below cross the
+    // wheel's 2^36 µs span a few hundred times.
+    let mut at = 1u64 << 40;
+    wheel.schedule(SimTime::from_micros(at), item(0));
+    while wheel.pop().is_some() {}
+
+    let steady = comma_rt::alloc::AllocScope::begin();
+    for round in 0..100_000u64 {
+        at += 1 << (6 * (round % 6)); // lands `round % 6` levels up
+        wheel.schedule(SimTime::from_micros(at), item(round));
+        assert_eq!(wheel.pop().map(|(t, _)| t.as_micros()), Some(at));
+    }
+    assert_eq!(steady.delta().allocs, 0, "single-entry rounds reuse the burst's cells");
+    let held = whole.delta();
+    let (cells, ready, overflow) = (2 * 1_024 * CELL, 2 * 1_024 * 4, 4 * 24);
+    assert!(
+        held.alloc_bytes - held.dealloc_bytes <= cells + ready + overflow,
+        "the wheel holds {} bytes after a 1,000-entry burst",
+        held.alloc_bytes - held.dealloc_bytes
+    );
+}
