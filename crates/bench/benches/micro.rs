@@ -295,6 +295,19 @@ fn bench_obs(bench: &mut Bench) {
         enabled.inc("ch0", "link.enqueued");
         enabled.is_enabled()
     });
+    // The same writes through resolved handles: no lock, no lookup.
+    let counter = enabled.counter_handle("ch0", "link.enqueued");
+    g.bench("counter_handle_inc_enabled", || {
+        counter.inc();
+        enabled.is_enabled()
+    });
+    let gauge = enabled.gauge_handle("wired.conn.1", "tcp.cwnd");
+    let mut cwnd = 0.0f64;
+    g.bench("gauge_handle_set_enabled", || {
+        cwnd += 1460.0;
+        gauge.set(cwnd);
+        enabled.is_enabled()
+    });
     // The instrumented stack end to end (netsim enqueue/dequeue, TCP state
     // publication, engine dispatch), observability off vs on. The "off"
     // number is the regression guard: it should be statistically
@@ -316,6 +329,52 @@ fn bench_obs(bench: &mut Bench) {
     g.finish();
 }
 
+/// The oracle's per-segment cost where the bytes are: one emitted MSS
+/// segment through every sent-side check and into the stream log, fresh
+/// (in order) and as an exact retransmission. 512 segments keep a stream
+/// under the oracle's 1 MiB log cap.
+fn bench_oracle(bench: &mut Bench) {
+    use comma_faultcheck::{Oracle, OracleConfig};
+    use comma_netsim::node::NodeId;
+    use comma_netsim::sim::PacketObserver;
+    const MSS: u32 = 1460;
+    const SEGS: u32 = 512;
+    let (src, dst) = ("11.11.10.99".parse().unwrap(), "11.11.10.10".parse().unwrap());
+    let established = || {
+        let mut oracle = Oracle::new(OracleConfig::new(vec![(NodeId(0), src), (NodeId(1), dst)]));
+        let syn = TcpSegment::new(7, 1169, 1000, 0, TcpFlags::SYN);
+        oracle.on_tx(SimTime::ZERO, NodeId(0), &Packet::tcp(src, dst, syn));
+        oracle
+    };
+    let segment = |k: u32| {
+        let mut seg = TcpSegment::new(7, 1169, 1001 + k * MSS, 0, TcpFlags::ACK);
+        seg.payload = Bytes::from(vec![k as u8; MSS as usize]);
+        Packet::tcp(src, dst, seg)
+    };
+    let segments: Vec<Packet> = (0..SEGS).map(segment).collect();
+    let mut g = bench.group("oracle");
+    g.throughput_bytes(MSS as u64);
+    let (mut oracle, mut k) = (established(), 0usize);
+    g.bench("record_mss_in_order", || {
+        if k == segments.len() {
+            (oracle, k) = (established(), 0);
+        }
+        oracle.on_tx(SimTime::ZERO, NodeId(0), &segments[k]);
+        k += 1;
+    });
+    let mut oracle = established();
+    for pkt in &segments {
+        oracle.on_tx(SimTime::ZERO, NodeId(0), pkt);
+    }
+    let mut k = 0usize;
+    g.bench("record_mss_retransmit", || {
+        oracle.on_tx(SimTime::ZERO, NodeId(0), &segments[k % segments.len()]);
+        k += 1;
+    });
+    g.finish();
+    assert!(oracle.finish().is_clean(), "the benched stream is a legal one");
+}
+
 fn main() {
     let mut bench = Bench::new();
     bench_wire(&mut bench);
@@ -329,5 +388,6 @@ fn main() {
     bench_simulation(&mut bench);
     bench_mc(&mut bench);
     bench_obs(&mut bench);
+    bench_oracle(&mut bench);
     bench.finish();
 }

@@ -435,7 +435,13 @@ pub fn four_filter_engine() -> FilterEngine {
 /// and buffer discipline `ServiceProxy::on_packet` uses — and must not
 /// touch the heap. Returns `(warmup_allocs, steady_allocs)`.
 pub fn engine_alloc_probe() -> (u64, u64) {
-    let mut engine = four_filter_engine();
+    engine_alloc_probe_on(&mut four_filter_engine())
+}
+
+/// [`engine_alloc_probe`] on a caller-prepared [`four_filter_engine`] (the
+/// lit pin shares an enabled `Obs` with it first and reads both books
+/// afterwards).
+pub fn engine_alloc_probe_on(engine: &mut FilterEngine) -> (u64, u64) {
     let mut rng = SmallRng::seed_from_u64(1);
     let payload = Bytes::from(vec![0xabu8; 1400]);
     let (mut input, mut out, mut dropped) = (Vec::new(), Vec::new(), Vec::new());

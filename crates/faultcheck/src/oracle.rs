@@ -49,7 +49,7 @@ use comma_netsim::packet::{IpPayload, Packet, TcpFlags};
 use comma_netsim::sim::PacketObserver;
 use comma_netsim::time::SimTime;
 use comma_netsim::trace::{Trace, TraceEvent};
-use comma_obs::Obs;
+use comma_obs::{Counter, Obs};
 
 // Modulo-2³² sequence arithmetic (RFC 793 §3.3). Local copies: this crate
 // sits below `comma-tcp` in the dependency graph on purpose, so the oracle
@@ -180,38 +180,106 @@ impl OracleReport {
 }
 
 /// A sparse byte-stream log: sequence-space bytes by offset from the ISN.
+/// `data` holds the bytes, `known` one bit per byte of `data` (bit `i % 64`
+/// of word `i / 64`) saying whether that byte has been seen — a hole left
+/// by a segment still in flight reads as zero and unknown.
 #[derive(Clone, Default)]
 struct StreamLog {
     data: Vec<u8>,
-    known: Vec<bool>,
+    known: Vec<u64>,
     truncated: bool,
 }
 
+/// The bits of word `w` that fall inside the bit range `lo..hi`.
+fn word_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let from = lo.max(w * 64) - w * 64;
+    let to = hi.min(w * 64 + 64) - w * 64;
+    (u64::MAX >> (64 - (to - from))) << from
+}
+
 impl StreamLog {
-    /// Records `bytes` at `off`, returning the first remembered-byte
-    /// mismatch as `(offset, old, new)`.
-    fn record(&mut self, off: u32, bytes: &[u8], cap: usize) -> Option<(u32, u8, u8)> {
-        let off = off as usize;
-        let mut mismatch = None;
-        for (i, &b) in bytes.iter().enumerate() {
-            let pos = off + i;
-            if pos >= cap {
-                self.truncated = true;
-                break;
+    fn is_known(&self, pos: usize) -> bool {
+        self.known[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    /// How many bytes of the non-empty range `lo..hi` are known: all, none,
+    /// or — neither — some.
+    fn known_in(&self, lo: usize, hi: usize) -> (bool, bool) {
+        let (mut all, mut none) = (true, true);
+        for w in lo / 64..=(hi - 1) / 64 {
+            let mask = word_mask(w, lo, hi);
+            all &= self.known[w] & mask == mask;
+            none &= self.known[w] & mask == 0;
+        }
+        (all, none)
+    }
+
+    fn mark_known(&mut self, lo: usize, hi: usize) {
+        for w in lo / 64..=(hi - 1) / 64 {
+            self.known[w] |= word_mask(w, lo, hi);
+        }
+    }
+
+    /// The first offset at which both logs know a byte and the bytes
+    /// differ. Unknown bytes are zero in `data`, so equal chunks need no
+    /// look at the bits.
+    fn first_difference(&self, other: &StreamLog) -> Option<usize> {
+        let n = self.data.len().min(other.data.len());
+        let chunks = self.data[..n].chunks(64).zip(other.data[..n].chunks(64));
+        for (w, (mine, theirs)) in chunks.enumerate() {
+            if mine == theirs {
+                continue;
             }
-            if pos >= self.data.len() {
-                self.data.resize(pos + 1, 0);
-                self.known.resize(pos + 1, false);
-            }
-            if self.known[pos] {
-                if self.data[pos] != b && mismatch.is_none() {
-                    mismatch = Some((pos as u32, self.data[pos], b));
-                }
-            } else {
-                self.data[pos] = b;
-                self.known[pos] = true;
+            let differs = |i: &usize| {
+                mine[i - w * 64] != theirs[i - w * 64] && self.is_known(*i) && other.is_known(*i)
+            };
+            if let Some(i) = (w * 64..w * 64 + mine.len()).find(differs) {
+                return Some(i);
             }
         }
+        None
+    }
+
+    /// Records `bytes` at `off`, returning the first remembered-byte
+    /// mismatch as `(offset, old, new)`. Bytes at or beyond `cap` are not
+    /// kept and mark the log truncated.
+    fn record(&mut self, off: u32, bytes: &[u8], cap: usize) -> Option<(u32, u8, u8)> {
+        let off = off as usize;
+        let room = cap.saturating_sub(off);
+        if bytes.len() > room {
+            self.truncated = true;
+        }
+        let bytes = &bytes[..bytes.len().min(room)];
+        if bytes.is_empty() {
+            return None;
+        }
+        let end = off + bytes.len();
+        if end > self.data.len() {
+            self.data.resize(end, 0);
+            self.known.resize(end.div_ceil(64), 0);
+        }
+        // New data (in order, or filling a hole) is one copy; an exact
+        // retransmission is one compare.
+        let (all, none) = self.known_in(off, end);
+        if none {
+            self.data[off..end].copy_from_slice(bytes);
+            self.mark_known(off, end);
+            return None;
+        }
+        if all && self.data[off..end] == *bytes {
+            return None;
+        }
+        // Partly known, or known and different: byte by byte, to fill the
+        // unknown bytes and name the first known one that changed.
+        let mut mismatch = None;
+        for (pos, &b) in (off..end).zip(bytes) {
+            if !self.is_known(pos) {
+                self.data[pos] = b;
+            } else if self.data[pos] != b && mismatch.is_none() {
+                mismatch = Some((pos as u32, self.data[pos], b));
+            }
+        }
+        self.mark_known(off, end);
         mismatch
     }
 }
@@ -304,6 +372,8 @@ pub struct Oracle {
     recorded_strict: u64,
     segments_checked: u64,
     obs: Option<Obs>,
+    /// `oracle.segments`, resolved against `obs` when it was attached.
+    segments: Option<Counter>,
 }
 
 impl Oracle {
@@ -317,12 +387,14 @@ impl Oracle {
             recorded_strict: 0,
             segments_checked: 0,
             obs: None,
+            segments: None,
         }
     }
 
     /// Attaches an observability handle: the oracle counts checked
     /// segments and violations under the `oracle` scope.
     pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.segments = Some(obs.counter_handle("oracle", "oracle.segments"));
         self.obs = Some(obs);
         self
     }
@@ -439,8 +511,8 @@ impl Oracle {
     /// An endpoint emitted `facts`.
     fn check_tx(&mut self, now: SimTime, facts: &SegFacts<'_>) {
         self.segments_checked += 1;
-        if let Some(obs) = &self.obs {
-            obs.inc("oracle", "oracle.segments");
+        if let Some(segments) = &self.segments {
+            segments.inc();
         }
         if facts.flags.rst() {
             return;
@@ -448,7 +520,6 @@ impl Oracle {
         let max_stream = self.cfg.max_stream_bytes;
         let mut pending: Vec<(&'static str, String)> = Vec::new();
         let flow = self.flow_entry(facts);
-        let label = flow.label();
         let src_is_a = flow.a == facts.src;
         let me = if src_is_a { &mut flow.ea } else { &mut flow.eb };
 
@@ -513,6 +584,10 @@ impl Oracle {
             }
         }
 
+        if pending.is_empty() {
+            return;
+        }
+        let label = flow.label();
         for (kind, detail) in pending {
             self.push_violation(now, kind, label.clone(), detail, false);
         }
@@ -521,8 +596,8 @@ impl Oracle {
     /// `facts` was delivered to an endpoint.
     fn check_deliver(&mut self, now: SimTime, facts: &SegFacts<'_>) {
         self.segments_checked += 1;
-        if let Some(obs) = &self.obs {
-            obs.inc("oracle", "oracle.segments");
+        if let Some(segments) = &self.segments {
+            segments.inc();
         }
         if facts.flags.rst() {
             return;
@@ -531,7 +606,6 @@ impl Oracle {
         let allow_reordered = self.cfg.allow_reordered_delivery;
         let mut pending: Vec<(&'static str, String, bool)> = Vec::new();
         let flow = self.flow_entry(facts);
-        let label = flow.label();
         let dst_is_a = flow.a == facts.dst;
         let (me, peer) = if dst_is_a {
             (&mut flow.ea, &mut flow.eb)
@@ -610,6 +684,10 @@ impl Oracle {
             }
         }
 
+        if pending.is_empty() {
+            return;
+        }
+        let label = flow.label();
         for (kind, detail, strict_only) in pending {
             self.push_violation(now, kind, label.clone(), detail, strict_only);
         }
@@ -671,7 +749,6 @@ impl Oracle {
         let mut findings = Vec::new();
         let mut truncated = 0usize;
         for flow in self.flows.values() {
-            let label = flow.label();
             for (sender, receiver, dir) in
                 [(&flow.ea, &flow.eb, "a->b"), (&flow.eb, &flow.ea, "b->a")]
             {
@@ -679,25 +756,15 @@ impl Oracle {
                     truncated += 1;
                     continue;
                 }
-                let n = sender
-                    .sent_stream
-                    .data
-                    .len()
-                    .min(receiver.rcvd_stream.data.len());
-                for i in 0..n {
-                    if sender.sent_stream.known[i]
-                        && receiver.rcvd_stream.known[i]
-                        && sender.sent_stream.data[i] != receiver.rcvd_stream.data[i]
-                    {
-                        findings.push((
-                            label.clone(),
-                            format!(
-                                "{dir} offset {}: sent {:#04x}, delivered {:#04x}",
-                                i, sender.sent_stream.data[i], receiver.rcvd_stream.data[i]
-                            ),
-                        ));
-                        break;
-                    }
+                let (sent, rcvd) = (&sender.sent_stream, &receiver.rcvd_stream);
+                if let Some(i) = sent.first_difference(rcvd) {
+                    findings.push((
+                        flow.label(),
+                        format!(
+                            "{dir} offset {}: sent {:#04x}, delivered {:#04x}",
+                            i, sent.data[i], rcvd.data[i]
+                        ),
+                    ));
                 }
             }
         }
@@ -1144,5 +1211,124 @@ mod tests {
         assert_eq!(facts.window, 123);
         assert_eq!(facts.payload_len, 3);
         assert!(facts.payload.is_none());
+    }
+
+    /// The byte-at-a-time log the slice paths replaced, kept as the model:
+    /// one `bool` per byte, every byte through both vectors.
+    #[derive(Default)]
+    struct ModelLog {
+        data: Vec<u8>,
+        known: Vec<bool>,
+        truncated: bool,
+    }
+
+    impl ModelLog {
+        fn record(&mut self, off: u32, bytes: &[u8], cap: usize) -> Option<(u32, u8, u8)> {
+            let off = off as usize;
+            let mut mismatch = None;
+            for (i, &b) in bytes.iter().enumerate() {
+                let pos = off + i;
+                if pos >= cap {
+                    self.truncated = true;
+                    break;
+                }
+                if pos >= self.data.len() {
+                    self.data.resize(pos + 1, 0);
+                    self.known.resize(pos + 1, false);
+                }
+                if self.known[pos] {
+                    if self.data[pos] != b && mismatch.is_none() {
+                        mismatch = Some((pos as u32, self.data[pos], b));
+                    }
+                } else {
+                    self.data[pos] = b;
+                    self.known[pos] = true;
+                }
+            }
+            mismatch
+        }
+    }
+
+    /// Random writes — in order, overlapping, exact and one-byte-flipped
+    /// retransmissions, holes, straddling and beyond the cap, empty —
+    /// leave the log and the model identical after every step.
+    #[test]
+    fn stream_log_matches_bytewise_model() {
+        use comma_rt::prop::Runner;
+        use comma_rt::{ensure_eq, Rng};
+
+        const CAP: usize = 3_000;
+        #[derive(Debug)]
+        enum Write {
+            /// `len` fresh bytes at the current right edge plus `gap`.
+            Append { gap: usize, len: usize },
+            /// Replays `len` stream bytes from `off`, flipping byte `flip`.
+            Replay { off: usize, len: usize, flip: Option<usize> },
+            /// Anything anywhere, up to well past the cap.
+            Wild { off: u32, len: usize },
+        }
+        Runner::new("stream_log_matches_bytewise_model").cases(300).run(
+            |rng| {
+                let writes: Vec<Write> = (0..rng.gen_range(1..60usize))
+                    .map(|_| match rng.gen_range(0..10u32) {
+                        0..=3 => Write::Append {
+                            gap: if rng.gen_range(0..4u32) == 0 { rng.gen_range(1..200usize) } else { 0 },
+                            len: rng.gen_range(0..300usize),
+                        },
+                        4..=7 => {
+                            let len = rng.gen_range(0..300usize);
+                            let flip = (len > 0 && rng.gen_range(0..2u32) == 0)
+                                .then(|| rng.gen_range(0..len));
+                            Write::Replay { off: rng.gen_range(0..CAP + 100), len, flip }
+                        }
+                        8 => Write::Wild { off: rng.gen_range(0..2 * CAP as u32), len: rng.gen_range(0..400usize) },
+                        _ => Write::Wild { off: u32::MAX - rng.gen_range(0..5u32), len: rng.gen_range(0..9usize) },
+                    })
+                    .collect();
+                (rng.gen::<u8>(), writes)
+            },
+            |(salt, writes)| {
+                // What the stream "really" is at each offset.
+                let truth = |pos: usize| (pos as u8).wrapping_mul(31) ^ salt;
+                let (mut log, mut model) = (StreamLog::default(), ModelLog::default());
+                for (step, w) in writes.iter().enumerate() {
+                    let (off, bytes): (u32, Vec<u8>) = match *w {
+                        Write::Append { gap, len } => {
+                            let off = model.data.len() + gap;
+                            (off as u32, (off..off + len).map(truth).collect())
+                        }
+                        Write::Replay { off, len, flip } => {
+                            let mut bytes: Vec<u8> = (off..off + len).map(truth).collect();
+                            if let Some(i) = flip {
+                                bytes[i] ^= 0x40;
+                            }
+                            (off as u32, bytes)
+                        }
+                        Write::Wild { off, len } => (off, (0..len).map(|i| i as u8 ^ salt).collect()),
+                    };
+                    let got = log.record(off, &bytes, CAP);
+                    let want = model.record(off, &bytes, CAP);
+                    ensure_eq!(got, want, "step {step}: mismatch triple of {w:?}");
+                    ensure_eq!(log.truncated, model.truncated, "step {step}: truncated");
+                    ensure_eq!(log.data, model.data, "step {step}: data");
+                    let known: Vec<bool> = (0..log.data.len()).map(|i| log.is_known(i)).collect();
+                    ensure_eq!(known, model.known, "step {step}: known set");
+                    ensure_eq!(log.known.len(), log.data.len().div_ceil(64), "step {step}: bitset length");
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn first_difference_needs_both_sides_known() {
+        let (mut sent, mut rcvd) = (StreamLog::default(), StreamLog::default());
+        sent.record(0, &[7u8; 200], 1 << 20);
+        rcvd.record(0, &[7u8; 90], 1 << 20);
+        rcvd.record(130, &[7u8; 70], 1 << 20); // 90..130 is a hole: zero, unknown
+        assert_eq!(sent.first_difference(&rcvd), None, "a hole is not a difference");
+        rcvd.record(100, &[7, 7, 9, 7], 1 << 20);
+        assert_eq!(sent.first_difference(&rcvd), Some(102));
+        assert_eq!(rcvd.first_difference(&sent), Some(102));
     }
 }

@@ -18,6 +18,8 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+const TOO_LONG: CodecError = CodecError("output exceeds the declared length");
+
 // ---------------------------------------------------------------------
 // RLE.
 // ---------------------------------------------------------------------
@@ -50,9 +52,18 @@ pub fn rle_compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reverses [`rle_compress`].
+/// Reverses [`rle_compress`], for input whose decoded length nobody
+/// declared (a run decodes to 85× its size; framed blocks go through
+/// [`Method::decompress_exact`] instead).
 pub fn rle_decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(input.len() * 2);
+    rle_decode(input, &mut out, usize::MAX)?;
+    Ok(out)
+}
+
+/// The RLE decoder: appends to `out`, failing before it would hold more
+/// than `limit` bytes.
+fn rle_decode(input: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), CodecError> {
     let mut i = 0;
     while i < input.len() {
         let b = input[i];
@@ -65,14 +76,20 @@ pub fn rle_decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
             if count == 0 {
                 return Err(CodecError("zero-length rle run"));
             }
+            if count > limit - out.len() {
+                return Err(TOO_LONG);
+            }
             out.extend(std::iter::repeat_n(byte, count));
             i += 3;
         } else {
+            if out.len() == limit {
+                return Err(TOO_LONG);
+            }
             out.push(b);
             i += 1;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -168,9 +185,17 @@ pub fn lzss_compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reverses [`lzss_compress`].
+/// Reverses [`lzss_compress`], for input whose decoded length nobody
+/// declared (framed blocks go through [`Method::decompress_exact`]).
 pub fn lzss_decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(input.len() * 2);
+    lzss_decode(input, &mut out, usize::MAX)?;
+    Ok(out)
+}
+
+/// The LZSS decoder: appends to the empty `out`, failing before it would
+/// hold more than `limit` bytes.
+fn lzss_decode(input: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), CodecError> {
     let mut i = 0usize;
     while i < input.len() {
         let flags = input[i];
@@ -190,18 +215,24 @@ pub fn lzss_decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
                 if dist > out.len() {
                     return Err(CodecError("lzss distance beyond output"));
                 }
+                if len > limit - out.len() {
+                    return Err(TOO_LONG);
+                }
                 let start = out.len() - dist;
                 for k in 0..len {
                     let b = out[start + k];
                     out.push(b);
                 }
             } else {
+                if out.len() == limit {
+                    return Err(TOO_LONG);
+                }
                 out.push(input[i]);
                 i += 1;
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Compression method selector for the `compress` service.
@@ -237,6 +268,22 @@ impl Method {
             Method::Rle => rle_decompress(input),
             Method::Lzss => lzss_decompress(input),
         }
+    }
+
+    /// Decompresses a block whose header declared `raw_len` decoded bytes:
+    /// reserves exactly that, stops as soon as the output would exceed it,
+    /// and rejects a block that ends short of it — so a hostile block costs
+    /// at most the length its header admits to, and yields nothing.
+    pub fn decompress_exact(self, input: &[u8], raw_len: usize) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::with_capacity(raw_len);
+        match self {
+            Method::Rle => rle_decode(input, &mut out, raw_len)?,
+            Method::Lzss => lzss_decode(input, &mut out, raw_len)?,
+        }
+        if out.len() < raw_len {
+            return Err(CodecError("output falls short of the declared length"));
+        }
+        Ok(out)
     }
 }
 

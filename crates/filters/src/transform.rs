@@ -215,18 +215,18 @@ impl StreamTransformer for Decompressor {
                 break;
             }
             let stored = &self.buf[BLOCK_HEADER_LEN..BLOCK_HEADER_LEN + stored_len];
+            // A block that does not decode to exactly the length its header
+            // declares is undecodable: counted, nothing emitted.
             if flags & FLAG_STORED != 0 {
-                out.extend_from_slice(stored);
+                if stored_len == raw_len {
+                    out.extend_from_slice(stored);
+                } else {
+                    self.errors += 1;
+                }
             } else {
-                match method_from_tag(flags).map(|m| m.decompress(stored)) {
-                    Some(Ok(raw)) => {
-                        debug_assert_eq!(raw.len(), raw_len);
-                        out.extend(raw)
-                    }
-                    _ => {
-                        self.errors += 1;
-                        let _ = raw_len;
-                    }
+                match method_from_tag(flags).map(|m| m.decompress_exact(stored, raw_len)) {
+                    Some(Ok(raw)) => out.extend(raw),
+                    _ => self.errors += 1,
                 }
             }
             self.buf.drain(..BLOCK_HEADER_LEN + stored_len);
@@ -557,6 +557,72 @@ mod resync_tests {
         // The garbage passes through raw; the block decodes after it.
         assert!(out.ends_with(b"hello hello hello hello hello hello hello hello"));
         assert!(out.starts_with(b"??garbage??"));
+    }
+
+    /// A frame whose header declares `raw_len` decoded bytes over `stored`.
+    fn frame(flags: u8, raw_len: u16, stored: &[u8]) -> Vec<u8> {
+        let mut out = vec![BLOCK_MAGIC, flags];
+        out.extend_from_slice(&raw_len.to_be_bytes());
+        out.extend_from_slice(&(stored.len() as u16).to_be_bytes());
+        out.extend_from_slice(stored);
+        out
+    }
+
+    #[test]
+    fn block_that_breaks_its_declared_length_is_an_error_with_nothing_out() {
+        let good = encode_block(Method::Lzss, &[b'k'; 300]);
+        let raw = |n: usize| vec![b'x'; n];
+        let lying: Vec<(&str, Vec<u8>)> = vec![
+            ("lzss short", frame(2, 100, &Method::Lzss.compress(&raw(99)))),
+            ("lzss long", frame(2, 100, &Method::Lzss.compress(&raw(101)))),
+            ("lzss bomb", frame(2, 100, &Method::Lzss.compress(&raw(60_000)))),
+            ("rle short", frame(1, 100, &Method::Rle.compress(&raw(99)))),
+            ("rle long", frame(1, 100, &Method::Rle.compress(&raw(101)))),
+            ("rle bomb", frame(1, 100, &Method::Rle.compress(&raw(60_000)))),
+            ("stored short", frame(2 | FLAG_STORED, 100, &raw(99))),
+            ("stored long", frame(2 | FLAG_STORED, 100, &raw(101))),
+        ];
+        for (what, block) in lying {
+            let mut deco = Decompressor::new();
+            assert!(deco.transform(&block).is_empty(), "{what}: nothing emitted");
+            assert_eq!(deco.errors, 1, "{what}: one error");
+            assert_eq!(deco.transform(&good), vec![b'k'; 300], "{what}: next block decodes");
+            assert_eq!((deco.errors, deco.out_bytes), (1, 300), "{what}");
+        }
+        // The honest spellings of the same blocks still decode.
+        let mut deco = Decompressor::new();
+        assert_eq!(deco.transform(&frame(2, 100, &Method::Lzss.compress(&raw(100)))), raw(100));
+        assert_eq!(deco.transform(&frame(1, 100, &Method::Rle.compress(&raw(100)))), raw(100));
+        assert_eq!(deco.transform(&frame(2 | FLAG_STORED, 100, &raw(100))), raw(100));
+        assert_eq!(deco.errors, 0);
+    }
+
+    /// Random bytes behind a valid header never decode to more than the
+    /// header's `raw_len`, and never panic.
+    #[test]
+    fn hostile_block_never_yields_more_than_its_header_declares() {
+        use comma_rt::prop::Runner;
+        use comma_rt::{ensure, Rng};
+
+        Runner::new("hostile_block_never_yields_more_than_its_header_declares").cases(2_000).run(
+            |rng| {
+                let tag = rng.gen_range(1..3u8);
+                // Mostly escapes / match flags, so runs and copies abound.
+                let filler = [0x90, 0xff, rng.gen::<u8>()];
+                let stored: Vec<u8> = (0..rng.gen_range(0..600usize))
+                    .map(|_| if rng.gen_range(0..3u32) == 0 { rng.gen::<u8>() } else { filler[rng.gen_range(0..3usize)] })
+                    .collect();
+                (tag, rng.gen_range(0..2_000u16), stored)
+            },
+            |(tag, raw_len, stored)| {
+                let mut deco = Decompressor::new();
+                let out = deco.transform(&frame(*tag, *raw_len, stored));
+                ensure!(out.len() <= *raw_len as usize, "{} bytes out of a {raw_len}-byte block", out.len());
+                ensure!(out.is_empty() || out.len() == *raw_len as usize, "partial block emitted");
+                ensure!(out.is_empty() == (deco.errors == 1) || *raw_len == 0, "errors {}", deco.errors);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! time first, FIFO among events scheduled for the same microsecond, so
 //! seeded runs stay byte-identical across the scheduler swap.
 
-use comma_obs::{fields, Obs};
+use comma_obs::{fields, LazyCounter, Obs};
 use comma_rt::SmallRng;
 use comma_rt::SeedableRng;
 
@@ -182,7 +182,9 @@ pub struct Simulator {
     /// every hot path); share an enabled handle to record link counters and
     /// drop events under per-channel scopes (`ch0`, `ch1`, ...).
     pub obs: Obs,
-    ch_scopes: Vec<String>,
+    /// Per-channel lit-run state, built on the first lit write
+    /// ([`Simulator::link_obs`]): a dark run carries nothing per channel.
+    ch_obs: Vec<ChannelObs>,
     faults: Vec<Option<FaultState>>,
     observer: Option<Box<dyn PacketObserver>>,
     /// Reusable dispatch effect buffers, threaded through every
@@ -194,6 +196,20 @@ pub struct Simulator {
     /// this window, awaiting export to their destination shard:
     /// `(boundary id, arrival time, packet)` in event order.
     outbox: Vec<(u32, SimTime, Packet)>,
+}
+
+/// What a channel keeps only while someone is watching: its obs scope
+/// (`ch<N>`) and the per-packet `link.*` counters as write sites that find
+/// their registry cell once (see [`comma_obs::handle`]). The rare keys
+/// (`link.drop.*`, `link.fault.*`, `link.fluid_*`) stay by-name writes.
+#[derive(Clone, Default)]
+struct ChannelObs {
+    scope: String,
+    offered: LazyCounter,
+    enqueued: LazyCounter,
+    dequeued: LazyCounter,
+    delivered_pkts: LazyCounter,
+    delivered_bytes: LazyCounter,
 }
 
 // The sharded runner lends `&mut Simulator`s to scoped worker threads; a
@@ -219,7 +235,7 @@ impl Simulator {
             events_processed: 0,
             trace: Trace::new(),
             obs: Obs::new(),
-            ch_scopes: Vec::new(),
+            ch_obs: Vec::new(),
             faults: Vec::new(),
             observer: None,
             fx_outputs: Vec::new(),
@@ -311,11 +327,10 @@ impl Simulator {
             )
         };
         if self.obs.is_enabled() {
-            let scope = &self.ch_scopes[ch_id.0];
-            self.obs.gauge(scope, "link.fluid_active", active as f64);
-            self.obs
-                .gauge(scope, "link.fluid_residual_bps", residual as f64);
-            self.obs.gauge(scope, "link.fluid_queue_bytes", qbytes as f64);
+            let (obs, ch) = self.link_obs(ch_id);
+            obs.gauge(&ch.scope, "link.fluid_active", active as f64);
+            obs.gauge(&ch.scope, "link.fluid_residual_bps", residual as f64);
+            obs.gauge(&ch.scope, "link.fluid_queue_bytes", qbytes as f64);
         }
         if let Some(at) = next {
             let handle = self.sched.cancel.alloc();
@@ -422,8 +437,19 @@ impl Simulator {
     fn add_channel(&mut self, ch: Channel) -> ChannelId {
         let id = ChannelId(self.channels.len());
         self.channels.push(ch);
-        self.ch_scopes.push(format!("ch{}", id.0));
         id
+    }
+
+    /// The obs handle and channel `ch`'s lit-run state, for one write. Only
+    /// reached behind an `is_enabled` check.
+    fn link_obs(&mut self, ch: ChannelId) -> (&Obs, &mut ChannelObs) {
+        for i in self.ch_obs.len()..self.channels.len() {
+            self.ch_obs.push(ChannelObs {
+                scope: format!("ch{i}"),
+                ..ChannelObs::default()
+            });
+        }
+        (&self.obs, &mut self.ch_obs[ch.0])
     }
 
     /// The loss-RNG stream of the keyed link `key` in direction `salt`.
@@ -763,14 +789,10 @@ impl Simulator {
             other => unreachable!("{other} is not a link-level drop"),
         };
         if self.obs.is_enabled() {
-            let scope = &self.ch_scopes[ch.0];
-            self.obs.inc(scope, key);
-            self.obs.event(
-                self.now.as_micros(),
-                scope,
-                "link.drop",
-                fields!(reason = tag, len = pkt.wire_len()),
-            );
+            let now = self.now.as_micros();
+            let (obs, ch) = self.link_obs(ch);
+            obs.inc(&ch.scope, key);
+            obs.event(now, &ch.scope, "link.drop", fields!(reason = tag, len = pkt.wire_len()));
         }
     }
 
@@ -783,7 +805,8 @@ impl Simulator {
             obs.on_tx(self.now, node, &pkt);
         }
         if self.obs.is_enabled() {
-            self.obs.inc(&self.ch_scopes[ch_id.0], "link.offered");
+            let (obs, ch) = self.link_obs(ch_id);
+            ch.offered.inc(obs, &ch.scope, "link.offered");
         }
         let ch = &mut self.channels[ch_id.0];
         ch.stats.offered_pkts += 1;
@@ -794,7 +817,8 @@ impl Simulator {
             if !ch.enqueue(self.now, pkt.clone()) {
                 self.drop_packet(Some(ch_id), node, DropReason::QueueFull, &pkt);
             } else if self.obs.is_enabled() {
-                self.obs.inc(&self.ch_scopes[ch_id.0], "link.enqueued");
+                let (obs, ch) = self.link_obs(ch_id);
+                ch.enqueued.inc(obs, &ch.scope, "link.enqueued");
             }
             return;
         }
@@ -852,15 +876,15 @@ impl Simulator {
                 duplicate = action.duplicate;
                 at += action.extra_delay;
                 if self.obs.is_enabled() {
-                    let scope = &self.ch_scopes[ch_id.0];
+                    let (obs, ch) = self.link_obs(ch_id);
                     if action.corrupted_in_place {
-                        self.obs.inc(scope, "link.fault.corrupt_delivered");
+                        obs.inc(&ch.scope, "link.fault.corrupt_delivered");
                     }
                     if action.duplicate {
-                        self.obs.inc(scope, "link.fault.duplicated");
+                        obs.inc(&ch.scope, "link.fault.duplicated");
                     }
                     if action.extra_delay > SimDuration::ZERO {
-                        self.obs.inc(scope, "link.fault.reordered");
+                        obs.inc(&ch.scope, "link.fault.reordered");
                     }
                 }
             }
@@ -897,7 +921,8 @@ impl Simulator {
         // Start the next queued packet regardless of this packet's fate.
         if let Some(next) = self.channels[ch_id.0].dequeue() {
             if self.obs.is_enabled() {
-                self.obs.inc(&self.ch_scopes[ch_id.0], "link.dequeued");
+                let (obs, ch) = self.link_obs(ch_id);
+                ch.dequeued.inc(obs, &ch.scope, "link.dequeued");
             }
             self.start_tx(ch_id, next);
         }
@@ -913,9 +938,9 @@ impl Simulator {
         let now = self.now;
         self.channels[ch_id.0].record_delivery(now, len);
         if self.obs.is_enabled() {
-            let scope = &self.ch_scopes[ch_id.0];
-            self.obs.inc(scope, "link.delivered_pkts");
-            self.obs.add(scope, "link.delivered_bytes", len as u64);
+            let (obs, ch) = self.link_obs(ch_id);
+            ch.delivered_pkts.inc(obs, &ch.scope, "link.delivered_pkts");
+            ch.delivered_bytes.add(obs, &ch.scope, "link.delivered_bytes", len as u64);
         }
         self.trace.rx(self.now, dst_node, || pkt.summary());
         if let Some(obs) = self.observer.as_mut() {
@@ -938,6 +963,12 @@ impl Simulator {
     /// (`FnOnce`, run scenario setup to completion first), a node without
     /// [`Node::clone_node`], or a packet observer without
     /// [`PacketObserver::clone_observer`].
+    ///
+    /// The one thing shared rather than copied is [`Simulator::obs`]: the
+    /// copy holds the same registry, and every resolved counter or gauge a
+    /// lit world carries (link counters here, the engine's and the TCP
+    /// hosts' inside the cloned nodes) keeps pointing at the original's
+    /// cells, so both worlds add into one export.
     pub fn snapshot(&self) -> Result<Simulator, String> {
         let sched = self.sched.try_clone_with(|ev| {
             ev.try_clone().ok_or_else(|| {
@@ -977,9 +1008,12 @@ impl Simulator {
             events_processed: self.events_processed,
             trace: self.trace.clone(),
             // The obs handle is shared (Arc), not duplicated: snapshots are
-            // meant for model checking, where recording stays disabled.
+            // meant for model checking, where recording stays disabled. The
+            // resolved link counters go with it — a lit snapshot adds into
+            // the cells the original adds into, exactly as by-name writes
+            // to the shared handle would.
             obs: self.obs.clone(),
-            ch_scopes: self.ch_scopes.clone(),
+            ch_obs: self.ch_obs.clone(),
             faults: self.faults.clone(),
             observer,
             fx_outputs: Vec::new(),
@@ -1196,6 +1230,9 @@ mod tests {
         fn as_any(&mut self) -> &mut dyn Any {
             self
         }
+        fn clone_node(&self) -> Option<Box<dyn Node>> {
+            Some(Box::new(Ponger { addr: self.addr, received: self.received.clone() }))
+        }
     }
 
     fn two_node_sim(ab: LinkParams, ba: LinkParams) -> (Simulator, NodeId, NodeId) {
@@ -1380,6 +1417,32 @@ mod tests {
         assert_eq!(sim.with_packet_observer(|p: &mut Ponger| p.received.len()), None, "wrong type");
         sim.inject(a, IfaceId(0), ping("10.0.0.1", "10.0.0.2", 0, 10));
         assert_eq!(sim.with_packet_observer(|c: &mut Count| c.0), Some(1), "still installed");
+    }
+
+    /// `obs` is a public field: whoever replaces it mid-run must find the
+    /// link counters in the new registry and the old one left alone, and a
+    /// snapshot adds into the cells its original adds into.
+    #[test]
+    fn link_counters_follow_the_obs_field_and_are_shared_with_snapshots() {
+        let (mut sim, a, _) = two_node_sim(LinkParams::wired(), LinkParams::wired());
+        let first = Obs::enabled();
+        sim.obs = first.clone();
+        sim.inject(a, IfaceId(0), ping("10.0.0.1", "10.0.0.2", 0, 10));
+        sim.run_until(SimTime::from_millis(100));
+        // Echo request out on ch0, reply back on ch1.
+        let read = |obs: &Obs| ["ch0", "ch1"].map(|ch| obs.counter(ch, "link.delivered_pkts"));
+        assert_eq!(read(&first), [1, 1]);
+        let second = Obs::enabled();
+        sim.obs = second.clone();
+        sim.inject(a, IfaceId(0), ping("10.0.0.1", "10.0.0.2", 1, 10));
+        sim.run_until(SimTime::from_millis(200));
+        assert_eq!(read(&first), [1, 1], "nothing more reaches the replaced handle");
+        assert_eq!(read(&second), [1, 1]);
+        let mut copy = sim.snapshot().expect("no control events pending");
+        copy.inject(a, IfaceId(0), ping("10.0.0.1", "10.0.0.2", 2, 10));
+        copy.run_until(SimTime::from_millis(300));
+        assert_eq!(read(&second), [2, 2], "one registry, shared cells");
+        assert_eq!(second.counter("ch0", "link.offered"), 2);
     }
 
     #[test]

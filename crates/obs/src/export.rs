@@ -12,7 +12,7 @@
 //! remain visible in [`crate::Obs::summary`].
 
 use crate::recorder::{Event, FieldValue};
-use crate::registry::{Histogram, Registry};
+use crate::registry::{written, Cell, Histogram, Registry};
 use crate::WALL_SCOPE;
 
 /// Escapes a string for inclusion in a JSON string literal.
@@ -64,31 +64,27 @@ pub(crate) fn export_jsonl<'a>(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\"type\":\"meta\",\"format\":\"comma-obs\",\"version\":1}\n");
-    for (scope, m) in &registry.counters {
-        for (key, v) in m {
-            if is_wall(scope, key) {
-                continue;
-            }
-            out.push_str(&format!(
-                "{{\"type\":\"counter\",\"scope\":\"{}\",\"key\":\"{}\",\"value\":{}}}\n",
-                json_escape(scope),
-                json_escape(key),
-                v
-            ));
+    for (scope, key, v) in written(&registry.counters, Cell::count) {
+        if is_wall(scope, key) {
+            continue;
         }
+        out.push_str(&format!(
+            "{{\"type\":\"counter\",\"scope\":\"{}\",\"key\":\"{}\",\"value\":{}}}\n",
+            json_escape(scope),
+            json_escape(key),
+            v
+        ));
     }
-    for (scope, m) in &registry.gauges {
-        for (key, v) in m {
-            if is_wall(scope, key) {
-                continue;
-            }
-            out.push_str(&format!(
-                "{{\"type\":\"gauge\",\"scope\":\"{}\",\"key\":\"{}\",\"value\":{}}}\n",
-                json_escape(scope),
-                json_escape(key),
-                json_f64(*v)
-            ));
+    for (scope, key, v) in written(&registry.gauges, Cell::value) {
+        if is_wall(scope, key) {
+            continue;
         }
+        out.push_str(&format!(
+            "{{\"type\":\"gauge\",\"scope\":\"{}\",\"key\":\"{}\",\"value\":{}}}\n",
+            json_escape(scope),
+            json_escape(key),
+            json_f64(v)
+        ));
     }
     for (scope, m) in &registry.hists {
         for (key, h) in m {

@@ -31,10 +31,21 @@
 //! # Zero overhead when disabled
 //!
 //! [`Obs`] is a cheap `Arc` handle that starts *disabled*; every mutator
-//! first checks one relaxed `AtomicBool` load and only an enabled handle
-//! takes the registry's mutex. Hot paths additionally guard with
-//! [`Obs::is_enabled`] so even argument construction is skipped. The
-//! disabled-path cost is benchmarked in `crates/bench/benches/micro.rs`.
+//! first checks one relaxed `AtomicBool` load and returns. Hot paths
+//! additionally guard with [`Obs::is_enabled`] so even argument
+//! construction is skipped.
+//!
+//! # Cheap when enabled
+//!
+//! A counter or gauge value is a shared atomic cell. The by-name writes
+//! ([`Obs::inc`], [`Obs::add`], [`Obs::gauge`]) take the registry's mutex
+//! to *find* the cell and then write it; a resolved [handle] ([`Counter`],
+//! [`Gauge`], or their first-write-resolving [`LazyCounter`] /
+//! [`LazyGauge`]) found it once and from then on writes with one relaxed
+//! load and one add or store on the cell. What still takes the mutex: handle
+//! resolution, histograms, flight-recorder events, and every read,
+//! export and `reset`. Both costs are benchmarked in
+//! `crates/bench/benches/micro.rs` (`obs/*`).
 //!
 //! # Example
 //!
@@ -52,15 +63,19 @@
 //! ```
 
 pub mod export;
+pub mod handle;
 pub mod recorder;
 pub mod registry;
 pub mod table;
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+pub use handle::{Counter, Gauge, LazyCounter, LazyGauge};
 pub use recorder::{Event, FieldValue, DEFAULT_CAPACITY};
 pub use registry::Histogram;
+use registry::{with_cell, written, Cell};
 
 /// Reserved scope for host wall-clock metrics (excluded from JSONL export).
 pub const WALL_SCOPE: &str = "wall";
@@ -128,7 +143,7 @@ impl Obs {
         if !self.is_enabled() {
             return;
         }
-        self.inner().registry.add(scope, key, n);
+        with_cell(&mut self.inner().registry.counters, scope, key, |c| c.add(n));
     }
 
     /// Sets a gauge to `v` (last write wins).
@@ -137,7 +152,7 @@ impl Obs {
         if !self.is_enabled() {
             return;
         }
-        self.inner().registry.gauge(scope, key, v);
+        with_cell(&mut self.inner().registry.gauges, scope, key, |c| c.set(v));
     }
 
     /// Records `v` into a fixed-bucket histogram (exponential bounds).
@@ -172,23 +187,16 @@ impl Obs {
 
     /// Current value of a counter (0 when never written).
     pub fn counter(&self, scope: &str, key: &str) -> u64 {
-        self.inner()
-            .registry
-            .counters
-            .get(scope)
-            .and_then(|m| m.get(key))
-            .copied()
-            .unwrap_or(0)
+        let inner = self.inner();
+        let cell = inner.registry.counters.get(scope).and_then(|m| m.get(key));
+        cell.and_then(|c| c.count()).unwrap_or(0)
     }
 
     /// Current value of a gauge.
     pub fn gauge_value(&self, scope: &str, key: &str) -> Option<f64> {
-        self.inner()
-            .registry
-            .gauges
-            .get(scope)
-            .and_then(|m| m.get(key))
-            .copied()
+        let inner = self.inner();
+        let cell = inner.registry.gauges.get(scope).and_then(|m| m.get(key));
+        cell.and_then(|c| c.value())
     }
 
     /// A copy of a histogram.
@@ -203,23 +211,15 @@ impl Obs {
 
     /// All counters, sorted by scope then key.
     pub fn counters(&self) -> Vec<(String, &'static str, u64)> {
-        let inner = self.inner();
-        inner
-            .registry
-            .counters
-            .iter()
-            .flat_map(|(s, m)| m.iter().map(move |(k, v)| (s.clone(), *k, *v)))
+        written(&self.inner().registry.counters, Cell::count)
+            .map(|(s, k, v)| (s.to_string(), k, v))
             .collect()
     }
 
     /// All gauges, sorted by scope then key.
     pub fn gauges(&self) -> Vec<(String, &'static str, f64)> {
-        let inner = self.inner();
-        inner
-            .registry
-            .gauges
-            .iter()
-            .flat_map(|(s, m)| m.iter().map(move |(k, v)| (s.clone(), *k, *v)))
+        written(&self.inner().registry.gauges, Cell::value)
+            .map(|(s, k, v)| (s.to_string(), k, v))
             .collect()
     }
 
@@ -237,17 +237,12 @@ impl Obs {
     /// All scopes that carry at least one gauge, sorted. Useful for
     /// discovering per-connection scopes (`<node>.conn.<four-tuple>`).
     pub fn gauge_scopes(&self) -> Vec<String> {
-        self.inner().registry.gauges.keys().cloned().collect()
+        written_scopes(&self.inner().registry.gauges)
     }
 
     /// All scopes that carry at least one counter, sorted.
     pub fn counter_scopes(&self) -> Vec<String> {
-        self.inner()
-            .registry
-            .counters
-            .keys()
-            .cloned()
-            .collect()
+        written_scopes(&self.inner().registry.counters)
     }
 
     /// A copy of the flight-recorder contents, oldest first.
@@ -266,6 +261,8 @@ impl Obs {
     }
 
     /// Clears all metrics and events (the enabled flag is untouched).
+    /// Resolved handles stay valid: their cells are zeroed and export
+    /// nothing until the next write.
     pub fn reset(&self) {
         let mut inner = self.inner();
         inner.registry.clear();
@@ -331,6 +328,12 @@ impl Obs {
         ));
         out
     }
+}
+
+fn written_scopes(cells: &registry::Cells) -> Vec<String> {
+    let any_written = |m: &BTreeMap<_, Arc<Cell>>| m.values().any(|c| c.count().is_some());
+    let scopes = cells.iter().filter(|(_, m)| any_written(m));
+    scopes.map(|(scope, _)| scope.clone()).collect()
 }
 
 /// Builds a `Vec<(&'static str, FieldValue)>` from `name = value` pairs:
@@ -422,6 +425,85 @@ mod tests {
         assert_eq!(obs.counter("s", "k"), 0);
         assert_eq!(obs.events_len(), 0);
         assert!(obs.is_enabled(), "reset keeps the enabled flag");
+    }
+
+    #[test]
+    fn handle_and_by_name_write_one_cell() {
+        let obs = Obs::enabled();
+        let c = obs.counter_handle("s", "k");
+        let g = obs.gauge_handle("s", "g");
+        assert!(obs.counters().is_empty() && obs.gauges().is_empty(), "resolved, not written");
+        assert!(obs.counter_scopes().is_empty() && obs.gauge_scopes().is_empty());
+        c.add(2);
+        obs.inc("s", "k");
+        g.set(1.5);
+        assert_eq!(obs.counters(), vec![("s".to_string(), "k", 3)]);
+        assert_eq!(obs.gauge_value("s", "g"), Some(1.5));
+        obs.gauge("s", "g", 2.5);
+        assert_eq!(obs.gauges(), vec![("s".to_string(), "g", 2.5)]);
+        assert_eq!(obs.gauge_scopes(), vec!["s".to_string()]);
+    }
+
+    #[test]
+    fn handles_outlive_reset_and_export_only_what_was_written_since() {
+        let obs = Obs::enabled();
+        let c = obs.counter_handle("s", "k");
+        let g = obs.gauge_handle("s", "g");
+        let mut lazy = LazyCounter::default();
+        c.add(5);
+        g.set(9.0);
+        lazy.add(&obs, "s", "lazy", 4);
+        obs.inc("gone", "by_name");
+        obs.reset();
+        let empty = obs.export_jsonl();
+        assert!(!empty.contains("\"counter\"") && !empty.contains("\"gauge\""), "{empty}");
+        assert_eq!(obs.counter("s", "k"), 0);
+        assert_eq!(obs.gauge_value("s", "g"), None);
+        c.inc();
+        g.set(2.0);
+        lazy.inc(&obs, "s", "lazy");
+        assert_eq!(
+            obs.counters(),
+            vec![("s".to_string(), "k", 1), ("s".to_string(), "lazy", 1)]
+        );
+        assert_eq!(obs.gauges(), vec![("s".to_string(), "g", 2.0)]);
+    }
+
+    #[test]
+    fn disabled_handle_records_nothing_until_enabled() {
+        let obs = Obs::new();
+        let c = obs.counter_handle("s", "k");
+        let g = obs.gauge_handle("s", "g");
+        let (mut lc, mut lg) = (LazyCounter::default(), LazyGauge::default());
+        c.inc();
+        g.set(1.0);
+        lc.inc(&obs, "s", "lk");
+        lg.set(&obs, "s", "lg", 1.0);
+        assert!(obs.counters().is_empty() && obs.gauges().is_empty());
+        obs.set_enabled(true);
+        c.inc();
+        g.set(3.0);
+        lc.inc(&obs, "s", "lk");
+        lg.set(&obs, "s", "lg", 4.0);
+        assert_eq!(obs.counter("s", "k"), 1);
+        assert_eq!(obs.counter("s", "lk"), 1);
+        assert_eq!(obs.gauge_value("s", "g"), Some(3.0));
+        assert_eq!(obs.gauge_value("s", "lg"), Some(4.0));
+    }
+
+    #[test]
+    fn lazy_handle_follows_the_obs_it_is_shown() {
+        let (first, second) = (Obs::enabled(), Obs::enabled());
+        let (mut c, mut g) = (LazyCounter::default(), LazyGauge::default());
+        c.inc(&first, "s", "k");
+        g.set(&first, "s", "g", 1.0);
+        c.add(&second, "s", "k", 7);
+        g.set(&second, "s", "g", 2.0);
+        c.inc(&first.clone(), "s", "k");
+        assert_eq!(first.counter("s", "k"), 2, "a clone is the same registry");
+        assert_eq!(first.gauge_value("s", "g"), Some(1.0));
+        assert_eq!(second.counter("s", "k"), 7);
+        assert_eq!(second.gauge_value("s", "g"), Some(2.0));
     }
 
     #[test]

@@ -3,11 +3,109 @@
 //! filter instance) and a `&'static str` metric key.
 //!
 //! Everything is stored in `BTreeMap`s so iteration — and therefore the
-//! JSONL export and the summary tables — is deterministic. The write path
-//! allocates only the first time a scope is seen; steady-state updates are
-//! two map lookups and an integer add.
+//! JSONL export and the summary tables — is deterministic. A counter or
+//! gauge value is a shared atomic cell: the maps are walked (under the
+//! registry's mutex) only to *find* the cell — by a by-name write, or once
+//! by a handle at resolution — and every write after that is a relaxed
+//! add or store on the cell itself. Histograms stay plain values behind
+//! the mutex.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The value of one counter (a `u64`) or one gauge (`f64` bits), shared
+/// between the registry's map and every handle resolved against it.
+///
+/// `Relaxed` throughout: the value is a statistic and publishes no other
+/// data. An add is a load and a store, not a read-modify-write: a world is
+/// stepped by one thread at a time and its `Obs` is written from there, so
+/// the sum is exact; two threads adding to one cell at once could lose an
+/// increment, never tear a value. A cell is listed by the read path only
+/// once `written` — a handle resolved but never written, or a cell zeroed
+/// by `reset`, exports nothing.
+#[derive(Default)]
+pub(crate) struct Cell {
+    bits: AtomicU64,
+    written: AtomicBool,
+}
+
+impl Cell {
+    #[inline]
+    pub(crate) fn add(&self, n: u64) {
+        let sum = self.bits.load(Ordering::Relaxed).wrapping_add(n);
+        self.bits.store(sum, Ordering::Relaxed);
+        self.written.store(true, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn set(&self, v: f64) {
+        self.bits.store(v.to_bits(), Ordering::Relaxed);
+        self.written.store(true, Ordering::Relaxed);
+    }
+
+    /// The counter value, `None` until written.
+    pub(crate) fn count(&self) -> Option<u64> {
+        self.written
+            .load(Ordering::Relaxed)
+            .then(|| self.bits.load(Ordering::Relaxed))
+    }
+
+    /// The gauge value, `None` until written.
+    pub(crate) fn value(&self) -> Option<f64> {
+        self.count().map(f64::from_bits)
+    }
+
+    fn clear(&self) {
+        self.written.store(false, Ordering::Relaxed);
+        self.bits.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Scope → key → shared cell.
+pub(crate) type Cells = BTreeMap<String, BTreeMap<&'static str, Arc<Cell>>>;
+
+/// Runs `f` on the cell of `(scope, key)`, created unwritten on first
+/// sight — the one way to a cell: a by-name write passes the write, handle
+/// resolution passes `Arc::clone`. Allocates only on first sight (and the
+/// scope string only the first time the scope is seen). Kept out of line so
+/// the by-name writers stay small enough to inline down to their
+/// disabled check.
+#[inline(never)]
+pub(crate) fn with_cell<R>(
+    cells: &mut Cells,
+    scope: &str,
+    key: &'static str,
+    f: impl FnOnce(&Arc<Cell>) -> R,
+) -> R {
+    let m = match cells.get_mut(scope) {
+        Some(m) => m,
+        None => cells.entry(scope.to_string()).or_default(),
+    };
+    f(m.entry(key).or_default())
+}
+
+/// Every written cell as `(scope, key, value)`, sorted by scope then key.
+pub(crate) fn written<'a, T: 'a>(
+    cells: &'a Cells,
+    read: fn(&Cell) -> Option<T>,
+) -> impl Iterator<Item = (&'a str, &'static str, T)> + 'a {
+    cells.iter().flat_map(move |(scope, m)| {
+        m.iter()
+            .filter_map(move |(key, c)| Some((scope.as_str(), *key, read(c)?)))
+    })
+}
+
+/// Zeroes cells a live handle still points at and forgets the rest.
+fn clear_cells(cells: &mut Cells) {
+    cells.retain(|_, m| {
+        m.retain(|_, c| {
+            c.clear();
+            Arc::strong_count(c) > 1
+        });
+        !m.is_empty()
+    });
+}
 
 /// A fixed-bucket histogram over `u64` samples.
 ///
@@ -98,36 +196,16 @@ impl Histogram {
 }
 
 /// The registry proper. Interior to [`crate::Obs`]; all access goes through
-/// the handle so the enabled check and `RefCell` discipline live in one
+/// the handle so the enabled check and the locking discipline live in one
 /// place.
 #[derive(Default)]
 pub(crate) struct Registry {
-    pub(crate) counters: BTreeMap<String, BTreeMap<&'static str, u64>>,
-    pub(crate) gauges: BTreeMap<String, BTreeMap<&'static str, f64>>,
+    pub(crate) counters: Cells,
+    pub(crate) gauges: Cells,
     pub(crate) hists: BTreeMap<String, BTreeMap<&'static str, Histogram>>,
 }
 
 impl Registry {
-    pub(crate) fn add(&mut self, scope: &str, key: &'static str, n: u64) {
-        if let Some(m) = self.counters.get_mut(scope) {
-            *m.entry(key).or_insert(0) += n;
-        } else {
-            let mut m = BTreeMap::new();
-            m.insert(key, n);
-            self.counters.insert(scope.to_string(), m);
-        }
-    }
-
-    pub(crate) fn gauge(&mut self, scope: &str, key: &'static str, v: f64) {
-        if let Some(m) = self.gauges.get_mut(scope) {
-            m.insert(key, v);
-        } else {
-            let mut m = BTreeMap::new();
-            m.insert(key, v);
-            self.gauges.insert(scope.to_string(), m);
-        }
-    }
-
     pub(crate) fn hist(&mut self, scope: &str, key: &'static str, v: u64) {
         let m = match self.hists.get_mut(scope) {
             Some(m) => m,
@@ -136,9 +214,12 @@ impl Registry {
         m.entry(key).or_insert_with(Histogram::exponential).record(v);
     }
 
+    /// Empties the registry as the read path sees it. Cells a handle still
+    /// holds stay in the map, zeroed and unwritten, so the handle's next
+    /// write is a fresh first write that the export shows.
     pub(crate) fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
+        clear_cells(&mut self.counters);
+        clear_cells(&mut self.gauges);
         self.hists.clear();
     }
 }
@@ -163,14 +244,14 @@ mod tests {
     #[test]
     fn registry_scoping() {
         let mut r = Registry::default();
-        r.add("a", "x", 1);
-        r.add("a", "x", 2);
-        r.add("b", "x", 5);
-        assert_eq!(r.counters["a"]["x"], 3);
-        assert_eq!(r.counters["b"]["x"], 5);
-        r.gauge("a", "g", 2.5);
-        r.gauge("a", "g", 3.5);
-        assert_eq!(r.gauges["a"]["g"], 3.5);
+        with_cell(&mut r.counters, "a", "x", |c| c.add(1));
+        with_cell(&mut r.counters, "a", "x", |c| c.add(2));
+        with_cell(&mut r.counters, "b", "x", |c| c.add(5));
+        assert_eq!(r.counters["a"]["x"].count(), Some(3));
+        assert_eq!(r.counters["b"]["x"].count(), Some(5));
+        with_cell(&mut r.gauges, "a", "g", |c| c.set(2.5));
+        with_cell(&mut r.gauges, "a", "g", |c| c.set(3.5));
+        assert_eq!(r.gauges["a"]["g"].value(), Some(3.5));
         r.hist("a", "h", 7);
         assert_eq!(r.hists["a"]["h"].count(), 1);
     }

@@ -21,9 +21,13 @@
 //!   filter; payload change detection is a pointer/length identity check
 //!   with an FNV-1a digest fallback, never a byte-by-byte compare of
 //!   untouched payloads;
-//! - filter kinds are interned as `Arc<str>`, so attributing stats, obs
-//!   scopes, and log lines costs a refcount bump, not four `String`
-//!   allocations per filter per packet.
+//! - filter kinds are interned once and an instance names its kind by
+//!   index, so attributing stats, obs scopes, and log lines costs an index,
+//!   not four `String` allocations per filter per packet;
+//! - with obs enabled, the per-packet `engine.*` / `filter.*` counters are
+//!   write sites that found their registry cell on the first write
+//!   ([`comma_obs::LazyCounter`]), kept per engine and per *kind* — never
+//!   per instance or per flow, which a 10,000-flow dark run would pay for.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
@@ -33,7 +37,7 @@ use comma_netsim::packet::{
     IcmpMessage, IpPayload, Ipv4Header, Packet, TcpFlags, TcpOption, TcpSegment, UdpDatagram,
 };
 use comma_netsim::time::SimTime;
-use comma_obs::Obs;
+use comma_obs::{LazyCounter, LazyGauge, Obs};
 use comma_rt::digest::fnv1a;
 use comma_rt::{Bytes, ShedVec, SmallRng};
 
@@ -167,8 +171,9 @@ pub struct InstanceStats {
 
 struct Instance {
     filter: Box<dyn Filter>,
-    /// Interned catalog name; cloning is a refcount bump (hot path).
-    kind: Arc<str>,
+    /// Catalog name, as an index into [`FilterEngine::kinds`] (and the
+    /// parallel `kind_obs`).
+    kind: u32,
     registration: usize,
     keys: BTreeSet<StreamKey>,
     priority: Priority,
@@ -268,6 +273,45 @@ pub struct InstanceInfo {
     pub stats: InstanceStats,
 }
 
+/// The `engine`-scope counters as obs write sites.
+#[derive(Clone, Default)]
+struct EngineObs {
+    pkts: LazyCounter,
+    batches: LazyCounter,
+    batch_pkts: LazyCounter,
+    drops: LazyCounter,
+    modified: LazyCounter,
+    injected: LazyCounter,
+    timer_fires: LazyCounter,
+}
+
+/// One filter kind's counters as obs write sites (scope = the kind name).
+#[derive(Clone, Default)]
+struct KindObs {
+    pkts: LazyCounter,
+    bytes: LazyCounter,
+    drops: LazyCounter,
+    modified: LazyCounter,
+    injected: LazyCounter,
+    violations: LazyCounter,
+    timer_fires: LazyCounter,
+    /// Keys the filter supplies itself through [`FilterCtx::count`] /
+    /// [`FilterCtx::gauge`], found by the address of the key literal (two
+    /// literals that spell one key resolve to one cell all the same).
+    counts: Vec<(&'static str, LazyCounter)>,
+    gauges: Vec<(&'static str, LazyGauge)>,
+}
+
+/// The write site of `key` in a filter-supplied list, added on first use.
+fn site<'a, T: Default>(sites: &'a mut Vec<(&'static str, T)>, key: &'static str) -> &'a mut T {
+    let at = sites.iter().position(|(k, _)| std::ptr::eq(*k, key));
+    let at = at.unwrap_or_else(|| {
+        sites.push((key, T::default()));
+        sites.len() - 1
+    });
+    &mut sites[at].1
+}
+
 /// The Service Proxy filtering engine.
 pub struct FilterEngine {
     /// The filter pool.
@@ -278,8 +322,11 @@ pub struct FilterEngine {
     reg_generation: u64,
     instances: Vec<Option<Instance>>,
     flows: FlowTable,
-    /// Interned filter-kind strings (tiny; linear scan on intern).
+    /// Interned filter-kind names (tiny; linear scan on intern).
     kinds: Vec<Arc<str>>,
+    /// Per-kind obs write sites, parallel to `kinds`.
+    kind_obs: Vec<KindObs>,
+    engine_obs: EngineObs,
     /// Diagnostic log lines emitted by filters and the engine (bounded;
     /// see [`EngineLog`]).
     pub log: EngineLog,
@@ -303,6 +350,8 @@ impl FilterEngine {
             instances: Vec::new(),
             flows: FlowTable::new(),
             kinds: Vec::new(),
+            kind_obs: Vec::new(),
+            engine_obs: EngineObs::default(),
             log: EngineLog::new(),
             totals: EngineStats::default(),
             pending_timers: Vec::new(),
@@ -310,18 +359,20 @@ impl FilterEngine {
         }
     }
 
-    /// Interns a filter-kind name; repeated kinds share one allocation.
-    fn intern_kind(&mut self, name: &str) -> Arc<str> {
-        if let Some(k) = self.kinds.iter().find(|k| &***k == name) {
-            return Arc::clone(k);
-        }
-        let k: Arc<str> = Arc::from(name);
-        self.kinds.push(Arc::clone(&k));
-        k
+    /// Interns a filter-kind name; repeated kinds share one slot.
+    fn intern_kind(&mut self, name: &str) -> u32 {
+        let at = self.kinds.iter().position(|k| &**k == name);
+        at.unwrap_or_else(|| {
+            self.kinds.push(Arc::from(name));
+            self.kind_obs.push(KindObs::default());
+            self.kinds.len() - 1
+        }) as u32
     }
 
     /// Shares an observability handle with the engine (typically the
-    /// simulator's). Replaces the default disabled handle.
+    /// simulator's). Replaces the default disabled handle, at any time:
+    /// every cached write site checks which `Obs` it is shown, so the next
+    /// write resolves against `obs` and nothing more reaches the old one.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -426,7 +477,7 @@ impl FilterEngine {
         );
         let mut ctx = FilterCtx::new(now, rng, metrics);
         inst.filter.on_removed(&mut ctx);
-        self.drain_ctx(now, &inst.kind, &mut ctx);
+        self.drain_ctx(now, inst.kind, &mut ctx);
     }
 
     /// Current registrations.
@@ -442,7 +493,7 @@ impl FilterEngine {
             .filter_map(|(id, slot)| {
                 slot.as_ref().map(|inst| InstanceInfo {
                     id,
-                    kind: inst.kind.to_string(),
+                    kind: self.kinds[inst.kind as usize].to_string(),
                     keys: inst.keys.iter().copied().collect(),
                     priority: inst.priority,
                     stats: inst.stats,
@@ -461,7 +512,8 @@ impl FilterEngine {
                 let names = entry
                     .members
                     .iter()
-                    .filter_map(|&m| self.instances[m].as_ref().map(|i| i.kind.to_string()))
+                    .filter_map(|&m| self.instances[m].as_ref())
+                    .map(|i| self.kinds[i.kind as usize].to_string())
                     .collect();
                 (*key, names)
             })
@@ -476,7 +528,7 @@ impl FilterEngine {
         self.instances
             .iter_mut()
             .flatten()
-            .filter(|i| &*i.kind == kind)
+            .filter(|i| &*self.kinds[i.kind as usize] == kind)
             .filter_map(|i| i.filter.as_any().downcast_mut::<T>())
             .collect()
     }
@@ -486,7 +538,7 @@ impl FilterEngine {
         self.instances
             .iter_mut()
             .flatten()
-            .find(|i| &*i.kind == kind)
+            .find(|i| &*self.kinds[i.kind as usize] == kind)
             .and_then(|i| i.filter.as_any().downcast_mut::<T>())
     }
 
@@ -566,19 +618,17 @@ impl FilterEngine {
             return;
         }
         self.totals.pkts += 1;
+        let (obs, eo) = (&self.obs, &mut self.engine_obs);
+        eo.pkts.inc(obs, "engine", "engine.pkts");
         let Some(key) = StreamKey::of_packet(&pkt) else {
-            self.obs.inc("engine", "engine.pkts");
             out.push(pkt); // Non-keyed traffic passes through.
             return;
         };
         // One dispatch per keyed packet: `batch_pkts / batches` is 1.
         self.totals.batches += 1;
         self.totals.batch_pkts += 1;
-        if self.obs.is_enabled() {
-            self.obs.inc("engine", "engine.pkts");
-            self.obs.inc("engine", "engine.batches");
-            self.obs.inc("engine", "engine.batch_pkts");
-        }
+        eo.batches.inc(obs, "engine", "engine.batches");
+        eo.batch_pkts.inc(obs, "engine", "engine.batch_pkts");
         let members = self.queue_members(now, rng, metrics, key);
         if members.is_empty() {
             out.push(pkt);
@@ -623,7 +673,7 @@ impl FilterEngine {
                 let snap = PacketSnap::capture(&pkt);
                 let before_payload = snap.payload_len();
                 let verdict = inst.filter.on_out(&mut ctx, key, &mut pkt);
-                let kind = &inst.kind;
+                let kind = &*self.kinds[inst.kind as usize];
                 let stats = &mut inst.stats;
                 let (hdr_changed, payload_changed) = snap.diff(&pkt);
                 let violated = (hdr_changed && !caps.allows(Capabilities::MODIFY_HEADERS))
@@ -676,20 +726,21 @@ impl FilterEngine {
                 }
                 stats.violations += violations;
                 if self.obs.is_enabled() {
-                    self.obs.inc(kind, "filter.pkts");
-                    self.obs.add(kind, "filter.bytes", before_payload as u64);
+                    let (obs, ko) = (&self.obs, &mut self.kind_obs[inst.kind as usize]);
+                    ko.pkts.inc(obs, kind, "filter.pkts");
+                    ko.bytes.add(obs, kind, "filter.bytes", before_payload as u64);
                     if is_dropped {
-                        self.obs.inc(kind, "filter.drops");
+                        ko.drops.inc(obs, kind, "filter.drops");
                     }
                     if modified {
-                        self.obs.inc(kind, "filter.modified");
+                        ko.modified.inc(obs, kind, "filter.modified");
                     }
                     if injected > 0 {
-                        self.obs.add(kind, "filter.injected", injected);
-                        self.obs.add("engine", "engine.injected", injected);
+                        ko.injected.add(obs, kind, "filter.injected", injected);
+                        self.engine_obs.injected.add(obs, "engine", "engine.injected", injected);
                     }
                     if violations > 0 {
-                        self.obs.add(kind, "filter.violations", violations);
+                        ko.violations.add(obs, kind, "filter.violations", violations);
                     }
                 }
                 self.drain_ctx_requests(now, m, &mut ctx);
@@ -702,14 +753,14 @@ impl FilterEngine {
         }
         if is_dropped {
             self.totals.drops += 1;
-            self.obs.inc("engine", "engine.drops");
+            self.engine_obs.drops.inc(&self.obs, "engine", "engine.drops");
             if out.len() == out_from {
                 dropped_out.push(pkt);
             } // else: the packet itself is consumed, its injections carry on.
         } else {
             if is_modified {
                 self.totals.modified += 1;
-                self.obs.inc("engine", "engine.modified");
+                self.engine_obs.modified.inc(&self.obs, "engine", "engine.modified");
             }
             out.insert(out_from, pkt);
         }
@@ -730,8 +781,8 @@ impl FilterEngine {
             Self::drain_ctx_timers(&mut self.pending_timers, inst_id, ctx);
         }
         if !ctx.events.is_empty() || !ctx.counts.is_empty() || !ctx.gauge_sets.is_empty() {
-            let kind = Arc::clone(&self.instances[inst_id].as_ref().expect("inst").kind);
-            self.drain_ctx(now, &kind, ctx);
+            let kind = self.instances[inst_id].as_ref().expect("inst").kind;
+            self.drain_ctx(now, kind, ctx);
         }
         if !ctx.service_requests.is_empty() {
             self.drain_service_requests(ctx);
@@ -752,8 +803,10 @@ impl FilterEngine {
     /// Drains a filter context's structured output: events become proxy-log
     /// lines (and flight-recorder entries when obs is enabled), counts and
     /// gauges land in the registry under the filter-kind scope.
-    fn drain_ctx(&mut self, now: SimTime, kind: &str, ctx: &mut FilterCtx<'_>) {
+    fn drain_ctx(&mut self, now: SimTime, kind: u32, ctx: &mut FilterCtx<'_>) {
         let enabled = self.obs.is_enabled();
+        let (obs, ko) = (&self.obs, &mut self.kind_obs[kind as usize]);
+        let kind = &*self.kinds[kind as usize];
         for (name, fields) in ctx.events.drain(..) {
             let mut line = String::from(name);
             for (k, v) in &fields {
@@ -764,17 +817,17 @@ impl FilterEngine {
             }
             self.log.push(format!("{kind}: {line}"));
             if enabled {
-                self.obs.event(now.as_micros(), kind, name, fields);
+                obs.event(now.as_micros(), kind, name, fields);
             }
         }
         for (key, n) in ctx.counts.drain(..) {
             if enabled {
-                self.obs.add(kind, key, n);
+                site(&mut ko.counts, key).add(obs, kind, key, n);
             }
         }
         for (key, v) in ctx.gauge_sets.drain(..) {
             if enabled {
-                self.obs.gauge(kind, key, v);
+                site(&mut ko.gauges, key).set(obs, kind, key, v);
             }
         }
     }
@@ -812,13 +865,13 @@ impl FilterEngine {
         let Some(inst) = slot.as_mut() else {
             return Vec::new();
         };
-        let kind = inst.kind.clone();
+        let kind = inst.kind;
         inst.stats.timer_fires += 1;
         self.totals.timer_fires += 1;
-        if self.obs.is_enabled() {
-            self.obs.inc(&kind, "filter.timer_fires");
-            self.obs.inc("engine", "engine.timer_fires");
-        }
+        let (obs, ko, eo) = (&self.obs, &mut self.kind_obs[kind as usize], &mut self.engine_obs);
+        let scope = &*self.kinds[kind as usize];
+        ko.timer_fires.inc(obs, scope, "filter.timer_fires");
+        eo.timer_fires.inc(obs, "engine", "engine.timer_fires");
         let mut ctx = FilterCtx::new(now, rng, metrics);
         inst.filter.on_timer(&mut ctx, user);
         let mut out = Vec::new();
@@ -835,11 +888,11 @@ impl FilterEngine {
             }
         }
         if injected > 0 {
-            self.obs.add(&kind, "filter.injected", injected);
-            self.obs.add("engine", "engine.injected", injected);
+            ko.injected.add(obs, scope, "filter.injected", injected);
+            eo.injected.add(obs, "engine", "engine.injected", injected);
         }
         Self::drain_ctx_timers(&mut self.pending_timers, inst_id, &mut ctx);
-        self.drain_ctx(now, &kind, &mut ctx);
+        self.drain_ctx(now, kind, &mut ctx);
         self.drain_service_requests(&mut ctx);
         let closed: Vec<StreamKey> = ctx.closed_streams.drain(..).collect();
         drop(ctx);
@@ -903,13 +956,13 @@ impl FilterEngine {
                         let mut ctx = FilterCtx::new(now, rng, metrics);
                         let keys = filter.insert(&mut ctx, key);
                         let inst_id = self.instances.len();
+                        // Catalog name (services may share a Filter type).
+                        let kind = self.intern_kind(&reg.filter);
                         Self::drain_ctx_timers(&mut self.pending_timers, inst_id, &mut ctx);
-                        self.drain_ctx(now, &reg.filter, &mut ctx);
+                        self.drain_ctx(now, kind, &mut ctx);
                         self.drain_service_requests(&mut ctx);
                         let priority = filter.priority();
                         let caps = filter.capabilities();
-                        // Catalog name (services may share a Filter type).
-                        let kind = self.intern_kind(&reg.filter);
                         let wants_in = filter.observes_in();
                         self.instances.push(Some(Instance {
                             filter,
@@ -1000,7 +1053,7 @@ impl FilterEngine {
                 }
             }
             for inst in self.instances.iter().flatten() {
-                if *inst.kind == *name {
+                if *self.kinds[inst.kind as usize] == *name {
                     for k in &inst.keys {
                         keys.push(k.to_string());
                     }
@@ -1034,11 +1087,12 @@ impl FilterEngine {
                 None => None,
                 Some(inst) => {
                     let filter = inst.filter.clone_filter().ok_or_else(|| {
-                        format!("filter {} does not implement clone_filter", inst.kind)
+                        let kind = &self.kinds[inst.kind as usize];
+                        format!("filter {kind} does not implement clone_filter")
                     })?;
                     Some(Instance {
                         filter,
-                        kind: inst.kind.clone(),
+                        kind: inst.kind,
                         registration: inst.registration,
                         keys: inst.keys.clone(),
                         priority: inst.priority,
@@ -1056,6 +1110,10 @@ impl FilterEngine {
             instances,
             flows: self.flows.clone(),
             kinds: self.kinds.clone(),
+            // Write sites go with the shared `obs` below: the copy adds into
+            // the cells the original adds into.
+            kind_obs: self.kind_obs.clone(),
+            engine_obs: self.engine_obs.clone(),
             log: self.log.clone(),
             totals: self.totals,
             pending_timers: self.pending_timers.clone(),
@@ -1086,7 +1144,7 @@ impl FilterEngine {
             .flatten()
             .map(|inst| {
                 let mut sub = comma_rt::digest::StateHasher::new();
-                sub.update(&*inst.kind);
+                sub.update(&*self.kinds[inst.kind as usize]);
                 sub.update_u64(inst.keys.len() as u64);
                 for k in &inst.keys {
                     k.state_digest(&mut sub);
@@ -1096,7 +1154,8 @@ impl FilterEngine {
             })
             .collect();
         inst_digests.sort_unstable_by(|(a, da), (b, db)| {
-            (&*a.kind, &a.keys, da).cmp(&(&*b.kind, &b.keys, db))
+            let name = |i: &Instance| &*self.kinds[i.kind as usize];
+            (name(a), &a.keys, da).cmp(&(name(b), &b.keys, db))
         });
         for (_, d) in inst_digests {
             h.update_u64(d);
@@ -1358,6 +1417,11 @@ mod tests {
         fn insert(&mut self, _ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
             std::iter::once(key).chain(self.also.iter().copied()).collect()
         }
+        fn on_out(&mut self, ctx: &mut FilterCtx<'_>, _key: StreamKey, pkt: &mut Packet) -> Verdict {
+            ctx.count("multi.seen", 1);
+            ctx.gauge("multi.ttl", pkt.ip.ttl as f64);
+            Verdict::Continue
+        }
         fn as_any(&mut self) -> &mut dyn std::any::Any {
             self
         }
@@ -1404,5 +1468,35 @@ mod tests {
         engine.deregister(SimTime::ZERO, &mut rng, &metrics, "multi", WildKey::ANY);
         assert!(engine.instance_infos().is_empty());
         assert!(engine.flows.members(key(9)).expect("entry stays").is_empty());
+    }
+
+    /// `kati> obs on` hands a live engine a new `Obs`: every cached write
+    /// site (engine, kind, filter-supplied) must follow it, and nothing
+    /// more may reach the old registry.
+    #[test]
+    fn set_obs_after_traffic_moves_every_write_to_the_new_handle() {
+        let (mut engine, mut rng) = multi_engine(vec![]);
+        let metrics = crate::filter::NullMetrics;
+        let mut send = |engine: &mut FilterEngine, n: usize| {
+            for _ in 0..n {
+                let seg = TcpSegment::new(5, 10, 0, 0, TcpFlags::ACK);
+                let pkt = Packet::tcp("1.2.3.1".parse().unwrap(), "6.7.8.9".parse().unwrap(), seg);
+                assert_eq!(engine.process(SimTime::ZERO, &mut rng, &metrics, pkt).len(), 1);
+            }
+        };
+        let read = |obs: &Obs| {
+            [("engine", "engine.pkts"), ("engine", "engine.batches"), ("multi", "filter.pkts"), ("multi", "multi.seen")]
+                .map(|(scope, key)| obs.counter(scope, key))
+        };
+        let (first, second) = (Obs::enabled(), Obs::enabled());
+        engine.set_obs(first.clone());
+        send(&mut engine, 3);
+        assert_eq!(read(&first), [3; 4]);
+        engine.set_obs(second.clone());
+        send(&mut engine, 2);
+        assert_eq!(read(&first), [3; 4], "the old registry is left as it was");
+        assert_eq!(read(&second), [2; 4], "the new one sees only what came after");
+        assert_eq!(second.gauge_value("multi", "multi.ttl"), Some(64.0));
+        assert_eq!(engine.totals.pkts, 5);
     }
 }

@@ -4,7 +4,7 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
-use comma_obs::fields;
+use comma_obs::{fields, LazyGauge};
 use comma_rt::Bytes;
 use comma_netsim::addr::Ipv4Addr;
 use comma_netsim::node::{IfaceId, Node, NodeCtx};
@@ -85,9 +85,10 @@ struct SocketEntry {
     remote: (Ipv4Addr, u16),
     app: usize,
     passive: bool,
-    /// Cached observability scope (`<host>.conn.<l>:<lp>-<r>:<rp>`), built
-    /// lazily on the first publish so the disabled path never allocates.
-    obs_scope: Option<String>,
+    /// What the socket keeps only while someone is watching, built on the
+    /// first publish: the disabled path never allocates, and a dark socket
+    /// carries one null pointer.
+    obs: Option<Box<ConnObs>>,
     /// Last state published to the flight recorder.
     last_state: TcpState,
     /// The armed connection timer: `(deadline, handle)`. Re-arming for a
@@ -95,6 +96,30 @@ struct SocketEntry {
     /// same deadline is a no-op, so RTO restarts and delayed-ACK
     /// rescheduling stop flooding the scheduler with stale timers.
     timer: Option<(SimTime, TimerHandle)>,
+}
+
+/// The `tcp.*` gauges [`Host::publish_obs`] sets after every effects batch.
+const CONN_GAUGES: [&str; 12] = [
+    "tcp.cwnd",
+    "tcp.ssthresh",
+    "tcp.rto_us",
+    "tcp.srtt_us",
+    "tcp.retransmits",
+    "tcp.timeouts",
+    "tcp.fast_retransmits",
+    "tcp.dup_acks",
+    "tcp.segs_out",
+    "tcp.segs_in",
+    "tcp.bytes_sent",
+    "tcp.bytes_delivered",
+];
+
+/// A connection's obs scope (`<host>.conn.<l>:<lp>-<r>:<rp>`) and its
+/// gauges as write sites, one per [`CONN_GAUGES`] key.
+#[derive(Clone)]
+struct ConnObs {
+    scope: String,
+    gauges: [LazyGauge; CONN_GAUGES.len()],
 }
 
 #[derive(Clone)]
@@ -320,28 +345,37 @@ impl Host {
             return;
         };
         let entry = &mut self.sockets[sock];
-        let scope = entry.obs_scope.get_or_insert_with(|| {
-            format!(
-                "{}.conn.{}:{}-{}:{}",
-                self.name, entry.local.0, entry.local.1, entry.remote.0, entry.remote.1
-            )
+        let ConnObs { scope, gauges } = &mut **entry.obs.get_or_insert_with(|| {
+            Box::new(ConnObs {
+                scope: format!(
+                    "{}.conn.{}:{}-{}:{}",
+                    self.name, entry.local.0, entry.local.1, entry.remote.0, entry.remote.1
+                ),
+                gauges: Default::default(),
+            })
         });
         let conn = &entry.conn;
-        obs.gauge(scope, "tcp.cwnd", conn.cwnd() as f64);
-        obs.gauge(scope, "tcp.ssthresh", conn.ssthresh() as f64);
-        obs.gauge(scope, "tcp.rto_us", conn.rto().as_micros() as f64);
-        if let Some(srtt) = conn.srtt() {
-            obs.gauge(scope, "tcp.srtt_us", srtt.as_micros() as f64);
-        }
         let st = conn.stats;
-        obs.gauge(scope, "tcp.retransmits", st.retransmits as f64);
-        obs.gauge(scope, "tcp.timeouts", st.timeouts as f64);
-        obs.gauge(scope, "tcp.fast_retransmits", st.fast_retransmits as f64);
-        obs.gauge(scope, "tcp.dup_acks", st.dup_acks as f64);
-        obs.gauge(scope, "tcp.segs_out", st.segs_out as f64);
-        obs.gauge(scope, "tcp.segs_in", st.segs_in as f64);
-        obs.gauge(scope, "tcp.bytes_sent", st.bytes_sent as f64);
-        obs.gauge(scope, "tcp.bytes_delivered", st.bytes_delivered as f64);
+        // In `CONN_GAUGES` order; no smoothed RTT before the first sample.
+        let values = [
+            Some(conn.cwnd() as f64),
+            Some(conn.ssthresh() as f64),
+            Some(conn.rto().as_micros() as f64),
+            conn.srtt().map(|srtt| srtt.as_micros() as f64),
+            Some(st.retransmits as f64),
+            Some(st.timeouts as f64),
+            Some(st.fast_retransmits as f64),
+            Some(st.dup_acks as f64),
+            Some(st.segs_out as f64),
+            Some(st.segs_in as f64),
+            Some(st.bytes_sent as f64),
+            Some(st.bytes_delivered as f64),
+        ];
+        for ((gauge, key), v) in gauges.iter_mut().zip(CONN_GAUGES).zip(values) {
+            if let Some(v) = v {
+                gauge.set(obs, scope, key, v);
+            }
+        }
         let state = conn.state();
         if state != entry.last_state {
             obs.event(
@@ -454,7 +488,7 @@ impl Host {
                         remote,
                         app: app_idx,
                         passive: false,
-                        obs_scope: None,
+                        obs: None,
                         last_state: TcpState::Closed,
                         timer: None,
                     });
@@ -561,7 +595,7 @@ impl Host {
                     remote: (src, seg.src_port),
                     app,
                     passive: true,
-                    obs_scope: None,
+                    obs: None,
                     last_state: TcpState::Closed,
                     timer: None,
                 });
@@ -777,7 +811,7 @@ mod tests {
                 remote: (Ipv4Addr::new(10, 0, 0, 2), 80),
                 app: 0,
                 passive: false,
-                obs_scope: None,
+                obs: None,
                 last_state: TcpState::Closed,
                 timer: None,
             });

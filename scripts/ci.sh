@@ -59,6 +59,8 @@ faults)
     cargo test -q --release --offline --test faults
     cargo test -q --release --offline --test determinism churn_workload_trace_matches_golden
     cargo test -q --release --offline --test properties oracle_clean_on_wrapped_flows
+    # The oracle's slice-wise stream log against the byte loop it replaced.
+    cargo test -q --release --offline -p comma-faultcheck stream_log_matches_bytewise_model
     echo "fault gate ok"
     ;;
 bench)
@@ -100,7 +102,8 @@ mc)
 alloc)
     echo "== allocation-accounting gate (alloc-stats) =="
     # Steady-state serial event core, sharded window loop, proxy packet
-    # path and fluid epochs must be heap-silent under the counting allocator.
+    # path (dark and lit), fluid epochs and the oracle's clean-segment path
+    # must be heap-silent under the counting allocator.
     cargo test -q --release --offline --features alloc-stats --test alloc
 
     echo "== macro bench (fast, alloc-stats) =="

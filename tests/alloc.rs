@@ -10,7 +10,8 @@
 #![cfg(feature = "alloc-stats")]
 
 use comma_bench::scale::{
-    engine_alloc_probe, event_core_alloc_probe, fluid_alloc_probe, sharded_alloc_probe,
+    engine_alloc_probe, engine_alloc_probe_on, event_core_alloc_probe, fluid_alloc_probe,
+    sharded_alloc_probe,
 };
 
 #[test]
@@ -61,6 +62,96 @@ fn proxy_packet_path_is_allocation_free_after_warmup() {
         "1,000 steady-state segments through tcp → snoop → wsize → tcp allocated \
          {steady} times (after {warm} warmup allocations)"
     );
+}
+
+/// The same chain watched: with obs enabled the packet path still does not
+/// touch the heap (every counter is a resolved write site, the dispatch
+/// histogram exists after the first packet, and this chain emits no
+/// flight-recorder events in steady state), and the registry cannot
+/// disagree with the structs the engine keeps beside it.
+#[test]
+fn lit_packet_path_is_allocation_free_after_warmup() {
+    use comma_repro::obs::Obs;
+    let obs = Obs::enabled();
+    let mut engine = comma_bench::scale::four_filter_engine();
+    engine.set_obs(obs.clone());
+    let (warm, steady) = engine_alloc_probe_on(&mut engine);
+    assert!(warm > 0, "instantiating the chain and resolving its write sites must allocate");
+    assert_eq!(steady, 0, "1,000 lit steady-state segments allocated {steady} times");
+    assert_eq!(obs.counter("engine", "engine.pkts"), engine.totals.pkts);
+    assert_eq!(engine.totals.pkts, 1_200);
+    assert_eq!(obs.counter("engine", "engine.batches"), engine.totals.batches);
+    assert_eq!(obs.counter("engine", "engine.modified"), engine.totals.modified);
+    assert_eq!(obs.counter("engine", "engine.drops"), engine.totals.drops);
+    let infos = engine.instance_infos();
+    for kind in ["tcp", "snoop", "wsize"] {
+        let of_kind = || infos.iter().filter(|i| i.kind == kind).map(|i| i.stats);
+        assert!(of_kind().count() > 0, "{kind} instantiated");
+        assert_eq!(
+            obs.counter(kind, "filter.pkts"),
+            of_kind().map(|s| s.pkts_seen).sum::<u64>(),
+            "{kind} filter.pkts"
+        );
+        assert_eq!(
+            obs.counter(kind, "filter.modified"),
+            of_kind().map(|s| s.pkts_modified).sum::<u64>(),
+            "{kind} filter.modified"
+        );
+    }
+}
+
+/// A clean segment costs the oracle no allocation: no flow label is
+/// formatted for a violation that never comes, and the stream log grows by
+/// doubling, not per segment.
+#[test]
+fn oracle_clean_segment_allocates_nothing() {
+    use comma_repro::faultcheck::{Oracle, OracleConfig};
+    use comma_repro::netsim::node::NodeId;
+    use comma_repro::netsim::packet::{Packet, TcpFlags, TcpSegment};
+    use comma_repro::netsim::sim::PacketObserver;
+    use comma_repro::netsim::time::SimTime;
+    use comma_repro::prelude::addrs;
+
+    const MSS: usize = 1460;
+    let (a, b) = (NodeId(0), NodeId(1));
+    let mut oracle = Oracle::new(OracleConfig::new(vec![(a, addrs::WIRED), (b, addrs::MOBILE)]));
+    let now = SimTime::ZERO;
+    let both = |oracle: &mut Oracle, pkt: &Packet, from: NodeId, to: NodeId| {
+        oracle.on_tx(now, from, pkt);
+        oracle.on_deliver(now, to, pkt);
+    };
+    // Handshake: ISNs 100 and 500; `b` advertises the window `a` sends into.
+    let syn = TcpSegment::new(7, 9000, 100, 0, TcpFlags::SYN);
+    both(&mut oracle, &Packet::tcp(addrs::WIRED, addrs::MOBILE, syn), a, b);
+    let mut synack = TcpSegment::new(9000, 7, 500, 101, TcpFlags::SYN | TcpFlags::ACK);
+    synack.window = u16::MAX;
+    both(&mut oracle, &Packet::tcp(addrs::MOBILE, addrs::WIRED, synack), b, a);
+
+    let payload = comma_rt::Bytes::from(vec![0x5au8; MSS]);
+    let mut seq = 101u32;
+    let mut exchange = |oracle: &mut Oracle, n: usize| {
+        for _ in 0..n {
+            let mut seg = TcpSegment::new(7, 9000, seq, 501, TcpFlags::ACK);
+            seg.payload = payload.clone();
+            seq += MSS as u32;
+            both(oracle, &Packet::tcp(addrs::WIRED, addrs::MOBILE, seg), a, b);
+            // The receiver's ACK opens the window for the next one.
+            let mut ack = TcpSegment::new(9000, 7, 501, seq, TcpFlags::ACK);
+            ack.window = u16::MAX;
+            both(oracle, &Packet::tcp(addrs::MOBILE, addrs::WIRED, ack), b, a);
+        }
+    };
+    exchange(&mut oracle, 8);
+    let steady = comma_rt::alloc::AllocScope::begin();
+    exchange(&mut oracle, 1_000);
+    let allocs = steady.delta().allocs;
+    // Two logs (sent, delivered) of 1,008 × 1,460 bytes past an 8-segment
+    // head start: at most eight doublings of `data` and of the bitset each.
+    assert!(allocs <= 32, "1,000 clean segments allocated {allocs} times");
+    let report = oracle.finish();
+    assert!(report.is_clean(), "{}", report.render());
+    assert_eq!(report.segments_checked, 2 * (2 + 2 * 1_008));
+    assert_eq!(report.truncated_flows, 1, "1.47 MB one way runs past the 1 MiB stream cap");
 }
 
 #[test]

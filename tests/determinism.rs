@@ -58,6 +58,38 @@ fn same_seed_byte_identical_obs_export() {
     );
 }
 
+/// Golden obs export: the E05 legacy-compression world (text corpus through
+/// `tcp` + `compress lzss` on the proxy, `decompress` on the stub) at seed
+/// 42, lit. The digest was recorded on the registry that kept plain values
+/// in maps under the mutex; shared cells, resolved write sites and the
+/// written-flag read path must list the same keys with the same values in
+/// the same order.
+#[test]
+fn lit_compression_world_obs_export_matches_golden() {
+    let total = 300_000usize;
+    let sender = BulkSender::new((addrs::MOBILE, 9000), total)
+        .with_pattern(|i| b"the quick brown fox jumps over the lazy dog. "[i % 45]);
+    let mut world = CommaBuilder::new(42)
+        .double_proxy(true)
+        .observability(true)
+        .build(vec![Box::new(sender)], vec![Box::new(Sink::new(9000))]);
+    world.sp("add tcp 0.0.0.0 0 11.11.10.10 9000");
+    world.sp("add compress 0.0.0.0 0 11.11.10.10 9000 lzss");
+    world.stub_sp("add decompress 0.0.0.0 0 11.11.10.10 9000");
+    world.run_until(SimTime::from_secs(120));
+    let export = world.obs.export_jsonl();
+    for key in ["link.delivered_bytes", "tcp.srtt_us", "filter.bytes", "engine.batch_pkts", "ttsf."] {
+        assert!(export.contains(key), "{key} exported");
+    }
+    let mut digest = Fnv1a::new();
+    digest.update(export.as_bytes());
+    assert_eq!(
+        (export.lines().count(), digest.finish()),
+        (90, 0xf0ba_b727_e07e_7b6b),
+        "lit export must match the recorded golden"
+    );
+}
+
 /// Runs a lossy double-proxy compression transfer and fingerprints the
 /// full packet trace plus the delivered bytes.
 fn run_fingerprint(seed: u64) -> (u64, u64, usize) {
