@@ -209,42 +209,6 @@ fn bench_fluid(bench: &mut Bench) {
     g.finish();
 }
 
-fn bench_shard_trace_merge(bench: &mut Bench) {
-    use comma_netsim::shard::merge_sorted_traces;
-
-    // Four shards' worth of rendered trace lines, interleaved in time the
-    // way real per-shard traces are. The merge moves each `String` exactly
-    // once; the retained naive baseline (concat + global sort) clones
-    // nothing either but pays O(n log n) comparisons on the full set.
-    let make_shards = || -> Vec<Vec<(u64, String)>> {
-        (0..4u64)
-            .map(|s| {
-                (0..4_096u64)
-                    .map(|i| {
-                        let t = i * 7 + s * 3;
-                        (t, format!("[{t}us] shard{s} pkt={i} DATA seq={}", i * 1460))
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-
-    let mut g = bench.group("shard");
-    g.bench_batched("shard_trace_merge_4x4096", make_shards, |shards| {
-        merge_sorted_traces(shards).len()
-    });
-    g.bench_batched(
-        "shard_trace_concat_sort_4x4096",
-        make_shards,
-        |shards| {
-            let mut all: Vec<(u64, String)> = shards.into_iter().flatten().collect();
-            all.sort();
-            all.len()
-        },
-    );
-    g.finish();
-}
-
 fn bench_simulation(bench: &mut Bench) {
     use comma::topology::{addrs, CommaBuilder};
     use comma_tcp::apps::{BulkSender, Sink};
@@ -384,7 +348,6 @@ fn main() {
     bench_flow_table(&mut bench);
     bench_sched(&mut bench);
     bench_fluid(&mut bench);
-    bench_shard_trace_merge(&mut bench);
     bench_simulation(&mut bench);
     bench_mc(&mut bench);
     bench_obs(&mut bench);

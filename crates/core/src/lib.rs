@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::topo::{CellSpec, ShardedWorld, TopologyBuilder, TopologyError};
     pub use crate::topology::{addrs, CommaBuilder, CommaWorld};
 
-    pub use comma_rt::{ensure, ensure_eq, ensure_ne, Bytes, BytesMut, Rng, SeedableRng, SmallRng};
+    pub use comma_rt::{ensure, ensure_eq, ensure_ne, Bytes, Rng, SeedableRng, SmallRng};
 
     pub use comma_obs::{fields, obs_event, FieldValue, Obs};
 

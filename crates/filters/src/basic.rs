@@ -56,11 +56,6 @@ impl Filter for TcpHousekeeping {
         Capabilities::READ_ONLY
     }
 
-    fn observes_in(&self) -> bool {
-        // Out-only filter: no in method, skip the read-only pass.
-        false
-    }
-
     fn insert(&mut self, _ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
         self.key = Some(key);
         vec![key, key.reverse()]
@@ -158,11 +153,6 @@ impl Filter for Launcher {
         Capabilities::READ_ONLY
     }
 
-    fn observes_in(&self) -> bool {
-        // Out-only filter: no in method, skip the read-only pass.
-        false
-    }
-
     fn insert(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
         self.launched += 1;
         for (name, args) in &self.specs {
@@ -228,11 +218,6 @@ impl Filter for RandomDrop {
 
     fn capabilities(&self) -> Capabilities {
         Capabilities::DROP
-    }
-
-    fn observes_in(&self) -> bool {
-        // Out-only filter: no in method, skip the read-only pass.
-        false
     }
 
     fn on_out(&mut self, ctx: &mut FilterCtx<'_>, _key: StreamKey, _pkt: &mut Packet) -> Verdict {

@@ -127,11 +127,6 @@ impl Filter for HierarchicalDiscard {
         Capabilities::DROP
     }
 
-    fn observes_in(&self) -> bool {
-        // Out-only filter: no in method, skip the read-only pass.
-        false
-    }
-
     fn on_out(&mut self, ctx: &mut FilterCtx<'_>, _key: StreamKey, pkt: &mut Packet) -> Verdict {
         let Some(dgram) = pkt.as_udp() else {
             return Verdict::Continue;

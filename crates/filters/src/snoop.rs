@@ -158,11 +158,6 @@ impl Filter for Snoop {
         Capabilities::DROP.with(Capabilities::INJECT)
     }
 
-    fn observes_in(&self) -> bool {
-        // Out-only filter: no in method, skip the read-only pass.
-        false
-    }
-
     fn insert(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
         self.down_key = Some(key);
         self.grid_origin = ctx.now;

@@ -327,11 +327,6 @@ impl Filter for Ttsf {
             .with(Capabilities::INJECT)
     }
 
-    fn observes_in(&self) -> bool {
-        // Out-only filter: no in method, skip the read-only pass.
-        false
-    }
-
     fn insert(&mut self, _ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
         self.down_key = Some(key);
         vec![key, key.reverse()]

@@ -126,11 +126,6 @@ impl Filter for Wsize {
         Capabilities::MODIFY_HEADERS.with(Capabilities::INJECT)
     }
 
-    fn observes_in(&self) -> bool {
-        // Out-only filter: no in method, skip the read-only pass.
-        false
-    }
-
     fn insert(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
         self.down_key = Some(key);
         if matches!(self.mode, WsizeMode::Zwsm { .. }) {

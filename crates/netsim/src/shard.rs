@@ -616,16 +616,10 @@ impl ShardedSimulator {
     /// byte-identical here if and only if they moved the same packets at
     /// the same times.
     pub fn merged_trace(&mut self) -> Vec<(u64, String)> {
-        let mut per_shard = Vec::with_capacity(self.shard_count());
-        for sim in &mut self.shards {
-            let mut rendered = sim.render_trace_named();
-            // Per-shard traces are time-ordered already; same-instant
-            // lines may need a local swap into (time, line) order, which
-            // the adaptive merge sort sees as nearly-sorted input.
-            rendered.sort();
-            per_shard.push(rendered);
-        }
-        merge_sorted_traces(per_shard)
+        let mut merged: Vec<(u64, String)> =
+            self.shards.iter().flat_map(Simulator::render_trace_named).collect();
+        merged.sort();
+        merged
     }
 
     /// FNV-1a digest of [`ShardedSimulator::merged_trace`].
@@ -656,46 +650,6 @@ fn u64_decimal(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
         }
     }
     &buf[i..]
-}
-
-/// Merges per-shard `(time, line)` traces — each already sorted — into one
-/// canonical `(time, line)`-ordered sequence, *moving* every line instead
-/// of cloning it. Equivalent to concatenating and sorting (total order,
-/// stability irrelevant for equal keys), but does one k-way front scan per
-/// line and exactly one output allocation. Public for the
-/// `shard_trace_merge` micro benchmark.
-pub fn merge_sorted_traces(mut shards: Vec<Vec<(u64, String)>>) -> Vec<(u64, String)> {
-    if shards.len() == 1 {
-        return shards.pop().unwrap();
-    }
-    let total = shards.iter().map(Vec::len).sum();
-    let mut out: Vec<(u64, String)> = Vec::with_capacity(total);
-    let mut pos: Vec<usize> = vec![0; shards.len()];
-    loop {
-        let mut best: Option<usize> = None;
-        for i in 0..shards.len() {
-            if pos[i] >= shards[i].len() {
-                continue;
-            }
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    let cand = &shards[i][pos[i]];
-                    let cur = &shards[b][pos[b]];
-                    if (cand.0, &cand.1) < (cur.0, &cur.1) {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        let Some(b) = best else { break };
-        let (t, line) = &mut shards[b][pos[b]];
-        out.push((*t, std::mem::take(line)));
-        pos[b] += 1;
-    }
-    out
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> &str {
@@ -1101,19 +1055,6 @@ mod tests {
         for v in [0u64, 1, 9, 10, 99, 12_345, u64::MAX] {
             assert_eq!(u64_decimal(v, &mut buf), v.to_string().as_bytes());
         }
-    }
-
-    #[test]
-    fn merge_sorted_traces_equals_concat_and_sort() {
-        let shards = vec![
-            vec![(1, "b".to_string()), (1, "c".to_string()), (5, "a".to_string())],
-            vec![(1, "a".to_string()), (4, "z".to_string())],
-            vec![],
-            vec![(0, "x".to_string()), (5, "a".to_string())],
-        ];
-        let mut expect: Vec<(u64, String)> = shards.iter().flatten().cloned().collect();
-        expect.sort();
-        assert_eq!(merge_sorted_traces(shards), expect);
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //!
 //! # The fast dispatch path
 //!
-//! One private per-packet core sits behind both public entries,
-//! [`FilterEngine::process`] and [`FilterEngine::process_batch`]. Every
-//! single packet traverses it, so it is written to avoid per-packet
+//! One private per-packet core, `dispatch`, sits behind both public
+//! entries, [`FilterEngine::process`] and [`FilterEngine::process_batch`],
+//! and reads top to bottom as *lookup → in pass → out pass → settle*:
+//! whatever a filter callback — `insert`, `on_in`, `on_out`, `on_timer`,
+//! `on_removed` — leaves in its [`FilterCtx`] goes through the one private
+//! `settle`, so the rule for each kind of request (the `INJECT` check
+//! among them) is written once; the table is on [`Filter`]. Every single
+//! packet traverses the core, so it is written to avoid per-packet
 //! allocation and deep copies entirely (see DESIGN.md's "Performance"
 //! section):
 //!
@@ -16,11 +21,12 @@
 //!   the member list as an `Arc<[usize]>` (refcount bump per packet, no
 //!   `Vec` clone) behind a registration-generation stamp (no per-packet
 //!   wild-card scan);
-//! - capability diffing takes a `PacketSnap` — header fields by value
-//!   plus the payload's `Bytes` handle — instead of cloning the packet per
-//!   filter; payload change detection is a pointer/length identity check
-//!   with an FNV-1a digest fallback, never a byte-by-byte compare of
-//!   untouched payloads;
+//! - the pre-`on_out` snapshot the capability check diffs against is a
+//!   plain [`Packet`] — header fields by value plus a refcount bump on the
+//!   payload's `Bytes` handle, copied inline — taken once per packet and
+//!   again only after a filter changed something; payload change detection
+//!   answers from pointer identity, then length, and compares bytes only
+//!   when a filter *replaced* the buffer with one of equal length;
 //! - filter kinds are interned once and an instance names its kind by
 //!   index, so attributing stats, obs scopes, and log lines costs an index,
 //!   not four `String` allocations per filter per packet;
@@ -30,15 +36,13 @@
 //!   per instance or per flow, which a 10,000-flow dark run would pay for.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use comma_netsim::packet::{
-    IcmpMessage, IpPayload, Ipv4Header, Packet, TcpFlags, TcpOption, TcpSegment, UdpDatagram,
-};
+use comma_netsim::packet::{IcmpMessage, IpPayload, Packet, TcpSegment};
 use comma_netsim::time::SimTime;
 use comma_obs::{LazyCounter, LazyGauge, Obs};
-use comma_rt::digest::fnv1a;
 use comma_rt::{Bytes, ShedVec, SmallRng};
 
 use crate::filter::{Capabilities, Filter, FilterCtx, MetricsSource, Priority, Verdict};
@@ -178,9 +182,6 @@ struct Instance {
     keys: BTreeSet<StreamKey>,
     priority: Priority,
     caps: Capabilities,
-    /// Cached [`Filter::observes_in`] (sampled once at instantiation): the
-    /// in-pass is skipped wholesale for out-only filters.
-    wants_in: bool,
     stats: InstanceStats,
 }
 
@@ -458,9 +459,14 @@ impl FilterEngine {
         metrics: &dyn MetricsSource,
         inst_id: usize,
     ) {
-        let Some(mut inst) = self.instances[inst_id].take() else {
+        let Some(inst) = self.instances[inst_id].as_mut() else {
             return;
         };
+        // Nothing follows a removal, so `on_removed` has nowhere to emit.
+        let mut ctx = FilterCtx::new(now, rng, metrics);
+        inst.filter.on_removed(&mut ctx);
+        self.settle(&mut ctx, inst_id, &"removal", None);
+        let inst = self.instances[inst_id].take().expect("checked above");
         // A flow entry lists `m` ⇒ its key ∈ `instances[m].keys`:
         // `expand_queue` lists an instance under exactly the keys it
         // records, and `teardown_stream` drops a key from its members'
@@ -475,9 +481,6 @@ impl FilterEngine {
             self.flows.iter().all(|(_, e)| !e.members.contains(&inst_id)),
             "a flow entry outside instance {inst_id}'s keys still lists it"
         );
-        let mut ctx = FilterCtx::new(now, rng, metrics);
-        inst.filter.on_removed(&mut ctx);
-        self.drain_ctx(now, inst.kind, &mut ctx);
     }
 
     /// Current registrations.
@@ -629,7 +632,7 @@ impl FilterEngine {
         self.totals.batch_pkts += 1;
         eo.batches.inc(obs, "engine", "engine.batches");
         eo.batch_pkts.inc(obs, "engine", "engine.batch_pkts");
-        let members = self.queue_members(now, rng, metrics, key);
+        let members = self.queue_members(now, rng, metrics, key, out);
         if members.is_empty() {
             out.push(pkt);
             return;
@@ -643,114 +646,85 @@ impl FilterEngine {
         let out_from = out.len();
         let mut is_dropped = false;
         let mut is_modified = false;
-        let closed_keys: Vec<StreamKey>;
-        {
-            let mut ctx = FilterCtx::new(now, rng, metrics);
-            // In pass. Out-only filters (`observes_in` false) skip the
-            // call and its drain bookkeeping entirely; their `pkts_seen`
-            // still counts the packet.
-            for &m in members.iter() {
-                let Some(inst) = self.instances[m].as_mut() else {
-                    continue;
-                };
-                inst.stats.pkts_seen += 1;
-                if !inst.wants_in {
-                    continue;
-                }
-                inst.filter.on_in(&mut ctx, key, &pkt);
-                self.drain_ctx_requests(now, m, &mut ctx);
+        let mut ctx = FilterCtx::new(now, rng, metrics);
+        // In pass: every member reads the packet, highest priority first.
+        for &m in members.iter() {
+            let Some(inst) = self.instances[m].as_mut() else {
+                continue;
+            };
+            inst.stats.pkts_seen += 1;
+            inst.filter.on_in(&mut ctx, key, &pkt);
+            self.settle(&mut ctx, m, &key, Some(&mut *out));
+        }
+        // Out pass: a dropped packet is never shown to the remaining
+        // filters. `snap` is the packet as the last authorized change left
+        // it — what each `on_out` is diffed against and, on a violation,
+        // rolled back to — so it is retaken only when a filter changed it.
+        let mut snap = snapshot(&pkt);
+        for &m in members.iter().rev() {
+            if is_dropped {
+                break;
             }
-            // Out pass: a dropped packet is never shown to the remaining
-            // filters.
-            for &m in members.iter().rev() {
-                if is_dropped {
-                    break;
+            let Some(inst) = self.instances[m].as_mut() else {
+                continue;
+            };
+            let caps = inst.caps;
+            let before_payload = payload_len(&snap);
+            let verdict = inst.filter.on_out(&mut ctx, key, &mut pkt);
+            let kind = &*self.kinds[inst.kind as usize];
+            let stats = &mut inst.stats;
+            let (hdr_changed, payload_changed) = diff(&snap, &pkt);
+            let violated = (hdr_changed && !caps.allows(Capabilities::MODIFY_HEADERS))
+                || (payload_changed && !caps.allows(Capabilities::MODIFY_PAYLOAD));
+            let mut violations = 0u64;
+            let mut modified = false;
+            if violated {
+                violations += 1;
+                pkt = snap.clone();
+                self.log.push(format!(
+                    "engine: blocked unauthorized modification by {kind} on {key}"
+                ));
+            } else if hdr_changed || payload_changed {
+                modified = true;
+                is_modified = true;
+                stats.pkts_modified += 1;
+                let after_len = payload_len(&pkt);
+                if after_len < before_payload {
+                    stats.bytes_removed += (before_payload - after_len) as u64;
+                } else {
+                    stats.bytes_added += (after_len - before_payload) as u64;
                 }
-                let Some(inst) = self.instances[m].as_mut() else {
-                    continue;
-                };
-                let caps = inst.caps;
-                let snap = PacketSnap::capture(&pkt);
-                let before_payload = snap.payload_len();
-                let verdict = inst.filter.on_out(&mut ctx, key, &mut pkt);
-                let kind = &*self.kinds[inst.kind as usize];
-                let stats = &mut inst.stats;
-                let (hdr_changed, payload_changed) = snap.diff(&pkt);
-                let violated = (hdr_changed && !caps.allows(Capabilities::MODIFY_HEADERS))
-                    || (payload_changed && !caps.allows(Capabilities::MODIFY_PAYLOAD));
-                let mut violations = 0u64;
-                let mut modified = false;
-                if violated {
+                snap = snapshot(&pkt);
+            }
+            if verdict == Verdict::Drop {
+                if caps.allows(Capabilities::DROP) {
+                    is_dropped = true;
+                    stats.pkts_dropped += 1;
+                } else {
                     violations += 1;
-                    pkt = snap.restore();
                     self.log.push(format!(
-                        "engine: blocked unauthorized modification by {kind} on {key}"
+                        "engine: blocked unauthorized drop by {kind} on {key}"
                     ));
-                } else if hdr_changed || payload_changed {
-                    modified = true;
-                    is_modified = true;
-                    stats.pkts_modified += 1;
-                    let after_len = payload_len(&pkt);
-                    if after_len < before_payload {
-                        stats.bytes_removed += (before_payload - after_len) as u64;
-                    } else {
-                        stats.bytes_added += (after_len - before_payload) as u64;
-                    }
                 }
-                if verdict == Verdict::Drop {
-                    if caps.allows(Capabilities::DROP) {
-                        is_dropped = true;
-                        stats.pkts_dropped += 1;
-                    } else {
-                        violations += 1;
-                        self.log.push(format!(
-                            "engine: blocked unauthorized drop by {kind} on {key}"
-                        ));
-                    }
-                }
-                let mut injected = 0u64;
-                if !ctx.injections.is_empty() {
-                    let cnt = ctx.injections.len() as u64;
-                    if caps.allows(Capabilities::INJECT) {
-                        injected = cnt;
-                        stats.pkts_injected += cnt;
-                        self.totals.injected += cnt;
-                        out.append(&mut ctx.injections);
-                    } else {
-                        violations += cnt;
-                        ctx.injections.clear();
-                        self.log.push(format!(
-                            "engine: blocked unauthorized injection by {kind} on {key}"
-                        ));
-                    }
-                }
-                stats.violations += violations;
-                if self.obs.is_enabled() {
-                    let (obs, ko) = (&self.obs, &mut self.kind_obs[inst.kind as usize]);
-                    ko.pkts.inc(obs, kind, "filter.pkts");
-                    ko.bytes.add(obs, kind, "filter.bytes", before_payload as u64);
-                    if is_dropped {
-                        ko.drops.inc(obs, kind, "filter.drops");
-                    }
-                    if modified {
-                        ko.modified.inc(obs, kind, "filter.modified");
-                    }
-                    if injected > 0 {
-                        ko.injected.add(obs, kind, "filter.injected", injected);
-                        self.engine_obs.injected.add(obs, "engine", "engine.injected", injected);
-                    }
-                    if violations > 0 {
-                        ko.violations.add(obs, kind, "filter.violations", violations);
-                    }
-                }
-                self.drain_ctx_requests(now, m, &mut ctx);
             }
-            // Stream-closed requests are handled after the ctx borrow ends.
-            closed_keys = std::mem::take(&mut ctx.closed_streams);
+            stats.violations += violations;
+            if self.obs.is_enabled() {
+                let (obs, ko) = (&self.obs, &mut self.kind_obs[inst.kind as usize]);
+                ko.pkts.inc(obs, kind, "filter.pkts");
+                ko.bytes.add(obs, kind, "filter.bytes", before_payload as u64);
+                if is_dropped {
+                    ko.drops.inc(obs, kind, "filter.drops");
+                }
+                if modified {
+                    ko.modified.inc(obs, kind, "filter.modified");
+                }
+                if violations > 0 {
+                    ko.violations.add(obs, kind, "filter.violations", violations);
+                }
+            }
+            self.settle(&mut ctx, m, &key, Some(&mut *out));
         }
-        for k in closed_keys {
-            self.teardown_stream(now, rng, metrics, k);
-        }
+        self.close_streams(&mut ctx);
         if is_dropped {
             self.totals.drops += 1;
             self.engine_obs.drops.inc(&self.obs, "engine", "engine.drops");
@@ -773,40 +747,55 @@ impl FilterEngine {
         }
     }
 
-    /// Hands what a filter method left in its context — timers, events,
-    /// counters, service requests — to the engine, touching only the
-    /// queues that are non-empty.
-    fn drain_ctx_requests(&mut self, now: SimTime, inst_id: usize, ctx: &mut FilterCtx<'_>) {
-        if !ctx.timers.is_empty() {
-            Self::drain_ctx_timers(&mut self.pending_timers, inst_id, ctx);
-        }
-        if !ctx.events.is_empty() || !ctx.counts.is_empty() || !ctx.gauge_sets.is_empty() {
-            let kind = self.instances[inst_id].as_ref().expect("inst").kind;
-            self.drain_ctx(now, kind, ctx);
-        }
-        if !ctx.service_requests.is_empty() {
-            self.drain_service_requests(ctx);
-        }
-    }
-
-    fn drain_ctx_timers(
-        pending: &mut Vec<(comma_netsim::time::SimDuration, u64)>,
-        inst_id: usize,
+    /// The one door out of a filter callback: applies whatever `insert`,
+    /// `on_in`, `on_out`, `on_timer` or `on_removed` left in `ctx`, on
+    /// behalf of the instance that was called (the table is on [`Filter`]).
+    /// Injections are emitted into `out` if the instance declares
+    /// [`Capabilities::INJECT`] and the callback has somewhere to emit
+    /// (`out` is `None` for `on_removed`); otherwise they are a violation
+    /// recorded against that instance, `whence` saying where. Stream-closed
+    /// reports stay in `ctx` for [`FilterEngine::close_streams`].
+    fn settle(
+        &mut self,
         ctx: &mut FilterCtx<'_>,
+        inst_id: usize,
+        whence: &dyn fmt::Display,
+        out: Option<&mut Vec<Packet>>,
     ) {
+        if ctx.nothing_to_settle() {
+            return;
+        }
+        let inst = self.instances[inst_id].as_mut().expect("the instance just called");
+        let (obs, ko) = (&self.obs, &mut self.kind_obs[inst.kind as usize]);
+        let kind = &*self.kinds[inst.kind as usize];
+        if !ctx.injections.is_empty() {
+            let n = ctx.injections.len() as u64;
+            match out {
+                Some(out) if inst.caps.allows(Capabilities::INJECT) => {
+                    out.append(&mut ctx.injections);
+                    inst.stats.pkts_injected += n;
+                    self.totals.injected += n;
+                    ko.injected.add(obs, kind, "filter.injected", n);
+                    self.engine_obs.injected.add(obs, "engine", "engine.injected", n);
+                }
+                _ => {
+                    ctx.injections.clear();
+                    inst.stats.violations += n;
+                    ko.violations.add(obs, kind, "filter.violations", n);
+                    self.log.push(format!(
+                        "engine: blocked unauthorized injection by {kind} on {whence}"
+                    ));
+                }
+            }
+        }
         for (delay, token) in ctx.timers.drain(..) {
             let enc = ((inst_id as u64) << 32) | (token & 0xffff_ffff);
-            pending.push((delay, enc));
+            self.pending_timers.push((delay, enc));
         }
-    }
-
-    /// Drains a filter context's structured output: events become proxy-log
-    /// lines (and flight-recorder entries when obs is enabled), counts and
-    /// gauges land in the registry under the filter-kind scope.
-    fn drain_ctx(&mut self, now: SimTime, kind: u32, ctx: &mut FilterCtx<'_>) {
-        let enabled = self.obs.is_enabled();
-        let (obs, ko) = (&self.obs, &mut self.kind_obs[kind as usize]);
-        let kind = &*self.kinds[kind as usize];
+        // Events become proxy-log lines (and flight-recorder entries when
+        // obs is enabled); counts and gauges land in the registry under the
+        // filter-kind scope.
+        let enabled = obs.is_enabled();
         for (name, fields) in ctx.events.drain(..) {
             let mut line = String::from(name);
             for (k, v) in &fields {
@@ -817,7 +806,7 @@ impl FilterEngine {
             }
             self.log.push(format!("{kind}: {line}"));
             if enabled {
-                obs.event(now.as_micros(), kind, name, fields);
+                obs.event(ctx.now.as_micros(), kind, name, fields);
             }
         }
         for (key, n) in ctx.counts.drain(..) {
@@ -830,15 +819,20 @@ impl FilterEngine {
                 site(&mut ko.gauges, key).set(obs, kind, key, v);
             }
         }
-    }
-
-    fn drain_service_requests(&mut self, ctx: &mut FilterCtx<'_>) {
-        let requests: Vec<_> = ctx.service_requests.drain(..).collect();
-        for (wild, filter, args) in requests {
+        for (wild, filter, args) in ctx.service_requests.drain(..) {
             if let Err(e) = self.register(wild, &filter, args) {
                 self.log
                     .push(format!("engine: service request rejected: {e}"));
             }
+        }
+    }
+
+    /// Ends a round of callbacks (one packet's two passes, one timer):
+    /// tears down the streams the round reported closed. Deferred to here
+    /// so that no member of a queue disappears while the queue is walked.
+    fn close_streams(&mut self, ctx: &mut FilterCtx<'_>) {
+        for k in ctx.take_closed_streams() {
+            self.teardown_stream(ctx.now, ctx.rng, ctx.metrics, k);
         }
     }
 
@@ -858,47 +852,19 @@ impl FilterEngine {
         token: u64,
     ) -> Vec<Packet> {
         let inst_id = (token >> 32) as usize;
-        let user = token & 0xffff_ffff;
-        let Some(slot) = self.instances.get_mut(inst_id) else {
+        let Some(inst) = self.instances.get_mut(inst_id).and_then(Option::as_mut) else {
             return Vec::new();
         };
-        let Some(inst) = slot.as_mut() else {
-            return Vec::new();
-        };
-        let kind = inst.kind;
         inst.stats.timer_fires += 1;
         self.totals.timer_fires += 1;
-        let (obs, ko, eo) = (&self.obs, &mut self.kind_obs[kind as usize], &mut self.engine_obs);
-        let scope = &*self.kinds[kind as usize];
-        ko.timer_fires.inc(obs, scope, "filter.timer_fires");
+        let (obs, ko, eo) = (&self.obs, &mut self.kind_obs[inst.kind as usize], &mut self.engine_obs);
+        ko.timer_fires.inc(obs, &self.kinds[inst.kind as usize], "filter.timer_fires");
         eo.timer_fires.inc(obs, "engine", "engine.timer_fires");
         let mut ctx = FilterCtx::new(now, rng, metrics);
-        inst.filter.on_timer(&mut ctx, user);
+        inst.filter.on_timer(&mut ctx, token & 0xffff_ffff);
         let mut out = Vec::new();
-        let inj = std::mem::take(&mut ctx.injections);
-        let mut injected = 0u64;
-        if !inj.is_empty() {
-            if inst.caps.allows(Capabilities::INJECT) {
-                inst.stats.pkts_injected += inj.len() as u64;
-                self.totals.injected += inj.len() as u64;
-                injected = inj.len() as u64;
-                out = inj;
-            } else {
-                inst.stats.violations += inj.len() as u64;
-            }
-        }
-        if injected > 0 {
-            ko.injected.add(obs, scope, "filter.injected", injected);
-            eo.injected.add(obs, "engine", "engine.injected", injected);
-        }
-        Self::drain_ctx_timers(&mut self.pending_timers, inst_id, &mut ctx);
-        self.drain_ctx(now, kind, &mut ctx);
-        self.drain_service_requests(&mut ctx);
-        let closed: Vec<StreamKey> = ctx.closed_streams.drain(..).collect();
-        drop(ctx);
-        for k in closed {
-            self.teardown_stream(now, rng, metrics, k);
-        }
+        self.settle(&mut ctx, inst_id, &"a timer", Some(&mut out));
+        self.close_streams(&mut ctx);
         out
     }
 
@@ -912,13 +878,14 @@ impl FilterEngine {
         rng: &mut SmallRng,
         metrics: &dyn MetricsSource,
         key: StreamKey,
+        out: &mut Vec<Packet>,
     ) -> Arc<[usize]> {
         if let Some(entry) = self.flows.get(key) {
             if entry.generation == self.reg_generation {
                 return Arc::clone(&entry.members);
             }
         }
-        self.expand_queue(now, rng, metrics, key);
+        self.expand_queue(now, rng, metrics, key, out);
         Arc::clone(&self.flows.get(key).expect("flow entry").members)
     }
 
@@ -928,6 +895,7 @@ impl FilterEngine {
         rng: &mut SmallRng,
         metrics: &dyn MetricsSource,
         key: StreamKey,
+        out: &mut Vec<Packet>,
     ) {
         // A launcher-style filter may register further services during its
         // insertion method; loop until the registration set is stable (the
@@ -958,22 +926,18 @@ impl FilterEngine {
                         let inst_id = self.instances.len();
                         // Catalog name (services may share a Filter type).
                         let kind = self.intern_kind(&reg.filter);
-                        Self::drain_ctx_timers(&mut self.pending_timers, inst_id, &mut ctx);
-                        self.drain_ctx(now, kind, &mut ctx);
-                        self.drain_service_requests(&mut ctx);
-                        let priority = filter.priority();
-                        let caps = filter.capabilities();
-                        let wants_in = filter.observes_in();
                         self.instances.push(Some(Instance {
+                            priority: filter.priority(),
+                            caps: filter.capabilities(),
                             filter,
                             kind,
                             registration: reg.id,
                             keys: keys.iter().copied().collect(),
-                            priority,
-                            caps,
-                            wants_in,
                             stats: InstanceStats::default(),
                         }));
+                        // What `insert` injects goes out ahead of the packet
+                        // that brought the stream into being.
+                        self.settle(&mut ctx, inst_id, &key, Some(&mut *out));
                         for k in keys {
                             let entry = self.flows.entry(k);
                             let mut rebuilt: Vec<usize> = entry.members.to_vec();
@@ -1097,7 +1061,6 @@ impl FilterEngine {
                         keys: inst.keys.clone(),
                         priority: inst.priority,
                         caps: inst.caps,
-                        wants_in: inst.wants_in,
                         stats: inst.stats,
                     })
                 }
@@ -1180,168 +1143,62 @@ fn payload_len(pkt: &Packet) -> usize {
 /// Detects whether a payload was modified without reading untouched bytes:
 /// same `Bytes` view (pointer + offset + length) means provably unchanged;
 /// different lengths mean provably changed; only a *replaced* same-length
-/// buffer falls back to an FNV-1a digest comparison.
+/// buffer is compared, and that compare stops at the first differing byte.
 fn payload_modified(before: &Bytes, after: &Bytes) -> bool {
-    if before.ptr_eq(after) {
-        return false;
-    }
-    if before.len() != after.len() {
-        return true;
-    }
-    fnv1a(before) != fnv1a(after)
+    !before.ptr_eq(after) && (before.len() != after.len() || before[..] != after[..])
 }
 
-/// A cheap pre-`on_out` snapshot for capability enforcement: header fields
-/// by value plus the payload's refcounted `Bytes` handle. Capturing never
-/// deep-copies a payload (the old path cloned the whole packet once per
-/// filter), and it carries enough to *restore* the packet when an
-/// unauthorized modification must be rolled back.
-enum PacketSnap {
-    Tcp {
-        ip: Ipv4Header,
-        src_port: u16,
-        dst_port: u16,
-        seq: u32,
-        ack: u32,
-        flags: TcpFlags,
-        window: u16,
-        /// Empty on data segments, so cloning it does not allocate.
-        options: Vec<TcpOption>,
-        payload: Bytes,
-    },
-    Udp {
-        ip: Ipv4Header,
-        src_port: u16,
-        dst_port: u16,
-        payload: Bytes,
-    },
-    /// ICMP/Encap never reach the keyed dispatch loop (no [`StreamKey`]),
-    /// but stay safe if that ever changes.
-    Other(Box<Packet>),
-}
-
-impl PacketSnap {
-    fn capture(pkt: &Packet) -> PacketSnap {
-        match &pkt.body {
-            IpPayload::Tcp(seg) => PacketSnap::Tcp {
-                ip: pkt.ip.clone(),
+/// The copy of a packet that capability enforcement diffs each `on_out`
+/// against and, on a violation, puts back. Payload bytes are shared, never
+/// copied. The TCP case is spelled out so that it inlines into the dispatch
+/// loop: `Packet::clone` is an out-of-line call into another crate
+/// (EXPERIMENTS.md "PR 24").
+#[inline]
+fn snapshot(pkt: &Packet) -> Packet {
+    match &pkt.body {
+        IpPayload::Tcp(seg) => Packet {
+            ip: pkt.ip.clone(),
+            body: IpPayload::Tcp(TcpSegment {
                 src_port: seg.src_port,
                 dst_port: seg.dst_port,
                 seq: seg.seq,
                 ack: seg.ack,
                 flags: seg.flags,
                 window: seg.window,
+                // Empty on data segments, so cloning it does not allocate.
                 options: seg.options.clone(),
                 payload: seg.payload.clone(),
-            },
-            IpPayload::Udp(dgram) => PacketSnap::Udp {
-                ip: pkt.ip.clone(),
-                src_port: dgram.src_port,
-                dst_port: dgram.dst_port,
-                payload: dgram.payload.clone(),
-            },
-            _ => PacketSnap::Other(Box::new(pkt.clone())),
-        }
+            }),
+        },
+        _ => pkt.clone(),
     }
+}
 
-    fn payload_len(&self) -> usize {
-        match self {
-            PacketSnap::Tcp { payload, .. } | PacketSnap::Udp { payload, .. } => payload.len(),
-            PacketSnap::Other(pkt) => payload_len(pkt),
+/// Classifies what `on_out` did to the packet as (header changed, payload
+/// changed) — the capability-enforcement diff.
+fn diff(before: &Packet, after: &Packet) -> (bool, bool) {
+    match (&before.body, &after.body) {
+        (IpPayload::Tcp(a), IpPayload::Tcp(b)) => {
+            let hdr = before.ip != after.ip
+                || a.src_port != b.src_port
+                || a.dst_port != b.dst_port
+                || a.seq != b.seq
+                || a.ack != b.ack
+                || a.flags != b.flags
+                || a.window != b.window
+                || a.options != b.options;
+            (hdr, payload_modified(&a.payload, &b.payload))
         }
-    }
-
-    /// Classifies what `on_out` did to the packet as (header changed,
-    /// payload changed) — the capability-enforcement diff.
-    fn diff(&self, after: &Packet) -> (bool, bool) {
-        match (self, &after.body) {
-            (
-                PacketSnap::Tcp {
-                    ip,
-                    src_port,
-                    dst_port,
-                    seq,
-                    ack,
-                    flags,
-                    window,
-                    options,
-                    payload,
-                },
-                IpPayload::Tcp(b),
-            ) => {
-                let hdr = *ip != after.ip
-                    || *src_port != b.src_port
-                    || *dst_port != b.dst_port
-                    || *seq != b.seq
-                    || *ack != b.ack
-                    || *flags != b.flags
-                    || *window != b.window
-                    || options[..] != b.options[..];
-                (hdr, payload_modified(payload, &b.payload))
-            }
-            (
-                PacketSnap::Udp {
-                    ip,
-                    src_port,
-                    dst_port,
-                    payload,
-                },
-                IpPayload::Udp(b),
-            ) => {
-                let hdr =
-                    *ip != after.ip || *src_port != b.src_port || *dst_port != b.dst_port;
-                (hdr, payload_modified(payload, &b.payload))
-            }
-            (PacketSnap::Other(before), _) => {
-                let changed = **before != *after;
-                (changed, changed)
-            }
-            // The body variant itself was replaced: header and payload.
-            _ => (true, true),
+        (IpPayload::Udp(a), IpPayload::Udp(b)) => {
+            let hdr =
+                before.ip != after.ip || a.src_port != b.src_port || a.dst_port != b.dst_port;
+            (hdr, payload_modified(&a.payload, &b.payload))
         }
-    }
-
-    /// Rebuilds the pre-`on_out` packet (unauthorized-modification
-    /// rollback). Payload bytes are shared, not copied.
-    fn restore(self) -> Packet {
-        match self {
-            PacketSnap::Tcp {
-                ip,
-                src_port,
-                dst_port,
-                seq,
-                ack,
-                flags,
-                window,
-                options,
-                payload,
-            } => Packet {
-                ip,
-                body: IpPayload::Tcp(TcpSegment {
-                    src_port,
-                    dst_port,
-                    seq,
-                    ack,
-                    flags,
-                    window,
-                    options,
-                    payload,
-                }),
-            },
-            PacketSnap::Udp {
-                ip,
-                src_port,
-                dst_port,
-                payload,
-            } => Packet {
-                ip,
-                body: IpPayload::Udp(UdpDatagram {
-                    src_port,
-                    dst_port,
-                    payload,
-                }),
-            },
-            PacketSnap::Other(pkt) => *pkt,
+        // ICMP/Encap never reach the keyed dispatch loop (no [`StreamKey`]);
+        // a filter that replaced the body variant changed header and payload.
+        _ => {
+            let changed = before != after;
+            (changed, changed)
         }
     }
 }
@@ -1349,6 +1206,7 @@ impl PacketSnap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comma_netsim::packet::TcpFlags;
 
     #[test]
     fn engine_log_caps_retention_and_counts_dropped() {
@@ -1383,17 +1241,18 @@ mod tests {
     }
 
     #[test]
-    fn payload_modified_is_identity_then_digest() {
+    fn payload_modified_is_identity_then_length_then_bytes() {
         let a = Bytes::from(vec![1u8, 2, 3, 4]);
         let shared = a.clone();
-        assert!(!payload_modified(&a, &shared), "same Arc: no digest needed");
+        assert!(!payload_modified(&a, &shared), "same view: nothing is read");
         let equal_copy = Bytes::from(vec![1u8, 2, 3, 4]);
         assert!(
             !payload_modified(&a, &equal_copy),
-            "distinct allocation, equal bytes: digest match"
+            "distinct allocation, equal bytes: unchanged"
         );
         let changed = Bytes::from(vec![1u8, 2, 3, 5]);
-        assert!(payload_modified(&a, &changed));
+        assert!(!changed.ptr_eq(&a) && changed.len() == a.len());
+        assert!(payload_modified(&a, &changed), "fresh buffer, same length, one byte off");
         let longer = Bytes::from(vec![1u8, 2, 3, 4, 5]);
         assert!(payload_modified(&a, &longer), "length change short-circuits");
     }
@@ -1446,8 +1305,8 @@ mod tests {
     fn teardown_leaves_unrelated_member_lists_untouched() {
         let (mut engine, mut rng) = multi_engine(vec![]);
         let metrics = crate::filter::NullMetrics;
-        let a = engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(1));
-        let b = engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(2));
+        let a = engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(1), &mut Vec::new());
+        let b = engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(2), &mut Vec::new());
         assert_eq!((&a[..], &b[..]), (&[0][..], &[1][..]), "one instance per flow");
         engine.teardown_stream(SimTime::ZERO, &mut rng, &metrics, key(1));
         assert!(engine.flows.get(key(1)).is_none() && engine.instances[0].is_none());
@@ -1459,7 +1318,7 @@ mod tests {
     fn instance_losing_one_key_keeps_serving_the_other() {
         let (mut engine, mut rng) = multi_engine(vec![key(9)]);
         let metrics = crate::filter::NullMetrics;
-        engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(1));
+        engine.queue_members(SimTime::ZERO, &mut rng, &metrics, key(1), &mut Vec::new());
         assert_eq!(engine.instance_infos()[0].keys, vec![key(1), key(9)]);
         engine.teardown_stream(SimTime::ZERO, &mut rng, &metrics, key(1));
         assert_eq!(engine.instance_infos()[0].keys, vec![key(9)], "instance survives");

@@ -147,9 +147,24 @@ impl<'a> FilterCtx<'a> {
         }
     }
 
+    /// Whether the callback just made asked the engine for nothing: the
+    /// common case, which the engine leaves by this one test. Stream-closed
+    /// reports wait for the end of the round and do not count.
+    #[inline]
+    pub(crate) fn nothing_to_settle(&self) -> bool {
+        self.injections.is_empty()
+            && self.timers.is_empty()
+            && self.events.is_empty()
+            && self.counts.is_empty()
+            && self.gauge_sets.is_empty()
+            && self.service_requests.is_empty()
+    }
+
     /// Injects an additional packet onto the network (requires
-    /// [`Capabilities::INJECT`]). The engine emits it right after the
-    /// packet being serviced, in out-pass visit order.
+    /// [`Capabilities::INJECT`]). The engine emits it after the packet
+    /// being serviced: in-pass injections first, then out-pass injections
+    /// in visit order (`insert`'s go out ahead of the packet, `on_timer`'s
+    /// on their own; `on_removed` has nowhere to emit and is refused).
     pub fn inject(&mut self, pkt: Packet) {
         self.injections.push(pkt);
     }
@@ -161,7 +176,9 @@ impl<'a> FilterCtx<'a> {
     }
 
     /// Reports that the stream identified by `key` (and its reverse) has
-    /// terminated; the engine tears down its filter queues.
+    /// terminated; the engine tears down its filter queues once the
+    /// packet's out pass (or the timer callback) is over. Ignored from
+    /// `insert` and `on_removed`.
     pub fn stream_closed(&mut self, key: StreamKey) {
         self.closed_streams.push(key);
     }
@@ -219,6 +236,27 @@ impl<'a> FilterCtx<'a> {
 /// One instance may service several keys: its insertion method returns the
 /// set of keys to bind, and the engine calls the in/out methods with the
 /// key the current packet matched.
+///
+/// # What a callback may ask for
+///
+/// Every callback is handed a [`FilterCtx`]. Whatever it leaves there the
+/// engine settles as the callback returns, by one rule for all five, on
+/// the account of the instance that was called:
+///
+/// | request | `insert` | `on_in` | `on_out` | `on_timer` | `on_removed` |
+/// |---|---|---|---|---|---|
+/// | [`set_timer`](FilterCtx::set_timer) | armed | armed | armed | armed | armed, never delivered: the instance is gone |
+/// | [`event`](FilterCtx::event), [`count`](FilterCtx::count), [`gauge`](FilterCtx::gauge) | recorded | recorded | recorded | recorded | recorded |
+/// | [`add_service`](FilterCtx::add_service) | registered | registered | registered | registered | registered |
+/// | [`inject`](FilterCtx::inject), with [`Capabilities::INJECT`] | emitted ahead of the packet that brought the stream | emitted after the packet | emitted after the packet and the in-pass injections, in visit order | emitted | refused: nothing follows a removal |
+/// | [`inject`](FilterCtx::inject), without | refused | refused | refused | refused | refused |
+/// | [`stream_closed`](FilterCtx::stream_closed) | ignored | torn down after the out pass | torn down after the out pass | torn down after the callback | ignored |
+///
+/// *Refused* is never silent: each packet refused adds one to the
+/// instance's [`InstanceStats::violations`](crate::engine::InstanceStats::violations)
+/// and to its kind's `filter.violations` counter, and the refusal writes one
+/// `engine: blocked unauthorized injection by <kind> on <where>` line to
+/// the engine log.
 pub trait Filter: Send {
     /// Catalog name of this filter type (e.g. `"rdrop"`).
     fn kind(&self) -> &'static str;
@@ -237,18 +275,9 @@ pub trait Filter: Send {
     }
 
     /// In method: read-only look at the packet before any modification.
+    /// Called for every packet on every member of the queue, highest
+    /// priority first (Fig 5.2); the default does nothing.
     fn on_in(&mut self, _ctx: &mut FilterCtx<'_>, _key: StreamKey, _pkt: &Packet) {}
-
-    /// Whether this filter participates in the read-only in-pass at all.
-    /// The engine skips [`Filter::on_in`] (and the associated bookkeeping)
-    /// for instances that return `false`, which is the hot-path default
-    /// for out-only filters. A filter that implements the in method MUST
-    /// return `true`; the answer is
-    /// sampled once at instantiation and may not change over the
-    /// instance's lifetime. `pkts_seen` accounting is unaffected.
-    fn observes_in(&self) -> bool {
-        true
-    }
 
     /// Out method: may modify the packet (within capabilities) and decide
     /// its fate.

@@ -5,19 +5,18 @@
 //! This is what keeps per-packet cost flat through the proxy data plane —
 //! a segment's payload can be sliced into the edit map, re-framed by a
 //! filter, and queued for retransmission while all views share one
-//! allocation. [`BytesMut`] is the build-side companion: an owned,
-//! growable buffer that [`BytesMut::freeze`]s into a `Bytes` for free.
+//! allocation.
 //!
 //! # Storage pooling
 //!
 //! Payload storage is recycled through a thread-local, size-classed pool:
 //! when the **last** view of a buffer drops, its `Arc<Vec<u8>>` — the byte
 //! storage *and* the refcount block — goes back on a per-thread shelf, and
-//! the copying constructors ([`Bytes::copy_from_slice`],
-//! [`BytesMut::with_capacity`]) take from the shelf before asking the
-//! allocator. A simulation in steady state (packets born and retired at a
-//! matched rate) therefore stops allocating for payloads entirely; the
-//! `alloc-stats` regression gate in CI pins that property. The pool is
+//! the copying constructor ([`Bytes::copy_from_slice`]) takes from the
+//! shelf before asking the allocator. A simulation in steady state
+//! (packets born and retired at a matched rate) therefore stops allocating
+//! for payloads entirely; the `alloc-stats` regression gate in CI pins
+//! that property. The pool is
 //! invisible to callers: contents, equality, and [`Bytes::ptr_eq`]
 //! semantics are exactly as if every buffer were freshly allocated.
 
@@ -375,155 +374,6 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into [`Bytes`] without copying.
-///
-/// Backed by the same pooled `Arc<Vec<u8>>` storage as [`Bytes`]:
-/// [`BytesMut::with_capacity`] draws from the thread-local pool and
-/// [`BytesMut::freeze`] hands the storage over without touching the
-/// allocator, so a build-freeze-drop packet cycle is allocation-free in
-/// steady state.
-pub struct BytesMut {
-    /// Invariant: uniquely owned, except when it aliases the static empty
-    /// sentinel (`BytesMut::new`), which is never written through.
-    data: Arc<Vec<u8>>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer without allocating.
-    pub fn new() -> Self {
-        BytesMut {
-            data: empty_storage().clone(),
-        }
-    }
-
-    /// Creates an empty buffer with room for `cap` bytes (pooled storage
-    /// when available).
-    pub fn with_capacity(cap: usize) -> Self {
-        if cap == 0 {
-            return BytesMut::new();
-        }
-        BytesMut {
-            data: pool::take(cap),
-        }
-    }
-
-    /// Unique mutable access to the backing vector, promoting the shared
-    /// empty sentinel to owned storage on first write. `hint` sizes that
-    /// first storage grab.
-    fn vec_mut(&mut self, hint: usize) -> &mut Vec<u8> {
-        if Arc::get_mut(&mut self.data).is_none() {
-            // Only the (empty) sentinel is ever shared, so there is no
-            // content to carry over.
-            debug_assert!(self.data.is_empty());
-            self.data = pool::take(hint);
-        }
-        Arc::get_mut(&mut self.data).expect("storage is unique")
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Appends `src`.
-    pub fn put_slice(&mut self, src: &[u8]) {
-        if src.is_empty() {
-            return;
-        }
-        self.vec_mut(src.len()).extend_from_slice(src);
-    }
-
-    /// Appends a single byte.
-    pub fn put_u8(&mut self, b: u8) {
-        self.vec_mut(1).push(b);
-    }
-
-    /// Appends `n` in network (big-endian) byte order.
-    pub fn put_u16(&mut self, n: u16) {
-        self.put_slice(&n.to_be_bytes());
-    }
-
-    /// Appends `n` in network (big-endian) byte order.
-    pub fn put_u32(&mut self, n: u32) {
-        self.put_slice(&n.to_be_bytes());
-    }
-
-    /// Converts the accumulated bytes into an immutable [`Bytes`] without
-    /// copying the payload (and without allocating: the storage moves).
-    pub fn freeze(mut self) -> Bytes {
-        let len = self.data.len();
-        Bytes {
-            data: std::mem::replace(&mut self.data, empty_storage().clone()),
-            off: 0,
-            len,
-        }
-    }
-}
-
-impl Drop for BytesMut {
-    fn drop(&mut self) {
-        reclaim(&mut self.data);
-    }
-}
-
-impl Default for BytesMut {
-    fn default() -> Self {
-        BytesMut::new()
-    }
-}
-
-impl Clone for BytesMut {
-    fn clone(&self) -> Self {
-        let mut m = BytesMut::with_capacity(self.len());
-        m.put_slice(self);
-        m
-    }
-}
-
-impl PartialEq for BytesMut {
-    fn eq(&self, other: &Self) -> bool {
-        self[..] == other[..]
-    }
-}
-impl Eq for BytesMut {}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl std::ops::DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        match Arc::get_mut(&mut self.data) {
-            Some(v) => v.as_mut_slice(),
-            // The shared sentinel is empty; an empty view is the honest
-            // answer and never aliases it mutably.
-            None => &mut [],
-        }
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(buf: Vec<u8>) -> Self {
-        BytesMut {
-            data: Arc::new(buf),
-        }
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BytesMut[{}]", self.data.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,31 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_mut_freeze_roundtrip() {
-        let mut m = BytesMut::with_capacity(8);
-        m.put_u8(1);
-        m.put_u16(0x0203);
-        m.put_u32(0x04050607);
-        m.put_slice(&[8, 9]);
-        let b = m.freeze();
-        assert_eq!(&b[..], &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn bytes_mut_starts_unallocated_and_grows_on_write() {
-        let mut m = BytesMut::new();
-        assert!(m.is_empty());
-        assert!(Arc::ptr_eq(&m.data, empty_storage()));
-        m.put_slice(b"hello");
-        assert_eq!(&m[..], b"hello");
-        m[0] = b'j';
-        assert_eq!(&m[..], b"jello");
-        let copy = m.clone();
-        assert_eq!(copy, m);
-        assert_eq!(&copy.freeze()[..], b"jello");
-    }
-
-    #[test]
     fn dropped_storage_is_reused_from_the_pool() {
         // Drain whatever this thread's pool already shelved at this size
         // so the identity check below sees our storage, not a leftover.
@@ -629,15 +454,6 @@ mod tests {
         let noise = Bytes::copy_from_slice(&[0xaa; 200]);
         assert_eq!(&b[..], &[5u8; 100][..]);
         drop(noise);
-    }
-
-    #[test]
-    fn freeze_hands_over_storage_without_copy() {
-        let mut m = BytesMut::with_capacity(64);
-        m.put_slice(b"payload");
-        let ptr = m.as_ptr();
-        let b = m.freeze();
-        assert_eq!(b.as_slice().as_ptr(), ptr, "freeze must not copy");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! - [`rng`]: a seeded, deterministic PRNG ([`SmallRng`], xoshiro256++)
 //!   behind [`Rng`]/[`SeedableRng`] traits mirroring the `rand` API subset
 //!   the simulator uses;
-//! - [`bytes`]: reference-counted, zero-copy [`Bytes`]/[`BytesMut`] buffers
+//! - [`bytes`]: reference-counted, zero-copy [`Bytes`] buffers
 //!   so payload slicing in the edit map, filter engine, and TCP reassembly
 //!   stays allocation-free on the hot path;
 //! - [`prop`]: a minimal seeded property-test runner (generate, iterate,
@@ -50,7 +50,7 @@ pub mod prop;
 pub mod rng;
 pub mod shed;
 
-pub use bytes::{Bytes, BytesMut};
+pub use bytes::Bytes;
 pub use digest::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use json::Json;
 pub use rng::{Rng, SeedableRng, SmallRng};
