@@ -9,7 +9,7 @@
 //! an importance level, a layer index (for hierarchically encoded media),
 //! a sequence number, a timestamp, and a length-prefixed body.
 
-use comma_rt::Bytes;
+use comma_rt::{Bytes, Rng, SeedableRng, SmallRng};
 
 /// Record kinds, mirroring the data classes of Table 8.1.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -202,6 +202,38 @@ pub fn synth_body(kind: FrameKind, seq: u32, len: usize) -> Bytes {
         }
     }
     Bytes::from(body)
+}
+
+/// `len` bytes of seeded English-like prose: the generator behind the
+/// benchmark's `bulk_lit` payload (`benchmark/src/inputs.rs`, same
+/// vocabulary, same stream for the same seed), for codec tests and micros
+/// that should see what the compression service sees.
+pub fn seeded_prose(seed: u64, len: usize) -> Vec<u8> {
+    #[rustfmt::skip]
+    const WORDS: &[&str] = &[
+        "the", "of", "and", "a", "to", "in", "is", "that", "for", "it", "as", "with", "on", "by",
+        "this", "be", "are", "from", "or", "an", "at", "which", "not", "can", "proxy", "filter",
+        "stream", "packet", "wireless", "network", "mobile", "host", "service", "transparent",
+        "communication", "management", "bandwidth", "latency", "connection", "protocol", "segment",
+        "acknowledgement", "sequence", "window", "transport", "application", "compression", "link",
+        "loss", "error", "handoff", "gateway", "legacy", "server", "client", "data", "header",
+        "queue", "delay", "throughput", "adaptation", "environment", "monitor", "quality",
+    ];
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x7e87_5eed);
+    let mut out = Vec::with_capacity(len + 16);
+    let mut sentence = 0usize;
+    while out.len() < len {
+        out.extend_from_slice(WORDS[rng.gen_range(0..WORDS.len())].as_bytes());
+        sentence += 1;
+        if sentence >= 6 && rng.gen_range(0..8u32) == 0 {
+            out.extend_from_slice(b".\n");
+            sentence = 0;
+        } else {
+            out.push(b' ');
+        }
+    }
+    out.truncate(len);
+    out
 }
 
 #[cfg(test)]

@@ -71,6 +71,8 @@ pub struct EditMap {
     base_orig: u32,
     base_new: u32,
     records: VecDeque<Edit>,
+    /// Σ `out.len()` over `records`, kept by `push` and `trim`.
+    stored: usize,
 }
 
 impl EditMap {
@@ -81,6 +83,7 @@ impl EditMap {
             base_orig: init_seq,
             base_new: init_seq,
             records: VecDeque::new(),
+            stored: 0,
         }
     }
 
@@ -139,9 +142,9 @@ impl EditMap {
         self.records.iter()
     }
 
-    /// Total retained output bytes (memory accounting).
+    /// Total retained output bytes (memory accounting), in O(1).
     pub fn stored_bytes(&self) -> usize {
-        self.records.iter().map(|r| r.out.len()).sum()
+        self.stored
     }
 
     /// Returns `true` if every retained record is an identity record.
@@ -154,6 +157,7 @@ impl EditMap {
     pub fn push(&mut self, orig_len: u32, out: Bytes, identity: bool) -> u32 {
         let orig_start = self.frontier_orig();
         let new_start = self.frontier_new();
+        self.stored += out.len();
         self.records.push_back(Edit {
             orig_start,
             orig_len,
@@ -235,6 +239,7 @@ impl EditMap {
             if seq_le(front.new_end(), new_ack) {
                 self.base_orig = front.orig_end();
                 self.base_new = front.new_end();
+                self.stored -= front.out.len();
                 self.records.pop_front();
             } else {
                 break;
@@ -244,8 +249,9 @@ impl EditMap {
 
     /// Verifies the map's structural invariants, returning the first breach
     /// found: records must tile both sequence spaces contiguously from the
-    /// bases, identity records must preserve length, and the boundary
-    /// mappings must agree in both directions. Conformance sweeps call this
+    /// bases, identity records must preserve length, the running
+    /// [`EditMap::stored_bytes`] total must be the records' sum, and the
+    /// boundary mappings must agree in both directions. Conformance sweeps call this
     /// on every live TTSF map; a breach here means ACK translation or
     /// retransmission replay can silently corrupt the stream.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -273,6 +279,13 @@ impl EditMap {
             }
             orig = r.orig_end();
             new = r.new_end();
+        }
+        let stored: usize = self.records.iter().map(|r| r.out.len()).sum();
+        if self.stored != stored {
+            return Err(format!(
+                "stored_bytes {} but the records hold {stored}",
+                self.stored
+            ));
         }
         if self.map_seq(self.base_orig) != self.base_new {
             return Err(format!(
@@ -394,10 +407,12 @@ mod tests {
     #[test]
     fn trim_advances_base_and_preserves_mapping() {
         let mut m = map_with(&[(100, 40, false), (100, 100, true)]);
+        assert_eq!(m.stored_bytes(), 140);
         m.trim(5040); // First record's output fully acked.
         assert_eq!(m.base_orig(), 5100);
         assert_eq!(m.base_new(), 5040);
         assert_eq!(m.len(), 1);
+        assert_eq!(m.stored_bytes(), 100);
         // Mapping of later bytes unchanged by trimming.
         assert_eq!(m.map_seq(5150), 5090);
         assert_eq!(m.inverse_ack(5140), 5200);
@@ -406,6 +421,7 @@ mod tests {
         assert_eq!(m.len(), 1);
         m.trim(5140);
         assert!(m.is_empty());
+        assert_eq!(m.stored_bytes(), 0);
     }
 
     #[test]
@@ -461,6 +477,9 @@ mod tests {
         let mut m = map_with(&[(100, 40, false), (100, 100, true)]);
         m.records[1].new_start = m.records[1].new_start.wrapping_add(3);
         assert!(m.check_invariants().unwrap_err().contains("new_start"));
+        let mut m = map_with(&[(100, 40, false), (100, 100, true)]);
+        m.stored += 1;
+        assert!(m.check_invariants().unwrap_err().contains("stored_bytes"));
         let mut m = map_with(&[(100, 100, true)]);
         m.records[0].orig_len = 90;
         assert!(m

@@ -73,20 +73,27 @@ pub const BLOCK_MAGIC: u8 = 0x5A;
 pub const BLOCK_HEADER_LEN: usize = 6;
 const FLAG_STORED: u8 = 0x80;
 
+/// One block frame for `raw`, in a buffer with room for a stored block (and
+/// the two bytes an LZSS item may run past it before the encoder gives up).
 fn encode_block(method: Method, raw: &[u8]) -> Vec<u8> {
-    let compressed = method.compress(raw);
-    let (flags, stored): (u8, &[u8]) = if compressed.len() < raw.len() {
-        (method_tag(method), &compressed)
-    } else {
-        (method_tag(method) | FLAG_STORED, raw)
-    };
-    let mut out = Vec::with_capacity(BLOCK_HEADER_LEN + stored.len());
-    out.push(BLOCK_MAGIC);
-    out.push(flags);
-    out.extend_from_slice(&(raw.len() as u16).to_be_bytes());
-    out.extend_from_slice(&(stored.len() as u16).to_be_bytes());
-    out.extend_from_slice(stored);
+    let mut out = Vec::with_capacity(BLOCK_HEADER_LEN + raw.len() + 2);
+    append_block(method, raw, &mut out);
     out
+}
+
+/// Appends one block frame for `raw` to `out`: the header, then the
+/// method's output — or, where that is not shorter, `raw` itself in its
+/// place as a stored block.
+fn append_block(method: Method, raw: &[u8], out: &mut Vec<u8>) {
+    let start = out.len();
+    let raw_len = (raw.len() as u16).to_be_bytes();
+    out.extend_from_slice(&[BLOCK_MAGIC, method_tag(method), raw_len[0], raw_len[1], 0, 0]);
+    if !method.compress_shorter(raw, out) {
+        out.extend_from_slice(raw);
+        out[start + 1] |= FLAG_STORED;
+    }
+    let stored = (out.len() - start - BLOCK_HEADER_LEN) as u16;
+    out[start + 4..start + BLOCK_HEADER_LEN].copy_from_slice(&stored.to_be_bytes());
 }
 
 fn method_tag(method: Method) -> u8 {
@@ -138,9 +145,12 @@ impl StreamTransformer for Compressor {
 
     fn transform(&mut self, chunk: &[u8]) -> Vec<u8> {
         self.in_bytes += chunk.len() as u64;
-        let mut out = Vec::new();
-        for block in chunk.chunks(self.block_size) {
-            out.extend(encode_block(self.method, block));
+        // A chunk of one block (an MSS under the default block size) is
+        // returned in the buffer it was compressed into.
+        let mut blocks = chunk.chunks(self.block_size);
+        let mut out = blocks.next().map_or_else(Vec::new, |b| encode_block(self.method, b));
+        for block in blocks {
+            append_block(self.method, block, &mut out);
         }
         self.out_bytes += out.len() as u64;
         out
@@ -192,45 +202,48 @@ impl StreamTransformer for Decompressor {
         self.in_bytes += chunk.len() as u64;
         self.buf.extend_from_slice(chunk);
         let mut out = Vec::new();
+        let mut at = 0;
         loop {
             // Resynchronize on garbage: pass unframed bytes through raw
             // rather than stalling the stream behind them.
-            if !self.buf.is_empty() && self.buf[0] != BLOCK_MAGIC {
-                let skip = self
-                    .buf
+            if at < self.buf.len() && self.buf[at] != BLOCK_MAGIC {
+                let skip = self.buf[at..]
                     .iter()
                     .position(|&b| b == BLOCK_MAGIC)
-                    .unwrap_or(self.buf.len());
+                    .unwrap_or(self.buf.len() - at);
                 self.errors += 1;
-                out.extend_from_slice(&self.buf[..skip]);
-                self.buf.drain(..skip);
+                out.extend_from_slice(&self.buf[at..at + skip]);
+                at += skip;
             }
-            if self.buf.len() < BLOCK_HEADER_LEN {
+            let Some(header) = self.buf.get(at..at + BLOCK_HEADER_LEN) else {
                 break;
-            }
-            let flags = self.buf[1];
-            let raw_len = u16::from_be_bytes([self.buf[2], self.buf[3]]) as usize;
-            let stored_len = u16::from_be_bytes([self.buf[4], self.buf[5]]) as usize;
-            if self.buf.len() < BLOCK_HEADER_LEN + stored_len {
+            };
+            let flags = header[1];
+            let raw_len = u16::from_be_bytes([header[2], header[3]]) as usize;
+            let stored_len = u16::from_be_bytes([header[4], header[5]]) as usize;
+            let body = at + BLOCK_HEADER_LEN;
+            let Some(stored) = self.buf.get(body..body + stored_len) else {
                 break;
-            }
-            let stored = &self.buf[BLOCK_HEADER_LEN..BLOCK_HEADER_LEN + stored_len];
-            // A block that does not decode to exactly the length its header
-            // declares is undecodable: counted, nothing emitted.
-            if flags & FLAG_STORED != 0 {
-                if stored_len == raw_len {
+            };
+            // Each block decodes straight into `out`. One that does not
+            // decode to exactly the length its header declares is
+            // undecodable: counted, nothing emitted.
+            let decoded = if flags & FLAG_STORED != 0 {
+                let exact = stored_len == raw_len;
+                if exact {
                     out.extend_from_slice(stored);
-                } else {
-                    self.errors += 1;
                 }
+                exact
             } else {
-                match method_from_tag(flags).map(|m| m.decompress_exact(stored, raw_len)) {
-                    Some(Ok(raw)) => out.extend(raw),
-                    _ => self.errors += 1,
-                }
+                method_from_tag(flags)
+                    .is_some_and(|m| m.decompress_into(stored, raw_len, &mut out).is_ok())
+            };
+            if !decoded {
+                self.errors += 1;
             }
-            self.buf.drain(..BLOCK_HEADER_LEN + stored_len);
+            at = body + stored_len;
         }
+        self.buf.drain(..at);
         self.out_bytes += out.len() as u64;
         out
     }

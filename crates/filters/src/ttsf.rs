@@ -173,7 +173,7 @@ impl Ttsf {
         let payload = seg.payload.clone();
         let seg_end = seq.wrapping_add(len);
         let mut emit_start: Option<u32> = None;
-        let mut emission: Vec<u8> = Vec::new();
+        let mut emission = Emission::One(Bytes::new());
 
         if len > 0 && seq_lt(seq, frontier) {
             // Retransmitted range [seq, min(seg_end, frontier)).
@@ -188,7 +188,7 @@ impl Ttsf {
                 if emit_start.is_none() {
                     emit_start = Some(edit.new_start);
                 }
-                emission.extend_from_slice(&edit.out);
+                emission.push(&edit.out);
             }
             self.stats.replayed_bytes += emission.len() as u64;
         }
@@ -198,16 +198,16 @@ impl Ttsf {
             let offset = seq_diff(frontier, seq) as usize;
             let fresh = &payload[offset..];
             self.stats.in_bytes += fresh.len() as u64;
-            let out = self.service.transform(fresh);
+            let out = Bytes::from(self.service.transform(fresh));
             let identity = out.as_slice() == fresh;
             let map = self.map.as_mut().expect("map");
-            let new_start = map.push(fresh.len() as u32, Bytes::from(out.clone()), identity);
+            let new_start = map.push(fresh.len() as u32, out.clone(), identity);
             self.stats.records += 1;
             self.stats.out_bytes += out.len() as u64;
             if emit_start.is_none() {
                 emit_start = Some(new_start);
             }
-            emission.extend(out);
+            emission.push(&out);
         }
 
         if has_fin {
@@ -217,16 +217,16 @@ impl Ttsf {
                     self.fin_orig = Some(fin_orig);
                     if !self.fin_flushed {
                         self.fin_flushed = true;
-                        let tail = self.service.flush();
+                        let tail = Bytes::from(self.service.flush());
                         if !tail.is_empty() {
                             let map = self.map.as_mut().expect("map");
-                            let new_start = map.push(0, Bytes::from(tail.clone()), false);
+                            let new_start = map.push(0, tail.clone(), false);
                             self.stats.records += 1;
                             self.stats.out_bytes += tail.len() as u64;
                             if emit_start.is_none() {
                                 emit_start = Some(new_start);
                             }
-                            emission.extend(tail);
+                            emission.push(&tail);
                         }
                     }
                 }
@@ -243,10 +243,11 @@ impl Ttsf {
         let map = self.map.as_ref().expect("map");
         let start = emit_start.unwrap_or_else(|| map.map_seq(seq));
         let cap = self.emit_cap.max(1);
+        let emission = emission.into_bytes();
         let seg = pkt.as_tcp_mut().expect("tcp");
         if emission.len() <= cap {
             seg.seq = start;
-            seg.payload = Bytes::from(emission);
+            seg.payload = emission;
             // FIN flag stays on this (single) packet.
             Verdict::Continue
         } else {
@@ -254,7 +255,7 @@ impl Ttsf {
             let base_flags = TcpFlags(seg.flags.0 & !TcpFlags::FIN.0);
             seg.seq = start;
             seg.flags = base_flags;
-            seg.payload = Bytes::copy_from_slice(&emission[..cap]);
+            seg.payload = emission.slice(..cap);
             let mut offset = cap;
             let template = pkt.clone();
             let mut chunks = Vec::new();
@@ -263,7 +264,7 @@ impl Ttsf {
                 let mut cont = template.clone();
                 let cseg = cont.as_tcp_mut().expect("tcp");
                 cseg.seq = start.wrapping_add(offset as u32);
-                cseg.payload = Bytes::copy_from_slice(&emission[offset..end]);
+                cseg.payload = emission.slice(offset..end);
                 if end == emission.len() {
                     cseg.flags = fin_flags; // FIN (if any) rides the last chunk.
                 }
@@ -308,6 +309,41 @@ impl Ttsf {
             }
         }
         Verdict::Continue
+    }
+}
+
+/// The payload one downlink packet carries, assembled in stream order from
+/// edit-map records. While it is one record it *is* that record's buffer,
+/// shared with the map rather than copied; a second record makes it a copy.
+enum Emission {
+    One(Bytes),
+    Many(Vec<u8>),
+}
+
+impl Emission {
+    fn push(&mut self, part: &Bytes) {
+        match self {
+            Emission::One(first) if first.is_empty() => *first = part.clone(),
+            Emission::One(first) if !part.is_empty() => {
+                *self = Emission::Many([first.as_slice(), part].concat());
+            }
+            Emission::One(_) => {}
+            Emission::Many(bytes) => bytes.extend_from_slice(part),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Emission::One(bytes) => bytes.len(),
+            Emission::Many(bytes) => bytes.len(),
+        }
+    }
+
+    fn into_bytes(self) -> Bytes {
+        match self {
+            Emission::One(bytes) => bytes,
+            Emission::Many(bytes) => Bytes::from(bytes),
+        }
     }
 }
 
@@ -499,6 +535,24 @@ mod tests {
         assert_eq!(rig.ttsf.stats.replayed_bytes, first.len() as u64);
         // The service saw the bytes only once.
         assert_eq!(rig.ttsf.stats.in_bytes, 8);
+    }
+
+    #[test]
+    fn emission_shares_one_record_and_copies_several() {
+        let mut rig = Rig::new(Box::new(Halver));
+        let mut p1 = down_pkt(1000, &[0, 1, 2, 3], TcpFlags::ACK);
+        let mut p2 = down_pkt(1004, &[4, 5, 6, 7], TcpFlags::ACK);
+        rig.send(&mut p1, key());
+        rig.send(&mut p2, key());
+        let map = rig.ttsf.map().unwrap();
+        let records: Vec<Bytes> = map.records().map(|r| r.out.clone()).collect();
+        assert!(p1.as_tcp().unwrap().payload.ptr_eq(&records[0]), "one record: its own buffer");
+        assert!(p2.as_tcp().unwrap().payload.ptr_eq(&records[1]));
+        // A retransmission spanning both records carries both, in order.
+        let mut retx = down_pkt(1000, &[0, 1, 2, 3, 4, 5, 6, 7], TcpFlags::ACK);
+        rig.send(&mut retx, key());
+        assert_eq!(&retx.as_tcp().unwrap().payload[..], &[0, 2, 4, 6]);
+        assert_eq!(rig.ttsf.stats.replayed_bytes, 4);
     }
 
     #[test]

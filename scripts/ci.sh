@@ -61,6 +61,10 @@ faults)
     cargo test -q --release --offline --test properties oracle_clean_on_wrapped_flows
     # The oracle's slice-wise stream log against the byte loop it replaced.
     cargo test -q --release --offline -p comma-faultcheck stream_log_matches_bytewise_model
+    # The LZSS kernels against the parent's, byte for byte and error for
+    # error, at ten times the workspace pass's 100 cases.
+    COMMA_PROP_CASES=1000 cargo test -q --release --offline -p comma-filters \
+        lzss_matches_reference_model
     echo "fault gate ok"
     ;;
 bench)

@@ -154,6 +154,84 @@ fn oracle_clean_segment_allocates_nothing() {
     assert_eq!(report.truncated_flows, 1, "1.47 MB one way runs past the 1 MiB stream cap");
 }
 
+/// What one compressed segment costs the heap in the paper's compression
+/// service: an MSS of `bulk_lit`'s prose through a `compress lzss` TTSF
+/// (the proxy), its output through a `decompress` TTSF (the stub), and the
+/// receiver's ACK back through both so the edit maps stay trimmed. The
+/// filters are called directly with one long-lived `FilterCtx`, so what is
+/// counted is the service's own work, not the engine's per-packet context
+/// (whose request vectors add eight more a segment through a real engine).
+#[test]
+fn compressed_segment_allocations_are_bounded() {
+    use comma_repro::filters::appdata::seeded_prose;
+    use comma_repro::filters::catalog::DEFAULT_BLOCK;
+    use comma_repro::filters::codec::Method;
+    use comma_repro::filters::transform::{Compressor, Decompressor};
+    use comma_repro::filters::ttsf::Ttsf;
+    use comma_repro::netsim::packet::{Packet, TcpFlags, TcpSegment};
+    use comma_repro::netsim::time::SimTime;
+    use comma_repro::prelude::addrs;
+    use comma_repro::proxy::filter::{Filter, FilterCtx, NullMetrics, Verdict};
+    use comma_repro::proxy::key::StreamKey;
+    use comma_repro::rt::{Bytes, SeedableRng, SmallRng};
+
+    const MSS: usize = 1460;
+    let down = |seq: u32, flags: TcpFlags, payload: Bytes| {
+        let mut seg = TcpSegment::new(7, 9000, seq, 1, flags);
+        seg.payload = payload;
+        Packet::tcp(addrs::WIRED, addrs::MOBILE, seg)
+    };
+    let ack = |ack: u32| {
+        let mut seg = TcpSegment::new(9000, 7, 1, ack, TcpFlags::ACK);
+        seg.window = u16::MAX;
+        Packet::tcp(addrs::MOBILE, addrs::WIRED, seg)
+    };
+    let key = StreamKey::of_packet(&down(0, TcpFlags::SYN, Bytes::new())).expect("tcp");
+    let mut proxy = Ttsf::new(Box::new(Compressor::new(Method::Lzss, DEFAULT_BLOCK)));
+    let mut stub = Ttsf::new(Box::new(Decompressor::new()));
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mut ctx = FilterCtx::new(SimTime::ZERO, &mut rng, &NullMetrics);
+    // The SYN opens both edit maps at 1.
+    for ttsf in [&mut proxy, &mut stub] {
+        ttsf.insert(&mut ctx, key);
+        let verdict = ttsf.on_out(&mut ctx, key, &mut down(0, TcpFlags::SYN, Bytes::new()));
+        assert_eq!(verdict, Verdict::Continue);
+    }
+    let text = Bytes::from(seeded_prose(42, 1_200 * MSS));
+    let mut sent = 0;
+    let mut send = |n: usize| {
+        for i in sent..sent + n {
+            let seq = 1 + (i * MSS) as u32;
+            let raw = text.slice(i * MSS..(i + 1) * MSS);
+            let mut pkt = down(seq, TcpFlags::ACK, raw.clone());
+            proxy.on_out(&mut ctx, key, &mut pkt);
+            let payload = &pkt.as_tcp().expect("tcp").payload;
+            assert!(payload.len() < MSS, "prose compresses");
+            let record = proxy.map().and_then(|m| m.records().last()).expect("a record");
+            assert!(record.out.ptr_eq(payload), "edit-map record and payload share one buffer");
+            stub.on_out(&mut ctx, key, &mut pkt);
+            assert_eq!(pkt.as_tcp().expect("tcp").payload, raw, "segment {i} round-trips");
+            let next = seq + MSS as u32;
+            let mut up = ack(next);
+            stub.on_out(&mut ctx, key.reverse(), &mut up);
+            proxy.on_out(&mut ctx, key.reverse(), &mut up);
+            assert_eq!(up.as_tcp().expect("tcp").ack, next, "the ACK maps back unchanged");
+        }
+        sent += n;
+        assert!(ctx.take_injections().is_empty(), "every emission fits one packet");
+    };
+    send(200);
+    let steady = comma_rt::alloc::AllocScope::begin();
+    send(1_000);
+    // Five a segment: the compressor's hash chains, its output and that
+    // output's `Bytes`; the decompressor's output and its `Bytes` (plus
+    // `ctx`'s request vectors doubling). The parent made 15,021 here and
+    // never shared a record with its packet; the ceiling is this tree's
+    // 5,006, under half of that.
+    let allocs = steady.delta().allocs;
+    assert!(allocs <= 5_010, "1,000 compressed segments allocated {allocs} times");
+}
+
 #[test]
 fn hub_metrics_lookup_is_allocation_free() {
     use comma_repro::core::HubMetrics;
