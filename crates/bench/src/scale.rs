@@ -175,6 +175,18 @@ pub fn finished_flow_retained_bytes(flows: usize, bytes_per_flow: usize, seed: u
     (held.alloc_bytes - held.dealloc_bytes) / flows as u64
 }
 
+/// The most requested bytes the many-flows world holds at once, from
+/// before it is built until every transfer has finished: a memory
+/// high-water that repeats exactly, on any host. Zero unless built with
+/// `comma-rt/alloc-stats`.
+pub fn many_flows_peak_live_bytes(flows: usize, bytes_per_flow: usize, seed: u64) -> u64 {
+    let scope = comma_rt::alloc::AllocScope::begin();
+    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
+    let target = (flows * bytes_per_flow) as u64;
+    assert_eq!(run_to_completion(&mut world, target), target, "transfers incomplete");
+    scope.peak_live_bytes()
+}
+
 /// Runs `world` to completion under full packet-trace capture and returns
 /// the FNV-1a digest of the rendered trace.
 fn captured_trace_digest(world: &mut comma::topology::CommaWorld, target: u64, what: &str) -> u64 {

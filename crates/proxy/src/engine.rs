@@ -179,7 +179,11 @@ struct Instance {
     /// parallel `kind_obs`).
     kind: u32,
     registration: usize,
-    keys: BTreeSet<StreamKey>,
+    /// The keys `insert` returned, sorted and deduplicated.
+    keys: Vec<StreamKey>,
+    /// Creation stamp, unique and increasing: equal priorities queue in
+    /// the order their instances were created, whichever slots they hold.
+    seq: u64,
     priority: Priority,
     caps: Capabilities,
     stats: InstanceStats,
@@ -262,7 +266,8 @@ pub struct EngineStats {
 /// Snapshot of one filter instance for monitoring tools.
 #[derive(Clone, Debug)]
 pub struct InstanceInfo {
-    /// Instance slot.
+    /// Instance slot (reused once the instance and its pending timers
+    /// are gone).
     pub id: usize,
     /// Filter name.
     pub kind: String,
@@ -321,7 +326,17 @@ pub struct FilterEngine {
     /// Bumped on every registration-set change; flow entries stamped with
     /// an older generation re-expand on their next packet.
     reg_generation: u64,
+    /// Instance slots; a timer token and a flow's member list name an
+    /// instance by slot. A slot is reused only once its instance is gone
+    /// *and* no timer the instance armed is still pending, so a stale
+    /// timer finds an empty slot, never a stranger.
     instances: Vec<Option<Instance>>,
+    /// Per slot, timers armed and not yet fired.
+    armed: Vec<u32>,
+    /// Slots that are empty with nothing pending, reused last-freed first.
+    free: Vec<usize>,
+    /// The next instance's [`Instance::seq`].
+    next_seq: u64,
     flows: FlowTable,
     /// Interned filter-kind names (tiny; linear scan on intern).
     kinds: Vec<Arc<str>>,
@@ -349,6 +364,9 @@ impl FilterEngine {
             registrations: Vec::new(),
             reg_generation: 1,
             instances: Vec::new(),
+            armed: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
             flows: FlowTable::new(),
             kinds: Vec::new(),
             kind_obs: Vec::new(),
@@ -443,7 +461,7 @@ impl FilterEngine {
                 self.remove_instance(now, rng, metrics, inst_id);
             }
             for entry in self.flows.values_mut() {
-                entry.applied.remove(&reg_id);
+                entry.unmark_applied(reg_id);
             }
         }
         if !removed_regs.is_empty() {
@@ -481,6 +499,16 @@ impl FilterEngine {
             self.flows.iter().all(|(_, e)| !e.members.contains(&inst_id)),
             "a flow entry outside instance {inst_id}'s keys still lists it"
         );
+        self.release_if_idle(inst_id);
+    }
+
+    /// Puts `slot` on the free list if its instance is gone and no timer
+    /// it armed is pending. Called exactly when one of the two becomes
+    /// true, so a slot is listed at most once.
+    fn release_if_idle(&mut self, slot: usize) {
+        if self.instances[slot].is_none() && self.armed[slot] == 0 {
+            self.free.push(slot);
+        }
     }
 
     /// Current registrations.
@@ -497,7 +525,7 @@ impl FilterEngine {
                 slot.as_ref().map(|inst| InstanceInfo {
                     id,
                     kind: self.kinds[inst.kind as usize].to_string(),
-                    keys: inst.keys.iter().copied().collect(),
+                    keys: inst.keys.clone(),
                     priority: inst.priority,
                     stats: inst.stats,
                 })
@@ -788,6 +816,7 @@ impl FilterEngine {
                 }
             }
         }
+        self.armed[inst_id] += ctx.timers.len() as u32;
         for (delay, token) in ctx.timers.drain(..) {
             let enc = ((inst_id as u64) << 32) | (token & 0xffff_ffff);
             self.pending_timers.push((delay, enc));
@@ -852,7 +881,16 @@ impl FilterEngine {
         token: u64,
     ) -> Vec<Packet> {
         let inst_id = (token >> 32) as usize;
+        // The fired timer no longer holds its slot (a token this engine
+        // never issued holds nothing).
+        let was_armed = self.armed.get(inst_id).is_some_and(|&n| n > 0);
+        if was_armed {
+            self.armed[inst_id] -= 1;
+        }
         let Some(inst) = self.instances.get_mut(inst_id).and_then(Option::as_mut) else {
+            if was_armed {
+                self.release_if_idle(inst_id);
+            }
             return Vec::new();
         };
         inst.stats.timer_fires += 1;
@@ -910,8 +948,7 @@ impl FilterEngine {
                         && !self
                             .flows
                             .get(key)
-                            .map(|entry| entry.applied.contains(&reg.id))
-                            .unwrap_or(false)
+                            .is_some_and(|entry| entry.is_applied(reg.id))
                 })
                 .cloned()
                 .collect();
@@ -922,43 +959,56 @@ impl FilterEngine {
                 match self.catalog.instantiate(&reg.filter, &reg.args) {
                     Ok(mut filter) => {
                         let mut ctx = FilterCtx::new(now, rng, metrics);
-                        let keys = filter.insert(&mut ctx, key);
-                        let inst_id = self.instances.len();
+                        let mut keys = filter.insert(&mut ctx, key);
+                        keys.sort_unstable();
+                        keys.dedup();
                         // Catalog name (services may share a Filter type).
                         let kind = self.intern_kind(&reg.filter);
-                        self.instances.push(Some(Instance {
+                        let inst = Some(Instance {
                             priority: filter.priority(),
                             caps: filter.capabilities(),
                             filter,
                             kind,
                             registration: reg.id,
-                            keys: keys.iter().copied().collect(),
+                            keys,
+                            seq: self.next_seq,
                             stats: InstanceStats::default(),
-                        }));
+                        });
+                        self.next_seq += 1;
+                        let inst_id = match self.free.pop() {
+                            Some(slot) => {
+                                self.instances[slot] = inst;
+                                slot
+                            }
+                            None => {
+                                self.instances.push(inst);
+                                self.armed.push(0);
+                                self.instances.len() - 1
+                            }
+                        };
                         // What `insert` injects goes out ahead of the packet
                         // that brought the stream into being.
                         self.settle(&mut ctx, inst_id, &key, Some(&mut *out));
-                        for k in keys {
-                            let entry = self.flows.entry(k);
+                        let (flows, instances) = (&mut self.flows, &self.instances);
+                        for &k in &instances[inst_id].as_ref().expect("just placed").keys {
+                            let entry = flows.entry(k);
                             let mut rebuilt: Vec<usize> = entry.members.to_vec();
                             rebuilt.push(inst_id);
-                            entry.applied.insert(reg.id);
                             // In-method order: descending priority, then
-                            // insertion order.
-                            let instances = &self.instances;
-                            rebuilt.sort_by(|&a, &b| {
-                                let pa = instances[a].as_ref().map(|i| i.priority);
-                                let pb = instances[b].as_ref().map(|i| i.priority);
-                                pb.cmp(&pa).then(a.cmp(&b))
+                            // creation order.
+                            rebuilt.sort_by_key(|&m| {
+                                let inst = instances[m].as_ref().expect("a listed member is live");
+                                (std::cmp::Reverse(inst.priority), inst.seq)
                             });
-                            self.flows.entry(k).members = Arc::from(rebuilt);
+                            entry.members = Arc::from(rebuilt);
+                            entry.mark_applied(reg.id);
                         }
                     }
                     Err(e) => {
                         self.log
                             .push(format!("engine: cannot instantiate {}: {e}", reg.filter));
                         // Mark applied so we do not retry per packet.
-                        self.flows.entry(key).applied.insert(reg.id);
+                        self.flows.entry(key).mark_applied(reg.id);
                     }
                 }
             }
@@ -983,7 +1033,9 @@ impl FilterEngine {
             };
             for &m in entry.members.iter() {
                 if let Some(inst) = self.instances[m].as_mut() {
-                    inst.keys.remove(&k);
+                    if let Ok(at) = inst.keys.binary_search(&k) {
+                        inst.keys.remove(at);
+                    }
                     if inst.keys.is_empty() {
                         self.remove_instance(now, rng, metrics, m);
                     }
@@ -1059,6 +1111,7 @@ impl FilterEngine {
                         kind: inst.kind,
                         registration: inst.registration,
                         keys: inst.keys.clone(),
+                        seq: inst.seq,
                         priority: inst.priority,
                         caps: inst.caps,
                         stats: inst.stats,
@@ -1071,6 +1124,9 @@ impl FilterEngine {
             registrations: self.registrations.clone(),
             reg_generation: self.reg_generation,
             instances,
+            armed: self.armed.clone(),
+            free: self.free.clone(),
+            next_seq: self.next_seq,
             flows: self.flows.clone(),
             kinds: self.kinds.clone(),
             // Write sites go with the shared `obs` below: the copy adds into
@@ -1357,5 +1413,193 @@ mod tests {
         assert_eq!(read(&second), [2; 4], "the new one sees only what came after");
         assert_eq!(second.gauge_value("multi", "multi.ttl"), Some(64.0));
         assert_eq!(engine.totals.pkts, 5);
+    }
+
+    type CallLog = Arc<std::sync::Mutex<Vec<String>>>;
+
+    /// A stand-in for a filter of the pass-through chain, writing each
+    /// callback it gets to a shared log as `<label> <callback>`. Like the
+    /// real ones it serves its stream and the reverse; a `tcp` closes the
+    /// stream on a RST, a `snoop` arms one tick when it is inserted (as the
+    /// real one does on its first cached segment).
+    struct Stub {
+        label: String,
+        priority: Priority,
+        log: CallLog,
+    }
+
+    impl Filter for Stub {
+        fn kind(&self) -> &'static str {
+            "stub"
+        }
+        fn priority(&self) -> Priority {
+            self.priority
+        }
+        fn capabilities(&self) -> Capabilities {
+            Capabilities::READ_ONLY
+        }
+        fn insert(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey) -> Vec<StreamKey> {
+            if self.label == "snoop" {
+                ctx.set_timer(comma_netsim::time::SimDuration::from_millis(50), 7);
+            }
+            vec![key, key.reverse()]
+        }
+        fn on_in(&mut self, _ctx: &mut FilterCtx<'_>, _key: StreamKey, _pkt: &Packet) {
+            self.log.lock().unwrap().push(format!("{} in", self.label));
+        }
+        fn on_out(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkt: &mut Packet) -> Verdict {
+            self.log.lock().unwrap().push(format!("{} out", self.label));
+            if self.label.starts_with("tcp") && pkt.as_tcp().is_some_and(|s| s.flags.rst()) {
+                ctx.stream_closed(key);
+            }
+            Verdict::Continue
+        }
+        fn on_timer(&mut self, _ctx: &mut FilterCtx<'_>, _token: u64) {
+            self.log.lock().unwrap().push(format!("{} timer", self.label));
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// An engine running `tcp, snoop, wsize, tcp` as stand-ins (the two
+    /// `tcp`s labelled `tcp-a` and `tcp-b`), its rng, and the call log.
+    fn chain_engine() -> (FilterEngine, SmallRng, CallLog) {
+        let log = CallLog::default();
+        let mut catalog = FilterCatalog::new();
+        use Priority::{High, Highest, Lowest};
+        for (name, priority) in [("tcp", Highest), ("snoop", High), ("wsize", Lowest)] {
+            let log = log.clone();
+            catalog.register_loaded(
+                name,
+                Box::new(move |args| {
+                    let label = args.first().cloned().unwrap_or_else(|| name.to_string());
+                    Ok(Box::new(Stub { label, priority, log: log.clone() }))
+                }),
+            );
+        }
+        let mut engine = FilterEngine::new(catalog);
+        let (a, b) = (Some("tcp-a"), Some("tcp-b"));
+        let chain = [("tcp", a), ("snoop", None), ("wsize", None), ("tcp", b)];
+        for (name, label) in chain {
+            let args = label.map(String::from).into_iter().collect();
+            engine.register(WildKey::ANY, name, args).expect("loaded");
+        }
+        (engine, comma_rt::SeedableRng::seed_from_u64(1), log)
+    }
+
+    /// One packet of flow `n` (`key(n)`) with `flags`, through the engine.
+    fn send(engine: &mut FilterEngine, rng: &mut SmallRng, n: u8, flags: TcpFlags) {
+        let pkt = Packet::tcp(
+            format!("1.2.3.{n}").parse().unwrap(),
+            "6.7.8.9".parse().unwrap(),
+            TcpSegment::new(5, 10, 0, 0, flags),
+        );
+        engine.process(SimTime::ZERO, rng, &crate::filter::NullMetrics, pkt);
+    }
+
+    /// Fires every timer the engine has asked for so far.
+    fn fire_all(engine: &mut FilterEngine, rng: &mut SmallRng) {
+        for (_, token) in engine.take_pending_timers() {
+            engine.on_timer(SimTime::ZERO, rng, &crate::filter::NullMetrics, token);
+        }
+    }
+
+    /// Slot of the live instance labelled `label` (the stand-ins' labels
+    /// are their catalog names, the `tcp`s aside).
+    fn slot_of(engine: &FilterEngine, label: &str) -> usize {
+        let (kind, nth) = match label {
+            "tcp-a" => ("tcp", 0),
+            "tcp-b" => ("tcp", 1),
+            other => (other, 0),
+        };
+        let mut live: Vec<(u64, usize)> = (engine.instances.iter().enumerate())
+            .filter_map(|(slot, i)| i.as_ref().map(|i| (i, slot)))
+            .filter(|(i, _)| &*engine.kinds[i.kind as usize] == kind)
+            .map(|(i, slot)| (i.seq, slot))
+            .collect();
+        live.sort_unstable();
+        live[nth].1
+    }
+
+    /// N sequential flows, then N more: the engine holds as many slots as
+    /// one flow needs, not one per instance ever created.
+    #[test]
+    fn sequential_flows_reuse_instance_slots() {
+        let (mut engine, mut rng, _) = chain_engine();
+        let mut flows = |engine: &mut FilterEngine, range: std::ops::Range<u8>| {
+            for n in range {
+                send(engine, &mut rng, n, TcpFlags::SYN);
+                assert_eq!(engine.live_instances(), 4);
+                send(engine, &mut rng, n, TcpFlags::RST);
+                assert_eq!(engine.live_instances(), 0);
+                fire_all(engine, &mut rng);
+            }
+        };
+        flows(&mut engine, 0..20);
+        let after_n = engine.instances.len();
+        flows(&mut engine, 20..40);
+        assert_eq!(engine.instances.len(), after_n, "slots after 2N flows");
+        assert_eq!(after_n, 4, "one flow's worth");
+        assert_eq!(engine.free.len(), 4, "every slot idle again");
+    }
+
+    /// A tick armed by an instance that is then removed keeps its slot:
+    /// the next flow is placed elsewhere, the tick reaches no live
+    /// instance, and only then is the slot handed out again.
+    #[test]
+    fn a_pending_timer_holds_its_slot_until_it_fires() {
+        let (mut engine, mut rng, log) = chain_engine();
+        send(&mut engine, &mut rng, 1, TcpFlags::SYN);
+        let held = slot_of(&engine, "snoop");
+        send(&mut engine, &mut rng, 1, TcpFlags::RST);
+        let tick = engine.take_pending_timers();
+        assert_eq!(tick.len(), 1, "flow 1's snoop armed one tick");
+        assert_eq!(engine.armed[held], 1);
+
+        send(&mut engine, &mut rng, 2, TcpFlags::SYN);
+        assert!(engine.instances[held].is_none(), "the held slot stays empty");
+        assert_eq!(engine.instances.len(), 5, "flow 2 took the three idle slots and a new one");
+        engine.take_pending_timers(); // flow 2's own tick never fires here
+
+        log.lock().unwrap().clear();
+        let out = engine.on_timer(SimTime::ZERO, &mut rng, &crate::filter::NullMetrics, tick[0].1);
+        assert!(out.is_empty());
+        let calls = std::mem::take(&mut *log.lock().unwrap());
+        assert!(calls.is_empty(), "the stale tick reached {calls:?}");
+        assert_eq!(engine.free, vec![held], "fired, the slot is idle");
+
+        send(&mut engine, &mut rng, 3, TcpFlags::SYN);
+        assert!(engine.instances[held].is_some(), "flow 3 reuses it");
+        assert!(engine.free.is_empty());
+    }
+
+    /// Equal priorities queue in creation order, not slot order: after
+    /// reuse hands `tcp-b` a lower slot than `tcp-a`, one packet still
+    /// meets `tcp-a` first on the way in and last on the way out, exactly
+    /// as on a fresh engine.
+    #[test]
+    fn equal_priorities_keep_creation_order_in_reused_slots() {
+        let calls = |engine: &mut FilterEngine, rng: &mut SmallRng, log: &CallLog, n: u8| {
+            send(engine, rng, n, TcpFlags::SYN);
+            log.lock().unwrap().clear();
+            send(engine, rng, n, TcpFlags::ACK);
+            std::mem::take(&mut *log.lock().unwrap())
+        };
+        let (mut fresh, mut rng, log) = chain_engine();
+        let want = calls(&mut fresh, &mut rng, &log, 1);
+        assert_eq!(want[..2], ["tcp-a in", "tcp-b in"]);
+        assert_eq!(want[6..], ["tcp-b out", "tcp-a out"]);
+
+        let (mut reused, mut rng, log) = chain_engine();
+        send(&mut reused, &mut rng, 1, TcpFlags::SYN);
+        send(&mut reused, &mut rng, 1, TcpFlags::RST);
+        fire_all(&mut reused, &mut rng);
+        let got = calls(&mut reused, &mut rng, &log, 2);
+        assert!(
+            slot_of(&reused, "tcp-b") < slot_of(&reused, "tcp-a"),
+            "the scenario must put the later instance in the lower slot"
+        );
+        assert_eq!(got, want);
     }
 }

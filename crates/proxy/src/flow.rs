@@ -19,7 +19,6 @@
 //! (`FilterEngine::remove_instance`); nothing scans the whole table on
 //! the packet path or at stream teardown.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use comma_rt::FnvHashMap;
@@ -33,8 +32,8 @@ pub struct FlowEntry {
     /// Shared with the dispatch loop by refcount, rebuilt only when
     /// membership changes.
     pub members: Arc<[usize]>,
-    /// Registration slots already expanded for this key.
-    pub applied: BTreeSet<usize>,
+    /// Registration slots already expanded for this key, ascending.
+    pub applied: Vec<usize>,
     /// Engine registration generation this entry was last expanded
     /// against; a mismatch forces a re-scan on the next packet.
     pub generation: u64,
@@ -44,8 +43,29 @@ impl Default for FlowEntry {
     fn default() -> Self {
         FlowEntry {
             members: Arc::from(Vec::new()),
-            applied: BTreeSet::new(),
+            applied: Vec::new(),
             generation: 0,
+        }
+    }
+}
+
+impl FlowEntry {
+    /// Whether registration `reg` was already expanded for this key.
+    pub fn is_applied(&self, reg: usize) -> bool {
+        self.applied.binary_search(&reg).is_ok()
+    }
+
+    /// Records registration `reg` as expanded (idempotent).
+    pub fn mark_applied(&mut self, reg: usize) {
+        if let Err(at) = self.applied.binary_search(&reg) {
+            self.applied.insert(at, reg);
+        }
+    }
+
+    /// Forgets registration `reg` (it was deregistered).
+    pub fn unmark_applied(&mut self, reg: usize) {
+        if let Ok(at) = self.applied.binary_search(&reg) {
+            self.applied.remove(at);
         }
     }
 }

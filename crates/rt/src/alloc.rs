@@ -30,6 +30,11 @@ thread_local! {
     static DEALLOCS: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
     static DEALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Requested bytes this thread allocated minus those it freed: negative
+    /// when it frees what another thread allocated.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// High-water of `LIVE_BYTES` since the innermost open [`AllocScope`].
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 #[inline]
@@ -37,6 +42,17 @@ fn bump(key: &'static std::thread::LocalKey<Cell<u64>>, by: u64) {
     // `try_with`: a thread being torn down has no TLS left; skip counting
     // there instead of aborting the process from inside the allocator.
     let _ = key.try_with(|c| c.set(c.get().wrapping_add(by)));
+}
+
+/// Moves this thread's outstanding requested bytes by `by`, raising the
+/// high-water mark when it grows past it.
+#[inline]
+fn bump_live(by: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        let now = live.get().wrapping_add(by);
+        live.set(now);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 /// Pass-through allocator that counts per-thread allocation traffic.
@@ -53,18 +69,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS, 1);
         bump(&ALLOC_BYTES, layout.size() as u64);
+        bump_live(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS, 1);
         bump(&ALLOC_BYTES, layout.size() as u64);
+        bump_live(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         bump(&DEALLOCS, 1);
         bump(&DEALLOC_BYTES, layout.size() as u64);
+        bump_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
@@ -75,6 +94,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         bump(&ALLOC_BYTES, new_size as u64);
         bump(&DEALLOCS, 1);
         bump(&DEALLOC_BYTES, layout.size() as u64);
+        bump_live(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -129,7 +149,8 @@ pub fn thread_counts() -> AllocCounts {
 
 /// Measures the allocation traffic of a region of code on the current
 /// thread: snapshot at [`AllocScope::begin`], read the delta any time with
-/// [`AllocScope::delta`].
+/// [`AllocScope::delta`] and the high-water of outstanding bytes with
+/// [`AllocScope::peak_live_bytes`].
 ///
 /// ```
 /// let scope = comma_rt::alloc::AllocScope::begin();
@@ -142,19 +163,42 @@ pub fn thread_counts() -> AllocCounts {
 /// ```
 pub struct AllocScope {
     start: AllocCounts,
+    /// Outstanding bytes at `begin`.
+    start_live: i64,
+    /// The enclosing scope's high-water at `begin`, folded back in on drop
+    /// so nested scopes do not hide each other's peaks.
+    outer_peak: i64,
 }
 
 impl AllocScope {
-    /// Snapshots the current thread's counters.
+    /// Snapshots the current thread's counters and starts a fresh
+    /// high-water mark.
     pub fn begin() -> Self {
+        let start_live = LIVE_BYTES.with(Cell::get);
         AllocScope {
             start: thread_counts(),
+            start_live,
+            outer_peak: PEAK_BYTES.with(|peak| peak.replace(start_live)),
         }
     }
 
     /// Allocation traffic on this thread since [`AllocScope::begin`].
     pub fn delta(&self) -> AllocCounts {
         thread_counts() - self.start
+    }
+
+    /// The most requested bytes this thread held at once since
+    /// [`AllocScope::begin`], over what it held then: a deterministic
+    /// memory high-water, the same on every host (zero without
+    /// `alloc-stats`).
+    pub fn peak_live_bytes(&self) -> u64 {
+        (PEAK_BYTES.with(Cell::get) - self.start_live).max(0) as u64
+    }
+}
+
+impl Drop for AllocScope {
+    fn drop(&mut self) {
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(self.outer_peak)));
     }
 }
 
@@ -176,6 +220,24 @@ mod tests {
         } else {
             assert_eq!(mid, AllocCounts::default());
             assert_eq!(end, AllocCounts::default());
+        }
+    }
+
+    #[test]
+    fn peak_live_bytes_is_the_high_water_and_nests() {
+        let outer = AllocScope::begin();
+        let big: Vec<u8> = Vec::with_capacity(8192);
+        drop(big);
+        let inner = AllocScope::begin();
+        let small: Vec<u8> = Vec::with_capacity(1024);
+        let inner_peak = inner.peak_live_bytes();
+        drop(small);
+        drop(inner);
+        if enabled() {
+            assert!((1024..8192).contains(&inner_peak), "inner scope saw {inner_peak}");
+            assert!(outer.peak_live_bytes() >= 8192, "the inner scope hid the outer peak");
+        } else {
+            assert_eq!((inner_peak, outer.peak_live_bytes()), (0, 0));
         }
     }
 

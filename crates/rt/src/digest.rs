@@ -85,17 +85,42 @@ impl StateHasher {
     /// Feeds `bytes`, length first, eight bytes per word (the tail
     /// zero-padded — the length word tells `b"a"` from `b"a\0"`).
     pub fn update(&mut self, bytes: impl AsRef<[u8]>) -> &mut Self {
-        let bytes = bytes.as_ref();
-        self.update_u64(bytes.len() as u64);
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.update_u64(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")));
+        self.update_parts([bytes.as_ref()])
+    }
+
+    /// [`StateHasher::update`] over the concatenation of `parts`, without
+    /// building it: one length word for the whole, then the same eight-byte
+    /// words, a word straddling two parts assembled on the stack.
+    pub fn update_parts<'a, I>(&mut self, parts: I) -> &mut Self
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+        I::IntoIter: Clone,
+    {
+        let parts = parts.into_iter();
+        self.update_u64(parts.clone().map(<[u8]>::len).sum::<usize>() as u64);
+        // `word[..fill]` holds bytes not yet folded (fewer than eight).
+        let (mut word, mut fill) = ([0u8; 8], 0usize);
+        for mut part in parts {
+            if fill > 0 {
+                let n = (8 - fill).min(part.len());
+                word[fill..fill + n].copy_from_slice(&part[..n]);
+                (fill, part) = (fill + n, &part[n..]);
+                if fill < 8 {
+                    continue;
+                }
+                self.update_u64(u64::from_le_bytes(word));
+            }
+            let mut chunks = part.chunks_exact(8);
+            for c in &mut chunks {
+                self.update_u64(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")));
+            }
+            let tail = chunks.remainder();
+            word[..tail.len()].copy_from_slice(tail);
+            fill = tail.len();
         }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let mut w = [0u8; 8];
-            w[..tail.len()].copy_from_slice(tail);
-            self.update_u64(u64::from_le_bytes(w));
+        if fill > 0 {
+            word[fill..].fill(0);
+            self.update_u64(u64::from_le_bytes(word));
         }
         self
     }
@@ -231,6 +256,27 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 2 * lens.len());
+    }
+
+    /// Every way of cutting a string into parts hashes as the whole string.
+    #[test]
+    fn state_hasher_parts_hash_as_their_concatenation() {
+        let whole: Vec<u8> = (0u8..40).collect();
+        let mut want = StateHasher::new();
+        want.update_u64(7).update(&whole);
+        for cut_a in 0..whole.len() {
+            for cut_b in cut_a..=whole.len() {
+                let (a, rest) = whole.split_at(cut_a);
+                let (b, c) = rest.split_at(cut_b - cut_a);
+                let mut got = StateHasher::new();
+                got.update_u64(7).update_parts([a, &[][..], b, c]);
+                assert_eq!(got.finish(), want.finish(), "cuts at {cut_a}, {cut_b}");
+            }
+        }
+        assert_eq!(
+            StateHasher::new().update_parts(std::iter::empty::<&[u8]>()).finish(),
+            StateHasher::new().update(b"").finish()
+        );
     }
 
     #[test]

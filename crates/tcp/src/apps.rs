@@ -193,8 +193,31 @@ pub struct BulkSender {
     pub started_at: Option<SimTime>,
     /// Time the connection fully closed.
     pub finished_at: Option<SimTime>,
-    /// Byte value pattern generator (deterministic, compressible or not).
-    pattern: fn(usize) -> u8,
+    /// Byte value pattern generator (deterministic, compressible or not);
+    /// `None` is the default `(i % 251) as u8`, written a run at a time.
+    pattern: Option<fn(usize) -> u8>,
+}
+
+/// `(i % 251) as u8` for `i` in `from..from + n`: [`BulkSender`]'s default
+/// pattern, copied out of one period instead of computed per byte.
+fn mod_251(from: usize, n: usize) -> Vec<u8> {
+    const PERIOD: [u8; 251] = {
+        let mut p = [0u8; 251];
+        let mut i = 0;
+        while i < 251 {
+            p[i] = i as u8;
+            i += 1;
+        }
+        p
+    };
+    let mut out = Vec::with_capacity(n);
+    let mut at = from % 251;
+    while out.len() < n {
+        let take = (251 - at).min(n - out.len());
+        out.extend_from_slice(&PERIOD[at..at + take]);
+        at = 0;
+    }
+    out
 }
 
 impl BulkSender {
@@ -209,13 +232,13 @@ impl BulkSender {
             sock: None,
             started_at: None,
             finished_at: None,
-            pattern: |i| (i % 251) as u8,
+            pattern: None,
         }
     }
 
     /// Uses a custom byte pattern (e.g. highly compressible text).
     pub fn with_pattern(mut self, pattern: fn(usize) -> u8) -> Self {
-        self.pattern = pattern;
+        self.pattern = Some(pattern);
         self
     }
 
@@ -228,7 +251,10 @@ impl BulkSender {
         let Some(sock) = self.sock else { return };
         while self.sent < self.total_bytes {
             let n = self.chunk.min(self.total_bytes - self.sent);
-            let data: Vec<u8> = (self.sent..self.sent + n).map(self.pattern).collect();
+            let data = match self.pattern {
+                Some(pattern) => (self.sent..self.sent + n).map(pattern).collect(),
+                None => mod_251(self.sent, n),
+            };
             ctx.send(sock, data);
             self.sent += n;
         }
@@ -340,6 +366,11 @@ impl App for Sink {
         self.last_data_at = Some(ctx.now);
         self.bytes_received += data.len();
         if self.capture.len() < self.capture_limit {
+            if self.capture.is_empty() {
+                // The sink knows how much it will keep: one allocation of
+                // exactly that, not a doubling series overshooting it.
+                self.capture.reserve_exact(self.capture_limit);
+            }
             let room = self.capture_limit - self.capture.len();
             self.capture
                 .extend_from_slice(&data[..data.len().min(room)]);
@@ -563,6 +594,28 @@ mod tests {
     }
 
     #[test]
+    fn default_pattern_is_i_mod_251_from_any_offset() {
+        for (from, n) in [(0, 0), (0, 1), (0, 251), (250, 2), (7, 16 * 1024), (251 * 3 - 1, 600)] {
+            let want: Vec<u8> = (from..from + n).map(|i| (i % 251) as u8).collect();
+            assert_eq!(mod_251(from, n), want, "from {from}, {n} bytes");
+        }
+        // Chunk boundaries do not restart the pattern.
+        let mut app = BulkSender::new((Ipv4Addr::new(1, 2, 3, 4), 9000), 40_000);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
+        app.on_connected(&mut ctx, SocketId(0));
+        let sent: Vec<u8> = ctx
+            .take_ops()
+            .into_iter()
+            .filter_map(|op| match op {
+                AppOp::Send { data, .. } => Some(data.to_vec()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        assert_eq!(sent, (0..40_000).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+    }
+
+    #[test]
     fn sink_accounts_bytes_and_closes_back() {
         let mut sink = Sink::new(9000).with_capture(8);
         let mut ctx = AppCtx::new(SimTime::from_millis(3));
@@ -570,6 +623,7 @@ mod tests {
         sink.on_data(&mut ctx, SocketId(1), Bytes::from_static(b"hello world"));
         assert_eq!(sink.bytes_received, 11);
         assert_eq!(&sink.capture[..], b"hello wo");
+        assert_eq!(sink.capture.capacity(), 8, "the capture is reserved once, exactly");
         sink.on_peer_closed(&mut ctx, SocketId(1));
         assert!(matches!(ctx.take_ops()[0], AppOp::Close { .. }));
         assert_eq!(sink.transfer_time(), Some(SimDuration::ZERO));

@@ -1,10 +1,16 @@
 //! Send and receive buffers.
 //!
 //! The send buffer holds the bytes from `SND.UNA` forward (both in-flight
-//! and unsent) so that any range can be retransmitted; the receive buffer
-//! reassembles out-of-order segments and meters the advertised window.
+//! and unsent) so that any range can be retransmitted. It keeps what the
+//! application wrote — the written `Bytes` themselves, never a copy — and
+//! hands each segment a zero-copy slice of the write it lies in, so a byte
+//! sits in memory once however many segments, link queues and proxy caches
+//! hold it. Only a segment that straddles two writes is copied out.
+//!
+//! The receive buffer reassembles out-of-order segments and meters the
+//! advertised window.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use comma_rt::Bytes;
 
@@ -14,10 +20,13 @@ use crate::seq::{seq_diff, seq_ge, seq_le, seq_lt};
 #[derive(Clone, Debug, Default)]
 pub struct SendBuffer {
     base_seq: u32,
-    /// `data[head..]` are the retained bytes; `data[..head]` were
-    /// acknowledged and wait for the next compaction.
-    data: Vec<u8>,
-    head: usize,
+    /// Stream offset (bytes pushed since [`SendBuffer::new`]) of
+    /// `base_seq`.
+    base_off: u64,
+    /// The retained application writes, oldest first, each with the stream
+    /// offset of its first byte. The front write is trimmed to start at
+    /// `base_off`; none is empty.
+    chunks: VecDeque<(u64, Bytes)>,
 }
 
 impl SendBuffer {
@@ -25,8 +34,8 @@ impl SendBuffer {
     pub fn new(base_seq: u32) -> Self {
         SendBuffer {
             base_seq,
-            data: Vec::new(),
-            head: 0,
+            base_off: 0,
+            chunks: VecDeque::new(),
         }
     }
 
@@ -35,15 +44,17 @@ impl SendBuffer {
         self.base_seq
     }
 
-    fn live(&self) -> &[u8] {
-        &self.data[self.head..]
+    /// The retained bytes, in order, as the writes that hold them.
+    fn parts(&self) -> impl Iterator<Item = &[u8]> + Clone {
+        self.chunks.iter().map(|(_, b)| b.as_slice())
     }
 
     /// Folds the buffer (base sequence and retained bytes) into a
-    /// canonical state fingerprint.
+    /// canonical state fingerprint: the same digest as one `update` over
+    /// the bytes laid end to end, however they were written.
     pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.base_seq as u64);
-        h.update(self.live());
+        h.update_parts(self.parts());
     }
 
     /// Sequence number one past the last buffered byte.
@@ -53,50 +64,77 @@ impl SendBuffer {
 
     /// Number of buffered bytes (acked bytes are discarded).
     pub fn len(&self) -> usize {
-        self.data.len() - self.head
+        self.chunks
+            .back()
+            .map_or(0, |(off, b)| (off + b.len() as u64 - self.base_off) as usize)
     }
 
     /// Returns `true` if no bytes are buffered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.chunks.is_empty()
     }
 
-    /// Appends application bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.data.extend_from_slice(bytes);
+    /// Appends application bytes. A `Bytes` is kept as it is; anything
+    /// else (`&[u8]`, `Vec<u8>`) is converted once.
+    pub fn push(&mut self, bytes: impl Into<Bytes>) {
+        let bytes = bytes.into();
+        if !bytes.is_empty() {
+            self.chunks.push_back((self.base_off + self.len() as u64, bytes));
+        }
     }
 
-    /// Copies out up to `max` bytes starting at sequence `seq`; returns an
-    /// empty buffer if `seq` is outside the retained range.
+    /// Up to `max` bytes starting at sequence `seq`; empty if `seq` is
+    /// outside the retained range. A range inside one write is a slice of
+    /// it (no copy); only a range spanning writes is copied.
     pub fn slice(&self, seq: u32, max: usize) -> Bytes {
         if seq_lt(seq, self.base_seq) || seq_ge(seq, self.end_seq()) {
             return Bytes::new();
         }
-        let live = self.live();
-        let off = seq_diff(seq, self.base_seq) as usize;
-        let end = (off + max).min(live.len());
-        Bytes::copy_from_slice(&live[off..end])
+        let off = self.base_off + seq_diff(seq, self.base_seq) as u64;
+        let want = max.min(self.len() - (off - self.base_off) as usize);
+        // The write holding `off`: the last one starting at or before it.
+        let first = self.chunks.partition_point(|&(start, _)| start <= off) - 1;
+        let (start, chunk) = &self.chunks[first];
+        let at = (off - start) as usize;
+        if at + want <= chunk.len() {
+            return chunk.slice(at..at + want);
+        }
+        let mut out = Vec::with_capacity(want);
+        out.extend_from_slice(&chunk[at..]);
+        for (_, chunk) in self.chunks.range(first + 1..) {
+            let take = (want - out.len()).min(chunk.len());
+            out.extend_from_slice(&chunk[..take]);
+            if out.len() == want {
+                break;
+            }
+        }
+        Bytes::from(out)
     }
 
-    /// Discards bytes below `ack` (they were cumulatively acknowledged).
+    /// Discards bytes below `ack` (they were cumulatively acknowledged):
+    /// whole writes are dropped, the front survivor is trimmed. When
+    /// nothing is kept the allocation goes with the data: a finished
+    /// flow's buffer holds no memory.
     pub fn ack_to(&mut self, ack: u32) {
         if seq_le(ack, self.base_seq) {
             return;
         }
-        let n = seq_diff(ack, self.base_seq) as usize;
-        let n = n.min(self.len());
-        self.head += n;
+        let n = (seq_diff(ack, self.base_seq) as usize).min(self.len());
         self.base_seq = self.base_seq.wrapping_add(n as u32);
-        // Compact only once the acknowledged prefix is at least as long as
-        // what is kept: the bytes moved are then paid for by the bytes
-        // acked since the last compaction (amortised O(1) per ACK, however
-        // much is buffered). When nothing is kept the allocation goes with
-        // the data: a finished flow's buffer holds no memory.
-        if self.head == self.data.len() {
-            *self = SendBuffer::new(self.base_seq);
-        } else if self.head >= self.len() {
-            self.data.drain(..self.head);
-            self.head = 0;
+        self.base_off += n as u64;
+        while let Some((start, chunk)) = self.chunks.front_mut() {
+            let end = *start + chunk.len() as u64;
+            if end <= self.base_off {
+                self.chunks.pop_front();
+                continue;
+            }
+            let cut = (self.base_off - *start) as usize;
+            *chunk = chunk.slice(cut..);
+            *start = self.base_off;
+            break;
+        }
+        if self.chunks.is_empty() {
+            self.chunks = VecDeque::new();
         }
     }
 }
@@ -257,17 +295,20 @@ mod tests {
         assert_eq!(&sb.slice(2, 10)[..], b"789");
     }
 
-    /// The head-offset buffer against the obvious model: a `Vec` holding
-    /// exactly the retained bytes, drained on every ACK. A buffer an ACK
-    /// leaves empty holds no allocation.
+    /// The chunked buffer against the obvious model: a `Vec` holding
+    /// exactly the retained bytes, drained on every ACK. Writes arrive as
+    /// `Bytes` of random sizes (or as slices, copied once); a range inside
+    /// one write comes back as a view of that write's storage. A buffer an
+    /// ACK leaves empty holds no allocation.
     #[test]
     fn send_buffer_matches_naive_model() {
         use comma_rt::prop::Runner;
-        use comma_rt::{ensure_eq, Rng};
+        use comma_rt::{ensure, ensure_eq, Rng};
 
         #[derive(Debug)]
         enum Op {
-            Push(usize),
+            /// Write `n` bytes, as a `Bytes` (`true`) or a slice.
+            Push(usize, bool),
             /// ACK at `base + delta`; negative is stale, beyond `len` over-long.
             Ack(i64),
             Slice(i64, usize),
@@ -282,7 +323,15 @@ mod tests {
                 };
                 let ops: Vec<Op> = (0..rng.gen_range(1..120usize))
                     .map(|_| match rng.gen_range(0..10u32) {
-                        0..=2 => Op::Push(rng.gen_range(0..3_000usize)),
+                        0..=2 => {
+                            // Writes below, near and above one MSS.
+                            let n = match rng.gen_range(0..3u32) {
+                                0 => rng.gen_range(0..64usize),
+                                1 => rng.gen_range(0..3_000usize),
+                                _ => rng.gen_range(3_000..20_000usize),
+                            };
+                            Op::Push(n, rng.gen_range(0..4u32) > 0)
+                        }
                         3..=6 => Op::Ack(rng.gen_range(-2_000..6_000i64)),
                         _ => Op::Slice(rng.gen_range(-50..6_000i64), rng.gen_range(0..2_000usize)),
                     })
@@ -292,17 +341,26 @@ mod tests {
             |(base, ops)| {
                 let mut sb = SendBuffer::new(*base);
                 let (mut m_base, mut model) = (*base, Vec::<u8>::new());
+                // Every write with its stream offset, and the stream offset
+                // of `m_base`.
+                let (mut written, mut m_off) = (Vec::<(u64, Bytes)>::new(), 0u64);
                 let mut next_byte = 0u8;
                 for (i, op) in ops.iter().enumerate() {
                     match *op {
-                        Op::Push(n) => {
+                        Op::Push(n, as_bytes) => {
                             let bytes: Vec<u8> = (0..n)
                                 .map(|_| {
                                     next_byte = next_byte.wrapping_add(1);
                                     next_byte
                                 })
                                 .collect();
-                            sb.push(&bytes);
+                            if as_bytes {
+                                let bytes = Bytes::from(bytes.clone());
+                                written.push((m_off + model.len() as u64, bytes.clone()));
+                                sb.push(bytes);
+                            } else {
+                                sb.push(&bytes[..]);
+                            }
                             model.extend_from_slice(&bytes);
                         }
                         Op::Ack(delta) => {
@@ -310,8 +368,9 @@ mod tests {
                             let n = delta.clamp(0, model.len() as i64) as usize;
                             model.drain(..n);
                             m_base = m_base.wrapping_add(n as u32);
+                            m_off += n as u64;
                             if model.is_empty() {
-                                ensure_eq!(sb.data.capacity(), 0, "op {i}: empty but allocated");
+                                ensure_eq!(sb.chunks.capacity(), 0, "op {i}: empty but allocated");
                             }
                         }
                         Op::Slice(delta, max) => {
@@ -323,13 +382,27 @@ mod tests {
                                 &model[off..(off + max).min(model.len())]
                             };
                             ensure_eq!(&got[..], want, "op {i} {op:?}");
+                            // Inside one `Bytes` write: a view of its storage.
+                            let from = m_off + delta.max(0) as u64;
+                            let to = from + want.len() as u64;
+                            let inside = |&&(start, ref w): &&(u64, Bytes)| {
+                                start <= from && to <= start + w.len() as u64
+                            };
+                            if let Some((start, w)) =
+                                written.iter().find(inside).filter(|_| !want.is_empty())
+                            {
+                                let at = w.as_ptr() as usize + (from - start) as usize;
+                                ensure_eq!(got.as_ptr() as usize, at, "op {i} {op:?}: copied");
+                            }
                         }
                     }
                     ensure_eq!(sb.base_seq(), m_base, "op {i} {op:?}");
                     ensure_eq!(sb.len(), model.len(), "op {i} {op:?}");
                     ensure_eq!(sb.is_empty(), model.is_empty(), "op {i} {op:?}");
                     ensure_eq!(sb.end_seq(), m_base.wrapping_add(model.len() as u32));
-                    ensure_eq!(sb.live(), &model[..], "op {i} {op:?}");
+                    ensure!(sb.parts().all(|p| !p.is_empty()), "op {i}: an empty write is kept");
+                    let kept: Vec<u8> = sb.parts().flatten().copied().collect();
+                    ensure_eq!(kept, model, "op {i} {op:?}");
                     let (mut a, mut b) = (comma_rt::digest::StateHasher::new(), comma_rt::digest::StateHasher::new());
                     sb.state_digest(&mut a);
                     b.update_u64(m_base as u64);

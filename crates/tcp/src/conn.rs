@@ -328,7 +328,8 @@ impl TcpConnection {
     // ------------------------------------------------------------------
 
     /// Queues application data and transmits whatever the windows allow.
-    pub fn write(&mut self, now: SimTime, data: &[u8]) -> Effects {
+    /// A `Bytes` is kept, not copied: segments are slices of it.
+    pub fn write(&mut self, now: SimTime, data: impl Into<Bytes>) -> Effects {
         let mut eff = Effects::default();
         if self.fin_pending || self.fin_seq.is_some() {
             return eff; // Write after close is discarded.
@@ -1174,7 +1175,7 @@ mod tests {
         let eff = a.connect(now);
         pump(&mut a, &mut b, now, eff, true);
         let payload = vec![7u8; 40_000];
-        let mut eff = a.write(now, &payload);
+        let mut eff = a.write(now, &payload[..]);
         // cwnd starts at 1 MSS: only one segment goes out initially.
         assert_eq!(eff.segments.len(), 1);
         assert_eq!(eff.segments[0].payload.len(), 1460);
@@ -1263,13 +1264,13 @@ mod tests {
         let eff = a.connect(now);
         pump(&mut a, &mut b, now, eff, true);
         // Open the cwnd artificially by acking a warmup transfer.
-        let warm = a.write(now, &vec![0u8; 1460 * 4]);
+        let warm = a.write(now, vec![0u8; 1460 * 4]);
         pump(&mut a, &mut b, now, warm, true);
         b.take_data(now);
         assert!(a.cwnd() >= 4 * 1460, "cwnd={}", a.cwnd());
 
         // Send 5 segments; drop the first, deliver the rest.
-        let eff = a.write(now, &vec![1u8; 1460 * 5]);
+        let eff = a.write(now, vec![1u8; 1460 * 5]);
         let segs = eff.segments;
         assert!(
             segs.len() >= 4,
@@ -1313,7 +1314,7 @@ mod tests {
         let eff = a.connect(now);
         pump(&mut a, &mut b, now, eff, true);
         // Fill the receiver's 2920-byte buffer; the app never reads.
-        let eff = a.write(now, &vec![3u8; 10_000]);
+        let eff = a.write(now, vec![3u8; 10_000]);
         pump(&mut a, &mut b, now, eff, true);
         let mut eff = Effects::default();
         a.try_send(now, &mut eff);
@@ -1381,10 +1382,10 @@ mod tests {
         let now = SimTime::ZERO;
         let eff = a.connect(now);
         pump(&mut a, &mut b, now, eff, true);
-        let warm = a.write(now, &vec![0u8; 1460 * 4]);
+        let warm = a.write(now, vec![0u8; 1460 * 4]);
         pump(&mut a, &mut b, now, warm, true);
         b.take_data(now);
-        let eff = a.write(now, &vec![1u8; 1460 * 5]);
+        let eff = a.write(now, vec![1u8; 1460 * 5]);
         let segs = eff.segments;
         let mut dup_acks = Vec::new();
         for seg in &segs[1..] {
@@ -1442,11 +1443,11 @@ mod tests {
         let now = SimTime::ZERO;
         let eff = a.connect(now);
         pump(&mut a, &mut b, now, eff, true);
-        let warm = a.write(now, &vec![0u8; 1460 * 4]);
+        let warm = a.write(now, vec![0u8; 1460 * 4]);
         pump(&mut a, &mut b, now, warm, true);
         b.take_data(now);
         // Drop the head of a 5-segment flight; dupacks trigger recovery.
-        let segs = a.write(now, &vec![1u8; 1460 * 5]).segments;
+        let segs = a.write(now, vec![1u8; 1460 * 5]).segments;
         let mut dup_acks = Vec::new();
         for seg in &segs[1..] {
             dup_acks.extend(b.on_segment(now, seg).segments);
@@ -1479,7 +1480,7 @@ mod tests {
         let now = SimTime::ZERO;
         let eff = a.connect(now);
         pump(&mut a, &mut b, now, eff, true);
-        let eff = a.write(now, &vec![3u8; 10_000]);
+        let eff = a.write(now, vec![3u8; 10_000]);
         pump(&mut a, &mut b, now, eff, true);
         let mut eff = Effects::default();
         a.try_send(now, &mut eff);
@@ -1607,11 +1608,11 @@ mod tests {
         let eff = a.connect(now);
         pump(&mut a, &mut b, now, eff, true);
         // Warm-up transfer grows cwnd past one segment.
-        let warm = a.write(now, &vec![0u8; 1460 * 4]);
+        let warm = a.write(now, vec![0u8; 1460 * 4]);
         pump(&mut a, &mut b, now, warm, true);
         b.take_data(now);
         // A multi-segment flight, lost in its entirety.
-        let segs = a.write(now, &vec![7u8; 1460 * 5]).segments;
+        let segs = a.write(now, vec![7u8; 1460 * 5]).segments;
         assert!(segs.len() >= 2, "flight has {} segments", segs.len());
         let d = a.rto_deadline.expect("rto armed");
         let eff = a.on_timer(d);

@@ -503,7 +503,7 @@ impl Host {
                 }
                 AppOp::Send { sock, data } => {
                     if let Some(entry) = self.sockets.get_mut(sock.0) {
-                        let eff = entry.conn.write(ctx.now, &data);
+                        let eff = entry.conn.write(ctx.now, data);
                         work.push_back(Work::Effects(sock.0, eff));
                     }
                 }

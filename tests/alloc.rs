@@ -253,9 +253,60 @@ fn hub_metrics_lookup_is_allocation_free() {
 fn finished_flow_retains_bounded_bytes() {
     let per_flow = comma_bench::scale::finished_flow_retained_bytes(200, 4096, 7);
     println!("retained bytes per finished flow: {per_flow}");
-    // Measures 6,685; the commit before the one-slab wheel and the
-    // self-freeing `SendBuffer` measured 31,890. The ceiling sits between.
-    assert!(per_flow <= 8_192, "a finished flow retains {per_flow} requested bytes");
+    // Measures 5,120. Before the zero-copy `SendBuffer`, reused instance
+    // slots and the flat Snoop cache it measured 6,419; before the one-slab
+    // wheel and the self-freeing `SendBuffer`, 31,890.
+    assert!(per_flow <= 5_120, "a finished flow retains {per_flow} requested bytes");
+}
+
+/// The most bytes the many-flows workload (200 flows × 4 KiB through
+/// `tcp, snoop, wsize, tcp`, build included) holds at once: a memory gate
+/// that reads the same on every host, where RSS does not.
+#[test]
+fn many_flows_peak_live_bytes_is_pinned() {
+    let peak = comma_bench::scale::many_flows_peak_live_bytes(200, 4096, 7);
+    println!("many-flows peak live bytes: {peak}");
+    // Measures 1,797,227; the tree that copied every written byte into the
+    // send buffer and every segment out of it measured 2,236,491.
+    assert!(peak <= 1_797_227, "the many-flows workload peaked at {peak} live bytes");
+}
+
+/// A data segment is a slice of the write it lies in: sending a window of
+/// segments out of one written chunk allocates nothing per segment. (The
+/// tree that copied each payload out of a contiguous buffer made 97
+/// allocations here, two a segment.)
+#[test]
+fn segments_sent_from_a_written_chunk_allocate_no_payload() {
+    use comma_repro::netsim::time::SimTime;
+    use comma_repro::rt::Bytes;
+    use comma_repro::tcp::config::TcpConfig;
+    use comma_repro::tcp::conn::TcpConnection;
+
+    let now = SimTime::ZERO;
+    let cfg = TcpConfig {
+        initial_cwnd_segments: 64,
+        ..TcpConfig::default().with_recv_buffer(65_535)
+    };
+    let (mut a, mut b) = (TcpConnection::new(cfg.clone(), 100), TcpConnection::new(cfg, 500));
+    b.listen();
+    let syn = a.connect(now).segments.remove(0);
+    let synack = b.on_segment(now, &syn).segments.remove(0);
+    let ack = a.on_segment(now, &synack).segments.remove(0);
+    b.on_segment(now, &ack);
+
+    let chunk = Bytes::from(vec![0x5au8; 64 * 1460]);
+    let scope = comma_rt::alloc::AllocScope::begin();
+    let sent = a.write(now, chunk.clone()).segments;
+    let allocs = scope.delta().allocs;
+    assert_eq!(sent.len(), 45, "a 65,535-byte window: 44 full segments and a short one");
+    let storage = chunk.as_ptr() as usize..chunk.as_ptr() as usize + chunk.len();
+    for seg in &sent {
+        assert!(storage.contains(&(seg.payload.as_ptr() as usize)), "a payload was copied");
+    }
+    // What is left is the send buffer's list of writes (one) and the
+    // effects list doubling from 4 to 64 slots (five).
+    println!("{} segments, {allocs} allocations", sent.len());
+    assert!(allocs <= 6, "{} segments allocated {allocs} times", sent.len());
 }
 
 /// The wheel holds memory for what is pending at once, not for the largest
