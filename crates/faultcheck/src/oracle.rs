@@ -42,6 +42,7 @@
 //! run, same violations, byte for byte.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use comma_netsim::addr::Ipv4Addr;
 use comma_netsim::node::NodeId;
@@ -302,10 +303,13 @@ struct EndState {
     /// ISN of the stream delivered to this endpoint (from the peer's SYN
     /// as delivered, which a transform may re-base).
     rcv_isn: Option<u32>,
-    /// Bytes this endpoint emitted, by stream offset.
-    sent_stream: StreamLog,
+    /// Bytes this endpoint emitted, by stream offset. The two logs are
+    /// the bulk of a flow's state and a model-checking step extends at
+    /// most one of them, so a cloned oracle shares both and a write goes
+    /// through [`Arc::make_mut`], copying only the log it extends.
+    sent_stream: Arc<StreamLog>,
     /// Bytes delivered to this endpoint, by delivered-stream offset.
-    rcvd_stream: StreamLog,
+    rcvd_stream: Arc<StreamLog>,
 }
 
 #[derive(Clone)]
@@ -358,7 +362,8 @@ impl SegFacts<'_> {
 /// [`Oracle::finish`].
 #[derive(Clone)]
 pub struct Oracle {
-    cfg: OracleConfig,
+    /// Shared with clones; the two setters write through [`Arc::make_mut`].
+    cfg: Arc<OracleConfig>,
     flows: BTreeMap<((Ipv4Addr, u16), (Ipv4Addr, u16)), FlowState>,
     /// Every finding, recorded unconditionally and tagged with whether it
     /// only applies in strict mode. The strict decision is made in
@@ -380,7 +385,7 @@ impl Oracle {
     /// Creates an oracle for the given configuration.
     pub fn new(cfg: OracleConfig) -> Self {
         Oracle {
-            cfg,
+            cfg: Arc::new(cfg),
             flows: BTreeMap::new(),
             violations: Vec::new(),
             recorded_always: 0,
@@ -401,7 +406,7 @@ impl Oracle {
 
     /// Turns strict-mode findings (V7/V8) on or off for the report.
     pub fn set_strict(&mut self, strict: bool) {
-        self.cfg.strict = strict;
+        Arc::make_mut(&mut self.cfg).strict = strict;
     }
 
     /// Number of violations recorded so far that apply in the *current*
@@ -429,7 +434,7 @@ impl Oracle {
     /// Relaxes (or restores) the delivered-ACK monotonicity check; set
     /// before the run when a fault plan reorders or duplicates packets.
     pub fn set_allow_reordered_delivery(&mut self, allow: bool) {
-        self.cfg.allow_reordered_delivery = allow;
+        Arc::make_mut(&mut self.cfg).allow_reordered_delivery = allow;
     }
 
     fn node_addr(&self, node: NodeId) -> Option<Ipv4Addr> {
@@ -575,7 +580,8 @@ impl Oracle {
         if let (Some(isn), Some(payload)) = (me.isn, facts.payload) {
             if facts.payload_len > 0 {
                 let off = seq_diff(facts.seq, isn.wrapping_add(1));
-                if let Some((at, old, new)) = me.sent_stream.record(off, payload, max_stream) {
+                let log = Arc::make_mut(&mut me.sent_stream);
+                if let Some((at, old, new)) = log.record(off, payload, max_stream) {
                     pending.push((
                         "retransmit-mismatch",
                         format!("offset {} retransmitted as {:#04x}, was {:#04x}", at, new, old),
@@ -674,7 +680,8 @@ impl Oracle {
         if let (Some(isn), Some(payload)) = (me.rcv_isn, facts.payload) {
             if facts.payload_len > 0 {
                 let off = seq_diff(facts.seq, isn.wrapping_add(1));
-                if let Some((at, old, new)) = me.rcvd_stream.record(off, payload, max_stream) {
+                let log = Arc::make_mut(&mut me.rcvd_stream);
+                if let Some((at, old, new)) = log.record(off, payload, max_stream) {
                     pending.push((
                         "inconsistent-delivery",
                         format!("offset {} redelivered as {:#04x}, was {:#04x}", at, new, old),

@@ -2,6 +2,7 @@
 //! its forwarding path (Fig 5.1), placed at the wired/wireless bottleneck.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use comma_netsim::addr::Ipv4Addr;
 use comma_netsim::node::{IfaceId, Node, NodeCtx};
@@ -22,7 +23,8 @@ use crate::filter::{MetricsSource, NullMetrics};
 /// module and the filter queues before re-injection onto the network. The
 /// SP command interface (§5.3) is exposed via [`ServiceProxy::exec`].
 pub struct ServiceProxy {
-    name: String,
+    /// Shared with snapshots (a name never changes).
+    name: Arc<str>,
     addrs: Vec<Ipv4Addr>,
     /// Forwarding table.
     pub table: RoutingTable,
@@ -52,7 +54,7 @@ impl ServiceProxy {
         seed: u64,
     ) -> Self {
         ServiceProxy {
-            name: name.into(),
+            name: Arc::from(name.into()),
             addrs,
             table,
             engine,

@@ -6,7 +6,8 @@
 //! `./scripts/ci.sh mc`; the in-tree tests use reduced configurations so
 //! the debug workspace suite stays fast.
 
-use comma_repro::mc::{explore, replay_mc_trace, McConfig};
+use comma_repro::faultcheck::Oracle;
+use comma_repro::mc::{explore, replay_mc_trace, McConfig, McReport};
 use comma_repro::mc::scenario::build_scenario;
 use comma_repro::netsim::sim::McAction;
 use comma_repro::prelude::*;
@@ -78,6 +79,109 @@ fn mc_state_hash_survives_snapshot_restore_round_trip() {
             "snapshot diverged from original at step {step}"
         );
     }
+}
+
+/// What a fork may share with its original, read back: the fingerprint,
+/// the registry and loaded set behind the SP console, and the oracle's
+/// report as configured and as a strict copy would give it (which compares
+/// the stream logs byte for byte).
+fn observe(sim: &mut Simulator, proxy: NodeId) -> (u64, String, Vec<String>, String, String) {
+    let (regs, loaded) = sim.with_node::<ServiceProxy, _>(proxy, |sp| {
+        (format!("{:?}", sp.engine.registrations()), sp.engine.catalog.loaded_names())
+    });
+    let reports = sim
+        .with_packet_observer(|o: &mut Oracle| {
+            let mut strict = o.clone();
+            strict.set_strict(true);
+            (format!("{:?}", o.clone().finish()), format!("{:?}", strict.finish()))
+        })
+        .expect("the oracle is attached");
+    (sim.state_hash(), regs, loaded, reports.0, reports.1)
+}
+
+/// Drives `sim` off the default path and rewrites everything a fork
+/// shares with its original until the first write: a non-default
+/// decision, the registry and loaded set through the SP console, the
+/// oracle's configuration, and further steps that extend its stream logs.
+fn diverge(sim: &mut Simulator, proxy: NodeId) {
+    let delivery = loop {
+        let options = sim.mc_options();
+        assert!(!options.is_empty(), "the world went quiet before a delivery was due");
+        match options.iter().find(|o| o.is_delivery) {
+            Some(o) => break o.index,
+            None => sim.mc_step(0, McAction::Deliver).unwrap(),
+        }
+    };
+    sim.mc_step(delivery, McAction::Drop).unwrap();
+    let now = sim.now();
+    sim.with_node::<ServiceProxy, _>(proxy, |sp| {
+        sp.exec(now, &format!("delete compress 0.0.0.0 0 {} 0", addrs::MOBILE));
+        sp.exec(now, &format!("add snoop 0.0.0.0 0 {} 0", addrs::WIRED));
+        sp.exec(now, "remove /lib/rdrop.so");
+        sp.exec(now, "remove /lib/hdiscard.so");
+        sp.exec(now, "load /lib/hdiscard.so");
+    });
+    sim.with_packet_observer(|o: &mut Oracle| {
+        o.set_strict(true);
+        o.set_allow_reordered_delivery(false);
+    });
+    for _ in 0..20 {
+        if sim.mc_options().is_empty() {
+            break;
+        }
+        sim.mc_step(0, McAction::Deliver).unwrap();
+    }
+}
+
+/// A fork is isolated from its original in both directions: whatever one
+/// world does — a different decision, console commands, oracle setters,
+/// more steps — the other reads back exactly as it did at the fork. (The
+/// round-trip test above only shows that two worlds driven alike stay
+/// alike.)
+#[test]
+fn mc_snapshot_isolates_fork_from_original() {
+    let mut world = build_scenario(&McConfig::default());
+    let proxy = world.proxy;
+    for _ in 0..40 {
+        world.sim.mc_step(0, McAction::Deliver).unwrap();
+    }
+    let at_fork = observe(&mut world.sim, proxy);
+
+    let mut branch = world.sim.snapshot().expect("snapshot");
+    assert_eq!(observe(&mut branch, proxy), at_fork, "a fresh fork reads as its original");
+    diverge(&mut branch, proxy);
+    let moved = observe(&mut branch, proxy);
+    assert_ne!(moved.0, at_fork.0, "the branch's fingerprint moved");
+    assert_ne!(moved.1, at_fork.1, "the branch's registry changed");
+    assert_ne!(moved.2, at_fork.2, "the branch's loaded set changed");
+    assert_ne!(moved.4, at_fork.4, "the branch's stream logs grew");
+    assert_eq!(observe(&mut world.sim, proxy), at_fork, "the branch leaked into the original");
+
+    // The other way round: the original diverges under a fresh fork.
+    let mut fork = world.sim.snapshot().expect("snapshot");
+    diverge(&mut world.sim, proxy);
+    assert_eq!(observe(&mut fork, proxy), at_fork, "the original leaked into its fork");
+    assert_eq!(observe(&mut branch, proxy), moved, "the original leaked into the first branch");
+}
+
+/// A search cut by its step budget says so: the report does not end in a
+/// bare "no violations" it has not earned.
+#[test]
+fn mc_budget_cut_report_says_the_search_is_incomplete() {
+    let cut = explore(&McConfig {
+        step_budget: 50,
+        ..reduced()
+    });
+    assert!(cut.budget_exhausted && cut.violation.is_none(), "{}", cut.render());
+    let text = cut.render();
+    assert!(text.contains("STEP BUDGET EXHAUSTED"), "{text}");
+    assert!(
+        text.ends_with("; no violations within the step budget (search incomplete)"),
+        "{text}"
+    );
+    let clean = McReport::default().render();
+    assert!(clean.ends_with("; no violations"), "{clean}");
+    assert!(!clean.contains("incomplete"), "{clean}");
 }
 
 /// A debug-sized exhaustive exploration of the two-flow scenario finishes
@@ -201,7 +305,9 @@ fn kati_mc_subcommand_reports_coverage() {
     let mut kati = Kati::new(world.proxy);
     let out = kati.exec(&mut world.sim, "mc flows 1 faults 0 steps 20000");
     assert!(out.contains("explored"), "unexpected mc output: {out}");
-    assert!(out.contains("no violations"), "{out}");
+    assert!(out.trim_end().ends_with("; no violations"), "{out}");
+    let cut = kati.exec(&mut world.sim, "mc flows 1 faults 0 steps 10");
+    assert!(cut.contains("(search incomplete)"), "{cut}");
     let usage = kati.exec(&mut world.sim, "mc bogus");
     assert!(usage.starts_with("usage: mc"), "{usage}");
     assert!(kati.exec(&mut world.sim, "help").contains("mc [seed N]"));
