@@ -817,8 +817,8 @@ pub struct MetroResult {
     pub fluid_epochs: u64,
     /// Links carrying a fluid population.
     pub fluid_links: u64,
-    /// Flow slots the solver examined per epoch
-    /// ([`comma_netsim::fluid::FluidTotals::flow_visits`] / epochs):
+    /// Flow slots the solver examined or its active-set merges wrote per
+    /// epoch ([`comma_netsim::fluid::FluidTotals::flow_visits`] / epochs):
     /// deterministic, and a few percent of users-per-link while epochs
     /// cost O(due toggles) rather than O(population).
     pub fluid_visits_per_epoch: f64,

@@ -18,7 +18,8 @@ pub const METRO_MIN_FG_GOODPUT_BPS: f64 = 0.0;
 /// this factor: background cost is epochs on a fixed grid, not packets.
 pub const METRO_MAX_EVENT_GROWTH_AT_2X_BG: f64 = 1.5;
 /// A fluid epoch may examine at most this share of a link's users (due
-/// toggles, plus the active set when contended); a full scan reads > 1.0.
+/// toggles, plus the active set when contended, plus its share of the
+/// active-set merges); a full scan reads > 1.0.
 pub const METRO_MAX_FLUID_VISIT_SHARE: f64 = 0.05;
 /// Floor on `flows_10k` sharded speedup over the serial run, enforced
 /// only with [`SPEEDUP_GATE_MIN_PARALLELISM`] cores and workers.

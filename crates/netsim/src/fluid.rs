@@ -25,9 +25,6 @@
 //! byte-identical across partitionings, like every other keyed stream in
 //! the simulator.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use comma_rt::{Rng, SeedableRng, SmallRng};
 
 use crate::sched::TimerHandle;
@@ -189,7 +186,8 @@ pub struct FluidTotals {
     /// Total rate-solver epochs executed.
     pub epochs: u64,
     /// Flow slots those epochs examined: one per applied toggle, plus the
-    /// slots each solve read (see [`FluidState::flow_visits`]).
+    /// slots each solve read and each active-set merge wrote (see
+    /// [`FluidState::flow_visits`]).
     /// Deterministic, so `flow_visits / epochs` is a noise-free gate on
     /// the per-epoch cost.
     pub flow_visits: u64,
@@ -206,6 +204,154 @@ impl FluidTotals {
     }
 }
 
+/// End of a [`Calendar`] slot list.
+const NIL: u32 = u32::MAX;
+
+/// Pending on/off toggles on the quantum grid. Every flow has exactly one
+/// pending toggle, and every toggle lies fewer than `heads.len()` slots
+/// past the last drained one (see [`FluidState::new`]), so a ring of slot
+/// heads, each the first flow of a list threaded through `next`, holds
+/// them all without a heap.
+#[derive(Clone, Debug)]
+struct Calendar {
+    /// First flow of each slot's list, at ring position `slot % len`.
+    heads: Vec<u32>,
+    /// Per-flow link to the next flow of the same slot.
+    next: Vec<u32>,
+    /// First slot not yet drained: every pending toggle lies in
+    /// `[cur, cur + heads.len())`.
+    cur: u64,
+}
+
+impl Calendar {
+    fn new(users: usize, slots: usize) -> Self {
+        Calendar {
+            heads: vec![NIL; slots],
+            next: vec![NIL; users],
+            cur: 0,
+        }
+    }
+
+    fn at(&self, slot: u64) -> usize {
+        (slot % self.heads.len() as u64) as usize
+    }
+
+    fn push(&mut self, slot: u64, flow: u32) {
+        debug_assert!(
+            slot >= self.cur && slot - self.cur < self.heads.len() as u64,
+            "slot {slot} aliases inside the ring [{}, +{})",
+            self.cur,
+            self.heads.len()
+        );
+        let at = self.at(slot);
+        self.next[flow as usize] = self.heads[at];
+        self.heads[at] = flow;
+    }
+
+    /// Moves every toggle in slots `..= last` to `due` as `(slot, flow)`,
+    /// slot by slot. Nothing is pushed back while draining, so a toggle
+    /// rescheduled from `due` cannot land in a slot still to be drained,
+    /// however many slots one call spans.
+    fn drain_through(&mut self, last: u64, due: &mut Vec<(u64, u32)>) {
+        for slot in self.cur..(last + 1).min(self.cur + self.heads.len() as u64) {
+            let at = self.at(slot);
+            let mut flow = std::mem::replace(&mut self.heads[at], NIL);
+            while flow != NIL {
+                due.push((slot, flow));
+                flow = self.next[flow as usize];
+            }
+        }
+        self.cur = self.cur.max(last + 1);
+    }
+
+    /// Earliest slot holding a toggle.
+    fn first_pending(&self) -> Option<u64> {
+        (self.cur..self.cur + self.heads.len() as u64).find(|&s| self.heads[self.at(s)] != NIL)
+    }
+}
+
+/// `[count, sum, sum of squares]` of `demands`, in u128 so no term
+/// overflows: together they pin a multiset well enough for an invariant.
+fn moments(demands: impl Iterator<Item = u64>) -> [u128; 3] {
+    demands.fold([0; 3], |[n, s, s2], d| {
+        let d = d as u128;
+        [n + 1, s + d, s2 + d * d]
+    })
+}
+
+/// Demands of the flows currently on, as a multiset: `sorted` (ascending)
+/// plus `pending_on` minus `pending_off`. A toggle only pushes onto a
+/// pending buffer; [`ActiveSet::merge`] folds them in when a solve needs
+/// the order or when they outgrow `sorted`, which keeps memory O(active)
+/// and an amortized O(log n) per toggle.
+#[derive(Clone, Debug, Default)]
+struct ActiveSet {
+    sorted: Vec<u64>,
+    pending_on: Vec<u64>,
+    pending_off: Vec<u64>,
+    /// Merge target, swapped with `sorted`: both keep their capacity.
+    spare: Vec<u64>,
+    /// Sum of the multiset: the offered load.
+    sum: u64,
+}
+
+impl ActiveSet {
+    fn toggle(&mut self, on: bool, demand: u64) {
+        if on {
+            self.pending_on.push(demand);
+            self.sum += demand;
+        } else {
+            self.pending_off.push(demand);
+            self.sum -= demand;
+        }
+    }
+
+    /// Number of demands in the multiset (every departure cancels a demand
+    /// of `sorted` or `pending_on`).
+    fn len(&self) -> usize {
+        self.sorted.len() + self.pending_on.len() - self.pending_off.len()
+    }
+
+    fn outgrown(&self) -> bool {
+        self.pending_on.len() + self.pending_off.len() > self.sorted.len()
+    }
+
+    /// Folds the pending buffers into `sorted` in one pass over the three
+    /// ascending runs; returns the number of demands written. Equal
+    /// demands are interchangeable, so a departure cancels the first equal
+    /// demand the pass meets.
+    fn merge(&mut self) -> usize {
+        if self.pending_on.is_empty() && self.pending_off.is_empty() {
+            return 0;
+        }
+        self.pending_on.sort_unstable();
+        self.pending_off.sort_unstable();
+        let (old, on, off) = (&self.sorted, &self.pending_on, &self.pending_off);
+        let out = &mut self.spare;
+        out.clear();
+        let (mut i, mut j, mut k) = (0, 0, 0);
+        while i < old.len() || j < on.len() {
+            let d = if j == on.len() || (i < old.len() && old[i] <= on[j]) {
+                i += 1;
+                old[i - 1]
+            } else {
+                j += 1;
+                on[j - 1]
+            };
+            if off.get(k) == Some(&d) {
+                k += 1;
+            } else {
+                out.push(d);
+            }
+        }
+        debug_assert_eq!(k, off.len(), "a departure matched no active demand");
+        std::mem::swap(&mut self.sorted, &mut self.spare);
+        self.pending_on.clear();
+        self.pending_off.clear();
+        self.sorted.len()
+    }
+}
+
 /// Per-link fluid background state: the flow population, its pending
 /// on/off schedule, and the current max-min allocation.
 ///
@@ -217,16 +363,16 @@ pub struct FluidState {
     cfg: FluidConfig,
     quantum_us: u64,
     flows: Vec<BgFlow>,
-    /// Min-heap of pending `(toggle time µs, flow index)` transitions.
-    toggles: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Largest demand in the population: bounds every active set's
+    /// largest, so `offered + max_demand <= capacity` proves an underload
+    /// without reading the order.
+    max_demand: u64,
+    toggles: Calendar,
+    /// Toggles the last epoch applied, as `(slot, flow)` in application
+    /// order (a reused buffer).
+    due: Vec<(u64, u32)>,
     rng: SmallRng,
-    /// Demands of currently-on flows, ascending. Maintained *across*
-    /// epochs: a toggle binary-searches the flow's immutable demand and
-    /// inserts or removes one element, so an epoch costs O(due toggles)
-    /// and allocates only while the vector grows to its high-water mark.
-    active: Vec<u64>,
-    /// Running sum of `active`.
-    offered: u64,
+    active: ActiveSet,
     /// Capacity the last epoch solved against.
     capacity_bps: u64,
     bg_rate_bps: u64,
@@ -248,36 +394,47 @@ impl FluidState {
     /// with the keyed scheme; see
     /// [`crate::sim::Simulator::attach_fluid`]). Toggle schedules are
     /// absolute from simulation start.
+    ///
+    /// A toggle applied at `now` lands at most
+    /// `ceil(1.5 × max(mean_on, mean_off) / quantum) + 1` slots past
+    /// `now`'s, and a first arrival at most `ceil(arrival_ramp / quantum)`
+    /// past slot 0, so a ring of `max(1.5 × max(mean_on, mean_off),
+    /// arrival_ramp) / quantum + 2` slots never aliases two pending slots.
     pub fn new(cfg: FluidConfig, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let quantum_us = cfg.quantum.as_micros().max(1);
         let ramp = cfg.arrival_ramp.as_micros();
+        let mean = cfg.mean_on.max(cfg.mean_off).as_micros().max(1);
+        let slots = (mean + mean / 2).max(ramp) / quantum_us + 2;
         let jitter = cfg.demand_bps * cfg.demand_jitter_pct as u64 / 100;
         let lo = cfg.demand_bps.saturating_sub(jitter).max(1);
         let hi = cfg.demand_bps + jitter;
         let mut flows = Vec::with_capacity(cfg.users);
-        let mut toggles = BinaryHeap::with_capacity(cfg.users);
+        let mut toggles = Calendar::new(cfg.users, slots as usize);
+        let mut max_demand = 0;
         for i in 0..cfg.users {
             let demand_bps = lo + rng.next_u64() % (hi - lo + 1);
+            max_demand = max_demand.max(demand_bps);
             flows.push(BgFlow {
                 demand_bps,
                 on: false,
             });
             let arrive = if ramp == 0 {
-                quantum_us
+                1
             } else {
-                (rng.next_u64() % (ramp + 1)).div_ceil(quantum_us).max(1) * quantum_us
+                (rng.next_u64() % (ramp + 1)).div_ceil(quantum_us).max(1)
             };
-            toggles.push(Reverse((arrive, i as u32)));
+            toggles.push(arrive, i as u32);
         }
         FluidState {
             cfg,
             quantum_us,
             flows,
+            max_demand,
             toggles,
+            due: Vec::new(),
             rng,
-            active: Vec::new(),
-            offered: 0,
+            active: ActiveSet::default(),
             capacity_bps: 0,
             bg_rate_bps: 0,
             residual_bps: 0,
@@ -301,8 +458,9 @@ impl FluidState {
     /// rates, applies every due on/off transition, re-solves the max-min
     /// allocation against `capacity_bps` (foreground as one greedy
     /// participant), and returns the time of the next pending epoch.
-    /// Costs O(due transitions) while the link is underloaded, plus a
-    /// walk of the satisfied prefix of the active set when it is not.
+    /// Costs O(due transitions) plus an amortized O(log n) per transition
+    /// while the link is underloaded, plus a walk of the satisfied prefix
+    /// of the active set when it is not.
     pub fn epoch(
         &mut self,
         now: SimTime,
@@ -312,48 +470,49 @@ impl FluidState {
         self.queue_bytes = self.queue_bytes_at_f(now, queue_limit_bytes);
         self.queue_as_of = now;
         let now_us = now.as_micros();
-        while let Some(&Reverse((t, i))) = self.toggles.peek() {
-            if t > now_us {
-                break;
-            }
-            self.toggles.pop();
+        let q = self.quantum_us;
+        self.due.clear();
+        self.toggles.drain_through(now_us / q, &mut self.due);
+        // `(slot, flow)` order is the order a `(time, flow)` min-heap pops
+        // them in, so the duration draws below come off the stream in the
+        // same order whatever the slot lists' order.
+        self.due.sort_unstable();
+        for k in 0..self.due.len() {
+            let i = self.due[k].1;
             let flow = &mut self.flows[i as usize];
             flow.on = !flow.on;
-            let (on, d) = (flow.on, flow.demand_bps);
-            // Equal demands are interchangeable, so the first slot at or
-            // above `d` is the right one for both directions.
-            let at = self.active.partition_point(|&x| x < d);
-            if on {
-                self.active.insert(at, d);
-                self.offered += d;
-            } else {
-                debug_assert_eq!(self.active[at], d);
-                self.active.remove(at);
-                self.offered -= d;
-            }
+            let on = flow.on;
+            self.active.toggle(on, flow.demand_bps);
             self.flow_visits += 1;
             let mean = if on { self.cfg.mean_on } else { self.cfg.mean_off };
             let dur = Self::draw_duration(&mut self.rng, mean);
-            let next = (now_us + dur).div_ceil(self.quantum_us).max(now_us / self.quantum_us + 1)
-                * self.quantum_us;
-            self.toggles.push(Reverse((next, i)));
+            self.toggles.push((now_us + dur).div_ceil(q).max(now_us / q + 1), i);
         }
         // The water-filling solver satisfies sorted flow `j` iff
         // `S_j + d_j * (N - j + 1) <= capacity` (`S_j` the sum of the
         // demands below it, `+ 1` the greedy foreground). That left side
         // is non-decreasing in `j` — it grows by
         // `(d_{j+1} - d_j) * (N - j)` per step — so everyone is satisfied
-        // iff the last flow is: `offered + d_max <= capacity`. Only a
-        // contended link walks the (already sorted) active set.
-        let d_max = self.active.last().copied().unwrap_or(0);
-        let offered = self.offered;
-        let (bg, residual) = if offered as u128 + d_max as u128 <= capacity_bps as u128 {
+        // iff the last flow is: `offered + d_max <= capacity`. `d_max` is
+        // at most `max_demand`, so passing with `max_demand` decides it
+        // without the order; only a failure merges to read `d_max`, and
+        // only a contended link walks the set.
+        let offered = self.active.sum;
+        let fits = |d: u64| offered as u128 + d as u128 <= capacity_bps as u128;
+        let underloaded = fits(self.max_demand) || {
+            self.flow_visits += self.active.merge() as u64;
+            fits(self.active.sorted.last().copied().unwrap_or(0))
+        };
+        let (bg, residual) = if underloaded {
             self.flow_visits += 1;
             (offered, capacity_bps - offered)
         } else {
-            self.flow_visits += self.active.len() as u64;
-            max_min_allocate(&self.active, capacity_bps, 1)
+            self.flow_visits += self.active.sorted.len() as u64;
+            max_min_allocate(&self.active.sorted, capacity_bps, 1)
         };
+        if self.active.outgrown() {
+            self.flow_visits += self.active.merge() as u64;
+        }
         self.capacity_bps = capacity_bps;
         self.bg_rate_bps = bg;
         self.residual_bps = residual;
@@ -364,8 +523,8 @@ impl FluidState {
         self.epochs += 1;
         debug_assert_eq!(self.check_invariants(), Ok(()));
         self.toggles
-            .peek()
-            .map(|&Reverse((t, _))| SimTime::from_micros(t))
+            .first_pending()
+            .map(|slot| SimTime::from_micros(slot * q))
     }
 
     fn queue_bytes_at_f(&self, now: SimTime, queue_limit_bytes: usize) -> f64 {
@@ -406,59 +565,60 @@ impl FluidState {
     }
 
     /// Flow slots examined by all epochs so far: one per applied toggle,
-    /// plus per solve either one (the largest active demand, when the
-    /// O(1) underload test decides) or the size of the active set handed
-    /// to the water-filling solver (an upper bound: it stops at the first
-    /// unsatisfied flow). The binary search and the one-element `Vec`
-    /// shift of a toggle are not counted.
+    /// plus per solve either one (when an O(1) underload test decides) or
+    /// the size of the active set handed to the water-filling solver (an
+    /// upper bound: it stops at the first unsatisfied flow), plus every
+    /// demand a merge of the pending toggles into the sorted active set
+    /// writes. Sorting the pending buffers and the calendar's slot walk
+    /// are not counted.
     pub fn flow_visits(&self) -> u64 {
         self.flow_visits
     }
 
     /// Demands of the flows currently in their on period, in flow-index
     /// order, read from the per-flow ground truth rather than the
-    /// maintained sorted set — what a from-scratch re-solve starts from.
+    /// maintained active set — what a from-scratch re-solve starts from.
     pub fn on_demands(&self) -> impl Iterator<Item = u64> + '_ {
         self.flows.iter().filter(|f| f.on).map(|f| f.demand_bps)
     }
 
     /// Checks the incrementally maintained state against the per-flow
-    /// ground truth: `active` is ascending, holds as many demands as there
-    /// are on flows and sums with them to `offered`, no more than the
-    /// offered load is allocated, and a link with an unsatisfied flow is
-    /// fully allocated. Allocation-free; asserted after every epoch in
-    /// debug builds.
+    /// ground truth. The active set is `sorted ∪ pending_on − pending_off`:
+    /// `sorted` is ascending, and the set's count, sum and sum of squares
+    /// equal those of the on flows' demands (and the sum the running
+    /// offered load). No more than the offered load is allocated, and a
+    /// link with an unsatisfied flow is fully allocated. Allocation-free;
+    /// asserted after every epoch in debug builds.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Some(i) = self.active.windows(2).position(|w| w[0] > w[1]) {
+        let a = &self.active;
+        if let Some(i) = a.sorted.windows(2).position(|w| w[0] > w[1]) {
             return Err(format!(
                 "active not ascending at {i}: {} > {}",
-                self.active[i],
-                self.active[i + 1]
+                a.sorted[i],
+                a.sorted[i + 1]
             ));
         }
-        let (on, truth) = self
-            .on_demands()
-            .fold((0usize, 0u64), |(n, sum), d| (n + 1, sum + d));
-        if on != self.active.len() {
+        let truth = moments(self.on_demands());
+        let off = moments(a.pending_off.iter().copied());
+        let kept = moments(a.sorted.iter().chain(&a.pending_on).copied());
+        // `sorted + pending_on == on flows + pending_off`: nothing underflows.
+        if kept != std::array::from_fn::<_, 3, _>(|i| truth[i] + off[i]) {
             return Err(format!(
-                "active holds {} demands but {on} flows are on",
-                self.active.len()
+                "active set (count, sum, sum of squares) {kept:?} minus departures \
+                 {off:?} is not the on flows' {truth:?}"
             ));
         }
-        let kept: u64 = self.active.iter().sum();
-        if truth != self.offered || kept != self.offered {
+        if a.sum as u128 != truth[1] {
+            return Err(format!("running sum {} but on flows {truth:?}", a.sum));
+        }
+        let offered = a.sum;
+        if self.bg_rate_bps > offered {
             return Err(format!(
-                "offered {} but on flows sum to {truth} and active to {kept}",
-                self.offered
+                "background rate {} exceeds offered load {offered}",
+                self.bg_rate_bps
             ));
         }
-        if self.bg_rate_bps > self.offered {
-            return Err(format!(
-                "background rate {} exceeds offered load {}",
-                self.bg_rate_bps, self.offered
-            ));
-        }
-        if self.bg_rate_bps < self.offered
+        if self.bg_rate_bps < offered
             && self.bg_rate_bps + self.residual_bps != self.capacity_bps
         {
             return Err(format!(
@@ -467,6 +627,118 @@ impl FluidState {
             ));
         }
         Ok(())
+    }
+}
+
+/// The toggle queue and active set [`FluidState`] used before the grid
+/// calendar and the lazy merge: a `(time, flow)` min-heap and a `Vec`
+/// kept sorted by one insert or remove per toggle. Kept as the model the
+/// calendar's application order and every solved rate must match.
+#[cfg(test)]
+mod reference {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::*;
+
+    pub(super) struct HeapFluid {
+        cfg: FluidConfig,
+        quantum_us: u64,
+        flows: Vec<BgFlow>,
+        toggles: BinaryHeap<Reverse<(u64, u32)>>,
+        rng: SmallRng,
+        active: Vec<u64>,
+        offered: u64,
+        pub(super) bg_rate_bps: u64,
+        pub(super) residual_bps: u64,
+    }
+
+    impl HeapFluid {
+        pub(super) fn new(cfg: FluidConfig, seed: u64) -> Self {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let quantum_us = cfg.quantum.as_micros().max(1);
+            let ramp = cfg.arrival_ramp.as_micros();
+            let jitter = cfg.demand_bps * cfg.demand_jitter_pct as u64 / 100;
+            let lo = cfg.demand_bps.saturating_sub(jitter).max(1);
+            let hi = cfg.demand_bps + jitter;
+            let mut flows = Vec::with_capacity(cfg.users);
+            let mut toggles = BinaryHeap::with_capacity(cfg.users);
+            for i in 0..cfg.users {
+                let demand_bps = lo + rng.next_u64() % (hi - lo + 1);
+                flows.push(BgFlow {
+                    demand_bps,
+                    on: false,
+                });
+                let arrive = if ramp == 0 {
+                    quantum_us
+                } else {
+                    (rng.next_u64() % (ramp + 1)).div_ceil(quantum_us).max(1) * quantum_us
+                };
+                toggles.push(Reverse((arrive, i as u32)));
+            }
+            HeapFluid {
+                cfg,
+                quantum_us,
+                flows,
+                toggles,
+                rng,
+                active: Vec::new(),
+                offered: 0,
+                bg_rate_bps: 0,
+                residual_bps: 0,
+            }
+        }
+
+        /// [`FluidState::epoch`] without the queue; appends each toggle it
+        /// applies to `applied` as `(time µs, flow)`.
+        pub(super) fn epoch(
+            &mut self,
+            now: SimTime,
+            capacity_bps: u64,
+            applied: &mut Vec<(u64, u32)>,
+        ) -> Option<SimTime> {
+            let now_us = now.as_micros();
+            while let Some(&Reverse((t, i))) = self.toggles.peek() {
+                if t > now_us {
+                    break;
+                }
+                self.toggles.pop();
+                applied.push((t, i));
+                let flow = &mut self.flows[i as usize];
+                flow.on = !flow.on;
+                let (on, d) = (flow.on, flow.demand_bps);
+                let at = self.active.partition_point(|&x| x < d);
+                if on {
+                    self.active.insert(at, d);
+                    self.offered += d;
+                } else {
+                    self.active.remove(at);
+                    self.offered -= d;
+                }
+                let mean = if on { self.cfg.mean_on } else { self.cfg.mean_off };
+                let dur = FluidState::draw_duration(&mut self.rng, mean);
+                let next = (now_us + dur)
+                    .div_ceil(self.quantum_us)
+                    .max(now_us / self.quantum_us + 1)
+                    * self.quantum_us;
+                self.toggles.push(Reverse((next, i)));
+            }
+            let d_max = self.active.last().copied().unwrap_or(0);
+            let offered = self.offered;
+            (self.bg_rate_bps, self.residual_bps) =
+                if offered as u128 + d_max as u128 <= capacity_bps as u128 {
+                    (offered, capacity_bps - offered)
+                } else {
+                    max_min_allocate(&self.active, capacity_bps, 1)
+                };
+            self.toggles
+                .peek()
+                .map(|&Reverse((t, _))| SimTime::from_micros(t))
+        }
+
+        pub(super) fn active_flows(&self) -> usize {
+            self.active.len()
+        }
     }
 }
 
@@ -586,5 +858,105 @@ mod tests {
         fs.epoch(later, 800_000_000, limit);
         let drained = SimTime::from_secs(4);
         assert_eq!(fs.queue_bytes_at(drained, limit), 0);
+    }
+
+    /// One population for the calendar-against-heap property, and how each
+    /// of its epochs picks its instant.
+    #[derive(Debug)]
+    struct Population {
+        seed: u64,
+        cfg: FluidConfig,
+        capacity: u64,
+        /// Per epoch, a draw: its low byte picks on the grid (most), a
+        /// capacity step between grid slots, or an epoch late by up to
+        /// three ring spans; the rest picks the instant and the capacity.
+        steps: Vec<u64>,
+    }
+
+    /// The grid calendar and the lazily merged active set against the
+    /// heap and sorted `Vec` they replaced, side by side from one seed:
+    /// every epoch applies the same toggles in the same `(time, flow)`
+    /// order, returns the same next-epoch time, and leaves the same active
+    /// count, background rate and residual. Populations cover no arrival
+    /// ramp, a quantum longer than the mean on/off durations, capacity
+    /// steps between grid slots, and epochs late enough to drain many
+    /// slots (past the whole ring) at once.
+    #[test]
+    fn calendar_applies_toggles_in_heap_order() {
+        use comma_rt::ensure_eq;
+        use comma_rt::prop::{gen, Runner};
+
+        const LIMIT: usize = 131_072;
+        Runner::new("calendar_applies_toggles_in_heap_order").cases(200).run(
+            |rng| {
+                let quantum_us = [1_000, 10_000, 50_000, 250_000][gen::index(rng, 4)];
+                let mean = |rng: &mut SmallRng| {
+                    SimDuration::from_micros(if rng.gen_bool(0.3) {
+                        rng.gen_range(1..quantum_us)
+                    } else {
+                        rng.gen_range(1..2_000_000)
+                    })
+                };
+                let (on, off) = (mean(rng), mean(rng));
+                let users = if rng.gen_bool(0.5) {
+                    rng.gen_range(1usize..20)
+                } else {
+                    rng.gen_range(20usize..400)
+                };
+                let ramp = match rng.gen_range(0u32..3) {
+                    0 => SimDuration::ZERO,
+                    _ => SimDuration::from_micros(rng.gen_range(0..2_000_000)),
+                };
+                let mut cfg = FluidConfig::users(users)
+                    .with_demand(rng.gen_range(1..50_000))
+                    .with_on_off(on, off)
+                    .with_ramp(ramp);
+                cfg.demand_jitter_pct = [0, 10, 50, 100][gen::index(rng, 4)];
+                cfg.quantum = SimDuration::from_micros(quantum_us);
+                // From a tenth to ten times everyone's demand at once.
+                let all = users as u64 * cfg.demand_bps;
+                let capacity = (all * [1, 3, 10, 30, 100][gen::index(rng, 5)] / 10).max(1);
+                let steps = (0..80).map(|_| rng.gen()).collect();
+                Population {
+                    seed: rng.gen(),
+                    cfg,
+                    capacity,
+                    steps,
+                }
+            },
+            |p| {
+                let mut st = FluidState::new(p.cfg.clone(), p.seed);
+                let mut model = reference::HeapFluid::new(p.cfg.clone(), p.seed);
+                let q = st.quantum_us;
+                let span = st.toggles.heads.len() as u64 * q;
+                let (mut now, mut capacity) = (SimTime::ZERO, p.capacity);
+                let mut applied = Vec::new();
+                for (step, &draw) in p.steps.iter().enumerate() {
+                    applied.clear();
+                    let next = st.epoch(now, capacity, LIMIT);
+                    ensure_eq!(next, model.epoch(now, capacity, &mut applied), "step {step}");
+                    let order: Vec<(u64, u32)> =
+                        st.due.iter().map(|&(slot, i)| (slot * q, i)).collect();
+                    ensure_eq!(order, applied, "application order at step {step}");
+                    ensure_eq!(st.active_flows(), model.active_flows(), "step {step}");
+                    ensure_eq!(st.bg_rate_bps(), model.bg_rate_bps, "step {step}");
+                    ensure_eq!(st.residual_bps(), model.residual_bps, "step {step}");
+                    st.check_invariants()?;
+                    let Some(next) = next else {
+                        return Err(format!("no toggle pending after step {step}"));
+                    };
+                    let (now_us, next_us, pick) = (now.as_micros(), next.as_micros(), draw >> 8);
+                    now = SimTime::from_micros(match draw % 256 {
+                        0..=39 => {
+                            capacity = (p.capacity * [1, 3, 10, 30][(pick % 4) as usize] / 10).max(1);
+                            now_us + pick % (next_us - now_us)
+                        }
+                        40..=79 => next_us + pick % (3 * span),
+                        _ => next_us,
+                    });
+                }
+                Ok(())
+            },
+        );
     }
 }

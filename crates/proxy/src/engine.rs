@@ -1033,7 +1033,9 @@ impl FilterEngine {
     }
 
     /// Tears down the filter queues for `key` and its reverse; instances
-    /// left with no keys are removed.
+    /// left with no keys are removed. Logs the close only when either key
+    /// had an entry: a chain with two closers (`tcp … tcp`) reports every
+    /// close twice.
     pub fn teardown_stream(
         &mut self,
         now: SimTime,
@@ -1041,10 +1043,12 @@ impl FilterEngine {
         metrics: &dyn MetricsSource,
         key: StreamKey,
     ) {
+        let mut removed = false;
         for k in [key, key.reverse()] {
             let Some(entry) = self.flows.remove(k) else {
                 continue;
             };
+            removed = true;
             for &m in entry.members.iter() {
                 if let Some(inst) = self.instances[m].as_mut() {
                     if let Ok(at) = inst.keys.binary_search(&k) {
@@ -1056,8 +1060,10 @@ impl FilterEngine {
                 }
             }
         }
-        self.log
-            .push(format!("engine: stream {key} closed; filters removed"));
+        if removed {
+            self.log
+                .push(format!("engine: stream {key} closed; filters removed"));
+        }
     }
 
     /// Report body (§5.3): each loaded filter followed by the keys it
@@ -1561,6 +1567,25 @@ mod tests {
         assert_eq!(engine.instances.len(), after_n, "slots after 2N flows");
         assert_eq!(after_n, 4, "one flow's worth");
         assert_eq!(engine.free.len(), 4, "every slot idle again");
+    }
+
+    /// Both `tcp`s of the chain report a RST's close; the stream is torn
+    /// down and logged once, and a close of a stream with no entry logs
+    /// nothing.
+    #[test]
+    fn a_closed_stream_logs_one_line() {
+        let (mut engine, mut rng, _) = chain_engine();
+        let closes = |engine: &FilterEngine| {
+            engine.log.iter().filter(|l| l.ends_with("closed; filters removed")).count()
+        };
+        for n in 1..=3 {
+            send(&mut engine, &mut rng, n, TcpFlags::SYN);
+            send(&mut engine, &mut rng, n, TcpFlags::RST);
+            assert_eq!(closes(&engine), n as usize, "after closing flow {n}");
+        }
+        let metrics = crate::filter::NullMetrics;
+        engine.teardown_stream(SimTime::ZERO, &mut rng, &metrics, key(1));
+        assert_eq!(closes(&engine), 3, "no entry, no line");
     }
 
     /// A tick armed by an instance that is then removed keeps its slot:

@@ -625,12 +625,13 @@ struct FluidCase {
     step_capacity: u64,
 }
 
-/// `FluidState::epoch` keeps `active` sorted and `offered` summed across
-/// epochs and decides the underloaded case without walking the set; after
-/// every epoch its outputs must equal a from-scratch re-solve — scan the
-/// per-flow ground truth, sort, water-fill — and the maintained state
-/// must pass `check_invariants`. Jitter 0 makes every demand equal, so
-/// removal among duplicates is exercised.
+/// `FluidState::epoch` keeps the active set across epochs as a sorted
+/// `Vec` plus pending arrivals and departures merged in lazily, with
+/// `offered` summed, and decides the underloaded case without reading the
+/// order; after every epoch its outputs must equal a from-scratch re-solve
+/// — scan the per-flow ground truth, sort, water-fill — and the maintained
+/// state must pass `check_invariants`. Jitter 0 makes every demand equal,
+/// so a departure cancelling one of several equal demands is exercised.
 #[test]
 fn fluid_incremental_epoch_matches_from_scratch_solve() {
     const CAPACITY: u64 = 8_000_000;
