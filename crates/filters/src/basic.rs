@@ -10,9 +10,9 @@ use comma_proxy::key::{StreamKey, WildKey};
 use comma_rt::Rng;
 
 /// The `tcp` housekeeping filter (HIGH priority in the thesis session): it
-/// watches TCP streams, re-validates checksums after all other filters have
-/// modified the packet, and deletes all filters associated with a stream
-/// when the stream closes.
+/// watches TCP streams, re-validates the wire encoding after all other
+/// filters have modified the packet, and deletes all filters associated
+/// with a stream when the stream closes.
 #[derive(Clone)]
 pub struct TcpHousekeeping {
     key: Option<StreamKey>,
@@ -63,11 +63,12 @@ impl Filter for TcpHousekeeping {
 
     fn on_out(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkt: &mut Packet) -> Verdict {
         // Highest priority: the out method runs last, after every
-        // modification. Re-verify to prove the packet leaves the proxy
-        // with valid checksums (the thesis's "recalculating IP checksums
-        // as necessary"). `wire::verify_packet` checks the same bounds
-        // and checksums as encode-then-verify in a single pass over the
-        // payload, without materializing the wire buffer.
+        // modification. Packets here are typed, and the wire encoder
+        // computes every checksum afresh (the thesis's "recalculating IP
+        // checksums as necessary"), so what a modification can break is
+        // structure: a total past 65,535 bytes or options past 40.
+        // `wire::verify_packet` returns the encode-then-verify verdict
+        // without materializing the wire buffer or reading the payload.
         match wire::verify_packet(pkt) {
             Ok(()) => self.verified += 1,
             Err(e) => {

@@ -170,6 +170,8 @@ impl FluidConfig {
 #[derive(Clone, Copy, Debug)]
 struct BgFlow {
     demand_bps: u64,
+    /// Position in the population's `(demand, flow)` order, once ranked.
+    rank: u32,
     on: bool,
 }
 
@@ -186,7 +188,7 @@ pub struct FluidTotals {
     /// Total rate-solver epochs executed.
     pub epochs: u64,
     /// Flow slots those epochs examined: one per applied toggle, plus the
-    /// slots each solve read and each active-set merge wrote (see
+    /// slots each solve read and the population once per rank build (see
     /// [`FluidState::flow_visits`]).
     /// Deterministic, so `flow_visits / epochs` is a noise-free gate on
     /// the per-epoch cost.
@@ -270,85 +272,75 @@ impl Calendar {
     }
 }
 
-/// `[count, sum, sum of squares]` of `demands`, in u128 so no term
-/// overflows: together they pin a multiset well enough for an invariant.
-fn moments(demands: impl Iterator<Item = u64>) -> [u128; 3] {
-    demands.fold([0; 3], |[n, s, s2], d| {
-        let d = d as u128;
-        [n + 1, s + d, s2 + d * d]
+/// Positions of the set bits of `bits`, ascending.
+fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+            .take(word.count_ones() as usize)
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
     })
 }
 
-/// Demands of the flows currently on, as a multiset: `sorted` (ascending)
-/// plus `pending_on` minus `pending_off`. A toggle only pushes onto a
-/// pending buffer; [`ActiveSet::merge`] folds them in when a solve needs
-/// the order or when they outgrow `sorted`, which keeps memory O(active)
-/// and an amortized O(log n) per toggle.
+/// The flows currently on: their count and demand sum, and — once a solve
+/// has needed the order — a bitset over the population's demand rank.
+/// Rank `r` is the `r`-th flow in ascending `(demand, flow)` order and its
+/// bit is set while that flow is on, so a toggle flips one bit and an
+/// ascending walk of the set bits reads the on demands sorted.
 #[derive(Clone, Debug, Default)]
 struct ActiveSet {
-    sorted: Vec<u64>,
-    pending_on: Vec<u64>,
-    pending_off: Vec<u64>,
-    /// Merge target, swapped with `sorted`: both keep their capacity.
-    spare: Vec<u64>,
-    /// Sum of the multiset: the offered load.
+    /// Sum of the on flows' demands: the offered load.
     sum: u64,
+    count: usize,
+    /// Flow at each rank; empty until [`ActiveSet::build_rank`].
+    by_rank: Vec<u32>,
+    bits: Vec<u64>,
+    /// The last contended solve's ascending demands (a reused buffer).
+    sorted: Vec<u64>,
 }
 
 impl ActiveSet {
-    fn toggle(&mut self, on: bool, demand: u64) {
-        if on {
-            self.pending_on.push(demand);
-            self.sum += demand;
+    /// Accounts for `flow`'s toggle to its current `on` state.
+    fn toggle(&mut self, flow: &BgFlow) {
+        if flow.on {
+            self.sum += flow.demand_bps;
+            self.count += 1;
         } else {
-            self.pending_off.push(demand);
-            self.sum -= demand;
+            self.sum -= flow.demand_bps;
+            self.count -= 1;
+        }
+        if let Some(word) = self.bits.get_mut(flow.rank as usize / 64) {
+            *word ^= 1 << (flow.rank % 64);
         }
     }
 
-    /// Number of demands in the multiset (every departure cancels a demand
-    /// of `sorted` or `pending_on`).
-    fn len(&self) -> usize {
-        self.sorted.len() + self.pending_on.len() - self.pending_off.len()
+    /// Ranks the population once and sets the bits of the flows that are
+    /// on; returns the flows visited.
+    fn build_rank(&mut self, flows: &mut [BgFlow]) -> usize {
+        self.by_rank = (0..flows.len() as u32).collect();
+        self.by_rank.sort_unstable_by_key(|&i| (flows[i as usize].demand_bps, i));
+        self.bits = vec![0; flows.len().div_ceil(64)];
+        for (r, &i) in self.by_rank.iter().enumerate() {
+            let flow = &mut flows[i as usize];
+            flow.rank = r as u32;
+            self.bits[r / 64] |= u64::from(flow.on) << (r % 64);
+        }
+        flows.len()
     }
 
-    fn outgrown(&self) -> bool {
-        self.pending_on.len() + self.pending_off.len() > self.sorted.len()
+    /// The largest on demand, read at the highest set bit (0 if none).
+    fn d_max(&self, flows: &[BgFlow]) -> u64 {
+        self.bits.iter().rposition(|&word| word != 0).map_or(0, |w| {
+            let top = w * 64 + 63 - self.bits[w].leading_zeros() as usize;
+            flows[self.by_rank[top] as usize].demand_bps
+        })
     }
 
-    /// Folds the pending buffers into `sorted` in one pass over the three
-    /// ascending runs; returns the number of demands written. Equal
-    /// demands are interchangeable, so a departure cancels the first equal
-    /// demand the pass meets.
-    fn merge(&mut self) -> usize {
-        if self.pending_on.is_empty() && self.pending_off.is_empty() {
-            return 0;
-        }
-        self.pending_on.sort_unstable();
-        self.pending_off.sort_unstable();
-        let (old, on, off) = (&self.sorted, &self.pending_on, &self.pending_off);
-        let out = &mut self.spare;
-        out.clear();
-        let (mut i, mut j, mut k) = (0, 0, 0);
-        while i < old.len() || j < on.len() {
-            let d = if j == on.len() || (i < old.len() && old[i] <= on[j]) {
-                i += 1;
-                old[i - 1]
-            } else {
-                j += 1;
-                on[j - 1]
-            };
-            if off.get(k) == Some(&d) {
-                k += 1;
-            } else {
-                out.push(d);
-            }
-        }
-        debug_assert_eq!(k, off.len(), "a departure matched no active demand");
-        std::mem::swap(&mut self.sorted, &mut self.spare);
-        self.pending_on.clear();
-        self.pending_off.clear();
-        self.sorted.len()
+    /// The on demands in ascending order, walked from the bitset.
+    fn sorted(&mut self, flows: &[BgFlow]) -> &[u64] {
+        self.sorted.clear();
+        self.sorted
+            .extend(set_bits(&self.bits).map(|r| flows[self.by_rank[r] as usize].demand_bps));
+        &self.sorted
     }
 }
 
@@ -417,6 +409,7 @@ impl FluidState {
             max_demand = max_demand.max(demand_bps);
             flows.push(BgFlow {
                 demand_bps,
+                rank: 0,
                 on: false,
             });
             let arrive = if ramp == 0 {
@@ -458,9 +451,10 @@ impl FluidState {
     /// rates, applies every due on/off transition, re-solves the max-min
     /// allocation against `capacity_bps` (foreground as one greedy
     /// participant), and returns the time of the next pending epoch.
-    /// Costs O(due transitions) plus an amortized O(log n) per transition
-    /// while the link is underloaded, plus a walk of the satisfied prefix
-    /// of the active set when it is not.
+    /// Costs O(1) per due transition while the link is underloaded. The
+    /// first epoch that cannot prove an underload ranks the population
+    /// once (O(n log n)); from then on a transition also flips one bit, and
+    /// a contended epoch walks the bitset.
     pub fn epoch(
         &mut self,
         now: SimTime,
@@ -482,7 +476,7 @@ impl FluidState {
             let flow = &mut self.flows[i as usize];
             flow.on = !flow.on;
             let on = flow.on;
-            self.active.toggle(on, flow.demand_bps);
+            self.active.toggle(flow);
             self.flow_visits += 1;
             let mean = if on { self.cfg.mean_on } else { self.cfg.mean_off };
             let dur = Self::draw_duration(&mut self.rng, mean);
@@ -495,24 +489,23 @@ impl FluidState {
         // `(d_{j+1} - d_j) * (N - j)` per step — so everyone is satisfied
         // iff the last flow is: `offered + d_max <= capacity`. `d_max` is
         // at most `max_demand`, so passing with `max_demand` decides it
-        // without the order; only a failure merges to read `d_max`, and
-        // only a contended link walks the set.
+        // without the order; only a failure reads `d_max` off the rank
+        // bitset (built the first time), and only a contended link walks it.
         let offered = self.active.sum;
         let fits = |d: u64| offered as u128 + d as u128 <= capacity_bps as u128;
         let underloaded = fits(self.max_demand) || {
-            self.flow_visits += self.active.merge() as u64;
-            fits(self.active.sorted.last().copied().unwrap_or(0))
+            if self.active.by_rank.is_empty() {
+                self.flow_visits += self.active.build_rank(&mut self.flows) as u64;
+            }
+            fits(self.active.d_max(&self.flows))
         };
         let (bg, residual) = if underloaded {
             self.flow_visits += 1;
             (offered, capacity_bps - offered)
         } else {
-            self.flow_visits += self.active.sorted.len() as u64;
-            max_min_allocate(&self.active.sorted, capacity_bps, 1)
+            self.flow_visits += self.active.count as u64;
+            max_min_allocate(self.active.sorted(&self.flows), capacity_bps, 1)
         };
-        if self.active.outgrown() {
-            self.flow_visits += self.active.merge() as u64;
-        }
         self.capacity_bps = capacity_bps;
         self.bg_rate_bps = bg;
         self.residual_bps = residual;
@@ -551,7 +544,7 @@ impl FluidState {
 
     /// Flows currently in their on period.
     pub fn active_flows(&self) -> usize {
-        self.active.len()
+        self.active.count
     }
 
     /// Configured population size.
@@ -566,11 +559,11 @@ impl FluidState {
 
     /// Flow slots examined by all epochs so far: one per applied toggle,
     /// plus per solve either one (when an O(1) underload test decides) or
-    /// the size of the active set handed to the water-filling solver (an
-    /// upper bound: it stops at the first unsatisfied flow), plus every
-    /// demand a merge of the pending toggles into the sorted active set
-    /// writes. Sorting the pending buffers and the calendar's slot walk
-    /// are not counted.
+    /// the on flows a contended solve walks out of the rank bitset and
+    /// hands to the water-filling solver (an upper bound: it stops at the
+    /// first unsatisfied flow), plus the whole population once, when the
+    /// link builds its rank. The build's sort, the bitset's empty words
+    /// and the calendar's slot walk are not counted.
     pub fn flow_visits(&self) -> u64 {
         self.flow_visits
     }
@@ -583,33 +576,40 @@ impl FluidState {
     }
 
     /// Checks the incrementally maintained state against the per-flow
-    /// ground truth. The active set is `sorted ∪ pending_on − pending_off`:
-    /// `sorted` is ascending, and the set's count, sum and sum of squares
-    /// equal those of the on flows' demands (and the sum the running
-    /// offered load). No more than the offered load is allocated, and a
-    /// link with an unsatisfied flow is fully allocated. Allocation-free;
-    /// asserted after every epoch in debug builds.
+    /// ground truth. The active set's count and sum (the offered load) are
+    /// the on flows'. Once the rank is built, it orders the whole
+    /// population strictly ascending by `(demand, flow)` with each flow
+    /// knowing its rank, and the bitset holds exactly `count` bits, each
+    /// the rank of a flow that is on. No more than the offered load is
+    /// allocated, and a link with an unsatisfied flow is fully allocated.
+    /// Allocation-free; asserted after every epoch in debug builds.
     pub fn check_invariants(&self) -> Result<(), String> {
         let a = &self.active;
-        if let Some(i) = a.sorted.windows(2).position(|w| w[0] > w[1]) {
+        let (count, sum) = self.on_demands().fold((0, 0u128), |(n, s), d| (n + 1, s + d as u128));
+        if (a.count, a.sum as u128) != (count, sum) {
             return Err(format!(
-                "active not ascending at {i}: {} > {}",
-                a.sorted[i],
-                a.sorted[i + 1]
+                "active set holds {} flows offering {}, the on flows {count} offering {sum}",
+                a.count, a.sum
             ));
         }
-        let truth = moments(self.on_demands());
-        let off = moments(a.pending_off.iter().copied());
-        let kept = moments(a.sorted.iter().chain(&a.pending_on).copied());
-        // `sorted + pending_on == on flows + pending_off`: nothing underflows.
-        if kept != std::array::from_fn::<_, 3, _>(|i| truth[i] + off[i]) {
-            return Err(format!(
-                "active set (count, sum, sum of squares) {kept:?} minus departures \
-                 {off:?} is not the on flows' {truth:?}"
-            ));
-        }
-        if a.sum as u128 != truth[1] {
-            return Err(format!("running sum {} but on flows {truth:?}", a.sum));
+        if !a.by_rank.is_empty() {
+            let key = |r: usize| (self.flows[a.by_rank[r] as usize].demand_bps, a.by_rank[r]);
+            let misranked = (0..a.by_rank.len()).find(|&r| {
+                self.flows[key(r).1 as usize].rank as usize != r || r > 0 && key(r - 1) >= key(r)
+            });
+            if a.by_rank.len() != self.flows.len() || misranked.is_some() {
+                let n = a.by_rank.len();
+                return Err(format!("{n} ranks, first out of order: {misranked:?}"));
+            }
+            let ones: u32 = a.bits.iter().map(|w| w.count_ones()).sum();
+            let stray = set_bits(&a.bits)
+                .find(|&r| a.by_rank.get(r).is_none_or(|&i| !self.flows[i as usize].on));
+            if ones as usize != a.count || stray.is_some() {
+                return Err(format!(
+                    "{ones} rank bits for {} on flows; first bit of no on flow: {stray:?}",
+                    a.count
+                ));
+            }
         }
         let offered = a.sum;
         if self.bg_rate_bps > offered {
@@ -631,9 +631,10 @@ impl FluidState {
 }
 
 /// The toggle queue and active set [`FluidState`] used before the grid
-/// calendar and the lazy merge: a `(time, flow)` min-heap and a `Vec`
+/// calendar and the rank bitset: a `(time, flow)` min-heap and a `Vec`
 /// kept sorted by one insert or remove per toggle. Kept as the model the
-/// calendar's application order and every solved rate must match.
+/// calendar's application order, the bitset's ascending walk and every
+/// solved rate must match.
 #[cfg(test)]
 mod reference {
     use std::cmp::Reverse;
@@ -647,7 +648,8 @@ mod reference {
         flows: Vec<BgFlow>,
         toggles: BinaryHeap<Reverse<(u64, u32)>>,
         rng: SmallRng,
-        active: Vec<u64>,
+        /// Demands of the flows that are on, ascending.
+        pub(super) active: Vec<u64>,
         offered: u64,
         pub(super) bg_rate_bps: u64,
         pub(super) residual_bps: u64,
@@ -667,6 +669,7 @@ mod reference {
                 let demand_bps = lo + rng.next_u64() % (hi - lo + 1);
                 flows.push(BgFlow {
                     demand_bps,
+                    rank: 0,
                     on: false,
                 });
                 let arrive = if ramp == 0 {
@@ -873,14 +876,38 @@ mod tests {
         steps: Vec<u64>,
     }
 
-    /// The grid calendar and the lazily merged active set against the
-    /// heap and sorted `Vec` they replaced, side by side from one seed:
-    /// every epoch applies the same toggles in the same `(time, flow)`
-    /// order, returns the same next-epoch time, and leaves the same active
-    /// count, background rate and residual. Populations cover no arrival
-    /// ramp, a quantum longer than the mean on/off durations, capacity
-    /// steps between grid slots, and epochs late enough to drain many
-    /// slots (past the whole ring) at once.
+    /// Checks the rank bitset against the reference's sorted `active` after
+    /// an epoch at `capacity`. `failed` records whether any epoch so far
+    /// failed the static test `offered + max_demand <= capacity`; the rank
+    /// must exist exactly then, and once it does its ascending bit walk is
+    /// the reference's `Vec` and its highest set bit that `Vec`'s last.
+    fn bitset_matches_reference(
+        st: &mut FluidState,
+        model: &reference::HeapFluid,
+        capacity: u64,
+        failed: &mut bool,
+    ) -> Result<(), String> {
+        use comma_rt::ensure_eq;
+
+        *failed |= st.active.sum as u128 + st.max_demand as u128 > capacity as u128;
+        ensure_eq!(!st.active.by_rank.is_empty(), *failed, "rank built");
+        if *failed {
+            let last = model.active.last().copied().unwrap_or(0);
+            ensure_eq!(st.active.d_max(&st.flows), last, "highest set bit");
+            ensure_eq!(st.active.sorted(&st.flows), &model.active[..], "ascending bit walk");
+        }
+        Ok(())
+    }
+
+    /// The grid calendar and the rank bitset against the heap and sorted
+    /// `Vec` they replaced, side by side from one seed: every epoch applies
+    /// the same toggles in the same `(time, flow)` order, returns the same
+    /// next-epoch time, and leaves the same active count, background rate
+    /// and residual, and [`bitset_matches_reference`] holds. Populations
+    /// cover equal demands (no jitter), no arrival ramp, a quantum longer
+    /// than the mean on/off durations, capacity steps between grid slots,
+    /// and epochs late enough to drain many slots (past the whole ring) at
+    /// once.
     #[test]
     fn calendar_applies_toggles_in_heap_order() {
         use comma_rt::ensure_eq;
@@ -930,7 +957,7 @@ mod tests {
                 let q = st.quantum_us;
                 let span = st.toggles.heads.len() as u64 * q;
                 let (mut now, mut capacity) = (SimTime::ZERO, p.capacity);
-                let mut applied = Vec::new();
+                let (mut applied, mut failed) = (Vec::new(), false);
                 for (step, &draw) in p.steps.iter().enumerate() {
                     applied.clear();
                     let next = st.epoch(now, capacity, LIMIT);
@@ -942,6 +969,8 @@ mod tests {
                     ensure_eq!(st.bg_rate_bps(), model.bg_rate_bps, "step {step}");
                     ensure_eq!(st.residual_bps(), model.residual_bps, "step {step}");
                     st.check_invariants()?;
+                    bitset_matches_reference(&mut st, &model, capacity, &mut failed)
+                        .map_err(|e| format!("step {step}: {e}"))?;
                     let Some(next) = next else {
                         return Err(format!("no toggle pending after step {step}"));
                     };
@@ -958,5 +987,95 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// A population that runs uncontended for thousands of toggles, then
+    /// steps its capacity between contended and underloaded levels.
+    #[derive(Debug)]
+    struct LateContention {
+        seed: u64,
+        users: usize,
+        jitter_pct: u32,
+        /// Toggles applied at a capacity that never contends, first.
+        calm_toggles: usize,
+        /// Then, per epoch, a capacity: a tenth, a third or all of
+        /// everyone's demand at once, or the calm one. Empty: the link
+        /// never contends.
+        steps: Vec<usize>,
+    }
+
+    /// The rank is built lazily: a link that never fails the static
+    /// underload test never builds it and pays one visit per toggle plus
+    /// one per solve; the first failure, thousands of toggles in, builds it
+    /// from the flows that are on, and from then on the bit walk matches
+    /// the reference through steps between contended and underloaded.
+    #[test]
+    fn rank_is_built_on_first_contention_and_walks_in_reference_order() {
+        use comma_rt::prop::{gen, Runner};
+        use comma_rt::{ensure, ensure_eq};
+
+        const LIMIT: usize = 131_072;
+        Runner::new("rank_is_built_on_first_contention_and_walks_in_reference_order")
+            .cases(40)
+            .run(
+                |rng| LateContention {
+                    seed: rng.gen(),
+                    users: rng.gen_range(500..3_000),
+                    jitter_pct: [0, 0, 50, 100][gen::index(rng, 4)],
+                    calm_toggles: rng.gen_range(2_000..8_000),
+                    steps: match rng.gen_bool(0.2) {
+                        true => Vec::new(),
+                        false => (0..60).map(|_| gen::index(rng, 4)).collect(),
+                    },
+                },
+                |p| {
+                    let mut cfg = FluidConfig::users(p.users)
+                        .with_on_off(SimDuration::from_millis(200), SimDuration::from_millis(400))
+                        .with_ramp(SimDuration::from_millis(150));
+                    cfg.demand_jitter_pct = p.jitter_pct;
+                    let all = p.users as u64 * cfg.demand_bps;
+                    // Demands reach at most twice the mean, so this is
+                    // above everyone on plus the largest demand.
+                    let calm = 4 * all;
+                    let mut st = FluidState::new(cfg.clone(), p.seed);
+                    let mut model = reference::HeapFluid::new(cfg, p.seed);
+                    let (mut now, mut applied, mut failed) = (SimTime::ZERO, Vec::new(), false);
+                    let (mut toggles, mut contended, mut relieved) = (0, 0, 0);
+                    let mut steps = p.steps.iter();
+                    loop {
+                        let capacity = if toggles < p.calm_toggles {
+                            calm
+                        } else if let Some(&k) = steps.next() {
+                            [all / 10, all / 3, all, calm][k]
+                        } else {
+                            break;
+                        };
+                        let visits = st.flow_visits();
+                        applied.clear();
+                        let next = st.epoch(now, capacity, LIMIT);
+                        ensure_eq!(next, model.epoch(now, capacity, &mut applied));
+                        ensure_eq!(st.bg_rate_bps(), model.bg_rate_bps);
+                        ensure_eq!(st.residual_bps(), model.residual_bps);
+                        bitset_matches_reference(&mut st, &model, capacity, &mut failed)
+                            .map_err(|e| format!("after {toggles} toggles: {e}"))?;
+                        if !failed {
+                            let unranked = applied.len() as u64 + 1;
+                            ensure_eq!(st.flow_visits() - visits, unranked, "unranked visits");
+                        } else if st.bg_rate_bps() < st.active.sum {
+                            contended += 1;
+                        } else {
+                            relieved += 1;
+                        }
+                        toggles += applied.len();
+                        now = next.ok_or("no toggle pending")?;
+                    }
+                    if p.steps.is_empty() {
+                        ensure!(st.active.by_rank.is_empty(), "an uncontended link built the rank");
+                    } else {
+                        ensure!(contended > 0 && relieved > 0, "{contended} / {relieved}");
+                    }
+                    Ok(())
+                },
+            );
     }
 }

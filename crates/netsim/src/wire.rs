@@ -247,8 +247,9 @@ pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
 ///
 /// Mirrors [`decode`]'s bounds, option, and checksum checks (ICMP bodies
 /// are checksum-validated without re-walking router-advertisement
-/// entries); the `tcp` housekeeping filter runs this per packet after
-/// [`encode`], so it must not copy payloads the way [`decode`] must.
+/// entries); [`verify_packet`] runs this after [`encode`] for the packets
+/// it cannot judge from their structure, so it must not copy payloads the
+/// way [`decode`] must.
 pub fn verify(bytes: &[u8]) -> Result<(), WireError> {
     if bytes.len() < 20 {
         return Err(WireError::Truncated("ipv4 header"));
@@ -282,37 +283,34 @@ pub fn verify(bytes: &[u8]) -> Result<(), WireError> {
 /// Verifies a typed packet exactly as [`encode`]-then-[`verify`] would,
 /// without materializing the wire buffer.
 ///
-/// The `tcp` housekeeping filter runs this per packet, so the common TCP
-/// and UDP cases synthesize the transport header into a stack buffer and
-/// make a single checksum pass over pseudo-header + header + payload —
-/// no heap traffic, one read of the payload. ICMP and encapsulated
-/// bodies, oversized packets (total length beyond the 16-bit field), and
-/// TCP headers past the 60-byte data-offset limit take the
-/// encode-and-verify path so the verdict stays byte-identical to the
-/// wire codec's in every case.
+/// Structure alone decides that verdict. The encoder writes every
+/// checksum, and a buffer summed together with its own checksum folds to
+/// zero whatever it holds: the folded sum `s` plus `!s` folds to
+/// `0xffff`, and so does `s` plus UDP's all-ones stand-in for a computed
+/// zero. So the common cases read no payload: TCP re-walks the data
+/// offset and the options its header would carry, and UDP has nothing
+/// left to check. ICMP and encapsulated bodies, oversized packets (total
+/// length beyond the 16-bit field), and TCP headers past the 60-byte
+/// data-offset limit take the encode-and-verify path so the verdict stays
+/// byte-identical to the wire codec's in every case.
 pub fn verify_packet(pkt: &Packet) -> Result<(), WireError> {
     if pkt.wire_len() > u16::MAX as usize {
         return verify(&encode(pkt));
     }
     match &pkt.body {
-        IpPayload::Tcp(seg) if seg.header_len() <= 60 => verify_packet_tcp(&pkt.ip, seg),
-        IpPayload::Udp(dgram) => verify_packet_udp(&pkt.ip, dgram),
+        IpPayload::Tcp(seg) if seg.header_len() <= 60 => verify_packet_tcp(seg),
+        IpPayload::Udp(_) => Ok(()),
         _ => verify(&encode(pkt)),
     }
 }
 
-fn verify_packet_tcp(ip: &Ipv4Header, seg: &TcpSegment) -> Result<(), WireError> {
+/// The data offset and options of `seg` as the encoder lays them out,
+/// through [`verify_tcp`]'s structural checks.
+fn verify_packet_tcp(seg: &TcpSegment) -> Result<(), WireError> {
     let header_len = seg.header_len();
     let mut hdr = [0u8; 60];
-    hdr[0..2].copy_from_slice(&seg.src_port.to_be_bytes());
-    hdr[2..4].copy_from_slice(&seg.dst_port.to_be_bytes());
-    hdr[4..8].copy_from_slice(&seg.seq.to_be_bytes());
-    hdr[8..12].copy_from_slice(&seg.ack.to_be_bytes());
     hdr[12] = ((header_len / 4) as u8) << 4;
-    hdr[13] = seg.flags.0;
-    hdr[14..16].copy_from_slice(&seg.window.to_be_bytes());
-    // [16..18] checksum and [18..20] urgent pointer stay zero; option
-    // padding past the options is already zero.
+    // Option padding past the options is already zero.
     let mut o = 20;
     for opt in &seg.options {
         match opt {
@@ -324,23 +322,28 @@ fn verify_packet_tcp(ip: &Ipv4Header, seg: &TcpSegment) -> Result<(), WireError>
             }
         }
     }
-    let tcp_len = header_len + seg.payload.len();
+    verify_tcp_options(&hdr, header_len + seg.payload.len())
+}
+
+fn verify_tcp(src: Ipv4Addr, dst: Ipv4Addr, bytes: &[u8]) -> Result<(), WireError> {
+    if bytes.len() < 20 {
+        return Err(WireError::Truncated("tcp header"));
+    }
     let mut ck = Checksum::new();
-    ck.add_addr(ip.src);
-    ck.add_addr(ip.dst);
+    ck.add_addr(src);
+    ck.add_addr(dst);
     ck.add_u16(IpProto::Tcp.number() as u16);
-    ck.add_u16(tcp_len as u16);
-    ck.add_bytes(&hdr[..header_len]);
-    ck.add_bytes(&seg.payload);
-    // `header_len` is a multiple of 4, so the header/payload split falls
-    // on an even offset and split accumulation matches the contiguous
-    // wire sum. Re-add the checksum the encoder would have stored and
-    // run the receiver-side zero check, as `verify` does on the buffer.
-    let stored = ck.finish();
-    ck.add_u16(stored);
+    ck.add_u16(bytes.len() as u16);
+    ck.add_bytes(bytes);
     if ck.finish() != 0 {
         return Err(WireError::BadChecksum("tcp segment"));
     }
+    verify_tcp_options(bytes, bytes.len())
+}
+
+/// Checks the data offset of a `tcp_len`-byte segment whose header starts
+/// `hdr`, and walks its options.
+fn verify_tcp_options(hdr: &[u8], tcp_len: usize) -> Result<(), WireError> {
     let data_off = ((hdr[12] >> 4) as usize) * 4;
     if data_off < 20 || data_off > tcp_len {
         return Err(WireError::Truncated("tcp options"));
@@ -361,73 +364,6 @@ fn verify_packet_tcp(ip: &Ipv4Header, seg: &TcpSegment) -> Result<(), WireError>
                     return Err(WireError::Truncated("tcp option"));
                 }
                 let len = hdr[i + 1] as usize;
-                if len < 2 || i + len > data_off {
-                    return Err(WireError::Truncated("tcp option length"));
-                }
-                i += len;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn verify_packet_udp(ip: &Ipv4Header, dgram: &UdpDatagram) -> Result<(), WireError> {
-    let len = 8 + dgram.payload.len();
-    let mut hdr = [0u8; 8];
-    hdr[0..2].copy_from_slice(&dgram.src_port.to_be_bytes());
-    hdr[2..4].copy_from_slice(&dgram.dst_port.to_be_bytes());
-    hdr[4..6].copy_from_slice(&(len as u16).to_be_bytes());
-    let mut ck = Checksum::new();
-    ck.add_addr(ip.src);
-    ck.add_addr(ip.dst);
-    ck.add_u16(IpProto::Udp.number() as u16);
-    ck.add_u16(len as u16);
-    ck.add_bytes(&hdr);
-    ck.add_bytes(&dgram.payload);
-    let mut stored = ck.finish();
-    if stored == 0 {
-        stored = 0xffff; // RFC 768: the encoder transmits all-ones for zero.
-    }
-    ck.add_u16(stored);
-    if ck.finish() != 0 {
-        return Err(WireError::BadChecksum("udp datagram"));
-    }
-    Ok(())
-}
-
-fn verify_tcp(src: Ipv4Addr, dst: Ipv4Addr, bytes: &[u8]) -> Result<(), WireError> {
-    if bytes.len() < 20 {
-        return Err(WireError::Truncated("tcp header"));
-    }
-    let mut ck = Checksum::new();
-    ck.add_addr(src);
-    ck.add_addr(dst);
-    ck.add_u16(IpProto::Tcp.number() as u16);
-    ck.add_u16(bytes.len() as u16);
-    ck.add_bytes(bytes);
-    if ck.finish() != 0 {
-        return Err(WireError::BadChecksum("tcp segment"));
-    }
-    let data_off = ((bytes[12] >> 4) as usize) * 4;
-    if data_off < 20 || data_off > bytes.len() {
-        return Err(WireError::Truncated("tcp options"));
-    }
-    let mut i = 20;
-    while i < data_off {
-        match bytes[i] {
-            0 => break,
-            1 => i += 1,
-            2 => {
-                if i + 4 > data_off {
-                    return Err(WireError::Truncated("tcp mss option"));
-                }
-                i += 4;
-            }
-            _ => {
-                if i + 1 >= data_off {
-                    return Err(WireError::Truncated("tcp option"));
-                }
-                let len = bytes[i + 1] as usize;
                 if len < 2 || i + len > data_off {
                     return Err(WireError::Truncated("tcp option length"));
                 }
@@ -664,55 +600,119 @@ mod tests {
         assert!(verify(&good[..15]).is_err());
     }
 
+    /// A typed packet for the `verify_packet` property, and whether it is
+    /// a UDP datagram built so its computed checksum is zero.
+    #[derive(Debug)]
+    struct Typed {
+        pkt: Packet,
+        zero_sum_udp: bool,
+    }
+
+    /// A payload length: mostly segment-sized, sometimes within a few bytes
+    /// either side of the one that makes a `headers`-byte packet total
+    /// 65,535 bytes.
+    fn payload_len(rng: &mut comma_rt::SmallRng, headers: usize) -> usize {
+        use comma_rt::Rng;
+        match rng.gen_range(0u32..4) {
+            0 => (u16::MAX as usize - headers).saturating_add_signed(rng.gen_range(-3isize..4)),
+            _ => rng.gen_range(0..1_500),
+        }
+    }
+
+    fn random_typed(rng: &mut comma_rt::SmallRng) -> Typed {
+        use comma_rt::prop::gen;
+        use comma_rt::Rng;
+        let (src, dst) = (Ipv4Addr(rng.gen()), Ipv4Addr(rng.gen()));
+        let (sport, dport) = (rng.gen(), rng.gen());
+        let udp = |payload: Vec<u8>| {
+            let dgram = UdpDatagram {
+                src_port: sport,
+                dst_port: dport,
+                payload: Bytes::from(payload),
+            };
+            Packet::udp(src, dst, dgram)
+        };
+        match rng.gen_range(0u32..10) {
+            // Up to 12 MSS options: past 10, the header outgrows the
+            // 60 bytes its data offset can say.
+            0..=4 => {
+                let mut seg = TcpSegment::new(sport, dport, rng.gen(), rng.gen(), TcpFlags(rng.gen()));
+                seg.window = rng.gen();
+                let options = if rng.gen_bool(0.5) { rng.gen_range(0..13) } else { 0 };
+                seg.options = (0..options).map(|_| TcpOption::Mss(rng.gen())).collect();
+                let len = payload_len(rng, 20 + seg.header_len());
+                seg.payload = Bytes::from(gen::bytes(rng, len..len));
+                Typed {
+                    pkt: Packet::tcp(src, dst, seg),
+                    zero_sum_udp: false,
+                }
+            }
+            5 | 6 => {
+                let len = payload_len(rng, 28);
+                Typed {
+                    pkt: udp(gen::bytes(rng, len..len)),
+                    zero_sum_udp: false,
+                }
+            }
+            // An even payload whose last word cancels the rest of the sum,
+            // so the encoder sends its all-ones stand-in for zero.
+            7 | 8 => {
+                let n = rng.gen_range(1..700) * 2;
+                let mut payload = gen::bytes(rng, n..n);
+                payload[n - 2..].fill(0);
+                let mut ck = Checksum::new();
+                ck.add_addr(src);
+                ck.add_addr(dst);
+                ck.add_u16(IpProto::Udp.number() as u16);
+                ck.add_u16(8 + n as u16);
+                for word in [sport, dport, 8 + n as u16] {
+                    ck.add_u16(word);
+                }
+                ck.add_bytes(&payload);
+                payload[n - 2..].copy_from_slice(&ck.finish().to_be_bytes());
+                Typed {
+                    pkt: udp(payload),
+                    zero_sum_udp: true,
+                }
+            }
+            _ => {
+                let echo = IcmpMessage::EchoRequest {
+                    id: rng.gen(),
+                    seq: rng.gen(),
+                    payload: Bytes::from(gen::bytes(rng, 0..64)),
+                };
+                let pkt = Packet::icmp(src, dst, echo);
+                Typed {
+                    pkt: match rng.gen_bool(0.5) {
+                        true => Packet::encap(dst, src, pkt),
+                        false => pkt,
+                    },
+                    zero_sum_udp: false,
+                }
+            }
+        }
+    }
+
+    /// `verify_packet` reads no payload for TCP and UDP, yet its verdict
+    /// equals `verify(&encode(p))` for random packets: totals up to and
+    /// past 65,535 bytes, TCP options up to and past 40 bytes, and UDP
+    /// datagrams whose computed checksum is zero.
     #[test]
     fn verify_packet_agrees_with_encode_verify() {
-        let mut cases: Vec<Packet> = Vec::new();
-        for payload_len in [0usize, 1, 3, 536, 1399, 1400] {
-            let mut seg = TcpSegment::new(7, 1169, 0x0102_0304, 0x0a0b_0c0d, TcpFlags::ACK);
-            seg.payload = Bytes::from(vec![0x5au8; payload_len]);
-            cases.push(Packet::tcp(addr(99), addr(10), seg));
-        }
-        let mut syn = TcpSegment::new(7, 1169, 1, 0, TcpFlags::SYN);
-        syn.options.push(TcpOption::Mss(536));
-        cases.push(Packet::tcp(addr(99), addr(10), syn));
-        for payload_len in [0usize, 1, 7, 512] {
-            cases.push(Packet::udp(
-                addr(1),
-                addr(2),
-                UdpDatagram {
-                    src_port: 9000,
-                    dst_port: 9001,
-                    payload: Bytes::from(vec![0x17u8; payload_len]),
-                },
-            ));
-        }
-        cases.push(Packet::icmp(
-            addr(1),
-            addr(2),
-            IcmpMessage::EchoRequest {
-                id: 3,
-                seq: 4,
-                payload: Bytes::from_static(b"ping"),
-            },
-        ));
-        let inner = Packet::udp(
-            addr(5),
-            addr(6),
-            UdpDatagram {
-                src_port: 1,
-                dst_port: 2,
-                payload: Bytes::from_static(b"x"),
+        use comma_rt::ensure_eq;
+        use comma_rt::prop::Runner;
+
+        Runner::new("verify_packet_agrees_with_encode_verify").cases(300).run(
+            random_typed,
+            |t| {
+                let wire = encode(&t.pkt);
+                ensure_eq!(verify_packet(&t.pkt), verify(&wire), "{}", t.pkt.summary());
+                if t.zero_sum_udp {
+                    ensure_eq!(wire[26..28], [0xff, 0xff], "all-ones checksum");
+                }
+                Ok(())
             },
         );
-        cases.push(Packet::encap(addr(3), addr(4), inner));
-        for pkt in &cases {
-            assert_eq!(
-                verify_packet(pkt),
-                verify(&encode(pkt)),
-                "verify_packet/verify disagree for {}",
-                pkt.summary()
-            );
-        }
     }
 
     #[test]

@@ -625,13 +625,13 @@ struct FluidCase {
     step_capacity: u64,
 }
 
-/// `FluidState::epoch` keeps the active set across epochs as a sorted
-/// `Vec` plus pending arrivals and departures merged in lazily, with
-/// `offered` summed, and decides the underloaded case without reading the
+/// `FluidState::epoch` keeps the active set across epochs as a running
+/// count and `offered` sum, plus a bitset over the population's demand
+/// rank built the first time an underload cannot be proved without the
 /// order; after every epoch its outputs must equal a from-scratch re-solve
 /// — scan the per-flow ground truth, sort, water-fill — and the maintained
 /// state must pass `check_invariants`. Jitter 0 makes every demand equal,
-/// so a departure cancelling one of several equal demands is exercised.
+/// so the rank's tie-break by flow index is exercised.
 #[test]
 fn fluid_incremental_epoch_matches_from_scratch_solve() {
     const CAPACITY: u64 = 8_000_000;
