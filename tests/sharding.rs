@@ -94,6 +94,59 @@ fn metro_fluid_trace_invariant_across_partitioning() {
         serial, sharded,
         "fluid-backed metro trace must not depend on the partitioning"
     );
+    assert_eq!(
+        serial, GOLDEN_METRO_FLUID_TRACE,
+        "fluid-backed metro trace drifted from the recorded golden"
+    );
+}
+
+/// Golden small-metro digest: `metro_trace_digest(2, 250, 2, 4_096, 3, 11,
+/// 1, true)`, recorded while fluid epochs were still timer-wheel events.
+/// Serial-vs-sharded agreement alone cannot catch a fluid timeline that
+/// is wrong the same way on both sides; this pins the timeline itself.
+const GOLDEN_METRO_FLUID_TRACE: u64 = 0x47b6_a592_1085_6cd5;
+
+/// Trace digest and fluid epoch count of a two-cell fluid world whose
+/// `FaultPlan` steps the wireless capacity on a 10 ms grid slot (1,500 ms)
+/// and between slots (2,345 ms) while the foreground transfers are still
+/// running. At 1 Mbit/s the 1,000-user background contends, so the step's
+/// re-solve takes the water-filling path.
+fn stepped_fluid_world(workers: usize, single_shard: bool) -> (u64, u64) {
+    let plan = FaultPlan::new(3)
+        .bandwidth_step(SimTime::from_millis(1_500), 1_000_000)
+        .bandwidth_step(SimTime::from_millis(2_345), 3_000_000);
+    let mut builder = TopologyBuilder::new(17).workers(workers);
+    for cell in ["a", "b"] {
+        let link = LinkParams::wireless().with_bandwidth(2_000_000);
+        let spec = CellSpec::new(cell)
+            .wireless(link.clone(), link)
+            .background_users(1_000)
+            .transfer(9000, 300_000)
+            .transfer(9001, 300_000);
+        builder = builder.cell(spec.fault_plan(plan.clone()));
+    }
+    if single_shard {
+        builder = builder.single_shard();
+    }
+    let mut world = builder.build().expect("valid topology");
+    world.set_trace_capture(true, 1 << 20);
+    world.run_until(SimTime::from_secs(1));
+    assert!(world.total_delivered() < 4 * 300_000, "the steps land mid-transfer");
+    world.run_until(SimTime::from_secs(40));
+    assert_eq!(world.total_delivered(), 4 * 300_000);
+    (world.trace_digest(), world.fluid_totals().epochs)
+}
+
+/// Golden `(trace digest, fluid epochs)` of [`stepped_fluid_world`],
+/// recorded while fluid epochs were still timer-wheel events: a capacity
+/// step re-solves at its own instant, toggles due in that slot included.
+const GOLDEN_STEPPED_FLUID: (u64, u64) = (0xe9b8_3064_b12a_2e36, 7_625);
+
+#[test]
+fn fluid_capacity_steps_on_and_off_the_grid_match_golden() {
+    let serial = stepped_fluid_world(1, true);
+    assert_eq!(serial, stepped_fluid_world(2, false), "partitioning is invisible");
+    assert_eq!(serial, GOLDEN_STEPPED_FLUID, "stepped fluid world drifted from its golden");
 }
 
 /// One `FaultPlan` handed to every cell. A cell's fault streams are keyed
