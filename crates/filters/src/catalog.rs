@@ -39,7 +39,9 @@ pub fn standard_catalog(preloaded: &[&str]) -> FilterCatalog {
             if let Some(ms) = args.first() {
                 let ms: u64 = ms
                     .parse()
-                    .map_err(|_| "snoop: bad max-local-rto".to_string())?;
+                    .ok()
+                    .filter(|&ms| ms <= u64::MAX / 1_000)
+                    .ok_or_else(|| "snoop: bad max-local-rto".to_string())?;
                 snoop = snoop.with_max_local_rto(comma_netsim::time::SimDuration::from_millis(ms));
             }
             Ok(Box::new(snoop))

@@ -243,7 +243,8 @@ pub struct Channel {
     /// (see [`crate::fluid`]); boxed so fluid-free channels pay one
     /// pointer. When present, foreground serialization runs at the
     /// residual bandwidth and drop-tail admission sees the configured
-    /// limit minus the fluid queue occupancy.
+    /// limit minus the fluid queue occupancy. Current through `now` once
+    /// a run method returns; a control action mid-run may see it lag.
     pub fluid: Option<Box<FluidState>>,
 }
 
@@ -267,25 +268,14 @@ impl Channel {
         }
     }
 
-    /// Drop-tail budget currently available to packet-level traffic: the
-    /// configured queue limit minus the fluid background queue occupancy
-    /// sampled at `now` (the whole limit when no fluid model is attached).
-    pub fn effective_queue_limit(&self, now: SimTime) -> usize {
-        match self.fluid.as_ref() {
-            Some(f) => self
-                .params
-                .queue_limit_bytes
-                .saturating_sub(f.queue_bytes_at(now, self.params.queue_limit_bytes) as usize),
-            None => self.params.queue_limit_bytes,
-        }
-    }
-
     /// Attempts to enqueue a packet behind the transmitter; returns `false`
-    /// if the queue (shared with any fluid background occupancy at `now`)
-    /// is full — the simulator records that drop, like every other.
+    /// if the queue is full — the simulator records that drop, like every
+    /// other. The drop-tail budget is the configured limit minus the fluid
+    /// background's queue occupancy sampled at `now`, if any.
     pub fn enqueue(&mut self, now: SimTime, pkt: Packet) -> bool {
-        let len = pkt.wire_len();
-        if self.queued_bytes + len > self.effective_queue_limit(now) {
+        let (len, limit) = (pkt.wire_len(), self.params.queue_limit_bytes);
+        let fluid = self.fluid.as_ref().map_or(0, |f| f.queue_bytes_at(now, limit) as usize);
+        if self.queued_bytes + len > limit.saturating_sub(fluid) {
             return false;
         }
         self.queued_bytes += len;

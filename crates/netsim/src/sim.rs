@@ -77,9 +77,6 @@ enum Event {
     Timer { node: NodeId, token: u64 },
     /// A scheduled control action runs.
     Control(ControlFn),
-    /// The fluid background population on `channel` reaches its next
-    /// rate-change epoch (quantized flow arrivals/departures).
-    FluidEpoch { channel: ChannelId },
 }
 
 impl Event {
@@ -101,7 +98,6 @@ impl Event {
                 token: *token,
             }),
             Event::Control(_) => None,
-            Event::FluidEpoch { channel } => Some(Event::FluidEpoch { channel: *channel }),
         }
     }
 
@@ -129,9 +125,6 @@ impl Event {
             }
             Event::Control(_) => {
                 h.update(b"ct");
-            }
-            Event::FluidEpoch { channel } => {
-                h.update(b"fl").update_u64(channel.0 as u64);
             }
         }
     }
@@ -176,6 +169,9 @@ pub struct Simulator {
     node_meta: Vec<NodeMeta>,
     node_rngs: Vec<SmallRng>,
     channels: Vec<Channel>,
+    /// Channels with a fluid population, caught up at the end of every
+    /// run: a fluid-free world checks one empty slice.
+    fluid_links: Vec<ChannelId>,
     link_rng: SmallRng,
     started: bool,
     seed: u64,
@@ -233,6 +229,7 @@ impl Simulator {
             node_meta: Vec::new(),
             node_rngs: Vec::new(),
             channels: Vec::new(),
+            fluid_links: Vec::new(),
             link_rng: SmallRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             started: false,
             seed,
@@ -288,67 +285,69 @@ impl Simulator {
     /// so — exactly like [`Simulator::connect_keyed`] — the background
     /// load is identical no matter which shard the channel lands in or
     /// how crowded that shard is.
+    ///
+    /// Later epochs are not events: the channel catches up when a packet
+    /// reads it, when its capacity changes, and at the end of every run
+    /// method, so [`Channel::fluid`] is current once a run returns.
     pub fn attach_fluid(&mut self, ch: ChannelId, cfg: FluidConfig, key: u64) {
-        let state = FluidState::new(cfg, stream_seed(self.seed, key, 2));
-        let prev = self.channels[ch.0].fluid.replace(Box::new(state));
-        if let Some(prev) = prev {
-            self.sched.cancel(prev.handle);
+        let mut state = FluidState::new(cfg, stream_seed(self.seed, key, 2));
+        state.solve_at(self.now);
+        if self.channels[ch.0].fluid.replace(Box::new(state)).is_none() {
+            self.fluid_links.push(ch);
         }
-        self.fluid_epoch(ch);
+        self.fluid_catch_up(ch, self.now);
     }
 
     /// Changes a channel's bandwidth, keeping any attached fluid model
-    /// consistent: the fluid queue is integrated up to now at the old
-    /// rates, the max-min allocation re-solved at the new capacity, and
-    /// the pending epoch rescheduled. Fault-plan bandwidth churn routes
-    /// through here so background load reacts to capacity changes.
+    /// consistent: epochs due before now run at the old capacity, then one
+    /// re-solves now at the new one. Fault-plan churn routes through here.
+    /// On a fluid channel this is the only correct way: a write through
+    /// [`Simulator::channel_mut`] would reach epochs not yet caught up.
     pub fn set_link_bandwidth(&mut self, ch: ChannelId, bps: u64) {
+        let before = SimTime::from_micros(self.now.as_micros().saturating_sub(1));
+        self.fluid_catch_up(ch, before);
         self.channels[ch.0].params.bandwidth_bps = bps;
-        if let Some(fluid) = self.channels[ch.0].fluid.as_ref() {
-            let stale = fluid.handle;
-            self.sched.cancel(stale);
-            self.fluid_epoch(ch);
+        if let Some(fluid) = self.channels[ch.0].fluid.as_mut() {
+            fluid.solve_at(self.now);
+            self.fluid_catch_up(ch, self.now);
         }
     }
 
-    /// Runs one fluid epoch on `ch_id`: advance the population to `now`,
-    /// re-solve rates, publish gauges, and schedule the next epoch.
-    fn fluid_epoch(&mut self, ch_id: ChannelId) {
-        let now = self.now;
-        let (next, active, residual, qbytes) = {
-            let ch = &mut self.channels[ch_id.0];
-            let capacity = ch.params.bandwidth_bps;
-            let limit = ch.params.queue_limit_bytes;
-            let Some(fluid) = ch.fluid.as_mut() else {
-                return;
-            };
-            let next = fluid.epoch(now, capacity, limit);
-            (
-                next,
-                fluid.active_flows(),
-                fluid.residual_bps(),
-                fluid.queue_bytes_at(now, limit),
-            )
+    /// The one path fluid state advances by: applies `ch_id`'s epochs due
+    /// by `through` ([`FluidState::catch_up`]) and publishes the last one's
+    /// `link.fluid_*` gauges. A no-op on a fluid-free channel.
+    fn fluid_catch_up(&mut self, ch_id: ChannelId, through: SimTime) {
+        let ch = &mut self.channels[ch_id.0];
+        let (capacity, limit) = (ch.params.bandwidth_bps, ch.params.queue_limit_bytes);
+        let Some(fluid) = ch.fluid.as_mut() else {
+            return;
+        };
+        let Some(at) = fluid.catch_up(through, capacity, limit) else {
+            return;
         };
         if self.obs.is_enabled() {
+            let (active, residual, qbytes) =
+                (fluid.active_flows(), fluid.residual_bps(), fluid.queue_bytes_at(at, limit));
             let (obs, ch) = self.link_obs(ch_id);
             obs.gauge(&ch.scope, "link.fluid_active", active as f64);
             obs.gauge(&ch.scope, "link.fluid_residual_bps", residual as f64);
             obs.gauge(&ch.scope, "link.fluid_queue_bytes", qbytes as f64);
         }
-        if let Some(at) = next {
-            let handle = self.sched.cancel.alloc();
-            self.channels[ch_id.0].fluid.as_mut().expect("fluid just ran").handle = handle;
-            self.sched
-                .schedule_cancellable(at, handle, Event::FluidEpoch { channel: ch_id });
+    }
+
+    /// Catches every fluid channel up through now (ends every run method).
+    fn fluid_catch_up_all(&mut self) {
+        for i in 0..self.fluid_links.len() {
+            self.fluid_catch_up(self.fluid_links[i], self.now);
         }
     }
 
-    /// Aggregate fluid-model statistics summed over every channel.
+    /// Aggregate fluid-model statistics summed over every channel, current
+    /// through now once a run method has returned.
     pub fn fluid_totals(&self) -> FluidTotals {
         let mut t = FluidTotals::default();
-        for ch in &self.channels {
-            if let Some(f) = ch.fluid.as_ref() {
+        for ch in &self.fluid_links {
+            if let Some(f) = self.channels[ch.0].fluid.as_ref() {
                 t.links += 1;
                 t.users += f.users() as u64;
                 t.active += f.active_flows() as u64;
@@ -658,6 +657,7 @@ impl Simulator {
             self.handle(event);
         }
         self.now = self.now.max(horizon);
+        self.fluid_catch_up_all();
         self.obs_sched_gauges();
     }
 
@@ -667,6 +667,7 @@ impl Simulator {
         let (time, event) = self.sched.pop()?;
         self.now = time;
         self.handle(event);
+        self.fluid_catch_up_all();
         Some(self.now)
     }
 
@@ -717,7 +718,6 @@ impl Simulator {
                 self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
             }
             Event::Control(f) => f(self),
-            Event::FluidEpoch { channel } => self.fluid_epoch(channel),
         }
     }
 
@@ -818,7 +818,9 @@ impl Simulator {
             return self.drop_packet(Some(ch_id), node, DropReason::LinkDown, &pkt);
         }
         if ch.busy {
-            if !ch.enqueue(self.now, pkt.clone()) {
+            // Admission reads the fluid queue.
+            self.fluid_catch_up(ch_id, self.now);
+            if !self.channels[ch_id.0].enqueue(self.now, pkt.clone()) {
                 self.drop_packet(Some(ch_id), node, DropReason::QueueFull, &pkt);
             } else if self.obs.is_enabled() {
                 let (obs, ch) = self.link_obs(ch_id);
@@ -830,6 +832,7 @@ impl Simulator {
     }
 
     fn start_tx(&mut self, ch_id: ChannelId, pkt: Packet) {
+        self.fluid_catch_up(ch_id, self.now);
         let ch = &mut self.channels[ch_id.0];
         ch.busy = true;
         // Fluid-enabled channels serialize foreground packets at the
@@ -1016,6 +1019,7 @@ impl Simulator {
             node_meta: self.node_meta.clone(),
             node_rngs: self.node_rngs.clone(),
             channels: self.channels.clone(),
+            fluid_links: self.fluid_links.clone(),
             link_rng: self.link_rng.clone(),
             started: self.started,
             seed: self.seed,
@@ -1042,7 +1046,8 @@ impl Simulator {
     /// (sequence numbers themselves excluded, so interleavings that
     /// converge to the same pending set hash equal), per-node digests
     /// ([`Node::state_digest`]), every RNG stream, and per-channel link
-    /// state. Packets — pending and queued — are folded field by field
+    /// state, fluid population included ([`FluidState::state_digest`]).
+    /// Packets — pending and queued — are folded field by field
     /// ([`Packet::state_digest`]), never through their summary text.
     /// Diagnostic counters (trace, stats, `events_processed`) are
     /// deliberately left out for the same convergence reason.
@@ -1085,6 +1090,9 @@ impl Simulator {
                 for w in rng.state_words() {
                     h.update_u64(w);
                 }
+            }
+            if let Some(fluid) = ch.fluid.as_ref() {
+                fluid.state_digest(&mut h);
             }
         }
         for fs in self.faults.iter().flatten() {
@@ -1171,6 +1179,7 @@ impl Simulator {
                 }
             }
         }
+        self.fluid_catch_up_all();
         Ok(())
     }
 }
@@ -1411,6 +1420,32 @@ mod tests {
         let counted = sim.state_hash();
         sim.channel_mut(ChannelId(0)).stats.loss_drops = 0;
         assert_eq!(sim.state_hash(), counted);
+    }
+
+    /// Fluid state is part of the fingerprint: worlds that differ only in
+    /// their background population's stream hash apart (pending epochs are
+    /// no longer events, so nothing else would tell them apart), and a
+    /// snapshot hashes like its original, before and after both run on.
+    #[test]
+    fn state_hash_covers_fluid_state_and_survives_snapshots() {
+        let world = |key| {
+            let (mut sim, _, _) = two_node_sim(LinkParams::wired(), LinkParams::wired());
+            sim.attach_fluid(ChannelId(0), FluidConfig::users(200), key);
+            sim
+        };
+        // Nobody has arrived yet: only the populations' streams differ.
+        assert_ne!(world(1).state_hash(), world(2).state_hash(), "two fluid streams hash apart");
+        let (mut a, mut b) = (world(1), world(2));
+        a.run_until(SimTime::from_millis(500));
+        b.run_until(SimTime::from_millis(500));
+        assert_ne!(a.state_hash(), b.state_hash());
+        let mut copy = a.snapshot().expect("no control events pending");
+        assert_eq!(copy.state_hash(), a.state_hash());
+        a.run_until(SimTime::from_millis(1_234));
+        assert_ne!(copy.state_hash(), a.state_hash(), "epochs move the fingerprint");
+        copy.run_until(SimTime::from_millis(1_234));
+        assert_eq!(copy.state_hash(), a.state_hash());
+        assert_eq!(copy.fluid_totals(), a.fluid_totals());
     }
 
     #[test]

@@ -1030,3 +1030,291 @@ fn snoop_demand_driven_ticks_match_always_ticking_reference() {
             eager.check_fire_accounting()
         });
 }
+
+// ---------------------------------------------------------------------
+// Decoders never panic: hostile input to every parser a peer can reach.
+// ---------------------------------------------------------------------
+
+/// Numbers at the edges of what a text field parses into.
+const EXTREME_NUMBERS: &[&str] = &["0", "-1", "4294967296", "18446744073709551615", "1e999", "NaN"];
+
+/// A seeded mutation of one of `valid`: a truncation, one to four bit
+/// flips, a splice of two encodings at random cut points, or a run of
+/// ASCII digits replaced by an extreme number.
+fn mutate(rng: &mut SmallRng, valid: &[Vec<u8>]) -> Vec<u8> {
+    let a = &valid[gen::index(rng, valid.len())];
+    match rng.gen_range(0u8..4) {
+        0 => a[..gen::index(rng, a.len())].to_vec(),
+        1 => {
+            let mut v = a.clone();
+            for _ in 0..rng.gen_range(1..5) {
+                let i = gen::index(rng, v.len());
+                if let Some(byte) = v.get_mut(i) {
+                    *byte ^= 1 << rng.gen_range(0u8..8);
+                }
+            }
+            v
+        }
+        2 => {
+            let b = &valid[gen::index(rng, valid.len())];
+            let mut v = a[..gen::index(rng, a.len() + 1)].to_vec();
+            v.extend_from_slice(&b[gen::index(rng, b.len() + 1)..]);
+            v
+        }
+        _ => {
+            let digit_runs: Vec<usize> = (0..a.len())
+                .filter(|&i| a[i].is_ascii_digit() && (i == 0 || !a[i - 1].is_ascii_digit()))
+                .collect();
+            let Some(&start) = digit_runs.get(gen::index(rng, digit_runs.len())) else {
+                return a.clone();
+            };
+            let end = (start..a.len()).find(|&i| !a[i].is_ascii_digit()).unwrap_or(a.len());
+            let number = EXTREME_NUMBERS[gen::index(rng, EXTREME_NUMBERS.len())];
+            [&a[..start], number.as_bytes(), &a[end..]].concat()
+        }
+    }
+}
+
+/// Eight valid encodings and 32 mutations of them, made by `valid`.
+fn mutated_corpus(
+    rng: &mut SmallRng,
+    mut valid: impl FnMut(&mut SmallRng) -> Vec<u8>,
+) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let corpus: Vec<Vec<u8>> = (0..8).map(|_| valid(rng)).collect();
+    let mutants = (0..32).map(|_| mutate(rng, &corpus)).collect();
+    (corpus, mutants)
+}
+
+fn arb_wire_packet(rng: &mut SmallRng) -> Vec<u8> {
+    let (src, dst) = (
+        comma_netsim::addr::Ipv4Addr(rng.gen()),
+        comma_netsim::addr::Ipv4Addr(rng.gen()),
+    );
+    let pkt = match rng.gen_range(0u8..3) {
+        0 => arb_tcp_packet(rng),
+        1 => Packet::udp(
+            src,
+            dst,
+            UdpDatagram {
+                src_port: rng.gen(),
+                dst_port: rng.gen(),
+                payload: Bytes::from(gen::bytes(rng, 0..600)),
+            },
+        ),
+        _ => Packet::icmp(
+            src,
+            dst,
+            comma_repro::netsim::packet::IcmpMessage::EchoRequest {
+                id: rng.gen(),
+                seq: rng.gen(),
+                payload: Bytes::from(gen::bytes(rng, 0..600)),
+            },
+        ),
+    };
+    wire::encode(&pkt)
+}
+
+/// `wire::decode` answers every truncation, bit flip and splice of valid
+/// packets with a packet or a typed error, never a panic; a strict prefix
+/// of a packet is always an error, and whatever decodes re-encodes.
+#[test]
+fn wire_decode_never_panics_on_mutated_packets() {
+    Runner::new("wire_decode_never_panics_on_mutated_packets")
+        .cases(150)
+        .run(
+            |rng| mutated_corpus(rng, arb_wire_packet),
+            |(corpus, mutants)| {
+                for bytes in corpus {
+                    let cut = &bytes[..bytes.len() / 2];
+                    ensure!(wire::decode(cut).is_err(), "a half packet decoded: {cut:02x?}");
+                }
+                for bytes in mutants {
+                    if let Ok(pkt) = wire::decode(bytes) {
+                        ensure_eq!(wire::encode(&pkt).len(), pkt.wire_len());
+                    }
+                }
+                Ok(())
+            },
+        );
+}
+
+fn arb_eem_value(rng: &mut SmallRng) -> Value {
+    match rng.gen_range(0u8..3) {
+        0 => Value::Long(rng.gen::<u64>() as i64 >> rng.gen_range(0..63)),
+        1 => Value::Double(rng.gen_range(0u64..1_000_000) as f64 / 7.0),
+        _ => Value::Str(["rtt", "11.11.10.10", "a b", ""][gen::index(rng, 4)].to_string()),
+    }
+}
+
+fn arb_eem_line(rng: &mut SmallRng) -> Vec<u8> {
+    use comma_repro::eem::proto::Message;
+    let msg = match rng.gen_range(0u8..4) {
+        0 => Message::Register {
+            reg_id: rng.gen(),
+            var_num: rng.gen(),
+            index: rng.gen(),
+            mode: [Mode::Interrupt, Mode::Periodic, Mode::Once][gen::index(rng, 3)],
+            op: [Operator::Gt, Operator::Lte, Operator::In, Operator::Out][gen::index(rng, 4)],
+            lbound: arb_eem_value(rng),
+            ubound: gen::option(rng, 0.5, arb_eem_value),
+        },
+        1 => Message::Deregister { reg_id: rng.gen() },
+        2 => Message::Update {
+            reg_id: rng.gen(),
+            in_range: rng.gen_bool(0.5),
+            value: arb_eem_value(rng),
+        },
+        _ => Message::Nak { reg_id: rng.gen() },
+    };
+    msg.encode().into_bytes()
+}
+
+/// `eem::proto::Message::decode` answers every mutated line with a
+/// message or `None`, and whatever it accepts re-encodes to a line it
+/// accepts again.
+#[test]
+fn eem_message_decode_never_panics_on_mutated_lines() {
+    use comma_repro::eem::proto::Message;
+    Runner::new("eem_message_decode_never_panics_on_mutated_lines")
+        .cases(150)
+        .run(
+            |rng| mutated_corpus(rng, arb_eem_line),
+            |(corpus, mutants)| {
+                for line in corpus.iter().chain(mutants) {
+                    let line = String::from_utf8_lossy(line);
+                    if let Some(msg) = Message::decode(&line) {
+                        let again = Message::decode(&msg.encode());
+                        ensure!(again.is_some(), "{line:?} decoded to {msg:?}, which does not re-decode");
+                    }
+                }
+                Ok(())
+            },
+        );
+}
+
+fn arb_mip_line(rng: &mut SmallRng) -> Vec<u8> {
+    use comma_repro::mobileip::MipMessage;
+    let addr = |rng: &mut SmallRng| comma_netsim::addr::Ipv4Addr(rng.gen());
+    let msg = match rng.gen_range(0u8..3) {
+        0 => MipMessage::RegistrationRequest {
+            home_addr: addr(rng),
+            home_agent: addr(rng),
+            care_of: addr(rng),
+            lifetime: rng.gen(),
+            id: rng.gen(),
+        },
+        1 => MipMessage::RegistrationReply {
+            home_addr: addr(rng),
+            code: rng.gen(),
+            id: rng.gen(),
+            lifetime: rng.gen(),
+        },
+        _ => MipMessage::BindingUpdate {
+            home_addr: addr(rng),
+            care_of: addr(rng),
+            lifetime: rng.gen(),
+        },
+    };
+    msg.encode().into_bytes()
+}
+
+/// `MipMessage::decode` answers every mutated registration line with a
+/// message or `None`; whatever it accepts round-trips exactly.
+#[test]
+fn mip_message_decode_never_panics_on_mutated_lines() {
+    use comma_repro::mobileip::MipMessage;
+    Runner::new("mip_message_decode_never_panics_on_mutated_lines")
+        .cases(150)
+        .run(
+            |rng| mutated_corpus(rng, arb_mip_line),
+            |(corpus, mutants)| {
+                for line in corpus.iter().chain(mutants) {
+                    let line = String::from_utf8_lossy(line);
+                    if let Some(msg) = MipMessage::decode(&line) {
+                        ensure_eq!(MipMessage::decode(&msg.encode()), Some(msg.clone()), "{line:?}");
+                    }
+                }
+                Ok(())
+            },
+        );
+}
+
+/// Console lines Kati sends, one per command and filter argument shape.
+const SP_LINES: &[&str] = &[
+    "load /filters/rdrop.so",
+    "remove /filters/rdrop.so",
+    "add tcp 0.0.0.0 0 11.11.10.10 0",
+    "add snoop 0.0.0.0 0 11.11.10.10 0 200",
+    "add wsize 0.0.0.0 0 11.11.10.10 0 scale 90",
+    "add rdrop 0.0.0.0 0 11.11.10.10 9000 0.25",
+    "add hdiscard 0.0.0.0 0 11.11.10.10 9000 2 1 4 0.5 0.25",
+    "add compress 0.0.0.0 0 11.11.10.10 9000 lzss 4096",
+    "add removal 0.0.0.0 0 11.11.10.10 9000 2",
+    "add launcher 0.0.0.0 0 11.11.10.10 9000 rdrop 0.5",
+    "delete snoop 0.0.0.0 0 11.11.10.10 0",
+    "delete compress 0.0.0.0 0 11.11.10.10 9000",
+    "report",
+    "report wsize",
+];
+
+/// `ServiceProxy::exec` answers every mutated console line with output
+/// or silence, never a panic — and so does a short TCP exchange through
+/// whatever services the lines registered, which is where a filter's
+/// arguments are first parsed.
+#[test]
+fn sp_console_never_panics_on_mutated_lines() {
+    Runner::new("sp_console_never_panics_on_mutated_lines")
+        .cases(150)
+        .run(
+            |rng| {
+                let valid: Vec<Vec<u8>> = SP_LINES.iter().map(|l| l.as_bytes().to_vec()).collect();
+                gen::vec_of(rng, 1..8, |rng| {
+                    if rng.gen_bool(0.3) {
+                        valid[gen::index(rng, valid.len())].clone()
+                    } else {
+                        mutate(rng, &valid)
+                    }
+                })
+            },
+            |lines| {
+                sp_console_session(lines);
+                Ok(())
+            },
+        );
+    let valid: Vec<Vec<u8>> = SP_LINES.iter().map(|l| l.as_bytes().to_vec()).collect();
+    let sp = sp_console_session(&valid);
+    let streams = sp.engine.streams();
+    assert!(
+        streams.iter().any(|(_, kinds)| kinds.len() >= 4),
+        "the unmutated lines deploy services: {streams:?}"
+    );
+}
+
+/// Runs `lines` through a fresh proxy's console, then one TCP exchange
+/// from a server to the mobile every valid line names.
+fn sp_console_session(lines: &[Vec<u8>]) -> ServiceProxy {
+    let server: comma_repro::netsim::addr::Ipv4Addr = "11.11.10.99".parse().unwrap();
+    let mobile: comma_repro::netsim::addr::Ipv4Addr = "11.11.10.10".parse().unwrap();
+    let engine = FilterEngine::new(standard_catalog(ALL_FILTERS));
+    let table = comma_repro::netsim::routing::RoutingTable::new();
+    let mut sp = ServiceProxy::new("sp", vec![], table, engine, 1);
+    let mut now = SimTime::ZERO;
+    for line in lines {
+        sp.exec(now, &String::from_utf8_lossy(line));
+    }
+    let mut rng = SmallRng::seed_from_u64(2);
+    let mut data = TcpSegment::new(9000, 9000, 1, 1, TcpFlags::ACK);
+    data.payload = Bytes::from(vec![b'a'; 1_000]);
+    let exchange = [
+        Packet::tcp(server, mobile, TcpSegment::new(9000, 9000, 0, 0, TcpFlags::SYN)),
+        Packet::tcp(mobile, server, TcpSegment::new(9000, 9000, 0, 1, TcpFlags::SYN | TcpFlags::ACK)),
+        Packet::tcp(server, mobile, data),
+        Packet::tcp(mobile, server, TcpSegment::new(9000, 9000, 1, 1_001, TcpFlags::ACK)),
+    ];
+    for pkt in exchange {
+        now += SimDuration::from_millis(10);
+        sp.engine.process(now, &mut rng, &NullMetrics, pkt);
+    }
+    sp.exec(now, "report");
+    sp
+}
