@@ -55,6 +55,18 @@ pub struct ScaleResult {
     pub events_per_sec: f64,
     /// Simulated completion time of the whole batch.
     pub sim_time: SimTime,
+    /// The most requested bytes the run held at once, world construction
+    /// included ([`comma_rt::alloc::AllocScope::peak_live_bytes`]): a memory
+    /// high-water that repeats exactly on any host. `None` unless built
+    /// with `comma-rt/alloc-stats`.
+    pub peak_live_bytes: Option<u64>,
+}
+
+impl ScaleResult {
+    /// [`ScaleResult::peak_live_bytes`] over the flows, rounded down.
+    pub fn peak_live_bytes_per_flow(&self) -> Option<u64> {
+        self.peak_live_bytes.map(|b| b / self.flows.max(1) as u64)
+    }
 }
 
 /// Builds the many-flows world: N bulk senders on the wired host, N sinks
@@ -104,8 +116,9 @@ fn build_many_flows(
 /// the filtered proxy over a lossy wireless link; panics unless every flow
 /// completes.
 pub fn run_many_flows(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleResult {
-    let world = build_many_flows(flows, bytes_per_flow, seed, false);
-    drive_many_flows(world, flows, bytes_per_flow, "many-flows")
+    drive_many_flows(flows, bytes_per_flow, "many-flows", || {
+        build_many_flows(flows, bytes_per_flow, seed, false)
+    })
 }
 
 /// Steps `world` in one-second increments until the sinks hold `target`
@@ -128,14 +141,16 @@ fn run_to_completion(world: &mut comma::topology::CommaWorld, target: u64) -> u6
     delivered
 }
 
-/// Times [`run_to_completion`]; `sim_time` is the batch's completion time
-/// (to the second).
+/// Builds a world with `build` and times [`run_to_completion`] on it;
+/// `sim_time` is the batch's completion time (to the second).
 fn drive_many_flows(
-    mut world: comma::topology::CommaWorld,
     flows: usize,
     bytes_per_flow: usize,
     what: &str,
+    build: impl FnOnce() -> comma::topology::CommaWorld,
 ) -> ScaleResult {
+    let scope = comma_rt::alloc::AllocScope::begin();
+    let mut world = build();
     let target = flows as u64 * bytes_per_flow as u64;
     let t = Instant::now();
     let delivered = run_to_completion(&mut world, target);
@@ -156,6 +171,7 @@ fn drive_many_flows(
         wall_ms: wall * 1e3,
         events_per_sec: sim_events as f64 / wall,
         sim_time: world.sim.now(),
+        peak_live_bytes: comma_rt::alloc::enabled().then(|| scope.peak_live_bytes()),
     }
 }
 
@@ -173,18 +189,6 @@ pub fn finished_flow_retained_bytes(flows: usize, bytes_per_flow: usize, seed: u
     world.run_until(quiet);
     let held = scope.delta();
     (held.alloc_bytes - held.dealloc_bytes) / flows as u64
-}
-
-/// The most requested bytes the many-flows world holds at once, from
-/// before it is built until every transfer has finished: a memory
-/// high-water that repeats exactly, on any host. Zero unless built with
-/// `comma-rt/alloc-stats`.
-pub fn many_flows_peak_live_bytes(flows: usize, bytes_per_flow: usize, seed: u64) -> u64 {
-    let scope = comma_rt::alloc::AllocScope::begin();
-    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
-    let target = (flows * bytes_per_flow) as u64;
-    assert_eq!(run_to_completion(&mut world, target), target, "transfers incomplete");
-    scope.peak_live_bytes()
 }
 
 /// Runs `world` to completion under full packet-trace capture and returns
@@ -223,9 +227,11 @@ pub fn churn_plan(seed: u64) -> FaultPlan {
 /// flaps, and steps bandwidth. Every flow must still complete — the
 /// fault plan perturbs timing, never correctness.
 pub fn run_many_flows_churn(flows: usize, bytes_per_flow: usize, seed: u64) -> ScaleResult {
-    let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
-    world.apply_fault_plan(&churn_plan(seed ^ 0xc4e7));
-    drive_many_flows(world, flows, bytes_per_flow, "many-flows/churn")
+    drive_many_flows(flows, bytes_per_flow, "many-flows/churn", || {
+        let mut world = build_many_flows(flows, bytes_per_flow, seed, false);
+        world.apply_fault_plan(&churn_plan(seed ^ 0xc4e7));
+        world
+    })
 }
 
 /// Runs the many-flows workload under [`churn_plan`] with full

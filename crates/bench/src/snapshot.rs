@@ -35,6 +35,13 @@ pub const FLOWS_10K_MIN_SPEEDUP: f64 = 2.5;
 pub const SPEEDUP_GATE_MIN_PARALLELISM: usize = 4;
 /// Steady-state heap allocations per sharded window under `alloc-stats`.
 pub const MAX_ALLOCS_PER_WINDOW: f64 = 0.0;
+/// Ceiling on `flows_256` peak live bytes per flow under `alloc-stats`
+/// (the run's high-water, world construction included, over its flows),
+/// fast run (8 KiB a flow): measures 5,057; 12,762 while every
+/// `BulkSender` write was a copy of its pattern.
+pub const FLOWS_256_MAX_PEAK_LIVE_BYTES_PER_FLOW_FAST: u64 = 5_120;
+/// The same ceiling for the full run (32 KiB a flow): measures 5,630.
+pub const FLOWS_256_MAX_PEAK_LIVE_BYTES_PER_FLOW: u64 = 5_696;
 
 /// Everything one macrobench run measured.
 #[derive(Clone, Debug, Default)]
@@ -109,8 +116,16 @@ impl Snapshot {
     /// The `BENCH_macro.json` document.
     pub fn to_json(&self) -> Json {
         let (f, m) = (&self.flows_10k, &self.metro);
-        let mut scale: Vec<(String, Json)> =
-            self.scale.iter().map(|(name, r)| (name.clone(), Json::Obj(scale_row!(r)))).collect();
+        let mut scale: Vec<(String, Json)> = self
+            .scale
+            .iter()
+            .map(|(name, r)| {
+                let mut row = scale_row!(r);
+                let per_flow = r.peak_live_bytes_per_flow().map_or(Json::Null, Json::U64);
+                row.push(("peak_live_bytes_per_flow".into(), per_flow));
+                (name.clone(), Json::Obj(row))
+            })
+            .collect();
         let mut flows_10k: Vec<(String, Json)> = scale_row!(f);
         flows_10k.extend([
             ("flows".into(), Json::U64((f.cells * f.flows_per_cell) as u64)),
@@ -259,6 +274,20 @@ impl Snapshot {
             !comma_rt::alloc::enabled() || allocs == Some(MAX_ALLOCS_PER_WINDOW),
             format!("allocs_per_window {allocs:?} under alloc-stats (must be Some(0.0))"),
         );
+        let flows_256 = self.scale.iter().find(|(name, _)| name == "flows_256");
+        let peak = flows_256.and_then(|(_, r)| r.peak_live_bytes_per_flow());
+        let ceiling = if self.fast {
+            FLOWS_256_MAX_PEAK_LIVE_BYTES_PER_FLOW_FAST
+        } else {
+            FLOWS_256_MAX_PEAK_LIVE_BYTES_PER_FLOW
+        };
+        require(
+            !comma_rt::alloc::enabled() || peak.is_some_and(|b| b <= ceiling),
+            format!(
+                "flows_256 peak_live_bytes_per_flow {peak:?} under alloc-stats (must be at most \
+                 {ceiling}): a flow holds more memory"
+            ),
+        );
         failed
     }
 }
@@ -267,11 +296,21 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    /// The parent commit's fast-run numbers: every gate passes.
+    /// Fast-run numbers: every gate passes.
     fn passing() -> Snapshot {
+        let counting = comma_rt::alloc::enabled();
         Snapshot {
+            fast: true,
             cores: 2,
-            allocs_per_window: comma_rt::alloc::enabled().then_some(0.0),
+            allocs_per_window: counting.then_some(0.0),
+            scale: vec![(
+                "flows_256".into(),
+                ScaleResult {
+                    flows: 256,
+                    peak_live_bytes: counting.then_some(256 * 5_057),
+                    ..Default::default()
+                },
+            )],
             flows_10k: ShardScaleResult {
                 events_per_link_pkt: 2.083,
                 wall_ms: 335.8,
@@ -343,12 +382,31 @@ mod tests {
 
     #[test]
     fn alloc_gate_follows_the_compiled_in_allocator() {
+        fn peak(s: &mut Snapshot) -> &mut Option<u64> {
+            &mut s.scale[0].1.peak_live_bytes
+        }
         if comma_rt::alloc::enabled() {
             assert_fails("allocs_per_window None", |s| s.allocs_per_window = None);
             assert_fails("allocs_per_window Some(0.25)", |s| s.allocs_per_window = Some(0.25));
+            assert_fails("peak_live_bytes_per_flow None", |s| *peak(s) = None);
+            assert_fails("peak_live_bytes_per_flow Some(5121)", |s| {
+                *peak(s) = Some(256 * 5_121)
+            });
+            assert_fails("peak_live_bytes_per_flow Some(5697)", |s| {
+                s.fast = false;
+                *peak(s) = Some(256 * 5_697)
+            });
+            assert_fails("peak_live_bytes_per_flow None", |s| s.scale.clear());
+            // Exactly on each ceiling passes.
+            let mut s = passing();
+            *peak(&mut s) = Some(256 * 5_120 + 255);
+            assert_eq!(s.gates(), Vec::<String>::new());
+            (s.fast, *peak(&mut s)) = (false, Some(256 * 5_696));
+            assert_eq!(s.gates(), Vec::<String>::new());
         } else {
-            // Without the counting allocator the figure is `null` and ungated.
+            // Without the counting allocator the figures are `null` and ungated.
             assert_eq!(passing().allocs_per_window, None);
+            assert_eq!(passing().scale[0].1.peak_live_bytes_per_flow(), None);
             assert_eq!(passing().gates(), Vec::<String>::new());
         }
     }

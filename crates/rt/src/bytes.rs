@@ -103,7 +103,12 @@ mod pool {
 /// types).
 fn reclaim(data: &mut Arc<Vec<u8>>) {
     // Fast path out: shared storage (other views alive, or the static
-    // empty sentinel) just decrements its refcount on drop.
+    // empty sentinel) just decrements its refcount on drop. The count is a
+    // plain load; `get_mut` (a compare-and-swap on the storage header)
+    // runs only when this view may be the last, and still decides.
+    if Arc::strong_count(data) != 1 {
+        return;
+    }
     let Some(v) = Arc::get_mut(data) else { return };
     if v.capacity() == 0 {
         return;

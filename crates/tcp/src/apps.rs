@@ -182,11 +182,16 @@ pub trait App: Send {
 // ---------------------------------------------------------------------
 
 /// Sends `total_bytes` to a remote sink as fast as TCP allows, then closes.
+///
+/// The whole transfer is written at connect time, [`BulkSender::CHUNK`]
+/// bytes a write. With the default pattern, `(i % 251) as u8`, a write
+/// copies nothing: it is a view of one period buffer shared by every
+/// sender on the thread, so ten thousand senders hold one payload between
+/// them.
 #[derive(Clone)]
 pub struct BulkSender {
     remote: (Ipv4Addr, u16),
     total_bytes: usize,
-    chunk: usize,
     sent: usize,
     sock: Option<SocketId>,
     /// Time the connection was established.
@@ -194,40 +199,37 @@ pub struct BulkSender {
     /// Time the connection fully closed.
     pub finished_at: Option<SimTime>,
     /// Byte value pattern generator (deterministic, compressible or not);
-    /// `None` is the default `(i % 251) as u8`, written a run at a time.
+    /// `None` is the default `(i % 251) as u8`, written as views of
+    /// [`mod_251`]'s shared period.
     pattern: Option<fn(usize) -> u8>,
 }
 
-/// `(i % 251) as u8` for `i` in `from..from + n`: [`BulkSender`]'s default
-/// pattern, copied out of one period instead of computed per byte.
-fn mod_251(from: usize, n: usize) -> Vec<u8> {
-    const PERIOD: [u8; 251] = {
-        let mut p = [0u8; 251];
-        let mut i = 0;
-        while i < 251 {
-            p[i] = i as u8;
-            i += 1;
-        }
-        p
-    };
-    let mut out = Vec::with_capacity(n);
-    let mut at = from % 251;
-    while out.len() < n {
-        let take = (251 - at).min(n - out.len());
-        out.extend_from_slice(&PERIOD[at..at + take]);
-        at = 0;
+/// `(i % 251) as u8` for `i` in `from..from + n`, `n ≤ CHUNK`:
+/// [`BulkSender`]'s default pattern as a view of one buffer holding
+/// `251 + CHUNK` pattern bytes, so every write starts inside the first
+/// period and fits. The buffer is built once per thread, not per process:
+/// a shared one would put every segment's refcount on one cache line that
+/// all shard workers write.
+fn mod_251(from: usize, n: usize) -> Bytes {
+    thread_local! {
+        static PERIODS: Bytes =
+            (0..251 + BulkSender::CHUNK).map(|i| (i % 251) as u8).collect();
     }
-    out
+    assert!(n <= BulkSender::CHUNK, "a {n}-byte write is longer than a chunk");
+    let at = from % 251;
+    PERIODS.with(|p| p.slice(at..at + n))
 }
 
 impl BulkSender {
+    /// Bytes per write.
+    pub const CHUNK: usize = 16 * 1024;
+
     /// Creates a sender that transfers `total_bytes` of a mildly
     /// compressible pattern.
     pub fn new(remote: (Ipv4Addr, u16), total_bytes: usize) -> Self {
         BulkSender {
             remote,
             total_bytes,
-            chunk: 16 * 1024,
             sent: 0,
             sock: None,
             started_at: None,
@@ -236,7 +238,8 @@ impl BulkSender {
         }
     }
 
-    /// Uses a custom byte pattern (e.g. highly compressible text).
+    /// Uses a custom byte pattern (e.g. highly compressible text). An
+    /// arbitrary pattern has no period, so each write is generated.
     pub fn with_pattern(mut self, pattern: fn(usize) -> u8) -> Self {
         self.pattern = Some(pattern);
         self
@@ -250,7 +253,7 @@ impl BulkSender {
     fn push_chunks(&mut self, ctx: &mut AppCtx) {
         let Some(sock) = self.sock else { return };
         while self.sent < self.total_bytes {
-            let n = self.chunk.min(self.total_bytes - self.sent);
+            let n = Self::CHUNK.min(self.total_bytes - self.sent);
             let data = match self.pattern {
                 Some(pattern) => (self.sent..self.sent + n).map(pattern).collect(),
                 None => mod_251(self.sent, n),
@@ -595,9 +598,13 @@ mod tests {
 
     #[test]
     fn default_pattern_is_i_mod_251_from_any_offset() {
+        let first = mod_251(0, 1);
+        let storage = first.as_ptr() as usize..first.as_ptr() as usize + 251 + BulkSender::CHUNK;
         for (from, n) in [(0, 0), (0, 1), (0, 251), (250, 2), (7, 16 * 1024), (251 * 3 - 1, 600)] {
             let want: Vec<u8> = (from..from + n).map(|i| (i % 251) as u8).collect();
-            assert_eq!(mod_251(from, n), want, "from {from}, {n} bytes");
+            let got = mod_251(from, n);
+            assert_eq!(got, want, "from {from}, {n} bytes");
+            assert!(storage.contains(&(got.as_ptr() as usize)), "from {from}: copied");
         }
         // Chunk boundaries do not restart the pattern.
         let mut app = BulkSender::new((Ipv4Addr::new(1, 2, 3, 4), 9000), 40_000);

@@ -79,6 +79,10 @@ pub struct SocketInfo {
     pub app: AppId,
 }
 
+/// A connection's local then remote address and port, flat so it packs
+/// into 12 bytes.
+type SocketKey = (Ipv4Addr, u16, Ipv4Addr, u16);
+
 #[derive(Clone)]
 struct SocketEntry {
     conn: TcpConnection,
@@ -160,6 +164,11 @@ pub struct Host {
     default_cfg: TcpConfig,
     apps: Vec<Option<Box<dyn App>>>,
     sockets: Vec<SocketEntry>,
+    /// `(local, remote)` of each entry of `sockets`, at the same index: the
+    /// per-segment demux scans these 12-byte keys instead of whole
+    /// entries. Shared with snapshots (a fork copies no keys; the first
+    /// connect or accept after one does).
+    keys: Arc<Vec<SocketKey>>,
     listeners: Vec<Listener>,
     udp_binds: HashMap<u16, usize>,
     next_port: u16,
@@ -179,6 +188,7 @@ impl Host {
             default_cfg: TcpConfig::default(),
             apps: Vec::new(),
             sockets: Vec::new(),
+            keys: Arc::default(),
             listeners: Vec::new(),
             udp_binds: HashMap::new(),
             next_port: 1024,
@@ -257,6 +267,13 @@ impl Host {
     /// stream tools).
     pub fn connection(&self, sock: SocketId) -> Option<&TcpConnection> {
         self.sockets.get(sock.0).map(|e| &e.conn)
+    }
+
+    /// Adds a socket and its demux key; returns its index.
+    fn push_socket(&mut self, e: SocketEntry) -> usize {
+        Arc::make_mut(&mut self.keys).push((e.local.0, e.local.1, e.remote.0, e.remote.1));
+        self.sockets.push(e);
+        self.sockets.len() - 1
     }
 
     /// Next ephemeral port no open socket, listener or UDP binding holds.
@@ -484,7 +501,7 @@ impl Host {
                     let mut conn = TcpConnection::new(cfg, iss);
                     let eff = conn.connect(ctx.now);
                     self.counters.tcp_active_opens += 1;
-                    self.sockets.push(SocketEntry {
+                    let sock = self.push_socket(SocketEntry {
                         conn,
                         local: (self.addrs[0], local_port),
                         remote,
@@ -494,7 +511,7 @@ impl Host {
                         last_state: TcpState::Closed,
                         timer: None,
                     });
-                    work.push_back(Work::Effects(self.sockets.len() - 1, eff));
+                    work.push_back(Work::Effects(sock, eff));
                 }
                 AppOp::Listen { port, cfg } => {
                     self.listeners.push(Listener {
@@ -567,9 +584,11 @@ impl Host {
     fn handle_tcp(&mut self, ctx: &mut NodeCtx<'_>, src: Ipv4Addr, dst: Ipv4Addr, seg: TcpSegment) {
         self.counters.tcp_in_segs += 1;
         let key = (dst, seg.dst_port, src, seg.src_port);
-        let found = self.sockets.iter().position(|e| {
-            (e.local.0, e.local.1, e.remote.0, e.remote.1) == key && !e.conn.is_closed()
-        });
+        let found = self
+            .keys
+            .iter()
+            .zip(&self.sockets)
+            .position(|(&k, e)| k == key && !e.conn.is_closed());
         if let Some(sock) = found {
             let now = ctx.now;
             let eff = self.sockets[sock].conn.on_segment(now, &seg);
@@ -591,7 +610,7 @@ impl Host {
                 conn.listen();
                 let now = ctx.now;
                 let eff = conn.on_segment(now, &seg);
-                self.sockets.push(SocketEntry {
+                let sock = self.push_socket(SocketEntry {
                     conn,
                     local: (dst, seg.dst_port),
                     remote: (src, seg.src_port),
@@ -602,7 +621,7 @@ impl Host {
                     timer: None,
                 });
                 let mut work = VecDeque::new();
-                work.push_back(Work::Effects(self.sockets.len() - 1, eff));
+                work.push_back(Work::Effects(sock, eff));
                 self.drain(ctx, work);
                 return;
             }
@@ -734,6 +753,7 @@ impl Node for Host {
             default_cfg: self.default_cfg.clone(),
             apps,
             sockets: self.sockets.clone(),
+            keys: self.keys.clone(),
             listeners: self.listeners.clone(),
             udp_binds: self.udp_binds.clone(),
             next_port: self.next_port,
@@ -807,7 +827,7 @@ mod tests {
             if live {
                 conn.connect(SimTime::ZERO);
             }
-            host.sockets.push(SocketEntry {
+            host.push_socket(SocketEntry {
                 conn,
                 local: (host.addrs[0], port),
                 remote: (Ipv4Addr::new(10, 0, 0, 2), 80),

@@ -253,10 +253,12 @@ fn hub_metrics_lookup_is_allocation_free() {
 fn finished_flow_retains_bounded_bytes() {
     let per_flow = comma_bench::scale::finished_flow_retained_bytes(200, 4096, 7);
     println!("retained bytes per finished flow: {per_flow}");
-    // Measures 5,120. Before the zero-copy `SendBuffer`, reused instance
-    // slots and the flat Snoop cache it measured 6,419; before the one-slab
-    // wheel and the self-freeing `SendBuffer`, 31,890.
-    assert!(per_flow <= 5_120, "a finished flow retains {per_flow} requested bytes");
+    // Measures 4,804, the thread's one 16,635-byte pattern period included.
+    // The tree that copied `BulkSender`'s pattern into every write measured
+    // 5,011; before the zero-copy `SendBuffer`, reused instance slots and
+    // the flat Snoop cache, 6,419; before the one-slab wheel and the
+    // self-freeing `SendBuffer`, 31,890.
+    assert!(per_flow <= 4_804, "a finished flow retains {per_flow} requested bytes");
 }
 
 /// The most bytes the many-flows workload (200 flows × 4 KiB through
@@ -264,13 +266,14 @@ fn finished_flow_retains_bounded_bytes() {
 /// that reads the same on every host, where RSS does not.
 #[test]
 fn many_flows_peak_live_bytes_is_pinned() {
-    let peak = comma_bench::scale::many_flows_peak_live_bytes(200, 4096, 7);
+    let peak = comma_bench::scale::run_many_flows(200, 4096, 7).peak_live_bytes.unwrap();
     println!("many-flows peak live bytes: {peak}");
-    // Measures 1,797,049. The tree before the filter catalog kept its loaded
-    // set as a second map of names measured 1,797,227; the tree that copied
-    // every written byte into the send buffer and every segment out of it
-    // measured 2,236,491.
-    assert!(peak <= 1_797_049, "the many-flows workload peaked at {peak} live bytes");
+    // Measures 1,021,544. The tree that copied `BulkSender`'s pattern into
+    // a fresh 4 KiB `Vec` per flow measured 1,795,847; the tree before the
+    // filter catalog kept its loaded set as a second map of names,
+    // 1,797,227; the tree that copied every written byte into the send
+    // buffer and every segment out of it, 2,236,491.
+    assert!(peak <= 1_021_544, "the many-flows workload peaked at {peak} live bytes");
 }
 
 /// A data segment is a slice of the write it lies in: sending a window of
@@ -309,6 +312,78 @@ fn segments_sent_from_a_written_chunk_allocate_no_payload() {
     // effects list doubling from 4 to 64 slots (five).
     println!("{} segments, {allocs} allocations", sent.len());
     assert!(allocs <= 6, "{} segments allocated {allocs} times", sent.len());
+}
+
+/// A default-pattern `BulkSender` write is a view of the thread's one
+/// period buffer: K senders' writes all lie in that storage and hold no
+/// bytes of their own, at any K. (The tree that copied the pattern into a
+/// fresh `Vec` per write failed the storage check.)
+#[test]
+fn default_pattern_writes_allocate_no_payload_storage() {
+    use comma_repro::prelude::*;
+    use comma_repro::tcp::apps::{AppOp, SocketId};
+
+    let writes = |k: usize, payloads: &mut Vec<Bytes>| {
+        let scope = comma_rt::alloc::AllocScope::begin();
+        for i in 0..k {
+            let mut sender = BulkSender::new((addrs::MOBILE, 9000 + i as u16), 4_096 + i);
+            let mut ctx = AppCtx::new(SimTime::ZERO);
+            sender.on_connected(&mut ctx, SocketId(i));
+            payloads.extend(ctx.take_ops().into_iter().filter_map(|op| match op {
+                AppOp::Send { data, .. } => Some(data),
+                _ => None,
+            }));
+        }
+        scope.delta()
+    };
+    let mut payloads = Vec::with_capacity(1 + 1 + 256);
+    writes(1, &mut payloads); // builds this thread's period
+    let one = writes(1, &mut payloads);
+    let many = writes(256, &mut payloads);
+    let start = payloads[0].as_ptr() as usize;
+    let storage = start..start + 251 + BulkSender::CHUNK;
+    assert_eq!(payloads.len(), 258);
+    for p in &payloads {
+        assert!(storage.contains(&(p.as_ptr() as usize)), "a write was copied");
+    }
+    println!("one sender {one:?}; 256 senders {many:?}");
+    // Each sender allocates its op list and nothing else, and gives it back.
+    assert_eq!(many.alloc_bytes, 256 * one.alloc_bytes, "a write allocated payload");
+    assert_eq!(many.alloc_bytes - many.dealloc_bytes, 0, "256 writes hold bytes");
+}
+
+/// Reference model for the default pattern: whatever the transfer's length
+/// (up to three chunks, biased to straddle the 251-byte period and the
+/// chunk edge), the sink receives `(i % 251) as u8` at every offset.
+#[test]
+fn default_pattern_delivers_i_mod_251() {
+    use comma_repro::prelude::*;
+    use comma_repro::rt::prop::Runner;
+
+    const CHUNK: usize = BulkSender::CHUNK;
+    Runner::new("default_pattern_delivers_i_mod_251").run(
+        |rng| {
+            let total = match rng.gen_range(0..3) {
+                0 => rng.gen_range(0..3 * CHUNK + 1),
+                1 => rng.gen_range(1..3) * CHUNK + rng.gen_range(0..520) - 260,
+                _ => rng.gen_range(1..3 * CHUNK / 251 + 1) * 251 + rng.gen_range(0..3) - 1,
+            };
+            (total, rng.gen::<u64>())
+        },
+        |&(total, seed)| {
+            let mut world = CommaBuilder::new(seed).build(
+                vec![Box::new(BulkSender::new((addrs::MOBILE, 9000), total))],
+                vec![Box::new(Sink::new(9000).with_capture(total))],
+            );
+            world.run_until(SimTime::from_secs(60));
+            let sink = world.mobile_app_ids[0];
+            let got = world.mobile_app::<Sink, _>(sink, |s| s.capture.clone());
+            ensure_eq!(got.len(), total, "bytes delivered");
+            let bad = (0..total).find(|&i| got[i] != (i % 251) as u8);
+            ensure!(bad.is_none(), "byte {bad:?} of {total} differs from i % 251");
+            Ok(())
+        },
+    );
 }
 
 /// The wheel holds memory for what is pending at once, not for the largest
