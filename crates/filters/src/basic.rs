@@ -12,12 +12,22 @@ use comma_rt::Rng;
 /// The `tcp` housekeeping filter (HIGH priority in the thesis session): it
 /// watches TCP streams, re-validates the wire encoding after all other
 /// filters have modified the packet, and deletes all filters associated
-/// with a stream when the stream closes.
+/// with a stream when the stream closes: on the ACK that covers the later
+/// of the two FINs, or on a RST.
+///
+/// A FIN is recorded by the end of its sequence space (`seq + len + 1`) as
+/// it is forwarded (`on_out`, which runs after every other filter), and an
+/// ACK is compared with it as it arrived (`on_in`, which runs before any).
+/// Both views are the ones the peer holds, so a TTSF that rewrites the
+/// byte stream between them cannot put FIN and ACK in different sequence
+/// spaces.
 #[derive(Clone)]
 pub struct TcpHousekeeping {
     key: Option<StreamKey>,
-    fin_down: bool,
-    fin_up: bool,
+    /// Per direction (`key`, then its reverse): the end of the FIN last
+    /// forwarded, and whether an ACK from the other side has covered it.
+    fin_end: [Option<u32>; 2],
+    fin_acked: [bool; 2],
     /// Packets whose wire encoding was verified.
     pub verified: u64,
     /// Packets that failed wire verification (should stay zero).
@@ -29,11 +39,16 @@ impl TcpHousekeeping {
     pub fn new() -> Self {
         TcpHousekeeping {
             key: None,
-            fin_down: false,
-            fin_up: false,
+            fin_end: [None; 2],
+            fin_acked: [false; 2],
             verified: 0,
             corrupt: 0,
         }
+    }
+
+    /// Index of `key`'s direction: 0 for the stream's own, 1 for the reverse.
+    fn dir(&self, key: StreamKey) -> usize {
+        usize::from(Some(key) != self.key)
     }
 }
 
@@ -61,6 +76,22 @@ impl Filter for TcpHousekeeping {
         vec![key, key.reverse()]
     }
 
+    fn on_in(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkt: &Packet) {
+        let Some(seg) = pkt.as_tcp().filter(|s| s.flags.ack()) else {
+            return;
+        };
+        let other = 1 - self.dir(key);
+        if let Some(end) = self.fin_end[other] {
+            // Serial-number order (RFC 1982): `ack` at or past `end`.
+            self.fin_acked[other] |= seg.ack.wrapping_sub(end) as i32 >= 0;
+        }
+        if self.fin_acked == [true; 2] {
+            if let Some(k) = self.key {
+                ctx.stream_closed(k);
+            }
+        }
+    }
+
     fn on_out(&mut self, ctx: &mut FilterCtx<'_>, key: StreamKey, pkt: &mut Packet) -> Verdict {
         // Highest priority: the out method runs last, after every
         // modification. Packets here are typed, and the wire encoder
@@ -82,15 +113,12 @@ impl Filter for TcpHousekeeping {
         }
         if let Some(seg) = pkt.as_tcp() {
             if seg.flags.fin() {
-                if Some(key) == self.key {
-                    self.fin_down = true;
-                } else {
-                    self.fin_up = true;
-                }
+                let dir = self.dir(key);
+                self.fin_end[dir] = Some(seg.seq.wrapping_add(seg.seq_len()));
             }
-            if seg.flags.rst() || (self.fin_down && self.fin_up && seg.flags.ack()) {
-                // Stream fully closing: tear down its filters (the final
-                // ACK of the second FIN, or a reset).
+            if seg.flags.rst() {
+                // A reset ends the stream at once; the orderly close waits
+                // for the ACK that covers the second FIN (`on_in`).
                 if let Some(k) = self.key {
                     ctx.stream_closed(k);
                 }
@@ -109,8 +137,10 @@ impl Filter for TcpHousekeeping {
 
     fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         StreamKey::digest_option(self.key, h);
-        h.update_u64(self.fin_down as u64);
-        h.update_u64(self.fin_up as u64);
+        for (end, acked) in self.fin_end.iter().zip(self.fin_acked) {
+            h.update_u64(end.map_or(u64::MAX, u64::from));
+            h.update_u64(acked as u64);
+        }
     }
 }
 
@@ -260,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn housekeeping_verifies_and_detects_close() {
+    fn housekeeping_verifies_every_packet() {
         let mut f = TcpHousekeeping::new();
         let mut rng = SmallRng::seed_from_u64(1);
         let metrics = NullMetrics;
@@ -273,16 +303,87 @@ mod tests {
         assert_eq!(f.on_out(&mut ctx, key, &mut p), Verdict::Continue);
         assert_eq!(f.verified, 1);
         assert_eq!(f.corrupt, 0);
+    }
 
-        // FIN both ways then final ACK triggers stream teardown.
-        let mut fin_down = pkt(TcpFlags::FIN | TcpFlags::ACK);
-        f.on_out(&mut ctx, key, &mut fin_down);
-        let mut fin_up = pkt(TcpFlags::FIN | TcpFlags::ACK);
-        f.on_out(&mut ctx, key.reverse(), &mut fin_up);
-        let mut last_ack = pkt(TcpFlags::ACK);
-        f.on_out(&mut ctx, key, &mut last_ack);
-        let closed = ctx.take_closed_streams();
-        assert!(closed.contains(&key));
+    /// The close of one stream, packet by packet, as the proxy sees it:
+    /// `down` is the stream's own direction (seq space from 1,000), `up`
+    /// the reverse (from 5,000).
+    struct Close {
+        f: TcpHousekeeping,
+        key: StreamKey,
+        rng: SmallRng,
+    }
+
+    impl Close {
+        fn new() -> Self {
+            let mut c = Close {
+                f: TcpHousekeeping::new(),
+                key: "11.11.10.99 7 11.11.10.10 1169".parse().unwrap(),
+                rng: SmallRng::seed_from_u64(1),
+            };
+            let mut ctx = FilterCtx::new(SimTime::ZERO, &mut c.rng, &NullMetrics);
+            c.f.insert(&mut ctx, c.key);
+            c
+        }
+
+        /// Runs one packet through `on_in` then `on_out` (the tcp filter
+        /// is first in and last out) and says whether it closed the stream.
+        fn pass(&mut self, down: bool, seq: u32, ack: u32, flags: TcpFlags, len: usize) -> bool {
+            let key = if down { self.key } else { self.key.reverse() };
+            let (src, dst) = ("11.11.10.99".parse().unwrap(), "11.11.10.10".parse().unwrap());
+            let (src, dst) = if down { (src, dst) } else { (dst, src) };
+            let mut seg = TcpSegment::new(key.sport, key.dport, seq, ack, flags);
+            seg.payload = comma_rt::Bytes::from(vec![0u8; len]);
+            let mut p = Packet::tcp(src, dst, seg);
+            let mut ctx = FilterCtx::new(SimTime::ZERO, &mut self.rng, &NullMetrics);
+            self.f.on_in(&mut ctx, key, &p);
+            self.f.on_out(&mut ctx, key, &mut p);
+            let closed = ctx.take_closed_streams();
+            assert!(closed.iter().all(|&k| k == self.key), "closes name the stream");
+            !closed.is_empty()
+        }
+    }
+
+    const FA: TcpFlags = TcpFlags::FIN.union(TcpFlags::ACK);
+
+    #[test]
+    fn a_fin_ack_does_not_close() {
+        let mut c = Close::new();
+        assert!(!c.pass(true, 1_000, 5_000, FA, 100), "the first FIN");
+        assert!(!c.pass(false, 5_000, 1_101, FA, 0), "the second FIN acks the first");
+    }
+
+    #[test]
+    fn an_ack_short_of_the_later_fin_does_not_close() {
+        let mut c = Close::new();
+        c.pass(true, 1_000, 5_000, FA, 100);
+        c.pass(false, 5_000, 1_101, FA, 20); // the later FIN ends at 5,021
+        assert!(!c.pass(true, 1_101, 5_020, TcpFlags::ACK, 0), "one short of the FIN");
+        assert!(!c.pass(true, 1_101, 5_000, TcpFlags::ACK, 0), "an old ACK");
+        assert!(c.pass(true, 1_101, 5_021, TcpFlags::ACK, 0), "the covering ACK");
+    }
+
+    #[test]
+    fn the_covering_ack_closes_whichever_side_fins_first() {
+        let mut c = Close::new();
+        c.pass(false, 5_000, 1_000, FA, 0);
+        assert!(!c.pass(true, 1_000, 5_001, FA, 0));
+        assert!(c.pass(false, 5_001, 1_001, TcpFlags::ACK, 0), "up ACK covers the down FIN");
+    }
+
+    #[test]
+    fn the_covering_ack_closes_across_the_sequence_wrap() {
+        let mut c = Close::new();
+        c.pass(true, u32::MAX - 10, 5_000, FA, 10); // ends at 0
+        c.pass(false, 5_000, 0, FA, 0);
+        assert!(c.pass(true, 0, 5_001, TcpFlags::ACK, 0));
+    }
+
+    #[test]
+    fn a_rst_closes() {
+        let mut c = Close::new();
+        assert!(!c.pass(true, 1_000, 5_000, TcpFlags::ACK, 100));
+        assert!(c.pass(false, 5_000, 0, TcpFlags::RST, 0));
     }
 
     #[test]

@@ -63,7 +63,8 @@ mod tests {
         let (mut sim, mut kati, mobile) = world();
         // Attach the housekeeping filter to all streams toward the mobile.
         assert_eq!(kati.exec(&mut sim, "add tcp 0.0.0.0 0 11.11.10.10 0"), "");
-        sim.run_until(SimTime::from_secs(2));
+        // Mid-transfer: a finished stream leaves no entry to list.
+        sim.run_until(SimTime::from_millis(500));
 
         let streams = kati.exec(&mut sim, "streams");
         assert!(streams.contains("11.11.10.99"), "{streams}");
@@ -84,6 +85,8 @@ mod tests {
             got, 200_000,
             "transfer completed under Kati-managed service"
         );
+        let streams = kati.exec(&mut sim, "streams");
+        assert!(!streams.contains("11.11.10.99"), "the closed stream is gone: {streams}");
     }
 
     #[test]

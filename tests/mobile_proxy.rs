@@ -150,10 +150,14 @@ fn services_follow_the_mobile_across_cells() {
         m.host.app_mut::<Sink>(AppId(0)).bytes_received
     });
     assert_eq!(bytes, 1_200_000);
-    let sp2_live = w
-        .sim
-        .with_node::<ServiceProxy, _>(w.sp2, |sp| sp.engine.live_instances());
-    assert!(sp2_live > 0, "services instantiated at the new proxy");
+    // SP2 serviced the stream, and the stream's close tore its chain down.
+    let (sp2_pkts, sp2_closes, sp2_live) = w.sim.with_node::<ServiceProxy, _>(w.sp2, |sp| {
+        let closes = sp.engine.log.iter().filter(|l| l.ends_with("closed; filters removed"));
+        (sp.engine.totals.pkts, closes.count(), sp.engine.live_instances())
+    });
+    assert!(sp2_pkts > 0, "the new proxy saw the stream");
+    assert_eq!(sp2_closes, 1, "the chain instantiated at the new proxy closed once");
+    assert_eq!(sp2_live, 0, "a finished stream leaves no instance at the new proxy");
     let sp1_regs = w
         .sim
         .with_node::<ServiceProxy, _>(w.sp1, |sp| sp.engine.registrations().len());

@@ -20,7 +20,15 @@ use comma_repro::prelude::*;
 /// reproduce it byte-for-byte — this is the acceptance gate for the
 /// conservative windowed rounds: lookahead, cross-shard merge order, and
 /// the keyed RNG streams together make partitioning invisible.
-const GOLDEN_256_FLOW_TRACE: u64 = 0x1bf5_e6b9_957d_87f2;
+///
+/// Re-recorded when `tcp` began closing a stream on the ACK that covers the
+/// second FIN rather than on the second FIN+ACK. A mobile that retransmits
+/// its FIN+ACK after that ACK was lost on the wireless hop now finds no
+/// chain (the services match mobile-bound keys, so an uplink packet builds
+/// none) and keeps the window it sent (32,768, not 29,491); before, the
+/// chain the final ACK had rebuilt was still there, and its `wsize` scaled
+/// it.
+const GOLDEN_256_FLOW_TRACE: u64 = 0xa3dd_4ad1_57f1_c462;
 
 #[test]
 fn golden_256_flow_sharded_trace_matches_serial() {
