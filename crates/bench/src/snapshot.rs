@@ -42,6 +42,17 @@ pub const MAX_ALLOCS_PER_WINDOW: f64 = 0.0;
 pub const FLOWS_256_MAX_PEAK_LIVE_BYTES_PER_FLOW_FAST: u64 = 5_120;
 /// The same ceiling for the full run (32 KiB a flow): measures 5,630.
 pub const FLOWS_256_MAX_PEAK_LIVE_BYTES_PER_FLOW: u64 = 5_696;
+/// Filter instances each `flows_256` flow's own chain creates
+/// (`tcp, snoop, wsize, tcp`).
+pub const FLOWS_256_INSTANCES_PER_FLOW: u64 = 4;
+/// Instances `flows_256` may create beyond [`FLOWS_256_INSTANCES_PER_FLOW`]
+/// a flow, fast run: chains rebuilt for a packet that arrived after its
+/// stream closed, the wired host's ACK of a FIN the mobile retransmitted
+/// because the covering ACK was lost. Measures 16 (four chains); closing
+/// on the second FIN+ACK rebuilt one for every flow, 1,024.
+pub const FLOWS_256_MAX_REBUILT_INSTANCES_FAST: u64 = 16;
+/// The same ceiling for the full run: measures 20.
+pub const FLOWS_256_MAX_REBUILT_INSTANCES: u64 = 20;
 
 /// Everything one macrobench run measured.
 #[derive(Clone, Debug, Default)]
@@ -123,6 +134,8 @@ impl Snapshot {
                 let mut row = scale_row!(r);
                 let per_flow = r.peak_live_bytes_per_flow().map_or(Json::Null, Json::U64);
                 row.push(("peak_live_bytes_per_flow".into(), per_flow));
+                row.push(("instances_created".into(), Json::U64(r.instances_created)));
+                row.push(("live_instances".into(), Json::U64(r.live_instances as u64)));
                 (name.clone(), Json::Obj(row))
             })
             .collect();
@@ -274,8 +287,31 @@ impl Snapshot {
             !comma_rt::alloc::enabled() || allocs == Some(MAX_ALLOCS_PER_WINDOW),
             format!("allocs_per_window {allocs:?} under alloc-stats (must be Some(0.0))"),
         );
-        let flows_256 = self.scale.iter().find(|(name, _)| name == "flows_256");
-        let peak = flows_256.and_then(|(_, r)| r.peak_live_bytes_per_flow());
+        let flows_256 = self.scale.iter().find(|(name, _)| name == "flows_256").map(|(_, r)| r);
+        let (created, live, flows) = flows_256
+            .map_or((0, 0, 0), |r| (r.instances_created, r.live_instances as u64, r.flows as u64));
+        let own = FLOWS_256_INSTANCES_PER_FLOW * flows;
+        let rebuilt = created.saturating_sub(own);
+        let ceiling = if self.fast {
+            FLOWS_256_MAX_REBUILT_INSTANCES_FAST
+        } else {
+            FLOWS_256_MAX_REBUILT_INSTANCES
+        };
+        require(
+            flows > 0 && created >= own && rebuilt <= ceiling,
+            format!(
+                "flows_256 instances_created {created} for {flows} flows: more than \
+                 {FLOWS_256_INSTANCES_PER_FLOW} a flow plus {ceiling} rebuilt after a close"
+            ),
+        );
+        require(
+            live <= rebuilt,
+            format!(
+                "flows_256 live_instances {live} at the end, beyond the {rebuilt} rebuilt after \
+                 a close: a finished flow keeps its chain"
+            ),
+        );
+        let peak = flows_256.and_then(|r| r.peak_live_bytes_per_flow());
         let ceiling = if self.fast {
             FLOWS_256_MAX_PEAK_LIVE_BYTES_PER_FLOW_FAST
         } else {
@@ -308,6 +344,8 @@ mod tests {
                 ScaleResult {
                     flows: 256,
                     peak_live_bytes: counting.then_some(256 * 5_057),
+                    instances_created: 4 * 256 + 16,
+                    live_instances: 16,
                     ..Default::default()
                 },
             )],
@@ -356,12 +394,30 @@ mod tests {
         assert_fails("11828 -> 13011", |s| s.metro_sim_events_2x_bg = 13_011);
         assert_fails("visits_per_epoch 100.001", |s| s.metro.fluid_visits_per_epoch = 100.001);
         assert_fails("of 0 users per link", |s| s.metro.fluid_links = 0);
+        assert_fails("instances_created 1041", |s| s.scale[0].1.instances_created += 1);
+        assert_fails("instances_created 1023", |s| {
+            s.scale[0].1.instances_created = 1_023;
+            s.scale[0].1.live_instances = 0;
+        });
+        assert_fails("live_instances 17", |s| s.scale[0].1.live_instances = 17);
+        assert_fails("instances_created 2048", |s| {
+            // Closing on the second FIN+ACK: every final ACK rebuilt a chain.
+            s.scale[0].1.instances_created = 2 * 4 * 256;
+            s.scale[0].1.live_instances = 4 * 256;
+        });
+        assert_fails("live_instances 1024", |s| {
+            // No close at all.
+            s.scale[0].1.instances_created = 4 * 256;
+            s.scale[0].1.live_instances = 4 * 256;
+        });
         // Exactly on each bound passes.
         let mut s = passing();
         s.flows_10k.events_per_link_pkt = 2.5;
         s.metro.events_per_link_pkt = 2.5;
         s.metro_sim_events_2x_bg = 13_010;
         s.metro.fluid_visits_per_epoch = 100.0;
+        assert_eq!(s.gates(), Vec::<String>::new());
+        (s.fast, s.scale[0].1.instances_created) = (false, 4 * 256 + 20);
         assert_eq!(s.gates(), Vec::<String>::new());
     }
 
@@ -396,13 +452,17 @@ mod tests {
                 s.fast = false;
                 *peak(s) = Some(256 * 5_697)
             });
-            assert_fails("peak_live_bytes_per_flow None", |s| s.scale.clear());
             // Exactly on each ceiling passes.
             let mut s = passing();
             *peak(&mut s) = Some(256 * 5_120 + 255);
             assert_eq!(s.gates(), Vec::<String>::new());
             (s.fast, *peak(&mut s)) = (false, Some(256 * 5_696));
             assert_eq!(s.gates(), Vec::<String>::new());
+            let mut s = passing();
+            s.scale.clear();
+            let failed = s.gates();
+            assert_eq!(failed.len(), 2, "{failed:?}");
+            assert!(failed[0].contains("for 0 flows") && failed[1].contains("bytes_per_flow None"));
         } else {
             // Without the counting allocator the figures are `null` and ungated.
             assert_eq!(passing().allocs_per_window, None);

@@ -98,7 +98,7 @@ impl ServiceProxy {
     }
 
     fn arm_pending_timers(&mut self, ctx: &mut NodeCtx<'_>) {
-        for (delay, token) in self.engine.take_pending_timers() {
+        for (delay, token) in self.engine.drain_pending_timers() {
             ctx.set_timer_after(delay, token);
         }
     }

@@ -391,12 +391,12 @@ fn every_callback_settles_by_one_rule() {
         // timer, removal; a second packet shows nothing was left behind.
         let now = SimTime::ZERO;
         let first = w.engine.process(now, &mut w.rng, &NullMetrics, marked(0));
-        let timers = w.engine.take_pending_timers();
+        let timers: Vec<_> = w.engine.drain_pending_timers().collect();
         let wake = timers.iter().find(|t| t.1 & 0xffff_ffff == WAKE).expect("set in insert").1;
         let fired = w.engine.on_timer(now, &mut w.rng, &NullMetrics, wake);
         let live = refusals(&w.engine, &obs, "asker").0;
         assert_eq!(w.engine.deregister(now, &mut w.rng, &NullMetrics, "asker", WildKey::ANY), 1);
-        let timers = [timers, w.engine.take_pending_timers()].concat();
+        let timers = [timers, w.engine.drain_pending_timers().collect()].concat();
         let second = w.engine.process(now, &mut w.rng, &NullMetrics, marked(0));
 
         // Honoured: exactly the effect asked for, exactly once.

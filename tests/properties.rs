@@ -905,7 +905,7 @@ impl SnoopRig {
     /// Collects what the filter armed at `now`, checking the arming rule:
     /// on the grid, strictly in the future, at most one tick pending.
     fn collect_armed(&mut self, now: SimTime) -> Result<(), String> {
-        for (delay, token) in self.engine.take_pending_timers() {
+        for (delay, token) in self.engine.drain_pending_timers() {
             let at = now + delay;
             ensure!(delay.as_micros() > 0, "tick armed for its own instant {now}");
             ensure_eq!(
