@@ -58,7 +58,9 @@ pub enum ConnEvent {
     Reset,
 }
 
-/// Output of a connection entry point.
+/// Output of a connection entry point. Every entry point appends to an
+/// `Effects` its caller owns, so a caller that keeps one (the host does)
+/// processes a segment without allocating.
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Segments to transmit, in order.
@@ -68,10 +70,9 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// Appends another effect set (segments and events preserve order).
-    pub fn merge(&mut self, other: Effects) {
-        self.segments.extend(other.segments);
-        self.events.extend(other.events);
+    /// Whether the entry point asked for nothing.
+    pub fn is_empty(&self) -> bool {
+        self.segments.is_empty() && self.events.is_empty()
     }
 }
 
@@ -303,18 +304,16 @@ impl TcpConnection {
     // ------------------------------------------------------------------
 
     /// Performs an active open: sends a SYN.
-    pub fn connect(&mut self, now: SimTime) -> Effects {
+    pub fn connect(&mut self, now: SimTime, eff: &mut Effects) {
         debug_assert_eq!(self.state, TcpState::Closed);
         self.state = TcpState::SynSent;
-        let mut eff = Effects::default();
         let mut syn = self.make_seg(self.iss, TcpFlags::SYN, Bytes::new());
         syn.options.push(TcpOption::Mss(self.cfg.mss));
         syn.window = self.cfg.recv_buffer.min(65_535) as u16;
         self.snd_nxt = self.iss.wrapping_add(1);
         self.snd_max = self.snd_nxt;
-        self.push_seg(&mut eff, syn);
+        self.push_seg(eff, syn);
         self.arm_rto(now);
-        eff
     }
 
     /// Performs a passive open: waits for a SYN.
@@ -329,19 +328,16 @@ impl TcpConnection {
 
     /// Queues application data and transmits whatever the windows allow.
     /// A `Bytes` is kept, not copied: segments are slices of it.
-    pub fn write(&mut self, now: SimTime, data: impl Into<Bytes>) -> Effects {
-        let mut eff = Effects::default();
+    pub fn write(&mut self, now: SimTime, data: impl Into<Bytes>, eff: &mut Effects) {
         if self.fin_pending || self.fin_seq.is_some() {
-            return eff; // Write after close is discarded.
+            return; // Write after close is discarded.
         }
         self.send_buf.push(data);
-        self.try_send(now, &mut eff);
-        eff
+        self.try_send(now, eff);
     }
 
     /// Closes the sending side: a FIN is queued after any buffered data.
-    pub fn close(&mut self, now: SimTime) -> Effects {
-        let mut eff = Effects::default();
+    pub fn close(&mut self, now: SimTime, eff: &mut Effects) {
         match self.state {
             TcpState::Closed | TcpState::Listen => {
                 self.state = TcpState::Closed;
@@ -353,30 +349,26 @@ impl TcpConnection {
             }
             _ => {
                 self.fin_pending = true;
-                self.try_send(now, &mut eff);
+                self.try_send(now, eff);
             }
         }
-        eff
     }
 
     /// Aborts the connection with a RST.
-    pub fn abort(&mut self) -> Effects {
-        let mut eff = Effects::default();
+    pub fn abort(&mut self, eff: &mut Effects) {
         if !matches!(self.state, TcpState::Closed | TcpState::Listen) {
             let rst = self.make_seg(self.snd_nxt, TcpFlags::RST | TcpFlags::ACK, Bytes::new());
-            self.push_seg(&mut eff, rst);
+            self.push_seg(eff, rst);
         }
         self.state = TcpState::Closed;
         eff.events.push(ConnEvent::Closed);
-        eff
     }
 
     /// Takes readable bytes for the application. Reading may reopen the
     /// advertised window, in which case a window-update ACK is emitted.
-    pub fn take_data(&mut self, _now: SimTime) -> (Bytes, Effects) {
-        let mut eff = Effects::default();
+    pub fn take_data(&mut self, _now: SimTime, eff: &mut Effects) -> Bytes {
         let Some(recv) = &mut self.recv else {
-            return (Bytes::new(), eff);
+            return Bytes::new();
         };
         let before = recv.window();
         let data = recv.take();
@@ -386,9 +378,9 @@ impl TcpConnection {
         // at least one MSS (silly-window avoidance on the receive side).
         if before < self.peer_mss.min(self.cfg.mss as u32) && after >= self.cfg.mss as u32 {
             let ack = self.make_ack();
-            self.push_seg(&mut eff, ack);
+            self.push_seg(eff, ack);
         }
-        (data, eff)
+        data
     }
 
     // ------------------------------------------------------------------
@@ -396,16 +388,14 @@ impl TcpConnection {
     // ------------------------------------------------------------------
 
     /// Processes an incoming segment.
-    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) -> Effects {
+    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment, eff: &mut Effects) {
         self.stats.segs_in += 1;
-        let mut eff = Effects::default();
         match self.state {
             TcpState::Closed => {}
-            TcpState::Listen => self.segment_in_listen(seg, &mut eff),
-            TcpState::SynSent => self.segment_in_syn_sent(now, seg, &mut eff),
-            _ => self.segment_in_synchronized(now, seg, &mut eff),
+            TcpState::Listen => self.segment_in_listen(seg, eff),
+            TcpState::SynSent => self.segment_in_syn_sent(now, seg, eff),
+            _ => self.segment_in_synchronized(now, seg, eff),
         }
-        eff
     }
 
     fn segment_in_listen(&mut self, seg: &TcpSegment, eff: &mut Effects) {
@@ -916,13 +906,12 @@ impl TcpConnection {
     }
 
     /// Services expired timers; safe to call spuriously.
-    pub fn on_timer(&mut self, now: SimTime) -> Effects {
-        let mut eff = Effects::default();
+    pub fn on_timer(&mut self, now: SimTime, eff: &mut Effects) {
         if let Some(d) = self.time_wait_deadline {
             if now >= d {
                 self.time_wait_deadline = None;
-                self.enter_closed(&mut eff, ConnEvent::Closed);
-                return eff;
+                self.enter_closed(eff, ConnEvent::Closed);
+                return;
             }
         }
         if let Some(d) = self.delack_deadline {
@@ -931,21 +920,20 @@ impl TcpConnection {
                 self.unacked_segs = 0;
                 if self.recv.is_some() {
                     let ack = self.make_ack();
-                    self.push_seg(&mut eff, ack);
+                    self.push_seg(eff, ack);
                 }
             }
         }
         if let Some(d) = self.rto_deadline {
             if now >= d {
-                self.rto_timeout(now, &mut eff);
+                self.rto_timeout(now, eff);
             }
         }
         if let Some(d) = self.persist_deadline {
             if now >= d {
-                self.persist_fire(now, &mut eff);
+                self.persist_fire(now, eff);
             }
         }
-        eff
     }
 
     fn rto_timeout(&mut self, now: SimTime, eff: &mut Effects) {
@@ -1095,6 +1083,19 @@ impl TcpConnection {
 mod tests {
     use super::*;
 
+    /// Calls one entry point with a fresh `Effects`; returns what it wrote.
+    fn fx(f: impl FnOnce(&mut Effects)) -> Effects {
+        let mut eff = Effects::default();
+        f(&mut eff);
+        eff
+    }
+
+    /// [`fx`] for [`TcpConnection::take_data`].
+    fn data(f: impl FnOnce(&mut Effects) -> Bytes) -> (Bytes, Effects) {
+        let mut eff = Effects::default();
+        (f(&mut eff), eff)
+    }
+
     fn pair() -> (TcpConnection, TcpConnection) {
         let cfg = TcpConfig::default().with_delayed_ack(false);
         let mut a = TcpConnection::new(cfg.clone(), 1000);
@@ -1128,7 +1129,7 @@ mod tests {
             } else {
                 (&mut *a, 'a')
             };
-            let eff = target.on_segment(now, &seg);
+            let eff = fx(|e| target.on_segment(now, &seg, e));
             for e in eff.events {
                 events.push((tag, e));
             }
@@ -1143,7 +1144,7 @@ mod tests {
     fn three_way_handshake() {
         let (mut a, mut b) = pair();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         assert_eq!(eff.segments.len(), 1);
         assert!(eff.segments[0].flags.syn());
         let events = pump(&mut a, &mut b, now, eff, true);
@@ -1157,12 +1158,12 @@ mod tests {
     fn data_transfer_and_read() {
         let (mut a, mut b) = pair();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
-        let eff = a.write(now, b"hello wireless world");
+        let eff = fx(|e| a.write(now, b"hello wireless world", e));
         let events = pump(&mut a, &mut b, now, eff, true);
         assert!(events.contains(&('b', ConnEvent::DataReadable)));
-        let (data, _) = b.take_data(now);
+        let (data, _) = data(|e| b.take_data(now, e));
         assert_eq!(&data[..], b"hello wireless world");
         assert_eq!(b.stats.bytes_delivered, 20);
         assert_eq!(a.stats.bytes_sent, 20);
@@ -1172,10 +1173,10 @@ mod tests {
     fn large_transfer_respects_mss() {
         let (mut a, mut b) = pair();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
         let payload = vec![7u8; 40_000];
-        let mut eff = a.write(now, &payload[..]);
+        let mut eff = fx(|e| a.write(now, &payload[..], e));
         // cwnd starts at 1 MSS: only one segment goes out initially.
         assert_eq!(eff.segments.len(), 1);
         assert_eq!(eff.segments[0].payload.len(), 1460);
@@ -1187,21 +1188,18 @@ mod tests {
                 .iter()
                 .any(|(t, e)| *t == 'b' && *e == ConnEvent::DataReadable)
             {
-                let (data, weff) = b.take_data(now);
+                let (data, weff) = data(|e| b.take_data(now, e));
                 received.extend_from_slice(&data);
                 // Window updates (if any) come from b; feeding them to a may
                 // release more segments, all of which originate at a.
                 for seg in weff.segments {
-                    let more = a.on_segment(now, &seg);
-                    eff.merge(more);
+                    a.on_segment(now, &seg, &mut eff);
                 }
             }
             if received.len() == payload.len() {
                 break;
             }
-            let mut e2 = Effects::default();
-            a.try_send(now, &mut e2);
-            eff.merge(e2);
+            a.try_send(now, &mut eff);
         }
         assert_eq!(received.len(), payload.len());
         assert!(a.cwnd() > a.cfg.initial_cwnd());
@@ -1211,20 +1209,20 @@ mod tests {
     fn graceful_close_both_sides() {
         let (mut a, mut b) = pair();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
-        let eff = a.close(now);
+        let eff = fx(|e| a.close(now, e));
         let events = pump(&mut a, &mut b, now, eff, true);
         assert!(events.contains(&('b', ConnEvent::PeerClosed)));
         assert_eq!(a.state(), TcpState::FinWait2);
         assert_eq!(b.state(), TcpState::CloseWait);
-        let eff = b.close(now);
+        let eff = fx(|e| b.close(now, e));
         let events = pump(&mut a, &mut b, now, eff, false);
         assert!(events.contains(&('b', ConnEvent::Closed)));
         assert_eq!(a.state(), TcpState::TimeWait);
         assert_eq!(b.state(), TcpState::Closed);
         // TIME-WAIT expires.
-        let eff = a.on_timer(now + SimDuration::from_secs(10));
+        let eff = fx(|e| a.on_timer(now + SimDuration::from_secs(10), e));
         assert!(eff.events.contains(&ConnEvent::Closed));
         assert!(a.is_closed());
     }
@@ -1233,20 +1231,20 @@ mod tests {
     fn retransmission_timeout_and_backoff() {
         let (mut a, mut b) = pair();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
-        let eff = a.write(now, &[1u8; 1460]);
+        let eff = fx(|e| a.write(now, &[1u8; 1460], e));
         assert_eq!(eff.segments.len(), 1);
         // Drop the segment; fire the RTO.
         let deadline = a.next_deadline().expect("rto armed");
-        let eff = a.on_timer(deadline);
+        let eff = fx(|e| a.on_timer(deadline, e));
         assert_eq!(a.stats.timeouts, 1);
         assert_eq!(eff.segments.len(), 1, "retransmission");
         assert_eq!(eff.segments[0].payload.len(), 1460);
         assert_eq!(a.cwnd(), 1460, "cwnd collapsed");
         // Second timeout doubles the RTO.
         let d2 = a.next_deadline().expect("rearmed");
-        let eff2 = a.on_timer(d2);
+        let eff2 = fx(|e| a.on_timer(d2, e));
         assert_eq!(a.stats.timeouts, 2);
         assert!(!eff2.segments.is_empty());
         let d3 = a.next_deadline().unwrap();
@@ -1261,16 +1259,16 @@ mod tests {
         let mut b = TcpConnection::new(cfg, 0);
         b.listen();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
         // Open the cwnd artificially by acking a warmup transfer.
-        let warm = a.write(now, vec![0u8; 1460 * 4]);
+        let warm = fx(|e| a.write(now, vec![0u8; 1460 * 4], e));
         pump(&mut a, &mut b, now, warm, true);
-        b.take_data(now);
+        data(|e| b.take_data(now, e));
         assert!(a.cwnd() >= 4 * 1460, "cwnd={}", a.cwnd());
 
         // Send 5 segments; drop the first, deliver the rest.
-        let eff = a.write(now, vec![1u8; 1460 * 5]);
+        let eff = fx(|e| a.write(now, vec![1u8; 1460 * 5], e));
         let segs = eff.segments;
         assert!(
             segs.len() >= 4,
@@ -1279,7 +1277,7 @@ mod tests {
         );
         let mut dup_acks = Vec::new();
         for seg in &segs[1..] {
-            let eff = b.on_segment(now, seg);
+            let eff = fx(|e| b.on_segment(now, seg, e));
             dup_acks.extend(eff.segments);
         }
         assert!(
@@ -1288,7 +1286,7 @@ mod tests {
         );
         let mut retx = Vec::new();
         for ack in &dup_acks {
-            let eff = a.on_segment(now, ack);
+            let eff = fx(|e| a.on_segment(now, ack, e));
             retx.extend(eff.segments);
         }
         assert_eq!(a.stats.fast_retransmits, 1);
@@ -1297,7 +1295,7 @@ mod tests {
             "head retransmitted"
         );
         // Deliver the retransmission: receiver's ACK jumps past the hole.
-        let eff = b.on_segment(now, retx.iter().find(|s| s.seq == segs[0].seq).unwrap());
+        let eff = fx(|e| b.on_segment(now, retx.iter().find(|s| s.seq == segs[0].seq).unwrap(), e));
         let cumulative = eff.segments.last().expect("ack");
         assert!(seq_ge(cumulative.ack, segs.last().unwrap().seq));
     }
@@ -1311,10 +1309,10 @@ mod tests {
         let mut b = TcpConnection::new(cfg, 0);
         b.listen();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
         // Fill the receiver's 2920-byte buffer; the app never reads.
-        let eff = a.write(now, vec![3u8; 10_000]);
+        let eff = fx(|e| a.write(now, vec![3u8; 10_000], e));
         pump(&mut a, &mut b, now, eff, true);
         let mut eff = Effects::default();
         a.try_send(now, &mut eff);
@@ -1323,18 +1321,18 @@ mod tests {
         assert!(a.pending_send_bytes() > 0);
         // Persist timer must be armed; firing it sends a 1-byte probe.
         let d = a.next_deadline().expect("persist armed");
-        let eff = a.on_timer(d);
+        let eff = fx(|e| a.on_timer(d, e));
         assert_eq!(a.stats.persist_probes, 1);
         assert_eq!(eff.segments.len(), 1);
         assert_eq!(eff.segments[0].payload.len(), 1);
         // Receiver still full: probe elicits a zero-window ACK.
-        let reply = b.on_segment(d, &eff.segments[0]);
+        let reply = fx(|e| b.on_segment(d, &eff.segments[0], e));
         assert!(!reply.segments.is_empty());
         assert_eq!(reply.segments[0].window, 0);
         // App reads; window-update ACK reopens the stream.
-        let (_data, weff) = b.take_data(d);
+        let (_data, weff) = data(|e| b.take_data(d, e));
         assert!(!weff.segments.is_empty(), "window update sent");
-        let eff = a.on_segment(d, &weff.segments[0]);
+        let eff = fx(|e| a.on_segment(d, &weff.segments[0], e));
         assert!(a.snd_wnd() > 0);
         assert!(!eff.segments.is_empty(), "transmission resumed");
     }
@@ -1343,9 +1341,9 @@ mod tests {
     fn reset_tears_down() {
         let (mut a, mut b) = pair();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
-        let eff = a.abort();
+        let eff = fx(|e| a.abort(e));
         let events = pump(&mut a, &mut b, now, eff, true);
         assert!(events.contains(&('b', ConnEvent::Reset)));
         assert!(a.is_closed() && b.is_closed());
@@ -1356,12 +1354,12 @@ mod tests {
         let cfg = TcpConfig::default();
         let mut a = TcpConnection::new(cfg, 0);
         let mut now = SimTime::ZERO;
-        let _ = a.connect(now);
+        let _ = fx(|e| a.connect(now, e));
         let mut gave_up = false;
         for _ in 0..=MAX_SYN_RETRIES + 1 {
             let Some(d) = a.next_deadline() else { break };
             now = d;
-            let eff = a.on_timer(now);
+            let eff = fx(|e| a.on_timer(now, e));
             if eff.events.contains(&ConnEvent::Reset) {
                 gave_up = true;
                 break;
@@ -1380,19 +1378,19 @@ mod tests {
         let mut b = TcpConnection::new(cfg, 0);
         b.listen();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
-        let warm = a.write(now, vec![0u8; 1460 * 4]);
+        let warm = fx(|e| a.write(now, vec![0u8; 1460 * 4], e));
         pump(&mut a, &mut b, now, warm, true);
-        b.take_data(now);
-        let eff = a.write(now, vec![1u8; 1460 * 5]);
+        data(|e| b.take_data(now, e));
+        let eff = fx(|e| a.write(now, vec![1u8; 1460 * 5], e));
         let segs = eff.segments;
         let mut dup_acks = Vec::new();
         for seg in &segs[1..] {
-            dup_acks.extend(b.on_segment(now, seg).segments);
+            dup_acks.extend(fx(|e| b.on_segment(now, seg, e)).segments);
         }
         for ack in &dup_acks {
-            a.on_segment(now, ack);
+            fx(|e| a.on_segment(now, ack, e));
         }
         assert_eq!(a.cwnd(), 1460, "Tahoe slow-starts after fast retransmit");
     }
@@ -1406,18 +1404,18 @@ mod tests {
         // reset a backed-off timer on a path that was still losing.
         let (mut a, mut b) = pair();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
-        let _lost = a.write(now, &[1u8; 1460]); // never delivered
+        let _lost = fx(|e| a.write(now, &[1u8; 1460], e)); // never delivered
         let d1 = a.next_deadline().expect("rto armed");
-        let _also_lost = a.on_timer(d1);
+        let _also_lost = fx(|e| a.on_timer(d1, e));
         let d2 = a.next_deadline().expect("rto rearmed");
-        let eff = a.on_timer(d2);
+        let eff = fx(|e| a.on_timer(d2, e));
         assert_eq!(a.rto.backoff_shift(), 2, "two timeouts, two doublings");
         // The second retransmission gets through; its ACK reaches a.
-        let reply = b.on_segment(d2, &eff.segments[0]);
+        let reply = fx(|e| b.on_segment(d2, &eff.segments[0], e));
         let ack = reply.segments.last().expect("ack");
-        a.on_segment(d2, ack);
+        fx(|e| a.on_segment(d2, ack, e));
         assert_eq!(
             a.rto.backoff_shift(),
             2,
@@ -1425,9 +1423,9 @@ mod tests {
         );
         // New (never-retransmitted) data yields a measurable RTT sample,
         // which is what legitimately ends the backoff sequence.
-        let eff = a.write(d2, &[2u8; 100]);
-        let reply = b.on_segment(d2, &eff.segments[0]);
-        a.on_segment(d2, reply.segments.last().expect("ack"));
+        let eff = fx(|e| a.write(d2, &[2u8; 100], e));
+        let reply = fx(|e| b.on_segment(d2, &eff.segments[0], e));
+        fx(|e| a.on_segment(d2, reply.segments.last().expect("ack"), e));
         assert_eq!(a.rto.backoff_shift(), 0, "fresh sample ends the backoff");
     }
 
@@ -1441,29 +1439,29 @@ mod tests {
         let mut b = TcpConnection::new(cfg, 0);
         b.listen();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
-        let warm = a.write(now, vec![0u8; 1460 * 4]);
+        let warm = fx(|e| a.write(now, vec![0u8; 1460 * 4], e));
         pump(&mut a, &mut b, now, warm, true);
-        b.take_data(now);
+        data(|e| b.take_data(now, e));
         // Drop the head of a 5-segment flight; dupacks trigger recovery.
-        let segs = a.write(now, vec![1u8; 1460 * 5]).segments;
+        let segs = fx(|e| a.write(now, vec![1u8; 1460 * 5], e)).segments;
         let mut dup_acks = Vec::new();
         for seg in &segs[1..] {
-            dup_acks.extend(b.on_segment(now, seg).segments);
+            dup_acks.extend(fx(|e| b.on_segment(now, seg, e)).segments);
         }
         let mut retx = Vec::new();
         for ack in &dup_acks {
-            retx.extend(a.on_segment(now, ack).segments);
+            retx.extend(fx(|e| a.on_segment(now, ack, e)).segments);
         }
         assert!(a.in_fast_recovery, "triple dupack entered recovery");
         assert!(a.cwnd() > a.ssthresh(), "window inflated during recovery");
         // Deliver the retransmitted head: the receiver's cumulative ACK
         // covers the whole flight (a full ACK past `recover`).
         let head = retx.iter().find(|s| s.seq == segs[0].seq).expect("retx");
-        let full = b.on_segment(now, head);
+        let full = fx(|e| b.on_segment(now, head, e));
         let cumulative = full.segments.last().expect("cumulative ack");
-        a.on_segment(now, cumulative);
+        fx(|e| a.on_segment(now, cumulative, e));
         assert!(!a.in_fast_recovery, "full ACK exits recovery");
         assert_eq!(a.cwnd(), a.ssthresh(), "window deflates to ssthresh");
     }
@@ -1478,9 +1476,9 @@ mod tests {
         let mut b = TcpConnection::new(cfg, 0);
         b.listen();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
-        let eff = a.write(now, vec![3u8; 10_000]);
+        let eff = fx(|e| a.write(now, vec![3u8; 10_000], e));
         pump(&mut a, &mut b, now, eff, true);
         let mut eff = Effects::default();
         a.try_send(now, &mut eff);
@@ -1495,7 +1493,7 @@ mod tests {
     /// returns the fire time.
     fn fire_persist_probe_lost(a: &mut TcpConnection) -> SimTime {
         let d = a.persist_deadline.expect("persist armed");
-        let eff = a.on_timer(d);
+        let eff = fx(|e| a.on_timer(d, e));
         assert!(!eff.segments.is_empty(), "probe emitted");
         d
     }
@@ -1539,9 +1537,9 @@ mod tests {
         // The receiving app drains its buffer; the window-update ACK
         // reopens the stream.
         let now = a.persist_deadline.expect("persist armed");
-        let (_data, weff) = b.take_data(now);
+        let (_data, weff) = data(|e| b.take_data(now, e));
         for seg in &weff.segments {
-            a.on_segment(now, seg);
+            fx(|e| a.on_segment(now, seg, e));
         }
         assert!(a.snd_wnd() > 0, "window reopened");
         assert_eq!(a.persist_shift, 0, "backoff cleared on reopen");
@@ -1556,11 +1554,11 @@ mod tests {
         // backoff from persist_initial is the correct behaviour — pin it.
         let (mut a, mut b) = zero_window_pair();
         let d = a.persist_deadline.expect("persist armed");
-        let eff = a.on_timer(d);
+        let eff = fx(|e| a.on_timer(d, e));
         assert!(a.persist_shift > 0);
         for seg in eff.segments {
-            for reply in b.on_segment(d, &seg).segments {
-                a.on_segment(d, &reply);
+            for reply in fx(|e| b.on_segment(d, &seg, e)).segments {
+                fx(|e| a.on_segment(d, &reply, e));
             }
         }
         assert_eq!(a.persist_shift, 0, "acked probe byte is forward progress");
@@ -1580,7 +1578,7 @@ mod tests {
         let mut probes = Vec::new();
         for _ in 0..6 {
             let d = a.persist_deadline.expect("persist armed");
-            for seg in a.on_timer(d).segments {
+            for seg in fx(|e| a.on_timer(d, e)).segments {
                 if !seg.payload.is_empty() {
                     probes.push((seg.seq, seg.payload.len()));
                 }
@@ -1605,24 +1603,24 @@ mod tests {
         // lost range after a single timeout.
         let (mut a, mut b) = pair();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
         // Warm-up transfer grows cwnd past one segment.
-        let warm = a.write(now, vec![0u8; 1460 * 4]);
+        let warm = fx(|e| a.write(now, vec![0u8; 1460 * 4], e));
         pump(&mut a, &mut b, now, warm, true);
-        b.take_data(now);
+        data(|e| b.take_data(now, e));
         // A multi-segment flight, lost in its entirety.
-        let segs = a.write(now, vec![7u8; 1460 * 5]).segments;
+        let segs = fx(|e| a.write(now, vec![7u8; 1460 * 5], e)).segments;
         assert!(segs.len() >= 2, "flight has {} segments", segs.len());
         let d = a.rto_deadline.expect("rto armed");
-        let eff = a.on_timer(d);
+        let eff = fx(|e| a.on_timer(d, e));
         assert_eq!(a.stats.timeouts, 1);
         assert_eq!(eff.segments.len(), 1, "the timeout itself resends the head");
         assert_eq!(eff.segments[0].seq, a.snd_una);
         // From here the recovery must be ACK-clocked: no further timer
         // fires, the whole flight arrives.
         pump(&mut a, &mut b, d, eff, true);
-        let (data, _weff) = b.take_data(d);
+        let (data, _weff) = data(|e| b.take_data(d, e));
         assert_eq!(data.len(), 1460 * 5, "full flight recovered via slow start");
         assert_eq!(a.stats.timeouts, 1, "no additional timeouts needed");
         assert_eq!(a.flight_size(), 0);
@@ -1635,14 +1633,14 @@ mod tests {
         let mut b = TcpConnection::new(cfg, 0);
         b.listen();
         let now = SimTime::ZERO;
-        let eff = a.connect(now);
+        let eff = fx(|e| a.connect(now, e));
         pump(&mut a, &mut b, now, eff, true);
         // One in-order segment: no immediate ACK, delack timer armed.
-        let seg1 = a.write(now, &[1u8; 100]).segments.remove(0);
-        let eff = b.on_segment(now, &seg1);
+        let seg1 = fx(|e| a.write(now, &[1u8; 100], e)).segments.remove(0);
+        let eff = fx(|e| b.on_segment(now, &seg1, e));
         assert!(eff.segments.is_empty(), "first segment's ACK delayed");
         let d = b.next_deadline().expect("delack armed");
-        let eff = b.on_timer(d);
+        let eff = fx(|e| b.on_timer(d, e));
         assert_eq!(eff.segments.len(), 1, "delayed ACK fires");
         assert!(eff.segments[0].flags.ack());
     }

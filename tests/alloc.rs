@@ -253,12 +253,76 @@ fn hub_metrics_lookup_is_allocation_free() {
 fn finished_flow_retains_bounded_bytes() {
     let per_flow = comma_bench::scale::finished_flow_retained_bytes(200, 4096, 7);
     println!("retained bytes per finished flow: {per_flow}");
-    // Measures 4,804, the thread's one 16,635-byte pattern period included.
-    // The tree that copied `BulkSender`'s pattern into every write measured
-    // 5,011; before the zero-copy `SendBuffer`, reused instance slots and
-    // the flat Snoop cache, 6,419; before the one-slab wheel and the
-    // self-freeing `SendBuffer`, 31,890.
-    assert!(per_flow <= 4_804, "a finished flow retains {per_flow} requested bytes");
+    // Measures 4,151, the thread's one 16,635-byte pattern period included.
+    // The tree that closed a stream on its second FIN+ACK, and so rebuilt
+    // and kept a chain for its final ACK, measured 4,804; the tree that
+    // copied `BulkSender`'s pattern into every write, 5,011; before the
+    // zero-copy `SendBuffer`, reused instance slots and the flat Snoop
+    // cache, 6,419; before the one-slab wheel and the self-freeing
+    // `SendBuffer`, 31,890.
+    assert!(per_flow <= 4_151, "a finished flow retains {per_flow} requested bytes");
+}
+
+/// A finished flow leaves nothing at the proxy: N transfers through
+/// `tcp, snoop, wsize, tcp`, one after another on a loss-free path, end
+/// with no flow entry and no filter instance. Each flow created its own
+/// chain once and closed it once. (Closing on the second FIN+ACK left a
+/// chain, rebuilt by the final ACK, behind every flow.)
+#[test]
+fn finished_flows_leave_no_entry_and_no_instance() {
+    use comma_repro::prelude::*;
+    use comma_repro::proxy::ServiceProxy;
+    use comma_repro::tcp::apps::SocketId;
+
+    /// `left` transfers of `bytes` each, the next opened when the peer
+    /// closes the last.
+    #[derive(Clone)]
+    struct OneAfterAnother {
+        left: usize,
+        bytes: usize,
+    }
+    impl App for OneAfterAnother {
+        fn name(&self) -> &str {
+            "one-after-another"
+        }
+        fn on_start(&mut self, ctx: &mut AppCtx) {
+            ctx.connect((addrs::MOBILE, 9000));
+        }
+        fn on_connected(&mut self, ctx: &mut AppCtx, sock: SocketId) {
+            ctx.send(sock, vec![7u8; self.bytes]);
+            ctx.close(sock);
+        }
+        fn on_peer_closed(&mut self, ctx: &mut AppCtx, _sock: SocketId) {
+            self.left -= 1;
+            if self.left > 0 {
+                ctx.connect((addrs::MOBILE, 9000));
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    const FLOWS: usize = 20;
+    let sender = OneAfterAnother { left: FLOWS, bytes: 4_096 };
+    let mut world = CommaBuilder::new(7)
+        .eem(false)
+        .build(vec![Box::new(sender)], vec![Box::new(Sink::new(9000))]);
+    for service in ["tcp", "snoop", "wsize", "tcp"] {
+        world.sp(&format!("add {service} 0.0.0.0 0 11.11.10.10 0"));
+    }
+    world.run_until(SimTime::from_secs(120));
+    let sink = world.mobile_app_ids[0];
+    let (received, closed) = world.mobile_app::<Sink, _>(sink, |s| (s.bytes_received, s.closed));
+    assert_eq!((received, closed), (FLOWS * 4_096, FLOWS), "every transfer ran to its close");
+    let (streams, live, totals) = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
+        (sp.engine.streams(), sp.engine.live_instances(), sp.engine.totals)
+    });
+    assert!(streams.is_empty(), "flow entries outlive their flows: {streams:?}");
+    assert_eq!(live, 0, "instances outlive their flows");
+    assert_eq!(totals.instances_created, 4 * FLOWS as u64, "one chain a flow");
+    assert_eq!(totals.instances_dropped, 4 * FLOWS as u64);
+    assert_eq!(totals.streams_closed, FLOWS as u64);
 }
 
 /// The most bytes the many-flows workload (200 flows × 4 KiB through
@@ -268,12 +332,13 @@ fn finished_flow_retains_bounded_bytes() {
 fn many_flows_peak_live_bytes_is_pinned() {
     let peak = comma_bench::scale::run_many_flows(200, 4096, 7).peak_live_bytes.unwrap();
     println!("many-flows peak live bytes: {peak}");
-    // Measures 1,021,544. The tree that copied `BulkSender`'s pattern into
-    // a fresh 4 KiB `Vec` per flow measured 1,795,847; the tree before the
+    // Measures 993,418. The tree that rebuilt a chain for every final ACK
+    // measured 1,021,544; the tree that copied `BulkSender`'s pattern into
+    // a fresh 4 KiB `Vec` per flow, 1,795,847; the tree before the
     // filter catalog kept its loaded set as a second map of names,
     // 1,797,227; the tree that copied every written byte into the send
     // buffer and every segment out of it, 2,236,491.
-    assert!(peak <= 1_021_544, "the many-flows workload peaked at {peak} live bytes");
+    assert!(peak <= 993_418, "the many-flows workload peaked at {peak} live bytes");
 }
 
 /// A data segment is a slice of the write it lies in: sending a window of
@@ -285,7 +350,7 @@ fn segments_sent_from_a_written_chunk_allocate_no_payload() {
     use comma_repro::netsim::time::SimTime;
     use comma_repro::rt::Bytes;
     use comma_repro::tcp::config::TcpConfig;
-    use comma_repro::tcp::conn::TcpConnection;
+    use comma_repro::tcp::conn::{Effects, TcpConnection};
 
     let now = SimTime::ZERO;
     let cfg = TcpConfig {
@@ -294,14 +359,19 @@ fn segments_sent_from_a_written_chunk_allocate_no_payload() {
     };
     let (mut a, mut b) = (TcpConnection::new(cfg.clone(), 100), TcpConnection::new(cfg, 500));
     b.listen();
-    let syn = a.connect(now).segments.remove(0);
-    let synack = b.on_segment(now, &syn).segments.remove(0);
-    let ack = a.on_segment(now, &synack).segments.remove(0);
-    b.on_segment(now, &ack);
+    let fx = |f: &mut dyn FnMut(&mut Effects)| {
+        let mut eff = Effects::default();
+        f(&mut eff);
+        eff.segments
+    };
+    let syn = fx(&mut |e| a.connect(now, e)).remove(0);
+    let synack = fx(&mut |e| b.on_segment(now, &syn, e)).remove(0);
+    let ack = fx(&mut |e| a.on_segment(now, &synack, e)).remove(0);
+    fx(&mut |e| b.on_segment(now, &ack, e));
 
     let chunk = Bytes::from(vec![0x5au8; 64 * 1460]);
     let scope = comma_rt::alloc::AllocScope::begin();
-    let sent = a.write(now, chunk.clone()).segments;
+    let sent = fx(&mut |e| a.write(now, chunk.clone(), e));
     let allocs = scope.delta().allocs;
     assert_eq!(sent.len(), 45, "a 65,535-byte window: 44 full segments and a short one");
     let storage = chunk.as_ptr() as usize..chunk.as_ptr() as usize + chunk.len();
@@ -309,7 +379,8 @@ fn segments_sent_from_a_written_chunk_allocate_no_payload() {
         assert!(storage.contains(&(seg.payload.as_ptr() as usize)), "a payload was copied");
     }
     // What is left is the send buffer's list of writes (one) and the
-    // effects list doubling from 4 to 64 slots (five).
+    // fresh effects list doubling from 4 to 64 slots (five; a host keeps
+    // its own).
     println!("{} segments, {allocs} allocations", sent.len());
     assert!(allocs <= 6, "{} segments allocated {allocs} times", sent.len());
 }
@@ -450,9 +521,14 @@ fn mc_fork_cost_is_pinned() {
     }
     let busy = fork_cost(&world.sim);
     println!("empty fork {empty:?}, fork after 66 events {busy:?}");
-    // The tree that deep-copied the catalog, the registrations, the
-    // oracle's config and logs and every node name measured 63 / 4,872 B
-    // and 109 / 18,860 B.
-    assert_eq!(empty, (25, 3_622), "fork of the empty world");
-    assert_eq!(busy, (63, 12_390), "fork after 66 events");
+    // Bytes are the boxed nodes' sizes plus what they hold. Each `Host`
+    // grew by 80 B (its reused effect set and work queue, copied empty)
+    // and the `ServiceProxy` by 80 B (three lifecycle counters and their
+    // write sites, the expansion scratch); the kind list, now shared like
+    // the registrations, saves one allocation once a flow exists.
+    // The tree before those measured 25 / 3,622 B and 63 / 12,390 B; the
+    // tree that deep-copied the catalog, the registrations, the oracle's
+    // config and logs and every node name, 63 / 4,872 B and 109 / 18,860 B.
+    assert_eq!(empty, (25, 3_862), "fork of the empty world");
+    assert_eq!(busy, (62, 12_614), "fork after 66 events");
 }
