@@ -18,6 +18,11 @@
 //! rebuilds the member lists of that instance's own keys
 //! (`FilterEngine::remove_instance`); nothing scans the whole table on
 //! the packet path or at stream teardown.
+//!
+//! An entry lives from its stream's first packet until a filter reports
+//! the stream closed — `tcp` does on the ACK that covers the later FIN —
+//! and the engine removes it with the stream's reverse. A packet that
+//! arrives after that finds no entry and starts a new one.
 
 use std::sync::Arc;
 
@@ -25,7 +30,9 @@ use comma_rt::FnvHashMap;
 
 use crate::key::StreamKey;
 
-/// Cached queue state for one stream key.
+/// Cached queue state for one stream key, made by the engine's queue
+/// expansion when the key's first packet arrives (or when an instance
+/// lists the key) and removed when the stream closes.
 #[derive(Clone, Debug)]
 pub struct FlowEntry {
     /// Instance ids, sorted by descending priority (in-method order).
