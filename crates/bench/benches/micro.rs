@@ -40,15 +40,25 @@ fn bench_wire(bench: &mut Bench) {
 
 /// What `bulk_lit` compresses: its seeded prose, one 1,460-byte MSS block at
 /// a time (a short-period string would hit an 18-byte match at every
-/// position and never exercise the per-item branching that costs).
+/// position and never exercise the per-item branching that costs). The
+/// random row is the block the compress service gives up on: the encoder
+/// stops at the raw length and the block travels stored.
 fn bench_codecs(bench: &mut Bench) {
+    use comma_filters::transform::{Compressor, StreamTransformer};
+    use comma_rt::Rng;
     const MSS: usize = 1460;
     let text = seeded_prose(42, 16 * MSS);
+    let mut rng = SmallRng::seed_from_u64(4);
+    let random: Vec<u8> = (0..text.len()).map(|_| rng.gen()).collect();
+    let mut compressor = Compressor::new(Method::Lzss, MSS);
     let packed: Vec<Vec<u8>> = text.chunks(MSS).map(|b| Method::Lzss.compress(b)).collect();
     let mut g = bench.group("codec");
     g.throughput_bytes(text.len() as u64);
     g.bench("lzss_compress_prose_1460B", || {
         text.chunks(MSS).map(|b| Method::Lzss.compress(b).len()).sum::<usize>()
+    });
+    g.bench("lzss_compress_random_1460B", || {
+        random.chunks(MSS).map(|b| compressor.transform(b).len()).sum::<usize>()
     });
     g.bench("lzss_decompress_prose_1460B", || {
         packed.iter().map(|p| Method::Lzss.decompress(p).unwrap().len()).sum::<usize>()

@@ -7,25 +7,26 @@
 //! external — the peer is always our own decompressor.
 //!
 //! **LZSS compress.** Hash chains over 3-byte prefixes (a 13-bit hash,
-//! newest position first) offer up to 32 earlier positions within the
-//! window; the longest common prefix wins, the first of equal length is
-//! kept, and an 18-byte match ends the walk. Candidates are compared eight
-//! bytes at a time (XOR, then `trailing_zeros`), and the output is written
-//! by index into a buffer sized for the worst case — `n + n/8 + 1`, every
-//! byte a literal — and cut to length at the end. Inside a block frame the
-//! encoder gives up as soon as its output reaches the raw length, where a
-//! stored block is shorter. Which match is chosen is fixed by the format's
-//! history, not by the kernel: the compressed bytes are pinned by digest.
+//! newest position first, all linked in one pass before the parse) offer up
+//! to 32 earlier positions within the window; the longest common prefix
+//! wins, the first of equal length is kept, and an 18-byte match ends the
+//! walk. Candidates are compared eight bytes at a time (XOR, then
+//! `trailing_zeros`), and the output is written by index into a buffer
+//! sized for the worst case — `n + n/8 + 1`, every byte a literal — and cut
+//! to length at the end. Inside a block frame the encoder gives up as soon
+//! as its output reaches the raw length, where a stored block is shorter.
+//! Which match is chosen is fixed by the format's history, not by the
+//! kernel: the compressed bytes are pinned by digest.
 //!
 //! **LZSS decode.** The output is sized up front — the declared length, or
-//! for an undeclared one the most a stream can expand (9×: an 18-byte match
-//! per 2 input bytes) — plus 18 bytes of initialised slack, and written by
-//! index. A match that does not overlap its own output (`dist ≥ len`) is
-//! one fixed 18-byte `copy_within` whose excess lands in the slack; an
-//! overlapping one is the forward byte loop that repeats the period. The
-//! slack is cut off at the end. Decoders append to a caller's buffer, so a
-//! block frame decodes straight into the stream's output; distances are
-//! checked against the block's own start.
+//! for an undeclared one the most the stream can decode to
+//! ([`Method::max_decoded`]) — plus 18 bytes of initialised slack, and
+//! written by index. A match that does not overlap its own output
+//! (`dist ≥ len`) is one fixed 18-byte `copy_within` whose excess lands in
+//! the slack; an overlapping one is the forward byte loop that repeats the
+//! period. The slack is cut off at the end. Decoders append to a caller's
+//! buffer, so a block frame decodes straight into the stream's output;
+//! distances are checked against the block's own start.
 
 /// Error decoding a compressed buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +82,7 @@ fn rle_encode(input: &[u8], out: &mut Vec<u8>) {
 }
 
 /// Reverses [`rle_compress`], for input whose decoded length nobody
-/// declared (a run decodes to 85× its size; framed blocks go through
+/// declared (up to [`Method::max_decoded`] bytes; framed blocks go through
 /// [`Method::decompress_exact`] instead).
 pub fn rle_decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(input.len() * 2);
@@ -156,13 +157,19 @@ fn lzss_encode(input: &[u8], out: &mut Vec<u8>, stop: usize) -> bool {
     let buf = &mut out[start..];
     // Hash chains over 3-byte prefixes, in one allocation: `head[h]` is the
     // newest position with hash `h`, `prev[p]` the one before `p`; -1 ends a
-    // chain.
+    // chain. Every prefix is linked in one pass before the parse, so when
+    // position `i` is searched the chain from `prev[i]` holds exactly the
+    // earlier positions with `i`'s hash, newest first — the chain an
+    // insertion after each item would have built, since by then every
+    // position before `i` has been covered by an item.
     let mut chains = vec![-1i32; (1 << LZ_HASH_BITS) + n];
     let (head, prev) = chains.split_at_mut(1 << LZ_HASH_BITS);
-    let hash = |i: usize| {
-        let h = (input[i] as usize) << 6 ^ (input[i + 1] as usize) << 3 ^ (input[i + 2] as usize);
-        h & ((1 << LZ_HASH_BITS) - 1)
-    };
+    for (p, (link, w)) in prev.iter_mut().zip(input.windows(LZ_MIN_MATCH)).enumerate() {
+        let h = (w[0] as usize) << 6 ^ (w[1] as usize) << 3 ^ w[2] as usize;
+        let h = h & ((1 << LZ_HASH_BITS) - 1);
+        *link = head[h];
+        head[h] = p as i32;
+    }
 
     let (mut i, mut o) = (0, 0);
     let mut flag_pos = 0;
@@ -177,7 +184,7 @@ fn lzss_encode(input: &[u8], out: &mut Vec<u8>, stop: usize) -> bool {
         let (mut best_len, mut best_dist) = (0, 0);
         if i + LZ_MIN_MATCH <= n {
             let limit = (n - i).min(LZ_MAX_MATCH);
-            let mut cand = head[hash(i)];
+            let mut cand = prev[i];
             let mut tries = LZ_TRIES;
             while cand >= 0 && tries > 0 {
                 let c = cand as usize;
@@ -197,7 +204,7 @@ fn lzss_encode(input: &[u8], out: &mut Vec<u8>, stop: usize) -> bool {
                 tries -= 1;
             }
         }
-        let step = if best_len >= LZ_MIN_MATCH {
+        i += if best_len >= LZ_MIN_MATCH {
             // Match item: 2 bytes — 12-bit distance, 4-bit (length-3).
             buf[flag_pos] |= 1 << flag_bit;
             let word = ((best_dist - 1) as u16) << 4 | (best_len - LZ_MIN_MATCH) as u16;
@@ -209,15 +216,6 @@ fn lzss_encode(input: &[u8], out: &mut Vec<u8>, stop: usize) -> bool {
             o += 1;
             1
         };
-        // Every position the item covers that starts a 3-byte prefix joins
-        // its chain.
-        let end = (i + step).min((n + 1).saturating_sub(LZ_MIN_MATCH)).max(i);
-        for (p, link) in (i..).zip(&mut prev[i..end]) {
-            let h = hash(p);
-            *link = head[h];
-            head[h] = p as i32;
-        }
-        i += step;
         flag_bit += 1;
     }
     if o >= stop {
@@ -266,9 +264,9 @@ pub fn lzss_decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
 /// where this call started appending.
 fn lzss_decode(input: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), CodecError> {
     let base = out.len();
-    // No stream expands past 9×; the slack lets every match be one
+    // No stream decodes past its bound; the slack lets every match be one
     // fixed-length copy.
-    out.resize(base + limit.min(9 * input.len()) + LZ_MAX_MATCH, 0);
+    out.resize(base + limit.min(Method::Lzss.max_decoded(input.len())) + LZ_MAX_MATCH, 0);
     let buf = &mut out[base..];
     let (mut i, mut o) = (0, 0);
     while i < input.len() {
@@ -333,6 +331,17 @@ impl Method {
             "lzss" | "lz" => Some(Method::Lzss),
             _ => None,
         }
+    }
+
+    /// The method's declared worst case: the most `stored` bytes of its
+    /// output can decode to. LZSS: a flag byte and eight 2-byte matches, 17
+    /// bytes, decode to 144. RLE: a 3-byte escape decodes to a 255-byte run.
+    pub fn max_decoded(self, stored: usize) -> usize {
+        let (decoded, per) = match self {
+            Method::Rle => (255, 3),
+            Method::Lzss => (8 * LZ_MAX_MATCH, 1 + 8 * 2),
+        };
+        stored.saturating_mul(decoded) / per
     }
 
     /// Compresses with the selected method.
@@ -524,9 +533,12 @@ mod tests {
     /// identical compressed bytes, and the same `Ok` bytes or the same
     /// `CodecError` from both decoders over valid streams (at, under and
     /// over their true length) and hostile ones. Inputs are `bulk_lit`'s
-    /// prose, 1–4-symbol alphabets, long runs, incompressible bytes and
+    /// prose, 1–4-symbol alphabets, long runs, incompressible bytes,
     /// periodic text whose period straddles the 8-byte compare stride, the
-    /// 18-byte cap and the 4 KiB window; lengths run 0..=70,000.
+    /// 18-byte cap and the 4 KiB window, and 1–2-symbol text long enough
+    /// for the match walk to stop both at its 32-try cap and at the window;
+    /// lengths run 0..=70,000, with 0–3 and either side of 64, 2,048 and
+    /// 32,768 drawn on purpose.
     #[test]
     fn lzss_matches_reference_model() {
         use comma_rt::prop::{gen, Runner};
@@ -567,13 +579,16 @@ mod tests {
 
         Runner::new("lzss_matches_reference_model").cases(100).run(
             |rng| {
-                let len = match rng.gen_range(0..4u32) {
+                let len = match rng.gen_range(0..6u32) {
                     0 => rng.gen_range(0..64usize),
                     1 => rng.gen_range(0..2_048),
                     2 => rng.gen_range(4_000..8_400),
+                    3 => rng.gen_range(0..4),
+                    // Either side of the `Compressor`'s clamp and block edges.
+                    4 => [64, 2_048, 32_768][gen::index(rng, 3)] + rng.gen_range(0..3) - 1,
                     _ => rng.gen_range(0..70_001),
                 };
-                let data: Vec<u8> = match rng.gen_range(0..5u32) {
+                let data: Vec<u8> = match rng.gen_range(0..6u32) {
                     0 => crate::appdata::seeded_prose(rng.gen(), len),
                     1 => {
                         let symbols = gen::bytes(rng, 1..5);
@@ -590,6 +605,27 @@ mod tests {
                         runs
                     }
                     3 => gen::bytes(rng, len..len),
+                    4 => {
+                        // One or two symbols, past the window: short runs
+                        // fill every chain, so the walk spends its 32
+                        // tries, and a run longer than the window leaves
+                        // the prefixes that end it only candidates beyond
+                        // it.
+                        let (a, b) = (rng.gen::<u8>(), rng.gen::<u8>());
+                        let b = if rng.gen_range(0..4u32) == 0 { a } else { b };
+                        let len = len.max(9_000);
+                        let mut text = Vec::with_capacity(len + 4_300);
+                        while text.len() < len {
+                            let run = match rng.gen_range(0..300u32) {
+                                0 => rng.gen_range(4_000..4_200),
+                                _ => rng.gen_range(1..8usize),
+                            };
+                            text.extend(std::iter::repeat_n(a, run));
+                            text.extend(std::iter::repeat_n(b, rng.gen_range(1..4usize)));
+                        }
+                        text.truncate(len);
+                        text
+                    }
                     _ => {
                         let period = [7, 8, 9, 17, 18, 19, 4_095, 4_096, 4_097][gen::index(rng, 9)];
                         let motif = crate::appdata::seeded_prose(rng.gen(), period);

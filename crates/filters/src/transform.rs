@@ -227,7 +227,9 @@ impl StreamTransformer for Decompressor {
             };
             // Each block decodes straight into `out`. One that does not
             // decode to exactly the length its header declares is
-            // undecodable: counted, nothing emitted.
+            // undecodable: counted, nothing emitted. A header declaring more
+            // than the method's bound allows for the stored bytes is refused
+            // before anything is reserved for it.
             let decoded = if flags & FLAG_STORED != 0 {
                 let exact = stored_len == raw_len;
                 if exact {
@@ -235,8 +237,10 @@ impl StreamTransformer for Decompressor {
                 }
                 exact
             } else {
-                method_from_tag(flags)
-                    .is_some_and(|m| m.decompress_into(stored, raw_len, &mut out).is_ok())
+                method_from_tag(flags).is_some_and(|m| {
+                    raw_len <= m.max_decoded(stored_len)
+                        && m.decompress_into(stored, raw_len, &mut out).is_ok()
+                })
             };
             if !decoded {
                 self.errors += 1;
@@ -633,6 +637,79 @@ mod resync_tests {
                 ensure!(out.len() <= *raw_len as usize, "{} bytes out of a {raw_len}-byte block", out.len());
                 ensure!(out.is_empty() || out.len() == *raw_len as usize, "partial block emitted");
                 ensure!(out.is_empty() == (deco.errors == 1) || *raw_len == 0, "errors {}", deco.errors);
+                Ok(())
+            },
+        );
+    }
+
+    /// Block sizes up to the 32 KiB clamp, both methods: a frame holds at
+    /// most its raw bytes plus the header, no stream — valid or hostile —
+    /// decodes to more than [`Method::max_decoded`] of its stored length,
+    /// and a header that declares more is refused with nothing emitted.
+    #[test]
+    fn framed_blocks_stay_within_the_declared_expansion() {
+        use comma_rt::prop::{gen, Runner};
+        use comma_rt::{ensure, Rng};
+
+        Runner::new("framed_blocks_stay_within_the_declared_expansion").cases(200).run(
+            |rng| {
+                let method = [Method::Rle, Method::Lzss][gen::index(rng, 2)];
+                let size = match rng.gen_range(0..3u32) {
+                    0 => [1, 2, 3, 63, 64, 2_048, 32_767, 32_768][gen::index(rng, 8)],
+                    _ => rng.gen_range(1..32_769usize),
+                };
+                let raw = match rng.gen_range(0..3u32) {
+                    0 => crate::appdata::seeded_prose(rng.gen(), size),
+                    1 => vec![rng.gen::<u8>(); size],
+                    _ => gen::bytes(rng, size..size),
+                };
+                // The densest stream the method can spell — RLE's longest
+                // escape over and over; LZSS one literal, then 18-byte
+                // matches one back — with a few bytes overwritten.
+                let mut hostile = match method {
+                    Method::Rle => [0x90, rng.gen(), 255].repeat(size / 3 + 1),
+                    Method::Lzss => {
+                        let mut s = vec![0xfe, rng.gen()];
+                        s.extend([0x00, 0x0f].repeat(7));
+                        while s.len() < size {
+                            s.push(0xff);
+                            s.extend([0x00, 0x0f].repeat(8));
+                        }
+                        s
+                    }
+                };
+                hostile.truncate(rng.gen_range(0..size + 1));
+                for _ in 0..rng.gen_range(0..4usize) {
+                    if !hostile.is_empty() {
+                        let at = gen::index(rng, hostile.len());
+                        hostile[at] = rng.gen();
+                    }
+                }
+                (method, raw, hostile)
+            },
+            |(method, raw, hostile)| {
+                let wire = Compressor::new(*method, raw.len()).transform(raw);
+                let (n, framed) = (raw.len(), wire.len());
+                ensure!(framed <= n + BLOCK_HEADER_LEN, "{framed} framed bytes for {n}");
+                let stored = framed - BLOCK_HEADER_LEN;
+                ensure!(n <= method.max_decoded(stored), "{n} raw bytes from {stored} stored");
+                let mut deco = Decompressor::new();
+                ensure!(deco.transform(&wire) == *raw && deco.errors == 0, "valid block lost");
+
+                let (tag, bound) = (method_tag(*method), method.max_decoded(hostile.len()));
+                if let Ok(decoded) = method.decompress(hostile) {
+                    let len = decoded.len();
+                    ensure!(len <= bound, "{len} bytes from {} stored", hostile.len());
+                    if let Ok(declared) = u16::try_from(len) {
+                        let out = Decompressor::new().transform(&frame(tag, declared, hostile));
+                        ensure!(out == decoded, "hostile block at its own length");
+                    }
+                }
+                if let Ok(over) = u16::try_from(bound + 1) {
+                    let mut deco = Decompressor::new();
+                    let out = deco.transform(&frame(tag, over, hostile));
+                    ensure!(out.is_empty() && deco.errors == 1, "past the bound: {} out", out.len());
+                }
                 Ok(())
             },
         );

@@ -62,9 +62,11 @@ faults)
     # The oracle's slice-wise stream log against the byte loop it replaced.
     cargo test -q --release --offline -p comma-faultcheck stream_log_matches_bytewise_model
     # The LZSS kernels against the parent's, byte for byte and error for
-    # error, at ten times the workspace pass's 100 cases.
+    # error, at ten times the workspace pass's 100 cases, and both codecs'
+    # output against its recorded digests: a wire-format change fails here.
     COMMA_PROP_CASES=1000 cargo test -q --release --offline -p comma-filters \
         lzss_matches_reference_model
+    cargo test -q --release --offline -p comma-filters wire_format_matches_recorded_digests
     echo "fault gate ok"
     ;;
 bench)

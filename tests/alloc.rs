@@ -232,6 +232,23 @@ fn compressed_segment_allocations_are_bounded() {
     assert!(allocs <= 5_010, "1,000 compressed segments allocated {allocs} times");
 }
 
+/// A block whose header declares more than its method's bound allows for
+/// its stored bytes is refused before anything is reserved for it: three
+/// stored RLE bytes decode to at most 255, so a header claiming 65,535
+/// must not cost 64 KiB.
+#[test]
+fn block_past_the_codec_bound_reserves_nothing() {
+    use comma_repro::filters::transform::{Decompressor, StreamTransformer, BLOCK_MAGIC};
+
+    let rle_frame = [BLOCK_MAGIC, 1, 0xff, 0xff, 0, 3, 0x90, b'a', 255];
+    let mut deco = Decompressor::new();
+    let scope = comma_rt::alloc::AllocScope::begin();
+    let out = deco.transform(&rle_frame);
+    let peak = scope.peak_live_bytes();
+    assert!(out.is_empty() && deco.errors == 1, "the block is refused");
+    assert!(peak < 1_024, "a refused block held {peak} bytes at once");
+}
+
 #[test]
 fn hub_metrics_lookup_is_allocation_free() {
     use comma_repro::core::HubMetrics;
