@@ -15,7 +15,6 @@
 //!   (schedule, queue, pop, dispatch); its `events_per_sec` is the macro
 //!   headline for scheduler throughput.
 
-use std::any::Any;
 use std::time::Instant;
 
 use comma::topology::{addrs, CommaBuilder};
@@ -339,9 +338,6 @@ impl Node for TickNode {
             .period_us
             .unwrap_or_else(|| 200 + ctx.rng.gen_range(0..800u64));
         ctx.set_timer_after(SimDuration::from_micros(delay), 0);
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -18,7 +18,7 @@ use crate::proto::{Message, Mode, EEM_PORT};
 use crate::value::Value;
 
 /// Callback invoked for interrupt-style notifications (`comma_setcallback`).
-pub type Callback = Box<dyn FnMut(u32, &Value) + Send>;
+pub type Callback = Box<dyn FnMut(u32, &Value) + Send + Sync>;
 
 /// One slot of the protected data area.
 #[derive(Clone, Debug)]

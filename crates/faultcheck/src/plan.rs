@@ -170,7 +170,6 @@ mod tests {
     use comma_netsim::node::{IfaceId, Node, NodeCtx, NodeId};
     use comma_netsim::packet::{IcmpMessage, IpPayload, Packet};
     use comma_rt::Bytes;
-    use std::any::Any;
 
     struct Counter {
         addr: Ipv4Addr,
@@ -188,9 +187,6 @@ mod tests {
             if matches!(pkt.body, IpPayload::Icmp(IcmpMessage::EchoRequest { .. })) {
                 self.received += 1;
             }
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

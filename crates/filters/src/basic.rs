@@ -1,7 +1,6 @@
 //! The base filters of the Fig 5.3 session: `tcp` (housekeeping),
 //! `launcher`, and `rdrop`.
 
-use std::any::Any;
 
 use comma_netsim::packet::Packet;
 use comma_netsim::wire;
@@ -127,10 +126,6 @@ impl Filter for TcpHousekeeping {
         Verdict::Continue
     }
 
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn clone_filter(&self) -> Option<Box<dyn Filter>> {
         Some(Box::new(self.clone()))
     }
@@ -196,10 +191,6 @@ impl Filter for Launcher {
         vec![key]
     }
 
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn clone_filter(&self) -> Option<Box<dyn Filter>> {
         Some(Box::new(self.clone()))
     }
@@ -259,10 +250,6 @@ impl Filter for RandomDrop {
             self.passed += 1;
             Verdict::Continue
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn clone_filter(&self) -> Option<Box<dyn Filter>> {

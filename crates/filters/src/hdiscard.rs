@@ -7,7 +7,6 @@
 //! layer queueing behind a saturated link. The layer budget is either
 //! static or adapts to an EEM metric.
 
-use std::any::Any;
 
 use comma_netsim::packet::Packet;
 use comma_proxy::filter::{Capabilities, Filter, FilterCtx, Priority, Verdict};
@@ -144,10 +143,6 @@ impl Filter for HierarchicalDiscard {
             self.forwarded += 1;
             Verdict::Continue
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn clone_filter(&self) -> Option<Box<dyn Filter>> {

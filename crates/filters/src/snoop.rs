@@ -3,7 +3,6 @@
 //! suppresses the duplicate ACKs that would otherwise trigger the sender's
 //! congestion response.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use comma_netsim::packet::{Packet, TcpFlags};
@@ -327,10 +326,6 @@ impl Filter for Snoop {
             }
             self.arm_tick(ctx);
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn clone_filter(&self) -> Option<Box<dyn Filter>> {
@@ -663,7 +658,6 @@ mod tests {
 /// digest).
 #[cfg(test)]
 mod reference {
-    use std::any::Any;
     use std::collections::BTreeMap;
 
     use comma_netsim::packet::Packet;
@@ -875,10 +869,6 @@ mod reference {
                 }
                 self.arm_tick(ctx);
             }
-        }
-
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
         }
 
         fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {

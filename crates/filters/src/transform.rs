@@ -12,7 +12,7 @@ use crate::appdata::{Frame, FrameKind, FrameParser};
 use crate::codec::Method;
 
 /// A byte-stream rewriting service.
-pub trait StreamTransformer: Send {
+pub trait StreamTransformer: Send + Sync {
     /// Service name (diagnostics).
     fn name(&self) -> &'static str;
 

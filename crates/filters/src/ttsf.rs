@@ -18,7 +18,6 @@
 //! fabricates acknowledgements, which is precisely the end-to-end-semantics
 //! repair over split-connection proxies the thesis argues for (§5.1.2).
 
-use std::any::Any;
 
 use comma_obs::fields;
 use comma_rt::Bytes;
@@ -49,10 +48,10 @@ pub const TRANSFORMING: &[&str] = &[
 
 /// The edit-map sweep: every structural-invariant failure among the
 /// engine's live TTSF-backed instances, each prefixed with `label`.
-pub fn editmap_errors(engine: &mut FilterEngine, label: &str) -> Vec<String> {
+pub fn editmap_errors(engine: &FilterEngine, label: &str) -> Vec<String> {
     let mut errs = Vec::new();
     for kind in TTSF_KINDS {
-        for ttsf in engine.instances_as::<Ttsf>(kind) {
+        for ttsf in engine.instances_ref::<Ttsf>(kind) {
             if let Some(Err(e)) = ttsf.map().map(EditMap::check_invariants) {
                 errs.push(format!("{label}: {e}"));
             }
@@ -394,10 +393,6 @@ impl Filter for Ttsf {
             ctx.gauge("ttsf.editmap_bytes", map.stored_bytes() as f64);
         }
         v
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn clone_filter(&self) -> Option<Box<dyn Filter>> {

@@ -12,7 +12,6 @@
 //!   entering congestion control; on reconnection it reopens the window and
 //!   transmission resumes at full speed.
 
-use std::any::Any;
 
 use comma_netsim::packet::{Packet, TcpFlags, TcpSegment};
 use comma_netsim::time::SimDuration;
@@ -204,10 +203,6 @@ impl Filter for Wsize {
             self.link_up = up;
             ctx.set_timer(POLL_INTERVAL, POLL_TOKEN);
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn clone_filter(&self) -> Option<Box<dyn Filter>> {

@@ -128,7 +128,7 @@ impl Explorer {
         // construction (build_scenario runs no events).
         self.visited.insert(world.sim.state_hash());
         self.report.states_explored = 1;
-        if let Some(detail) = check_invariants(&mut world.sim, world.proxy) {
+        if let Some(detail) = check_invariants(&world.sim, world.proxy) {
             self.record_violation(detail);
             return self.report;
         }

@@ -120,7 +120,7 @@ pub fn replay_mc_trace(cfg: &McConfig, trace: &McTrace) -> ReplayOutcome {
         if cfg.mutate_skip_ack_translation {
             arm_mutations(&mut world.sim, world.proxy);
         }
-        if let Some(detail) = check_invariants(&mut world.sim, world.proxy) {
+        if let Some(detail) = check_invariants(&world.sim, world.proxy) {
             return ReplayOutcome {
                 violation: Some((i + 1, detail)),
                 steps_applied: i + 1,

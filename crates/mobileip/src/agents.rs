@@ -1,6 +1,5 @@
 //! Home and foreign agents (§2.1).
 
-use std::any::Any;
 use std::collections::HashMap;
 
 use comma_rt::Bytes;
@@ -193,10 +192,6 @@ impl Node for HomeAgent {
             }
         }
         self.forward(ctx, pkt);
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -394,10 +389,6 @@ impl Node for ForeignAgent {
         // network): plain forwarding.
         self.forward(ctx, pkt);
     }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A wired router that maintains a binding cache: it snoops binding
@@ -475,9 +466,5 @@ impl Node for BindingCacheRouter {
         if let Some(iface) = forward_step(ctx, &self.table, &mut pkt) {
             ctx.send(iface, pkt);
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }

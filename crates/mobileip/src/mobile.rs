@@ -1,7 +1,6 @@
 //! The mobile host: a TCP host that discovers foreign agents through ICMP
 //! agent advertisements and keeps its home agent's binding current.
 
-use std::any::Any;
 
 use comma_rt::Bytes;
 use comma_netsim::addr::Ipv4Addr;
@@ -187,9 +186,5 @@ impl Node for MobileHost {
             return;
         }
         self.host.on_timer(ctx, token);
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }

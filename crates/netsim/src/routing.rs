@@ -1,6 +1,5 @@
 //! Longest-prefix routing tables and a plain IP router node.
 
-use std::any::Any;
 
 use crate::addr::{Ipv4Addr, Subnet};
 use crate::node::{IfaceId, Node, NodeCtx};
@@ -143,10 +142,6 @@ impl Node for Router {
         if let Some(out) = forward_step(ctx, &self.table, &mut pkt) {
             ctx.send(out, pkt);
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

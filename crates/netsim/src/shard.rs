@@ -867,7 +867,6 @@ mod tests {
     use crate::node::{IfaceId, Node, NodeCtx, NodeId};
     use crate::packet::{IcmpMessage, IpPayload, Packet};
     use comma_rt::Bytes;
-    use std::any::Any;
 
     /// Test node: sends a ping on each of its ifaces every `period`,
     /// counts pings it receives, and echoes nothing (one-way traffic keeps
@@ -939,9 +938,6 @@ mod tests {
                 self.sent += 1;
             }
             ctx.set_timer_after(self.period, 0);
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

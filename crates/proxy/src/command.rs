@@ -86,7 +86,6 @@ mod tests {
     use crate::engine::FilterCatalog;
     use crate::filter::{Capabilities, Filter, NullMetrics, Priority};
     use comma_rt::SeedableRng;
-    use std::any::Any;
 
     struct Noop;
     impl Filter for Noop {
@@ -98,9 +97,6 @@ mod tests {
         }
         fn capabilities(&self) -> Capabilities {
             Capabilities::READ_ONLY
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -89,7 +89,7 @@ pub enum Verdict {
 
 /// Read access to execution-environment metrics for adaptive filters
 /// (backed by the EEM; see the `comma-eem` crate).
-pub trait MetricsSource: Send {
+pub trait MetricsSource: Send + Sync {
     /// Returns the current value of a named variable, if known.
     fn get(&self, var: &str) -> Option<f64>;
 
@@ -257,7 +257,7 @@ impl<'a> FilterCtx<'a> {
 /// and to its kind's `filter.violations` counter, and the refusal writes one
 /// `engine: blocked unauthorized injection by <kind> on <where>` line to
 /// the engine log.
-pub trait Filter: Send {
+pub trait Filter: Any + Send + Sync {
     /// Catalog name of this filter type (e.g. `"rdrop"`).
     fn kind(&self) -> &'static str;
 
@@ -291,9 +291,6 @@ pub trait Filter: Send {
     /// The engine is tearing down this instance (stream closed or service
     /// deleted).
     fn on_removed(&mut self, _ctx: &mut FilterCtx<'_>) {}
-
-    /// Typed access for tools and tests.
-    fn as_any(&mut self) -> &mut dyn Any;
 
     /// Deep copy for world snapshots
     /// ([`comma_netsim::sim::Simulator::snapshot`]). Filters that do not

@@ -12,7 +12,6 @@
 //! A minimal read-only filter and an engine pass:
 //!
 //! ```
-//! use std::any::Any;
 //! use comma_netsim::prelude::*;
 //! use comma_proxy::engine::{FilterCatalog, FilterEngine};
 //! use comma_proxy::filter::{Capabilities, Filter, FilterCtx, NullMetrics, Priority};
@@ -25,7 +24,6 @@
 //!     fn priority(&self) -> Priority { Priority::Normal }
 //!     fn capabilities(&self) -> Capabilities { Capabilities::READ_ONLY }
 //!     fn on_in(&mut self, _: &mut FilterCtx<'_>, _: StreamKey, _: &Packet) { self.0 += 1 }
-//!     fn as_any(&mut self) -> &mut dyn Any { self }
 //! }
 //!
 //! let mut catalog = FilterCatalog::new();

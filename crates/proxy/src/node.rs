@@ -1,7 +1,6 @@
 //! The Service Proxy node: a router with the filtering engine inserted into
 //! its forwarding path (Fig 5.1), placed at the wired/wireless bottleneck.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use comma_netsim::addr::Ipv4Addr;
@@ -154,12 +153,8 @@ impl Node for ServiceProxy {
         self.arm_pending_timers(ctx);
     }
 
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn clone_node(&self) -> Option<Box<dyn Node>> {
-        Some(Box::new(ServiceProxy {
+    fn clone_node(&self) -> Option<Arc<dyn Node>> {
+        Some(Arc::new(ServiceProxy {
             name: self.name.clone(),
             addrs: self.addrs.clone(),
             table: self.table.clone(),

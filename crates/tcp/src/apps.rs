@@ -126,7 +126,7 @@ impl AppCtx {
 ///
 /// All callbacks receive an [`AppCtx`] through which the application issues
 /// socket operations; they must not block.
-pub trait App: Send {
+pub trait App: Send + Sync {
     /// Short name for diagnostics.
     fn name(&self) -> &str;
 

@@ -1,7 +1,6 @@
 //! The host node: socket table, TCP/UDP/ICMP demultiplexing, and the
 //! application runtime.
 
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -756,16 +755,12 @@ impl Node for Host {
         self.run_conn(ctx, sock, |conn, eff| conn.on_timer(now, eff));
     }
 
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn clone_node(&self) -> Option<Box<dyn Node>> {
+    fn clone_node(&self) -> Option<Arc<dyn Node>> {
         let mut apps: Vec<Option<Box<dyn App>>> = Vec::with_capacity(self.apps.len());
         for slot in &self.apps {
             apps.push(Some(slot.as_ref()?.clone_app()?));
         }
-        Some(Box::new(Host {
+        Some(Arc::new(Host {
             name: self.name.clone(),
             addrs: self.addrs.clone(),
             table: self.table.clone(),

@@ -100,6 +100,11 @@ mc)
     echo "== model-checker regression suite (release) =="
     cargo test -q --release --offline --test modelcheck
 
+    echo "== banked bounds: recorded coverage counts (release) =="
+    # Too slow for the debug workspace pass, so #[ignore]d there: the
+    # counts of three larger explorations, pinned, and no budget cut.
+    cargo test -q --release --offline --test modelcheck mc_banked_bounds -- --ignored
+
     echo "== exhaustive exploration at shipped bounds (release) =="
     # Exits non-zero when the exploration is not clean, the dedup ratio
     # sags below 30%, or the known-bug mutation goes undetected.

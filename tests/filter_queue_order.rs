@@ -6,7 +6,6 @@
 //! packet's processing. Capability violations are blocked by the engine
 //! (Chapter 9).
 
-use std::any::Any;
 use std::sync::{Arc, Mutex};
 
 use comma_repro::prelude::*;
@@ -73,9 +72,6 @@ impl Filter for Probe {
     }
     fn on_removed(&mut self, ctx: &mut FilterCtx<'_>) {
         self.reached(4, ctx);
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -281,9 +277,6 @@ fn accounting_tracks_bytes_saved() {
                 seg.payload = Bytes::from_static(b"x");
             }
             Verdict::Continue
-        }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
         }
     }
     let mut catalog = FilterCatalog::new();
