@@ -957,7 +957,8 @@ impl SnoopRig {
 
     fn snoop_state(&mut self) -> Option<(comma_repro::filters::snoop::SnoopStats, u64)> {
         self.engine
-            .instance_as::<comma_repro::filters::snoop::Snoop>("snoop")
+            .instances_ref::<comma_repro::filters::snoop::Snoop>("snoop")
+            .first()
             .map(|s| (s.stats, s.srtt_us().to_bits()))
     }
 
