@@ -58,6 +58,23 @@ fn same_seed_byte_identical_obs_export() {
     );
 }
 
+/// Golden obs export of the lossy fluid world above, recorded while every
+/// run method still caught every fluid link up. Obs is a reader of fluid
+/// state: with it on, the `link.fluid_*` gauges must still be exported as
+/// of the run's end, not as of the last packet that read the link (a
+/// build that lets them lag exports `58f0b66b74e90e3d`).
+#[test]
+fn fluid_world_obs_export_matches_golden() {
+    let export = run_obs_jsonl(4242);
+    let mut digest = Fnv1a::new();
+    digest.update(export.as_bytes());
+    assert_eq!(
+        (export.len(), digest.finish()),
+        (8_624, 0xf2e8_b7f8_376c_61c6),
+        "fluid obs export must match the recorded golden"
+    );
+}
+
 /// Golden obs export: the E05 legacy-compression world (text corpus through
 /// `tcp` + `compress lzss` on the proxy, `decompress` on the stub) at seed
 /// 42, lit. The digest was recorded on the registry that kept plain values
