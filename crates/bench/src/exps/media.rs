@@ -24,7 +24,7 @@ fn run(with_hdiscard: bool) -> ([u64; 3], [f64; 3], u64) {
     // The wireless link degrades to 300 kbit/s at t=5s.
     let down = world.wireless_ch.0;
     world.sim.at(SimTime::from_secs(5), move |sim| {
-        sim.channel_mut(down).params.bandwidth_bps = 300_000;
+        sim.set_link_bandwidth(down, 300_000);
     });
     world.run_until(SimTime::from_secs(35));
 

@@ -530,7 +530,8 @@ impl ShardedWorld {
     }
 
     /// Fluid background-model totals summed over every shard (links,
-    /// users, active flows, solver epochs).
+    /// users, active flows, solver epochs), each link caught up through
+    /// now first ([`Simulator::fluid_totals`]).
     pub fn fluid_totals(&mut self) -> FluidTotals {
         let mut total = FluidTotals::default();
         for shard in 0..self.runner.shard_count() {

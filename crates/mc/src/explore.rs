@@ -193,7 +193,7 @@ impl Explorer {
                 let len_before = self.path.len();
                 if self.apply(&mut branch, proxy, d) {
                     let child_faults = faults + (d.action != McAction::Deliver) as usize;
-                    if self.note_state(&branch) {
+                    if self.note_state(&mut branch) {
                         self.dfs(&mut branch, proxy, depth + 1, child_faults);
                     }
                 }
@@ -261,7 +261,7 @@ impl Explorer {
     }
 
     /// Fingerprints the reached state; returns `true` when it is new.
-    fn note_state(&mut self, sim: &Simulator) -> bool {
+    fn note_state(&mut self, sim: &mut Simulator) -> bool {
         if self.visited.insert(sim.state_hash()) {
             self.report.states_explored += 1;
             true

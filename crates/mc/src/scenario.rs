@@ -215,7 +215,7 @@ mod tests {
                 .mc_step(0, comma_netsim::sim::McAction::Deliver)
                 .unwrap();
         }
-        let snap = world.sim.snapshot().expect("scenario must be snapshot-capable");
+        let mut snap = world.sim.snapshot().expect("scenario must be snapshot-capable");
         assert_eq!(snap.state_hash(), world.sim.state_hash());
     }
 

@@ -243,9 +243,9 @@ pub struct Channel {
     /// (see [`crate::fluid`]); boxed so fluid-free channels pay one
     /// pointer. When present, foreground serialization runs at the
     /// residual bandwidth and drop-tail admission sees the configured
-    /// limit minus the fluid queue occupancy. Current through `now` once
-    /// a run method returns; a control action mid-run may see it lag.
-    pub fluid: Option<Box<FluidState>>,
+    /// limit minus the fluid queue occupancy. It lags until read: only
+    /// [`crate::sim::Simulator::fluid`] and the other catching-up readers see it.
+    pub(crate) fluid: Option<Box<FluidState>>,
 }
 
 impl Channel {
@@ -271,8 +271,8 @@ impl Channel {
     /// Attempts to enqueue a packet behind the transmitter; returns `false`
     /// if the queue is full — the simulator records that drop, like every
     /// other. The drop-tail budget is the configured limit minus the fluid
-    /// background's queue occupancy sampled at `now`, if any.
-    pub fn enqueue(&mut self, now: SimTime, pkt: Packet) -> bool {
+    /// queue occupancy at `now`, which the simulator catches up first.
+    pub(crate) fn enqueue(&mut self, now: SimTime, pkt: Packet) -> bool {
         let (len, limit) = (pkt.wire_len(), self.params.queue_limit_bytes);
         let fluid = self.fluid.as_ref().map_or(0, |f| f.queue_bytes_at(now, limit) as usize);
         if self.queued_bytes + len > limit.saturating_sub(fluid) {

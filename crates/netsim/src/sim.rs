@@ -234,8 +234,8 @@ pub struct Simulator {
     node_ifaces: Vec<Vec<ChannelId>>,
     node_rngs: Vec<SmallRng>,
     channels: Vec<Channel>,
-    /// Channels with a fluid population, caught up at the end of every
-    /// run: a fluid-free world checks one empty slice.
+    /// Channels with a fluid population, caught up by the readers of the
+    /// whole world: a fluid-free world checks one empty slice.
     fluid_links: Vec<ChannelId>,
     link_rng: SmallRng,
     started: bool,
@@ -351,12 +351,11 @@ impl Simulator {
     /// load is identical no matter which shard the channel lands in or
     /// how crowded that shard is.
     ///
-    /// Later epochs are not events: the channel catches up when a packet
-    /// reads it, when its capacity changes, and at the end of every run
-    /// method, so [`Channel::fluid`] is current once a run returns.
+    /// Later epochs are not events: the channel catches up only when
+    /// something reads it, so no reader sees it lag ([`Simulator::fluid`]).
     pub fn attach_fluid(&mut self, ch: ChannelId, cfg: FluidConfig, key: u64) {
         let mut state = FluidState::new(cfg, stream_seed(self.seed, key, 2));
-        state.solve_at(self.now);
+        state.solve_at(self.now, self.channels[ch.0].params.bandwidth_bps);
         if self.channels[ch.0].fluid.replace(Box::new(state)).is_none() {
             self.fluid_links.push(ch);
         }
@@ -366,14 +365,15 @@ impl Simulator {
     /// Changes a channel's bandwidth, keeping any attached fluid model
     /// consistent: epochs due before now run at the old capacity, then one
     /// re-solves now at the new one. Fault-plan churn routes through here.
-    /// On a fluid channel this is the only correct way: a write through
-    /// [`Simulator::channel_mut`] would reach epochs not yet caught up.
+    /// On a fluid channel this is the only correct way: after a write
+    /// through [`Simulator::channel_mut`] the next catch-up panics rather
+    /// than re-price the epochs since the link was last read.
     pub fn set_link_bandwidth(&mut self, ch: ChannelId, bps: u64) {
         let before = SimTime::from_micros(self.now.as_micros().saturating_sub(1));
         self.fluid_catch_up(ch, before);
         self.channels[ch.0].params.bandwidth_bps = bps;
         if let Some(fluid) = self.channels[ch.0].fluid.as_mut() {
-            fluid.solve_at(self.now);
+            fluid.solve_at(self.now, bps);
             self.fluid_catch_up(ch, self.now);
         }
     }
@@ -400,16 +400,34 @@ impl Simulator {
         }
     }
 
-    /// Catches every fluid channel up through now (ends every run method).
+    /// Catches every fluid channel up through now.
     fn fluid_catch_up_all(&mut self) {
         for i in 0..self.fluid_links.len() {
             self.fluid_catch_up(self.fluid_links[i], self.now);
         }
     }
 
-    /// Aggregate fluid-model statistics summed over every channel, current
-    /// through now once a run method has returned.
-    pub fn fluid_totals(&self) -> FluidTotals {
+    /// Ends every run method. Obs reads fluid links too: a lit run ends
+    /// with each one current, and its `link.fluid_*` gauges with it.
+    fn end_run(&mut self) {
+        if self.obs.is_enabled() {
+            self.fluid_catch_up_all();
+        }
+    }
+
+    /// `ch`'s fluid population caught up through now (`None` if it has
+    /// none). Readers of fluid state catch up first: this one, a packet,
+    /// [`Simulator::set_link_bandwidth`], [`Simulator::fluid_totals`],
+    /// [`Simulator::state_hash`], and obs at the end of a run.
+    pub fn fluid(&mut self, ch: ChannelId) -> Option<&FluidState> {
+        self.fluid_catch_up(ch, self.now);
+        self.channels[ch.0].fluid.as_deref()
+    }
+
+    /// Aggregate fluid-model statistics summed over every channel, each
+    /// caught up through now first.
+    pub fn fluid_totals(&mut self) -> FluidTotals {
+        self.fluid_catch_up_all();
         let mut t = FluidTotals::default();
         for ch in &self.fluid_links {
             if let Some(f) = self.channels[ch.0].fluid.as_ref() {
@@ -730,7 +748,7 @@ impl Simulator {
             self.handle(event);
         }
         self.now = self.now.max(horizon);
-        self.fluid_catch_up_all();
+        self.end_run();
         self.obs_sched_gauges();
     }
 
@@ -740,7 +758,7 @@ impl Simulator {
         let (time, event) = self.sched.pop()?;
         self.now = time;
         self.handle(event);
-        self.fluid_catch_up_all();
+        self.end_run();
         Some(self.now)
     }
 
@@ -1118,8 +1136,9 @@ impl Simulator {
     /// (sequence numbers themselves excluded, so interleavings that
     /// converge to the same pending set hash equal), one word per node
     /// ([`Node::state_digest`] hashed on its own, cached until the node is
-    /// next written and shared with forks), every RNG stream, and per-channel link
-    /// state, fluid population included ([`FluidState::state_digest`]).
+    /// next written and shared with forks), every RNG stream, and
+    /// per-channel link state, fluid population caught up through now
+    /// ([`FluidState::state_digest`]), whatever was read before.
     /// Packets — pending and queued — are folded field by field
     /// ([`Packet::state_digest`]), never through their summary text.
     /// Diagnostic counters (trace, stats, `events_processed`) are
@@ -1128,7 +1147,8 @@ impl Simulator {
     /// Iteration never touches a hash map, and `Bytes` payloads are hashed
     /// by content — the fingerprint is independent of allocation addresses
     /// and map iteration order, and stable across runs of the same world.
-    pub fn state_hash(&self) -> u64 {
+    pub fn state_hash(&mut self) -> u64 {
+        self.fluid_catch_up_all();
         let mut h = comma_rt::digest::StateHasher::new();
         h.update_u64(self.now.as_micros());
         self.sched.for_each_pending(|time, _seq, ev| {
@@ -1250,7 +1270,7 @@ impl Simulator {
                 }
             }
         }
-        self.fluid_catch_up_all();
+        self.end_run();
         Ok(())
     }
 }
@@ -1653,7 +1673,7 @@ mod control_tests {
             sim.inject(a, IfaceId(0), ping(s));
         }
         sim.at(SimTime::from_millis(200), move |sim| {
-            sim.channel_mut(down).params.bandwidth_bps = 80_000; // 10 KB/s.
+            sim.set_link_bandwidth(down, 80_000); // 10 KB/s.
         });
         sim.at(SimTime::from_millis(210), move |sim| {
             for s in 10..20 {

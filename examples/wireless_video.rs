@@ -25,7 +25,7 @@ fn run(with_service: bool) {
     // The link degrades mid-session: 1 Mbit/s → 300 kbit/s.
     let down = world.wireless_ch.0;
     world.sim.at(SimTime::from_secs(5), move |sim| {
-        sim.channel_mut(down).params.bandwidth_bps = 300_000;
+        sim.set_link_bandwidth(down, 300_000);
     });
     world.run_until(SimTime::from_secs(35));
 

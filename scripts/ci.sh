@@ -94,6 +94,10 @@ shard)
     # pinned here: 32 cells x 1,600 fluid background users, serial vs
     # sharded traces byte-identical, per-shard oracles clean.
     cargo test -q --release --offline --test sharding metro_scale -- --ignored
+
+    echo "== fluid links read anywhere or never give one answer (release, 500 cases) =="
+    COMMA_PROP_CASES=500 cargo test -q --release --offline --test scheduler \
+        fluid_reads_and_steps_match_stepped_epochs
     echo "shard gate ok"
     ;;
 mc)

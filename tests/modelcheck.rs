@@ -66,7 +66,7 @@ fn mc_state_hash_survives_snapshot_restore_round_trip() {
     }
     let mut snap = world.sim.snapshot().expect("snapshot");
     assert_eq!(snap.state_hash(), world.sim.state_hash());
-    let again = snap.snapshot().expect("re-snapshot");
+    let mut again = snap.snapshot().expect("re-snapshot");
     assert_eq!(again.state_hash(), world.sim.state_hash());
     for step in 0..15 {
         if world.sim.mc_options().is_empty() {
@@ -203,7 +203,7 @@ fn cached_state_hash_matches_a_fresh_replay() {
                         let at_fork = sim.state_hash();
                         parents.push((std::mem::replace(&mut sim, fork), path.clone(), at_fork));
                     } else if !parents.is_empty() && rng.gen_bool(0.15) {
-                        let (parent, parent_path, at_fork) = parents.pop().expect("not empty");
+                        let (mut parent, parent_path, at_fork) = parents.pop().expect("not empty");
                         if parent.state_hash() != at_fork {
                             return Err(format!("step {step}: a fork's steps moved its parent"));
                         }
@@ -226,7 +226,7 @@ fn cached_state_hash_matches_a_fresh_replay() {
                         return Err(format!("step {step}: the fingerprint differs from a fresh replay"));
                     }
                 }
-                for (parent, _, at_fork) in parents {
+                for (mut parent, _, at_fork) in parents {
                     if parent.state_hash() != at_fork {
                         return Err("a fork's steps moved its parent".to_string());
                     }

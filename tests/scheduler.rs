@@ -12,6 +12,7 @@ use comma_repro::netsim::prelude::{
     ChannelId, FluidState, IcmpMessage, IfaceId, Ipv4Addr, Router, RoutingTable,
 };
 use comma_repro::prelude::*;
+use comma_repro::rt::digest::Fnv1a;
 use comma_repro::rt::prop::{gen, Runner};
 
 /// One bulk transfer over a bursty lossy wireless link: RTO restarts and
@@ -160,14 +161,15 @@ struct SteppedFluid {
 
 impl SteppedFluid {
     /// Copies the population `ch` holds now, before any later epoch.
-    fn of(sim: &Simulator, ch: ChannelId) -> Self {
-        let channel = sim.channel(ch);
-        let state = channel.fluid.as_deref().expect("fluid attached").clone();
+    fn of(sim: &mut Simulator, ch: ChannelId) -> Self {
+        let params = &sim.channel(ch).params;
+        let (capacity, limit) = (params.bandwidth_bps, params.queue_limit_bytes);
+        let state = sim.fluid(ch).expect("fluid attached").clone();
         SteppedFluid {
             next: state.next_epoch(),
             state,
-            capacity: channel.params.bandwidth_bps,
-            limit: channel.params.queue_limit_bytes,
+            capacity,
+            limit,
         }
     }
 
@@ -188,10 +190,15 @@ impl SteppedFluid {
     }
 
     /// Whether the simulator's totals and `ch`'s fluid state read what
-    /// this copy reads at the simulator's current instant.
-    fn matches(&self, sim: &Simulator, ch: ChannelId) -> Result<(), String> {
+    /// this copy reads at the simulator's current instant. The first of the
+    /// two readers meets the link as it lags, so `totals_first` picks which
+    /// one's catch-up is on trial.
+    fn matches(&self, sim: &mut Simulator, ch: ChannelId, totals_first: bool) -> Result<(), String> {
         let (now, st) = (sim.now(), &self.state);
-        let live = sim.channel(ch).fluid.as_deref().expect("fluid attached");
+        let early = totals_first.then(|| sim.fluid_totals());
+        let live = sim.fluid(ch).expect("fluid attached");
+        let live = (live.residual_bps(), live.active_flows(), live.queue_bytes_at(now, self.limit));
+        let totals = early.unwrap_or_else(|| sim.fluid_totals());
         let expect = FluidTotals {
             links: 1,
             users: st.users() as u64,
@@ -199,31 +206,27 @@ impl SteppedFluid {
             epochs: st.epochs(),
             flow_visits: st.flow_visits(),
         };
-        ensure_eq!(sim.fluid_totals(), expect, "totals at {now:?}");
-        ensure_eq!(live.residual_bps(), st.residual_bps(), "residual at {now:?}");
-        ensure_eq!(live.active_flows(), st.active_flows(), "active flows at {now:?}");
-        ensure_eq!(
-            live.queue_bytes_at(now, self.limit),
-            st.queue_bytes_at(now, self.limit),
-            "fluid queue at {now:?}"
-        );
+        ensure_eq!(totals, expect, "totals at {now:?}");
+        ensure_eq!(live.0, st.residual_bps(), "residual at {now:?}");
+        ensure_eq!(live.1, st.active_flows(), "active flows at {now:?}");
+        ensure_eq!(live.2, st.queue_bytes_at(now, self.limit), "fluid queue at {now:?}");
         Ok(())
     }
 }
 
 /// A fluid population on a link no packet uses costs no events: epochs
-/// are not scheduled, and the end of each run catches the link up to
-/// exactly where a population stepped epoch by epoch stands — `step`
-/// included.
+/// are not scheduled, runs leave the link where it was, and a read after
+/// each run catches it up to exactly where a population stepped epoch by
+/// epoch stands — after `step` included.
 #[test]
 fn idle_fluid_link_processes_zero_events() {
     let (mut sim, _, ch) = fluid_link_world(5, 2_000, 32 * 1024);
-    let mut stepped = SteppedFluid::of(&sim, ch);
+    let mut stepped = SteppedFluid::of(&mut sim, ch);
     for secs in [1, 10, 30] {
         let t = SimTime::from_secs(secs);
         sim.run_until(t);
         stepped.advance(t, true);
-        assert_eq!(stepped.matches(&sim, ch), Ok(()));
+        assert_eq!(stepped.matches(&mut sim, ch, false), Ok(()));
     }
     assert_eq!(sim.events_processed(), 0, "an idle fluid link must not cost events");
     assert!(sim.fluid_totals().epochs > 2_900, "the epochs did run: {:?}", sim.fluid_totals());
@@ -231,7 +234,20 @@ fn idle_fluid_link_processes_zero_events() {
     sim.at(t, |_| {});
     assert_eq!(sim.step(), Some(t));
     stepped.advance(t, true);
-    assert_eq!(stepped.matches(&sim, ch), Ok(()));
+    assert_eq!(stepped.matches(&mut sim, ch, false), Ok(()));
+}
+
+/// A capacity written past `set_link_bandwidth` cannot re-price a lagging
+/// fluid link in silence: the next read would run every epoch since the
+/// link was last read at a capacity it only has now, so it panics.
+#[test]
+#[should_panic(expected = "fluid capacity changed without a re-solve")]
+fn fluid_capacity_written_around_set_link_bandwidth_fails_loudly() {
+    let (mut sim, _, ch) = fluid_link_world(5, 2_000, 32 * 1024);
+    sim.run_until(SimTime::from_secs(1));
+    sim.channel_mut(ch).params.bandwidth_bps = 500_000;
+    sim.run_until(SimTime::from_secs(2));
+    sim.fluid(ch);
 }
 
 /// One [`fluid_reads_and_steps_match_stepped_epochs`] case: times in µs,
@@ -242,6 +258,7 @@ struct FluidReadCase {
     users: usize,
     steps: Vec<(u64, u64)>,
     reads: Vec<u64>,
+    peeks: Vec<u64>,
     stops: Vec<u64>,
 }
 
@@ -253,10 +270,28 @@ fn fluid_time(rng: &mut SmallRng) -> u64 {
     }
 }
 
+/// Who reads the fluid link besides its packets and capacity steps, in
+/// one arm of [`fluid_reads_and_steps_match_stepped_epochs`].
+#[derive(Clone, Copy, PartialEq)]
+enum Readers {
+    /// Nobody before the run's end, where `state_hash` reads first.
+    None,
+    /// The stepped check at every stop, `fluid(ch)` first.
+    Stops,
+    /// `fluid(ch)`, `fluid_totals` and `state_hash` at the case's `peeks`,
+    /// and the stepped check at every stop, `fluid_totals` first.
+    Anywhere,
+}
+
 /// Packet reads (a transmission start or a queue admission) and capacity
 /// steps at random instants, exact grid µs included, never move the fluid
 /// timeline: after every `run_until` the link reads what a population
 /// stepped epoch by epoch reads, a step re-solving at its own instant.
+/// Nor does who else reads it, or when: a world nobody reads between
+/// stops, one checked at every stop and one also read through every
+/// accessor at random instants end with one trace digest, one
+/// `fluid_totals` and one `state_hash`. At an instant shared with a step,
+/// packets and accessors read after it, as the stepped copy assumes.
 #[test]
 fn fluid_reads_and_steps_match_stepped_epochs() {
     Runner::new("fluid_reads_and_steps_match_stepped_epochs")
@@ -273,30 +308,55 @@ fn fluid_reads_and_steps_match_stepped_epochs() {
                         (fluid_time(rng), rng.gen_range(200_000u64..4_000_000))
                     }),
                     reads: gen::vec_of(rng, 0..20, fluid_time),
+                    peeks: gen::vec_of(rng, 0..20, fluid_time),
                     stops,
                 }
             },
             |case| {
-                let (mut sim, a, ch) = fluid_link_world(case.seed, case.users, 32 * 1024);
-                let mut stepped = SteppedFluid::of(&sim, ch);
-                for &(at, bps) in &case.steps {
-                    sim.at(SimTime::from_micros(at), move |sim| sim.set_link_bandwidth(ch, bps));
-                }
-                for (seq, &at) in case.reads.iter().enumerate() {
-                    let ping = ping(seq as u16);
-                    sim.at(SimTime::from_micros(at), move |sim| sim.inject(a, IfaceId(0), ping));
-                }
-                let mut steps = case.steps.clone();
-                steps.sort_by_key(|&(at, _)| at);
-                let mut steps = steps.into_iter().peekable();
-                for &stop in &case.stops {
-                    sim.run_until(SimTime::from_micros(stop));
-                    while let Some((at, bps)) = steps.next_if(|&(at, _)| at <= stop) {
-                        stepped.step_capacity(SimTime::from_micros(at), bps);
+                let run = |readers: Readers| {
+                    let (mut sim, a, ch) = fluid_link_world(case.seed, case.users, 32 * 1024);
+                    sim.trace.set_capture(true);
+                    let mut stepped = SteppedFluid::of(&mut sim, ch);
+                    for &(at, bps) in &case.steps {
+                        sim.at(SimTime::from_micros(at), move |sim| sim.set_link_bandwidth(ch, bps));
                     }
-                    stepped.advance(SimTime::from_micros(stop), true);
-                    stepped.matches(&sim, ch)?;
-                }
+                    for (seq, &at) in case.reads.iter().enumerate() {
+                        let ping = ping(seq as u16);
+                        sim.at(SimTime::from_micros(at), move |sim| sim.inject(a, IfaceId(0), ping));
+                    }
+                    if readers == Readers::Anywhere {
+                        for &at in &case.peeks {
+                            sim.at(SimTime::from_micros(at), move |sim| {
+                                sim.fluid(ch).expect("fluid attached");
+                                sim.fluid_totals();
+                                sim.state_hash();
+                            });
+                        }
+                    }
+                    let mut steps = case.steps.clone();
+                    steps.sort_by_key(|&(at, _)| at);
+                    let mut steps = steps.into_iter().peekable();
+                    for &stop in &case.stops {
+                        sim.run_until(SimTime::from_micros(stop));
+                        while let Some((at, bps)) = steps.next_if(|&(at, _)| at <= stop) {
+                            stepped.step_capacity(SimTime::from_micros(at), bps);
+                        }
+                        stepped.advance(SimTime::from_micros(stop), true);
+                        if readers != Readers::None {
+                            stepped.matches(&mut sim, ch, readers == Readers::Anywhere)?;
+                        }
+                    }
+                    let hash = sim.state_hash();
+                    stepped.matches(&mut sim, ch, false)?;
+                    let mut trace = Fnv1a::new();
+                    for (at, line) in sim.render_trace_named() {
+                        trace.update_u64(at).update(line.as_bytes());
+                    }
+                    Ok::<_, String>((trace.finish(), sim.fluid_totals(), hash))
+                };
+                let never = run(Readers::None)?;
+                ensure_eq!(run(Readers::Stops)?, never, "checked at every stop vs read never");
+                ensure_eq!(run(Readers::Anywhere)?, never, "read anywhere vs read never");
                 Ok(())
             },
         );
@@ -335,7 +395,7 @@ fn lazy_fluid_catch_up_matches_eager_epochs() {
                     let (mut sim, a, ch) = fluid_link_world(case.seed, case.users, 8 * 1024);
                     sim.trace.set_capture(true);
                     if eager {
-                        let mut stepped = SteppedFluid::of(&sim, ch);
+                        let mut stepped = SteppedFluid::of(&mut sim, ch);
                         let capacity = stepped.capacity;
                         while let Some(at) = stepped.next.filter(|&at| at <= HORIZON) {
                             sim.at(at, move |sim| sim.set_link_bandwidth(ch, capacity));
