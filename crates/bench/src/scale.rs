@@ -219,12 +219,7 @@ fn captured_trace_digest(world: &mut comma::topology::CommaWorld, target: u64, w
     world.sim.trace.set_max_entries(1 << 21);
     let delivered = run_to_completion(world, target);
     assert_eq!(delivered, target, "{what}: transfers incomplete");
-    let mut digest = comma_rt::digest::Fnv1a::new();
-    for line in world.sim.trace.render(|_| true) {
-        digest.update(line.as_bytes());
-        digest.update(b"\n");
-    }
-    digest.finish()
+    world.sim.trace.digest()
 }
 
 /// The standard churn plan for the scale workloads: light reorder /

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use comma_netsim::addr::Ipv4Addr;
 use comma_netsim::node::NodeId;
-use comma_netsim::packet::{IpPayload, Packet, TcpFlags};
+use comma_netsim::packet::{IpPayload, Packet, PacketSummary, SummaryBody, TcpFlags};
 use comma_netsim::sim::PacketObserver;
 use comma_netsim::time::SimTime;
 use comma_netsim::trace::{Trace, TraceEvent};
@@ -330,8 +330,9 @@ impl FlowState {
 }
 
 /// The minimal per-segment facts both observation paths (live packets and
-/// replayed trace summaries) reduce to. `payload` is `None` when only the
-/// length is known (trace replay), which disables byte-level checks.
+/// replayed trace entries' [`PacketSummary`]s) reduce to. `payload` is
+/// `None` when only the length is known (trace replay), which disables
+/// byte-level checks.
 struct SegFacts<'a> {
     src: (Ipv4Addr, u16),
     dst: (Ipv4Addr, u16),
@@ -477,25 +478,39 @@ impl Oracle {
     }
 
     /// Reduces a (possibly IP-in-IP-encapsulated) packet to TCP facts.
-    fn tcp_facts(pkt: &Packet) -> Option<SegFacts<'_>> {
-        let mut p = pkt;
-        loop {
-            match &p.body {
-                IpPayload::Tcp(seg) => {
-                    return Some(SegFacts {
-                        src: (p.ip.src, seg.src_port),
-                        dst: (p.ip.dst, seg.dst_port),
-                        flags: seg.flags,
-                        seq: seg.seq,
-                        ack: seg.ack,
-                        window: seg.window,
-                        payload_len: seg.payload.len() as u32,
-                        payload: Some(&seg.payload),
-                    })
-                }
-                IpPayload::Encap(inner) => p = inner,
-                _ => return None,
-            }
+    fn tcp_facts(p: &Packet) -> Option<SegFacts<'_>> {
+        match &p.body {
+            IpPayload::Tcp(seg) => Some(SegFacts {
+                src: (p.ip.src, seg.src_port),
+                dst: (p.ip.dst, seg.dst_port),
+                flags: seg.flags,
+                seq: seg.seq,
+                ack: seg.ack,
+                window: seg.window,
+                payload_len: seg.payload.len() as u32,
+                payload: Some(&seg.payload),
+            }),
+            IpPayload::Encap(inner) => Self::tcp_facts(inner),
+            _ => None,
+        }
+    }
+
+    /// Reduces a (possibly IP-in-IP-encapsulated) packet's trace summary
+    /// to TCP facts, without payload bytes.
+    fn summary_facts(s: &PacketSummary) -> Option<SegFacts<'static>> {
+        match s.body {
+            SummaryBody::Tcp { src_port, dst_port, flags, seq, ack, window, len } => Some(SegFacts {
+                src: (s.src, src_port),
+                dst: (s.dst, dst_port),
+                flags,
+                seq,
+                ack,
+                window,
+                payload_len: len,
+                payload: None,
+            }),
+            SummaryBody::Ipip(ref inner) => Self::summary_facts(inner),
+            _ => None,
         }
     }
 
@@ -515,13 +530,6 @@ impl Oracle {
 
     /// An endpoint emitted `facts`.
     fn check_tx(&mut self, now: SimTime, facts: &SegFacts<'_>) {
-        self.segments_checked += 1;
-        if let Some(segments) = &self.segments {
-            segments.inc();
-        }
-        if facts.flags.rst() {
-            return;
-        }
         let max_stream = self.cfg.max_stream_bytes;
         let mut pending: Vec<(&'static str, String)> = Vec::new();
         let flow = self.flow_entry(facts);
@@ -601,13 +609,6 @@ impl Oracle {
 
     /// `facts` was delivered to an endpoint.
     fn check_deliver(&mut self, now: SimTime, facts: &SegFacts<'_>) {
-        self.segments_checked += 1;
-        if let Some(segments) = &self.segments {
-            segments.inc();
-        }
-        if facts.flags.rst() {
-            return;
-        }
         let max_stream = self.cfg.max_stream_bytes;
         let allow_reordered = self.cfg.allow_reordered_delivery;
         let mut pending: Vec<(&'static str, String, bool)> = Vec::new();
@@ -701,28 +702,42 @@ impl Oracle {
     }
 
     fn observe(&mut self, now: SimTime, node: NodeId, pkt: &Packet, delivered: bool) {
-        let Some(facts) = Self::tcp_facts(pkt) else {
-            return;
-        };
+        if let Some(facts) = Self::tcp_facts(pkt) {
+            self.check(now, self.node_addr(node), &facts, delivered);
+        }
+    }
+
+    /// The tail both observation paths share: `facts` was emitted
+    /// (`delivered` false) or received by the node at `addr`, and is
+    /// checked when both ends are endpoints and the node is the right one.
+    /// A reset is counted but checks nothing.
+    fn check(&mut self, now: SimTime, addr: Option<Ipv4Addr>, facts: &SegFacts<'_>, delivered: bool) {
         if !self.is_endpoint_addr(facts.src.0) || !self.is_endpoint_addr(facts.dst.0) {
             return;
         }
-        let Some(addr) = self.node_addr(node) else {
+        let end = if delivered { facts.dst.0 } else { facts.src.0 };
+        if addr != Some(end) {
             return;
-        };
+        }
+        self.segments_checked += 1;
+        if let Some(segments) = &self.segments {
+            segments.inc();
+        }
+        if facts.flags.rst() {
+            return;
+        }
         if delivered {
-            if facts.dst.0 == addr {
-                self.check_deliver(now, &facts);
-            }
-        } else if facts.src.0 == addr {
-            self.check_tx(now, &facts);
+            self.check_deliver(now, facts);
+        } else {
+            self.check_tx(now, facts);
         }
     }
 
     /// Replays a captured packet trace through the oracle (the post-hoc
-    /// pass): parses each `Tx`/`Rx` entry's TCP summary back into segment
-    /// facts. Payload bytes are not in the trace, so byte-level checks
-    /// (V4/V7) are inert on this path; header invariants all run.
+    /// pass): each `Tx`/`Rx` entry's [`PacketSummary`] becomes segment
+    /// facts, IP-in-IP unwrapped as on the live path. Payload bytes are
+    /// not in the trace, so byte-level checks (V4/V7) are inert on this
+    /// path; header invariants all run.
     pub fn replay_trace(&mut self, trace: &Trace, node_addrs: &[(NodeId, Ipv4Addr)]) {
         let addr_of = |n: NodeId| node_addrs.iter().find(|(id, _)| *id == n).map(|(_, a)| *a);
         for entry in trace.entries() {
@@ -731,19 +746,8 @@ impl Oracle {
                 TraceEvent::Rx { node, summary } => (*node, summary, true),
                 _ => continue,
             };
-            let Some(facts) = parse_tcp_summary(summary) else {
-                continue;
-            };
-            if !self.is_endpoint_addr(facts.src.0) || !self.is_endpoint_addr(facts.dst.0) {
-                continue;
-            }
-            let Some(addr) = addr_of(node) else { continue };
-            if delivered {
-                if facts.dst.0 == addr {
-                    self.check_deliver(entry.time, &facts);
-                }
-            } else if facts.src.0 == addr {
-                self.check_tx(entry.time, &facts);
+            if let Some(facts) = Self::summary_facts(summary) {
+                self.check(entry.time, addr_of(node), &facts, delivered);
             }
         }
     }
@@ -826,63 +830,6 @@ impl PacketObserver for Oracle {
     fn clone_observer(&self) -> Option<Box<dyn PacketObserver>> {
         Some(Box::new(self.clone()))
     }
-}
-
-/// Parses a TCP trace summary of the form
-/// `src:sport > dst:dport TCP FLAGS seq=S ack=A win=W len=L`.
-fn parse_tcp_summary(s: &str) -> Option<SegFacts<'static>> {
-    let mut parts = s.split_whitespace();
-    let src = parse_addr_port(parts.next()?)?;
-    if parts.next()? != ">" {
-        return None;
-    }
-    let dst = parse_addr_port(parts.next()?)?;
-    if parts.next()? != "TCP" {
-        return None;
-    }
-    let flags_str = parts.next()?;
-    let mut flags = TcpFlags::EMPTY;
-    for name in flags_str.split('|') {
-        flags = flags.union(match name {
-            "SYN" => TcpFlags::SYN,
-            "FIN" => TcpFlags::FIN,
-            "RST" => TcpFlags::RST,
-            "PSH" => TcpFlags::PSH,
-            "ACK" => TcpFlags::ACK,
-            "URG" => TcpFlags::URG,
-            "-" => TcpFlags::EMPTY,
-            _ => return None,
-        });
-    }
-    let mut seq = 0u32;
-    let mut ack = 0u32;
-    let mut win = 0u16;
-    let mut len = 0u32;
-    for kv in parts {
-        let (k, v) = kv.split_once('=')?;
-        match k {
-            "seq" => seq = v.parse().ok()?,
-            "ack" => ack = v.parse().ok()?,
-            "win" => win = v.parse().ok()?,
-            "len" => len = v.parse().ok()?,
-            _ => {}
-        }
-    }
-    Some(SegFacts {
-        src,
-        dst,
-        flags,
-        seq,
-        ack,
-        window: win,
-        payload_len: len,
-        payload: None,
-    })
-}
-
-fn parse_addr_port(s: &str) -> Option<(Ipv4Addr, u16)> {
-    let (addr, port) = s.rsplit_once(':')?;
-    Some((addr.parse().ok()?, port.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -1190,7 +1137,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_replay_parses_and_detects() {
+    fn trace_replay_detects_seq_gap() {
         use comma_netsim::trace::Trace;
         let mut trace = Trace::new();
         trace.set_capture(true);
@@ -1202,22 +1149,6 @@ mod tests {
         o.replay_trace(&trace, &[(NA, A), (NB, B)]);
         let r = o.finish();
         assert!(r.violations.iter().any(|v| v.kind == "seq-gap"), "{}", r.render());
-    }
-
-    #[test]
-    fn summary_parser_round_trips() {
-        let mut s = seg(42, 7, TcpFlags::SYN | TcpFlags::ACK, b"abc");
-        s.window = 123;
-        let pkt = Packet::tcp(A, B, s);
-        let facts = parse_tcp_summary(&pkt.summary()).expect("parses");
-        assert_eq!(facts.src, (A, 1000));
-        assert_eq!(facts.dst, (B, 2000));
-        assert!(facts.flags.syn() && facts.flags.ack());
-        assert_eq!(facts.seq, 42);
-        assert_eq!(facts.ack, 7);
-        assert_eq!(facts.window, 123);
-        assert_eq!(facts.payload_len, 3);
-        assert!(facts.payload.is_none());
     }
 
     /// The byte-at-a-time log the slice paths replaced, kept as the model:

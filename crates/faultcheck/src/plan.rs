@@ -169,6 +169,7 @@ mod tests {
     use comma_netsim::link::LinkParams;
     use comma_netsim::node::{IfaceId, Node, NodeCtx, NodeId};
     use comma_netsim::packet::{IcmpMessage, IpPayload, Packet};
+    use comma_netsim::trace::{DropReason, TraceEvent};
     use comma_rt::Bytes;
 
     struct Counter {
@@ -232,11 +233,21 @@ mod tests {
     fn corrupt_plan_drops_with_corrupt_reason() {
         let (mut sim, a, down) = world();
         FaultPlan::new(5).corrupt(1.0).apply(&mut sim, &[(down, 0)]);
+        sim.trace.set_capture(true);
         sim.inject(a, IfaceId(0), ping(0));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.with_node::<Counter, _>(NodeId(1), |n| n.received), 0);
         assert_eq!(sim.fault_stats(down).unwrap().corrupt_drops, 1);
-        assert_eq!(sim.trace.counters.drops, 1);
+        let drops: Vec<DropReason> = sim
+            .trace
+            .entries()
+            .iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::Drop { reason, .. } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drops, [DropReason::Corrupt], "the one drop is the corrupt one");
     }
 
     #[test]

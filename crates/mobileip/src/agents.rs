@@ -116,7 +116,7 @@ impl HomeAgent {
                 expires: ctx.now + SimDuration::from_secs(lifetime as u64),
             },
         );
-        ctx.log(format!("HA: registered {home_addr} at care-of {care_of}"));
+        ctx.log(format_args!("HA: registered {home_addr} at care-of {care_of}"));
         let reply = MipMessage::RegistrationReply {
             home_addr,
             code: 0,
@@ -286,13 +286,8 @@ impl ForeignAgent {
             }
             _ => {
                 self.dropped += 1;
-                let summary = inner.summary();
-                ctx.trace.drop_pkt(
-                    ctx.now,
-                    ctx.node,
-                    comma_netsim::trace::DropReason::NoRoute,
-                    || summary,
-                );
+                let reason = comma_netsim::trace::DropReason::NoRoute;
+                ctx.trace.drop_pkt(ctx.now, ctx.node, reason, || inner.summary());
             }
         }
     }
@@ -357,7 +352,7 @@ impl Node for ForeignAgent {
                                 if code == 0 {
                                     self.visitors.insert(home_addr, m_iface);
                                     self.departed.remove(&home_addr);
-                                    ctx.log(format!("FA: {home_addr} registered here"));
+                                    ctx.log(format_args!("FA: {home_addr} registered here"));
                                 }
                                 let relay = Packet::udp(
                                     self.addr,
@@ -377,7 +372,7 @@ impl Node for ForeignAgent {
                             // The mobile moved to another FA.
                             self.visitors.remove(&home_addr);
                             self.departed.insert(home_addr, care_of);
-                            ctx.log(format!("FA: {home_addr} departed to {care_of}"));
+                            ctx.log(format_args!("FA: {home_addr} departed to {care_of}"));
                         }
                     }
                 }
@@ -445,7 +440,7 @@ impl Node for BindingCacheRouter {
                     .and_then(MipMessage::decode)
                 {
                     self.cache.insert(home_addr, care_of);
-                    ctx.log(format!("binding cache: {home_addr} via {care_of}"));
+                    ctx.log(format_args!("binding cache: {home_addr} via {care_of}"));
                 }
             }
         }

@@ -82,7 +82,7 @@ impl MobileHost {
             },
         );
         ctx.send(iface, pkt);
-        ctx.log(format!("mobile: registering care-of {care_of}"));
+        ctx.log(format_args!("mobile: registering care-of {care_of}"));
     }
 
     fn on_advertisement(&mut self, ctx: &mut NodeCtx<'_>, iface: IfaceId, care_of: Ipv4Addr) {
@@ -127,7 +127,7 @@ impl MobileHost {
                 self.pending_care_of = None;
                 self.registrations += 1;
                 self.registered_at = Some(ctx.now);
-                ctx.log(format!("mobile: registration confirmed via {care_of}"));
+                ctx.log(format_args!("mobile: registration confirmed via {care_of}"));
                 if let Some(h) = self.rereg_timer.take() {
                     ctx.cancel_timer(h);
                 }

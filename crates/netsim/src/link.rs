@@ -189,7 +189,7 @@ pub fn tx_time_at(bps: u64, len: usize) -> SimDuration {
 }
 
 /// Counters kept per channel.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ChannelStats {
     /// Packets handed to the channel for transmission.
     pub offered_pkts: u64,

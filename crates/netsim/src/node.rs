@@ -17,6 +17,13 @@ use crate::trace::Trace;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub usize);
 
+/// `n<id>`, as one simulator's trace lines name a node.
+impl std::fmt::Display for NodeId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "n{}", self.0)
+    }
+}
+
 /// Identifier of an interface on a node; interfaces are numbered in the
 /// order links were attached.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -206,9 +213,10 @@ impl<'a> NodeCtx<'a> {
         self.slab.slab().cancel(handle)
     }
 
-    /// Appends a line to the shared trace, attributed to this node.
-    pub fn log(&mut self, msg: impl Into<String>) {
-        self.trace.log(self.now, self.node, msg.into());
+    /// Appends a line to the shared trace, attributed to this node;
+    /// `msg` is formatted only while the trace captures.
+    pub fn log(&mut self, msg: impl std::fmt::Display) {
+        self.trace.log(self.now, self.node, msg);
     }
 
     /// Drains the effects accumulated by the callbacks (used by the

@@ -108,18 +108,14 @@ pub fn forward_step(
     pkt: &mut Packet,
 ) -> Option<IfaceId> {
     if pkt.ip.ttl <= 1 {
-        let summary = pkt.summary();
-        ctx.trace
-            .drop_pkt(ctx.now, ctx.node, DropReason::TtlExpired, || summary);
+        ctx.trace.drop_pkt(ctx.now, ctx.node, DropReason::TtlExpired, || pkt.summary());
         return None;
     }
     pkt.ip.ttl -= 1;
     match table.lookup(pkt.ip.dst) {
         Some(iface) => Some(iface),
         None => {
-            let summary = pkt.summary();
-            ctx.trace
-                .drop_pkt(ctx.now, ctx.node, DropReason::NoRoute, || summary);
+            ctx.trace.drop_pkt(ctx.now, ctx.node, DropReason::NoRoute, || pkt.summary());
             None
         }
     }
@@ -211,6 +207,7 @@ mod tests {
     fn ttl_expiry_and_no_route_drop() {
         let mut router = Router::new("r", vec![], RoutingTable::new());
         let (mut rng, mut trace) = ctx_parts();
+        trace.set_capture(true);
         let mut ctx = NodeCtx::new(
             SimTime::ZERO,
             crate::node::NodeId(0),
@@ -229,7 +226,15 @@ mod tests {
         router.on_packet(&mut ctx, IfaceId(0), pkt);
         let (outputs, _) = ctx.take_effects();
         assert!(outputs.is_empty());
-        assert_eq!(trace.counters.drops, 2);
+        let drops: Vec<DropReason> = trace
+            .entries()
+            .iter()
+            .filter_map(|e| match e.event {
+                crate::trace::TraceEvent::Drop { reason, .. } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drops, [DropReason::TtlExpired, DropReason::NoRoute]);
     }
 
     #[test]

@@ -78,6 +78,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -625,31 +626,11 @@ impl ShardedSimulator {
     /// FNV-1a digest of [`ShardedSimulator::merged_trace`].
     pub fn merged_trace_digest(&mut self) -> u64 {
         let mut digest = comma_rt::digest::Fnv1a::new();
-        let mut num = [0u8; 20];
         for (t, line) in self.merged_trace() {
-            digest.update(u64_decimal(t, &mut num));
-            digest.update(b" ");
-            digest.update(line.as_bytes());
-            digest.update(b"\n");
+            writeln!(digest, "{t} {line}").expect("hashing cannot fail");
         }
         digest.finish()
     }
-}
-
-/// Formats `v` as decimal digits into `buf`, returning the used suffix —
-/// the digest loop's allocation-free stand-in for `v.to_string()`
-/// (byte-identical output, pinned by a unit test).
-fn u64_decimal(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    &buf[i..]
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> &str {
@@ -1043,14 +1024,6 @@ mod tests {
             "~49 empty windows per 50 ms period must be skipped, got {}",
             st.windows_skipped
         );
-    }
-
-    #[test]
-    fn u64_decimal_matches_to_string() {
-        let mut buf = [0u8; 20];
-        for v in [0u64, 1, 9, 10, 99, 12_345, u64::MAX] {
-            assert_eq!(u64_decimal(v, &mut buf), v.to_string().as_bytes());
-        }
     }
 
     #[test]

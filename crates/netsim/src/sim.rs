@@ -51,9 +51,10 @@ pub type ControlFn = Box<dyn FnOnce(&mut Simulator) + Send>;
 /// a node hands a packet to a channel ([`PacketObserver::on_tx`]) and once
 /// when a packet is dispatched into a node ([`PacketObserver::on_deliver`]).
 ///
-/// Observers see the *typed* packet (not a summary string), so conformance
-/// oracles can check protocol invariants the trace cannot express. The hook
-/// is opt-in and the `Option` test is the only cost when none is installed.
+/// Observers see the whole packet, payload included (a trace entry keeps
+/// only its header facts), so conformance oracles can check the byte-level
+/// invariants a trace replay cannot. The hook is opt-in and the `Option`
+/// test is the only cost when none is installed.
 pub trait PacketObserver: Any + Send {
     /// `node` handed `pkt` to one of its channels at `now`.
     fn on_tx(&mut self, now: SimTime, node: NodeId, pkt: &Packet);
@@ -1140,8 +1141,8 @@ impl Simulator {
     /// per-channel link state, fluid population caught up through now
     /// ([`FluidState::state_digest`]), whatever was read before.
     /// Packets — pending and queued — are folded field by field
-    /// ([`Packet::state_digest`]), never through their summary text.
-    /// Diagnostic counters (trace, stats, `events_processed`) are
+    /// ([`Packet::state_digest`]), never through their trace summary.
+    /// Diagnostic records (trace, stats, `events_processed`) are
     /// deliberately left out for the same convergence reason.
     ///
     /// Iteration never touches a hash map, and `Bytes` payloads are hashed
@@ -1308,6 +1309,7 @@ mod tests {
     use crate::link::LossModel;
     use crate::packet::{IcmpMessage, TcpFlags, TcpSegment};
     use crate::time::SimDuration;
+    use crate::trace::{TraceEntry, TraceEvent};
     use comma_rt::Bytes;
     use std::any::Any;
     use std::sync::Arc;
@@ -1450,7 +1452,7 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_counters() {
-        fn run(_seed: u64) -> (u64, u64, u64) {
+        fn run(_seed: u64) -> Vec<crate::link::ChannelStats> {
             let params = LinkParams::wireless().with_loss(LossModel::Uniform { p: 0.3 });
             let (mut sim, a, _b) = two_node_sim(params, LinkParams::wired());
             for seq in 0..200 {
@@ -1461,13 +1463,11 @@ mod tests {
             }
             // Reseed the whole simulator via construction: handled by caller.
             sim.run_until(SimTime::from_secs(10));
-            (
-                sim.trace.counters.tx,
-                sim.trace.counters.rx,
-                sim.trace.counters.drops,
-            )
+            (0..sim.channel_count()).map(|i| sim.channel(ChannelId(i)).stats).collect()
         }
-        assert_eq!(run(5), run(5));
+        let first = run(5);
+        assert_eq!(first, run(5));
+        assert!(first[0].loss_drops > 0 && first[0].delivered_pkts > 0, "{first:?}");
     }
 
     #[test]
@@ -1491,8 +1491,16 @@ mod tests {
     #[test]
     fn send_on_missing_iface_is_counted_drop() {
         let (mut sim, a, _) = two_node_sim(LinkParams::wired(), LinkParams::wired());
+        sim.trace.set_capture(true);
         sim.inject(a, IfaceId(7), ping("10.0.0.1", "10.0.0.2", 0, 10));
-        assert_eq!(sim.trace.counters.drops, 1);
+        let entries = sim.trace.entries();
+        assert!(
+            matches!(
+                entries,
+                [TraceEntry { event: TraceEvent::Drop { reason: DropReason::NoRoute, .. }, .. }]
+            ),
+            "{entries:?}"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `comma-obs`: the metrics registry and flight recorder of the Comma
 //! reproduction. It replaced `FilterCtx::log` strings outright; four other
 //! recorders still stand beside it, each with its own reader:
-//! `netsim::Trace` (packet lines — golden digests, `Oracle::replay_trace`,
-//! the benchmark's ledger), `netsim::stats::TimeSeries` (per-channel rate series —
+//! `netsim::Trace` (per-packet header facts, rendered to lines on read —
+//! golden digests, `Oracle::replay_trace`, the benchmark's ledger), `netsim::stats::TimeSeries` (per-channel rate series —
 //! Kati's `netload`), `proxy::EngineLog` + `EngineStats`/`InstanceStats`
 //! (the SP's `report`/`log`, §5.3), and the EEM `MetricsHub` (execution-
 //! environment variables — EEM servers, `kati> eem`, the filters'

@@ -130,10 +130,9 @@ impl Node for ServiceProxy {
         if !self.dropped.is_empty() {
             self.dropped.clear();
             self.filtered_out += 1;
-            ctx.trace
-                .drop_pkt(ctx.now, ctx.node, DropReason::Filter, || {
-                    summary.unwrap_or_default()
-                });
+            if let Some(summary) = summary {
+                ctx.trace.drop_pkt(ctx.now, ctx.node, DropReason::Filter, || summary);
+            }
         }
         let mut out = std::mem::take(&mut self.out);
         for pkt in out.drain(..) {

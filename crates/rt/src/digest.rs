@@ -53,6 +53,14 @@ impl Default for Fnv1a {
     }
 }
 
+/// Hashes formatted text as it is written, with no `String` in between.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s);
+        Ok(())
+    }
+}
+
 /// A streaming 64-bit word-at-a-time hasher for state fingerprints.
 ///
 /// Same method names as [`Fnv1a`], different contract: [`StateHasher::update`]

@@ -1,7 +1,7 @@
 //! TCP torture tests: correctness under sustained loss, tiny windows,
 //! bidirectional traffic, and pathological timing.
 
-use comma_netsim::link::{LinkParams, LossModel};
+use comma_netsim::link::{ChannelStats, LinkParams, LossModel};
 use comma_netsim::prelude::*;
 use comma_tcp::apps::{BulkSender, EchoServer, RequestResponse, Sink};
 use comma_tcp::host::{AppId, Host};
@@ -154,16 +154,18 @@ fn many_parallel_streams_all_complete() {
 
 #[test]
 fn determinism_across_identical_runs() {
-    fn run() -> (usize, u64, u64) {
+    fn run() -> (usize, u64, Vec<ChannelStats>) {
         let (mut sim, a, b) = lossy_pair(36, TcpConfig::default(), 0.10, 0.05);
         install_transfer(&mut sim, a, b, 80_000);
         sim.run_until(SimTime::from_secs(120));
         let bytes = sim.with_node::<Host, _>(b, |h| h.app_mut::<Sink>(AppId(0)).bytes_received);
         let retrans = sim.with_node::<Host, _>(a, |h| h.retrans_segs());
-        (bytes, retrans, sim.trace.counters.drops)
+        let links = (0..sim.channel_count()).map(|i| sim.channel(ChannelId(i)).stats).collect();
+        (bytes, retrans, links)
     }
     let first = run();
     let second = run();
     assert_eq!(first, second, "identical seeds give identical runs");
     assert_eq!(first.0, 80_000);
+    assert!(first.2.iter().all(|s| s.loss_drops > 0), "both directions lost packets");
 }

@@ -55,12 +55,18 @@ faults)
     echo "== fault-injection + conformance gate (release) =="
     # The mutation tests and the churn golden digest run in the workspace
     # suite too, but this gate runs them release-mode and in isolation so a
-    # fault-model regression fails with its own banner.
+    # fault-model regression fails with its own banner. The faults suite
+    # also replays each captured trace: post-hoc and live oracles agree.
     cargo test -q --release --offline --test faults
     cargo test -q --release --offline --test determinism churn_workload_trace_matches_golden
     cargo test -q --release --offline --test properties oracle_clean_on_wrapped_flows
     # The oracle's slice-wise stream log against the byte loop it replaced.
     cargo test -q --release --offline -p comma-faultcheck stream_log_matches_bytewise_model
+    # A trace entry renders to the text the trace once stored, byte for
+    # byte: TCP, UDP, every ICMP message and nested IP-in-IP, at ten times
+    # the workspace pass's cases.
+    COMMA_PROP_CASES=1000 cargo test -q --release --offline -p comma-netsim \
+        summary_display_matches_reference
     # The LZSS kernels against the parent's, byte for byte and error for
     # error, at ten times the workspace pass's 100 cases, and both codecs'
     # output against its recorded digests: a wire-format change fails here.

@@ -123,7 +123,7 @@ fn ident(pkt: &Packet) -> String {
                 seg.payload.len()
             )
         }
-        _ => pkt.summary(),
+        _ => pkt.summary().to_string(),
     }
 }
 

@@ -141,16 +141,12 @@ fn run_fingerprint(seed: u64) -> (u64, u64, usize) {
     world.stub_sp("add decompress 0.0.0.0 0 11.11.10.10 9000");
     world.run_until(SimTime::from_secs(90));
 
-    let mut trace_digest = Fnv1a::new();
-    for line in world.sim.trace.render(|_| true) {
-        trace_digest.update(line.as_bytes());
-        trace_digest.update(b"\n");
-    }
+    let trace_digest = world.sim.trace.digest();
     let sink = world.mobile_app_ids[0];
     let capture = world.mobile_app::<Sink, _>(sink, |s| s.capture.clone());
     let mut data_digest = Fnv1a::new();
     data_digest.update(&capture);
-    (trace_digest.finish(), data_digest.finish(), capture.len())
+    (trace_digest, data_digest.finish(), capture.len())
 }
 
 #[test]

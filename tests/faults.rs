@@ -9,7 +9,6 @@
 
 use comma_repro::prelude::*;
 use comma_repro::filters::snoop::Snoop;
-use comma_repro::rt::digest::Fnv1a;
 
 /// The suite's standard fault plan: reorder + duplicate + checksum-caught
 /// corruption, two flaps, and a bandwidth dip mid-transfer.
@@ -24,8 +23,21 @@ fn stress_plan(seed: u64) -> FaultPlan {
         .bandwidth_step(SimTime::from_secs(8), 5_000_000)
 }
 
+/// Re-checks `world`'s captured trace after the run with a fresh oracle set
+/// like the live one: the post-hoc pass reads each entry's header facts.
+fn replay(world: &CommaWorld, allow_reordered: bool, strict: bool) -> OracleReport {
+    let endpoints = vec![(world.wired, addrs::WIRED), (world.mobile, addrs::MOBILE)];
+    let mut oracle = Oracle::new(OracleConfig::new(endpoints.clone()));
+    oracle.set_allow_reordered_delivery(allow_reordered);
+    oracle.set_strict(strict);
+    oracle.replay_trace(&world.sim.trace, &endpoints);
+    oracle.finish()
+}
+
 /// Runs a 300 KB transfer under the stress plan with the oracle attached;
-/// asserts completion and a clean report, returns the packet-trace digest.
+/// asserts completion, a clean report, and a replay of the captured trace
+/// that checks the same segments and finds nothing either. Returns the
+/// packet-trace digest.
 fn run_faulted(seed: u64) -> u64 {
     let sender = BulkSender::new((addrs::MOBILE, 9000), 300_000);
     let mut world = CommaBuilder::new(seed)
@@ -39,13 +51,13 @@ fn run_faulted(seed: u64) -> u64 {
     let sink = world.mobile_app_ids[0];
     let bytes = world.mobile_app::<Sink, _>(sink, |s| s.bytes_received);
     assert_eq!(bytes, 300_000, "transfer survives the fault plan");
-    world.assert_oracle_clean();
-    let mut digest = Fnv1a::new();
-    for line in world.sim.trace.render(|_| true) {
-        digest.update(line.as_bytes());
-        digest.update(b"\n");
-    }
-    digest.finish()
+    let live = world.oracle_report();
+    assert!(live.is_clean(), "live oracle:\n{}", live.render());
+    assert!(live.segments_checked > 0);
+    let replayed = replay(&world, true, true);
+    assert!(replayed.is_clean(), "replayed trace:\n{}", replayed.render());
+    assert_eq!(replayed.segments_checked, live.segments_checked, "replay saw what the live oracle saw");
+    world.sim.trace.digest()
 }
 
 /// A faulted run completes, stays oracle-clean, and the faults really
@@ -148,6 +160,8 @@ fn mutation_skipped_ttsf_ack_translation_detected() {
         .build(vec![Box::new(sender)], vec![Box::new(Sink::new(9000))]);
     world.sp("add removal 0.0.0.0 0 11.11.10.10 9000 2");
     world.attach_oracle();
+    world.sim.trace.set_capture(true);
+    world.sim.trace.set_max_entries(1 << 20);
     // Run with correct translation first (the sender's delivered ACKs are
     // in the original space, ahead of the shortened stream)...
     world.run_until(SimTime::from_secs(1));
@@ -167,5 +181,16 @@ fn mutation_skipped_ttsf_ack_translation_detected() {
             .any(|v| v.kind == "delivered-ack-regression"),
         "untranslated ACKs must be flagged as a regression:\n{}",
         report.render()
+    );
+    // The post-hoc pass over the captured trace finds it too (the removal
+    // service rewrites the stream, so strict findings are off as live).
+    let replayed = replay(&world, false, false);
+    assert!(
+        replayed
+            .violations
+            .iter()
+            .any(|v| v.kind == "delivered-ack-regression"),
+        "the replayed trace must show the regression too:\n{}",
+        replayed.render()
     );
 }

@@ -12,7 +12,6 @@ use comma_repro::netsim::prelude::{
     ChannelId, FluidState, IcmpMessage, IfaceId, Ipv4Addr, Router, RoutingTable,
 };
 use comma_repro::prelude::*;
-use comma_repro::rt::digest::Fnv1a;
 use comma_repro::rt::prop::{gen, Runner};
 
 /// One bulk transfer over a bursty lossy wireless link: RTO restarts and
@@ -348,11 +347,7 @@ fn fluid_reads_and_steps_match_stepped_epochs() {
                     }
                     let hash = sim.state_hash();
                     stepped.matches(&mut sim, ch, false)?;
-                    let mut trace = Fnv1a::new();
-                    for (at, line) in sim.render_trace_named() {
-                        trace.update_u64(at).update(line.as_bytes());
-                    }
-                    Ok::<_, String>((trace.finish(), sim.fluid_totals(), hash))
+                    Ok::<_, String>((sim.trace.digest(), sim.fluid_totals(), hash))
                 };
                 let never = run(Readers::None)?;
                 ensure_eq!(run(Readers::Stops)?, never, "checked at every stop vs read never");
