@@ -44,7 +44,7 @@ pub fn a1_snoop_rto_clamp() -> String {
             use comma_filters::snoop::Snoop;
             use comma_proxy::ServiceProxy;
             let snoop_stats = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
-                sp.engine.instances_ref::<Snoop>("snoop").first().map(|s| s.stats)
+                sp.engine.instances_ref::<Snoop>("snoop").next().map(|s| s.stats)
             });
             let timeouts = world
                 .sim

@@ -701,13 +701,7 @@ impl ShardedWorld {
 
         let mut merged = OracleReport::default();
         for shard in shards {
-            let report = self.runner.with_shard(shard, |sim| finish_oracle(sim, strict));
-            merged.violations.extend(report.violations);
-            merged.total_violations += report.total_violations;
-            merged.suppressed_strict += report.suppressed_strict;
-            merged.flows += report.flows;
-            merged.segments_checked += report.segments_checked;
-            merged.truncated_flows += report.truncated_flows;
+            merged.merge(self.runner.with_shard(shard, |sim| finish_oracle(sim, strict)));
         }
         push_editmap_violations(&mut merged, self.runner.now(), editmap_errs);
         merged

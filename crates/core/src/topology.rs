@@ -388,7 +388,7 @@ pub(crate) fn sweep_proxy(sim: &Simulator, node: NodeId, label: &str) -> (bool, 
     let rewrites = registered_kinds(&sp.engine)
         .iter()
         .any(|k| TRANSFORMING.contains(&k.as_str()));
-    (rewrites, editmap_errors(&sp.engine, label))
+    (rewrites, editmap_errors(&sp.engine, label).collect())
 }
 
 /// Second half, once per simulator: decides strict mode and consumes the
@@ -409,8 +409,7 @@ pub(crate) fn finish_oracle(sim: &mut Simulator, strict: bool) -> OracleReport {
 /// Appends one `editmap-invariant` violation per edit-map sweep error.
 pub(crate) fn push_editmap_violations(report: &mut OracleReport, time: SimTime, errs: Vec<String>) {
     for detail in errs {
-        report.total_violations += 1;
-        report.violations.push(Violation {
+        report.push(Violation {
             time,
             kind: "editmap-invariant",
             flow: "ttsf".to_string(),

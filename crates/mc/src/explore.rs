@@ -1,7 +1,7 @@
 //! The depth-first interleaving explorer.
 
 use comma_netsim::node::NodeId;
-use comma_netsim::sim::{McAction, McOption, Simulator};
+use comma_netsim::sim::{ForkPool, McAction, McOption, Simulator};
 use comma_rt::FnvHashSet;
 
 use crate::scenario::{arm_mutations, build_scenario, check_invariants, McConfig};
@@ -27,7 +27,7 @@ pub struct McReport {
     pub states_pruned: u64,
     /// Steps executed ([`Simulator::mc_step`] applications).
     pub steps_executed: u64,
-    /// World copies made ([`Simulator::snapshot`] calls): one per fork
+    /// World copies made ([`ForkPool::fork`] calls): one per fork
     /// alternative except the last, which runs on the original.
     pub snapshots_taken: u64,
     /// Deepest path reached, in decisions.
@@ -43,11 +43,11 @@ pub struct McReport {
 }
 
 impl McReport {
-    /// `true` when the search finished without violation and without
-    /// hitting the step budget (depth-bound cuts are still possible —
-    /// exhaustiveness holds only up to [`McConfig::max_depth`]).
+    /// `true` when the search finished without violation, without
+    /// hitting the step budget and without cutting a path at
+    /// [`McConfig::max_depth`]: every reachable state was visited.
     pub fn exhausted_clean(&self) -> bool {
-        self.violation.is_none() && !self.budget_exhausted
+        self.violation.is_none() && !self.budget_exhausted && self.depth_bound_hits == 0
     }
 
     /// Fraction of state arrivals cut by fingerprint pruning.
@@ -80,9 +80,13 @@ impl McReport {
             },
         );
         match &self.violation {
-            // A budget cut leaves states unvisited: clean so far, not clean.
+            // A budget or depth cut leaves states unvisited: clean so far,
+            // not clean.
             None if self.budget_exhausted => {
                 s.push_str("; no violations within the step budget (search incomplete)")
+            }
+            None if self.depth_bound_hits > 0 => {
+                s.push_str("; no violations within the depth bound (search incomplete)")
             }
             None => s.push_str("; no violations"),
             Some(v) => {
@@ -102,6 +106,12 @@ pub struct Explorer {
     visited: FnvHashSet<u64>,
     report: McReport,
     path: Vec<McDecision>,
+    /// The alternatives of every decision point on the current path, each
+    /// point's above its parent's: a stack like `path`, so a decision
+    /// point allocates nothing once the deepest one has been reached.
+    choices: Vec<McDecision>,
+    /// Finished branches, forked into again for their buffers.
+    pool: ForkPool,
 }
 
 /// Convenience: runs a full search under `cfg`.
@@ -117,6 +127,8 @@ impl Explorer {
             visited: FnvHashSet::default(),
             report: McReport::default(),
             path: Vec::new(),
+            choices: Vec::new(),
+            pool: ForkPool::default(),
         }
     }
 
@@ -145,19 +157,21 @@ impl Explorer {
     }
 
     /// Explores everything reachable from `sim`'s current state.
-    /// `self.path` is restored to its entry length.
+    /// `self.path` and `self.choices` are restored to their entry lengths.
     fn dfs(&mut self, sim: &mut Simulator, proxy: NodeId, depth: usize, faults: usize) {
-        let base = self.path.len();
+        let (path, choices) = (self.path.len(), self.choices.len());
         self.walk(sim, proxy, depth, faults);
-        self.path.truncate(base);
+        self.path.truncate(path);
+        self.choices.truncate(choices);
     }
 
     /// One decision point per iteration. Forks copy all but the last
     /// alternative: each earlier one is explored to the end on its own
-    /// [`Simulator::snapshot`], then the last is applied to `sim` itself
-    /// and the loop carries on from there — nothing reads `sim` once its
-    /// last child has started, so that copy would only be thrown away. A
-    /// single-choice step is the same code with no earlier alternatives.
+    /// snapshot ([`ForkPool::fork`], into a finished branch's buffers),
+    /// then the last is applied to `sim` itself and the loop carries on
+    /// from there — nothing reads `sim` once its last child has started,
+    /// so that copy would only be thrown away. A single-choice step is the
+    /// same code with no earlier alternatives.
     fn walk(&mut self, sim: &mut Simulator, proxy: NodeId, mut depth: usize, mut faults: usize) {
         loop {
             if self.stop() {
@@ -168,18 +182,22 @@ impl Explorer {
                 self.report.depth_bound_hits += 1;
                 return;
             }
-            let options = sim.mc_options();
-            let choices = self.enumerate(&options, faults);
-            let Some((&last, earlier)) = choices.split_last() else {
+            let base = self.choices.len();
+            self.enumerate(sim.mc_options(), faults);
+            if self.choices.len() == base {
                 self.report.terminal_states += 1;
                 return;
-            };
-            for &d in earlier {
+            }
+            let last = self.choices.pop().expect("pushed above");
+            // The earlier alternatives are read off the stack by position:
+            // each one's subtree pushes and pops above them.
+            for i in base..self.choices.len() {
+                let d = self.choices[i];
                 if self.stop() {
                     return;
                 }
                 self.report.snapshots_taken += 1;
-                let mut branch = match sim.snapshot() {
+                let mut branch = match self.pool.fork(sim) {
                     Ok(s) => s,
                     Err(e) => {
                         // Snapshot failure means the world grew state the
@@ -198,7 +216,9 @@ impl Explorer {
                     }
                 }
                 self.path.truncate(len_before);
+                self.pool.recycle(branch);
             }
+            self.choices.truncate(base);
             if self.stop() || !self.apply(sim, proxy, last) {
                 return;
             }
@@ -212,13 +232,12 @@ impl Explorer {
         }
     }
 
-    /// Branch alternatives at the current due batch: every fire order,
-    /// plus fault placements on deliveries while the path's fault budget
-    /// lasts.
-    fn enumerate(&self, options: &[McOption], faults: usize) -> Vec<McDecision> {
-        let mut out = Vec::with_capacity(options.len() * 4);
+    /// Pushes the branch alternatives at the current due batch onto
+    /// `choices`: every fire order, plus fault placements on deliveries
+    /// while the path's fault budget lasts.
+    fn enumerate(&mut self, options: &[McOption], faults: usize) {
         for o in options {
-            out.push(McDecision {
+            self.choices.push(McDecision {
                 index: o.index,
                 action: McAction::Deliver,
             });
@@ -226,14 +245,13 @@ impl Explorer {
         if faults < self.cfg.max_faults {
             for o in options.iter().filter(|o| o.is_delivery) {
                 for action in [McAction::Drop, McAction::Duplicate, McAction::Reorder] {
-                    out.push(McDecision {
+                    self.choices.push(McDecision {
                         index: o.index,
                         action,
                     });
                 }
             }
         }
-        out
     }
 
     /// Executes one decision and checks invariants; pushes it onto the

@@ -86,23 +86,25 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    /// Folds the table into a canonical fingerprint: entries visited in
-    /// sorted key order (the FNV map's iteration order is seed-free but
-    /// capacity-dependent, so it is not canonical across histories).
+    /// Folds the table into a canonical fingerprint: one word per entry,
+    /// naming its key, summed (the FNV map's iteration order is seed-free
+    /// but capacity-dependent, so it is not canonical across histories;
+    /// a sum is the same in any order, and needs no sorted copy).
     pub fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
-        let mut keys: Vec<&StreamKey> = self.map.keys().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let entry = &self.map[key];
-            key.state_digest(h);
+        let mut entries = 0u64;
+        for (key, entry) in &self.map {
+            let mut sub = comma_rt::digest::StateHasher::new();
+            key.state_digest(&mut sub);
             for m in entry.members.iter() {
-                h.update_u64(*m as u64);
+                sub.update_u64(*m as u64);
             }
             for a in &entry.applied {
-                h.update_u64(*a as u64);
+                sub.update_u64(*a as u64);
             }
-            h.update_u64(entry.generation);
+            sub.update_u64(entry.generation);
+            entries = entries.wrapping_add(sub.finish());
         }
+        h.update_u64(self.map.len() as u64).update_u64(entries);
     }
 
     /// Creates an empty table.

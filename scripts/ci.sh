@@ -115,6 +115,12 @@ mc)
     # counts of three larger explorations, pinned, and no budget cut.
     cargo test -q --release --offline --test modelcheck mc_banked_bounds -- --ignored
 
+    echo "== cached fingerprints equal a fresh replay's (release, 500 cases) =="
+    # Guards the per-node and per-pending-event digest caches: random
+    # forking paths with drops, duplicates and reorders.
+    COMMA_PROP_CASES=500 cargo test -q --release --offline --test modelcheck \
+        cached_state_hash_matches_a_fresh_replay
+
     echo "== exhaustive exploration at shipped bounds (release) =="
     # Exits non-zero when the exploration is not clean, the dedup ratio
     # sags below 30%, or the known-bug mutation goes undetected.

@@ -958,7 +958,7 @@ impl SnoopRig {
     fn snoop_state(&mut self) -> Option<(comma_repro::filters::snoop::SnoopStats, u64)> {
         self.engine
             .instances_ref::<comma_repro::filters::snoop::Snoop>("snoop")
-            .first()
+            .next()
             .map(|s| (s.stats, s.srtt_us().to_bits()))
     }
 

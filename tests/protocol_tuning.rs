@@ -185,7 +185,7 @@ fn snoop_diagnostics() {
     world.sp("add snoop 0.0.0.0 0 11.11.10.10 9000");
     world.run_until(SimTime::from_secs(5));
     let mid = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
-        sp.engine.instances_ref::<Snoop>("snoop").first().map(|s| s.stats)
+        sp.engine.instances_ref::<Snoop>("snoop").next().map(|s| s.stats)
     });
     println!("snoop stats mid: {mid:?}");
     let live = world
@@ -194,7 +194,7 @@ fn snoop_diagnostics() {
     println!("live instances at 5s: {live}");
     world.run_until(SimTime::from_secs(300));
     let stats = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
-        sp.engine.instances_ref::<Snoop>("snoop").first().map(|s| s.stats)
+        sp.engine.instances_ref::<Snoop>("snoop").next().map(|s| s.stats)
     });
     println!("snoop stats: {stats:?}");
     let log = world
@@ -248,7 +248,7 @@ fn snoop_progress_trace() {
             (c.cwnd(), c.snd_wnd(), c.flight_size())
         });
         let snoop = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
-            sp.engine.instances_ref::<Snoop>("snoop").first().map(|s| s.stats)
+            sp.engine.instances_ref::<Snoop>("snoop").next().map(|s| s.stats)
         });
         println!("t={t}s sink={bytes} cwnd={cwnd} wnd={wnd} flight={flight} snoop={snoop:?}");
         if bytes >= 200_000 {

@@ -114,7 +114,7 @@ fn idle_established_flow_processes_zero_events() {
     let got = world.mobile_app::<Sink, _>(world.mobile_app_ids[0], |s| s.bytes_received);
     assert_eq!(got, BYTES, "the transfer is complete and acknowledged");
     let (cached, live) = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
-        let cached = sp.engine.instances_ref::<Snoop>("snoop").first().map(|s| s.stats.cached);
+        let cached = sp.engine.instances_ref::<Snoop>("snoop").next().map(|s| s.stats.cached);
         (cached, sp.engine.live_instances())
     });
     assert!(cached.unwrap_or(0) > 0, "snoop saw the flow: {cached:?}");

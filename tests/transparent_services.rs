@@ -136,7 +136,7 @@ fn ttsf_stats_exposed_for_monitoring() {
     world.attach_oracle();
     world.run_until(SimTime::from_secs(20));
     let (in_bytes, out_bytes, saved) = world.sim.with_node::<ServiceProxy, _>(world.proxy, |sp| {
-        let ttsf = *sp.engine.instances_ref::<Ttsf>("removal").first().expect("ttsf live");
+        let ttsf = sp.engine.instances_ref::<Ttsf>("removal").next().expect("ttsf live");
         (
             ttsf.stats.in_bytes,
             ttsf.stats.out_bytes,
