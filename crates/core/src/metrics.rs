@@ -31,12 +31,6 @@ impl HubMetrics {
 }
 
 impl MetricsSource for HubMetrics {
-    // The hub handle is shared, not duplicated: snapshots are meant for
-    // model checking, where the EEM sampling path is disabled.
-    fn clone_metrics(&self) -> Option<Box<dyn MetricsSource>> {
-        Some(Box::new(HubMetrics::new(self.hub.clone(), self.node.clone())))
-    }
-
     fn get(&self, var: &str) -> Option<f64> {
         self.hub.lock().expect("a hub writer panicked").get(&self.node, var)?.as_f64()
     }

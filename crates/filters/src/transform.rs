@@ -37,6 +37,13 @@ pub trait StreamTransformer: Send + Sync {
         None
     }
 
+    /// Whether [`StreamTransformer::clone_transformer`] would succeed,
+    /// without the copy when the transformer can tell. The default makes
+    /// the copy and drops it.
+    fn can_clone(&self) -> bool {
+        self.clone_transformer().is_some()
+    }
+
     /// Folds buffered (behavior-relevant) bytes into a canonical world
     /// fingerprint. The default (empty) is exact only for transformers
     /// that keep no inter-chunk state.
@@ -158,6 +165,10 @@ impl StreamTransformer for Compressor {
 
     fn clone_transformer(&self) -> Option<Box<dyn StreamTransformer>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn can_clone(&self) -> bool {
+        true
     }
     // state_digest: compression is chunk-local (no inter-chunk buffer), so
     // the default (empty) digest is exact.

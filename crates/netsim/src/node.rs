@@ -62,6 +62,16 @@ pub trait Node: Any + Send + Sync {
         None
     }
 
+    /// Whether [`Node::clone_node`] would succeed on the current state,
+    /// asked once per written state when a snapshot first shares the node;
+    /// the copy itself is made only when a world writes a node another
+    /// still holds. The default makes the copy and drops it; a node whose
+    /// copy is costly answers from the parts that can refuse. It must
+    /// answer exactly as `clone_node` would.
+    fn can_clone(&self) -> bool {
+        self.clone_node().is_some()
+    }
+
     /// Feeds the node's *behavior-relevant* state into a canonical
     /// fingerprint ([`crate::sim::Simulator::state_hash`]). Two nodes with
     /// equal digests must behave identically on every future input; purely

@@ -92,12 +92,6 @@ pub enum Verdict {
 pub trait MetricsSource: Send + Sync {
     /// Returns the current value of a named variable, if known.
     fn get(&self, var: &str) -> Option<f64>;
-
-    /// Deep copy for world snapshots. Sources that do not opt in (the
-    /// default) make their proxy unsnapshottable.
-    fn clone_metrics(&self) -> Option<Box<dyn MetricsSource>> {
-        None
-    }
 }
 
 /// A metrics source that knows nothing (the default).
@@ -106,10 +100,6 @@ pub struct NullMetrics;
 impl MetricsSource for NullMetrics {
     fn get(&self, _var: &str) -> Option<f64> {
         None
-    }
-
-    fn clone_metrics(&self) -> Option<Box<dyn MetricsSource>> {
-        Some(Box::new(NullMetrics))
     }
 }
 
@@ -298,6 +288,14 @@ pub trait Filter: Any + Send + Sync {
     /// unsnapshottable.
     fn clone_filter(&self) -> Option<Box<dyn Filter>> {
         None
+    }
+
+    /// Whether [`Filter::clone_filter`] would succeed on the current
+    /// state, without the copy when the filter can tell. The default makes
+    /// the copy and drops it. It must answer exactly as `clone_filter`
+    /// would.
+    fn can_clone(&self) -> bool {
+        self.clone_filter().is_some()
     }
 
     /// Folds *behavior-relevant* filter state (caches, edit maps,

@@ -29,7 +29,8 @@ pub struct ServiceProxy {
     pub table: RoutingTable,
     /// The filtering engine.
     pub engine: FilterEngine,
-    metrics: Box<dyn MetricsSource>,
+    /// Read-only to the proxy, so shared with snapshots.
+    metrics: Arc<dyn MetricsSource>,
     rng: SmallRng,
     /// Packets forwarded (post-filtering).
     pub forwarded: u64,
@@ -57,7 +58,7 @@ impl ServiceProxy {
             addrs,
             table,
             engine,
-            metrics: Box::new(NullMetrics),
+            metrics: Arc::new(NullMetrics),
             rng: SmallRng::seed_from_u64(seed ^ 0x5350_5350),
             forwarded: 0,
             filtered_out: 0,
@@ -69,7 +70,7 @@ impl ServiceProxy {
 
     /// Installs an EEM-backed metrics source for adaptive filters.
     pub fn set_metrics(&mut self, metrics: Box<dyn MetricsSource>) {
-        self.metrics = metrics;
+        self.metrics = Arc::from(metrics);
     }
 
     /// Shares an observability handle with the filtering engine (typically
@@ -152,13 +153,17 @@ impl Node for ServiceProxy {
         self.arm_pending_timers(ctx);
     }
 
+    fn can_clone(&self) -> bool {
+        self.engine.can_clone()
+    }
+
     fn clone_node(&self) -> Option<Arc<dyn Node>> {
         Some(Arc::new(ServiceProxy {
             name: self.name.clone(),
             addrs: self.addrs.clone(),
             table: self.table.clone(),
             engine: self.engine.try_clone().ok()?,
-            metrics: self.metrics.clone_metrics()?,
+            metrics: Arc::clone(&self.metrics),
             rng: self.rng.clone(),
             forwarded: self.forwarded,
             filtered_out: self.filtered_out,

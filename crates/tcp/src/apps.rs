@@ -171,6 +171,13 @@ pub trait App: Send + Sync {
         None
     }
 
+    /// Whether [`App::clone_app`] would succeed, without the copy when the
+    /// app can tell (a host asks when a snapshot first shares it). The
+    /// default makes the copy and drops it.
+    fn can_clone(&self) -> bool {
+        self.clone_app().is_some()
+    }
+
     /// Folds *behavior-relevant* application state into a canonical world
     /// fingerprint. Pure counters and measurement fields should be left
     /// out; the default (empty) is sound only for stateless applications.
@@ -295,6 +302,10 @@ impl App for BulkSender {
         Some(Box::new(self.clone()))
     }
 
+    fn can_clone(&self) -> bool {
+        true
+    }
+
     fn state_digest(&self, h: &mut comma_rt::digest::StateHasher) {
         h.update_u64(self.sent as u64);
         h.update_u64(self.sock.map_or(u64::MAX, |s| s.0 as u64));
@@ -396,6 +407,10 @@ impl App for Sink {
 
     fn clone_app(&self) -> Option<Box<dyn App>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn can_clone(&self) -> bool {
+        true
     }
     // state_digest: the sink's future behavior does not depend on its
     // accounting fields, so the default (empty) digest is exact here.
