@@ -250,7 +250,7 @@ fn main() {
 
     eprintln!("macrobench: experiment suite...");
     let t = Instant::now();
-    std::hint::black_box(exps::run_all());
+    std::hint::black_box(exps::run_all(0));
     let exps_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

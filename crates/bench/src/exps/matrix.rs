@@ -2,10 +2,11 @@
 //! reproduction implements marked and cross-referenced to the behavioural
 //! evidence in the test suite.
 
+use super::Experiment;
 use crate::table::Table;
 
 /// E14 — Table 3.1 re-stated, with implementation status.
-pub fn e14_comparison_matrix() -> String {
+pub fn e14_comparison_matrix(_seed: u64) -> Experiment {
     let mut t = Table::new(
         "E14: comparison of the reviewed work (Table 3.1)",
         &[
@@ -45,7 +46,7 @@ pub fn e14_comparison_matrix() -> String {
     t.note("Comma itself: protocol transparent (TTSF preserves end-to-end semantics),");
     t.note("application transparent (Kati provides third-party control), generally applicable");
     t.note("(filters span protocol tuning, data manipulation, and partitioning hooks).");
-    t.render()
+    t.render().into()
 }
 
 #[cfg(test)]
@@ -54,7 +55,7 @@ mod tests {
 
     #[test]
     fn matrix_covers_all_nine_projects() {
-        let rendered = e14_comparison_matrix();
+        let rendered = e14_comparison_matrix(0).block;
         for proj in [
             "Coda", "Rover", "WIT", "I-TCP", "Snoop", "BSSP", "TranSend", "MOWGLI", "Columbia",
         ] {

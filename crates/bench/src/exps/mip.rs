@@ -11,6 +11,7 @@ use comma_netsim::time::SimDuration;
 use comma_tcp::apps::{BulkSender, EchoServer, RequestResponse, Sink};
 use comma_tcp::host::Host;
 
+use super::{world_seed, Claim, Experiment};
 use crate::table::{f, n, Table};
 
 /// The Mobile IP testbed: correspondent — gateway — {HA (far), FA1, FA2}.
@@ -133,7 +134,7 @@ pub fn build(
 
 /// E09 — triangular routing: the HA detour inflates mobile-bound latency;
 /// a binding cache at the correspondent's gateway removes it.
-pub fn e09_triangular_routing() -> String {
+pub fn e09_triangular_routing(seed: u64) -> Experiment {
     let mut t = Table::new(
         "E09: triangular routing (§2.1, Fig 2.1)",
         &[
@@ -144,12 +145,13 @@ pub fn e09_triangular_routing() -> String {
             "direct pkts",
         ],
     );
+    let mut cells = Vec::new();
     for detour_ms in [5u64, 50] {
         for route_opt in [false, true] {
             let client = RequestResponse::new(("11.11.5.1".parse().unwrap(), 7), 200, 30)
                 .with_think_time(SimDuration::from_millis(100));
             let mut w = build(
-                609,
+                world_seed(609, seed),
                 SimDuration::from_millis(detour_ms),
                 route_opt,
                 false,
@@ -177,17 +179,32 @@ pub fn e09_triangular_routing() -> String {
                 n(tunneled),
                 n(direct),
             ]);
+            cells.push((mean, tunneled, direct));
         }
     }
-    t.note(
-        "paper claim: all mobile-bound traffic detours via the HA; binding caches fix it — holds",
-    );
-    t.render()
+    // Rows: (5 ms, off), (5 ms, on), (50 ms, off), (50 ms, on). Without
+    // caches nothing goes direct; with them all but the first packet does,
+    // so the far detour costs the cached path nothing.
+    let [near_off, near_on, far_off, far_on] = [cells[0], cells[1], cells[2], cells[3]];
+    let claim = Claim {
+        id: "E09",
+        thesis_ref: "§2.1",
+        statement: "all mobile-bound traffic detours via the HA; binding caches fix it",
+        holds: [near_off, far_off].iter().all(|c| c.1 > 0 && c.2 == 0)
+            && [near_on, far_on].iter().all(|c| c.1 <= 1 && c.2 > 0)
+            && far_off.0 > 2.0 * far_on.0
+            && far_on.0 < 1.1 * near_on.0,
+        evidence: format!(
+            "uncached {} + {} packets via the HA, 0 direct; cached {} + {} via the HA; 50 ms detour {:.1} -> {:.1} ms, cached 5 ms detour {:.1} ms",
+            near_off.1, far_off.1, near_on.1, far_on.1, far_off.0, far_on.0, near_on.0
+        ),
+    };
+    Experiment::decided(t, vec![claim])
 }
 
 /// E10 — handoff loss: packets in flight to the old FA are dropped (or
 /// forwarded, with the binding-update extension), and TCP stalls follow.
-pub fn e10_handoff_loss() -> String {
+pub fn e10_handoff_loss(seed: u64) -> Experiment {
     let mut t = Table::new(
         "E10: packet fate across handoff (§2.1)",
         &[
@@ -199,11 +216,12 @@ pub fn e10_handoff_loss() -> String {
             "completion s",
         ],
     );
+    let mut arms = Vec::new();
     for forward in [false, true] {
         let sender = BulkSender::new(("11.11.1.10".parse().unwrap(), 9000), 1_000_000);
         let sink = Sink::new(9000);
         let mut w = build(
-            610,
+            world_seed(610, seed),
             SimDuration::from_millis(5),
             false,
             forward,
@@ -220,7 +238,7 @@ pub fn e10_handoff_loss() -> String {
         });
         let mut last_bytes = 0usize;
         let mut last_progress = 0.0f64;
-        let mut longest_stall = 0.0f64;
+        let (mut longest_stall, mut handoff_stall) = (0.0f64, 0.0f64);
         let mut completion = f64::NAN;
         for tick in 1..=1200u64 {
             let now = SimTime::from_millis(tick * 100);
@@ -235,6 +253,10 @@ pub fn e10_handoff_loss() -> String {
                 last_bytes = bytes;
                 if t_now - last_progress > longest_stall {
                     longest_stall = t_now - last_progress;
+                }
+                // The gap that spans the move, not the start-up one.
+                if t_now > 4.0 {
+                    handoff_stall = handoff_stall.max(t_now - last_progress);
                 }
                 last_progress = t_now;
             }
@@ -260,8 +282,30 @@ pub fn e10_handoff_loss() -> String {
             f(longest_stall, 1),
             f(completion, 1),
         ]);
+        let row = (
+            lost_in_cell,
+            dropped,
+            reforwarded,
+            longest_stall,
+            completion,
+        );
+        arms.push((row, handoff_stall));
     }
-    t.note("paper claim: packets in transit to the old FA are lost and higher layers must recover — holds");
+    // The drop arm decides: packets die, delivery stalls across the move
+    // for at least two 100 ms samples, and TCP still delivers every byte.
+    let [(drop_row, stall), (fwd_row, _)] = [arms[0], arms[1]];
+    let (lost, done) = (drop_row.0 + drop_row.1, drop_row.4);
+    let claim = Claim {
+        id: "E10",
+        thesis_ref: "§2.1",
+        statement: "packets in transit to the old FA are lost and higher layers must recover",
+        holds: lost > 0 && stall > 0.15 && done.is_finite() && fwd_row.4.is_finite(),
+        evidence: format!(
+            "drop arm loses {lost} packets, stalls {stall:.1} s across the move, completes at {done:.1} s; forward arm re-forwards {} packets{}",
+            fwd_row.2,
+            if fwd_row == drop_row { ", so its row equals the drop arm's" } else { "" }
+        ),
+    };
     t.note("the stall is dominated by movement detection (advert interval) plus TCP recovery");
-    t.render()
+    Experiment::decided(t, vec![claim])
 }

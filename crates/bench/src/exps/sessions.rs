@@ -11,10 +11,12 @@ use comma_proxy::ServiceProxy;
 use comma_tcp::apps::{BulkSender, Sink};
 use comma_tcp::host::Host;
 
+use super::{world_seed, Experiment};
+
 /// E01 — the SP telnet session of Fig 5.3, replayed command for command.
-pub fn e01_sp_session() -> String {
+pub fn e01_sp_session(seed: u64) -> Experiment {
     let sender = BulkSender::new((addrs::MOBILE, 1169), 400_000);
-    let mut world = CommaBuilder::new(101)
+    let mut world = CommaBuilder::new(world_seed(101, seed))
         .empty_filter_pool()
         .build(vec![Box::new(sender)], vec![Box::new(Sink::new(1169))]);
 
@@ -51,13 +53,13 @@ pub fn e01_sp_session() -> String {
         }
     }
     out.push_str("^]\ntelnet> quit\nConnection closed.\n");
-    out
+    out.into()
 }
 
 /// E02 — the EEM client example of Fig 6.2: register `sysUpTime` with an
 /// IN \[0,20\] range and watch the PDA change over two minutes.
-pub fn e02_eem_example() -> String {
-    let mut sim = Simulator::new(102);
+pub fn e02_eem_example(seed: u64) -> Experiment {
+    let mut sim = Simulator::new(world_seed(102, seed));
     let server_addr: comma_netsim::addr::Ipv4Addr = "11.11.10.1".parse().unwrap();
     let client_addr: comma_netsim::addr::Ipv4Addr = "11.11.10.10".parse().unwrap();
     let hub = MetricsHub::shared();
@@ -113,15 +115,15 @@ pub fn e02_eem_example() -> String {
         }
     }
     out.push_str("note: updates stop arriving once sysUpTime leaves the requested [0,20] range\n");
-    out
+    out.into()
 }
 
 /// E03 — the Kati session of Figs 7.1–7.4: observe a live stream, add a
 /// compression service from the shell, watch it appear.
-pub fn e03_kati_session() -> String {
+pub fn e03_kati_session(seed: u64) -> Experiment {
     let sender = BulkSender::new((addrs::MOBILE, 9000), 2_000_000);
-    let mut world =
-        CommaBuilder::new(103).build(vec![Box::new(sender)], vec![Box::new(Sink::new(9000))]);
+    let mut world = CommaBuilder::new(world_seed(103, seed))
+        .build(vec![Box::new(sender)], vec![Box::new(Sink::new(9000))]);
     let proxy = world.proxy;
     let hub = world.hub.clone();
     let mut kati = Kati::new(proxy).with_hub(hub);
@@ -146,5 +148,5 @@ pub fn e03_kati_session() -> String {
     out.push_str("== E03: Kati session (Figs 7.1-7.4) ==\n");
     out.push_str(&kati.render_transcript());
     out.push_str(&format!("(proxy log now holds {sp_log_len} lines)\n"));
-    out
+    out.into()
 }

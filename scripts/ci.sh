@@ -15,6 +15,7 @@
 #   ./scripts/ci.sh shard    # also gate the sharded-runner determinism suite
 #   ./scripts/ci.sh alloc    # also gate the zero-allocation contract
 #   ./scripts/ci.sh mc       # also gate the interleaving model checker
+#   ./scripts/ci.sh claims   # also re-decide every paper claim at 60 seeds
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -140,6 +141,13 @@ alloc)
     COMMA_BENCH_FAST=1 cargo bench -q --offline -p comma-bench \
         --features alloc-stats --bench macrobench
     echo "alloc gate ok"
+    ;;
+claims)
+    echo "== paper claims at seeds 1-60 (release) =="
+    # Each experiment decides its own claims; this prints every claim's
+    # pass count and fails on any (claim, seed) that does not hold.
+    cargo test -q --release --offline --test determinism \
+        experiment_claims_hold_across_seeds -- --ignored --nocapture
     ;;
 esac
 

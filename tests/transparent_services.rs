@@ -3,49 +3,35 @@
 //! forces the TTSF retransmission-replay machinery to work).
 
 use comma_repro::prelude::*;
-use comma_repro::filters::appdata::FrameParser;
+use comma_repro::filters::appdata::{synth_body, FrameKind, FrameParser};
 
-/// E04 (Fig 8.3 as a service): the `removal` service drops low-importance
-/// records in flight; the receiver sees a valid, reduced record stream and
-/// both endpoints terminate cleanly — all over one un-split connection.
+/// E04 (Fig 8.3 as a service), in E04's own world at a seed the report does
+/// not print: the `removal` service drops low-importance records in flight;
+/// the receiver sees a valid, reduced record stream and both endpoints
+/// terminate cleanly — all over one un-split connection.
 #[test]
 fn removal_service_drops_records_transparently() {
-    let sender = RecordSender::synthetic((addrs::MOBILE, 9000), 80, 300);
-    let mut world = CommaBuilder::new(41).build(
-        vec![Box::new(sender)],
-        vec![Box::new(Sink::new(9000).with_capture(1 << 20))],
-    );
-    world.sp("add tcp 0.0.0.0 0 11.11.10.10 9000");
-    world.sp("add removal 0.0.0.0 0 11.11.10.10 9000 2");
-    world.attach_oracle();
-    world.run_until(SimTime::from_secs(30));
-
-    let done = world.wired_app::<RecordSender, _>(world.wired_app_ids[0], |s| s.done);
+    let run = comma_bench::exps::services::removal_run(41, 2);
     assert!(
-        done,
-        "sender connection fully closed (FIN handled through the TTSF)"
+        run.closed,
+        "both endpoints closed (FIN handled through the TTSF)"
     );
-
-    let sink = world.mobile_app_ids[0];
-    let capture = world.mobile_app::<Sink, _>(sink, |s| s.capture.clone());
-    let mut parser = FrameParser::new();
-    let frames = parser.push(&capture);
-    assert_eq!(parser.pending(), 0, "no trailing garbage");
-    // Importance cycles 0..=3 over 80 records: 40 have importance >= 2.
-    assert_eq!(frames.len(), 40);
-    assert!(frames.iter().all(|f| f.importance >= 2));
+    assert_eq!(run.trailing, 0, "no trailing garbage");
+    // Importance cycles 0..=3 over 100 records: 50 have importance >= 2.
+    assert_eq!(run.frames.len(), 50);
+    assert!(run.frames.iter().all(|f| f.importance >= 2));
     // Record bodies arrive intact.
-    for f in &frames {
-        assert_eq!(f.body.len(), 300);
+    for f in &run.frames {
+        assert_eq!(f.body, synth_body(FrameKind::Text, f.seq, 400));
     }
     // The wireless hop carried roughly half the bytes.
-    let sent = world.wired_app::<RecordSender, _>(world.wired_app_ids[0], |s| s.bytes_sent);
-    let wireless = world.wireless_down_bytes() as usize;
     assert!(
-        wireless < sent * 7 / 10,
-        "wireless {wireless} vs sent {sent}: reduction visible"
+        (run.wireless as usize) < run.sent * 7 / 10,
+        "wireless {} vs sent {}: reduction visible",
+        run.wireless,
+        run.sent
     );
-    world.assert_oracle_clean();
+    assert_eq!(run.findings, 0, "oracle clean");
 }
 
 /// E05 under stress: packet compression with a bursty-lossy wireless link.
